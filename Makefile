@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-baseline bench-server bench-equiv bench-equiv-record bench-fsm bench-fsm-record bench-cluster bench-cluster-record bench-dist bench-dist-record bench-compositional bench-compositional-record bench-reduction bench-reduction-record
+.PHONY: build test check bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-baseline bench-server bench-equiv bench-equiv-record bench-fsm bench-fsm-record bench-cluster bench-cluster-record bench-dist bench-dist-record bench-compositional bench-compositional-record bench-reduction bench-reduction-record
 
 # guard-record refuses to overwrite a committed BENCH_*.json file: each one
 # is the performance record of the PR that introduced its lane, captured on
@@ -21,8 +21,9 @@ test:
 	$(GO) test ./...
 
 # check is the concurrency tier: vet plus the race detector over the
-# packages that exercise goroutines (the runtime, the medium, the parallel
-# explorer and the daemon), plus a short fuzz smoke of the two native
+# packages that exercise goroutines (the runtime, the medium, the
+# exploration core's derivation workers and the daemon), the smoke gates,
+# the benchmark module's own tests, and a short fuzz smoke of the native
 # fuzz targets.
 check:
 	$(GO) vet ./...
@@ -33,7 +34,15 @@ check:
 	$(MAKE) cluster-smoke
 	$(MAKE) dist-smoke
 	$(MAKE) live-smoke
+	$(MAKE) bench-smoke
 	$(MAKE) fuzz-smoke
+
+# bench-smoke vets and tests the benchmark (bench/, a Go module of its own
+# that the root ./... patterns skip): unit tests plus a short run of every
+# workload. The benchmark calls internal APIs directly, so a refactor of
+# internal/ must keep it building and its outputs correct.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fault-matrix-smoke sweeps the whole corpus through the fault matrix once
 # (reliable, loss, dup, reorder at caps 1 and 2) under the race detector,
@@ -53,8 +62,9 @@ compositional-smoke:
 # reduction-smoke is the reduction-soundness gate: the whole corpus verified
 # unreduced and under every reduction set (POR, symmetry, spill, all) across
 # reliable and faulty media with verdicts compared cell by cell and every
-# reduced counterexample replayed; the three exploration engines (serial,
-# parallel, out-of-core) compared byte for byte within one reduction set;
+# reduced counterexample replayed; the one exploration core run in three
+# configurations (one worker, several workers, the spilling visited index)
+# and compared byte for byte within one reduction set;
 # block-permutation invariance; and the tentpole acceptance run —
 # multiinstance explored to completion under symmetry inside a budget its
 # unreduced product overflows. All under the race detector.

@@ -380,15 +380,14 @@ func BenchmarkReductionAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, noRed := range []bool{false, true} {
-		name := "reduced"
-		if noRed {
-			name = "full"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		red  compose.Reductions
+	}{{"reduced", 0}, {"full", compose.RedNone}} {
+		b.Run(c.name, func(b *testing.B) {
 			var states int
 			for i := 0; i < b.N; i++ {
-				sys, err := compose.New(d.Entities, compose.Config{NoReduction: noRed})
+				sys, err := compose.New(d.Entities, compose.Config{Reductions: c.red})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -403,22 +402,17 @@ func BenchmarkReductionAblation(b *testing.B) {
 	}
 }
 
-// --- exploration ablation: key encoding × serial/parallel ----------------------------
+// --- exploration ablation: serial/parallel derivation ------------------------------
 
-// exploreBenchConfigs are the three exploration configurations compared by
-// the ablation benchmarks: the legacy serial explorer with string keys, the
-// serial explorer with the compact binary keys, and the parallel explorer
-// (binary keys). On a multi-core runner the parallel/binary configuration
-// is expected to beat serial/string by >= 2x on the largest corpus specs;
-// serial/binary isolates how much of that comes from the key encoding.
+// exploreBenchConfigs are the exploration configurations compared by the
+// ablation benchmarks: one derivation worker, and one per CPU. Both run the
+// same BFS core and yield the same graph.
 var exploreBenchConfigs = []struct {
 	name     string
 	parallel bool
-	strKeys  bool
 }{
-	{"serial-string", false, true},
-	{"serial-binary", false, false},
-	{"parallel-binary", true, false},
+	{"serial-binary", false},
+	{"parallel-binary", true},
 }
 
 func benchExplore(b *testing.B, entities map[int]*lotos.Spec, cfg compose.Config) {
@@ -439,7 +433,7 @@ func benchExplore(b *testing.B, entities map[int]*lotos.Spec, cfg compose.Config
 }
 
 // BenchmarkExploreCorpusAblation explores every specs/ corpus entry under
-// the three configurations. The multiinstance spec is the largest (about
+// the exploration configurations. The multiinstance spec is the largest (about
 // 117k states at this bound) and dominates the comparison.
 func BenchmarkExploreCorpusAblation(b *testing.B) {
 	files, err := filepath.Glob(filepath.Join("specs", "*.spec"))
@@ -459,11 +453,7 @@ func BenchmarkExploreCorpusAblation(b *testing.B) {
 		base := strings.TrimSuffix(filepath.Base(file), ".spec")
 		for _, cfg := range exploreBenchConfigs {
 			b.Run(base+"/"+cfg.name, func(b *testing.B) {
-				benchExplore(b, d.Entities, compose.Config{
-					Limits:     lim,
-					Parallel:   cfg.parallel,
-					StringKeys: cfg.strKeys,
-				})
+				benchExplore(b, d.Entities, compose.Config{Limits: lim, Parallel: cfg.parallel})
 			})
 		}
 	}
@@ -482,11 +472,7 @@ func BenchmarkExplorePlacesSweep(b *testing.B) {
 		}
 		for _, cfg := range exploreBenchConfigs {
 			b.Run(fmt.Sprintf("n=%d/%s", n, cfg.name), func(b *testing.B) {
-				benchExplore(b, d.Entities, compose.Config{
-					Limits:     lim,
-					Parallel:   cfg.parallel,
-					StringKeys: cfg.strKeys,
-				})
+				benchExplore(b, d.Entities, compose.Config{Limits: lim, Parallel: cfg.parallel})
 			})
 		}
 	}

@@ -34,9 +34,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -60,33 +59,19 @@ type Config struct {
 	// spilling) applied during exploration. The zero value selects the
 	// default set (POR only); RedNone selects none. See Reductions.
 	Reductions Reductions
-	// NoReduction disables every reduction and explores every interleaving.
-	// Exponentially slower; kept for the reduction-soundness tests and the
-	// ablation benchmark.
-	//
-	// Deprecated: set Reductions to RedNone instead. Ignored when Reductions
-	// is non-zero.
-	NoReduction bool
 	// SpillBudget bounds the in-memory visited index (in bytes) when the
 	// RedSpill reduction is enabled; past it, sorted key runs spill to temp
 	// files. 0 selects lts.DefaultSpillBudget.
 	SpillBudget int64
 	// SpillDir is the directory for spilled runs ("" = the OS temp dir).
 	SpillDir string
-	// Parallel explores the product with the level-synchronous parallel
-	// BFS (lts.ExploreSourceParallel) instead of the serial explorer. The
-	// resulting graph has the same state-key set and weakly bisimilar
-	// behaviour; state numbering is deterministic run to run.
+	// Parallel derives the successors of each BFS level with Workers
+	// goroutines instead of one. Exploration runs the same core either way
+	// and yields the identical graph, state numbering included.
 	Parallel bool
-	// Workers sizes the parallel explorer's worker pool (0 = GOMAXPROCS).
-	// Ignored unless Parallel is set.
+	// Workers sizes the derivation worker pool (0 = GOMAXPROCS). Ignored
+	// unless Parallel is set.
 	Workers int
-	// StringKeys selects the legacy human-readable string state keys
-	// instead of the binary digests — slower and allocation-heavy; kept
-	// for the key-encoding ablation benchmark and for debugging. String
-	// keys embed per-run interned ids, so they are not comparable across
-	// System instances.
-	StringKeys bool
 	// Faults composes medium faults — message loss, duplication, adjacent
 	// reordering — into the product as internal medium transitions. The
 	// zero value is the paper's reliable medium. See FaultModel.
@@ -108,9 +93,9 @@ type System struct {
 	// symmetry exists.
 	red Reductions
 	sym *symmetry
-	// Reduction telemetry. The counters are atomic because the parallel
-	// explorer's workers share the system; spillStats is written once by
-	// Explore (single-threaded) after the spilling explorer returns.
+	// Reduction telemetry. The counters are atomic because the derivation
+	// workers share the system; spillStats is written once by Explore
+	// (single-threaded) after a spilling exploration returns.
 	orbitsCollapsed atomic.Int64
 	ampleHits       atomic.Int64
 	spillStats      *lts.SpillStats
@@ -120,20 +105,20 @@ type System struct {
 	// and no SOS environment exists.
 	preset bool
 
-	// Interning tables, shared by every exploration of the system and —
-	// under the parallel explorer — by every worker, hence the lock.
+	// Interning tables, shared by every exploration of the system and by
+	// every derivation worker, hence the lock.
 	// Entity-local state interning mirrors the paper's observation that
 	// the product factors through the (much smaller) local transition
 	// systems: every distinct entity expression gets a small integer id
 	// per place, local transitions are derived once per local state, and
 	// messages are interned to small integers per system.
-	mu     sync.RWMutex
-	intern []map[string]int32 // place idx -> canon -> local id
-	local  [][]localState     // place idx -> local id -> state
-	msgIDs  map[message]int32 // message -> id
-	msgs    []message         // id -> message (diagnostics, string keys)
-	msgSum  [][16]byte        // id -> content digest
-	msgMeta []msgMeta         // id -> symmetry classification (sym != nil only)
+	mu      sync.RWMutex
+	intern  []map[string]int32 // place idx -> canon -> local id
+	local   [][]localState     // place idx -> local id -> state
+	msgIDs  map[message]int32  // message -> id
+	msgs    []message          // id -> message (diagnostics)
+	msgSum  [][16]byte         // id -> content digest
+	msgMeta []msgMeta          // id -> symmetry classification (sym != nil only)
 }
 
 // localState is one interned entity-local state. Transitions are derived
@@ -291,9 +276,8 @@ func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
 	}
 	// Symmetry must be detected before any state or message is interned:
 	// the canonical column digests and message classifications are computed
-	// at intern time. String keys embed raw interned ids and cannot be
-	// canonicalized, so symmetry stays off under StringKeys.
-	if sys.red&RedSymmetry != 0 && !cfg.StringKeys {
+	// at intern time.
+	if sys.red&RedSymmetry != 0 {
 		sys.sym = detectSymmetry(sys.Places, entities)
 	}
 	return sys, nil
@@ -359,9 +343,6 @@ type gstate struct {
 func (s *System) key(g *gstate) string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.cfg.StringKeys {
-		return s.stringKeyLocked(g)
-	}
 	if s.sym != nil {
 		if k, ok := s.canonKeyLocked(g); ok {
 			return k
@@ -397,37 +378,6 @@ func (s *System) binaryKeyLocked(g *gstate) string {
 	return string(sum[:16])
 }
 
-// stringKeyLocked is the legacy human-readable key encoding, kept for the
-// key-encoding ablation benchmark and for debugging. Message renderings are
-// length-prefixed and kind-tagged so the historical collisions (a tag
-// containing a separator or shaped like "node#occ") cannot merge distinct
-// states, but the encoding still pays the fmt/strings allocation cost the
-// binary keys avoid.
-func (s *System) stringKeyLocked(g *gstate) string {
-	var b strings.Builder
-	for i, id := range g.locals {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(strconv.Itoa(int(id)))
-	}
-	for slot, q := range g.chans {
-		if len(q) == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, ";%d=", slot)
-		for _, mid := range q {
-			m := s.msgs[mid]
-			if m.Tag != "" {
-				fmt.Fprintf(&b, "t%d:%s,", len(m.Tag), m.Tag)
-			} else {
-				fmt.Fprintf(&b, "m%d#%d:%s,", m.Node, len(m.Occ), m.Occ)
-			}
-		}
-	}
-	return b.String()
-}
-
 // clone copies the state with one entity local state replaced. The channel
 // queues are shared (only cloneChans callers mutate them).
 func (g *gstate) clone(idx int, localID int32) *gstate {
@@ -444,7 +394,7 @@ func (g *gstate) cloneChans(idx int, localID int32) *gstate {
 }
 
 // source implements lts.StateSource over the product system. Next is safe
-// for concurrent use (the parallel explorer's workers share one source).
+// for concurrent use (the derivation workers share one source).
 type source struct {
 	sys *System
 }
@@ -742,45 +692,44 @@ func (s *System) faultMoves(g *gstate, annotate bool, emit func(lts.GenTransitio
 }
 
 // Explore builds the observable global transition graph of the composed
-// protocol system. With Config.Parallel it runs the frontier-at-a-time
-// parallel explorer; the serial explorer remains the oracle the parallel
-// path is cross-checked against. With RedSpill enabled the disk-spilling
-// explorer runs instead (it takes precedence over Parallel) and its
-// statistics become available through ReductionInfo.
+// protocol system. Config.Parallel sets how many workers derive each BFS
+// level; RedSpill selects the disk-spilling visited index, whose statistics
+// then become available through ReductionInfo.
 func (s *System) Explore() (*lts.Graph, error) {
-	root := s.rootState()
-	src := &source{sys: s}
-	if s.red&RedSpill != 0 {
-		g, st, err := lts.ExploreSourceSpill(src, s.key(root), root, s.cfg.Limits, lts.SpillConfig{
-			Budget: s.cfg.SpillBudget,
-			Dir:    s.cfg.SpillDir,
-		})
-		s.spillStats = st
-		return g, err
-	}
-	if s.cfg.Parallel {
-		return lts.ExploreSourceParallel(src, s.key(root), root, s.cfg.Limits, s.cfg.Workers)
-	}
-	return lts.ExploreSource(src, s.key(root), root, s.cfg.Limits)
+	g, _, err := s.explore(false)
+	return g, err
 }
 
 // ExploreStatsOnly explores the product counting states without retaining
 // the graph — the memory-bounded census mode for products far past what a
-// retained graph could hold. Requires RedSpill (the spilling explorer is the
+// retained graph could hold. Requires RedSpill (the spilling index is the
 // only one that can discard visited states) and no depth limits.
 func (s *System) ExploreStatsOnly() (*lts.SpillStats, error) {
 	if s.red&RedSpill == 0 {
 		return nil, fmt.Errorf("compose: ExploreStatsOnly requires the spill reduction")
 	}
-	root := s.rootState()
-	src := &source{sys: s}
-	_, st, err := lts.ExploreSourceSpill(src, s.key(root), root, s.cfg.Limits, lts.SpillConfig{
-		Budget:    s.cfg.SpillBudget,
-		Dir:       s.cfg.SpillDir,
-		StatsOnly: true,
-	})
-	s.spillStats = st
+	_, st, err := s.explore(true)
 	return st, err
+}
+
+// explore runs the exploration core with the configured worker count and
+// visited index.
+func (s *System) explore(statsOnly bool) (*lts.Graph, *lts.SpillStats, error) {
+	workers := 1
+	if s.cfg.Parallel {
+		workers = s.cfg.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+	}
+	var spill *lts.SpillConfig
+	if s.red&RedSpill != 0 {
+		spill = &lts.SpillConfig{Budget: s.cfg.SpillBudget, Dir: s.cfg.SpillDir, StatsOnly: statsOnly}
+	}
+	root := s.rootState()
+	g, st, err := lts.ExploreSource(&source{sys: s}, s.key(root), root, s.cfg.Limits, workers, spill)
+	s.spillStats = st
+	return g, st, err
 }
 
 // ReductionInfo reports the reduction configuration and the work each

@@ -164,7 +164,7 @@ func TestFaultExplorationAgreesWithoutReduction(t *testing.T) {
 		for _, fm := range models {
 			for _, chanCap := range []int{1, 2} {
 				reduced := verifySrc(t, src, VerifyOptions{ChannelCap: chanCap, Faults: fm})
-				sysNR, err := New(d.Entities, Config{ChannelCap: chanCap, Faults: fm, NoReduction: true,
+				sysNR, err := New(d.Entities, Config{ChannelCap: chanCap, Faults: fm, Reductions: RedNone,
 					Limits: lts.Limits{MaxObsDepth: DefaultObsDepth}})
 				if err != nil {
 					t.Fatal(err)

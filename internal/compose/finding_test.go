@@ -1,7 +1,6 @@
 package compose
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -43,12 +42,9 @@ ENDSPEC`
 		t.Fatal(err)
 	}
 	for _, capacity := range []int{1, 2, 4} {
-		// StringKeys: the readable legacy keys let the test inspect the
-		// channel contents of the deadlocked states below.
 		sys, err := New(d.Entities, Config{
 			ChannelCap: capacity,
 			Limits:     lts.Limits{MaxObsDepth: 5, MaxStates: 400000},
-			StringKeys: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -65,11 +61,15 @@ ENDSPEC`
 		}
 		// Every deadlocked state has a non-empty channel (a message stuck
 		// behind the FIFO head); at capacity >= 2 the canonical witness has
-		// the interrupt message queued behind the Rel message. In the
-		// legacy string keys a non-empty channel renders as ";slot=msgs".
+		// the interrupt message queued behind the Rel message.
 		for _, s := range dls {
-			if !strings.Contains(g.Keys[s], ";") || !strings.Contains(g.Keys[s], "=") {
-				t.Errorf("cap=%d: deadlock state %q has empty channels", capacity, g.Keys[s])
+			st := stateOf(t, sys, g, s)
+			queued := false
+			for _, q := range st.chans {
+				queued = queued || len(q) > 0
+			}
+			if !queued {
+				t.Errorf("cap=%d: deadlock state %d has empty channels", capacity, s)
 			}
 		}
 	}
@@ -96,6 +96,35 @@ ENDSPEC`
 	if dl := g.Deadlocks(); len(dl) != 0 {
 		t.Errorf("control without [> deadlocks: %d", len(dl))
 	}
+}
+
+// stateOf recovers the global state behind a graph state: it walks a
+// shortest path to it from the initial state, re-deriving each step.
+func stateOf(t *testing.T, sys *System, g *lts.Graph, target int) *gstate {
+	t.Helper()
+	path, ok := g.ShortestPathTo(func(s int) bool { return s == target })
+	if !ok {
+		t.Fatalf("state %d unreachable", target)
+	}
+	cur := sys.rootState()
+	for _, ps := range path {
+		trans, _, err := sys.derive(cur, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next *gstate
+		for _, tr := range trans {
+			if tr.Key == g.Keys[ps.Edge.To] {
+				next = tr.To.(*gstate)
+				break
+			}
+		}
+		if next == nil {
+			t.Fatalf("no derived transition reaches state %d", ps.Edge.To)
+		}
+		cur = next
+	}
+	return cur
 }
 
 // TestE11_LinearDisableHasNoDeadlock shows the race needs the interrupting

@@ -30,9 +30,8 @@ func gstateWith(queue ...int32) *gstate {
 // encoding ambiguities: the old rendering joined messages with "," and
 // printed node messages as "node#occ", so a symbolic tag shaped like "7#0"
 // collided with the node-7/occurrence-"0" message, and a tag containing a
-// separator ("a,b") collided with two adjacent messages "a","b". Both the
-// binary keys and the legacy string keys must now keep all of these states
-// distinct.
+// separator ("a,b") collided with two adjacent messages "a","b". The binary
+// keys must keep all of these states distinct.
 func TestKeyEncodingCollisions(t *testing.T) {
 	sys := testSystem()
 	tagLikeNode := sys.msgIDLocked(message{Tag: "7#0"})
@@ -53,9 +52,6 @@ func TestKeyEncodingCollisions(t *testing.T) {
 			if ka, kb := sys.binaryKeyLocked(c.a), sys.binaryKeyLocked(c.b); ka == kb {
 				t.Errorf("binary keys collide: %x", ka)
 			}
-			if ka, kb := sys.stringKeyLocked(c.a), sys.stringKeyLocked(c.b); ka == kb {
-				t.Errorf("string keys collide: %q", ka)
-			}
 		})
 	}
 
@@ -63,13 +59,10 @@ func TestKeyEncodingCollisions(t *testing.T) {
 	if sys.binaryKeyLocked(gstateWith(tagA)) != sys.binaryKeyLocked(gstateWith(tagA)) {
 		t.Error("equal states got distinct binary keys")
 	}
-	if sys.stringKeyLocked(gstateWith(tagA)) != sys.stringKeyLocked(gstateWith(tagA)) {
-		t.Error("equal states got distinct string keys")
-	}
 }
 
 // TestKeySlotAndLengthFraming checks the remaining dimensions of the
-// encodings: which slot holds a queue, and how a queue splits across
+// encoding: which slot holds a queue, and how a queue splits across
 // slots, must always be part of the key.
 func TestKeySlotAndLengthFraming(t *testing.T) {
 	sys := testSystem()
@@ -80,9 +73,6 @@ func TestKeySlotAndLengthFraming(t *testing.T) {
 	onSlot2.chans[2] = []int32{tagA} // channel 2->1
 	if sys.binaryKeyLocked(onSlot1) == sys.binaryKeyLocked(onSlot2) {
 		t.Error("binary key ignores channel slot")
-	}
-	if sys.stringKeyLocked(onSlot1) == sys.stringKeyLocked(onSlot2) {
-		t.Error("string key ignores channel slot")
 	}
 
 	empty := gstateWith()
@@ -99,12 +89,9 @@ func TestKeySlotAndLengthFraming(t *testing.T) {
 	if sys.binaryKeyLocked(split1) == sys.binaryKeyLocked(split2) {
 		t.Error("binary key ignores how messages distribute over channels")
 	}
-	if sys.stringKeyLocked(split1) == sys.stringKeyLocked(split2) {
-		t.Error("string key ignores how messages distribute over channels")
-	}
 }
 
-// TestBinaryKeyContentDerived checks the property the parallel explorer
+// TestBinaryKeyContentDerived checks the property parallel derivation
 // depends on: binary keys are derived from content only, so two System
 // instances that interned the same messages in DIFFERENT orders still
 // assign equal keys to equal global states.

@@ -4,18 +4,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/equiv"
 	"repro/internal/lotos"
 	"repro/internal/lts"
 )
 
-// corpusLimits avoids MaxStates truncation on every corpus spec: a capped
-// exploration may cut different (equally valid) prefixes serial vs
-// parallel, so the cross-check needs closure within the observable bound.
+// corpusLimits lets every corpus spec close within the observable bound, so
+// the cross-check compares whole explorations, not state-cap prefixes.
 var corpusLimits = lts.Limits{MaxObsDepth: 5, MaxStates: 400000}
 
 func exploreCorpusSpec(t *testing.T, entities map[int]*lotos.Spec, cfg Config) *lts.Graph {
@@ -31,24 +28,9 @@ func exploreCorpusSpec(t *testing.T, entities map[int]*lotos.Spec, cfg Config) *
 	return g
 }
 
-// adjacencyByKey renders each state's sorted outgoing edge set keyed by the
-// state's key — a numbering-independent graph signature.
-func adjacencyByKey(g *lts.Graph) map[string][]string {
-	adj := make(map[string][]string, len(g.Keys))
-	for s, es := range g.Edges {
-		out := make([]string, len(es))
-		for i, e := range es {
-			out[i] = e.Label.String() + "\x00" + g.Keys[e.To]
-		}
-		sort.Strings(out)
-		adj[g.Keys[s]] = out
-	}
-	return adj
-}
-
-// TestParallelMatchesSerialOnCorpus cross-checks the parallel explorer
-// against the serial oracle over the full specs/ corpus: identical
-// state-key sets, identical sizes, and weakly bisimilar graphs.
+// TestParallelMatchesSerialOnCorpus explores the full specs/ corpus with
+// one derivation worker and with four: the exploration core must yield the
+// identical graph, state numbering, edge order and depths included.
 func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec"))
 	if err != nil || len(files) == 0 {
@@ -66,39 +48,16 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 			}
 			serial := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits})
 			par := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits, Parallel: true, Workers: 4})
-
-			// Truncation at the observable bound is fine (the cut depends
-			// only on the depth fixpoint, which both explorers share); only
-			// the MaxStates cap cuts order-dependent prefixes, so the cap
-			// must not be the truncating factor.
-			if serial.NumStates() >= corpusLimits.MaxStates || par.NumStates() >= corpusLimits.MaxStates {
-				t.Fatalf("state cap hit (serial=%d parallel=%d); raise corpusLimits.MaxStates",
-					serial.NumStates(), par.NumStates())
+			if serial.NumStates() >= corpusLimits.MaxStates {
+				t.Fatalf("state cap hit (%d states); raise corpusLimits.MaxStates", serial.NumStates())
 			}
-			if serial.NumStates() != par.NumStates() || serial.NumTransitions() != par.NumTransitions() {
-				t.Errorf("sizes differ: serial %d/%d, parallel %d/%d",
+			if !reflect.DeepEqual(serial.Keys, par.Keys) || !reflect.DeepEqual(serial.Edges, par.Edges) {
+				t.Errorf("graphs differ: serial %d/%d, parallel %d/%d states/transitions",
 					serial.NumStates(), serial.NumTransitions(), par.NumStates(), par.NumTransitions())
 			}
-			sk := append([]string{}, serial.Keys...)
-			pk := append([]string{}, par.Keys...)
-			sort.Strings(sk)
-			sort.Strings(pk)
-			if !reflect.DeepEqual(sk, pk) {
-				t.Error("state key sets differ between serial and parallel exploration")
-			}
-			// Per-key adjacency equality: the graphs are isomorphic under the
-			// key bijection — strictly stronger than weak bisimilarity, and
-			// cheap enough for the 100k+-state corpus entries.
-			if !reflect.DeepEqual(adjacencyByKey(serial), adjacencyByKey(par)) {
-				t.Error("per-key adjacency differs between serial and parallel exploration")
-			}
-			// The saturation-based bisimulation check is quadratic in states;
-			// run it as an extra semantic check on the small graphs only.
-			if serial.NumStates() <= 5000 && !equiv.WeakBisimilar(serial, par) {
-				t.Error("serial and parallel graphs are not weakly bisimilar")
-			}
-			if len(serial.Deadlocks()) != len(par.Deadlocks()) {
-				t.Errorf("deadlock counts differ: %d vs %d", len(serial.Deadlocks()), len(par.Deadlocks()))
+			if !reflect.DeepEqual(serial.Depth, par.Depth) || !reflect.DeepEqual(serial.ObsDepth, par.ObsDepth) ||
+				!reflect.DeepEqual(serial.Frontier, par.Frontier) {
+				t.Error("depth accounting or frontier differs between serial and parallel exploration")
 			}
 		})
 	}
@@ -121,24 +80,5 @@ func TestParallelExploreDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Edges, b.Edges) {
 		t.Error("edges differ between identical parallel runs")
-	}
-}
-
-// TestStringKeysMatchBinaryKeysStructurally explores the same system under
-// both key encodings and checks they agree on the graph structure — the
-// encodings must merge exactly the same global states.
-func TestStringKeysMatchBinaryKeysStructurally(t *testing.T) {
-	d, err := core.Derive(lotos.MustParse("SPEC a1; b2; exit ||| c3; d1; exit ENDSPEC"), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits})
-	str := exploreCorpusSpec(t, d.Entities, Config{Limits: corpusLimits, StringKeys: true})
-	if bin.NumStates() != str.NumStates() || bin.NumTransitions() != str.NumTransitions() {
-		t.Errorf("key encodings disagree on graph size: binary %d/%d, string %d/%d",
-			bin.NumStates(), bin.NumTransitions(), str.NumStates(), str.NumTransitions())
-	}
-	if !equiv.WeakBisimilar(bin, str) {
-		t.Error("binary-key and string-key graphs are not weakly bisimilar")
 	}
 }

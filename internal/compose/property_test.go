@@ -154,7 +154,7 @@ func TestPropertyReductionSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sysF, err := New(d.Entities, Config{NoReduction: true, Limits: limits})
+		sysF, err := New(d.Entities, Config{Reductions: RedNone, Limits: limits})
 		if err != nil {
 			t.Fatal(err)
 		}

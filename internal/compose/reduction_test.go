@@ -64,10 +64,7 @@ func TestEffectiveReductions(t *testing.T) {
 		want Reductions
 	}{
 		{"zero value = POR default", Config{}, RedPOR},
-		{"deprecated NoReduction alias", Config{NoReduction: true}, 0},
 		{"explicit none", Config{Reductions: RedNone}, 0},
-		{"explicit none beats NoReduction=false", Config{Reductions: RedNone, NoReduction: false}, 0},
-		{"explicit mask ignores NoReduction", Config{Reductions: RedPOR.With(RedSpill), NoReduction: true}, RedPOR | RedSpill},
 		{"all", Config{Reductions: RedAll | redExplicit}, RedAll},
 	}
 	for _, c := range cases {
@@ -144,25 +141,12 @@ func TestSymmetryDetectedAndSound(t *testing.T) {
 	}
 }
 
-// TestSymmetryConservativelyOff pins the cases where detection must refuse:
-// asymmetric operands, string-keyed debugging systems, and preset
-// (quotient-composed) systems.
+// TestSymmetryConservativelyOff pins a case where detection must refuse:
+// asymmetric operands.
 func TestSymmetryConservativelyOff(t *testing.T) {
 	sys, _ := exploreSrc(t, asymSrc, Config{Reductions: RedPOR.With(RedSymmetry), Limits: lts.Limits{MaxStates: 50000}})
 	if sys.sym != nil {
 		t.Error("symmetry detected on asymmetric operands")
-	}
-
-	d, err := core.Derive(lotos.MustParse(multiSrc), core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strSys, err := New(d.Entities, Config{Reductions: RedPOR.With(RedSymmetry), StringKeys: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strSys.sym != nil {
-		t.Error("symmetry active under StringKeys")
 	}
 }
 
@@ -269,7 +253,7 @@ func TestSpillProductByteIdentical(t *testing.T) {
 				fm, gs.NumStates(), gs.NumTransitions(), gp.NumStates(), gp.NumTransitions())
 		}
 		if !reflect.DeepEqual(gs.Keys, gp.Keys) {
-			t.Errorf("faults=%s: spilled product state numbering differs from the parallel explorer", fm)
+			t.Errorf("faults=%s: spilled product state numbering differs from the in-memory index", fm)
 		}
 		ri := spillSys.ReductionInfo()
 		if ri.SpillRuns == 0 {

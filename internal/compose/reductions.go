@@ -12,8 +12,7 @@ import (
 //
 // The zero value selects the default reduction set (partial-order reduction
 // only — the behaviour the explorer has always had). An explicitly empty
-// set — every interleaving explored — is RedNone, or the deprecated
-// Config.NoReduction alias.
+// set — every interleaving explored — is RedNone.
 type Reductions uint8
 
 const (
@@ -121,14 +120,10 @@ func ReductionNames() []string {
 }
 
 // effectiveReductions resolves the reduction set a Config selects: the
-// explicit mask when one was set, otherwise the default (POR only) unless
-// the deprecated NoReduction alias asks for no reductions at all.
+// explicit mask when one was set, otherwise the default (POR only).
 func (c Config) effectiveReductions() Reductions {
 	if c.Reductions != 0 {
 		return c.Reductions &^ redExplicit
-	}
-	if c.NoReduction {
-		return 0
 	}
 	return RedPOR
 }

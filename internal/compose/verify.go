@@ -134,11 +134,11 @@ type VerifyOptions struct {
 	ObsDepth int
 	// MaxStates caps both explorations (default lts.DefaultMaxStates).
 	MaxStates int
-	// Parallel explores the composed product with the parallel explorer
-	// (see Config.Parallel); the service side stays serial (it is tiny by
+	// Parallel derives the composed product with several workers (see
+	// Config.Parallel); the service side stays serial (it is tiny by
 	// comparison).
 	Parallel bool
-	// Workers sizes the parallel worker pool (0 = GOMAXPROCS).
+	// Workers sizes the derivation worker pool (0 = GOMAXPROCS).
 	Workers int
 	// Faults selects the medium fault model to compose in (zero value =
 	// the paper's reliable FIFO medium).

@@ -21,7 +21,7 @@ package equiv
 //     (labelID, targetSCC) uint64 pairs, and refinement signatures are
 //     64-bit hashes of the sorted, deduplicated (labelID, targetBlock)
 //     pairs, computed into reusable per-worker buffers across GOMAXPROCS
-//     workers (the worker-pool idiom of lts.ExploreSourceParallel).
+//     workers (the worker-pool idiom of the lts exploration core).
 //     Refinement never merges blocks — each signature includes the node's
 //     current block — so stabilization is detected by block count alone and
 //     per-round renumbering cannot cause spurious extra rounds.
@@ -472,7 +472,7 @@ func refinePacked(nodes int, off []int, pairs []uint64, workers int) ([]int32, i
 
 // computeSigs fills sigs[v] for every node, fanning out across workers for
 // large node counts. Workers claim fixed-size chunks through a shared
-// atomic cursor (the lts.ExploreSourceParallel pool idiom) and reuse one
+// atomic cursor (the lts exploration core's pool idiom) and reuse one
 // scratch pair buffer each.
 func computeSigs(nodes int, off []int, pairs []uint64, block []int32, sigs []uint64, workers int) {
 	if w := (nodes + sigChunk - 1) / sigChunk; workers > w {

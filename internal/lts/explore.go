@@ -71,11 +71,11 @@ func (g *Graph) NumTransitions() int {
 // (re-)expanded whenever a path with fewer observable steps reaches them, so
 // the observable-depth accounting is exact.
 func Explore(env *Env, root lotos.Expr, lim Limits) (*Graph, error) {
-	src := exprSource{env: env}
-	return exploreGeneric(&src, lotos.Canon(root), root, lim)
+	g, _, err := ExploreSource(&exprSource{env: env}, lotos.Canon(root), root, lim, 1, nil)
+	return g, err
 }
 
-// StateSource abstracts a transition system for the generic explorer: the
+// StateSource abstracts a transition system for the exploration core: the
 // lts SOS semantics here, and the entity×medium product in internal/compose.
 type StateSource interface {
 	// Next derives the transitions of a state. The returned targets carry
@@ -103,129 +103,6 @@ func (s *exprSource) Next(state any) ([]GenTransition, error) {
 		out[i] = GenTransition{Label: t.Label, Key: lotos.Canon(t.To), To: t.To}
 	}
 	return out, nil
-}
-
-// ExploreSource runs the bounded exploration over any StateSource; the
-// resulting Graph's States hold the source's opaque state values (they are
-// lotos.Expr for Explore, and composite states for internal/compose).
-func ExploreSource(src StateSource, rootKey string, root any, lim Limits) (*Graph, error) {
-	return exploreGeneric(src, rootKey, root, lim)
-}
-
-func exploreGeneric(src StateSource, rootKey string, root any, lim Limits) (*Graph, error) {
-	maxStates := lim.MaxStates
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
-	g := &Graph{Frontier: map[int]bool{}}
-	var states []any
-	index := map[string]int{}
-	obsDepth := []int{}
-	expanded := []bool{}
-	add := func(key string, st any, depth, obs int) int {
-		if id, ok := index[key]; ok {
-			return id
-		}
-		id := len(states)
-		index[key] = id
-		states = append(states, st)
-		g.Keys = append(g.Keys, key)
-		g.Edges = append(g.Edges, nil)
-		g.Depth = append(g.Depth, depth)
-		obsDepth = append(obsDepth, obs)
-		expanded = append(expanded, false)
-		return id
-	}
-	add(rootKey, root, 0, 0)
-	queue := []int{0}
-	for len(queue) > 0 {
-		head := queue[0]
-		queue = queue[1:]
-		if expanded[head] {
-			// Re-expansion after a depth or observable-depth improvement:
-			// refresh the successors through the already-derived edges. Depth
-			// must be propagated alongside obsDepth: a state re-queued with a
-			// shorter transition distance would otherwise leave stale Depth
-			// values behind, and the MaxDepth truncation check would read
-			// them.
-			for _, e := range g.Edges[head] {
-				nd := obsDepth[head]
-				if e.Label.Observable() {
-					nd++
-				}
-				improved := false
-				if nd < obsDepth[e.To] {
-					obsDepth[e.To] = nd
-					improved = true
-				}
-				if d := g.Depth[head] + 1; d < g.Depth[e.To] {
-					g.Depth[e.To] = d
-					improved = true
-				}
-				if improved {
-					queue = append(queue, e.To)
-				}
-			}
-			continue
-		}
-		if lim.MaxDepth > 0 && g.Depth[head] >= lim.MaxDepth {
-			g.Truncated = true
-			g.Frontier[head] = true
-			continue
-		}
-		if lim.MaxObsDepth > 0 && obsDepth[head] >= lim.MaxObsDepth {
-			g.Truncated = true
-			g.Frontier[head] = true
-			continue
-		}
-		ts, err := src.Next(states[head])
-		if err != nil {
-			return nil, fmt.Errorf("exploring state %d: %w", head, err)
-		}
-		expanded[head] = true
-		delete(g.Frontier, head)
-		for _, t := range ts {
-			nd := obsDepth[head]
-			if t.Label.Observable() {
-				nd++
-			}
-			if id, ok := index[t.Key]; ok {
-				g.Edges[head] = append(g.Edges[head], Edge{Label: t.Label, To: id})
-				improved := false
-				if nd < obsDepth[id] {
-					obsDepth[id] = nd
-					improved = true
-				}
-				if d := g.Depth[head] + 1; d < g.Depth[id] {
-					g.Depth[id] = d
-					improved = true
-				}
-				if improved {
-					queue = append(queue, id)
-				}
-				continue
-			}
-			if len(states) >= maxStates {
-				g.Truncated = true
-				g.Frontier[head] = true
-				continue
-			}
-			to := add(t.Key, t.To, g.Depth[head]+1, nd)
-			g.Edges[head] = append(g.Edges[head], Edge{Label: t.Label, To: to})
-			queue = append(queue, to)
-		}
-	}
-	// Frontier states reached below the observable bound but never expanded
-	// (e.g. added after the state cap) stay marked.
-	g.States = make([]lotos.Expr, len(states))
-	for i, st := range states {
-		if e, ok := st.(lotos.Expr); ok {
-			g.States[i] = e
-		}
-	}
-	g.ObsDepth = obsDepth
-	g.Truncated = len(g.Frontier) > 0
-	return g, nil
 }
 
 // ExploreSpec resolves and explores a complete specification.

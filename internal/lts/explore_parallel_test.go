@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/lotos"
@@ -26,6 +26,20 @@ func (f *fakeSource) Next(state any) ([]GenTransition, error) {
 	return f.edges[s], nil
 }
 
+// lockedSource serializes a source that is not safe for concurrent use (the
+// SOS environment memoizes process instantiations in a plain map), so the
+// multi-worker configurations can run over it.
+type lockedSource struct {
+	mu  sync.Mutex
+	src StateSource
+}
+
+func (l *lockedSource) Next(state any) ([]GenTransition, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.src.Next(state)
+}
+
 func obs(to string) GenTransition {
 	return GenTransition{Label: Label{Kind: LEvent, Ev: lotos.ServiceEvent("a", 1)}, Key: to, To: to}
 }
@@ -43,6 +57,51 @@ func stateID(t *testing.T, g *Graph, key string) int {
 	}
 	t.Fatalf("state %q not in graph (keys %v)", key, g.Keys)
 	return -1
+}
+
+// coreConfig is one worker-count and visited-index choice of the
+// exploration core.
+type coreConfig struct {
+	name    string
+	workers int
+	spill   bool
+}
+
+// coreConfigs are the configurations every graph-level test runs: one
+// worker, four workers, and the spilling index at a 1 KiB budget (with four
+// workers). All of them must yield the identical graph.
+var coreConfigs = []coreConfig{
+	{"serial", 1, false},
+	{"parallel", 4, false},
+	{"spill", 4, true},
+}
+
+func (c coreConfig) explore(t *testing.T, src StateSource, rootKey string, root any, lim Limits) (*Graph, error) {
+	t.Helper()
+	var spill *SpillConfig
+	if c.spill {
+		spill = &SpillConfig{Budget: 1024, Dir: t.TempDir()}
+	}
+	g, _, err := ExploreSource(src, rootKey, root, lim, c.workers, spill)
+	return g, err
+}
+
+// exploreEvery explores src under every core configuration, requires the
+// graphs to be identical, and returns them in coreConfigs order.
+func exploreEvery(t *testing.T, src StateSource, rootKey string, root any, lim Limits) []*Graph {
+	t.Helper()
+	var out []*Graph
+	for _, c := range coreConfigs {
+		g, err := c.explore(t, src, rootKey, root, lim)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(out) > 0 {
+			assertGraphsIdentical(t, out[0], g, c.name+" vs serial")
+		}
+		out = append(out, g)
+	}
+	return out
 }
 
 // TestReExpansionRelaxesDepth pins the fix for the re-expansion branch of
@@ -90,17 +149,9 @@ func TestReExpansionRelaxesDepth(t *testing.T) {
 			}
 		}
 	}
-	lim := Limits{MaxObsDepth: 1}
-	g, err := ExploreSource(src, "root", "root", lim)
-	if err != nil {
-		t.Fatal(err)
+	for _, g := range exploreEvery(t, src, "root", "root", Limits{MaxObsDepth: 1}) {
+		check(t, g)
 	}
-	check(t, g)
-	gp, err := ExploreSourceParallel(src, "root", "root", lim, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(t, gp)
 }
 
 // TestMaxStatesMidExpansionFrontier pins the truncation bookkeeping when
@@ -115,16 +166,21 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 		"C1":   {obs("B")},
 		"C2":   {},
 	}}
-	for _, explore := range []struct {
-		name string
-		run  func(lim Limits) (*Graph, error)
-	}{
-		{"serial", func(lim Limits) (*Graph, error) { return ExploreSource(src, "root", "root", lim) }},
-		{"parallel", func(lim Limits) (*Graph, error) { return ExploreSourceParallel(src, "root", "root", lim, 3) }},
-	} {
-		t.Run(explore.name, func(t *testing.T) {
+	for _, c := range coreConfigs {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(lim Limits) (*Graph, error) {
+				want, _, err := ExploreSource(src, "root", "root", lim, 1, nil)
+				if err != nil {
+					return nil, err
+				}
+				g, err := c.explore(t, src, "root", "root", lim)
+				if err == nil {
+					assertGraphsIdentical(t, want, g, fmt.Sprintf("cap=%d: %s vs serial", lim.MaxStates, c.name))
+				}
+				return g, err
+			}
 			// Cap 2: B is reached but cannot expand at all.
-			g, err := explore.run(Limits{MaxStates: 2})
+			g, err := run(Limits{MaxStates: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +200,7 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 
 			// Cap 3: B expands its first edge (C1 joins), then hits the cap
 			// deriving C2 — a partially derived edge list.
-			g, err = explore.run(Limits{MaxStates: 3})
+			g, err = run(Limits{MaxStates: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +219,7 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 			}
 
 			// Cap 4: closure; C2 is a genuine deadlock, B is not frontier.
-			g, err = explore.run(Limits{MaxStates: 4})
+			g, err = run(Limits{MaxStates: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,82 +233,47 @@ func TestMaxStatesMidExpansionFrontier(t *testing.T) {
 	}
 }
 
-// graphSig summarizes a graph into a canonical, numbering-independent form:
-// sorted keys plus key->sorted-edge-set adjacency.
-func graphSig(g *Graph) (keys []string, adj map[string][]string, depth map[string]int, obsDepth map[string]int) {
-	keys = append([]string{}, g.Keys...)
-	sort.Strings(keys)
-	adj = map[string][]string{}
-	depth = map[string]int{}
-	obsDepth = map[string]int{}
-	for s, es := range g.Edges {
-		var out []string
-		for _, e := range es {
-			out = append(out, fmt.Sprintf("%v->%s", e.Label, g.Keys[e.To]))
-		}
-		sort.Strings(out)
-		adj[g.Keys[s]] = out
-		depth[g.Keys[s]] = g.Depth[s]
-		obsDepth[g.Keys[s]] = g.ObsDepth[s]
-	}
-	return keys, adj, depth, obsDepth
-}
-
-// TestParallelMatchesSerialOnSpecs cross-checks the parallel explorer
-// against the serial oracle over SOS-derived graphs: same key set, same
-// adjacency, same depth accounting.
+// TestParallelMatchesSerialOnSpecs runs the core configurations over
+// SOS-derived graphs under observable-depth re-expansion and state-cap
+// truncation: every configuration must give the identical graph.
 func TestParallelMatchesSerialOnSpecs(t *testing.T) {
 	specs := []string{
 		"SPEC a1; b2; exit ENDSPEC",
 		"SPEC a1; exit ||| b2; exit ||| c3; exit ENDSPEC",
 		"SPEC A WHERE PROC A = a1; A [] b1; exit END ENDSPEC",
 		"SPEC (a1; exit >> b2; exit) [> c3; exit ENDSPEC",
+		"SPEC A WHERE PROC A = a1; A ||| i; b2; exit END ENDSPEC",
+	}
+	limits := []Limits{
+		{MaxObsDepth: 6, MaxStates: 5000},
+		{MaxObsDepth: 6, MaxStates: 7},
 	}
 	for _, srcText := range specs {
 		sp := lotos.MustParse(srcText)
-		env, err := EnvFor(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lim := Limits{MaxObsDepth: 6, MaxStates: 5000}
-		serial, err := Explore(env, sp.Root.Expr, lim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Fresh env: the memo map is not safe for concurrent use from
-		// multiple explorations, and a fresh one also proves the parallel
-		// run does not depend on serial warm-up.
-		env2, err := EnvFor(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		es := exprSource{env: env2}
-		par, err := ExploreSourceParallel(&es, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sk, sa, sd, so := graphSig(serial)
-		pk, pa, pd, po := graphSig(par)
-		if !reflect.DeepEqual(sk, pk) {
-			t.Errorf("%s: key sets differ:\nserial %v\nparallel %v", srcText, sk, pk)
-			continue
-		}
-		if !reflect.DeepEqual(sa, pa) {
-			t.Errorf("%s: adjacency differs", srcText)
-		}
-		if !reflect.DeepEqual(sd, pd) {
-			t.Errorf("%s: depths differ:\nserial %v\nparallel %v", srcText, sd, pd)
-		}
-		if !reflect.DeepEqual(so, po) {
-			t.Errorf("%s: obs depths differ", srcText)
-		}
-		if serial.Truncated != par.Truncated {
-			t.Errorf("%s: truncated %v vs %v", srcText, serial.Truncated, par.Truncated)
+		for _, lim := range limits {
+			var graphs []*Graph
+			for _, c := range coreConfigs {
+				// A fresh env per exploration proves no configuration depends
+				// on another's warm-up.
+				env, err := EnvFor(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := &lockedSource{src: &exprSource{env: env}}
+				g, err := c.explore(t, src, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(graphs) > 0 {
+					assertGraphsIdentical(t, graphs[0], g, fmt.Sprintf("%s %+v: %s vs serial", srcText, lim, c.name))
+				}
+				graphs = append(graphs, g)
+			}
 		}
 	}
 }
 
-// TestParallelDeterministic runs the parallel explorer twice over the same
+// TestParallelDeterministic runs eight derivation workers twice over the same
 // source and requires bit-identical graphs — state numbering included —
 // despite scheduling nondeterminism in the derive phase.
 func TestParallelDeterministic(t *testing.T) {
@@ -263,8 +284,8 @@ func TestParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		es := exprSource{env: env}
-		g, err := ExploreSourceParallel(&es, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim, 8)
+		src := &lockedSource{src: &exprSource{env: env}}
+		g, _, err := ExploreSource(src, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +313,7 @@ func TestParallelPropagatesErrors(t *testing.T) {
 		},
 		failOn: "s2",
 	}
-	if _, err := ExploreSourceParallel(src, "root", "root", Limits{}, 4); err == nil {
+	if _, _, err := ExploreSource(src, "root", "root", Limits{}, 4, nil); err == nil {
 		t.Fatal("expected injected derivation failure, got nil")
 	}
 }

@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"fmt"
 	"reflect"
 	"strconv"
 	"testing"
@@ -28,9 +29,10 @@ func spillTestSource(n int) *fakeSource {
 	return f
 }
 
-// assertGraphsIdentical requires byte-identical state numbering, keys and
-// edge tables — the spilling explorer's contract is exact agreement with the
-// in-memory explorers, not just bisimilarity.
+// assertGraphsIdentical requires byte-identical state numbering, keys, edge
+// tables, depths and frontiers — the exploration core's contract is exact
+// agreement across worker counts and visited indexes, not just
+// bisimilarity.
 func assertGraphsIdentical(t *testing.T, a, b *Graph, what string) {
 	t.Helper()
 	if a.NumStates() != b.NumStates() || a.NumTransitions() != b.NumTransitions() {
@@ -43,6 +45,12 @@ func assertGraphsIdentical(t *testing.T, a, b *Graph, what string) {
 	if !reflect.DeepEqual(a.Edges, b.Edges) {
 		t.Fatalf("%s: edge tables differ", what)
 	}
+	if !reflect.DeepEqual(a.Depth, b.Depth) || !reflect.DeepEqual(a.ObsDepth, b.ObsDepth) {
+		t.Fatalf("%s: depth accounting differs", what)
+	}
+	if !reflect.DeepEqual(a.Frontier, b.Frontier) {
+		t.Fatalf("%s: frontiers differ: %v vs %v", what, a.Frontier, b.Frontier)
+	}
 	if a.Truncated != b.Truncated {
 		t.Fatalf("%s: truncation flags differ: %v vs %v", what, a.Truncated, b.Truncated)
 	}
@@ -52,44 +60,41 @@ func assertGraphsIdentical(t *testing.T, a, b *Graph, what string) {
 }
 
 // TestSpillMatchesInMemoryExplorers is the determinism contract: under a
-// budget tiny enough to force many spilled runs, the spilling explorer must
-// produce exactly the graph the parallel explorer produces (which in turn
-// agrees with the serial one on state sets; numbering is level-synchronous
-// in both).
+// budget tiny enough to force many spilled runs, the spilling index must
+// produce exactly the graph the in-memory index produces, at one worker and
+// at four, under a state cap and under observable-depth re-expansion too.
 func TestSpillMatchesInMemoryExplorers(t *testing.T) {
 	src := spillTestSource(900)
-	lim := Limits{MaxStates: 5000}
-	parallel, err := ExploreSourceParallel(src, "state-0", "state-0", lim, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled, stats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Budget: 2048, Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsIdentical(t, parallel, spilled, "spill vs parallel")
-	if stats.Runs == 0 {
-		t.Error("2KiB budget over ~950 states spilled no runs")
-	}
-	// The index spills when an insert crosses the budget, so the peak may
-	// overshoot by at most one entry (key bytes + bookkeeping overhead).
-	if slack := int64(2048 + spillEntryOverhead + 64); stats.PeakMemBytes > slack {
-		t.Errorf("peak index memory %d exceeds the 2048-byte budget beyond one entry (%d)", stats.PeakMemBytes, slack)
-	}
-	if stats.States != int64(parallel.NumStates()) || stats.Transitions != int64(parallel.NumTransitions()) {
-		t.Errorf("stats (%d states, %d transitions) disagree with the graph (%d, %d)",
-			stats.States, stats.Transitions, parallel.NumStates(), parallel.NumTransitions())
-	}
-
-	// The serial explorer discovers the same state set (numbering may agree
-	// or not; the key SETS must).
-	serial, err := ExploreSource(src, "state-0", "state-0", lim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.NumStates() != spilled.NumStates() || serial.NumTransitions() != spilled.NumTransitions() {
-		t.Errorf("serial explorer sizes differ: %d/%d vs %d/%d",
-			serial.NumStates(), serial.NumTransitions(), spilled.NumStates(), spilled.NumTransitions())
+	for _, lim := range []Limits{
+		{MaxStates: 5000},
+		{MaxStates: 200},
+		{MaxObsDepth: 16, MaxStates: 5000},
+		{MaxObsDepth: 16, MaxStates: 300},
+	} {
+		graphs := exploreEvery(t, src, "state-0", "state-0", lim)
+		memory := graphs[0]
+		for _, workers := range []int{1, 4} {
+			spilled, stats, err := ExploreSource(src, "state-0", "state-0", lim, workers, &SpillConfig{Budget: 2048, Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertGraphsIdentical(t, memory, spilled, fmt.Sprintf("%+v: spill at %d workers vs memory", lim, workers))
+			if stats.Runs == 0 {
+				t.Errorf("%+v: 2KiB budget over %d states spilled no runs", lim, spilled.NumStates())
+			}
+			// The index spills when an insert crosses the budget, so the peak
+			// may overshoot by at most one entry (key bytes + bookkeeping
+			// overhead).
+			if slack := int64(2048 + spillEntryOverhead + 64); stats.PeakMemBytes > slack {
+				t.Errorf("peak index memory %d exceeds the 2048-byte budget beyond one entry (%d)", stats.PeakMemBytes, slack)
+			}
+			if stats.States != int64(memory.NumStates()) {
+				t.Errorf("stats count %d states, the graph has %d", stats.States, memory.NumStates())
+			}
+			if !memory.Truncated && stats.Transitions != int64(memory.NumTransitions()) {
+				t.Errorf("stats count %d transitions, the graph has %d", stats.Transitions, memory.NumTransitions())
+			}
+		}
 	}
 }
 
@@ -98,11 +103,11 @@ func TestSpillMatchesInMemoryExplorers(t *testing.T) {
 func TestSpillLargeBudgetNeverSpills(t *testing.T) {
 	src := spillTestSource(300)
 	lim := Limits{MaxStates: 5000}
-	parallel, err := ExploreSourceParallel(src, "state-0", "state-0", lim, 2)
+	parallel, _, err := ExploreSource(src, "state-0", "state-0", lim, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, stats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Dir: t.TempDir()})
+	spilled, stats, err := ExploreSource(src, "state-0", "state-0", lim, 1, &SpillConfig{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +123,11 @@ func TestSpillLargeBudgetNeverSpills(t *testing.T) {
 func TestSpillTruncationMatchesParallel(t *testing.T) {
 	src := spillTestSource(900)
 	lim := Limits{MaxStates: 200}
-	parallel, err := ExploreSourceParallel(src, "state-0", "state-0", lim, 4)
+	parallel, _, err := ExploreSource(src, "state-0", "state-0", lim, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled, stats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Budget: 1024, Dir: t.TempDir()})
+	spilled, stats, err := ExploreSource(src, "state-0", "state-0", lim, 1, &SpillConfig{Budget: 1024, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +143,11 @@ func TestSpillTruncationMatchesParallel(t *testing.T) {
 func TestSpillStatsOnly(t *testing.T) {
 	src := spillTestSource(400)
 	lim := Limits{MaxStates: 5000}
-	full, fullStats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Budget: 2048, Dir: t.TempDir()})
+	full, fullStats, err := ExploreSource(src, "state-0", "state-0", lim, 1, &SpillConfig{Budget: 2048, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, stats, err := ExploreSourceSpill(src, "state-0", "state-0", lim, SpillConfig{Budget: 2048, Dir: t.TempDir(), StatsOnly: true})
+	g, stats, err := ExploreSource(src, "state-0", "state-0", lim, 2, &SpillConfig{Budget: 2048, Dir: t.TempDir(), StatsOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +162,7 @@ func TestSpillStatsOnly(t *testing.T) {
 		t.Errorf("full graph has %d states, stats-only counted %d", full.NumStates(), stats.States)
 	}
 
-	if _, _, err := ExploreSourceSpill(src, "state-0", "state-0", Limits{MaxObsDepth: 3}, SpillConfig{StatsOnly: true}); err == nil {
+	if _, _, err := ExploreSource(src, "state-0", "state-0", Limits{MaxObsDepth: 3}, 1, &SpillConfig{StatsOnly: true}); err == nil {
 		t.Error("stats-only with a depth limit did not error")
 	}
 }
@@ -167,7 +172,7 @@ func TestSpillStatsOnly(t *testing.T) {
 func TestSpillDerivationErrorPropagates(t *testing.T) {
 	src := spillTestSource(100)
 	src.failOn = "state-50"
-	g, stats, err := ExploreSourceSpill(src, "state-0", "state-0", Limits{MaxStates: 5000}, SpillConfig{Budget: 1024, Dir: t.TempDir()})
+	g, stats, err := ExploreSource(src, "state-0", "state-0", Limits{MaxStates: 5000}, 1, &SpillConfig{Budget: 1024, Dir: t.TempDir()})
 	if err == nil {
 		t.Fatal("injected derivation failure did not surface")
 	}

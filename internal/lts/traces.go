@@ -4,6 +4,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/lotos"
 )
 
 // TraceSep separates labels within a rendered trace.
@@ -133,12 +135,14 @@ func intsKey(xs []int) string {
 // trace of the graph. For a truncated graph a false result may be spurious;
 // true results are always sound.
 func AcceptsTrace(g *Graph, trace string) bool {
-	closure := epsilonClosures(g)
+	return weakWalk(g, epsilonClosures(g), ParseTrace(trace)) != nil
+}
+
+// weakWalk returns the states the weak trace leads to from the initial
+// state, or nil when it is not a weak trace of the graph.
+func weakWalk(g *Graph, closure [][]int, labels []string) []int {
 	current := closure[0]
-	if trace == "" {
-		return true
-	}
-	for _, want := range strings.Split(trace, TraceSep) {
+	for _, want := range labels {
 		var next []int
 		for _, s := range current {
 			for _, e := range g.Edges[s] {
@@ -148,11 +152,45 @@ func AcceptsTrace(g *Graph, trace string) bool {
 			}
 		}
 		if len(next) == 0 {
-			return false
+			return nil
 		}
 		current = dedupInts(next)
 	}
-	return true
+	return current
+}
+
+// ServiceTrace is the outcome of CheckServiceTrace: whether the trace, and
+// the trace followed by δ, are weak traces of the service, and whether the
+// state cap, not the observable-depth bound, truncated the service graph —
+// which makes a negative answer inconclusive (the path may lie past the cap).
+type ServiceTrace struct{ Accepted, CanTerminate, Capped bool }
+
+// CheckServiceTrace replays an observed trace (labels rendered as by
+// Label.String) against the service. The service is explored exactly as
+// deep as the trace needs — observable depth len(labels)+2 — so the check is
+// sound for recursive, infinite-state services as well; maxStates caps the
+// exploration (0 selects DefaultMaxStates).
+func CheckServiceTrace(service *lotos.Spec, labels []string, maxStates int) (ServiceTrace, error) {
+	lim := Limits{MaxObsDepth: len(labels) + 2, MaxStates: maxStates}
+	g, err := ExploreSpec(service, lim)
+	if err != nil {
+		return ServiceTrace{}, err
+	}
+	var out ServiceTrace
+	for s := range g.Frontier {
+		if g.ObsDepth[s] < lim.MaxObsDepth {
+			out.Capped = true
+			break
+		}
+	}
+	end := weakWalk(g, epsilonClosures(g), labels)
+	out.Accepted = end != nil
+	for _, s := range end {
+		for _, e := range g.Edges[s] {
+			out.CanTerminate = out.CanTerminate || e.Label.Kind == LDelta
+		}
+	}
+	return out, nil
 }
 
 // TraceSlice is a parsed observable trace.

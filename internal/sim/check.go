@@ -1,11 +1,18 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/lotos"
 	"repro/internal/lts"
 )
+
+// ErrInconclusive marks a trace check that could not decide: the trace
+// was not found in the service graph, but the state cap, not the
+// observable-depth bound, cut that graph, so the missing path may lie past
+// the cap. A larger maxStates decides it.
+var ErrInconclusive = errors.New("inconclusive: the service exploration hit its state cap")
 
 // CheckTrace verifies that a simulation result's observable trace is a weak
 // trace of the service specification: the global ordering of service
@@ -14,27 +21,25 @@ import (
 // successful termination.
 //
 // The service state space is explored to exactly the observable depth
-// needed (trace length + 1), so the check is sound for recursive,
-// infinite-state services as well.
+// needed (trace length + 2), so the check is sound for recursive,
+// infinite-state services as well. When the state cap cuts that
+// exploration short of a rejection, the error wraps ErrInconclusive.
 func CheckTrace(service *lotos.Spec, res *Result, maxStates int) error {
-	depth := len(res.Trace) + 2
-	g, err := lts.ExploreSpec(service, lts.Limits{MaxObsDepth: depth, MaxStates: maxStates})
+	labels := res.TraceStrings()
+	st, err := lts.CheckServiceTrace(service, labels, maxStates)
 	if err != nil {
 		return fmt.Errorf("sim: exploring service: %w", err)
 	}
-	trace := lts.JoinTrace(res.TraceStrings())
-	if !lts.AcceptsTrace(g, trace) {
+	trace := lts.JoinTrace(labels)
+	switch {
+	case !st.Accepted && st.Capped:
+		return fmt.Errorf("sim: observed trace %q: %w", trace, ErrInconclusive)
+	case !st.Accepted:
 		return fmt.Errorf("sim: observed trace %q is not a service trace", trace)
-	}
-	if res.Completed {
-		withDelta := trace
-		if withDelta != "" {
-			withDelta += lts.TraceSep
-		}
-		withDelta += "delta"
-		if !lts.AcceptsTrace(g, withDelta) {
-			return fmt.Errorf("sim: run terminated but service cannot terminate after %q", trace)
-		}
+	case res.Completed && !st.CanTerminate && st.Capped:
+		return fmt.Errorf("sim: run terminated after %q: %w", trace, ErrInconclusive)
+	case res.Completed && !st.CanTerminate:
+		return fmt.Errorf("sim: run terminated but service cannot terminate after %q", trace)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -36,6 +37,28 @@ func TestRunSequenceCompletes(t *testing.T) {
 	}
 	if err := CheckTrace(d.Service.Spec, res, 0); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckTraceInconclusiveAtStateCap pins that a valid trace the state
+// cap hides is reported as inconclusive, not as a violation: the capped
+// service graph cannot contain the trace, but the cap, not the service,
+// is the reason.
+func TestCheckTraceInconclusiveAtStateCap(t *testing.T) {
+	d := deriveFor(t, "SPEC a1; b2; c3; exit ENDSPEC")
+	res, err := Run(d.Entities, Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckTrace(d.Service.Spec, res, 0); err != nil {
+		t.Fatalf("uncapped check rejected a valid trace: %v", err)
+	}
+	err = CheckTrace(d.Service.Spec, res, 2)
+	if !errors.Is(err, ErrInconclusive) {
+		t.Fatalf("2-state cap: got %v, want an error wrapping ErrInconclusive", err)
+	}
+	if strings.Contains(err.Error(), "not a service trace") {
+		t.Errorf("inconclusive check reported as a violation: %v", err)
 	}
 }
 

@@ -46,6 +46,11 @@ const (
 	// a non-service trace, a termination the service does not allow, or a
 	// corrupted log.
 	VerdictViolation Verdict = "violation"
+	// VerdictInconclusive: the check could not decide — the trace (or its
+	// termination) was not found in the service graph, but the state cap cut
+	// that graph short of the observable-depth bound, so the missing path
+	// may lie past the cap. A larger cap decides it.
+	VerdictInconclusive Verdict = "inconclusive"
 )
 
 // Report is the outcome of checking one session's trace logs.
@@ -58,7 +63,7 @@ type Report struct {
 	Trace []string
 	// TraceAccepted reports that Trace is a weak trace of the service —
 	// meaningful under every verdict (an incomplete session's prefix may
-	// still be checked).
+	// still be checked) except inconclusive, where it is unknown.
 	TraceAccepted bool
 	// Complete reports that nothing was missing: all logs ended, no gaps,
 	// no restarts, no aborts.
@@ -187,21 +192,21 @@ func Check(service *lotos.Spec, logs map[int]*wire.EntityLog, maxStates int) (*R
 
 	// The trace-inclusion core: the merged (prefix) trace must be a weak
 	// trace of the service, explored exactly to the needed depth.
-	depth := len(rep.Trace) + 2
-	g, err := lts.ExploreSpec(service, lts.Limits{MaxObsDepth: depth, MaxStates: maxStates})
+	st, err := lts.CheckServiceTrace(service, rep.Trace, maxStates)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: exploring service: %w", err)
 	}
 	trace := lts.JoinTrace(rep.Trace)
-	rep.TraceAccepted = lts.AcceptsTrace(g, trace)
-	withDelta := trace
-	if withDelta != "" {
-		withDelta += lts.TraceSep
-	}
-	withDelta += "delta"
-	deltaOK := lts.AcceptsTrace(g, withDelta)
+	rep.TraceAccepted = st.Accepted
+	deltaOK := st.CanTerminate
+	// A rejection decides nothing when the state cap cut the service graph.
+	ended := rep.Outcome == wire.OutcomeCompleted || rep.Outcome == wire.OutcomeDeadlocked
+	rejected := !rep.TraceAccepted || rep.Complete && ended && !deltaOK
 
 	switch {
+	case rejected && st.Capped:
+		rep.Verdict = VerdictInconclusive
+		rep.Reason = fmt.Sprintf("the service exploration hit its state cap before deciding %q", trace)
 	case !rep.TraceAccepted:
 		rep.Verdict = VerdictViolation
 		rep.Reason = fmt.Sprintf("recorded trace %q is not a service trace", trace)

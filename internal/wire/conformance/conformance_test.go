@@ -132,6 +132,31 @@ func TestCheckViolationEarlyTermination(t *testing.T) {
 	}
 }
 
+// TestCheckInconclusiveAtStateCap: a valid complete session checked with a
+// state cap too small to reach its trace is inconclusive — the cap, not the
+// service, hides the trace — rather than a violation.
+func TestCheckInconclusiveAtStateCap(t *testing.T) {
+	service := parseService(t, `SPEC read1; write2; exit ENDSPEC`)
+	logs := buildLogs(t, map[int]entitySession{
+		1: {events: []logRec{{0, "read1"}}, outcome: wire.OutcomeCompleted},
+		2: {events: []logRec{{1, "write2"}}, outcome: wire.OutcomeCompleted},
+	})
+	rep, err := Check(service, logs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != VerdictInconclusive {
+		t.Fatalf("want inconclusive at a 2-state cap, got %+v", rep)
+	}
+	rep, err = Check(service, logs, testMaxStates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Verdict != VerdictAccepted {
+		t.Fatalf("want accepted without the cap, got %+v", rep)
+	}
+}
+
 // TestCheckDeadlock: quiescent in a non-final state is flagged, while a
 // standstill where the service could terminate is accepted.
 func TestCheckDeadlock(t *testing.T) {

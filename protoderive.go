@@ -456,13 +456,12 @@ type VerifyOptions struct {
 	ChannelCap int
 	ObsDepth   int
 	MaxStates  int
-	// Parallel explores the composed product state space with the
-	// parallel frontier-at-a-time explorer (one worker per CPU by
-	// default). The verdict is unchanged — the parallel explorer produces
-	// a graph with the same state keys and weakly bisimilar behaviour —
-	// but large compositions finish faster on multi-core hosts.
+	// Parallel derives the composed product state space with several
+	// workers (one per CPU by default). The explored graph and the verdict
+	// are identical to a one-worker run, but large compositions finish
+	// faster on multi-core hosts.
 	Parallel bool
-	// Workers overrides the parallel worker-pool size (0 = GOMAXPROCS).
+	// Workers overrides the derivation worker-pool size (0 = GOMAXPROCS).
 	Workers int
 	// Faults composes medium faults into the product (zero = reliable).
 	Faults FaultModel

@@ -1,18 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-baseline bench-server bench-equiv bench-equiv-record bench-fsm bench-fsm-record bench-cluster bench-cluster-record bench-dist bench-dist-record bench-compositional bench-compositional-record bench-reduction bench-reduction-record
-
-# guard-record refuses to overwrite a committed BENCH_*.json file: each one
-# is the performance record of the PR that introduced its lane, captured on
-# that PR's hardware, and silently re-recording it on a different machine
-# would rewrite history. Pass FORCE=1 to re-record deliberately.
-define guard-record
-@if [ -f $(1) ] && [ "$(FORCE)" != "1" ]; then \
-	echo "$(1) already exists — it is the committed per-PR performance record."; \
-	echo "re-record deliberately with: make $(2) FORCE=1"; \
-	exit 1; \
-fi
-endef
+.PHONY: build test check bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-equiv bench-fsm bench-cluster bench-dist bench-compositional bench-reduction
 
 build:
 	$(GO) build ./...
@@ -120,37 +108,17 @@ fuzz-smoke:
 run-pgd:
 	$(GO) run ./cmd/pgd $(ARGS)
 
+# bench runs the root package's go-test benchmarks. The benchmark of record
+# is `bash bench/run.sh`; the committed BENCH_PR*.json files are earlier
+# per-PR records, kept as history.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-
-# bench-baseline records a one-iteration sweep of every benchmark as JSON,
-# the per-PR performance record (see BENCH_PR1.json).
-#
-# Note: there is intentionally no BENCH_PR4.json. PR 4 (fault-model
-# composition with replayable counterexamples) was a correctness feature
-# whose acceptance gate is fault-matrix-smoke — it introduced no benchmark
-# lane, so no performance record was ever taken for it.
-bench-baseline:
-	$(call guard-record,BENCH_PR1.json,bench-baseline)
-	$(GO) test -run '^$$' -bench . -benchtime 1x -json . | tee BENCH_PR1.json
-
-# bench-server records the daemon's end-to-end numbers — cold vs cached
-# derive throughput and concurrent-verify latency percentiles — as the
-# PR 2 performance record.
-bench-server:
-	$(call guard-record,BENCH_PR2.json,bench-server)
-	$(GO) test -run '^$$' -bench '^BenchmarkServer' -json ./internal/service | tee BENCH_PR2.json
 
 # bench-equiv sweeps the corpus through both equivalence checkers — the
 # integer/CSR engine and the retained map/string reference — for
 # WeakBisim and Quotient. Also the CI smoke (benchtime=1x, must complete).
 bench-equiv:
 	$(GO) test -run '^$$' -bench '^(BenchmarkWeakBisim|BenchmarkQuotient)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
-
-# bench-equiv-record writes the PR 3 performance record.
-bench-equiv-record:
-	$(call guard-record,BENCH_PR3.json,bench-equiv-record)
-	$(GO) test -run '^$$' -bench '^(BenchmarkWeakBisim|BenchmarkQuotient)$$' -benchtime 3x -benchmem -json . | tee BENCH_PR3.json
 
 # bench-fsm sweeps the corpus through both execution engines — the AST
 # interpreter and the compiled table-driven machines (steps/s, allocs/op) —
@@ -160,28 +128,12 @@ bench-fsm:
 	$(GO) test -run '^$$' -bench '^(BenchmarkSimulate|BenchmarkCompile)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkServerDeriveCompile' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/service
 
-# bench-fsm-record writes the PR 5 performance record (time-based benchtime
-# so the steps/s and the ast-vs-fsm ratio are stable).
-bench-fsm-record:
-	$(call guard-record,BENCH_PR5.json,bench-fsm-record)
-	($(GO) test -run '^$$' -bench '^(BenchmarkSimulate|BenchmarkCompile)$$' -benchtime 0.5s -benchmem -json . ; \
-	 $(GO) test -run '^$$' -bench '^BenchmarkServerDeriveCompile' -benchtime 0.5s -benchmem -json ./internal/service) | tee BENCH_PR5.json
-
 # bench-cluster sweeps the fleet simulator: the discrete-event engine at 10k
 # and 100k sessions (sessions/s, per-class p99, replica fairness) against
 # the naive goroutine-per-session baseline. Also the CI smoke (benchtime=1x,
 # must complete).
 bench-cluster:
 	$(GO) test -run '^$$' -bench '^BenchmarkCluster' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/cluster/
-
-# bench-cluster-record writes the PR 6 performance record: the full
-# 100k-session scenario result (per-class p50/p95/p99, Jain fairness,
-# sessions/sec) followed by the go-test JSON stream of the DES-vs-naive
-# benchmark sweep.
-bench-cluster-record:
-	$(call guard-record,BENCH_PR6.json,bench-cluster-record)
-	($(GO) run ./cmd/lotoscluster -json scenarios/bench100k.json ; \
-	 $(GO) test -run '^$$' -bench '^BenchmarkCluster' -benchtime 3x -benchmem -json ./internal/cluster/) | tee BENCH_PR6.json
 
 # bench-dist sweeps the fleet: cold-derive throughput direct vs through a
 # 4-worker coordinator (routing overhead), the capacity-bounded scaling
@@ -191,14 +143,6 @@ bench-cluster-record:
 bench-dist:
 	$(GO) test -run '^$$' -bench '^(BenchmarkDirectDeriveCold|BenchmarkFleet|BenchmarkCapacity)' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/dist/
 
-# bench-dist-record writes the PR 7 performance record: a hardware note
-# first (the capacity lane models per-machine service time because CI runs
-# every "machine" on one box), then the go-test JSON stream.
-bench-dist-record:
-	$(call guard-record,BENCH_PR7.json,bench-dist-record)
-	(echo '{"note":"capacity lane models per-machine service time (2ms floor, 1 derive slot/process); all processes share this host","host":"'"$$(uname -sr)"'","cpus":'"$$(nproc)"'}' ; \
-	 $(GO) test -run '^$$' -bench '^(BenchmarkDirectDeriveCold|BenchmarkFleet|BenchmarkCapacity)' -benchtime 2s -benchmem -json ./internal/dist/) | tee BENCH_PR7.json
-
 # bench-compositional sweeps quotient-before-compose against monolithic
 # verification on the finite-entity corpus shapes (the per-spec state-count
 # reduction is reported as product-states/mono-states metrics) and the
@@ -207,11 +151,6 @@ bench-dist-record:
 # CI smoke (benchtime=1x, must complete).
 bench-compositional:
 	$(GO) test -run '^$$' -bench '^(BenchmarkCompositionalVerify|BenchmarkDeltaVerify)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
-
-# bench-compositional-record writes the PR 8 performance record.
-bench-compositional-record:
-	$(call guard-record,BENCH_PR8.json,bench-compositional-record)
-	$(GO) test -run '^$$' -bench '^(BenchmarkCompositionalVerify|BenchmarkDeltaVerify)$$' -benchtime 3x -benchmem -json . | tee BENCH_PR8.json
 
 # bench-reduction sweeps the reduction ablation: the exact full state space
 # of each symmetric corpus shape explored unreduced, under POR, POR+symmetry
@@ -223,12 +162,3 @@ bench-compositional-record:
 # and without symmetry. Also the CI smoke (benchtime=1x, must complete).
 bench-reduction:
 	$(GO) test -run '^$$' -bench '^BenchmarkReduction(Explore|BigK|Verify)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
-
-# bench-reduction-record writes the PR 9 performance record: a note line
-# first (what the big-k lane's bounded-memory claim covers — the visited
-# index; BFS frontiers are level-local and not under the budget), then the
-# go-test JSON stream of the ablation sweep.
-bench-reduction-record:
-	$(call guard-record,BENCH_PR9.json,bench-reduction-record)
-	(echo '{"note":"peak_mem_bytes is the spilling visited-index residency (budget 1 MiB + at most one entry); BFS frontier memory is level-local and outside the budget. multiinstance: 129665 concrete states, 60565 symmetry orbits. big-k relay at k=10: 335369 orbit states over a concrete space >10^9 interleavings, explored to completion.","host":"'"$$(uname -sr)"'","cpus":'"$$(nproc)"'}' ; \
-	 $(GO) test -run '^$$' -bench '^BenchmarkReduction(Explore|BigK|Verify)$$' -benchtime 1x -benchmem -json .) | tee BENCH_PR9.json

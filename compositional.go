@@ -251,70 +251,13 @@ func (p *Protocol) UseArtifacts(c *ArtifactCache) { p.arts = c }
 
 // EntityQuotientStat reports one entity's quotient-before-compose numbers
 // inside a compositional verification report.
-type EntityQuotientStat struct {
-	Place int `json:"place"`
-	// ExactStates / QuotientStates are the entity LTS sizes before and
-	// after the congruence-preserving weak-bisimulation quotient.
-	ExactStates    int `json:"exactStates"`
-	QuotientStates int `json:"quotientStates"`
-	// ExactTransitions / QuotientTransitions likewise.
-	ExactTransitions    int `json:"exactTransitions"`
-	QuotientTransitions int `json:"quotientTransitions"`
-	// BuildNanos is this entity's explore+quotient wall time (0 on reuse).
-	BuildNanos int64 `json:"buildNanos"`
-	// Reused marks an artifact recalled from the cache.
-	Reused bool `json:"reused"`
-}
+type EntityQuotientStat = compose.EntityQuotientStat
 
 // CompositionalReport describes one compositional verification: the
 // per-entity quotients, the product-over-quotients size, the per-phase wall
 // times, the artifact reuse ratio, and — when the verdict came from the
 // monolithic fallback — the reason.
-type CompositionalReport struct {
-	Entities []EntityQuotientStat `json:"entities"`
-	// ProductStates / ProductTransitions size the product over quotients.
-	ProductStates      int `json:"productStates"`
-	ProductTransitions int `json:"productTransitions"`
-	// BuildNanos sums entity explore+quotient time; ProductNanos is the
-	// quotient-product exploration time.
-	BuildNanos   int64 `json:"buildNanos"`
-	ProductNanos int64 `json:"productNanos"`
-	// Reused counts entities recalled from the artifact cache; ReuseRatio
-	// is Reused over the entity count.
-	Reused     int     `json:"reused"`
-	ReuseRatio float64 `json:"reuseRatio"`
-	// Fallback, when non-empty, explains why the verdict came from the
-	// monolithic path.
-	Fallback string `json:"fallback,omitempty"`
-}
-
-// compositionalReport mirrors compose stats into the facade type.
-func compositionalReport(st *compose.CompositionalStats) *CompositionalReport {
-	if st == nil {
-		return nil
-	}
-	out := &CompositionalReport{
-		ProductStates:      st.ProductStates,
-		ProductTransitions: st.ProductTransitions,
-		BuildNanos:         st.BuildNanos,
-		ProductNanos:       st.ProductNanos,
-		Reused:             st.Reused,
-		ReuseRatio:         st.ReuseRatio(),
-		Fallback:           st.Fallback,
-	}
-	for _, e := range st.Entities {
-		out.Entities = append(out.Entities, EntityQuotientStat{
-			Place:               e.Place,
-			ExactStates:         e.ExactStates,
-			QuotientStates:      e.QuotientStates,
-			ExactTransitions:    e.ExactTransitions,
-			QuotientTransitions: e.QuotientTransitions,
-			BuildNanos:          e.BuildNanos,
-			Reused:              e.Reused,
-		})
-	}
-	return out
-}
+type CompositionalReport = compose.CompositionalStats
 
 // EntityDigest is the content address of one derived entity: the SHA-256 of
 // its normalized behaviour text, hex-encoded. Two services whose derivations

@@ -100,8 +100,8 @@ func TestArtifactSharingFormattingOnly(t *testing.T) {
 			t.Errorf("place %d rebuilt for a formatting-only difference", place)
 		}
 	}
-	if repB.Compositional.ReuseRatio != 1 {
-		t.Errorf("reuse ratio %v, want 1", repB.Compositional.ReuseRatio)
+	if repB.Compositional.ReuseRatio() != 1 {
+		t.Errorf("reuse ratio %v, want 1", repB.Compositional.ReuseRatio())
 	}
 }
 

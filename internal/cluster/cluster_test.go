@@ -266,4 +266,7 @@ func TestScenarioFile(t *testing.T) {
 	if _, err := ParseScenario([]byte(`{nope`), dir); err == nil {
 		t.Error("accepted malformed JSON")
 	}
+	if _, err := LoadScenario(filepath.Join(dir, "missing.json")); err == nil {
+		t.Error("loaded a nonexistent scenario file")
+	}
 }

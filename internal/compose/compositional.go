@@ -26,6 +26,7 @@
 package compose
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -246,4 +247,13 @@ func (c *CompositionalStats) ReuseRatio() float64 {
 		return 0
 	}
 	return float64(c.Reused) / float64(len(c.Entities))
+}
+
+// MarshalJSON encodes the fields plus the derived "reuseRatio".
+func (c CompositionalStats) MarshalJSON() ([]byte, error) {
+	type fields CompositionalStats
+	return json.Marshal(struct {
+		fields
+		ReuseRatio float64 `json:"reuseRatio"`
+	}{fields(c), c.ReuseRatio()})
 }

@@ -14,18 +14,21 @@ import (
 // Fault transitions keep the state space finite: duplication respects the
 // channel capacity (a duplicate that would overflow the medium buffer is
 // absorbed), and loss and reordering never grow a queue.
+//
+// A FaultModel marshals as its canonical name (see String), so JSON carries
+// "loss+dup" rather than an object.
 type FaultModel struct {
 	// Loss lets the medium silently drop any in-transit message: one
 	// internal transition per queued message position.
-	Loss bool `json:"loss,omitempty"`
+	Loss bool
 	// Duplication lets the medium deliver an in-transit message twice: one
 	// internal transition per queued message position inserting an adjacent
 	// copy, enabled while the channel has capacity for it.
-	Duplication bool `json:"duplication,omitempty"`
+	Duplication bool
 	// Reorder lets the medium swap two adjacent in-transit messages on one
 	// channel — the minimal FIFO violation; repeated swaps generate every
 	// permutation the capacity admits.
-	Reorder bool `json:"reorder,omitempty"`
+	Reorder bool
 }
 
 // Reliable is the zero fault model: the paper's medium.
@@ -51,6 +54,19 @@ func (f FaultModel) String() string {
 		parts = append(parts, "reorder")
 	}
 	return strings.Join(parts, "+")
+}
+
+// MarshalText renders the canonical name.
+func (f FaultModel) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+// UnmarshalText parses a name with ParseFaultModel.
+func (f *FaultModel) UnmarshalText(b []byte) error {
+	m, err := ParseFaultModel(string(b))
+	if err != nil {
+		return err
+	}
+	*f = m
+	return nil
 }
 
 // ParseFaultModel parses one fault-model spec: "reliable" (or "none"), or a

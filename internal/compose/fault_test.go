@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -56,6 +57,28 @@ func TestParseFaultModel(t *testing.T) {
 	}
 	if _, err := ParseFaultModel("gremlins"); err == nil {
 		t.Error("ParseFaultModel accepted an unknown fault")
+	}
+}
+
+// TestFaultModelJSON: a fault model travels as its canonical name, decodes
+// through ParseFaultModel, and an unknown name is rejected.
+func TestFaultModelJSON(t *testing.T) {
+	for _, f := range []FaultModel{{}, {Loss: true}, {Loss: true, Duplication: true}, {Duplication: true, Reorder: true}} {
+		b, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := `"` + f.String() + `"`; string(b) != want {
+			t.Errorf("Marshal(%+v) = %s, want %s", f, b, want)
+		}
+		var back FaultModel
+		if err := json.Unmarshal(b, &back); err != nil || back != f {
+			t.Errorf("Unmarshal(%s) = %+v, %v; want %+v", b, back, err, f)
+		}
+	}
+	var f FaultModel
+	if err := f.UnmarshalText([]byte("loss+gremlins")); err == nil {
+		t.Errorf("UnmarshalText accepted an unknown fault: %+v", f)
 	}
 }
 

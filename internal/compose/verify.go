@@ -277,14 +277,12 @@ func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 // verdict fills the comparison fields of a report whose graphs are set.
 func verdict(r *Report, opts VerifyOptions) {
 	sg, cg := r.ServiceGraph, r.ComposedGraph
-	r.TracesEqual = equiv.WeakTraceEquivalent(sg, cg, opts.ObsDepth)
-	r.ComposedSubset = true
-	r.ServiceSubset = true
-	if !r.TracesEqual {
-		r.OnlyService, r.OnlyComposed = equiv.TraceDiff(sg, cg, opts.ObsDepth, opts.TraceDiffLimit)
-		r.ComposedSubset = len(r.OnlyComposed) == 0
-		r.ServiceSubset = len(r.OnlyService) == 0
-	}
+	var onlyS, onlyC int
+	r.OnlyService, r.OnlyComposed, onlyS, onlyC = equiv.TraceSetDiff(
+		lts.WeakTraces(sg, opts.ObsDepth), lts.WeakTraces(cg, opts.ObsDepth), opts.TraceDiffLimit)
+	r.ServiceSubset = onlyS == 0
+	r.ComposedSubset = onlyC == 0
+	r.TracesEqual = r.ServiceSubset && r.ComposedSubset
 	r.ComposedDeadlocks = len(cg.Deadlocks())
 	r.Complete = !sg.Truncated && !cg.Truncated
 	if r.Complete {

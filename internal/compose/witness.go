@@ -107,7 +107,7 @@ func (w *Witness) Summary() string {
 // same label are interchangeable for replay purposes).
 func (s *System) annotatePath(g *lts.Graph, path []lts.PathStep) ([]WitnessStep, error) {
 	cur := s.rootState()
-	out := make([]WitnessStep, 0, len(path))
+	var out []WitnessStep // nil for an empty path, so JSON renders null
 	for pi, ps := range path {
 		trans, steps, err := s.derive(cur, true)
 		if err != nil {

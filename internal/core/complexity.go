@@ -45,7 +45,7 @@ type Complexity struct {
 	Instantiate int
 	// PerNode attributes costs to individual operator occurrences, sorted
 	// by node number.
-	PerNode []NodeCost
+	PerNode []NodeCost `json:"-"`
 }
 
 // Total returns the total static message count (the number of send

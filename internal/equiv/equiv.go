@@ -150,25 +150,34 @@ func WeakTraceEquivalent(g1, g2 *lts.Graph, maxLen int) bool {
 // TraceDiff returns example traces present in exactly one of the two
 // graphs, up to maxLen and at most limit entries per side, for diagnostics.
 func TraceDiff(g1, g2 *lts.Graph, maxLen, limit int) (onlyG1, onlyG2 []string) {
-	t1 := lts.WeakTraces(g1, maxLen)
-	t2 := lts.WeakTraces(g2, maxLen)
-	set1 := map[string]bool{}
-	for _, t := range t1 {
-		set1[t] = true
-	}
-	set2 := map[string]bool{}
-	for _, t := range t2 {
-		set2[t] = true
-	}
-	for _, t := range t1 {
-		if !set2[t] && len(onlyG1) < limit {
-			onlyG1 = append(onlyG1, t)
-		}
-	}
-	for _, t := range t2 {
-		if !set1[t] && len(onlyG2) < limit {
-			onlyG2 = append(onlyG2, t)
-		}
-	}
+	onlyG1, onlyG2, _, _ = TraceSetDiff(lts.WeakTraces(g1, maxLen), lts.WeakTraces(g2, maxLen), limit)
 	return onlyG1, onlyG2
+}
+
+// TraceSetDiff compares two trace sets as lts.WeakTraces returns them
+// (sorted, duplicate-free). only1 and only2 hold, in order, the first limit
+// traces one side has and the other lacks; n1 and n2 count all of them, so
+// the sets are equal exactly when both counts are zero.
+func TraceSetDiff(t1, t2 []string, limit int) (only1, only2 []string, n1, n2 int) {
+	i, j := 0, 0
+	for i < len(t1) || j < len(t2) {
+		switch {
+		case j == len(t2) || (i < len(t1) && t1[i] < t2[j]):
+			if n1 < limit {
+				only1 = append(only1, t1[i])
+			}
+			n1++
+			i++
+		case i == len(t1) || t2[j] < t1[i]:
+			if n2 < limit {
+				only2 = append(only2, t2[j])
+			}
+			n2++
+			j++
+		default:
+			i++
+			j++
+		}
+	}
+	return only1, only2, n1, n2
 }

@@ -356,17 +356,10 @@ type ExploreRequest struct {
 	Traces    bool   `json:"traces,omitempty"`
 }
 
-// ExploreResponse is the body of a successful exploration. It mirrors
-// protoderive.ExploreReport field by field so the wire names stay
-// camelCase like every other endpoint.
+// ExploreResponse is the body of a successful exploration.
 type ExploreResponse struct {
-	Cached      bool     `json:"cached"`
-	States      int      `json:"states"`
-	Transitions int      `json:"transitions"`
-	Deadlocks   int      `json:"deadlocks"`
-	Truncated   bool     `json:"truncated"`
-	ObsDepth    int      `json:"obsDepth"`
-	Traces      []string `json:"traces,omitempty"`
+	Cached bool `json:"cached"`
+	protoderive.ExploreReport
 }
 
 // ErrorResponse is the body of every non-2xx response.
@@ -714,15 +707,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, err)
 	}
-	rep := val.(*protoderive.ExploreReport)
 	return writeJSON(w, http.StatusOK, ExploreResponse{
-		Cached:      outcome != OutcomeComputed,
-		States:      rep.States,
-		Transitions: rep.Transitions,
-		Deadlocks:   rep.Deadlocks,
-		Truncated:   rep.Truncated,
-		ObsDepth:    rep.ObsDepth,
-		Traces:      rep.Traces,
+		Cached:        outcome != OutcomeComputed,
+		ExploreReport: *val.(*protoderive.ExploreReport),
 	})
 }
 

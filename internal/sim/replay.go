@@ -43,8 +43,6 @@ type ReplayResult struct {
 	// MediumStats snapshots the medium counters after the replay (sent,
 	// delivered, dropped, duplicated, reordered, flushed).
 	MediumStats medium.Stats
-	// Engines records which engine replayed each place.
-	Engines map[int]Engine
 }
 
 // replayer holds the concrete system state during a witness replay.
@@ -89,14 +87,11 @@ func ReplayWitnessEngine(entities map[int]*lotos.Spec, w *compose.Witness, engin
 	if engine == EngineFSM && fleet == nil {
 		fleet = fsm.CompileEntities(entities, fsm.Config{})
 	}
-	engines := make(map[int]Engine, len(entities))
 	for p, sp := range entities {
 		var st stepper
-		engines[p] = EngineAST
 		if engine == EngineFSM {
 			if m := fleet.Machines[p]; m != nil {
 				st = newFSMStepper(m)
-				engines[p] = EngineFSM
 			}
 		}
 		if st == nil {
@@ -111,7 +106,7 @@ func ReplayWitnessEngine(entities map[int]*lotos.Spec, w *compose.Witness, engin
 	}
 	sort.Ints(rp.places)
 
-	res := &ReplayResult{Engines: engines}
+	res := &ReplayResult{}
 	for i, st := range w.Steps {
 		if err := rp.step(st, res); err != nil {
 			return nil, fmt.Errorf("sim: witness step %d [%s] %s: %w", i+1, st.Kind, st.Label, err)

@@ -26,14 +26,13 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/attr"
-	"repro/internal/cluster"
 	"repro/internal/compose"
 	"repro/internal/core"
+	"repro/internal/equiv"
 	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/lts"
@@ -187,16 +186,17 @@ type ExploreOptions struct {
 // transition system.
 type ExploreReport struct {
 	// States and Transitions are the explored sizes.
-	States, Transitions int
+	States      int `json:"states"`
+	Transitions int `json:"transitions"`
 	// Deadlocks counts states with no outgoing transition that were not
 	// reached by successful termination.
-	Deadlocks int
+	Deadlocks int `json:"deadlocks"`
 	// Truncated reports that a limit stopped exploration before closure.
-	Truncated bool
+	Truncated bool `json:"truncated"`
 	// ObsDepth is the observable bound the exploration ran with.
-	ObsDepth int
+	ObsDepth int `json:"obsDepth"`
 	// Traces is the weak trace set up to ObsDepth (only when requested).
-	Traces []string `json:",omitempty"`
+	Traces []string `json:"traces,omitempty"`
 }
 
 // Explore explores the service's labelled transition system up to the given
@@ -362,66 +362,21 @@ func (p *Protocol) Render() string { return p.d.Render() }
 func (p *Protocol) MessageCount() int { return p.d.SendCount() }
 
 // Complexity is the per-operator message-complexity report of Section 4.3.
-type Complexity struct {
-	Places        int
-	Seq           int
-	Choice        int
-	DisableRel    int
-	DisableInterr int
-	Instantiate   int
-}
-
-// Total returns the total message count.
-func (c Complexity) Total() int {
-	return c.Seq + c.Choice + c.DisableRel + c.DisableInterr + c.Instantiate
-}
+type Complexity = core.Complexity
 
 // Complexity computes the per-operator message-complexity breakdown.
 func (p *Protocol) Complexity() Complexity {
-	c := core.MessageComplexityMode(p.d.Service, p.d.Opts.Interrupt)
-	return Complexity{
-		Places:        c.Places,
-		Seq:           c.Seq,
-		Choice:        c.Choice,
-		DisableRel:    c.DisableRel,
-		DisableInterr: c.DisableInterr,
-		Instantiate:   c.Instantiate,
-	}
+	return core.MessageComplexityMode(p.d.Service, p.d.Opts.Interrupt)
 }
 
 // ComplexityTable renders the Section 4.3 report.
-func (p *Protocol) ComplexityTable() string {
-	return core.MessageComplexityMode(p.d.Service, p.d.Opts.Interrupt).String()
-}
+func (p *Protocol) ComplexityTable() string { return p.Complexity().String() }
 
 // FaultModel selects medium faults for Verify to compose into the product
 // exploration: message loss, duplication, and adjacent reordering. The zero
-// value is the paper's reliable FIFO medium.
-type FaultModel struct {
-	Loss        bool `json:"loss,omitempty"`
-	Duplication bool `json:"duplication,omitempty"`
-	Reorder     bool `json:"reorder,omitempty"`
-}
-
-// String renders the model canonically ("reliable", "loss", "loss+dup", …).
-func (f FaultModel) String() string { return f.compose().String() }
-
-// Any reports whether at least one fault is enabled.
-func (f FaultModel) Any() bool { return f.Loss || f.Duplication || f.Reorder }
-
-func (f FaultModel) compose() compose.FaultModel {
-	return compose.FaultModel{Loss: f.Loss, Duplication: f.Duplication, Reorder: f.Reorder}
-}
-
-// ParseFaultModel parses one fault-model spec: "reliable" (or "none", ""),
-// or a "+"-joined combination of "loss", "dup", "reorder".
-func ParseFaultModel(s string) (FaultModel, error) {
-	f, err := compose.ParseFaultModel(s)
-	if err != nil {
-		return FaultModel{}, specErr(err)
-	}
-	return FaultModel{Loss: f.Loss, Duplication: f.Duplication, Reorder: f.Reorder}, nil
-}
+// value is the paper's reliable FIFO medium. It marshals as its canonical
+// name ("reliable", "loss", "loss+dup", …).
+type FaultModel = compose.FaultModel
 
 // CanonicalReductions parses a reduction-set name (see
 // VerifyOptions.Reductions) and returns its canonical form, so spelling
@@ -436,17 +391,11 @@ func CanonicalReductions(s string) (string, error) {
 }
 
 // ParseFaultModels parses a comma-separated list of fault-model specs, e.g.
-// "loss,dup,loss+reorder". Duplicates are collapsed.
+// "loss,dup,loss+reorder": each "reliable" (or "none", "") or a "+"-joined
+// combination of "loss", "dup", "reorder". Duplicates are collapsed.
 func ParseFaultModels(s string) ([]FaultModel, error) {
 	fs, err := compose.ParseFaultModels(s)
-	if err != nil {
-		return nil, specErr(err)
-	}
-	out := make([]FaultModel, len(fs))
-	for i, f := range fs {
-		out[i] = FaultModel{Loss: f.Loss, Duplication: f.Duplication, Reorder: f.Reorder}
-	}
-	return out, nil
+	return fs, specErr(err)
 }
 
 // VerifyOptions tunes Verify. The zero value (or nil) selects defaults:
@@ -530,154 +479,63 @@ type VerifyReport struct {
 	Reduction *ReductionReport `json:",omitempty"`
 }
 
-// ReductionReport mirrors the composed exploration's reduction statistics:
-// which reductions were in force, how much each one cut, and whether a
-// symmetry-reduced failure fell back to an unreduced re-verification for its
-// concrete counterexample.
-type ReductionReport struct {
-	// Enabled is the canonical reduction-set name ("por", "por+symmetry", …).
-	Enabled string `json:"enabled"`
-	// SymmetryColumns is the number of interchangeable |||-instance columns
-	// detected (0 when symmetry was off or did not apply).
-	SymmetryColumns int `json:"symmetryColumns,omitempty"`
-	// OrbitsCollapsed counts states folded onto another orbit representative.
-	OrbitsCollapsed int64 `json:"orbitsCollapsed,omitempty"`
-	// AmpleHits counts states reduced to one entity's ample transition set.
-	AmpleHits int64 `json:"ampleHits,omitempty"`
-	// SpillRuns / SpilledBytes / PeakMemBytes describe the out-of-core
-	// visited index (zero when nothing spilled).
-	SpillRuns    int   `json:"spillRuns,omitempty"`
-	SpilledBytes int64 `json:"spilledBytes,omitempty"`
-	PeakMemBytes int64 `json:"peakMemBytes,omitempty"`
-	// Fallback records why the verdict was re-derived without symmetry.
-	Fallback string `json:"fallback,omitempty"`
-}
-
-// reductionReport mirrors compose reduction stats into the facade type.
-func reductionReport(ri *compose.ReductionStats) *ReductionReport {
-	if ri == nil {
-		return nil
-	}
-	return &ReductionReport{
-		Enabled:         ri.Enabled,
-		SymmetryColumns: ri.SymmetryColumns,
-		OrbitsCollapsed: ri.OrbitsCollapsed,
-		AmpleHits:       ri.AmpleHits,
-		SpillRuns:       ri.SpillRuns,
-		SpilledBytes:    ri.SpilledBytes,
-		PeakMemBytes:    ri.PeakMemBytes,
-		Fallback:        ri.Fallback,
-	}
-}
+// ReductionReport describes the state-space reductions a product
+// exploration applied: which were in force, how much each one cut, and
+// whether a symmetry-reduced failure fell back to an unreduced
+// re-verification for its concrete counterexample.
+type ReductionReport = compose.ReductionStats
 
 // WitnessStep is one transition of a counterexample: an entity move (its
 // place and the index of the fired local transition) or a medium fault (the
 // channel and queue position struck).
-type WitnessStep struct {
-	Kind   string `json:"kind"`
-	Place  int    `json:"place"`
-	TIndex int    `json:"tIndex"`
-	Label  string `json:"label"`
-	From   int    `json:"from,omitempty"`
-	To     int    `json:"to,omitempty"`
-	Msg    string `json:"msg,omitempty"`
-	Index  int    `json:"index,omitempty"`
-}
+type WitnessStep = compose.WitnessStep
 
 // Witness is a shortest counterexample for a failed verification. Kind is
 // "deadlock", "extra-trace" or "missing-trace"; Steps is the concrete path;
 // Trace its observable projection. For a missing-trace witness, Missing is
 // the service trace the composition cannot realize and MatchedPrefix the
-// number of its labels the path realizes before diverging.
-type Witness struct {
-	Kind          string        `json:"kind"`
-	Faults        string        `json:"faults"`
-	ChannelCap    int           `json:"channelCap"`
-	Steps         []WitnessStep `json:"steps"`
-	Trace         []string      `json:"trace"`
-	Missing       []string      `json:"missing,omitempty"`
-	MatchedPrefix int           `json:"matchedPrefix,omitempty"`
-
-	inner *compose.Witness // retained for Replay
-}
-
-// Summary renders the witness as an indented step listing.
-func (w *Witness) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "counterexample (%s, faults=%s, cap=%d, %d steps):\n",
-		w.Kind, w.Faults, w.ChannelCap, len(w.Steps))
-	for i, st := range w.Steps {
-		fmt.Fprintf(&b, "  %2d. [%s] %s\n", i+1, st.Kind, st.Label)
-	}
-	if len(w.Trace) > 0 {
-		fmt.Fprintf(&b, "  observable trace: %s\n", strings.Join(w.Trace, " "))
-	}
-	if w.Kind == "missing-trace" {
-		fmt.Fprintf(&b, "  service trace not realized: %s (composition realizes the first %d label(s))\n",
-			strings.Join(w.Missing, " "), w.MatchedPrefix)
-	}
-	return b.String()
-}
-
-// witnessReport mirrors a compose witness into the facade type.
-func witnessReport(w *compose.Witness) *Witness {
-	if w == nil {
-		return nil
-	}
-	out := &Witness{
-		Kind:          w.Kind,
-		Faults:        w.Faults.String(),
-		ChannelCap:    w.ChannelCap,
-		Trace:         append([]string(nil), w.Trace...),
-		Missing:       append([]string(nil), w.Missing...),
-		MatchedPrefix: w.MatchedPrefix,
-		inner:         w,
-	}
-	for _, st := range w.Steps {
-		out.Steps = append(out.Steps, WitnessStep{
-			Kind: st.Kind, Place: st.Place, TIndex: st.TIndex, Label: st.Label,
-			From: st.From, To: st.To, Msg: st.Msg, Index: st.Index,
-		})
-	}
-	return out
-}
+// number of its labels the path realizes before diverging. A witness
+// decoded from JSON replays like the original.
+type Witness = compose.Witness
 
 // EquivStats describes one equivalence check by the engine in
 // internal/equiv: the combined graph size, the τ-SCC condensation, the
 // saturated weak relation, and the hashed partition refinement.
-type EquivStats struct {
-	// States and Transitions measure the combined (service + composed)
-	// graph the check ran on.
-	States      int `json:"states"`
-	Transitions int `json:"transitions"`
-	// TauSCCs is the number of τ-SCCs — the node count of the refinement.
-	TauSCCs int `json:"tauSccs"`
-	// SaturationEdges is the size of the saturated weak relation.
-	SaturationEdges int `json:"saturationEdges"`
-	// RefinementRounds is the number of signature rounds to stabilization.
-	RefinementRounds int `json:"refinementRounds"`
-	// Blocks is the final number of equivalence classes.
-	Blocks int `json:"blocks"`
-	// SaturateNanos / RefineNanos are wall clock per engine phase.
-	SaturateNanos int64 `json:"saturateNanos"`
-	RefineNanos   int64 `json:"refineNanos"`
-}
+type EquivStats = equiv.Stats
 
-// entityProvider resolves the entity-artifact source of a compositional
-// verification: the per-call cache first, then the protocol's attached cache
-// (UseArtifacts), then nil — uncached per-call builds.
-func (p *Protocol) entityProvider(o VerifyOptions) compose.EntityProvider {
-	if !o.Compositional {
-		return nil
+// composeOptions converts facade options (nil = defaults) into the
+// verifier's: the reduction-set name is parsed, and a compositional run
+// recalls entity quotients from the per-call cache, else the protocol's
+// attached cache (UseArtifacts), else builds them uncached.
+func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, error) {
+	var o VerifyOptions
+	if opts != nil {
+		o = *opts
+	}
+	red, err := compose.ParseReductions(o.Reductions)
+	if err != nil {
+		return compose.VerifyOptions{}, specErr(err)
+	}
+	co := compose.VerifyOptions{
+		ChannelCap:     o.ChannelCap,
+		ObsDepth:       o.ObsDepth,
+		MaxStates:      o.MaxStates,
+		Parallel:       o.Parallel,
+		Workers:        o.Workers,
+		Faults:         o.Faults,
+		TraceDiffLimit: o.TraceDiffLimit,
+		Compositional:  o.Compositional,
+		Reductions:     red,
+		SpillBudget:    o.SpillBudget,
 	}
 	cache := o.Artifacts
 	if cache == nil {
 		cache = p.arts
 	}
-	if cache == nil {
-		return nil
+	if o.Compositional && cache != nil {
+		co.EntityProvider = cache.provider()
 	}
-	return cache.provider()
+	return co, nil
 }
 
 // cloneEntities deep-copies an entity map. Exploration resolves and numbers
@@ -702,36 +560,20 @@ func cloneEntities(m map[int]*lotos.Spec) map[int]*lotos.Spec {
 // of the service and entity trees.
 func (p *Protocol) Verify(opts *VerifyOptions) (out *VerifyReport, err error) {
 	defer guard(&err)
-	var o VerifyOptions
-	if opts != nil {
-		o = *opts
-	}
-	red, err := compose.ParseReductions(o.Reductions)
+	co, err := p.composeOptions(opts)
 	if err != nil {
-		return nil, specErr(err)
+		return nil, err
 	}
-	rep, err := compose.Verify(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), compose.VerifyOptions{
-		ChannelCap:     o.ChannelCap,
-		ObsDepth:       o.ObsDepth,
-		MaxStates:      o.MaxStates,
-		Parallel:       o.Parallel,
-		Workers:        o.Workers,
-		Faults:         o.Faults.compose(),
-		TraceDiffLimit: o.TraceDiffLimit,
-		Compositional:  o.Compositional,
-		EntityProvider: p.entityProvider(o),
-		Reductions:     red,
-		SpillBudget:    o.SpillBudget,
-	})
+	rep, err := compose.Verify(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), co)
 	if err != nil {
 		return nil, err
 	}
 	return verifyReport(rep), nil
 }
 
-// verifyReport mirrors a compose report into the facade type.
+// verifyReport flattens a compose report into the facade type.
 func verifyReport(rep *compose.Report) *VerifyReport {
-	out := &VerifyReport{
+	return &VerifyReport{
 		Ok:             rep.Ok(),
 		Complete:       rep.Complete,
 		WeakBisimilar:  rep.WeakBisimilar,
@@ -742,23 +584,11 @@ func verifyReport(rep *compose.Report) *VerifyReport {
 		ComposedStates: rep.ComposedGraph.NumStates(),
 		Summary:        rep.Summary(),
 		Faults:         rep.Faults.String(),
-		Witness:        witnessReport(rep.Witness),
-		Compositional:  compositionalReport(rep.Compositional),
-		Reduction:      reductionReport(rep.Reduction),
+		Witness:        rep.Witness,
+		Equiv:          rep.Equiv,
+		Compositional:  rep.Compositional,
+		Reduction:      rep.Reduction,
 	}
-	if rep.Equiv != nil {
-		out.Equiv = &EquivStats{
-			States:           rep.Equiv.States,
-			Transitions:      rep.Equiv.Transitions,
-			TauSCCs:          rep.Equiv.TauSCCs,
-			SaturationEdges:  rep.Equiv.SaturationEdges,
-			RefinementRounds: rep.Equiv.RefinementRounds,
-			Blocks:           rep.Equiv.Blocks,
-			SaturateNanos:    rep.Equiv.SaturateNanos,
-			RefineNanos:      rep.Equiv.RefineNanos,
-		}
-	}
-	return out
 }
 
 // FaultCell is one entry of a fault matrix: the verdict of one verification
@@ -776,30 +606,11 @@ type FaultCell struct {
 // only. Like Verify, it operates on clones and is safe for concurrent use.
 func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (cells []FaultCell, err error) {
 	defer guard(&err)
-	var o VerifyOptions
-	if opts != nil {
-		o = *opts
-	}
-	cms := make([]compose.FaultModel, len(models))
-	for i, f := range models {
-		cms[i] = f.compose()
-	}
-	red, err := compose.ParseReductions(o.Reductions)
+	co, err := p.composeOptions(opts)
 	if err != nil {
-		return nil, specErr(err)
+		return nil, err
 	}
-	mx, err := compose.VerifyMatrix(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), cms, compose.VerifyOptions{
-		ChannelCap:     o.ChannelCap,
-		ObsDepth:       o.ObsDepth,
-		MaxStates:      o.MaxStates,
-		Parallel:       o.Parallel,
-		Workers:        o.Workers,
-		TraceDiffLimit: o.TraceDiffLimit,
-		Compositional:  o.Compositional,
-		EntityProvider: p.entityProvider(o),
-		Reductions:     red,
-		SpillBudget:    o.SpillBudget,
-	})
+	mx, err := compose.VerifyMatrix(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), models, co)
 	if err != nil {
 		return nil, err
 	}
@@ -811,21 +622,12 @@ func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (cells
 
 // ReplayResult reports the re-execution of a counterexample through the
 // concrete runtime (entity interpreter + medium).
-type ReplayResult struct {
-	// Trace is the observable projection of the replayed execution.
-	Trace []string `json:"trace"`
-	// Terminated and Deadlocked classify where the replay ended.
-	Terminated bool `json:"terminated"`
-	Deadlocked bool `json:"deadlocked"`
-	// Steps is the number of witness steps executed.
-	Steps int `json:"steps"`
-}
+type ReplayResult = sim.ReplayResult
 
 // Replay re-executes a counterexample produced by Verify or VerifyMatrix on
-// this protocol step-for-step through the runtime interpreter and medium,
-// confirming the abstract counterexample is a real execution. The witness
-// must carry its extraction context (only witnesses returned by this
-// process's Verify calls do; deserialized ones do not).
+// this protocol — in this process or decoded from JSON — step-for-step
+// through the runtime interpreter and medium, confirming the abstract
+// counterexample is a real execution.
 func (p *Protocol) Replay(w *Witness) (*ReplayResult, error) {
 	return p.ReplayWith(w, "")
 }
@@ -836,9 +638,6 @@ func (p *Protocol) Replay(w *Witness) (*ReplayResult, error) {
 // transition indices select the same transitions under either engine.
 func (p *Protocol) ReplayWith(w *Witness, engineName string) (out *ReplayResult, err error) {
 	defer guard(&err)
-	if w == nil || w.inner == nil {
-		return nil, errors.New("protoderive: witness carries no replay context (was it deserialized?)")
-	}
 	engine, err := simEngine(engineName)
 	if err != nil {
 		return nil, err
@@ -847,16 +646,7 @@ func (p *Protocol) ReplayWith(w *Witness, engineName string) (out *ReplayResult,
 	if engine == sim.EngineFSM {
 		fleet = p.fleet(0)
 	}
-	res, err := sim.ReplayWitnessEngine(cloneEntities(p.d.Entities), w.inner, engine, fleet)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplayResult{
-		Trace:      append([]string(nil), res.Trace...),
-		Terminated: res.Terminated,
-		Deadlocked: res.Deadlocked,
-		Steps:      res.Steps,
-	}, nil
+	return sim.ReplayWitnessEngine(cloneEntities(p.d.Entities), w, engine, fleet)
 }
 
 // CompileOptions tunes Compile. The zero value (or nil) selects defaults.
@@ -1069,21 +859,15 @@ type OptimizeReport struct {
 // Optimize removes non-essential synchronization messages (the elimination
 // the paper defers to [Khen 89]), re-verifying the Section-5 relation after
 // every removal; only removals that keep the protocol correct survive. The
-// given options bound each verification (nil selects defaults). Like
+// given options apply to each verification (nil selects defaults). Like
 // Verify, it operates on clones and is safe for concurrent use.
 func (p *Protocol) Optimize(opts *VerifyOptions) (out *OptimizeReport, err error) {
 	defer guard(&err)
-	var o VerifyOptions
-	if opts != nil {
-		o = *opts
+	co, err := p.composeOptions(opts)
+	if err != nil {
+		return nil, err
 	}
-	res, err := compose.OptimizeMessages(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), compose.VerifyOptions{
-		ChannelCap: o.ChannelCap,
-		ObsDepth:   o.ObsDepth,
-		MaxStates:  o.MaxStates,
-		Parallel:   o.Parallel,
-		Workers:    o.Workers,
-	})
+	res, err := compose.OptimizeMessages(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), co)
 	if err != nil {
 		return nil, err
 	}
@@ -1134,71 +918,11 @@ func (c *Centralized) EntityText(place int) string {
 // exchanges (two per remote primitive plus the final halt broadcast).
 func (c *Centralized) MessageCount() int { return c.d.MessageCount() }
 
-// ClusterModel is a built cluster scenario: every class parsed, derived and
-// compiled, ready to Run repeatedly and to replay any recorded session. It
-// aliases internal/cluster's Model so facade users never import internal
-// packages.
-type ClusterModel = cluster.Model
-
-// BuildCluster compiles a fleet-scale simulation scenario: for every SLO
-// class it parses the service, derives the protocol entities (the paper's
-// Section-4 algorithm) and compiles them to table-driven machines. The
-// returned model runs thousands-to-millions of concurrent sessions on a
-// virtual clock, deterministically from the scenario seed.
-func BuildCluster(sc *cluster.Scenario) (m *ClusterModel, err error) {
-	defer guard(&err)
-	m, err = cluster.Build(sc)
-	if err != nil {
-		return nil, specErr(err)
-	}
-	return m, nil
-}
-
-// SimulateCluster builds and runs a scenario in one call. For repeated runs
-// or session replay, use BuildCluster and the model's Run/ReplaySession.
-func SimulateCluster(sc *cluster.Scenario) (res *cluster.Result, err error) {
-	defer guard(&err)
-	m, err := cluster.Build(sc)
-	if err != nil {
-		return nil, specErr(err)
-	}
-	return m.Run()
-}
-
-// LoadClusterScenario reads a scenario file (JSON; class spec paths resolve
-// against the file's directory).
-func LoadClusterScenario(path string) (sc *cluster.Scenario, err error) {
-	defer guard(&err)
-	sc, err = cluster.LoadScenario(path)
-	if err != nil {
-		return nil, specErr(err)
-	}
-	return sc, nil
-}
-
 // ConformanceReport is the verdict of checking a live deployment's recorded
 // trace logs against the service: the per-entity logs are merged by global
 // sequence number and the resulting observable trace replayed against the
 // service LTS.
-type ConformanceReport struct {
-	// Verdict is "accepted", "incomplete", "deadlock" or "violation";
-	// Reason explains it.
-	Verdict string `json:"verdict"`
-	Reason  string `json:"reason"`
-	// Trace is the merged global observable trace.
-	Trace []string `json:"trace"`
-	// TraceAccepted reports the trace is a weak trace of the service.
-	TraceAccepted bool `json:"traceAccepted"`
-	// Complete reports no observations were missing (all logs ended, no
-	// sequence gaps, no restarts, no aborts).
-	Complete bool `json:"complete"`
-	// Outcome is the session outcome the logs agree on.
-	Outcome string `json:"outcome,omitempty"`
-	// Gaps/Beyond/Restarts quantify missing observations.
-	Gaps     int `json:"gaps,omitempty"`
-	Beyond   int `json:"beyond,omitempty"`
-	Restarts int `json:"restarts,omitempty"`
-}
+type ConformanceReport = conformance.Report
 
 // CheckTraceLogs parses the per-entity NDJSON trace logs a pgdeploy
 // deployment wrote (one file per entity) and checks the merged global trace
@@ -1208,21 +932,7 @@ type ConformanceReport struct {
 // exploration (0 = default).
 func (s *Service) CheckTraceLogs(paths []string, maxStates int) (rep *ConformanceReport, err error) {
 	defer guard(&err)
-	r, err := conformance.CheckFiles(lotos.CloneSpec(s.spec), paths, maxStates)
-	if err != nil {
-		return nil, err
-	}
-	return &ConformanceReport{
-		Verdict:       string(r.Verdict),
-		Reason:        r.Reason,
-		Trace:         append([]string(nil), r.Trace...),
-		TraceAccepted: r.TraceAccepted,
-		Complete:      r.Complete,
-		Outcome:       r.Outcome,
-		Gaps:          r.Gaps,
-		Beyond:        r.Beyond,
-		Restarts:      r.Restarts,
-	}, nil
+	return conformance.CheckFiles(lotos.CloneSpec(s.spec), paths, maxStates)
 }
 
 // Version identifies the library.

@@ -1,6 +1,7 @@
 package protoderive
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -378,5 +379,57 @@ func TestMultiinstanceReliableConformantAtDeeperBounds(t *testing.T) {
 	}
 	if !rep.Ok {
 		t.Errorf("multiinstance not conformant at 300k states:\n%s", rep.Summary)
+	}
+}
+
+// TestReplayDecodedWitness: a witness decoded from JSON, as a daemon client
+// receives it, replays to the same trace and deadlock flag as the witness
+// Verify returned.
+func TestReplayDecodedWitness(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		cap  int
+		f    FaultModel
+	}{
+		{"transport", 1, FaultModel{Loss: true}},
+		{"example3", 2, FaultModel{Reorder: true}},
+	} {
+		src, err := os.ReadFile(filepath.Join("specs", c.spec+".spec"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto, err := MustParseService(string(src)).Derive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := matrixOpts
+		opts.ChannelCap, opts.Faults = c.cap, c.f
+		rep, err := proto.Verify(&opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Witness == nil {
+			t.Fatalf("%s/%s: no witness", c.spec, c.f)
+		}
+		b, err := json.Marshal(rep.Witness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var decoded Witness
+		if err := json.Unmarshal(b, &decoded); err != nil {
+			t.Fatalf("%s/%s: decoding witness: %v", c.spec, c.f, err)
+		}
+		want, err := proto.Replay(rep.Witness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := proto.Replay(&decoded)
+		if err != nil {
+			t.Fatalf("%s/%s: replaying decoded witness: %v", c.spec, c.f, err)
+		}
+		if !reflect.DeepEqual(got.Trace, want.Trace) || got.Deadlocked != want.Deadlocked {
+			t.Errorf("%s/%s: decoded replay trace %q deadlocked=%t, original %q deadlocked=%t",
+				c.spec, c.f, got.Trace, got.Deadlocked, want.Trace, want.Deadlocked)
+		}
 	}
 }

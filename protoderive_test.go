@@ -283,3 +283,15 @@ func TestOptimizeFacade(t *testing.T) {
 		t.Errorf("optimized run trace invalid: %v", res.Trace)
 	}
 }
+
+// TestOptimizeForwardsOptions: Optimize verifies with the caller's full
+// options, so an invalid reduction set is reported, not ignored.
+func TestOptimizeForwardsOptions(t *testing.T) {
+	proto, err := MustParseService("SPEC a1; b2; exit ENDSPEC").Derive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := proto.Optimize(&VerifyOptions{Reductions: "bogus"}); err == nil {
+		t.Error("Optimize accepted an unknown reduction set")
+	}
+}

@@ -83,14 +83,17 @@ dist-smoke:
 	$(GO) test -race -count=1 -run '^(TestDistSmoke|TestCoordinatorEndToEnd|TestServeUntilDrainsInFlight|TestServeUntilGraceExceeded)$$' ./cmd/pgd/
 
 # live-smoke is the deployment gate: the wire codec, endpoint and
-# coordinator tests, the in-process corpus differential (every corpus spec
-# deployed over loopback TCP, the seeded session byte-identical to the
-# lockstep simulation with the same seed), the trace-log conformance
-# checker, the fault-injection proxy mirrored frame-for-frame against the
-# in-process medium, the PR-4 transport fault matrix re-established on
-# real sockets, and the pgdeploy binary suite — entities as real OS
-# processes, interpreter fallback live, crash/restart classified
-# incomplete. All under the race detector.
+# coordinator tests; the in-process corpus differential (every corpus spec
+# deployed over loopback TCP, its control connections driven by the same
+# sim.Lockstep sweep as an in-process session, the seeded outcome
+# byte-identical to the lockstep simulation with the same seed); the
+# trace-log conformance checker (and its fuzz seeds); the fault-injection
+# proxy mirrored frame-for-frame against the in-process medium; the
+# transport fault matrix re-established on real sockets, its loss witness
+# replayed live through the same sim.Replay loop as in process; and the
+# pgdeploy binary suite — entities as real OS processes, interpreter
+# fallback live, crash/restart classified incomplete. All under the race
+# detector.
 live-smoke:
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/wire/conformance/ ./internal/wire/wiretest/ ./cmd/pgdeploy/
 
@@ -103,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreReduced$$' -fuzztime 5s .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s ./internal/fsm
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 5s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceLog$$' -fuzztime 5s ./internal/wire/conformance
 
 # run-pgd starts the derivation daemon on :8080 (override with ARGS).
 run-pgd:

@@ -1,9 +1,7 @@
 package equiv
 
 import (
-	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/lts"
 )
@@ -44,11 +42,11 @@ func DivergentPath(subject, reference *lts.Graph, maxObs int) ([]lts.PathStep, b
 	if subject.NumStates() == 0 || reference.NumStates() == 0 {
 		return nil, false
 	}
-	refClosure := tauClosures(reference)
+	refClosure := lts.EpsilonClosures(reference)
 
 	rootSet := refClosure[0]
-	nodes := []witnessNode{{state: 0, refKey: intSetKey(rootSet), refSet: rootSet, obs: 0, parent: -1}}
-	visited := map[string]bool{nodeKey(0, intSetKey(rootSet), 0, maxObs): true}
+	nodes := []witnessNode{{state: 0, refKey: lts.IntsKey(rootSet), refSet: rootSet, obs: 0, parent: -1}}
+	visited := map[string]bool{nodeKey(0, lts.IntsKey(rootSet), 0, maxObs): true}
 
 	for head := 0; head < len(nodes); head++ {
 		cur := nodes[head]
@@ -75,7 +73,7 @@ func DivergentPath(subject, reference *lts.Graph, maxObs int) ([]lts.PathStep, b
 				return unwindNodes(nodes, head, e), true
 			}
 			push(&nodes, visited, witnessNode{
-				state: e.To, refKey: intSetKey(next), refSet: next,
+				state: e.To, refKey: lts.IntsKey(next), refSet: next,
 				obs: cur.obs + 1, parent: head, edge: e,
 			}, maxObs)
 		}
@@ -169,33 +167,6 @@ func weakStep(g *lts.Graph, closure [][]int, set []int, labelKey string) ([]int,
 	return dedup(out), frontier
 }
 
-// tauClosures computes, for every state, the sorted set of states reachable
-// by zero or more internal transitions.
-func tauClosures(g *lts.Graph) [][]int {
-	out := make([][]int, g.NumStates())
-	for s := range out {
-		seen := map[int]bool{s: true}
-		stack := []int{s}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.Edges[cur] {
-				if e.Label.Kind == lts.LInternal && !seen[e.To] {
-					seen[e.To] = true
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		cl := make([]int, 0, len(seen))
-		for st := range seen {
-			cl = append(cl, st)
-		}
-		sort.Ints(cl)
-		out[s] = cl
-	}
-	return out
-}
-
 // push appends a product node unless its (state, refSet, obs) signature was
 // already visited.
 func push(nodes *[]witnessNode, visited map[string]bool, n witnessNode, maxObs int) {
@@ -230,14 +201,4 @@ func unwindNodes(nodes []witnessNode, head int, last lts.Edge) []lts.PathStep {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// intSetKey renders a sorted int set canonically.
-func intSetKey(xs []int) string {
-	var b strings.Builder
-	for _, x := range xs {
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(x))
-	}
-	return b.String()
 }

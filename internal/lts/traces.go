@@ -25,7 +25,7 @@ func WeakTraces(g *Graph, maxLen int) []string {
 	// so a direct memoized walk over (state, prefix) suffices here. To keep
 	// the walk finite we track visited (state, depth) pairs per prefix via
 	// iterative deepening on the ε-closure graph.
-	closure := epsilonClosures(g)
+	closure := EpsilonClosures(g)
 
 	type item struct {
 		states []int
@@ -67,7 +67,7 @@ func WeakTraces(g *Graph, maxLen int) []string {
 			prefix += names[k]
 			set[prefix] = true
 			targets := dedupInts(byLabel[k])
-			sig := prefix + "\x00" + intsKey(targets)
+			sig := prefix + "\x00" + IntsKey(targets)
 			if seen[sig] {
 				continue
 			}
@@ -83,9 +83,10 @@ func WeakTraces(g *Graph, maxLen int) []string {
 	return out
 }
 
-// epsilonClosures returns, for every state, the set of states reachable by
-// zero or more internal transitions (sorted).
-func epsilonClosures(g *Graph) [][]int {
+// EpsilonClosures returns, for every state, the set of states reachable by
+// zero or more internal transitions (sorted): the τ-closures the weak-trace
+// walks and the equivalence witness search step through.
+func EpsilonClosures(g *Graph) [][]int {
 	out := make([][]int, len(g.States))
 	for s := range g.States {
 		visited := map[int]bool{s: true}
@@ -121,7 +122,8 @@ func dedupInts(xs []int) []int {
 	return out
 }
 
-func intsKey(xs []int) string {
+// IntsKey renders a sorted int set canonically (a map key).
+func IntsKey(xs []int) string {
 	var b strings.Builder
 	for _, x := range xs {
 		b.WriteByte(',')
@@ -135,7 +137,7 @@ func intsKey(xs []int) string {
 // trace of the graph. For a truncated graph a false result may be spurious;
 // true results are always sound.
 func AcceptsTrace(g *Graph, trace string) bool {
-	return weakWalk(g, epsilonClosures(g), ParseTrace(trace)) != nil
+	return weakWalk(g, EpsilonClosures(g), ParseTrace(trace)) != nil
 }
 
 // weakWalk returns the states the weak trace leads to from the initial
@@ -183,7 +185,7 @@ func CheckServiceTrace(service *lotos.Spec, labels []string, maxStates int) (Ser
 			break
 		}
 	}
-	end := weakWalk(g, epsilonClosures(g), labels)
+	end := weakWalk(g, EpsilonClosures(g), labels)
 	out.Accepted = end != nil
 	for _, s := range end {
 		for _, e := range g.Edges[s] {

@@ -1,17 +1,16 @@
 package sim
 
-// The single-entity seam: one protocol entity stepped by an EXTERNAL
-// scheduler. The wire deployment (internal/wire) runs each derived entity in
-// its own OS process; a coordinator grants steps over TCP in exactly the
-// order the in-process lockstep scheduler (Session.StepN) would, so a
-// distributed session with seed s is the same execution as Run with
-// Config{Lockstep: true, Seed: s}. EntityStepper is the runner loop of one
-// entity exposed for that driver: same stepper engines, same candidate
-// scan, same random-choice consumption — the engine-independent scheduling
-// contract of stepOnce, verbatim.
+// The single-entity seam: one protocol entity stepped by a scheduler, one
+// transition at a time, on the caller's goroutine. EntityStepper is the
+// in-process implementation of the Entity contract; the wire deployment
+// (internal/wire) implements the same contract over a control connection to
+// an entity running in its own OS process. The lockstep sweep (Lockstep)
+// and the witness replayer (Replay) are written against Entity only, so an
+// in-process run and a live deployment share every scheduling decision.
 
 import (
 	"fmt"
+	"math/rand/v2"
 
 	"repro/internal/fsm"
 	"repro/internal/lotos"
@@ -25,121 +24,234 @@ import (
 func HarnessSeed(seed int64) int64 { return SubSeed(seed, roleHarness, 0) }
 
 // RunnerSeed derives the scheduling seed of the entity at sorted-place
-// index placeIndex — the stream buildRunners hands runner placeIndex.
+// index placeIndex — the stream newSteppers hands entity placeIndex.
 func RunnerSeed(seed int64, placeIndex int) int64 {
 	return SubSeed(seed, roleRunner, placeIndex)
 }
 
-// StepOutcome reports one external step of an entity.
+// StepOutcome reports one step of an entity.
 type StepOutcome struct {
 	// Progressed reports that the entity executed a transition.
 	Progressed bool
 	// Done reports successful termination (the δ transition fired); the
 	// entity must not be stepped again.
 	Done bool
-	// Event is the service primitive executed this step, if any.
-	Event *lotos.Event
+	// HasEvent reports that the step executed the service primitive Event.
+	HasEvent bool
+	Event    lotos.Event
 }
 
-// EntityStepper drives one protocol entity against an arbitrary
-// medium.Transport, one stepOnce at a time, on the caller's goroutine.
-// It is single-goroutine state: not safe for concurrent use.
+// Entity is one protocol entity as a scheduler sees it: the in-process
+// EntityStepper, or a deployed entity process behind its control
+// connection.
+type Entity interface {
+	// Place is the entity's place number.
+	Place() int
+	// StepOnce attempts one transition, as one lockstep sweep visit.
+	StepOnce() (StepOutcome, error)
+	// StepExact executes transition tindex of the current row, which must
+	// be of kind op (OpRecv also admits OpRecvFlush; OpDelta ignores
+	// tindex and takes the entity's δ transition).
+	StepExact(tindex int, op fsm.Op) (StepOutcome, error)
+	// Enabledness classifies the current transition row.
+	Enabledness() (Enabled, error)
+}
+
+// EntityStepper drives one protocol entity through its engine against a
+// medium.Transport. It is single-goroutine state: not safe for concurrent
+// use.
 type EntityStepper struct {
-	r      *runner
-	w      *world
-	engine Engine
-	done   bool
+	place   int
+	step    stepper
+	engine  Engine
+	med     medium.Transport
+	harness Harness
+	// The scheduling RNG and its PCG state live in the stepper itself, so
+	// building one allocates nothing for them.
+	pcg   rand.PCG
+	rng   rand.Rand
+	cands []int // reused candidate buffer
+	done  bool
 }
 
 // NewEntityStepper builds the external-scheduler seam for one entity.
 // machine selects the compiled engine when non-nil; otherwise spec is
 // interpreted by the AST engine (exactly the per-entity fallback of
-// buildRunners). seed must be RunnerSeed(runSeed, placeIndex) and harness
-// the shared run harness for the execution to match an in-process run.
+// in-process runs). seed must be RunnerSeed(runSeed, placeIndex) and
+// harness the shared run harness for the execution to match an in-process
+// run.
 func NewEntityStepper(place int, spec *lotos.Spec, machine *fsm.Machine, med medium.Transport, harness Harness, seed int64) (*EntityStepper, error) {
 	if harness == nil {
 		return nil, fmt.Errorf("sim: entity stepper needs a harness")
 	}
-	var st stepper
-	engine := EngineAST
-	if machine != nil {
-		st = newFSMStepper(machine)
-		engine = EngineFSM
-	} else {
-		if spec == nil {
-			return nil, fmt.Errorf("sim: entity %d: no compiled machine and no specification to interpret", place)
-		}
-		ast, err := newASTStepper(place, spec)
-		if err != nil {
-			return nil, err
-		}
-		st = ast
-	}
-	// A private single-entity world collects this entity's executed service
-	// primitives; the external scheduler owns the global trace, MaxEvents
-	// accounting and stop conditions, so the local world never stops.
-	w := newWorld(1, med, 0)
-	r := newRunner(place, st, med, w, Config{Harness: harness}, seed)
-	return &EntityStepper{r: r, w: w, engine: engine}, nil
+	return newEntityStepper(place, spec, machine, med, harness, seed)
 }
+
+func newEntityStepper(place int, spec *lotos.Spec, machine *fsm.Machine, med medium.Transport, harness Harness, seed int64) (*EntityStepper, error) {
+	e := &EntityStepper{place: place, engine: EngineAST, med: med, harness: harness, pcg: *newPCG(seed)}
+	e.rng = *rand.New(&e.pcg)
+	if machine != nil {
+		e.step, e.engine = newFSMStepper(machine), EngineFSM
+		return e, nil
+	}
+	if spec == nil {
+		return nil, fmt.Errorf("sim: entity %d: no compiled machine and no specification to interpret", place)
+	}
+	ast, err := newASTStepper(place, spec)
+	if err != nil {
+		return nil, err
+	}
+	e.step = ast
+	return e, nil
+}
+
+// Place implements Entity.
+func (e *EntityStepper) Place() int { return e.place }
 
 // Engine reports which engine the stepper runs (EngineFSM when compiled).
 func (e *EntityStepper) Engine() Engine { return e.engine }
-
-// StepOnce attempts one transition, exactly as one lockstep sweep visit
-// would. After termination it reports Done without stepping.
-func (e *EntityStepper) StepOnce() (StepOutcome, error) {
-	if e.done {
-		return StepOutcome{Done: true}, nil
-	}
-	before := e.events()
-	progressed, done, err := e.r.stepOnce()
-	if err != nil {
-		return StepOutcome{}, err
-	}
-	out := StepOutcome{Progressed: progressed, Done: done}
-	if done {
-		e.done = true
-	}
-	if after := e.eventAt(before); after != nil {
-		out.Event = after
-	}
-	return out, nil
-}
-
-// events returns how many service primitives the entity has executed.
-func (e *EntityStepper) events() int {
-	e.w.mu.Lock()
-	defer e.w.mu.Unlock()
-	return len(e.w.trace)
-}
-
-// eventAt returns the event recorded at index i (nil when none was).
-func (e *EntityStepper) eventAt(i int) *lotos.Event {
-	e.w.mu.Lock()
-	defer e.w.mu.Unlock()
-	if i >= len(e.w.trace) {
-		return nil
-	}
-	ev := e.w.trace[i].Ev
-	return &ev
-}
 
 // Describe renders the entity's current state for diagnostics.
 func (e *EntityStepper) Describe() string {
 	if e.done {
 		return "terminated"
 	}
-	return e.r.step.describe()
+	return e.step.describe()
 }
 
-// Enabled classifies the entity's current transition row for a global
-// quiescence check: the external scheduler combines the per-entity reports
-// into the composition-level enabledness verdict (mirroring the replayer's
-// anyEnabled). SendTargets lists the destination place of every send
-// transition (enabledness of a send is a global question — it depends on
-// the receiver's queue occupancy against the channel capacity — so the
-// stepper only reports the offer).
+// StepOnce evaluates the current transition row and executes at most one
+// transition. After termination it reports Done without stepping. The
+// random-choice structure (one optional user-interaction lottery, then a
+// uniform pick among executable candidates) is the engine-independent
+// scheduling contract: both steppers feed it identical rows, so a seeded
+// run produces the same execution under either engine.
+func (e *EntityStepper) StepOnce() (StepOutcome, error) {
+	if e.done {
+		return StepOutcome{Done: true}, nil
+	}
+	n, err := e.step.reload()
+	if err != nil {
+		return StepOutcome{}, err
+	}
+	e.cands = e.cands[:0]
+	for i := 0; i < n; i++ {
+		switch e.step.op(i) {
+		case fsm.OpDelta, fsm.OpInternal, fsm.OpSend:
+			e.cands = append(e.cands, i)
+		case fsm.OpRecv:
+			// Peek: enabled only if the wanted message is consumable. The
+			// actual consumption happens in fire, which re-checks
+			// (another branch cannot steal it: only this entity consumes
+			// this channel).
+			if e.med.TryConsumeCheck(medium.WantedBy(e.place, e.step.ev(i))) {
+				e.cands = append(e.cands, i)
+			}
+		case fsm.OpRecvFlush:
+			if e.med.TryConsumeFlushCheck(medium.WantedBy(e.place, e.step.ev(i))) {
+				e.cands = append(e.cands, i)
+			}
+		}
+	}
+
+	// Possibly attempt a user interaction this step. A successful Choose
+	// CLAIMS the offer (a scripted harness advances its cursor), so an
+	// accepted service primitive must be executed immediately — it may not
+	// lose a lottery against the other candidates.
+	if offered, offeredIdx := e.step.offers(); len(offered) > 0 {
+		attempt := len(e.cands) == 0 || e.rng.IntN(len(e.cands)+1) == len(e.cands)
+		if attempt {
+			if pick := e.harness.Choose(e.place, offered); pick >= 0 && pick < len(offered) {
+				return e.fire(int(offeredIdx[pick]))
+			}
+		}
+	}
+
+	if len(e.cands) == 0 {
+		return StepOutcome{}, nil
+	}
+	return e.fire(e.cands[e.rng.IntN(len(e.cands))])
+}
+
+// StepExact executes transition tindex of the current row, validating that
+// its dispatch kind matches want — the entity face of witness replay.
+func (e *EntityStepper) StepExact(tindex int, want fsm.Op) (StepOutcome, error) {
+	if e.done {
+		return StepOutcome{}, fmt.Errorf("entity %d already terminated", e.place)
+	}
+	n, err := e.step.reload()
+	if err != nil {
+		return StepOutcome{}, err
+	}
+	if want == fsm.OpDelta {
+		// Global termination: take the entity's δ transition regardless of
+		// tindex (the witness's δ step is a single global transition).
+		for i := 0; i < n; i++ {
+			if e.step.op(i) == fsm.OpDelta {
+				return e.fire(i)
+			}
+		}
+		return StepOutcome{}, fmt.Errorf("entity %d cannot terminate", e.place)
+	}
+	if tindex < 0 || tindex >= n {
+		return StepOutcome{}, fmt.Errorf("entity %d has %d transitions, step selects #%d", e.place, n, tindex)
+	}
+	op := e.step.op(tindex)
+	if op != want && !(want == fsm.OpRecv && op == fsm.OpRecvFlush) {
+		return StepOutcome{}, fmt.Errorf("entity %d transition #%d is %s, not %s", e.place, tindex, op, want)
+	}
+	if b, ok := e.med.(bounded); ok && op == fsm.OpSend {
+		if err := b.admitSend(e.place, e.step.ev(tindex).Place); err != nil {
+			return StepOutcome{}, err
+		}
+	}
+	return e.fire(tindex)
+}
+
+// bounded is a medium whose channels have a capacity (the witness replay
+// medium): a send into a full channel is not a step of the composition.
+// The simulation medium is unbounded.
+type bounded interface {
+	// admitSend reports why channel from->to cannot take one more message
+	// (nil when it can).
+	admitSend(from, to int) error
+}
+
+// fire performs transition i of the current row: its side effect on the
+// medium, then the move to its target.
+func (e *EntityStepper) fire(i int) (StepOutcome, error) {
+	out := StepOutcome{Progressed: true}
+	switch op := e.step.op(i); op {
+	case fsm.OpDelta:
+		e.done = true
+		out.Done = true
+	case fsm.OpInternal:
+	case fsm.OpSend:
+		e.med.Send(medium.MessageFor(e.place, e.step.ev(i)))
+	case fsm.OpRecv, fsm.OpRecvFlush:
+		want := medium.WantedBy(e.place, e.step.ev(i))
+		consumed := false
+		if op == fsm.OpRecvFlush {
+			consumed = e.med.TryConsumeFlush(want)
+		} else {
+			consumed = e.med.TryConsume(want)
+		}
+		if !consumed {
+			return StepOutcome{}, fmt.Errorf("entity %d cannot consume %s", e.place, want)
+		}
+	case fsm.OpService:
+		out.HasEvent, out.Event = true, e.step.ev(i)
+	default:
+		return StepOutcome{}, fmt.Errorf("entity %d: unexpected transition op %s", e.place, op)
+	}
+	return out, e.step.advance(i)
+}
+
+// Enabled classifies an entity's current transition row for a global
+// quiescence check; globalEnabled combines the per-entity reports into the
+// composition-level verdict. SendTargets lists the destination place of
+// every send transition (enabledness of a send is a global question — it
+// depends on the receiver's queue occupancy against the channel capacity —
+// so the entity only reports the offer).
 type Enabled struct {
 	// Delta reports a successful-termination transition.
 	Delta bool
@@ -159,77 +271,27 @@ func (e *EntityStepper) Enabledness() (Enabled, error) {
 	if e.done {
 		return en, nil
 	}
-	s := e.r.step
-	n, err := s.reload()
+	n, err := e.step.reload()
 	if err != nil {
 		return en, err
 	}
 	for i := 0; i < n; i++ {
-		switch s.op(i) {
+		switch e.step.op(i) {
 		case fsm.OpDelta:
 			en.Delta = true
 		case fsm.OpInternal, fsm.OpService:
 			en.Local = true
 		case fsm.OpSend:
-			en.SendTargets = append(en.SendTargets, s.ev(i).Place)
+			en.SendTargets = append(en.SendTargets, e.step.ev(i).Place)
 		case fsm.OpRecv:
-			if e.r.med.TryConsumeCheck(medium.WantedBy(e.r.place, s.ev(i))) {
+			if e.med.TryConsumeCheck(medium.WantedBy(e.place, e.step.ev(i))) {
 				en.RecvReady = true
 			}
 		case fsm.OpRecvFlush:
-			if e.r.med.TryConsumeFlushCheck(medium.WantedBy(e.r.place, s.ev(i))) {
+			if e.med.TryConsumeFlushCheck(medium.WantedBy(e.place, e.step.ev(i))) {
 				en.RecvReady = true
 			}
 		}
 	}
 	return en, nil
-}
-
-// StepExact executes transition tindex of the current row, validating that
-// its dispatch kind matches want — the distributed face of witness replay
-// (sim.ReplayWitness's per-step execution, with the medium fault steps
-// handled elsewhere). wantService/wantSend/... use the compose step-kind
-// strings; the caller maps them to fsm ops via ExactKind.
-func (e *EntityStepper) StepExact(tindex int, want fsm.Op) (StepOutcome, error) {
-	if e.done {
-		return StepOutcome{}, fmt.Errorf("sim: entity %d already terminated", e.r.place)
-	}
-	s := e.r.step
-	n, err := s.reload()
-	if err != nil {
-		return StepOutcome{}, err
-	}
-	if want == fsm.OpDelta {
-		// Global termination: take the entity's δ transition regardless of
-		// tindex (the witness's δ step is a single global transition).
-		for i := 0; i < n; i++ {
-			if s.op(i) == fsm.OpDelta {
-				if err := s.advance(i); err != nil {
-					return StepOutcome{}, err
-				}
-				e.done = true
-				return StepOutcome{Progressed: true, Done: true}, nil
-			}
-		}
-		return StepOutcome{}, fmt.Errorf("sim: entity %d cannot terminate", e.r.place)
-	}
-	if tindex < 0 || tindex >= n {
-		return StepOutcome{}, fmt.Errorf("sim: entity %d has %d transitions, step selects #%d", e.r.place, n, tindex)
-	}
-	op := s.op(tindex)
-	if op != want && !(want == fsm.OpRecv && op == fsm.OpRecvFlush) {
-		return StepOutcome{}, fmt.Errorf("sim: entity %d transition #%d is %s, not %s", e.r.place, tindex, op, want)
-	}
-	before := e.events()
-	if err := e.r.execute(tindex); err != nil {
-		return StepOutcome{}, err
-	}
-	if err := s.advance(tindex); err != nil {
-		return StepOutcome{}, err
-	}
-	out := StepOutcome{Progressed: true}
-	if after := e.eventAt(before); after != nil {
-		out.Event = after
-	}
-	return out, nil
 }

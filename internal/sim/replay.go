@@ -9,15 +9,15 @@ package sim
 // and the medium runs with zero delay and no random faults — targeted
 // DropAt/DuplicateAt/SwapAt calls reproduce the fault events instead.
 //
-// Replay runs on the same stepper abstraction as the simulator, so a witness
-// can be replayed through either engine: the compiled tables preserve
-// per-state transition order (the TIndex a witness step pins selects the
-// same transition in both), which the FSM replay regression suite checks
+// Replay drives the same Entity contract as the lockstep scheduler, so one
+// step loop replays a witness through either engine in process or through
+// a live deployment (internal/wire). The compiled tables preserve per-state
+// transition order (the TIndex a witness step pins selects the same
+// transition in both engines), which the FSM replay regression suite checks
 // across the whole fault-matrix corpus.
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/compose"
 	"repro/internal/fsm"
@@ -45,15 +45,6 @@ type ReplayResult struct {
 	MediumStats medium.Stats
 }
 
-// replayer holds the concrete system state during a witness replay.
-type replayer struct {
-	places []int
-	steps  map[int]stepper
-	med    *medium.Medium
-	cap    int
-	faults compose.FaultModel
-}
-
 // ReplayWitness re-executes a counterexample through the AST interpreter
 // and returns what the concrete system did. Each witness step is validated
 // against the entity's derived transitions (the step's TIndex must select a
@@ -71,225 +62,218 @@ func ReplayWitnessEngine(entities map[int]*lotos.Spec, w *compose.Witness, engin
 	if w == nil {
 		return nil, fmt.Errorf("sim: nil witness")
 	}
+	med := &replayMedium{Medium: medium.New(medium.Config{}), cap: channelCap(w)}
+	defer med.Close()
+	steppers, err := newSteppers(entities, entityPlaces(entities), med, Config{Engine: engine, Fleet: fleet})
+	if err != nil {
+		return nil, err
+	}
+	res, err := Replay(asEntities(steppers), med, w)
+	if err != nil {
+		return nil, err
+	}
+	res.MediumStats = med.Stats()
+	return res, nil
+}
+
+// channelCap is the medium capacity a witness was found under.
+func channelCap(w *compose.Witness) int {
+	if w.ChannelCap <= 0 {
+		return compose.DefaultChannelCap
+	}
+	return w.ChannelCap
+}
+
+// WitnessMedium is the medium side of a witness replay: the in-process
+// medium, or the live wire with its fault-injection proxies
+// (internal/wire).
+type WitnessMedium interface {
+	// Fault realizes one loss, duplication or reordering step.
+	Fault(st compose.WitnessStep) error
+	// QueueLen returns the number of messages queued on channel from->to.
+	QueueLen(from, to int) (int, error)
+	// Swappable reports that channel from->to holds two adjacent distinct
+	// messages, so a reordering fault would change it.
+	Swappable(from, to int) bool
+}
+
+// witnessOps maps an entity step kind to the kind of transition it fires.
+var witnessOps = map[string]fsm.Op{
+	compose.StepInternal: fsm.OpInternal,
+	compose.StepService:  fsm.OpService,
+	compose.StepSend:     fsm.OpSend,
+	compose.StepRecv:     fsm.OpRecv,
+}
+
+// Replay drives witness w step for step through entities (ascending place
+// order) and med — the one witness replayer behind ReplayWitness and the
+// wire coordinator's live replay. Entity steps are exact grants (the
+// witness's TIndex selects the transition, its kind validates it); medium
+// faults go to med; the global δ terminates every entity. After the last
+// step, a replay that did not terminate is checked for the deadlock the
+// witness may claim.
+func Replay(entities []Entity, med WitnessMedium, w *compose.Witness) (*ReplayResult, error) {
+	if w == nil {
+		return nil, fmt.Errorf("sim: nil witness")
+	}
 	// A service with no primitives derives zero entities; its (empty)
 	// composed system is a root deadlock and the witness has no steps, so
 	// replay degenerates to the final enabledness check.
-	rp := &replayer{
-		steps:  map[int]stepper{},
-		med:    medium.New(medium.Config{}),
-		cap:    w.ChannelCap,
-		faults: w.Faults,
-	}
-	if rp.cap <= 0 {
-		rp.cap = compose.DefaultChannelCap
-	}
-	defer rp.med.Close()
-	if engine == EngineFSM && fleet == nil {
-		fleet = fsm.CompileEntities(entities, fsm.Config{})
-	}
-	for p, sp := range entities {
-		var st stepper
-		if engine == EngineFSM {
-			if m := fleet.Machines[p]; m != nil {
-				st = newFSMStepper(m)
-			}
-		}
-		if st == nil {
-			ast, err := newASTStepper(p, sp)
-			if err != nil {
-				return nil, err
-			}
-			st = ast
-		}
-		rp.places = append(rp.places, p)
-		rp.steps[p] = st
-	}
-	sort.Ints(rp.places)
-
 	res := &ReplayResult{}
 	for i, st := range w.Steps {
-		if err := rp.step(st, res); err != nil {
+		if err := replayStep(entities, med, st, res); err != nil {
 			return nil, fmt.Errorf("sim: witness step %d [%s] %s: %w", i+1, st.Kind, st.Label, err)
 		}
 		res.Steps++
 	}
 	if !res.Terminated {
-		enabled, err := rp.anyEnabled()
+		enabled, err := globalEnabled(entities, med, channelCap(w), w.Faults)
 		if err != nil {
 			return nil, err
 		}
 		res.Deadlocked = !enabled
 	}
-	res.MediumStats = rp.med.Stats()
 	return res, nil
 }
 
-// step executes one witness step against the concrete system.
-func (rp *replayer) step(st compose.WitnessStep, res *ReplayResult) error {
+// replayStep executes one witness step against the concrete system.
+func replayStep(entities []Entity, med WitnessMedium, st compose.WitnessStep, res *ReplayResult) error {
 	switch st.Kind {
+	case compose.StepLoss, compose.StepDuplicate, compose.StepReorder:
+		return med.Fault(st)
 	case compose.StepDelta:
-		for _, p := range rp.places {
-			s := rp.steps[p]
-			n, err := s.reload()
-			if err != nil {
+		for _, e := range entities {
+			if _, err := e.StepExact(0, fsm.OpDelta); err != nil {
 				return err
-			}
-			found := false
-			for i := 0; i < n; i++ {
-				if s.op(i) == fsm.OpDelta {
-					if err := s.advance(i); err != nil {
-						return err
-					}
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("entity %d cannot terminate", p)
 			}
 		}
 		res.Trace = append(res.Trace, "delta")
 		res.Terminated = true
 		return nil
-	case compose.StepLoss:
-		if !rp.med.DropAt(st.From, st.To, st.Index) {
-			return fmt.Errorf("channel %d->%d has no message at position %d", st.From, st.To, st.Index)
-		}
-		return nil
-	case compose.StepDuplicate:
-		if len(rp.med.Pending(st.From, st.To)) >= rp.cap {
-			return fmt.Errorf("channel %d->%d is at capacity %d, duplication not enabled", st.From, st.To, rp.cap)
-		}
-		if !rp.med.DuplicateAt(st.From, st.To, st.Index) {
-			return fmt.Errorf("channel %d->%d has no message at position %d", st.From, st.To, st.Index)
-		}
-		return nil
-	case compose.StepReorder:
-		if !rp.med.SwapAt(st.From, st.To, st.Index) {
-			return fmt.Errorf("channel %d->%d has no adjacent pair at position %d", st.From, st.To, st.Index)
-		}
-		return nil
 	}
-
-	// Entity step: the TIndex selects the fired transition in derivation
-	// order — the same order compose's exploration caches and the compiled
-	// tables preserve.
-	s, ok := rp.steps[st.Place]
-	if !ok {
+	var e Entity
+	for _, c := range entities {
+		if c.Place() == st.Place {
+			e = c
+		}
+	}
+	if e == nil {
 		return fmt.Errorf("witness names unknown entity %d", st.Place)
 	}
-	n, err := s.reload()
+	op, ok := witnessOps[st.Kind]
+	if !ok {
+		return fmt.Errorf("unknown witness step kind %q", st.Kind)
+	}
+	out, err := e.StepExact(st.TIndex, op)
 	if err != nil {
 		return err
 	}
-	if st.TIndex < 0 || st.TIndex >= n {
-		return fmt.Errorf("entity %d has %d transitions, witness selects #%d", st.Place, n, st.TIndex)
+	if out.HasEvent {
+		res.Trace = append(res.Trace, out.Event.String())
 	}
-	op, ev := s.op(st.TIndex), s.ev(st.TIndex)
-	switch st.Kind {
-	case compose.StepInternal:
-		if op != fsm.OpInternal {
-			return fmt.Errorf("entity %d transition #%d is %s, not internal", st.Place, st.TIndex, op)
-		}
-	case compose.StepService:
-		if op != fsm.OpService {
-			return fmt.Errorf("entity %d transition #%d is %s, not a service primitive", st.Place, st.TIndex, op)
-		}
-		res.Trace = append(res.Trace, ev.String())
-	case compose.StepSend:
-		if op != fsm.OpSend {
-			return fmt.Errorf("entity %d transition #%d is %s, not a send", st.Place, st.TIndex, op)
-		}
-		if len(rp.med.Pending(st.Place, ev.Place)) >= rp.cap {
-			return fmt.Errorf("channel %d->%d is at capacity %d, send blocks", st.Place, ev.Place, rp.cap)
-		}
-		rp.med.Send(medium.MessageFor(st.Place, ev))
-	case compose.StepRecv:
-		if op != fsm.OpRecv && op != fsm.OpRecvFlush {
-			return fmt.Errorf("entity %d transition #%d is %s, not a receive", st.Place, st.TIndex, op)
-		}
-		want := medium.WantedBy(st.Place, ev)
-		consumed := false
-		if op == fsm.OpRecvFlush {
-			consumed = rp.med.TryConsumeFlush(want)
-		} else {
-			consumed = rp.med.TryConsume(want)
-		}
-		if !consumed {
-			return fmt.Errorf("entity %d cannot consume %s", st.Place, want)
-		}
-	default:
-		return fmt.Errorf("unknown witness step kind %q", st.Kind)
-	}
-	return s.advance(st.TIndex)
+	return nil
 }
 
-// anyEnabled mirrors the composition's global-transition enabledness at the
-// replayer's current state: an entity internal action or service primitive,
-// a send with channel capacity left, a receive whose message is consumable,
-// a global δ (every entity termination-ready), or a fault of the witness's
-// model applicable to some queue.
-func (rp *replayer) anyEnabled() (bool, error) {
+// globalEnabled decides the composition's global-transition enabledness at
+// the current state — the one place per-entity Enabled reports are
+// combined: an entity internal action or service primitive, a receive whose
+// message is consumable, a send with channel capacity left, a global δ
+// (every entity termination-ready), or a fault of the model applicable to
+// some queue.
+func globalEnabled(entities []Entity, med WitnessMedium, cap int, faults compose.FaultModel) (bool, error) {
 	deltaReady := 0
-	for _, p := range rp.places {
-		s := rp.steps[p]
-		n, err := s.reload()
+	for _, e := range entities {
+		en, err := e.Enabledness()
 		if err != nil {
 			return false, err
 		}
-		sawDelta := false
-		for i := 0; i < n; i++ {
-			switch s.op(i) {
-			case fsm.OpDelta:
-				sawDelta = true
-			case fsm.OpInternal, fsm.OpService:
+		if en.Local || en.RecvReady {
+			return true, nil
+		}
+		for _, to := range en.SendTargets {
+			n, err := med.QueueLen(e.Place(), to)
+			if err != nil {
+				return false, err
+			}
+			if n < cap {
 				return true, nil
-			case fsm.OpSend:
-				if len(rp.med.Pending(p, s.ev(i).Place)) < rp.cap {
-					return true, nil
-				}
-			case fsm.OpRecv:
-				if rp.med.TryConsumeCheck(medium.WantedBy(p, s.ev(i))) {
-					return true, nil
-				}
-			case fsm.OpRecvFlush:
-				if rp.med.TryConsumeFlushCheck(medium.WantedBy(p, s.ev(i))) {
-					return true, nil
-				}
 			}
 		}
-		if sawDelta {
+		if en.Delta {
 			deltaReady++
 		}
 	}
-	if deltaReady == len(rp.places) && len(rp.places) > 0 {
+	if deltaReady == len(entities) && len(entities) > 0 {
 		return true, nil
 	}
-	if rp.faults.Any() {
-		for _, from := range rp.places {
-			for _, to := range rp.places {
-				if from == to {
-					continue
-				}
-				q := rp.med.Pending(from, to)
-				if len(q) == 0 {
-					continue
-				}
-				if rp.faults.Loss {
-					return true, nil
-				}
-				if rp.faults.Duplication && len(q) < rp.cap {
-					return true, nil
-				}
-				if rp.faults.Reorder {
-					for i := 0; i+1 < len(q); i++ {
-						if q[i] != q[i+1] {
-							return true, nil
-						}
-					}
-				}
+	if !faults.Any() {
+		return false, nil
+	}
+	for _, from := range entities {
+		for _, to := range entities {
+			if from.Place() == to.Place() {
+				continue
+			}
+			n, err := med.QueueLen(from.Place(), to.Place())
+			if err != nil {
+				return false, err
+			}
+			if n > 0 && (faults.Loss || faults.Duplication && n < cap ||
+				faults.Reorder && med.Swappable(from.Place(), to.Place())) {
+				return true, nil
 			}
 		}
 	}
 	return false, nil
+}
+
+// replayMedium is the in-process witness medium: the immediate medium with
+// the witness's channel capacity enforced on sends and duplications, and
+// targeted DropAt/DuplicateAt/SwapAt calls reproducing the fault steps.
+type replayMedium struct {
+	*medium.Medium
+	cap int
+}
+
+func (m *replayMedium) admitSend(from, to int) error {
+	if len(m.Pending(from, to)) >= m.cap {
+		return fmt.Errorf("channel %d->%d is at capacity %d, send blocks", from, to, m.cap)
+	}
+	return nil
+}
+
+// QueueLen implements WitnessMedium.
+func (m *replayMedium) QueueLen(from, to int) (int, error) { return len(m.Pending(from, to)), nil }
+
+// Swappable implements WitnessMedium.
+func (m *replayMedium) Swappable(from, to int) bool {
+	q := m.Pending(from, to)
+	for i := 0; i+1 < len(q); i++ {
+		if q[i] != q[i+1] {
+			return true
+		}
+	}
+	return false
+}
+
+// Fault implements WitnessMedium.
+func (m *replayMedium) Fault(st compose.WitnessStep) error {
+	switch st.Kind {
+	case compose.StepLoss:
+		if !m.DropAt(st.From, st.To, st.Index) {
+			return fmt.Errorf("channel %d->%d has no message at position %d", st.From, st.To, st.Index)
+		}
+	case compose.StepDuplicate:
+		if len(m.Pending(st.From, st.To)) >= m.cap {
+			return fmt.Errorf("channel %d->%d is at capacity %d, duplication not enabled", st.From, st.To, m.cap)
+		}
+		if !m.DuplicateAt(st.From, st.To, st.Index) {
+			return fmt.Errorf("channel %d->%d has no message at position %d", st.From, st.To, st.Index)
+		}
+	case compose.StepReorder:
+		if !m.SwapAt(st.From, st.To, st.Index) {
+			return fmt.Errorf("channel %d->%d has no adjacent pair at position %d", st.From, st.To, st.Index)
+		}
+	}
+	return nil
 }

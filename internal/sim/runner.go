@@ -7,7 +7,6 @@ import (
 	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/lts"
-	"repro/internal/medium"
 )
 
 // stepper is the execution engine of one protocol entity: it exposes the
@@ -15,9 +14,9 @@ import (
 // order lts.Env.Transitions yields and compose's witnesses index), classified
 // into runtime dispatch kinds. Two implementations exist: astStepper derives
 // transitions from the entity's syntax tree on every step, fsmStepper looks
-// them up in precompiled tables. The runner and the replayer are written
-// against this interface only, so both engines share one scheduling loop —
-// same candidate rows, same random-choice consumption, same traces.
+// them up in precompiled tables. EntityStepper is written against this
+// interface only, so both engines share one scheduling loop — same
+// candidate rows, same random-choice consumption, same traces.
 type stepper interface {
 	// reload makes the current state's transition row addressable and
 	// returns its length.
@@ -79,11 +78,11 @@ func (s *astStepper) reload() (int, error) {
 	return len(ts), nil
 }
 
-func (s *astStepper) op(i int) fsm.Op                    { return s.ops[i] }
-func (s *astStepper) ev(i int) lotos.Event               { return s.evs[i] }
-func (s *astStepper) offers() ([]lotos.Event, []int32)   { return s.offEv, s.offIx }
-func (s *astStepper) advance(i int) error                { s.cur = s.ts[i].To; return nil }
-func (s *astStepper) describe() string                   { return lotos.Format(s.cur) }
+func (s *astStepper) op(i int) fsm.Op                  { return s.ops[i] }
+func (s *astStepper) ev(i int) lotos.Event             { return s.evs[i] }
+func (s *astStepper) offers() ([]lotos.Event, []int32) { return s.offEv, s.offIx }
+func (s *astStepper) advance(i int) error              { s.cur = s.ts[i].To; return nil }
+func (s *astStepper) describe() string                 { return lotos.Format(s.cur) }
 
 // fsmStepper executes a compiled machine: reload is two array reads and the
 // transition row, its classification and its offers are all precomputed.
@@ -120,154 +119,9 @@ func (s *fsmStepper) advance(i int) error {
 
 func (s *fsmStepper) describe() string { return s.m.Keys[s.state] }
 
-// runner drives one protocol entity through its stepper.
-type runner struct {
-	place int
-	step  stepper
-	med   medium.Transport
-	world *world
-	cfg   Config
-	rng   *rand.Rand
-	cands []int // reused candidate buffer
-	done  bool  // set by the lockstep driver on termination
-}
-
-func newRunner(place int, step stepper, med medium.Transport, w *world, cfg Config, seed int64) *runner {
-	return &runner{
-		place: place,
-		step:  step,
-		med:   med,
-		world: w,
-		cfg:   cfg,
-		rng:   rand.New(newPCG(seed)),
-	}
-}
-
 // newPCG seeds a PCG stream from a scheduling seed. Seeding is O(1) — the
-// previous lagged-Fibonacci source spent ~10µs per runner filling its state
+// previous lagged-Fibonacci source spent ~10µs per entity filling its state
 // vector, which dominated short simulation runs (see BenchmarkSimulate).
 func newPCG(seed int64) *rand.PCG {
 	return rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)
-}
-
-// run executes the entity until successful termination or a world stop.
-// It returns a description of the entity's state (for diagnosis of
-// incomplete runs): "terminated", or the pending state.
-func (r *runner) run() (string, error) {
-	for {
-		if r.world.isStopped() {
-			return r.step.describe(), nil
-		}
-		gen := r.world.generation()
-		medGen := r.med.Generation()
-
-		progressed, done, err := r.stepOnce()
-		if err != nil {
-			return "", err
-		}
-		if done {
-			return "terminated", nil
-		}
-		if progressed {
-			continue
-		}
-		// Block until the world moves (message arrival, script progress,
-		// other entities, stop).
-		if r.med.Generation() != medGen {
-			continue // a message arrived meanwhile; re-evaluate
-		}
-		r.world.await(gen)
-	}
-}
-
-// stepOnce evaluates the current transition row and executes at most one
-// transition. It reports whether the entity progressed and whether it
-// terminated. The random-choice structure (one optional user-interaction
-// lottery, then a uniform pick among executable candidates) is the engine-
-// independent scheduling contract: both steppers feed it identical rows, so
-// a seeded run produces the same execution under either engine.
-func (r *runner) stepOnce() (progressed, done bool, err error) {
-	n, err := r.step.reload()
-	if err != nil {
-		return false, false, err
-	}
-	r.cands = r.cands[:0]
-	for i := 0; i < n; i++ {
-		switch r.step.op(i) {
-		case fsm.OpDelta, fsm.OpInternal, fsm.OpSend:
-			r.cands = append(r.cands, i)
-		case fsm.OpRecv:
-			// Peek: enabled only if the wanted message is consumable. The
-			// actual consumption happens in execute, which re-checks
-			// (another branch cannot steal it: only this entity consumes
-			// this channel).
-			if r.med.TryConsumeCheck(medium.WantedBy(r.place, r.step.ev(i))) {
-				r.cands = append(r.cands, i)
-			}
-		case fsm.OpRecvFlush:
-			if r.med.TryConsumeFlushCheck(medium.WantedBy(r.place, r.step.ev(i))) {
-				r.cands = append(r.cands, i)
-			}
-		}
-	}
-
-	// Possibly attempt a user interaction this step. A successful Choose
-	// CLAIMS the offer (a scripted harness advances its cursor), so an
-	// accepted service primitive must be executed immediately — it may not
-	// lose a lottery against the other candidates.
-	if offered, offeredIdx := r.step.offers(); len(offered) > 0 {
-		attempt := len(r.cands) == 0 || r.rng.IntN(len(r.cands)+1) == len(r.cands)
-		if attempt {
-			if pick := r.cfg.Harness.Choose(r.place, offered); pick >= 0 && pick < len(offered) {
-				i := int(offeredIdx[pick])
-				if err := r.execute(i); err != nil {
-					return false, false, err
-				}
-				return true, false, r.step.advance(i)
-			}
-		}
-	}
-
-	if len(r.cands) == 0 {
-		return false, false, nil
-	}
-	i := r.cands[r.rng.IntN(len(r.cands))]
-	if r.step.op(i) == fsm.OpDelta {
-		r.world.markDone()
-		return true, true, nil
-	}
-	if err := r.execute(i); err != nil {
-		return false, false, err
-	}
-	return true, false, r.step.advance(i)
-}
-
-// execute performs the side effect of transition i of the current row.
-func (r *runner) execute(i int) error {
-	switch r.step.op(i) {
-	case fsm.OpInternal:
-		r.world.bump()
-		return nil
-	case fsm.OpSend:
-		r.med.Send(medium.MessageFor(r.place, r.step.ev(i)))
-		r.world.bump()
-		return nil
-	case fsm.OpRecv, fsm.OpRecvFlush:
-		want := medium.WantedBy(r.place, r.step.ev(i))
-		consumed := false
-		if r.step.op(i) == fsm.OpRecvFlush {
-			consumed = r.med.TryConsumeFlush(want)
-		} else {
-			consumed = r.med.TryConsume(want)
-		}
-		if !consumed {
-			return fmt.Errorf("sim: entity %d: receive %s no longer enabled (internal error)", r.place, want)
-		}
-		r.world.bump()
-		return nil
-	case fsm.OpService:
-		r.world.record(r.place, r.step.ev(i))
-		return nil
-	}
-	return fmt.Errorf("sim: entity %d: unexpected transition op %s", r.place, r.step.op(i))
 }

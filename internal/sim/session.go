@@ -2,16 +2,16 @@ package sim
 
 // The Session seam: one protocol execution advanced synchronously, a sweep
 // at a time, on the caller's goroutine — no per-entity goroutines, no
-// timers, no wall clock. It is the lockstep scheduler of Run extracted into
-// a resumable object, so a discrete-event driver (internal/cluster) can
-// interleave thousands to millions of concurrent sessions on one virtual
-// clock: each session is paused between sweeps at zero cost, and advancing
-// it never blocks or sleeps.
+// timers, no wall clock. It is the Lockstep scheduler over in-process
+// EntitySteppers as a resumable object, so a discrete-event driver
+// (internal/cluster) can interleave thousands to millions of concurrent
+// sessions on one virtual clock: each session is paused between sweeps at
+// zero cost, and advancing it never blocks or sleeps.
 //
 // A Session with seed s is the same execution as Run with Config{Lockstep:
-// true, Seed: s, ...}: identical runners, identical seed derivation,
-// identical sweep order and stop conditions. That identity is what makes
-// any single cluster session replayable through the ordinary simulator.
+// true, Seed: s, ...}: Run's lockstep mode is a Session run to completion.
+// That identity is what makes any single cluster session replayable through
+// the ordinary simulator.
 
 import (
 	"fmt"
@@ -35,12 +35,12 @@ func entityPlaces(entities map[int]*lotos.Spec) []int {
 	return places
 }
 
-// buildRunners constructs one runner per place, choosing each entity's
-// engine: compiled tables when the configured fleet has a machine for the
-// place, the AST interpreter otherwise. A nil entity spec without a
+// newSteppers constructs one EntityStepper per place, choosing each
+// entity's engine: compiled tables when the configured fleet has a machine
+// for the place, the AST interpreter otherwise. A nil entity spec without a
 // compiled machine is an error (fleet-only callers must have every place
 // compiled).
-func buildRunners(entities map[int]*lotos.Spec, places []int, med medium.Transport, w *world, cfg Config) ([]*runner, map[int]Engine, error) {
+func newSteppers(entities map[int]*lotos.Spec, places []int, med medium.Transport, cfg Config) ([]*EntityStepper, error) {
 	var fleet *fsm.Fleet
 	if cfg.Engine == EngineFSM {
 		fleet = cfg.Fleet
@@ -48,43 +48,28 @@ func buildRunners(entities map[int]*lotos.Spec, places []int, med medium.Transpo
 			fleet = fsm.CompileEntities(entities, cfg.Compile)
 		}
 	}
-	engines := make(map[int]Engine, len(places))
-	runners := make([]*runner, len(places))
+	steppers := make([]*EntityStepper, len(places))
 	for i, p := range places {
-		var st stepper
-		engines[p] = EngineAST
+		var m *fsm.Machine
 		if fleet != nil {
-			if m := fleet.Machines[p]; m != nil {
-				st = newFSMStepper(m)
-				engines[p] = EngineFSM
-			}
+			m = fleet.Machines[p]
 		}
-		if st == nil {
-			sp := entities[p]
-			if sp == nil {
-				return nil, nil, fmt.Errorf("sim: entity %d: no compiled machine and no specification to interpret", p)
-			}
-			ast, err := newASTStepper(p, sp)
-			if err != nil {
-				return nil, nil, err
-			}
-			st = ast
+		e, err := newEntityStepper(p, entities[p], m, med, cfg.Harness, SubSeed(cfg.Seed, roleRunner, i))
+		if err != nil {
+			return nil, err
 		}
-		runners[i] = newRunner(p, st, med, w, cfg, SubSeed(cfg.Seed, roleRunner, i))
+		steppers[i] = e
 	}
-	return runners, engines, nil
+	return steppers, nil
 }
 
 // Session is one protocol execution stepped synchronously by its caller.
 // It is single-goroutine state: not safe for concurrent use, but millions
 // of independent Sessions may be advanced by one driver loop.
 type Session struct {
-	runners  []*runner
-	w        *world
-	med      medium.Transport
-	engines  map[int]Engine
-	finished bool
-	sweeps   int
+	ls       *Lockstep
+	steppers []*EntityStepper
+	med      *medium.Medium
 }
 
 // sessionConfig validates and normalizes a Session config: the synchronous
@@ -93,7 +78,7 @@ type Session struct {
 // harness and medium sub-seeds exactly as Run does.
 func sessionConfig(cfg Config) (Config, error) {
 	if cfg.Reliable || cfg.Medium.MaxDelay > 0 {
-		return cfg, fmt.Errorf("sim: session requires the immediate medium (no Reliable, no MaxDelay)")
+		return cfg, fmt.Errorf("sim: lockstep requires the immediate medium (no Reliable, no MaxDelay)")
 	}
 	return resolveSeeds(cfg), nil
 }
@@ -107,15 +92,7 @@ func NewSession(entities map[int]*lotos.Spec, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	med := medium.New(cfg.Medium)
-	places := entityPlaces(entities)
-	w := newWorld(len(places), med, cfg.MaxEvents)
-	runners, engines, err := buildRunners(entities, places, med, w, cfg)
-	if err != nil {
-		med.Close()
-		return nil, err
-	}
-	return &Session{runners: runners, w: w, med: med, engines: engines}, nil
+	return newSession(entities, entityPlaces(entities), cfg)
 }
 
 // NewFleetSession builds a synchronous session over a fully compiled fleet:
@@ -141,114 +118,63 @@ func NewFleetSession(fleet *fsm.Fleet, cfg Config) (*Session, error) {
 	if len(places) == 0 {
 		return nil, fmt.Errorf("sim: fleet session over an empty fleet")
 	}
+	return newSession(nil, places, cfg)
+}
+
+func newSession(entities map[int]*lotos.Spec, places []int, cfg Config) (*Session, error) {
 	med := medium.New(cfg.Medium)
-	w := newWorld(len(places), med, cfg.MaxEvents)
-	runners, engines, err := buildRunners(nil, places, med, w, cfg)
+	steppers, err := newSteppers(entities, places, med, cfg)
 	if err != nil {
 		med.Close()
 		return nil, err
 	}
-	return &Session{runners: runners, w: w, med: med, engines: engines}, nil
+	inFlight := func() (int, error) { return med.InFlight(), nil }
+	return &Session{ls: NewLockstep(asEntities(steppers), cfg.MaxEvents, inFlight), steppers: steppers, med: med}, nil
+}
+
+// asEntities views steppers through the Entity contract.
+func asEntities(steppers []*EntityStepper) []Entity {
+	ents := make([]Entity, len(steppers))
+	for i, e := range steppers {
+		ents[i] = e
+	}
+	return ents
 }
 
 // StepN advances the session by up to max full sweeps (max <= 0 means until
-// the run is over): each sweep attempts one step per live entity in
-// ascending place order. It returns the number of sweeps executed and
-// whether the session is over — every entity terminated, MaxEvents hit, a
-// stop, or a sweep without progress (with the immediate medium nothing
-// asynchronous can unblock such a sweep: a genuine deadlock when no message
-// is in flight, a stuck run otherwise). Splitting a run across StepN calls
-// never changes it: quantum boundaries fall exactly between sweeps.
+// the run is over) and reports the sweeps executed and whether the session
+// is over (see Lockstep.StepN). A stuck sweep is classified by the medium's
+// in-flight count: a genuine deadlock when no message is in flight, a stuck
+// run (reported as a timeout, matching what the concurrent scheduler would
+// eventually decide) otherwise.
 func (s *Session) StepN(max int) (sweeps int, done bool, err error) {
-	if s.finished {
-		return 0, true, nil
-	}
-	for (max <= 0 || sweeps < max) && !s.w.isStopped() {
-		progress := false
-		alive := 0
-		for _, r := range s.runners {
-			if r.done || s.w.isStopped() {
-				continue
-			}
-			alive++
-			progressed, rdone, rerr := r.stepOnce()
-			if rerr != nil {
-				s.w.stop(false)
-				s.finished = true
-				return sweeps, true, fmt.Errorf("entity %d: %w", r.place, rerr)
-			}
-			if rdone {
-				r.done = true
-			}
-			if progressed {
-				progress = true
-			}
-		}
-		if alive == 0 {
-			break
-		}
-		sweeps++
-		if !progress {
-			s.w.stopStuck(s.med.InFlight() == 0)
-		}
-	}
-	s.sweeps += sweeps
-	if s.w.isStopped() || s.allDone() {
-		s.w.stop(false)
-		s.finished = true
-	}
-	return sweeps, s.finished, nil
-}
-
-// allDone reports that every entity terminated.
-func (s *Session) allDone() bool {
-	for _, r := range s.runners {
-		if !r.done {
-			return false
-		}
-	}
-	return true
+	return s.ls.StepN(max)
 }
 
 // Done reports whether the session is over.
-func (s *Session) Done() bool { return s.finished }
+func (s *Session) Done() bool { return s.ls.over }
 
 // Sweeps returns the total number of sweeps executed so far — the session's
 // work measure (the cluster simulator prices virtual service time by it).
-func (s *Session) Sweeps() int { return s.sweeps }
+func (s *Session) Sweeps() int { return s.ls.Sweeps }
 
 // Events returns the number of service primitives executed so far.
-func (s *Session) Events() int {
-	s.w.mu.Lock()
-	defer s.w.mu.Unlock()
-	return len(s.w.trace)
-}
+func (s *Session) Events() int { return len(s.ls.Trace) }
 
 // MediumStats snapshots the session medium's counters.
 func (s *Session) MediumStats() medium.Stats { return s.med.Stats() }
 
-// blockedStates describes every entity's pending state.
-func (s *Session) blockedStates() map[int]string {
-	blocked := make(map[int]string, len(s.runners))
-	for _, r := range s.runners {
-		if r.done {
-			blocked[r.place] = "terminated"
-		} else {
-			blocked[r.place] = r.step.describe()
-		}
-	}
-	return blocked
-}
-
 // Result freezes the session's outcome. Valid at any point; the
 // classification flags are only meaningful once the session is done.
 func (s *Session) Result() *Result {
-	return s.w.snapshot(s.med.Stats(), s.blockedStates(), s.engines)
+	res := newResult(s.ls.Trace, s.med.Stats(), s.steppers)
+	res.Deadlocked, res.TimedOut, res.Stopped = s.ls.Deadlocked, s.ls.TimedOut, s.ls.Stopped
+	return res
 }
 
 // Close releases the session's medium. The session must not be stepped
 // afterwards.
 func (s *Session) Close() {
-	s.finished = true
+	s.ls.over = true
 	s.med.Close()
 }

@@ -302,22 +302,6 @@ func (w *world) generation() uint64 {
 	return w.gen
 }
 
-// stopStuck ends a lockstep run that made a full sweep without progress:
-// a genuine deadlock when nothing is in flight, a stuck run (reported as a
-// timeout, matching what the concurrent scheduler would eventually decide)
-// otherwise.
-func (w *world) stopStuck(deadlock bool) {
-	w.mu.Lock()
-	if !w.stopped {
-		w.stopped = true
-		w.deadlock = deadlock
-		w.timedOut = !deadlock
-	}
-	w.gen++
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
 // resolveSeeds fills the config's derived random streams: the default
 // harness and the medium seed. Sub-seeds come from the SplitMix64 mix
 // (SubSeed), never from seed arithmetic — see seed.go. An explicitly pinned
@@ -332,12 +316,19 @@ func resolveSeeds(cfg Config) Config {
 	return cfg
 }
 
+// lockstepQuantum is how many sweeps a lockstep Run executes between
+// checks of its wall-clock budget.
+const lockstepQuantum = 256
+
 // Run executes the protocol entities concurrently until all terminate, the
 // run deadlocks, MaxEvents service primitives were executed, or the timeout
 // expires.
 func Run(entities map[int]*lotos.Spec, cfg Config) (*Result, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
+	}
+	if cfg.Lockstep {
+		return runLockstep(entities, cfg)
 	}
 	cfg = resolveSeeds(cfg)
 	var med medium.Transport
@@ -352,16 +343,11 @@ func Run(entities map[int]*lotos.Spec, cfg Config) (*Result, error) {
 	}
 	defer med.Close()
 
-	if cfg.Lockstep && (cfg.Reliable || cfg.Medium.MaxDelay > 0) {
-		return nil, fmt.Errorf("sim: lockstep requires the immediate medium (no Reliable, no MaxDelay)")
-	}
-
-	places := entityPlaces(entities)
-	w := newWorld(len(places), med, cfg.MaxEvents)
-	runners, engines, err := buildRunners(entities, places, med, w, cfg)
+	steppers, err := newSteppers(entities, entityPlaces(entities), med, cfg)
 	if err != nil {
 		return nil, err
 	}
+	w := newWorld(len(steppers), med, cfg.MaxEvents)
 
 	// The sim ticker wakes waiters periodically while asynchronous medium
 	// events (delayed visibility, ARQ retransmission and delivery) may
@@ -392,67 +378,113 @@ func Run(entities map[int]*lotos.Spec, cfg Config) (*Result, error) {
 	timer := time.AfterFunc(cfg.Timeout, func() { w.stop(true) })
 	defer timer.Stop()
 
-	var blocked map[int]string
-	if cfg.Lockstep {
-		// The lockstep scheduler is the Session seam run to completion on
-		// the calling goroutine (the cluster simulator advances the same
-		// loop quantum by quantum, so a cluster session and a lockstep Run
-		// with the same seed are the same execution).
-		s := &Session{runners: runners, w: w, med: med, engines: engines}
-		if _, _, err := s.StepN(0); err != nil {
-			return nil, err
-		}
-		blocked = s.blockedStates()
-	} else {
-		blocked = make(map[int]string, len(places))
-		var blockedMu sync.Mutex
-		var wg sync.WaitGroup
-		errs := make(chan error, len(places))
-		for _, r := range runners {
-			wg.Add(1)
-			go func(r *runner) {
-				defer wg.Done()
-				desc, err := r.run()
-				if err != nil {
-					errs <- fmt.Errorf("entity %d: %w", r.place, err)
-					w.stop(false)
-					return
-				}
-				blockedMu.Lock()
-				blocked[r.place] = desc
-				blockedMu.Unlock()
-			}(r)
-		}
-		// No separate completion watcher is needed: runners return when they
-		// terminate, and a global deadlock is detected by the last runner to
-		// block (await), which stops the world and wakes everyone.
-		wg.Wait()
-		w.stop(false)
+	var wg sync.WaitGroup
+	errs := make(chan error, len(steppers))
+	for _, e := range steppers {
+		wg.Add(1)
+		go func(e *EntityStepper) {
+			defer wg.Done()
+			if err := w.run(e); err != nil {
+				errs <- fmt.Errorf("entity %d: %w", e.place, err)
+				w.stop(false)
+			}
+		}(e)
+	}
+	// No separate completion watcher is needed: entities return when they
+	// terminate, and a global deadlock is detected by the last entity to
+	// block (await), which stops the world and wakes everyone.
+	wg.Wait()
+	w.stop(false)
 
-		select {
-		case err := <-errs:
-			return nil, err
-		default:
-		}
+	select {
+	case err := <-errs:
+		return nil, err
+	default:
 	}
 
-	return w.snapshot(med.Stats(), blocked, engines), nil
-}
-
-// snapshot freezes the world into a Result.
-func (w *world) snapshot(ms medium.Stats, blocked map[int]string, engines map[int]Engine) *Result {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	res := newResult(w.trace, med.Stats(), steppers)
+	res.Deadlocked, res.TimedOut, res.Stopped = w.deadlock, w.timedOut, w.maxhit
+	return res, nil
+}
+
+// run drives one entity concurrently with the others until successful
+// termination or a world stop.
+func (w *world) run(e *EntityStepper) error {
+	for {
+		if w.isStopped() {
+			return nil
+		}
+		gen := w.generation()
+		medGen := e.med.Generation()
+
+		out, err := e.StepOnce()
+		switch {
+		case err != nil:
+			return err
+		case out.Done:
+			w.markDone()
+			return nil
+		case out.HasEvent:
+			w.record(e.place, out.Event)
+			continue
+		case out.Progressed:
+			w.bump()
+			continue
+		}
+		// Block until the world moves (message arrival, script progress,
+		// other entities, stop).
+		if e.med.Generation() != medGen {
+			continue // a message arrived meanwhile; re-evaluate
+		}
+		w.await(gen)
+	}
+}
+
+// runLockstep is Run's deterministic mode: a Session run to completion on
+// the calling goroutine (the cluster simulator advances the same scheduler
+// quantum by quantum, so a cluster session and a lockstep Run with the same
+// seed are the same execution), aborted as timed out once the wall-clock
+// budget is spent.
+func runLockstep(entities map[int]*lotos.Spec, cfg Config) (*Result, error) {
+	s, err := NewSession(entities, cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	deadline := time.Now().Add(cfg.Timeout)
+	for {
+		_, over, err := s.StepN(lockstepQuantum)
+		if err != nil {
+			return nil, err
+		}
+		if over {
+			break
+		}
+		if time.Now().After(deadline) {
+			s.ls.TimedOut, s.ls.over = true, true
+			break
+		}
+	}
+	return s.Result(), nil
+}
+
+// newResult freezes a run's trace and its entities' final states into a
+// Result; the caller sets the Deadlocked, TimedOut and Stopped flags.
+func newResult(trace []TraceEvent, ms medium.Stats, steppers []*EntityStepper) *Result {
 	res := &Result{
-		Trace:         append([]TraceEvent(nil), w.trace...),
-		Completed:     w.done == w.total,
-		Deadlocked:    w.deadlock,
-		TimedOut:      w.timedOut,
-		Stopped:       w.maxhit,
+		Trace:         append([]TraceEvent(nil), trace...),
+		Completed:     true,
 		Medium:        ms,
-		Blocked:       blocked,
+		Blocked:       make(map[int]string, len(steppers)),
 		EventsByPlace: map[int]int{},
-		Engines:       engines,
+		Engines:       make(map[int]Engine, len(steppers)),
+	}
+	for _, e := range steppers {
+		res.Completed = res.Completed && e.done
+		res.Blocked[e.place] = e.Describe()
+		res.Engines[e.place] = e.engine
 	}
 	for _, te := range res.Trace {
 		res.EventsByPlace[te.Place]++

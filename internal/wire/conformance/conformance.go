@@ -90,9 +90,9 @@ type Merged struct {
 	Beyond int
 }
 
-// Merge reassembles the global trace from per-entity logs. Duplicate
-// sequence numbers are an error — the coordinator assigns each exactly
-// once, so a collision means the logs are not one session's.
+// Merge reassembles the global trace from per-entity logs. Duplicate or
+// negative sequence numbers are an error — the coordinator assigns each of
+// 0, 1, 2, ... exactly once, so such logs are not one session's.
 func Merge(logs map[int]*wire.EntityLog) (*Merged, error) {
 	type rec struct {
 		seq   int
@@ -102,6 +102,9 @@ func Merge(logs map[int]*wire.EntityLog) (*Merged, error) {
 	var all []rec
 	for place, log := range logs {
 		for _, e := range log.Events {
+			if e.Seq < 0 {
+				return nil, fmt.Errorf("conformance: entity %d recorded negative global sequence %d", place, e.Seq)
+			}
 			all = append(all, rec{seq: e.Seq, ev: e.Event, place: place})
 		}
 	}
@@ -121,10 +124,8 @@ func Merge(logs map[int]*wire.EntityLog) (*Merged, error) {
 		}
 		if r.seq > next {
 			m.Gaps += r.seq - next
-			next = r.seq + 1
-		} else {
-			next++
 		}
+		next = r.seq + 1
 		m.Beyond++
 	}
 	return m, nil
@@ -157,9 +158,9 @@ func Check(service *lotos.Spec, logs map[int]*wire.EntityLog, maxStates int) (*R
 	rep.Gaps = merged.Gaps
 	rep.Beyond = merged.Beyond
 
-	// Completeness: every log must end cleanly, with no gaps, restarts or
-	// aborts; the logs must also agree on one outcome.
-	rep.Complete = merged.Gaps == 0 && rep.Restarts == 0
+	// Completeness: every log must end cleanly, with no gaps, stranded
+	// events, restarts or aborts; the logs must also agree on one outcome.
+	rep.Complete = merged.Gaps == 0 && merged.Beyond == 0 && rep.Restarts == 0
 	var incompleteWhy []string
 	if merged.Gaps > 0 {
 		incompleteWhy = append(incompleteWhy, fmt.Sprintf("%d sequence gaps", merged.Gaps))

@@ -319,6 +319,41 @@ func TestMergeDuplicateSeq(t *testing.T) {
 	}
 }
 
+// TestNegativeSeqRejected: the coordinator numbers a session's events 0, 1,
+// 2, ..., so a negative global sequence number marks a malformed log — it
+// must be an error, never counted as a stranded event of a session that
+// otherwise looks complete.
+func TestNegativeSeqRejected(t *testing.T) {
+	var buf bytes.Buffer
+	tw, err := wire.NewTraceWriter(&buf, 1, 1, "fsm", 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw.Event(-1, "c1")
+	tw.Event(0, "zz9")
+	if err := tw.End(wire.OutcomeStopped); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ParseTraceLog(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Error("trace log with a negative sequence number parsed without error")
+	}
+
+	logs := map[int]*wire.EntityLog{1: {
+		Place: 1, Started: true, DigestOK: true, Ended: true, Outcome: wire.OutcomeStopped,
+		Events: []wire.TraceRecord{
+			{Kind: wire.RecEvent, Seq: -1, Event: "c1"},
+			{Kind: wire.RecEvent, Seq: 0, Event: "zz9"},
+		},
+	}}
+	if _, err := Merge(logs); err == nil {
+		t.Error("negative sequence number merged without error")
+	}
+	service := parseService(t, `SPEC a1; b2; exit ENDSPEC`)
+	if rep, err := Check(service, logs, testMaxStates); err == nil {
+		t.Errorf("Check classified a log with a negative sequence number: %+v", rep)
+	}
+}
+
 // TestCheckAgainstSimulation closes the loop with the simulator: fabricate
 // per-entity logs from a real lockstep run of a derived corpus-style spec
 // and require the conformance verdict to agree with sim.CheckTrace.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -13,16 +14,18 @@ import (
 	"repro/internal/sim"
 )
 
-// The coordinator: the deployment's scheduler and service-user harness. It
-// drives a distributed session in lockstep — sweeps over the entities in
-// ascending place order, one granted step each — with a delivery barrier
-// after every step (the entity flushes its sends before reporting), so the
-// queue states any entity observes are exactly those of the in-process
-// shared medium under sim's lockstep scheduler. With the harness hosted
-// here and seeded sim.HarnessSeed(seed), and each entity's scheduling RNG
-// seeded sim.RunnerSeed(seed, placeIndex), a seeded distributed session is
-// execution-identical to sim.Run with Config{Lockstep: true, Seed: seed}:
-// same candidate rows, same random draws, same trace, same outcome.
+// The coordinator: the deployment's scheduler and service-user harness.
+// Each control connection implements sim.Entity, so a seeded session runs
+// the same sim.Lockstep sweep as an in-process sim.Session and a witness
+// replays through the same sim.Replay loop as sim.ReplayWitness — one
+// driver, two transports. A delivery barrier follows every step (the entity
+// flushes its sends before reporting), so the queue states any entity
+// observes are exactly those of the in-process shared medium. With the
+// harness hosted here and seeded sim.HarnessSeed(seed), and each entity's
+// scheduling RNG seeded sim.RunnerSeed(seed, placeIndex), a seeded
+// distributed session is execution-identical to sim.Run with
+// Config{Lockstep: true, Seed: seed}: same candidate rows, same random
+// draws, same trace, same outcome.
 
 // CoordinatorConfig configures a deployment coordinator.
 type CoordinatorConfig struct {
@@ -45,14 +48,15 @@ type CoordinatorConfig struct {
 	RewritePeers func(place int, peers []Peer) []Peer
 }
 
-// ctrl is one entity's control connection.
+// ctrl is one entity's control connection: the live implementation of the
+// sim.Entity contract, so the coordinator schedules deployed entities with
+// the same sim.Lockstep sweep and sim.Replay loop as in-process runs.
 type ctrl struct {
+	c      *Coordinator
 	place  int
 	conn   net.Conn
 	engine string
 	addr   string
-	done   bool
-	queued int
 }
 
 // Coordinator accepts entity control connections and drives sessions.
@@ -61,10 +65,14 @@ type Coordinator struct {
 	ln    net.Listener
 	ents  []*ctrl // ascending place order
 	table *MsgTable
+	// harness answers the entities' user-interaction requests; seq numbers
+	// the service primitives executed this session.
+	harness sim.Harness
+	seq     int
 }
 
-// SessionReport is the outcome of one coordinated session, mirroring
-// sim.Result's classification so live and in-process runs compare directly.
+// SessionReport is the outcome of one coordinated session, classified as
+// sim.Result is so live and in-process runs compare directly.
 type SessionReport struct {
 	// Trace is the global observable trace (event strings, in global
 	// sequence order).
@@ -163,7 +171,7 @@ func (c *Coordinator) WaitEntities() error {
 				return fmt.Errorf("wire: duplicate entity place %d", hello.Place)
 			}
 		}
-		c.ents = append(c.ents, &ctrl{place: hello.Place, conn: conn, engine: hello.Engine, addr: hello.Addr})
+		c.ents = append(c.ents, &ctrl{c: c, place: hello.Place, conn: conn, engine: hello.Engine, addr: hello.Addr})
 	}
 	sort.Slice(c.ents, func(i, j int) bool { return c.ents[i].place < c.ents[j].place })
 
@@ -241,58 +249,105 @@ func (c *Coordinator) abort(rep *SessionReport, err error) (*SessionReport, erro
 	return rep, err
 }
 
-// stepEntity grants one step (FrameStep, or the given exact grant) to one
-// entity and serves harness requests until its StepResult arrives. Service
-// events are sequenced into the report's global trace immediately — the
+// Place implements sim.Entity.
+func (e *ctrl) Place() int { return e.place }
+
+// StepOnce implements sim.Entity with a FrameStep grant.
+func (e *ctrl) StepOnce() (sim.StepOutcome, error) {
+	return e.step(&Frame{Type: FrameStep})
+}
+
+// StepExact implements sim.Entity with a FrameStepExact grant.
+func (e *ctrl) StepExact(tindex int, op fsm.Op) (sim.StepOutcome, error) {
+	return e.step(&Frame{Type: FrameStepExact, Op: uint8(op), TIndex: tindex})
+}
+
+// step sends one grant and serves harness requests until the entity's
+// StepResult arrives. A service event is sequenced immediately — the
 // FrameSeq answer is what lets the entity stamp its log record.
-func (c *Coordinator) stepEntity(e *ctrl, grant *Frame, harness sim.Harness, rep *SessionReport) (*Frame, error) {
+func (e *ctrl) step(grant *Frame) (sim.StepOutcome, error) {
+	c := e.c
 	if err := WriteFrame(e.conn, grant, c.table); err != nil {
-		return nil, fmt.Errorf("wire: step grant to entity %d: %w", e.place, err)
+		return sim.StepOutcome{}, fmt.Errorf("wire: step grant to entity %d: %w", e.place, err)
 	}
 	for {
 		f, err := ReadFrame(e.conn, c.table)
 		if err != nil {
-			return nil, fmt.Errorf("wire: awaiting step result from entity %d: %w", e.place, err)
+			return sim.StepOutcome{}, fmt.Errorf("wire: awaiting step result from entity %d: %w", e.place, err)
 		}
 		switch f.Type {
 		case FrameChoose:
 			// The entity's user wants to interact: consult the shared harness
-			// exactly as the in-process runner would (one Choose call, same
+			// exactly as the in-process entity would (one Choose call, same
 			// offer order), and return its verdict.
 			evs := make([]lotos.Event, len(f.Offered))
 			for i, o := range f.Offered {
 				evs[i] = o.Event()
 			}
-			pick := harness.Choose(e.place, evs)
-			reply := &Frame{Type: FrameChooseReply, Choice: pick}
+			reply := &Frame{Type: FrameChooseReply, Choice: c.harness.Choose(e.place, evs)}
 			if err := WriteFrame(e.conn, reply, c.table); err != nil {
-				return nil, fmt.Errorf("wire: harness reply to entity %d: %w", e.place, err)
+				return sim.StepOutcome{}, fmt.Errorf("wire: harness reply to entity %d: %w", e.place, err)
 			}
 		case FrameStepResult:
+			out := sim.StepOutcome{Progressed: f.Progressed, Done: f.Done}
 			if f.HasEvent {
-				rep.Trace = append(rep.Trace, f.EventName)
-				rep.TracePlaces = append(rep.TracePlaces, e.place)
-				seq := &Frame{Type: FrameSeq, GlobalSeq: len(rep.Trace) - 1}
+				// The event is rendered name+place; the place is the
+				// entity's own service access point.
+				name, ok := strings.CutSuffix(f.EventName, strconv.Itoa(f.EventPlace))
+				if !ok {
+					return out, fmt.Errorf("wire: entity %d reported event %q not at place %d", e.place, f.EventName, f.EventPlace)
+				}
+				out.HasEvent, out.Event = true, lotos.ServiceEvent(name, f.EventPlace)
+				seq := &Frame{Type: FrameSeq, GlobalSeq: c.seq}
+				c.seq++
 				if err := WriteFrame(e.conn, seq, c.table); err != nil {
-					return nil, fmt.Errorf("wire: sequencing event for entity %d: %w", e.place, err)
+					return out, fmt.Errorf("wire: sequencing event for entity %d: %w", e.place, err)
 				}
 			}
-			return f, nil
+			return out, nil
 		case FrameError:
-			return nil, fmt.Errorf("wire: entity %d failed: %s", e.place, f.ErrMsg)
+			return sim.StepOutcome{}, fmt.Errorf("wire: entity %d failed: %s", e.place, f.ErrMsg)
 		default:
-			return nil, fmt.Errorf("wire: entity %d sent unexpected %s during step", e.place, f.Type)
+			return sim.StepOutcome{}, fmt.Errorf("wire: entity %d sent unexpected %s during step", e.place, f.Type)
 		}
 	}
 }
 
+// Enabledness implements sim.Entity with a FrameEnabled query.
+func (e *ctrl) Enabledness() (sim.Enabled, error) {
+	f, err := e.enabledReport()
+	if err != nil {
+		return sim.Enabled{}, err
+	}
+	return sim.Enabled{Delta: f.Delta, Local: f.Local, RecvReady: f.RecvReady, SendTargets: f.SendTargets}, nil
+}
+
+// enabledReport queries the entity's enabledness and the occupancy of its
+// inbound channels.
+func (e *ctrl) enabledReport() (*Frame, error) {
+	c := e.c
+	if err := WriteFrame(e.conn, &Frame{Type: FrameEnabled}, c.table); err != nil {
+		return nil, fmt.Errorf("wire: enabled query to entity %d: %w", e.place, err)
+	}
+	f, err := ReadFrame(e.conn, c.table)
+	if err != nil {
+		return nil, fmt.Errorf("wire: awaiting enabled report from entity %d: %w", e.place, err)
+	}
+	if f.Type == FrameError {
+		return nil, fmt.Errorf("wire: entity %d failed: %s", e.place, f.ErrMsg)
+	}
+	if f.Type != FrameEnabledReport {
+		return nil, fmt.Errorf("wire: entity %d expected enabled report, got %s", e.place, f.Type)
+	}
+	return f, nil
+}
+
 // start broadcasts the session start and arms the wall-clock budget.
-func (c *Coordinator) start(seed int64, mode SessionMode) error {
+func (c *Coordinator) start(seed int64, mode SessionMode, harness sim.Harness) error {
 	deadline := time.Now().Add(c.cfg.Timeout)
+	c.harness, c.seq = harness, 0
 	for _, e := range c.ents {
 		e.conn.SetDeadline(deadline)
-		e.done = false
-		e.queued = 0
 	}
 	for _, e := range c.ents {
 		f := &Frame{Type: FrameStart, Seed: seed, Mode: mode}
@@ -303,115 +358,52 @@ func (c *Coordinator) start(seed int64, mode SessionMode) error {
 	return nil
 }
 
-// RunSeeded drives one seeded session to its end, mirroring Session.StepN
-// run to completion: sweeps in ascending place order, each live entity
-// granted one step, MaxEvents stops taking effect mid-sweep, and a sweep
-// without progress classified as deadlock (nothing queued anywhere) or a
-// stuck run. The report's protocol outcome is byte-identical (Canonical)
-// to sim.Run with Config{Lockstep: true, Seed: seed} over the same
-// entities.
+// RunSeeded drives one seeded session to its end through sim.Lockstep —
+// the sweep sim.Session runs in process — with the harness hosted here. A
+// sweep without progress is classified from the entities' queued messages:
+// with the delivery barrier nothing is on the wire, so their sum is the
+// global in-flight count. The report's protocol outcome is byte-identical
+// (Canonical) to sim.Run with Config{Lockstep: true, Seed: seed} over the
+// same entities.
 func (c *Coordinator) RunSeeded(seed int64) (*SessionReport, error) {
 	rep := &SessionReport{Engines: c.Engines()}
-	if err := c.start(seed, ModeSeeded); err != nil {
+	if err := c.start(seed, ModeSeeded, sim.NewAcceptAll(sim.HarnessSeed(seed))); err != nil {
 		return c.abort(rep, err)
 	}
-	harness := sim.NewAcceptAll(sim.HarnessSeed(seed))
-	stopped, maxhit := false, false
-	for !stopped {
-		progress := false
-		alive := 0
-		for _, e := range c.ents {
-			if e.done || stopped {
-				continue
-			}
-			alive++
-			res, err := c.stepEntity(e, &Frame{Type: FrameStep}, harness, rep)
-			if err != nil {
-				return c.abort(rep, err)
-			}
-			if res.Done {
-				e.done = true
-			}
-			if res.Progressed {
-				progress = true
-			}
-			e.queued = res.Queued
-			if res.HasEvent && c.cfg.MaxEvents > 0 && len(rep.Trace) >= c.cfg.MaxEvents {
-				// The event that hit the budget stops the run mid-sweep,
-				// exactly as world.record does under the lockstep scheduler.
-				stopped, maxhit = true, true
-			}
-		}
-		if alive == 0 {
-			break
-		}
-		rep.Sweeps++
-		if !progress {
-			// A full sweep without progress: with the delivery barrier,
-			// nothing is on the wire, so the global in-flight count is the
-			// sum of the entities' queued messages — and during a
-			// no-progress sweep the queues are static, so the per-entity
-			// reports form a consistent snapshot.
-			total, err := c.totalQueued()
-			if err != nil {
-				return c.abort(rep, err)
-			}
-			stopped = true
-			if total == 0 {
-				rep.Deadlocked = true
-			} else {
-				rep.TimedOut = true
-			}
-		}
+	ls := sim.NewLockstep(c.entities(), c.cfg.MaxEvents, c.totalQueued)
+	_, _, err := ls.StepN(0)
+	for _, te := range ls.Trace {
+		rep.Trace = append(rep.Trace, te.String())
+		rep.TracePlaces = append(rep.TracePlaces, te.Place)
 	}
-	rep.Stopped = maxhit
-	rep.Completed = c.allDone()
+	rep.Sweeps = ls.Sweeps
+	if err != nil {
+		return c.abort(rep, err)
+	}
+	rep.Completed, rep.Deadlocked, rep.TimedOut, rep.Stopped = ls.Completed(), ls.Deadlocked, ls.TimedOut, ls.Stopped
 	c.halt(rep.outcomeFlags(), "")
 	return rep, nil
 }
 
-// allDone reports that every entity terminated.
-func (c *Coordinator) allDone() bool {
-	for _, e := range c.ents {
-		if !e.done {
-			return false
-		}
+// entities returns the control connections as sim entities.
+func (c *Coordinator) entities() []sim.Entity {
+	ents := make([]sim.Entity, len(c.ents))
+	for i, e := range c.ents {
+		ents[i] = e
 	}
-	return true
-}
-
-// enabledReports polls every entity's enabledness and queue occupancy.
-func (c *Coordinator) enabledReports() (map[int]*Frame, error) {
-	for _, e := range c.ents {
-		if err := WriteFrame(e.conn, &Frame{Type: FrameEnabled}, c.table); err != nil {
-			return nil, fmt.Errorf("wire: enabled query to entity %d: %w", e.place, err)
-		}
-	}
-	reports := make(map[int]*Frame, len(c.ents))
-	for _, e := range c.ents {
-		f, err := ReadFrame(e.conn, c.table)
-		if err != nil {
-			return nil, fmt.Errorf("wire: awaiting enabled report from entity %d: %w", e.place, err)
-		}
-		if f.Type == FrameError {
-			return nil, fmt.Errorf("wire: entity %d failed: %s", e.place, f.ErrMsg)
-		}
-		if f.Type != FrameEnabledReport {
-			return nil, fmt.Errorf("wire: entity %d expected enabled report, got %s", e.place, f.Type)
-		}
-		reports[e.place] = f
-	}
-	return reports, nil
+	return ents
 }
 
 // totalQueued sums queued messages across every entity's inbound channels.
+// It is consulted after a sweep without progress, when the queues are
+// static, so the per-entity reports form a consistent snapshot.
 func (c *Coordinator) totalQueued() (int, error) {
-	reports, err := c.enabledReports()
-	if err != nil {
-		return 0, err
-	}
 	total := 0
-	for _, f := range reports {
+	for _, e := range c.ents {
+		f, err := e.enabledReport()
+		if err != nil {
+			return 0, err
+		}
 		for _, q := range f.QueueLens {
 			total += q.Len
 		}
@@ -419,181 +411,78 @@ func (c *Coordinator) totalQueued() (int, error) {
 	return total, nil
 }
 
-// ReplayReport is the outcome of a live witness replay, mirroring
-// sim.ReplayResult.
-type ReplayReport struct {
-	// Trace is the observable projection of the replayed execution.
-	Trace []string
-	// Terminated reports the witness path took the global δ.
-	Terminated bool
-	// Deadlocked reports that after the final step no entity move, no
-	// global δ, and no fault of the witness's model is enabled.
-	Deadlocked bool
-	// Steps counts executed witness steps.
-	Steps   int
-	Aborted bool
-	Reason  string
-}
-
-// exactOp maps a witness step kind to the granted transition op.
-func exactOp(kind string) (fsm.Op, bool) {
-	switch kind {
-	case compose.StepInternal:
-		return fsm.OpInternal, true
-	case compose.StepService:
-		return fsm.OpService, true
-	case compose.StepSend:
-		return fsm.OpSend, true
-	case compose.StepRecv:
-		return fsm.OpRecv, true
-	}
-	return 0, false
-}
-
 // RunReplay drives a verification counterexample step-for-step through the
-// live deployment — the distributed face of sim.ReplayWitness. Entity steps
-// become exact grants; loss steps are realized by the fault-injection
-// proxy on the wire (configured from the same witness, see wiretest), so
-// the coordinator only advances past them. Duplication and reordering
-// faults are not supported live: their wire realization would need
-// sequence-number rewriting that the conformance contract has no use for.
-func (c *Coordinator) RunReplay(w *compose.Witness) (*ReplayReport, error) {
-	rep := &ReplayReport{}
-	if w == nil {
-		return rep, fmt.Errorf("wire: nil witness")
+// live deployment with sim.Replay — the loop sim.ReplayWitness runs in
+// process. Entity steps become exact grants; loss steps are realized by the
+// fault-injection proxy on the wire (configured from the same witness, see
+// wiretest), so the coordinator only advances past them. Duplication and
+// reordering faults are not supported live: their wire realization would
+// need sequence-number rewriting that the conformance contract has no use
+// for.
+func (c *Coordinator) RunReplay(w *compose.Witness) (*sim.ReplayResult, error) {
+	if w != nil && (w.Faults.Duplication || w.Faults.Reorder) {
+		return nil, fmt.Errorf("wire: live replay supports loss faults only")
 	}
-	if w.Faults.Duplication || w.Faults.Reorder {
-		return rep, fmt.Errorf("wire: live replay supports loss faults only")
-	}
-	cap := w.ChannelCap
-	if cap <= 0 {
-		cap = compose.DefaultChannelCap
-	}
-	if err := c.start(0, ModeReplay); err != nil {
-		rep.Aborted, rep.Reason = true, err.Error()
-		c.halt(OutAborted, rep.Reason)
-		return rep, err
-	}
-	// The replay harness should never be consulted: every grant is exact.
-	harness := sim.NewScripted(nil)
-	collector := &SessionReport{}
-	fail := func(err error) (*ReplayReport, error) {
-		rep.Aborted, rep.Reason = true, err.Error()
-		c.halt(OutAborted, rep.Reason)
-		return rep, err
-	}
-	for i, st := range w.Steps {
-		switch st.Kind {
-		case compose.StepDelta:
-			for _, e := range c.ents {
-				grant := &Frame{Type: FrameStepExact, Op: uint8(fsm.OpDelta)}
-				if _, err := c.stepEntity(e, grant, harness, collector); err != nil {
-					return fail(fmt.Errorf("witness step %d [%s]: %w", i+1, st.Kind, err))
-				}
-				e.done = true
-			}
-			rep.Trace = append(rep.Trace, "delta")
-			rep.Terminated = true
-		case compose.StepLoss:
-			// Realized on the wire by the proxy when the frame passed; the
-			// abstract queue position is accounted for by the plan that
-			// configured the proxy (wiretest.LossPlan).
-		default:
-			op, ok := exactOp(st.Kind)
-			if !ok {
-				return fail(fmt.Errorf("witness step %d: unsupported kind %q for live replay", i+1, st.Kind))
-			}
-			e := c.entity(st.Place)
-			if e == nil {
-				return fail(fmt.Errorf("witness step %d names unknown entity %d", i+1, st.Place))
-			}
-			grant := &Frame{Type: FrameStepExact, Op: uint8(op), TIndex: st.TIndex}
-			res, err := c.stepEntity(e, grant, harness, collector)
-			if err != nil {
-				return fail(fmt.Errorf("witness step %d [%s] %s: %w", i+1, st.Kind, st.Label, err))
-			}
-			if res.HasEvent {
-				rep.Trace = append(rep.Trace, res.EventName)
-			}
-		}
-		rep.Steps++
-	}
-	if !rep.Terminated {
-		enabled, err := c.anyEnabled(cap, w.Faults)
-		if err != nil {
-			return fail(err)
-		}
-		rep.Deadlocked = !enabled
+	// The replay harness is never consulted: every grant is exact.
+	err := c.start(0, ModeReplay, sim.NewScripted(nil))
+	var res *sim.ReplayResult
+	if err == nil {
+		res, err = sim.Replay(c.entities(), liveMedium{c}, w)
 	}
 	// The halt outcome is what the entities close their trace logs with, so
 	// it must be the replay's faithful classification: a deadlocked replay
 	// logged as completed would read, to the conformance checker, as a
 	// termination the service never allowed.
 	switch {
-	case rep.Deadlocked:
+	case err != nil:
+		c.halt(OutAborted, err.Error())
+		return nil, err
+	case res.Deadlocked:
 		c.halt(OutDeadlocked, "replay done")
-	case rep.Terminated:
+	case res.Terminated:
 		c.halt(OutCompleted, "replay done")
 	default:
 		c.halt(OutStopped, "replay done")
 	}
-	return rep, nil
+	return res, nil
 }
 
-// entity finds a control connection by place.
-func (c *Coordinator) entity(place int) *ctrl {
-	for _, e := range c.ents {
-		if e.place == place {
-			return e
-		}
+// liveMedium is the medium side of a live replay: loss steps were realized
+// by the proxies as the frames passed (the abstract queue position is
+// accounted for by the plan that configured them, wiretest.LossPlan), and
+// queue lengths come from the receiving entity's enabled report.
+type liveMedium struct{ c *Coordinator }
+
+// Fault implements sim.WitnessMedium.
+func (m liveMedium) Fault(st compose.WitnessStep) error {
+	if st.Kind != compose.StepLoss {
+		return fmt.Errorf("unsupported kind %q for live replay", st.Kind)
 	}
 	return nil
 }
 
-// anyEnabled combines the entities' enabledness reports into the global
-// verdict, mirroring the in-process replayer: a local move anywhere, a
-// receive with its message consumable, a send with channel capacity left,
-// a global δ (every entity termination-ready), or a loss fault applicable
-// to some occupied queue.
-func (c *Coordinator) anyEnabled(channelCap int, faults compose.FaultModel) (bool, error) {
-	reports, err := c.enabledReports()
-	if err != nil {
-		return false, err
-	}
-	queue := map[[2]int]int{}
-	for to, f := range reports {
+// QueueLen implements sim.WitnessMedium.
+func (m liveMedium) QueueLen(from, to int) (int, error) {
+	for _, e := range m.c.ents {
+		if e.place != to {
+			continue
+		}
+		f, err := e.enabledReport()
+		if err != nil {
+			return 0, err
+		}
 		for _, q := range f.QueueLens {
-			queue[[2]int{q.From, to}] = q.Len
-		}
-	}
-	deltaReady := 0
-	for _, f := range reports {
-		if f.Local || f.RecvReady {
-			return true, nil
-		}
-		if f.Delta {
-			deltaReady++
-		}
-	}
-	for from, f := range reports {
-		for _, target := range f.SendTargets {
-			if queue[[2]int{from, target}] < channelCap {
-				return true, nil
+			if q.From == from {
+				return q.Len, nil
 			}
 		}
 	}
-	if deltaReady == len(reports) && len(reports) > 0 {
-		return true, nil
-	}
-	if faults.Loss {
-		for _, n := range queue {
-			if n > 0 {
-				return true, nil
-			}
-		}
-	}
-	return false, nil
+	return 0, nil
 }
+
+// Swappable implements sim.WitnessMedium; live replay admits no reordering
+// fault model, so it is never consulted.
+func (m liveMedium) Swappable(from, to int) bool { return false }
 
 // Close tears down the control plane.
 func (c *Coordinator) Close() {

@@ -222,7 +222,7 @@ func RunEntity(cfg EntityConfig) error {
 				Type: FrameStepResult, Progressed: out.Progressed, Done: out.Done,
 				Queued: ep.InFlight(),
 			}
-			if out.Event != nil {
+			if out.HasEvent {
 				res.HasEvent = true
 				res.EventName = out.Event.String()
 				res.EventPlace = cfg.Place

@@ -209,6 +209,9 @@ func ParseTraceLog(r io.Reader) (*EntityLog, error) {
 		case RecRestart:
 			log.Restarts++
 		case RecEvent:
+			if rec.Seq < 0 {
+				return nil, fmt.Errorf("wire: trace log line %d: negative sequence number %d", line, rec.Seq)
+			}
 			digest = eventDigest(digest, rec.Seq, rec.Event)
 			if rec.Digest != fmt.Sprintf("%016x", digest) {
 				log.DigestOK = false

@@ -43,9 +43,15 @@ fault-matrix-smoke:
 # one artifact cache) under the race detector with verdicts, witnesses and
 # replays compared cell by cell, plus the content-addressed artifact-cache
 # correctness tests (cross-spec sharing, no false sharing, LRU bound,
-# concurrent access) and the entity-delta differ.
+# effective-cap keying, verify/compile/simulate sharing one cache
+# concurrently) and the entity-delta differ. The quotient the product
+# composes over is the compiled machine's minimized layer, so the gate also
+# runs the fsm compiler's tests and the compose package's compositional unit
+# tests (over-cap fallback, compile failures, matrix reuse).
 compositional-smoke:
 	$(GO) test -race -run '^(TestCorpusCompositionalDifferential|TestArtifact|TestFleetSharesCachedMachines|TestDiffProtocols)' -count=1 .
+	$(GO) test -race -count=1 ./internal/fsm/
+	$(GO) test -race -run '^(TestCompositional|TestEntity)' -count=1 ./internal/compose/
 
 # reduction-smoke is the reduction-soundness gate: the whole corpus verified
 # unreduced and under every reduction set (POR, symmetry, spill, all) across

@@ -8,20 +8,22 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/compose"
 	"repro/internal/fsm"
 	"repro/internal/lotos"
-	"repro/internal/lts"
 )
 
-// ArtifactCache is a content-addressed cache of per-entity pipeline
-// artifacts: explored-and-quotiented entity LTSs (the unit the compositional
-// verifier composes over) and compiled table-driven machines. Entries are
-// keyed by SHA-256 of the normalized entity behaviour plus the option
-// fingerprint — never by which service specification produced the entity —
-// so two specifications sharing one entity share the work, and editing one
-// entity of an n-place specification re-derives only that entity.
+// ArtifactCache is a content-addressed cache of compiled entity machines
+// (fsm.Machine), the one per-entity artifact of the pipeline: Simulate,
+// Replay and Compile run its exact layer, and compositional verification
+// composes over its minimized layer. Entries are keyed by SHA-256 of the
+// normalized entity behaviour and the effective state cap — never by which
+// service specification produced the entity — so two specifications sharing
+// one entity share the work, and editing one entity of an n-place
+// specification recompiles only that entity. An entity over the cap is
+// cached as its compile error, so later lookups skip the doomed exploration.
 //
 // An ArtifactCache is safe for concurrent use and is meant to be shared: one
 // cache per daemon, handed to every Protocol (see Protocol.UseArtifacts).
@@ -31,23 +33,15 @@ type ArtifactCache struct {
 	lru     list.List                // front = most recent
 	cap     int
 
-	// table is the label table shared by every machine compiled through
-	// this cache, so machines cached under different specifications can
-	// serve in one fleet. It is only mutated under mu.
-	table *lts.LabelTable
-
-	hits, misses uint64 // entity-LTS lookups
-	fsmHits      uint64 // machine lookups
-	fsmMisses    uint64
+	hits, misses uint64
 }
 
-// artifact is one cache entry: an entity quotient, a compiled machine, or a
-// negative compile result.
+// artifact is one cache entry: a compiled machine or the compile error that
+// stopped it.
 type artifact struct {
-	key        string
-	el         *compose.EntityLTS
-	machine    *fsm.Machine
-	compileErr *fsm.CompileError
+	key     string
+	machine *fsm.Machine
+	err     *fsm.CompileError
 }
 
 // DefaultArtifactEntries bounds the artifact cache when the caller passes no
@@ -63,25 +57,17 @@ func NewArtifactCache(entries int) *ArtifactCache {
 	return &ArtifactCache{
 		entries: make(map[string]*list.Element, entries),
 		cap:     entries,
-		table:   lts.NewLabelTable(),
 	}
 }
 
-// artifactKey builds the content address of one entity artifact: the kind
-// tag, the normalized entity text and the state-cap fingerprint, all
-// length-framed so no field can bleed into the next.
-func artifactKey(kind, entityText string, maxStates int) string {
+// artifactKey builds the content address of one entity artifact: the
+// length-framed normalized entity text followed by the effective state cap.
+func artifactKey(entityText string, maxStates int) string {
 	h := sha256.New()
 	var frame [binary.MaxVarintLen64]byte
-	writeField := func(s string) {
-		n := binary.PutUvarint(frame[:], uint64(len(s)))
-		h.Write(frame[:n])
-		h.Write([]byte(s))
-	}
-	writeField(kind)
-	writeField(entityText)
-	n := binary.PutUvarint(frame[:], uint64(maxStates))
-	h.Write(frame[:n])
+	h.Write(frame[:binary.PutUvarint(frame[:], uint64(len(entityText)))])
+	h.Write([]byte(entityText))
+	h.Write(frame[:binary.PutUvarint(frame[:], uint64(maxStates))])
 	return string(h.Sum(nil))
 }
 
@@ -119,134 +105,62 @@ func (c *ArtifactCache) Len() int {
 
 // ArtifactStats is a point-in-time snapshot of the cache's counters.
 type ArtifactStats struct {
-	// Entries is the current entry count (entity LTSs plus machines).
+	// Entries is the current entry count.
 	Entries int `json:"entries"`
-	// EntityHits / EntityMisses count quotient-artifact lookups.
+	// EntityHits / EntityMisses count artifact lookups — every compiled
+	// machine a fleet or a compositional verification asked for.
 	EntityHits   uint64 `json:"entityHits"`
 	EntityMisses uint64 `json:"entityMisses"`
-	// FSMHits / FSMMisses count compiled-machine lookups.
-	FSMHits   uint64 `json:"fsmHits"`
-	FSMMisses uint64 `json:"fsmMisses"`
-}
-
-// HitRatio is the fraction of entity-LTS lookups served from cache.
-func (s ArtifactStats) HitRatio() float64 {
-	total := s.EntityHits + s.EntityMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.EntityHits) / float64(total)
 }
 
 // Stats snapshots the cache counters.
 func (c *ArtifactCache) Stats() ArtifactStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return ArtifactStats{
-		Entries:      len(c.entries),
-		EntityHits:   c.hits,
-		EntityMisses: c.misses,
-		FSMHits:      c.fsmHits,
-		FSMMisses:    c.fsmMisses,
-	}
+	return ArtifactStats{Entries: len(c.entries), EntityHits: c.hits, EntityMisses: c.misses}
 }
 
-// provider adapts the cache to the compositional verifier: entity quotients
-// are recalled by content address and built (outside the lock) on miss.
-// Concurrent misses of one key may build twice; both builds produce
-// identical immutable artifacts, so the duplicate work is the only cost.
-func (c *ArtifactCache) provider() compose.EntityProvider {
-	return func(place int, sp *lotos.Spec, maxStates int) (*compose.EntityLTS, error) {
-		key := artifactKey("entlts", sp.String(), maxStates)
-		c.mu.Lock()
-		a := c.get(key)
-		if a != nil && a.el != nil {
-			c.hits++
-			c.mu.Unlock()
-			hit := *a.el
-			hit.Place = place
-			hit.Reused = true
-			hit.BuildNanos = 0
-			return &hit, nil
-		}
-		c.misses++
-		c.mu.Unlock()
-
-		el, err := compose.BuildEntityLTS(place, sp, maxStates)
-		if err != nil {
-			return nil, err
-		}
-		// Truncated artifacts are cached too: the entry records that the
-		// entity exceeds this state cap, so later verifications skip the
-		// doomed exploration and fall back to the monolithic path at once.
-		c.mu.Lock()
-		c.put(&artifact{key: key, el: el})
-		c.mu.Unlock()
-		return el, nil
-	}
-}
-
-// machine recalls (or compiles and caches) the table-driven machine of one
-// entity. All machines compiled through one cache share its label table, so
-// they can serve together in one fleet; compilation therefore runs under the
-// cache lock (the label table is not safe for concurrent interning).
-func (c *ArtifactCache) machine(place int, sp *lotos.Spec, text string, maxStates int) (*fsm.Machine, *fsm.CompileError) {
-	key := artifactKey("fsm", text, maxStates)
+// lookup recalls the compiled machine of one entity at an effective state
+// cap, compiling it outside the lock on a miss. It has the shape of
+// compose.EntityProvider: buildNanos is the compile wall time of a miss,
+// and a failed compilation returns its *fsm.CompileError. Concurrent misses
+// of one key may compile twice; both produce identical immutable machines,
+// so the duplicate work is the only cost.
+func (c *ArtifactCache) lookup(place int, sp *lotos.Spec, maxStates int) (m *fsm.Machine, buildNanos int64, hit bool, err error) {
+	key := artifactKey(sp.String(), maxStates)
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if a := c.get(key); a != nil && (a.machine != nil || a.compileErr != nil) {
-		c.fsmHits++
-		if a.compileErr != nil {
-			ce := *a.compileErr
-			ce.Place = place
-			return nil, &ce
-		}
-		return a.machine, nil
+	a := c.get(key)
+	if a != nil {
+		c.hits++
+	} else {
+		c.misses++
 	}
-	c.fsmMisses++
-	m, err := fsm.Compile(place, sp, fsm.Config{MaxStates: maxStates, Table: c.table})
-	if err != nil {
-		ce, ok := err.(*fsm.CompileError)
-		if !ok {
-			ce = &fsm.CompileError{Place: place, Reason: err.Error()}
+	c.mu.Unlock()
+	if a == nil {
+		start := time.Now()
+		m, err = fsm.Compile(place, sp, fsm.Config{MaxStates: maxStates})
+		buildNanos = time.Since(start).Nanoseconds()
+		a = &artifact{key: key, machine: m}
+		if err != nil {
+			a.err = err.(*fsm.CompileError)
 		}
-		c.put(&artifact{key: key, compileErr: ce})
-		return nil, ce
+		c.mu.Lock()
+		c.put(a)
+		c.mu.Unlock()
+		return m, buildNanos, false, err
 	}
-	c.put(&artifact{key: key, machine: m})
-	return m, nil
+	if a.err != nil {
+		ce := *a.err
+		ce.Place = place
+		return nil, 0, true, &ce
+	}
+	return a.machine, 0, true, nil
 }
 
-// fleetFor assembles a compiled fleet over the cache: every entity machine
-// is recalled by content address or compiled into the cache's shared label
-// table on miss.
-func (c *ArtifactCache) fleetFor(entities map[int]*lotos.Spec, maxStates int) *fsm.Fleet {
-	f := &fsm.Fleet{
-		Table:    c.table,
-		Machines: make(map[int]*fsm.Machine, len(entities)),
-		Errors:   map[int]*fsm.CompileError{},
-	}
-	places := make([]int, 0, len(entities))
-	for p := range entities {
-		places = append(places, p)
-	}
-	sort.Ints(places)
-	for _, p := range places {
-		sp := entities[p]
-		m, ce := c.machine(p, sp, sp.String(), maxStates)
-		if ce != nil {
-			f.Errors[p] = ce
-			continue
-		}
-		f.Machines[p] = m
-	}
-	return f
-}
-
-// UseArtifacts attaches a shared artifact cache to the protocol: subsequent
-// compositional Verify/VerifyMatrix calls recall entity quotients through
-// it, and compiled-fleet construction (Simulate, Replay, Compile) recalls
-// per-entity machines through it. Safe to call once, before concurrent use.
+// UseArtifacts attaches a shared artifact cache to the protocol: compiled
+// fleets (Simulate, Replay, Compile) and compositional Verify, VerifyMatrix
+// and Optimize calls recall per-entity machines through it. Safe to call
+// once, before concurrent use.
 func (p *Protocol) UseArtifacts(c *ArtifactCache) { p.arts = c }
 
 // EntityQuotientStat reports one entity's quotient-before-compose numbers
@@ -280,8 +194,8 @@ func (p *Protocol) EntityDigests() map[int]string {
 
 // EntityDelta is the per-place difference between two derived protocols,
 // computed on normalized entity behaviours. Places whose entity text is
-// byte-identical are Unchanged — their cached artifacts (quotients, compiled
-// machines) apply to both protocols.
+// byte-identical are Unchanged — their cached compiled machines apply to
+// both protocols.
 type EntityDelta struct {
 	// Unchanged lists places with identical entity behaviour.
 	Unchanged []int `json:"unchanged"`

@@ -77,8 +77,8 @@ func BenchmarkCompositionalVerify(b *testing.B) {
 			var rep *VerifyReport
 			for i := 0; i < b.N; i++ {
 				// A fresh cache per iteration keeps this the cold lane:
-				// every entity quotient is rebuilt, nothing is reused.
-				opts.Artifacts = NewArtifactCache(0)
+				// every entity machine is recompiled, nothing is reused.
+				proto.UseArtifacts(NewArtifactCache(0))
 				var err error
 				if rep, err = proto.Verify(&opts); err != nil {
 					b.Fatal(err)
@@ -118,7 +118,9 @@ func BenchmarkDeltaVerify(b *testing.B) {
 				b.StopTimer()
 				opts := c.opts
 				opts.Compositional = true
-				opts.Artifacts = NewArtifactCache(0)
+				cache := NewArtifactCache(0)
+				base.UseArtifacts(cache)
+				edited.UseArtifacts(cache)
 				if _, err := base.Verify(&opts); err != nil {
 					b.Fatal(err)
 				}

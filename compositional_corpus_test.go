@@ -25,6 +25,9 @@ import (
 func TestCorpusCompositionalDifferential(t *testing.T) {
 	protos := corpusProtocols(t)
 	arts := NewArtifactCache(0)
+	for _, proto := range protos {
+		proto.UseArtifacts(arts)
+	}
 	for name, proto := range protos {
 		for _, chanCap := range []int{1, 2} {
 			opts := matrixOpts
@@ -41,7 +44,6 @@ func TestCorpusCompositionalDifferential(t *testing.T) {
 			}
 			copts := opts
 			copts.Compositional = true
-			copts.Artifacts = arts
 			comp, err := proto.VerifyMatrix(matrixModels, &copts)
 			if err != nil {
 				t.Fatalf("%s cap=%d compositional: %v", name, chanCap, err)

@@ -1,9 +1,12 @@
 package protoderive
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/lts"
 )
 
 // facadeProto parses and derives one service spec, failing the test on error.
@@ -40,7 +43,9 @@ func TestArtifactSharingAcrossSpecs(t *testing.T) {
 	protoA := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
 	protoB := facadeProto(t, "SPEC a1; c2; exit ENDSPEC")
 	cache := NewArtifactCache(0)
-	opts := VerifyOptions{Compositional: true, Artifacts: cache}
+	protoA.UseArtifacts(cache)
+	protoB.UseArtifacts(cache)
+	opts := VerifyOptions{Compositional: true}
 
 	repA, err := protoA.Verify(&opts)
 	if err != nil {
@@ -86,7 +91,9 @@ func TestArtifactSharingFormattingOnly(t *testing.T) {
 	protoA := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
 	protoB := facadeProto(t, "SPEC  a1 ;\n\tb2 ;   exit  ENDSPEC")
 	cache := NewArtifactCache(0)
-	opts := VerifyOptions{Compositional: true, Artifacts: cache}
+	protoA.UseArtifacts(cache)
+	protoB.UseArtifacts(cache)
+	opts := VerifyOptions{Compositional: true}
 
 	if _, err := protoA.Verify(&opts); err != nil {
 		t.Fatal(err)
@@ -121,7 +128,9 @@ func TestArtifactNoFalseSharing(t *testing.T) {
 	}
 
 	cache := NewArtifactCache(0)
-	opts := VerifyOptions{Compositional: true, Artifacts: cache}
+	protoA.UseArtifacts(cache)
+	protoB.UseArtifacts(cache)
+	opts := VerifyOptions{Compositional: true}
 	if _, err := protoA.Verify(&opts); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +152,8 @@ func TestArtifactNoFalseSharing(t *testing.T) {
 func TestArtifactCacheBounded(t *testing.T) {
 	proto := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
 	cache := NewArtifactCache(1)
-	opts := VerifyOptions{Compositional: true, Artifacts: cache}
+	proto.UseArtifacts(cache)
+	opts := VerifyOptions{Compositional: true}
 	for i := 0; i < 2; i++ {
 		if _, err := proto.Verify(&opts); err != nil {
 			t.Fatal(err)
@@ -155,8 +165,10 @@ func TestArtifactCacheBounded(t *testing.T) {
 }
 
 // TestArtifactCacheConcurrent hammers one shared cache from concurrent
-// compositional verifications of distinct-but-overlapping specs. Run under
-// -race this checks the cache's locking discipline end to end.
+// compositional verifications, compiles and compiled simulations of
+// distinct-but-overlapping specs, all at one state cap so every caller
+// looks up the same entries. Run under -race this checks the cache's
+// locking discipline end to end.
 func TestArtifactCacheConcurrent(t *testing.T) {
 	sources := []string{
 		"SPEC a1; b2; exit ENDSPEC",
@@ -164,29 +176,48 @@ func TestArtifactCacheConcurrent(t *testing.T) {
 		"SPEC x1; b2; exit ENDSPEC",
 		"SPEC (a1; b2; exit) >> g3; exit ENDSPEC",
 	}
-	protos := make([]*Protocol, len(sources))
-	for i, src := range sources {
-		protos[i] = facadeProto(t, src)
-	}
+	const workers, maxStates = 8, 500
 	cache := NewArtifactCache(0)
+	distinct := map[string]bool{}
+	// Every worker gets protocols of its own, so Compile and Simulate miss
+	// the per-protocol fleet memo and reach the shared cache concurrently.
+	protos := make([][]*Protocol, workers)
+	for w := range protos {
+		for _, src := range sources {
+			proto := facadeProto(t, src)
+			proto.UseArtifacts(cache)
+			protos[w] = append(protos[w], proto)
+			for _, dig := range proto.EntityDigests() {
+				distinct[dig] = true
+			}
+		}
+	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for worker := 0; worker < 8; worker++ {
+	errs := make(chan error, 3*workers*len(sources))
+	for worker := 0; worker < workers; worker++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			for i := 0; i < 4; i++ {
-				proto := protos[(worker+i)%len(protos)]
-				opts := VerifyOptions{Compositional: true, Artifacts: cache}
-				rep, err := proto.Verify(&opts)
+			for i := 0; i < len(sources); i++ {
+				proto := protos[worker][(worker+i)%len(sources)]
+				rep, err := proto.Verify(&VerifyOptions{Compositional: true, MaxStates: maxStates})
 				if err != nil {
 					errs <- err
-					return
-				}
-				if !rep.Ok || rep.Compositional == nil {
+				} else if !rep.Ok || rep.Compositional == nil {
 					errs <- errFacade{rep.Summary}
-					return
+				}
+				comp, err := proto.Compile(&CompileOptions{MaxStates: maxStates})
+				if err != nil {
+					errs <- err
+				} else if comp.Fallback != 0 {
+					errs <- fmt.Errorf("compile fell back for %d entities", comp.Fallback)
+				}
+				sim, err := proto.Simulate(&SimOptions{Seed: int64(worker + 1), Engine: "fsm", CompileMaxStates: maxStates})
+				if err != nil {
+					errs <- err
+				} else if !sim.Completed || !sim.TraceValid || sim.InterpretedEntities != 0 {
+					errs <- fmt.Errorf("compiled simulation: %+v", sim)
 				}
 			}
 		}(worker)
@@ -194,11 +225,14 @@ func TestArtifactCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		t.Fatal(err)
+		t.Error(err)
 	}
 	st := cache.Stats()
 	if st.EntityHits == 0 {
-		t.Errorf("no cache hits across 32 concurrent verifications: %+v", st)
+		t.Errorf("no cache hits across concurrent verifies, compiles and simulations: %+v", st)
+	}
+	if st.Entries != len(distinct) {
+		t.Errorf("cache holds %d entries, want one per distinct entity (%d): %+v", st.Entries, len(distinct), st)
 	}
 }
 
@@ -206,10 +240,10 @@ type errFacade struct{ summary string }
 
 func (e errFacade) Error() string { return "unexpected verdict:\n" + e.summary }
 
-// TestFleetSharesCachedMachines checks the compiled-machine side of the
+// TestFleetSharesCachedMachines checks the compiled-fleet side of the
 // cache: two protocols attached to one cache share the compiled machine of
-// their common entity, and the machines interoperate because they intern
-// labels into the cache's shared table.
+// their common entity, and compositional verification recalls machines
+// through the same attached cache.
 func TestFleetSharesCachedMachines(t *testing.T) {
 	protoA := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
 	protoB := facadeProto(t, "SPEC a1; c2; exit ENDSPEC")
@@ -229,12 +263,10 @@ func TestFleetSharesCachedMachines(t *testing.T) {
 		t.Fatalf("compile fallbacks: A=%d B=%d", repA.Fallback, repB.Fallback)
 	}
 	st := cache.Stats()
-	if st.FSMHits != 1 || st.FSMMisses != 3 {
-		t.Errorf("fsm hits=%d misses=%d, want 1/3 (place 1 shared)", st.FSMHits, st.FSMMisses)
+	if st.EntityHits != 1 || st.EntityMisses != 3 {
+		t.Errorf("hits=%d misses=%d, want 1/3 (place 1 shared)", st.EntityHits, st.EntityMisses)
 	}
 
-	// The attached cache also backs compositional verification when the
-	// call passes no explicit Artifacts.
 	opts := VerifyOptions{Compositional: true}
 	if _, err := protoA.Verify(&opts); err != nil {
 		t.Fatal(err)
@@ -247,6 +279,79 @@ func TestFleetSharesCachedMachines(t *testing.T) {
 		t.Errorf("second verify through the attached cache reused %d of %d entities",
 			rep.Compositional.Reused, len(rep.Compositional.Entities))
 	}
+}
+
+// servedFromCache runs f and fails the test unless every artifact lookup it
+// made was a hit of the given cache.
+func servedFromCache(t *testing.T, cache *ArtifactCache, what string, f func() error) {
+	t.Helper()
+	before := cache.Stats()
+	if err := f(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	after := cache.Stats()
+	if after.EntityMisses != before.EntityMisses || after.Entries != before.Entries {
+		t.Errorf("%s missed the cache: before %+v, after %+v", what, before, after)
+	}
+	if after.EntityHits == before.EntityHits {
+		t.Errorf("%s made no cache lookups: %+v", what, after)
+	}
+}
+
+// TestArtifactVerifyThenCompileShareMachines: compositional verification and
+// Compile store one artifact kind, keyed by entity text and state cap, so a
+// Compile at the cap a compositional Verify ran with recompiles nothing.
+func TestArtifactVerifyThenCompileShareMachines(t *testing.T) {
+	const maxStates = 300
+	cache := NewArtifactCache(0)
+	proto := facadeProto(t, "SPEC a1; b2; exit [] c1; d2; exit ENDSPEC")
+	proto.UseArtifacts(cache)
+	if _, err := proto.Verify(&VerifyOptions{Compositional: true, MaxStates: maxStates}); err != nil {
+		t.Fatal(err)
+	}
+	servedFromCache(t, cache, "Compile after compositional Verify", func() error {
+		rep, err := proto.Compile(&CompileOptions{MaxStates: maxStates})
+		if err == nil && rep.Compiled != len(proto.Places()) {
+			err = fmt.Errorf("compiled %d of %d entities", rep.Compiled, len(proto.Places()))
+		}
+		return err
+	})
+}
+
+// TestArtifactKeyedByEffectiveCap: artifacts are keyed by the state cap
+// actually applied, so the default cap and its explicit value share
+// entries — for compositional verification (0 resolves to the exploration
+// default) and for compiled fleets (0 resolves to the compiler default).
+func TestArtifactKeyedByEffectiveCap(t *testing.T) {
+	cache := NewArtifactCache(0)
+	proto := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
+	proto.UseArtifacts(cache)
+	if _, err := proto.Verify(&VerifyOptions{Compositional: true}); err != nil {
+		t.Fatal(err)
+	}
+	servedFromCache(t, cache, "compositional Verify at the explicit default cap", func() error {
+		_, err := proto.Verify(&VerifyOptions{Compositional: true, MaxStates: lts.DefaultMaxStates})
+		return err
+	})
+
+	lossy := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
+	lossy.UseArtifacts(cache)
+	rep, err := lossy.Verify(&VerifyOptions{Faults: FaultModel{Loss: true}})
+	if err != nil || rep.Witness == nil {
+		t.Fatalf("lossy verify: err=%v witness=%v", err, rep)
+	}
+	if _, err := lossy.Compile(nil); err != nil {
+		t.Fatal(err)
+	}
+	fresh := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
+	fresh.UseArtifacts(cache)
+	servedFromCache(t, cache, "ReplayWith fsm after Compile(nil)", func() error {
+		res, err := fresh.ReplayWith(rep.Witness, "fsm")
+		if err == nil && res.Steps != len(rep.Witness.Steps) {
+			err = fmt.Errorf("replayed %d of %d witness steps", res.Steps, len(rep.Witness.Steps))
+		}
+		return err
+	})
 }
 
 // TestDiffProtocols checks the delta-verify planning step on the confirmed

@@ -99,10 +99,10 @@ type System struct {
 	orbitsCollapsed atomic.Int64
 	ampleHits       atomic.Int64
 	spillStats      *lts.SpillStats
-	// preset marks a system whose local tables were preloaded from quotient
-	// graphs (NewCompositional): every local state is already derived, state
-	// ids mirror the quotient graphs' state numbering (0 = initial class),
-	// and no SOS environment exists.
+	// preset marks a system whose local tables were preloaded from compiled
+	// machines' minimized layers (NewCompositional): every local state is
+	// already derived, state ids mirror the class numbering (0 = initial
+	// class), and no SOS environment exists.
 	preset bool
 
 	// Interning tables, shared by every exploration of the system and by

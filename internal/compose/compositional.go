@@ -5,8 +5,9 @@
 // LTSs, and weak bisimilarity is a congruence for every operator the
 // product applies — parallel composition with synchronization on the
 // message gates and on δ, and hiding of the message interactions. Replacing
-// each entity LTS with its weak-bisimulation quotient (equiv.QuotientWeak,
-// message events kept observable) therefore yields a product that is
+// each entity LTS with its weak-bisimulation quotient — the minimized layer
+// of the entity's compiled fsm.Machine, message events kept observable —
+// therefore yields a product that is
 // weakly bisimilar to the monolithic one: every verdict the report derives
 // from weak equivalence — the bisimulation check against the service, the
 // bounded weak-trace comparison — is identical, over a state space that is
@@ -28,88 +29,38 @@ package compose
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"time"
 
-	"repro/internal/equiv"
+	"repro/internal/fsm"
 	"repro/internal/lotos"
-	"repro/internal/lts"
 )
 
-// EntityLTS is one derived entity's behaviour, explored to closure and
-// minimized with the weak-bisimulation quotient — the per-entity artifact
-// the compositional product composes over, and the unit the daemon's
-// content-addressed artifact cache stores (two specifications sharing one
-// normalized entity share this work).
-type EntityLTS struct {
-	// Place is the entity's protocol place.
-	Place int
-	// Quotient is the weak-bisimulation quotient of the entity LTS, with
-	// message events observable. State 0 is the initial class.
-	Quotient *lts.Graph
-	// ExactStates / ExactTransitions are the pre-quotient sizes.
-	ExactStates      int
-	ExactTransitions int
-	// Truncated reports that entity exploration hit the state cap before
-	// closure; the quotient is then unsound to compose over and the
-	// verification falls back to the monolithic path.
-	Truncated bool
-	// BuildNanos is the wall time of exploration plus quotient.
-	BuildNanos int64
-	// Reused marks an artifact served from a provider's cache rather than
-	// built for this call (set by caching providers, never by
-	// BuildEntityLTS).
-	Reused bool
-}
+// EntityProvider supplies the compiled machine of one place — the
+// injection point for artifact caches layered above this package. It
+// returns the machine, or the error that stopped its compilation (a
+// *fsm.CompileError with Cap set means the entity's state space exceeds
+// maxStates); the wall time compiling it took for this call; and whether it
+// was served from a cache instead (buildNanos is then 0). The specification
+// passed in is private to the call, and fsm.Compile explores its own clone,
+// so machines alias nothing live and are safe to cache and share.
+type EntityProvider func(place int, sp *lotos.Spec, maxStates int) (m *fsm.Machine, buildNanos int64, reused bool, err error)
 
-// QuotientStates returns the minimized state count.
-func (e *EntityLTS) QuotientStates() int { return e.Quotient.NumStates() }
-
-// EntityProvider supplies the EntityLTS of one place — the injection point
-// for content-addressed artifact caches layered above this package. The
-// specification passed in is private to the call (already cloned); providers
-// that build artifacts must still not retain it, because BuildEntityLTS
-// explores its own clone precisely so cached artifacts alias nothing live.
-type EntityProvider func(place int, sp *lotos.Spec, maxStates int) (*EntityLTS, error)
-
-// BuildEntityLTS explores one entity's behaviour to closure (maxStates <= 0
-// selects lts.DefaultMaxStates) and minimizes it with the weak-bisimulation
-// quotient. The entity tree is cloned before exploration, so the returned
-// artifact is immutable and safe to cache and share across goroutines.
-func BuildEntityLTS(place int, sp *lotos.Spec, maxStates int) (*EntityLTS, error) {
+// compileEntity is the uncached EntityProvider: one fsm.Compile per call.
+func compileEntity(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int64, bool, error) {
 	start := time.Now()
-	if maxStates <= 0 {
-		maxStates = lts.DefaultMaxStates
-	}
-	g, err := lts.ExploreSpec(lotos.CloneSpec(sp), lts.Limits{MaxStates: maxStates})
-	if err != nil {
-		return nil, fmt.Errorf("compose: exploring entity %d: %w", place, err)
-	}
-	out := &EntityLTS{
-		Place:            place,
-		ExactStates:      g.NumStates(),
-		ExactTransitions: g.NumTransitions(),
-		Truncated:        g.Truncated,
-	}
-	if g.Truncated {
-		// The quotient of a truncated graph would merge frontier states on
-		// their explored prefix only; composing over it is unsound. Leave
-		// Quotient nil — the caller falls back to the monolithic path.
-		out.BuildNanos = time.Since(start).Nanoseconds()
-		return out, nil
-	}
-	out.Quotient = equiv.QuotientWeak(g)
-	out.BuildNanos = time.Since(start).Nanoseconds()
-	return out, nil
+	m, err := fsm.Compile(place, sp, fsm.Config{MaxStates: maxStates})
+	return m, time.Since(start).Nanoseconds(), false, err
 }
 
-// NewCompositional prepares a product system over pre-quotiented entity
-// behaviours: every local state table is preloaded from the quotient graphs
-// (derived=true), so product exploration never touches the SOS interpreter.
-// State keys stay content-derived — each local state contributes the digest
-// of its class representative's canonical expression — so serial and
-// parallel exploration agree on the key set exactly as in the monolithic
-// system.
-func NewCompositional(entities map[int]*lotos.Spec, ltss map[int]*EntityLTS, cfg Config) (*System, error) {
+// NewCompositional prepares a product system over compiled entities: every
+// local state table is preloaded from the machines' minimized layers
+// (derived=true), so product exploration never touches the SOS
+// interpreter. State keys stay content-derived — each local state
+// contributes the digest of its class representative's canonical
+// expression — so serial and parallel exploration agree on the key set
+// exactly as in the monolithic system.
+func NewCompositional(entities map[int]*lotos.Spec, machines map[int]*fsm.Machine, cfg Config) (*System, error) {
 	if cfg.ChannelCap <= 0 {
 		cfg.ChannelCap = DefaultChannelCap
 	}
@@ -126,61 +77,44 @@ func NewCompositional(entities map[int]*lotos.Spec, ltss map[int]*EntityLTS, cfg
 	for p := range entities {
 		sys.Places = append(sys.Places, p)
 	}
-	sortInts(sys.Places)
+	sort.Ints(sys.Places)
 	for idx, p := range sys.Places {
-		el := ltss[p]
-		if el == nil || el.Quotient == nil {
-			return nil, fmt.Errorf("compose: no quotient LTS for place %d", p)
+		if machines[p] == nil {
+			return nil, fmt.Errorf("compose: no compiled machine for place %d", p)
 		}
 		sys.placeIdx[p] = idx
-		sys.intern = append(sys.intern, map[string]int32{})
-		sys.local = append(sys.local, nil)
-		_ = idx
 	}
-	// Second pass: message/peer resolution needs the complete placeIdx.
-	for idx, p := range sys.Places {
-		g := ltss[p].Quotient
-		states := make([]localState, g.NumStates())
-		for sid := range states {
-			key := g.Keys[sid]
-			sys.intern[idx][key] = int32(sid)
-			states[sid] = localState{sum: digest16([]byte(key)), derived: true}
-		}
-		for sid, edges := range g.Edges {
-			trans := make([]cachedTrans, len(edges))
-			for i, e := range edges {
-				ct := cachedTrans{label: e.Label, to: int32(e.To), peer: -1, msg: -1}
-				if e.Label.Kind == lts.LEvent {
-					ev := e.Label.Ev
-					if ev.Kind == lotos.EvSend || ev.Kind == lotos.EvRecv {
-						pi, ok := sys.placeIdx[ev.Place]
-						if !ok {
-							return nil, fmt.Errorf("compose: entity %d message event %s targets unknown place %d", p, ev, ev.Place)
-						}
-						ct.peer = int32(pi)
-						ct.msg = sys.msgIDLocked(msgOf(ev))
-						if ev.Kind == lotos.EvRecv {
-							ct.flush = flushingRecv(ev)
-						}
+	for _, p := range sys.Places {
+		m := machines[p]
+		intern := make(map[string]int32, m.MinStates())
+		states := make([]localState, m.MinStates())
+		for c := range states {
+			key := m.MinKeys[c]
+			intern[key] = int32(c)
+			states[c] = localState{sum: digest16([]byte(key)), derived: true}
+			lo, hi := m.MinOff[c], m.MinOff[c+1]
+			trans := make([]cachedTrans, 0, hi-lo)
+			for e := lo; e < hi; e++ {
+				ct := cachedTrans{label: m.MinLabel(e), to: m.MinTo[e], peer: -1, msg: -1}
+				switch op := m.MinOps[e]; op {
+				case fsm.OpSend, fsm.OpRecv, fsm.OpRecvFlush:
+					ev := m.MinEvents[e]
+					pi, ok := sys.placeIdx[ev.Place]
+					if !ok {
+						return nil, fmt.Errorf("compose: entity %d message event %s targets unknown place %d", p, ev, ev.Place)
 					}
+					ct.peer = int32(pi)
+					ct.msg = sys.msgIDLocked(msgOf(ev))
+					ct.flush = op == fsm.OpRecvFlush
 				}
-				trans[i] = ct
+				trans = append(trans, ct)
 			}
-			states[sid].trans = trans
+			states[c].trans = trans
 		}
-		sys.local[idx] = states
+		sys.intern = append(sys.intern, intern)
+		sys.local = append(sys.local, states)
 	}
 	return sys, nil
-}
-
-// sortInts is sort.Ints without dragging the package import into this file's
-// hot path twice (compose.go already sorts; kept tiny and local).
-func sortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // EntityQuotientStat reports one entity's quotient-before-compose numbers.
@@ -194,7 +128,7 @@ type EntityQuotientStat struct {
 	// ExactTransitions / QuotientTransitions likewise.
 	ExactTransitions    int `json:"exactTransitions"`
 	QuotientTransitions int `json:"quotientTransitions"`
-	// BuildNanos is the explore+quotient wall time (≈0 for cache hits).
+	// BuildNanos is the compile wall time (0 for cache hits).
 	BuildNanos int64 `json:"buildNanos"`
 	// Reused marks an artifact served from a content-addressed cache.
 	Reused bool `json:"reused"`
@@ -210,7 +144,7 @@ type CompositionalStats struct {
 	// ProductStates / ProductTransitions size the product over quotients.
 	ProductStates      int `json:"productStates"`
 	ProductTransitions int `json:"productTransitions"`
-	// BuildNanos sums the per-entity explore+quotient wall time;
+	// BuildNanos sums the per-entity compile wall time;
 	// ProductNanos is the quotient-product exploration wall time.
 	BuildNanos   int64 `json:"buildNanos"`
 	ProductNanos int64 `json:"productNanos"`

@@ -1,10 +1,12 @@
 package compose
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/lts"
 )
@@ -184,8 +186,9 @@ func TestCompositionalRecursiveEntityFallsBack(t *testing.T) {
 	}
 }
 
-// TestCompositionalMatrixReusesEntities: a compositional fault matrix builds
-// each entity's quotient once; every later cell reuses it.
+// TestCompositionalMatrixReusesEntities: a compositional fault matrix
+// compiles each entity once; every later cell reuses the machine at no
+// build cost.
 func TestCompositionalMatrixReusesEntities(t *testing.T) {
 	d := deriveSrc(t, "SPEC a1; b2; c1; exit ENDSPEC")
 	models := []FaultModel{Reliable, {Loss: true}, {Duplication: true}, {Reorder: true}}
@@ -205,8 +208,9 @@ func TestCompositionalMatrixReusesEntities(t *testing.T) {
 		if i == 0 && st.Reused != 0 {
 			t.Errorf("first cell reused %d entities, want 0", st.Reused)
 		}
-		if i > 0 && st.Reused != len(st.Entities) {
-			t.Errorf("cell %d (%s) reused %d/%d entities, want all", i, c.Faults, st.Reused, len(st.Entities))
+		if i > 0 && (st.Reused != len(st.Entities) || st.BuildNanos != 0) {
+			t.Errorf("cell %d (%s) reused %d/%d entities with %dns of compiling, want all and 0",
+				i, c.Faults, st.Reused, len(st.Entities), st.BuildNanos)
 		}
 	}
 
@@ -220,59 +224,15 @@ func TestCompositionalMatrixReusesEntities(t *testing.T) {
 	}
 }
 
-// TestMemoEntityProvider: hits are flagged Reused with zero build time and
-// share the underlying quotient graph.
-func TestMemoEntityProvider(t *testing.T) {
-	d := deriveSrc(t, "SPEC a1; b2; exit ENDSPEC")
-	calls := 0
-	p := MemoEntityProvider(func(place int, sp *lotos.Spec, maxStates int) (*EntityLTS, error) {
-		calls++
-		return BuildEntityLTS(place, sp, maxStates)
-	})
-	places := []int{1, 2}
-	for _, pl := range places {
-		el, err := p(pl, d.Entities[pl], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if el.Reused {
-			t.Errorf("place %d: first build flagged Reused", pl)
-		}
-	}
-	if calls != 2 {
-		t.Fatalf("expected 2 builds, got %d", calls)
-	}
-	for _, pl := range places {
-		el, err := p(pl, d.Entities[pl], 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !el.Reused || el.BuildNanos != 0 {
-			t.Errorf("place %d: hit not flagged (reused=%v buildNanos=%d)", pl, el.Reused, el.BuildNanos)
-		}
-	}
-	if calls != 2 {
-		t.Errorf("memo missed: %d builds after hits", calls)
-	}
-	// Distinct maxStates are distinct artifacts.
-	if _, err := p(1, d.Entities[1], 12345); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Errorf("maxStates not part of the memo key: %d builds", calls)
-	}
-}
-
-// TestBuildEntityLTSTruncation: an entity over the cap yields a Truncated
-// artifact with a nil quotient, and the compositional path falls back.
-func TestBuildEntityLTSTruncation(t *testing.T) {
+// TestEntityOverCapFallsBack: an entity over the cap fails to compile with
+// a cap-overflow *fsm.CompileError, and the compositional path falls back
+// to the monolithic verdict, recording the entity's explored size.
+func TestEntityOverCapFallsBack(t *testing.T) {
 	d := deriveSrc(t, "SPEC A WHERE PROC A = a1; b2; A [] q1; b2; exit END ENDSPEC")
-	el, err := BuildEntityLTS(1, d.Entities[1], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !el.Truncated || el.Quotient != nil {
-		t.Fatalf("expected truncated artifact with nil quotient, got %+v", el)
+	_, err := fsm.Compile(1, d.Entities[1], fsm.Config{MaxStates: 2})
+	var ce *fsm.CompileError
+	if !errors.As(err, &ce) || ce.Cap != 2 || ce.States < 2 || ce.Transitions == 0 {
+		t.Fatalf("expected a cap-overflow CompileError with the explored size, got %v (%+v)", err, ce)
 	}
 
 	mono, err := Verify(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), VerifyOptions{})
@@ -281,17 +241,36 @@ func TestBuildEntityLTSTruncation(t *testing.T) {
 	}
 	comp, err := Verify(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), VerifyOptions{
 		Compositional: true,
-		EntityProvider: func(place int, sp *lotos.Spec, maxStates int) (*EntityLTS, error) {
-			return BuildEntityLTS(place, sp, 2)
+		EntityProvider: func(place int, sp *lotos.Spec, _ int) (*fsm.Machine, int64, bool, error) {
+			return compileEntity(place, sp, 2)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp.Compositional == nil || comp.Compositional.Fallback == "" {
-		t.Fatalf("truncated entity did not fall back: %+v", comp.Compositional)
+	st := comp.Compositional
+	if st == nil || st.Fallback != "entity 1 exceeds the exploration cap" {
+		t.Fatalf("over-cap entity did not fall back: %+v", st)
+	}
+	if row := st.Entities[len(st.Entities)-1]; row.Place != 1 || row.ExactStates != ce.States ||
+		row.ExactTransitions != ce.Transitions || row.QuotientStates != 0 {
+		t.Errorf("over-cap entity row = %+v, want the explored size of %+v", row, ce)
 	}
 	if mono.Ok() != comp.Ok() {
 		t.Errorf("fallback verdict %v != monolithic %v", comp.Ok(), mono.Ok())
+	}
+}
+
+// TestEntityCompileFailureIsError: an entity whose exploration itself fails
+// (a *fsm.CompileError with Cap 0, here an unguarded recursion) is an error
+// of the verification, not a reason to fall back to the monolithic path.
+func TestEntityCompileFailureIsError(t *testing.T) {
+	d := deriveSrc(t, "SPEC a1; b2; exit ENDSPEC")
+	entities := cloneEntityMap(d.Entities)
+	entities[1] = lotos.MustParse("SPEC A WHERE PROC A = A END ENDSPEC")
+	_, err := Verify(lotos.CloneSpec(d.Service.Spec), entities, VerifyOptions{Compositional: true})
+	var ce *fsm.CompileError
+	if !errors.As(err, &ce) || ce.Cap != 0 || ce.Place != 1 {
+		t.Fatalf("Verify error = %v, want a non-cap CompileError for place 1", err)
 	}
 }

@@ -1,12 +1,14 @@
 package compose
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/equiv"
+	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/lts"
 )
@@ -159,9 +161,10 @@ type VerifyOptions struct {
 	// returned wholesale with the fallback reason recorded in
 	// Report.Compositional.
 	Compositional bool
-	// EntityProvider, when set with Compositional, supplies per-entity
-	// quotient artifacts (the injection point for content-addressed caches).
-	// Nil means BuildEntityLTS per place.
+	// EntityProvider, when set with Compositional, supplies the per-entity
+	// compiled machines whose minimized layers the product composes over
+	// (the injection point for content-addressed caches). Nil compiles each
+	// place with fsm.Compile at the verification's effective state cap.
 	EntityProvider EntityProvider
 	// Reductions selects the product exploration's state-space reductions
 	// (zero value = the default set, POR only). Every reduction is verdict-
@@ -199,35 +202,37 @@ const DefaultTraceDiffLimit = 5
 // from (core.Derivation.Service.Spec), so that both sides use the same
 // normalized tree.
 func Verify(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*Report, error) {
-	if opts.Compositional {
-		return verifyCompositional(service, entities, opts)
-	}
-	return verifyMonolithic(service, entities, opts)
-}
-
-func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*Report, error) {
 	if opts.ObsDepth <= 0 {
 		opts.ObsDepth = DefaultObsDepth
 	}
 	if opts.TraceDiffLimit <= 0 {
 		opts.TraceDiffLimit = DefaultTraceDiffLimit
 	}
-	lim := lts.Limits{MaxStates: opts.MaxStates, MaxObsDepth: opts.ObsDepth}
-
-	sg, err := lts.ExploreSpec(service, lim)
-	if err != nil {
-		return nil, fmt.Errorf("compose: exploring service: %w", err)
-	}
-	sys, err := New(entities, Config{
+	cfg := Config{
 		ChannelCap:  opts.ChannelCap,
-		Limits:      lim,
+		Limits:      lts.Limits{MaxStates: opts.MaxStates, MaxObsDepth: opts.ObsDepth},
 		Parallel:    opts.Parallel,
 		Workers:     opts.Workers,
 		Faults:      opts.Faults,
 		Reductions:  opts.Reductions,
 		SpillBudget: opts.SpillBudget,
 		SpillDir:    opts.SpillDir,
-	})
+	}
+	if opts.Compositional {
+		return verifyCompositional(service, entities, opts, cfg)
+	}
+	return verifyMonolithic(service, entities, opts, cfg)
+}
+
+// verifyMonolithic explores the product of the entities' full local state
+// spaces. opts carries Verify's defaults; cfg is the product configuration
+// Verify derived from it.
+func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config) (*Report, error) {
+	sg, err := lts.ExploreSpec(service, cfg.Limits)
+	if err != nil {
+		return nil, fmt.Errorf("compose: exploring service: %w", err)
+	}
+	sys, err := New(entities, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -255,9 +260,9 @@ func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 		// failure report — witness included — is byte-identical to an
 		// unreduced verification. Mirrors fallbackMonolithic in spirit; the
 		// repeated service exploration is cheap next to the product.
-		o := opts
-		o.Reductions = sys.red.Without(RedSymmetry)
-		full, err := verifyMonolithic(service, entities, o)
+		c := cfg
+		c.Reductions = sys.red.Without(RedSymmetry)
+		full, err := verifyMonolithic(service, entities, opts, c)
 		if err != nil {
 			return nil, err
 		}
@@ -292,83 +297,67 @@ func verdict(r *Report, opts VerifyOptions) {
 	}
 }
 
-// verifyCompositional is the quotient-before-compose path: every entity LTS
-// is explored to closure and minimized with the weak-bisimulation quotient,
-// and the product is explored over the quotients. A complete, conformant
-// quotient-product verdict is final — the quotient is a congruence for the
-// product's operators, so the monolithic product is weakly bisimilar to the
-// quotient product, and a monolithic deadlock always projects to a quotient-
-// product deadlock. Everything else (a truncated entity, a truncated
-// quotient product, a non-conformant verdict) re-runs the monolithic path
-// and returns its report wholesale, counterexample included, with the
-// fallback reason recorded in Report.Compositional. The caller's trees are
-// never mutated by the compositional attempt (the service is explored on a
-// clone; entity providers explore clones), so the fallback sees them
-// pristine.
-func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*Report, error) {
-	if opts.ObsDepth <= 0 {
-		opts.ObsDepth = DefaultObsDepth
-	}
-	if opts.TraceDiffLimit <= 0 {
-		opts.TraceDiffLimit = DefaultTraceDiffLimit
-	}
+// verifyCompositional is the quotient-before-compose path: every entity is
+// compiled (explored to closure and minimized with the weak-bisimulation
+// quotient), and the product is explored over the machines' minimized
+// layers. A complete, conformant quotient-product verdict is final — the
+// quotient is a congruence for the product's operators, so the monolithic
+// product is weakly bisimilar to the quotient product, and a monolithic
+// deadlock always projects to a quotient-product deadlock. Everything else
+// (an entity over the cap, a truncated quotient product, a non-conformant
+// verdict) re-runs the monolithic path and returns its report wholesale,
+// counterexample included, with the fallback reason recorded in
+// Report.Compositional. The caller's trees are never mutated by the
+// compositional attempt (the service is explored on a clone; fsm.Compile
+// explores clones), so the fallback sees them pristine.
+func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config) (*Report, error) {
 	provider := opts.EntityProvider
 	if provider == nil {
-		provider = BuildEntityLTS
+		provider = compileEntity
 	}
+	maxStates := effectiveMaxStates(opts.MaxStates)
 
 	stats := &CompositionalStats{}
 	places := make([]int, 0, len(entities))
 	for p := range entities {
 		places = append(places, p)
 	}
-	sortInts(places)
-	ltss := make(map[int]*EntityLTS, len(places))
+	sort.Ints(places)
+	machines := make(map[int]*fsm.Machine, len(places))
 	for _, p := range places {
-		el, err := provider(p, entities[p], opts.MaxStates)
-		if err != nil {
+		m, nanos, reused, err := provider(p, entities[p], maxStates)
+		stat := EntityQuotientStat{Place: p, BuildNanos: nanos, Reused: reused}
+		var ce *fsm.CompileError
+		switch {
+		case err == nil:
+			stat.ExactStates, stat.ExactTransitions = m.NumStates(), m.NumTransitions()
+			stat.QuotientStates, stat.QuotientTransitions = m.MinStates(), m.MinTransitions()
+		case errors.As(err, &ce) && ce.Cap > 0:
+			stat.ExactStates, stat.ExactTransitions = ce.States, ce.Transitions
+		default:
 			return nil, err
 		}
-		stat := EntityQuotientStat{
-			Place:            p,
-			ExactStates:      el.ExactStates,
-			ExactTransitions: el.ExactTransitions,
-			BuildNanos:       el.BuildNanos,
-			Reused:           el.Reused,
-		}
-		if el.Quotient != nil {
-			stat.QuotientStates = el.Quotient.NumStates()
-			stat.QuotientTransitions = el.Quotient.NumTransitions()
-		}
 		stats.Entities = append(stats.Entities, stat)
-		stats.BuildNanos += el.BuildNanos
-		if el.Reused {
+		stats.BuildNanos += nanos
+		if reused {
 			stats.Reused++
 		}
-		if el.Truncated {
-			return fallbackMonolithic(service, entities, opts, stats,
+		if err != nil {
+			// The quotient of a truncated graph would merge frontier states
+			// on their explored prefix only; composing over it is unsound.
+			return fallbackMonolithic(service, entities, opts, cfg, stats,
 				fmt.Sprintf("entity %d exceeds the exploration cap", p))
 		}
-		ltss[p] = el
+		machines[p] = m
 	}
 
-	lim := lts.Limits{MaxStates: opts.MaxStates, MaxObsDepth: opts.ObsDepth}
 	// Explore the service on a clone: exploration resolves and numbers the
 	// tree in place, and the monolithic fallback needs the original.
-	sg, err := lts.ExploreSpec(lotos.CloneSpec(service), lim)
+	sg, err := lts.ExploreSpec(lotos.CloneSpec(service), cfg.Limits)
 	if err != nil {
 		return nil, fmt.Errorf("compose: exploring service: %w", err)
 	}
-	sys, err := NewCompositional(entities, ltss, Config{
-		ChannelCap:  opts.ChannelCap,
-		Limits:      lim,
-		Parallel:    opts.Parallel,
-		Workers:     opts.Workers,
-		Faults:      opts.Faults,
-		Reductions:  opts.Reductions,
-		SpillBudget: opts.SpillBudget,
-		SpillDir:    opts.SpillDir,
-	})
+	sys, err := NewCompositional(entities, machines, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -398,15 +387,15 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 	// the same bounded trace sets and skip the bisimulation check alike. A
 	// state-cap truncation instead means the quotient product was not
 	// covered, and nothing relates the partial graphs; fall back.
-	if cap := effectiveMaxStates(opts.MaxStates); cg.Truncated && cg.NumStates() >= cap {
-		return fallbackMonolithic(service, entities, opts, stats, "quotient product exceeds the state cap")
+	if cg.Truncated && cg.NumStates() >= maxStates {
+		return fallbackMonolithic(service, entities, opts, cfg, stats, "quotient product exceeds the state cap")
 	}
 	if !r.Ok() {
 		// Sound only in the conformant direction: the weak quotient can
 		// introduce a spurious deadlock (a pure-τ cycle collapses to a stuck
 		// class), and the fallback's witness refers to monolithic transition
 		// indices, which replay through the concrete interpreter.
-		return fallbackMonolithic(service, entities, opts, stats, "non-conformant; re-verified monolithically")
+		return fallbackMonolithic(service, entities, opts, cfg, stats, "non-conformant; re-verified monolithically")
 	}
 	return r, nil
 }
@@ -420,50 +409,13 @@ func effectiveMaxStates(maxStates int) int {
 	return maxStates
 }
 
-// MemoEntityProvider wraps an EntityProvider with a (place, maxStates)-keyed
-// memo for repeated verifications of ONE entity set — the fault matrix's
-// reuse pattern, where every cell composes the same entities under a
-// different medium. Cache hits return a shallow copy with Reused set and
-// BuildNanos zeroed (the artifact cost nothing this time); the quotient
-// graph is shared, which is safe because preset systems only read it. Not a
-// content-addressed cache: callers verifying different specs need their own
-// keying (see the facade's artifact cache).
-func MemoEntityProvider(next EntityProvider) EntityProvider {
-	type memoKey struct {
-		place     int
-		maxStates int
-	}
-	var mu sync.Mutex
-	memo := map[memoKey]*EntityLTS{}
-	return func(place int, sp *lotos.Spec, maxStates int) (*EntityLTS, error) {
-		k := memoKey{place, maxStates}
-		mu.Lock()
-		el, ok := memo[k]
-		mu.Unlock()
-		if ok {
-			hit := *el
-			hit.Reused = true
-			hit.BuildNanos = 0
-			return &hit, nil
-		}
-		el, err := next(place, sp, maxStates)
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		memo[k] = el
-		mu.Unlock()
-		return el, nil
-	}
-}
-
 // fallbackMonolithic re-runs the monolithic path and returns its report
 // wholesale — verdict fields and counterexample byte-identical to a plain
 // Verify — with the compositional attempt's stats and the fallback reason
 // attached.
-func fallbackMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions, stats *CompositionalStats, reason string) (*Report, error) {
+func fallbackMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config, stats *CompositionalStats, reason string) (*Report, error) {
 	stats.Fallback = reason
-	r, err := verifyMonolithic(service, entities, opts)
+	r, err := verifyMonolithic(service, entities, opts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -480,16 +432,28 @@ type MatrixCell struct {
 
 // VerifyMatrix runs Verify once per fault model and returns the cells in
 // input order. An empty or nil model list verifies the reliable medium only.
-// opts.Faults is overridden per cell. Under opts.Compositional the entity
-// quotients are built once and shared across every cell — faults and
-// channel capacity live in the medium, so the entity artifacts are
-// identical for all fault models.
+// opts.Faults is overridden per cell. Under opts.Compositional with no
+// EntityProvider the entities are compiled once and the machines shared
+// across every cell — faults and channel capacity live in the medium, so
+// the entity artifacts are identical for all fault models.
 func VerifyMatrix(service *lotos.Spec, entities map[int]*lotos.Spec, models []FaultModel, opts VerifyOptions) ([]MatrixCell, error) {
 	if len(models) == 0 {
 		models = []FaultModel{Reliable}
 	}
 	if opts.Compositional && opts.EntityProvider == nil {
-		opts.EntityProvider = MemoEntityProvider(BuildEntityLTS)
+		type compiled struct {
+			m   *fsm.Machine
+			err error
+		}
+		memo := map[int]compiled{}
+		opts.EntityProvider = func(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int64, bool, error) {
+			if c, ok := memo[place]; ok {
+				return c.m, 0, true, c.err
+			}
+			m, nanos, _, err := compileEntity(place, sp, maxStates)
+			memo[place] = compiled{m, err}
+			return m, nanos, false, err
+		}
 	}
 	out := make([]MatrixCell, 0, len(models))
 	for _, fm := range models {

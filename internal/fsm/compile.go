@@ -21,10 +21,6 @@ type Config struct {
 	// MaxStates caps the per-entity state space; exceeding it yields a
 	// *CompileError. 0 means DefaultMaxStates.
 	MaxStates int
-	// Table supplies a shared label-interning table so several machines
-	// speak one id space (a Fleet compiles all its entities through one
-	// table). Nil means a fresh table per call.
-	Table *lts.LabelTable
 }
 
 func (c Config) maxStates() int {
@@ -50,13 +46,14 @@ func Compile(place int, sp *lotos.Spec, cfg Config) (*Machine, error) {
 	}
 	if g.Truncated {
 		return nil, &CompileError{
-			Place:  place,
-			States: g.NumStates(),
-			Cap:    cfg.maxStates(),
-			Reason: fmt.Sprintf("state space exceeds cap (%d states explored, cap %d): entity behaviour is unbounded or the cap is too small", g.NumStates(), cfg.maxStates()),
+			Place:       place,
+			States:      g.NumStates(),
+			Transitions: g.NumTransitions(),
+			Cap:         cfg.maxStates(),
+			Reason:      fmt.Sprintf("state space exceeds cap (%d states explored, cap %d): entity behaviour is unbounded or the cap is too small", g.NumStates(), cfg.maxStates()),
 		}
 	}
-	return fromGraph(place, g, cfg.Table), nil
+	return fromGraph(place, g), nil
 }
 
 // Classify maps a transition label to its runtime dispatch kind and event.
@@ -102,19 +99,14 @@ func flagFor(op Op) StateFlags {
 }
 
 // fromGraph flattens an explored entity graph into the two table layers.
-func fromGraph(place int, g *lts.Graph, table *lts.LabelTable) *Machine {
-	if table == nil {
-		table = lts.NewLabelTable()
-	}
+func fromGraph(place int, g *lts.Graph) *Machine {
 	n := g.NumStates()
 	nt := g.NumTransitions()
 	m := &Machine{
 		Place:    place,
-		Table:    table,
 		Off:      make([]int32, n+1),
 		Ops:      make([]Op, 0, nt),
 		Events:   make([]lotos.Event, 0, nt),
-		Labels:   make([]lts.LabelID, 0, nt),
 		To:       make([]int32, 0, nt),
 		Keys:     append([]string(nil), g.Keys...),
 		Flags:    make([]StateFlags, n),
@@ -126,7 +118,6 @@ func fromGraph(place int, g *lts.Graph, table *lts.LabelTable) *Machine {
 			edge := int32(len(m.Ops))
 			m.Ops = append(m.Ops, op)
 			m.Events = append(m.Events, ev)
-			m.Labels = append(m.Labels, table.Intern(e.Label))
 			m.To = append(m.To, int32(e.To))
 			m.Flags[s] |= flagFor(op)
 			if op == OpService {
@@ -148,7 +139,6 @@ func fromGraph(place int, g *lts.Graph, table *lts.LabelTable) *Machine {
 	m.MinOff = make([]int32, qn+1)
 	m.MinOps = make([]Op, 0, qt)
 	m.MinEvents = make([]lotos.Event, 0, qt)
-	m.MinLabels = make([]lts.LabelID, 0, qt)
 	m.MinTo = make([]int32, 0, qt)
 	m.MinKeys = append([]string(nil), q.Keys...)
 	for c := 0; c < qn; c++ {
@@ -164,7 +154,6 @@ func fromGraph(place int, g *lts.Graph, table *lts.LabelTable) *Machine {
 			op, ev := Classify(e.Label)
 			m.MinOps = append(m.MinOps, op)
 			m.MinEvents = append(m.MinEvents, ev)
-			m.MinLabels = append(m.MinLabels, table.Intern(e.Label))
 			m.MinTo = append(m.MinTo, int32(e.To))
 		}
 		m.MinOff[c+1] = int32(len(m.MinTo))
@@ -177,8 +166,6 @@ func fromGraph(place int, g *lts.Graph, table *lts.LabelTable) *Machine {
 // reason. A fleet with Errors is still runnable — the runtime executes the
 // failed entities with the AST interpreter (a mixed fleet).
 type Fleet struct {
-	// Table is the label table shared by all machines of the fleet.
-	Table *lts.LabelTable
 	// Machines maps each successfully compiled place to its machine.
 	Machines map[int]*Machine
 	// Errors maps each failed place to its compile error.
@@ -192,15 +179,12 @@ func (f *Fleet) Compiled(place int) bool {
 }
 
 // CompileEntities compiles every entity of a derived protocol, in ascending
-// place order (so shared-table label ids are deterministic). It never fails
-// as a whole: entities that cannot be compiled are recorded in Errors and
-// the caller runs them interpreted.
+// place order: the explorations of over-cap entities dominate a fleet's
+// allocation, and a fixed order keeps its peak memory reproducible. It
+// never fails as a whole: entities that cannot be compiled are recorded in
+// Errors and the caller runs them interpreted.
 func CompileEntities(entities map[int]*lotos.Spec, cfg Config) *Fleet {
-	if cfg.Table == nil {
-		cfg.Table = lts.NewLabelTable()
-	}
 	f := &Fleet{
-		Table:    cfg.Table,
 		Machines: make(map[int]*Machine, len(entities)),
 		Errors:   map[int]*CompileError{},
 	}
@@ -212,11 +196,7 @@ func CompileEntities(entities map[int]*lotos.Spec, cfg Config) *Fleet {
 	for _, p := range places {
 		machine, err := Compile(p, entities[p], cfg)
 		if err != nil {
-			ce, ok := err.(*CompileError)
-			if !ok {
-				ce = &CompileError{Place: p, Reason: err.Error(), err: err}
-			}
-			f.Errors[p] = ce
+			f.Errors[p] = err.(*CompileError)
 			continue
 		}
 		f.Machines[p] = machine

@@ -116,7 +116,6 @@ func TestCompileDeterministic(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("place %d: %v / %v", p, err1, err2)
 		}
-		m1.Table, m2.Table = nil, nil // tables compare by pointer identity
 		if !reflect.DeepEqual(m1, m2) {
 			t.Errorf("place %d: repeated compilation differs", p)
 		}
@@ -150,11 +149,8 @@ func TestCompileEntitiesMixedFleet(t *testing.T) {
 		t.Fatalf("expected at least one entity over the cap, got none (machines=%d)", len(f.Machines))
 	}
 	for p, m := range f.Machines {
-		if m.Table != f.Table {
-			t.Errorf("place %d: machine not on the fleet's shared table", p)
-		}
-		if f.Compiled(p) != true {
-			t.Errorf("Compiled(%d) = false", p)
+		if m.Place != p || !f.Compiled(p) {
+			t.Errorf("place %d: machine place %d, Compiled = %v", p, m.Place, f.Compiled(p))
 		}
 	}
 	for p := range f.Errors {

@@ -4,7 +4,7 @@
 // (internal/sim) can execute an entity by indexed array lookups instead of
 // re-deriving SOS transitions from its syntax tree on every step.
 //
-// A compiled Machine carries two layers over one shared lts.LabelTable:
+// A compiled Machine carries two layers:
 //
 //   - The EXACT layer is the entity's explored labelled transition system
 //     flattened into compressed-sparse-row int32 tables, with each state's
@@ -15,10 +15,17 @@
 //     indices pinned by compose.Witness steps select the same transitions.
 //
 //   - The MINIMIZED layer is the weak-bisimulation quotient of the exact
-//     layer (equiv.QuotientWeak), with each class's transitions sorted by
+//     layer (equiv.QuotientWeakMap), with each class's transitions sorted by
 //     (label key, target class) — a canonical minimal form independent of
-//     exploration order. It is the compact artifact reported by compile
-//     statistics, and ClassOf maps every exact state into it.
+//     exploration order. It is what compositional verification composes
+//     over (compose.NewCompositional builds the product from these tables,
+//     never from the entity syntax), the compact form compile statistics
+//     report, and ClassOf maps every exact state into it.
+//
+// A Machine is the one per-entity artifact of the pipeline: simulation,
+// witness replay, live deployment and compositional verification all use
+// it, and the content-addressed artifact cache above this package stores
+// it keyed by the normalized entity text and the effective state cap.
 //
 // Entities whose state space exceeds the configured cap (the symptom of
 // unbounded recursion, e.g. the anbn counter service) fail to compile with
@@ -98,23 +105,20 @@ const (
 // runners.
 //
 // Exact layer: state s's transitions are the parallel entries
-// Ops/Events/Labels/To in [Off[s], Off[s+1]), in derivation order. State 0
-// is the initial state.
+// Ops/Events/To in [Off[s], Off[s+1]), in derivation order. State 0 is the
+// initial state.
 //
-// Minimized layer: class c's transitions are MinOps/MinEvents/MinLabels/
-// MinTo in [MinOff[c], MinOff[c+1]), sorted by (label key, target class).
+// Minimized layer: class c's transitions are MinOps/MinEvents/MinTo in
+// [MinOff[c], MinOff[c+1]), sorted by (label key, target class).
 // ClassOf[s] is the class of exact state s; ClassOf[0] is always 0.
 type Machine struct {
 	// Place is the entity's protocol place (0 when compiled standalone).
 	Place int
-	// Table interns the labels of both layers (shared across a Fleet).
-	Table *lts.LabelTable
 
-	// Off/Ops/Events/Labels/To are the exact transition tables.
+	// Off/Ops/Events/To are the exact transition tables.
 	Off    []int32
 	Ops    []Op
 	Events []lotos.Event
-	Labels []lts.LabelID
 	To     []int32
 	// Keys holds the canonical expression key of each exact state
 	// (diagnostics: blocked-state reporting renders Keys[current]).
@@ -129,13 +133,13 @@ type Machine struct {
 	OfferEvents []lotos.Event
 	OfferEdge   []int32
 
-	// ClassOf, MinOff, MinOps, MinEvents, MinLabels, MinTo, MinKeys are the
-	// minimized layer.
+	// ClassOf, MinOff, MinOps, MinEvents, MinTo, MinKeys are the minimized
+	// layer. MinKeys[c] is the canonical expression key of class c's
+	// representative state.
 	ClassOf   []int32
 	MinOff    []int32
 	MinOps    []Op
 	MinEvents []lotos.Event
-	MinLabels []lts.LabelID
 	MinTo     []int32
 	MinKeys   []string
 }
@@ -163,17 +167,20 @@ func (m *Machine) Offers(s int32) ([]lotos.Event, []int32) {
 	return m.OfferEvents[lo:hi], m.OfferEdge[lo:hi]
 }
 
-// label reconstructs the lts.Label of exact edge e.
-func (m *Machine) label(e int32) lts.Label {
-	switch m.Ops[e] {
+// opLabel reconstructs the lts.Label of a compiled transition.
+func opLabel(op Op, ev lotos.Event) lts.Label {
+	switch op {
 	case OpInternal:
 		return lts.Internal()
 	case OpDelta:
 		return lts.Delta()
 	default:
-		return lts.EventLabel(m.Events[e])
+		return lts.EventLabel(ev)
 	}
 }
+
+// MinLabel reconstructs the lts.Label of minimized edge e.
+func (m *Machine) MinLabel(e int32) lts.Label { return opLabel(m.MinOps[e], m.MinEvents[e]) }
 
 // Graph reconstructs the exact layer as an lts.Graph (state expressions are
 // not retained by compilation, so States holds nils; Keys and Edges are
@@ -195,7 +202,7 @@ func (m *Machine) Graph() *lts.Graph {
 		}
 		es := make([]lts.Edge, 0, hi-lo)
 		for e := lo; e < hi; e++ {
-			es = append(es, lts.Edge{Label: m.label(e), To: int(m.To[e])})
+			es = append(es, lts.Edge{Label: opLabel(m.Ops[e], m.Events[e]), To: int(m.To[e])})
 		}
 		g.Edges[s] = es
 	}
@@ -213,16 +220,6 @@ func (m *Machine) MinGraph() *lts.Graph {
 		ObsDepth: make([]int, n),
 		Frontier: map[int]bool{},
 	}
-	minLabel := func(e int32) lts.Label {
-		switch m.MinOps[e] {
-		case OpInternal:
-			return lts.Internal()
-		case OpDelta:
-			return lts.Delta()
-		default:
-			return lts.EventLabel(m.MinEvents[e])
-		}
-	}
 	for c := 0; c < n; c++ {
 		lo, hi := m.MinOff[c], m.MinOff[c+1]
 		if lo == hi {
@@ -230,7 +227,7 @@ func (m *Machine) MinGraph() *lts.Graph {
 		}
 		es := make([]lts.Edge, 0, hi-lo)
 		for e := lo; e < hi; e++ {
-			es = append(es, lts.Edge{Label: minLabel(e), To: int(m.MinTo[e])})
+			es = append(es, lts.Edge{Label: m.MinLabel(e), To: int(m.MinTo[e])})
 		}
 		g.Edges[c] = es
 	}
@@ -244,8 +241,10 @@ func (m *Machine) MinGraph() *lts.Graph {
 type CompileError struct {
 	// Place is the entity's protocol place.
 	Place int
-	// States is the number of states explored when compilation stopped.
-	States int
+	// States / Transitions size the graph explored when compilation
+	// stopped.
+	States      int
+	Transitions int
 	// Cap is the state cap compilation ran with (0 when the failure was not
 	// a cap overflow).
 	Cap int

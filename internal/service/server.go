@@ -111,8 +111,8 @@ type Server struct {
 	metrics    *Metrics
 	derivePool *Pool
 	verifyPool *Pool
-	// arts is the daemon-wide content-addressed cache of per-entity
-	// pipeline artifacts (quotiented entity LTSs, compiled machines);
+	// arts is the daemon-wide content-addressed cache of compiled entity
+	// machines, attached to every protocol the daemon verifies or compiles;
 	// specs resolves delta-verify base digests to normalized spec text.
 	arts  *protoderive.ArtifactCache
 	specs *specIndex
@@ -388,8 +388,8 @@ type MetricsPage struct {
 	Pools map[string]PoolStats `json:"pools"`
 	Jobs  JobStats             `json:"jobs"`
 	// Artifacts counts the content-addressed per-entity artifact cache's
-	// entries and hit/miss totals (quotiented entity LTSs and compiled
-	// machines shared across specs, fault models and delta verifications).
+	// entries and lookup hit/miss totals (compiled entity machines shared
+	// across specs, fault models, delta verifications and compiles).
 	Artifacts protoderive.ArtifactStats `json:"artifacts"`
 	// Runtime samples the Go runtime's health gauges at scrape time.
 	Runtime RuntimeStats `json:"runtime"`
@@ -523,6 +523,7 @@ func (s *Server) deriveResponse(svc *protoderive.Service, opts DeriveRequestOpti
 		resp.Entities[strconv.Itoa(p)] = proto.EntityText(p)
 	}
 	if opts.Compile {
+		proto.UseArtifacts(s.arts)
 		rep, err := proto.Compile(&protoderive.CompileOptions{MaxStates: opts.CompileMaxStates})
 		if err != nil {
 			return nil, err
@@ -612,6 +613,7 @@ func (s *Server) verifyResponse(svc *protoderive.Service, opts VerifyRequestOpti
 	if err != nil {
 		return nil, err
 	}
+	proto.UseArtifacts(s.arts)
 	vo := &protoderive.VerifyOptions{
 		ChannelCap:     opts.ChannelCap,
 		ObsDepth:       opts.ObsDepth,
@@ -620,7 +622,6 @@ func (s *Server) verifyResponse(svc *protoderive.Service, opts VerifyRequestOpti
 		Workers:        opts.Workers,
 		TraceDiffLimit: opts.TraceDiffLimit,
 		Compositional:  opts.Compositional,
-		Artifacts:      s.arts,
 		Reductions:     opts.Reductions,
 		SpillBudget:    opts.SpillBudget,
 	}

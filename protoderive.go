@@ -279,38 +279,52 @@ type DeriveOptions struct {
 type Protocol struct {
 	d *core.Derivation
 
-	// arts, when set (UseArtifacts), is the shared content-addressed
-	// artifact cache: compositional verification recalls entity quotients
-	// through it, and fleet compilation recalls per-entity machines.
+	// arts, when set (UseArtifacts), is the shared content-addressed cache
+	// of compiled entity machines.
 	arts *ArtifactCache
 
-	// Compiled machine fleets, cached per state cap: compilation explores
-	// and minimizes every entity, so repeated Simulate/ReplayWith calls on
-	// one Protocol — the steady state of the daemon — must not redo it.
-	// Machines are immutable, so a cached fleet is safe to share across
+	// Compiled machine fleets, cached per effective state cap: compilation
+	// explores and minimizes every entity, so repeated Simulate/ReplayWith
+	// calls on one Protocol — the steady state of the daemon — must not redo
+	// it. Machines are immutable, so a cached fleet is safe to share across
 	// concurrent runs.
 	fleetMu sync.Mutex
 	fleets  map[int]*fsm.Fleet
 }
 
-// fleet returns the protocol's compiled machine fleet for the given state
-// cap (0 = default), compiling it on first use.
-func (p *Protocol) fleet(maxStates int) *fsm.Fleet {
+// compileCap resolves a per-entity compile cap option (0 = default) to the
+// effective cap fleets and artifact-cache entries are keyed by.
+func compileCap(maxStates int) int {
 	if maxStates <= 0 {
-		maxStates = fsm.DefaultMaxStates
+		return fsm.DefaultMaxStates
 	}
+	return maxStates
+}
+
+// fleet returns the protocol's compiled machine fleet for the given compile
+// cap option, compiling it on first use — through the attached artifact
+// cache when there is one. fsm.Compile clones each entity before exploring,
+// so the shared trees are not mutated.
+func (p *Protocol) fleet(maxStates int) *fsm.Fleet {
+	maxStates = compileCap(maxStates)
 	p.fleetMu.Lock()
 	defer p.fleetMu.Unlock()
 	if f := p.fleets[maxStates]; f != nil {
 		return f
 	}
-	// fsm.Compile clones each entity before exploring, so the shared trees
-	// are not mutated.
 	var f *fsm.Fleet
-	if p.arts != nil {
-		f = p.arts.fleetFor(p.d.Entities, maxStates)
-	} else {
+	if p.arts == nil {
 		f = fsm.CompileEntities(p.d.Entities, fsm.Config{MaxStates: maxStates})
+	} else {
+		f = &fsm.Fleet{Machines: map[int]*fsm.Machine{}, Errors: map[int]*fsm.CompileError{}}
+		for place, sp := range p.d.Entities {
+			m, _, _, err := p.arts.lookup(place, sp, maxStates)
+			if err != nil {
+				f.Errors[place] = err.(*fsm.CompileError)
+				continue
+			}
+			f.Machines[place] = m
+		}
 	}
 	if p.fleets == nil {
 		p.fleets = map[int]*fsm.Fleet{}
@@ -422,12 +436,10 @@ type VerifyOptions struct {
 	// before the product is built. Verdicts match the monolithic path (a
 	// non-conformant or state-capped compositional attempt re-verifies
 	// monolithically, counterexample included); the report carries the
-	// per-phase pipeline numbers in VerifyReport.Compositional.
+	// per-phase pipeline numbers in VerifyReport.Compositional. The entity
+	// machines come from the protocol's attached artifact cache
+	// (UseArtifacts) when there is one.
 	Compositional bool
-	// Artifacts, with Compositional, recalls entity quotients from a shared
-	// content-addressed cache instead of rebuilding them. Nil falls back to
-	// the protocol's attached cache (UseArtifacts), then to uncached builds.
-	Artifacts *ArtifactCache
 	// Reductions names the product exploration's reduction set: "" or
 	// "default" (partial-order reduction only), "none", "all", or "+"-joined
 	// names from "por", "symmetry", "spill". Every reduction is verdict-
@@ -505,8 +517,9 @@ type EquivStats = equiv.Stats
 
 // composeOptions converts facade options (nil = defaults) into the
 // verifier's: the reduction-set name is parsed, and a compositional run
-// recalls entity quotients from the per-call cache, else the protocol's
-// attached cache (UseArtifacts), else builds them uncached.
+// recalls entity machines from the protocol's attached cache (UseArtifacts)
+// — by content address, since Optimize verifies entity sets other than the
+// protocol's own — else compiles them uncached.
 func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, error) {
 	var o VerifyOptions
 	if opts != nil {
@@ -528,12 +541,8 @@ func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, e
 		Reductions:     red,
 		SpillBudget:    o.SpillBudget,
 	}
-	cache := o.Artifacts
-	if cache == nil {
-		cache = p.arts
-	}
-	if o.Compositional && cache != nil {
-		co.EntityProvider = cache.provider()
+	if o.Compositional && p.arts != nil {
+		co.EntityProvider = p.arts.lookup
 	}
 	return co, nil
 }
@@ -701,11 +710,8 @@ func (p *Protocol) Compile(opts *CompileOptions) (rep *CompileReport, err error)
 	if opts != nil {
 		o = *opts
 	}
-	if o.MaxStates <= 0 {
-		o.MaxStates = fsm.DefaultMaxStates
-	}
-	f := p.fleet(o.MaxStates)
-	rep = &CompileReport{MaxStates: o.MaxStates}
+	rep = &CompileReport{MaxStates: compileCap(o.MaxStates)}
+	f := p.fleet(rep.MaxStates)
 	places := make([]int, 0, len(p.d.Entities))
 	for place := range p.d.Entities {
 		places = append(places, place)

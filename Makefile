@@ -10,12 +10,13 @@ test:
 
 # check is the concurrency tier: vet plus the race detector over the
 # packages that exercise goroutines (the runtime, the medium, the
-# exploration core's derivation workers and the daemon), the smoke gates,
+# exploration core's derivation workers, the equivalence engine's
+# refinement workers and the daemon), the smoke gates,
 # the benchmark module's own tests, and a short fuzz smoke of the native
 # fuzz targets.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/service/ ./cmd/pgd/
+	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/service/ ./cmd/pgd/
 	$(MAKE) fault-matrix-smoke
 	$(MAKE) compositional-smoke
 	$(MAKE) reduction-smoke
@@ -34,9 +35,11 @@ bench-smoke:
 
 # fault-matrix-smoke sweeps the whole corpus through the fault matrix once
 # (reliable, loss, dup, reorder at caps 1 and 2) under the race detector,
-# replaying every extracted counterexample through the concrete interpreter.
+# replaying every extracted counterexample through the concrete interpreter,
+# and holds every cell's report text and witness byte-identical to
+# testdata/corpus_verify.golden.
 fault-matrix-smoke:
-	$(GO) test -race -run '^(TestCorpusFaultMatrix|TestCorpusReliableColumnConformant)$$' -count=1 .
+	$(GO) test -race -run '^(TestCorpusFaultMatrix|TestCorpusReliableColumnConformant|TestCorpusVerifyGolden)$$' -count=1 .
 
 # compositional-smoke is the quotient-before-compose gate: the whole corpus
 # verified monolithically and compositionally (serial and parallel, sharing

@@ -282,11 +282,9 @@ func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 // verdict fills the comparison fields of a report whose graphs are set.
 func verdict(r *Report, opts VerifyOptions) {
 	sg, cg := r.ServiceGraph, r.ComposedGraph
-	var onlyS, onlyC int
-	r.OnlyService, r.OnlyComposed, onlyS, onlyC = equiv.TraceSetDiff(
-		lts.WeakTraces(sg, opts.ObsDepth), lts.WeakTraces(cg, opts.ObsDepth), opts.TraceDiffLimit)
-	r.ServiceSubset = onlyS == 0
-	r.ComposedSubset = onlyC == 0
+	r.OnlyService, r.OnlyComposed = equiv.TraceDiff(sg, cg, opts.ObsDepth, opts.TraceDiffLimit)
+	r.ServiceSubset = len(r.OnlyService) == 0
+	r.ComposedSubset = len(r.OnlyComposed) == 0
 	r.TracesEqual = r.ServiceSubset && r.ComposedSubset
 	r.ComposedDeadlocks = len(cg.Deadlocks())
 	r.Complete = !sg.Truncated && !cg.Truncated

@@ -178,11 +178,11 @@ func buildWitness(sys *System, r *Report, opts VerifyOptions) (*Witness, error) 
 		}
 	}
 	if !r.ServiceSubset {
-		if missing, ok := equiv.ShortestDivergentTrace(sg, cg, maxObs); ok {
+		if missing, ok := equiv.DivergentPath(sg, cg, maxObs); ok {
 			w := base
 			w.Kind = WitnessMissingTrace
-			w.Missing = missing
-			path, matched := equiv.TracePrefixPath(cg, missing)
+			w.Missing = lts.ObservableTrace(missing)
+			path, matched := equiv.TracePrefixPath(cg, w.Missing)
 			steps, err := sys.annotatePath(cg, path)
 			if err != nil {
 				return nil, err

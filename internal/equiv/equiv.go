@@ -6,17 +6,16 @@
 // fallback for state spaces that cannot be explored to closure.
 //
 // All checks operate on the finite (possibly truncated) transition graphs
-// produced by internal/lts. They run on the integer engine of engine.go
-// (interned labels, τ-SCC saturation, hashed partition refinement); the
-// original map/string checker is retained in reference.go as the executable
-// specification the differential tests compare against.
+// produced by internal/lts. The bisimulations run on the integer engine of
+// engine.go (interned labels, τ-SCC saturation, hashed partition
+// refinement); the original map/string checker is retained in reference.go
+// as the executable specification the differential tests compare against.
+// The weak-trace comparison (TraceDiff, WeakTraceEquivalent) and the
+// divergence witness (DivergentPath) walk the lazy subset determinizer
+// lts.Subsets, which touches only the determinized states they reach.
 package equiv
 
-import (
-	"sort"
-
-	"repro/internal/lts"
-)
+import "repro/internal/lts"
 
 // epsKey is the pseudo-label used for weak internal moves in saturated
 // graphs. It cannot collide with lts label keys ("\x01i"/"\x01d"/gates).
@@ -109,75 +108,18 @@ func StrongBisimilar(g1, g2 *lts.Graph) bool {
 	return block[0] == block[n1]
 }
 
-// dedup returns a sorted, duplicate-free version of xs. It never modifies
-// the input: callers pass aliased views of shared closure slices (the
-// reference checker's ε-closures among them), and sorting or compacting
-// through the caller's backing array would corrupt them.
-func dedup(xs []int) []int {
-	if len(xs) < 2 {
-		return xs
-	}
-	out := make([]int, len(xs))
-	copy(out, xs)
-	sort.Ints(out)
-	w := 1
-	for _, x := range out[1:] {
-		if x != out[w-1] {
-			out[w] = x
-			w++
-		}
-	}
-	return out[:w]
-}
-
 // WeakTraceEquivalent reports whether g1 and g2 have the same weak traces up
 // to the given length. It is sound for truncated graphs only as a bounded
 // check: traces longer than the exploration depth are not compared.
 func WeakTraceEquivalent(g1, g2 *lts.Graph, maxLen int) bool {
-	t1 := lts.WeakTraces(g1, maxLen)
-	t2 := lts.WeakTraces(g2, maxLen)
-	if len(t1) != len(t2) {
-		return false
-	}
-	for i := range t1 {
-		if t1[i] != t2[i] {
-			return false
-		}
-	}
-	return true
+	only1, only2 := TraceDiff(g1, g2, maxLen, 1)
+	return only1 == nil && only2 == nil
 }
 
 // TraceDiff returns example traces present in exactly one of the two
-// graphs, up to maxLen and at most limit entries per side, for diagnostics.
+// graphs, up to maxLen and at most limit entries per side — the first ones
+// in sorted order — for diagnostics. Both are nil exactly when the bounded
+// trace sets agree (and limit is positive). See lts.DiffWeakTraces.
 func TraceDiff(g1, g2 *lts.Graph, maxLen, limit int) (onlyG1, onlyG2 []string) {
-	onlyG1, onlyG2, _, _ = TraceSetDiff(lts.WeakTraces(g1, maxLen), lts.WeakTraces(g2, maxLen), limit)
-	return onlyG1, onlyG2
-}
-
-// TraceSetDiff compares two trace sets as lts.WeakTraces returns them
-// (sorted, duplicate-free). only1 and only2 hold, in order, the first limit
-// traces one side has and the other lacks; n1 and n2 count all of them, so
-// the sets are equal exactly when both counts are zero.
-func TraceSetDiff(t1, t2 []string, limit int) (only1, only2 []string, n1, n2 int) {
-	i, j := 0, 0
-	for i < len(t1) || j < len(t2) {
-		switch {
-		case j == len(t2) || (i < len(t1) && t1[i] < t2[j]):
-			if n1 < limit {
-				only1 = append(only1, t1[i])
-			}
-			n1++
-			i++
-		case i == len(t1) || t2[j] < t1[i]:
-			if n2 < limit {
-				only2 = append(only2, t2[j])
-			}
-			n2++
-			j++
-		default:
-			i++
-			j++
-		}
-	}
-	return only1, only2, n1, n2
+	return lts.DiffWeakTraces(g1, g2, maxLen, limit)
 }

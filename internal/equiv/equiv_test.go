@@ -1,7 +1,6 @@
 package equiv
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/lotos"
@@ -111,23 +110,6 @@ func TestTraceDiff(t *testing.T) {
 	same1, same2 := TraceDiff(g1, g1, 5, 10)
 	if len(same1) != 0 || len(same2) != 0 {
 		t.Fatal("self diff must be empty")
-	}
-}
-
-// TestTraceSetDiff: the examples are capped at the limit, in sorted order,
-// while the counts cover every surplus trace on each side.
-func TestTraceSetDiff(t *testing.T) {
-	t1 := []string{"", "a", "a b", "a c", "d"}
-	t2 := []string{"", "a", "b", "e"}
-	only1, only2, n1, n2 := TraceSetDiff(t1, t2, 2)
-	if !reflect.DeepEqual(only1, []string{"a b", "a c"}) || n1 != 3 {
-		t.Errorf("side 1: %q n=%d, want [a b, a c] n=3", only1, n1)
-	}
-	if !reflect.DeepEqual(only2, []string{"b", "e"}) || n2 != 2 {
-		t.Errorf("side 2: %q n=%d, want [b e] n=2", only2, n2)
-	}
-	if o1, o2, n1, n2 := TraceSetDiff(t1, t1, 2); o1 != nil || o2 != nil || n1 != 0 || n2 != 0 {
-		t.Errorf("self diff: %q %q %d %d", o1, o2, n1, n2)
 	}
 }
 

@@ -322,3 +322,23 @@ func RefQuotientWeak(g *lts.Graph) *lts.Graph {
 	q, _ := buildQuotient(g, blockOf, nil)
 	return q
 }
+
+// dedup returns a sorted, duplicate-free version of xs. It never modifies
+// the input: the reference checker passes its shared ε-closure slices, and
+// sorting or compacting through their backing arrays would corrupt them.
+func dedup(xs []int) []int {
+	if len(xs) < 2 {
+		return xs
+	}
+	out := make([]int, len(xs))
+	copy(out, xs)
+	sort.Ints(out)
+	w := 1
+	for _, x := range out[1:] {
+		if x != out[w-1] {
+			out[w] = x
+			w++
+		}
+	}
+	return out[:w]
+}

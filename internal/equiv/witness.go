@@ -1,7 +1,7 @@
 package equiv
 
 import (
-	"strconv"
+	"slices"
 
 	"repro/internal/lts"
 )
@@ -10,18 +10,26 @@ import (
 // checks: where TraceDiff reports *which* weak traces separate two graphs,
 // DivergentPath reports *how to get there* — the shortest transition path
 // (entity moves included, internal steps and all) that exhibits a trace one
-// side has and the other does not. The searches run a determinized subset
-// construction of the reference graph alongside a parent-pointer BFS of the
-// subject graph, so the returned path is minimal in transition count over
-// the explored state space.
+// side has and the other does not. The searches run the lazy subset
+// construction of the reference graph (lts.Subsets) alongside a
+// parent-pointer BFS of the subject graph, so the returned path is minimal
+// in transition count over the explored state space.
 
-// witnessNode is one node of the subset-product BFS: a subject state paired
-// with the set of reference states reachable by the same weak trace.
+// witnessKey identifies a node of the subset-product BFS: a subject state,
+// the determinized set of reference states reachable by the same weak trace,
+// and the observable steps taken so far. Observables are counted only under
+// a bound: with maxObs = 0 the judgement of a node is independent of how
+// many observables led to it, and counting them would blow the search up
+// for cyclic graphs.
+type witnessKey struct {
+	state  int
+	refSet int32 // lts.Subsets set id
+	obs    int
+}
+
+// witnessNode is a BFS node with its parent pointer.
 type witnessNode struct {
-	state  int    // subject graph state
-	refKey string // canonical key of the τ-closed reference state set
-	refSet []int
-	obs    int // observable steps taken so far
+	witnessKey
 	parent int // index of the parent node (-1 for the root)
 	edge   lts.Edge
 }
@@ -42,40 +50,35 @@ func DivergentPath(subject, reference *lts.Graph, maxObs int) ([]lts.PathStep, b
 	if subject.NumStates() == 0 || reference.NumStates() == 0 {
 		return nil, false
 	}
-	refClosure := lts.EpsilonClosures(reference)
-
-	rootSet := refClosure[0]
-	nodes := []witnessNode{{state: 0, refKey: lts.IntsKey(rootSet), refSet: rootSet, obs: 0, parent: -1}}
-	visited := map[string]bool{nodeKey(0, lts.IntsKey(rootSet), 0, maxObs): true}
-
+	ref := lts.NewSubsets(reference)
+	nodes := []witnessNode{{witnessKey: witnessKey{refSet: ref.Root()}, parent: -1}}
+	visited := map[witnessKey]bool{nodes[0].witnessKey: true}
 	for head := 0; head < len(nodes); head++ {
 		cur := nodes[head]
 		for _, e := range subject.Edges[cur.state] {
-			if !e.Label.Observable() {
-				// Internal subject move: the reference set is unchanged.
-				push(&nodes, visited, witnessNode{
-					state: e.To, refKey: cur.refKey, refSet: cur.refSet,
-					obs: cur.obs, parent: head, edge: e,
-				}, maxObs)
-				continue
-			}
-			if maxObs > 0 && cur.obs >= maxObs {
-				continue // beyond the sound comparison bound
-			}
-			// Determinized reference step: all weak successors of the set
-			// under the same observable label.
-			next, frontier := weakStep(reference, refClosure, cur.refSet, e.Label.Key())
-			if len(next) == 0 {
-				if frontier {
-					continue // unknown successors: cannot judge soundly
+			// An internal subject move keeps the reference set.
+			k := witnessKey{e.To, cur.refSet, cur.obs}
+			if e.Label.Observable() {
+				if maxObs > 0 && cur.obs >= maxObs {
+					continue // beyond the sound comparison bound
 				}
-				// Divergence: the reference cannot match this observable.
-				return unwindNodes(nodes, head, e), true
+				// Determinized reference step: all weak successors of the
+				// set under the same observable label.
+				if k.refSet = ref.Step(cur.refSet, e.Label.String()); k.refSet < 0 {
+					if ref.Frontier(cur.refSet) {
+						continue // unknown successors: cannot judge soundly
+					}
+					// Divergence: the reference cannot match this observable.
+					return append(unwind(nodes, head), lts.PathStep{From: cur.state, Edge: e}), true
+				}
+				if maxObs > 0 {
+					k.obs++
+				}
 			}
-			push(&nodes, visited, witnessNode{
-				state: e.To, refKey: lts.IntsKey(next), refSet: next,
-				obs: cur.obs + 1, parent: head, edge: e,
-			}, maxObs)
+			if !visited[k] {
+				visited[k] = true
+				nodes = append(nodes, witnessNode{k, head, e})
+			}
 		}
 	}
 	return nil, false
@@ -92,113 +95,41 @@ func TracePrefixPath(subject *lts.Graph, trace []string) ([]lts.PathStep, int) {
 	if subject.NumStates() == 0 {
 		return nil, 0
 	}
-	type node struct {
-		state  int
-		pos    int
-		parent int
-		edge   lts.Edge
-	}
-	nodes := []node{{state: 0, pos: 0, parent: -1}}
-	visited := map[[2]int]bool{{0, 0}: true}
-	best := 0
+	// A node's obs counts the trace labels realized; refSet is unused.
+	nodes := []witnessNode{{parent: -1}}
+	visited := map[witnessKey]bool{{}: true}
 	bestAt := 0
 	for head := 0; head < len(nodes); head++ {
 		cur := nodes[head]
-		if cur.pos > best {
-			best, bestAt = cur.pos, head
-			if best == len(trace) {
-				break
-			}
+		if cur.obs > nodes[bestAt].obs {
+			bestAt = head
+		}
+		if nodes[bestAt].obs == len(trace) {
+			break
 		}
 		for _, e := range subject.Edges[cur.state] {
-			pos := cur.pos
+			k := witnessKey{state: e.To, obs: cur.obs}
 			if e.Label.Observable() {
-				if pos >= len(trace) || e.Label.String() != trace[pos] {
+				if k.obs >= len(trace) || e.Label.String() != trace[k.obs] {
 					continue
 				}
-				pos++
+				k.obs++
 			}
-			if visited[[2]int{e.To, pos}] {
-				continue
+			if !visited[k] {
+				visited[k] = true
+				nodes = append(nodes, witnessNode{k, head, e})
 			}
-			visited[[2]int{e.To, pos}] = true
-			nodes = append(nodes, node{state: e.To, pos: pos, parent: head, edge: e})
 		}
 	}
+	return unwind(nodes, bestAt), nodes[bestAt].obs
+}
+
+// unwind returns the path from the root to nodes[at].
+func unwind(nodes []witnessNode, at int) []lts.PathStep {
 	var rev []lts.PathStep
-	for at := bestAt; nodes[at].parent >= 0; at = nodes[at].parent {
+	for ; nodes[at].parent >= 0; at = nodes[at].parent {
 		rev = append(rev, lts.PathStep{From: nodes[nodes[at].parent].state, Edge: nodes[at].edge})
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, best
-}
-
-// ShortestDivergentTrace returns the observable projection of
-// DivergentPath(subject, reference): the shortest-path divergent weak trace,
-// rendered label by label.
-func ShortestDivergentTrace(subject, reference *lts.Graph, maxObs int) ([]string, bool) {
-	path, ok := DivergentPath(subject, reference, maxObs)
-	if !ok {
-		return nil, false
-	}
-	return lts.ObservableTrace(path), true
-}
-
-// weakStep computes the τ-closed set of reference states reachable from any
-// state in set by one observable transition with the given label key. The
-// second result reports that some member of the set is an unexpanded
-// frontier state (its successors are unknown, so an empty result is not
-// conclusive).
-func weakStep(g *lts.Graph, closure [][]int, set []int, labelKey string) ([]int, bool) {
-	var out []int
-	frontier := false
-	for _, s := range set {
-		if g.Frontier[s] {
-			frontier = true
-		}
-		for _, e := range g.Edges[s] {
-			if e.Label.Observable() && e.Label.Key() == labelKey {
-				out = append(out, closure[e.To]...)
-			}
-		}
-	}
-	return dedup(out), frontier
-}
-
-// push appends a product node unless its (state, refSet, obs) signature was
-// already visited.
-func push(nodes *[]witnessNode, visited map[string]bool, n witnessNode, maxObs int) {
-	k := nodeKey(n.state, n.refKey, n.obs, maxObs)
-	if visited[k] {
-		return
-	}
-	visited[k] = true
-	*nodes = append(*nodes, n)
-}
-
-// nodeKey builds the visited signature. The observable count participates
-// only under a bound: with maxObs = 0 the judgement of a node is independent
-// of how many observables led to it, and folding obs into the key would
-// blow the search up for cyclic graphs.
-func nodeKey(state int, refKey string, obs, maxObs int) string {
-	if maxObs <= 0 {
-		obs = 0
-	}
-	return strconv.Itoa(state) + "\x00" + refKey + "\x00" + strconv.Itoa(obs)
-}
-
-// unwindNodes reconstructs the path to nodes[head] and appends the final
-// divergent edge.
-func unwindNodes(nodes []witnessNode, head int, last lts.Edge) []lts.PathStep {
-	var rev []lts.PathStep
-	rev = append(rev, lts.PathStep{From: nodes[head].state, Edge: last})
-	for at := head; nodes[at].parent >= 0; at = nodes[at].parent {
-		rev = append(rev, lts.PathStep{From: nodes[nodes[at].parent].state, Edge: nodes[at].edge})
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev
 }

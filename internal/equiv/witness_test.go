@@ -261,16 +261,3 @@ func TestTracePrefixPathFullAndPartial(t *testing.T) {
 		t.Errorf("unrealizable trace gave path %v n=%d", path, n)
 	}
 }
-
-func TestShortestDivergentTraceProjection(t *testing.T) {
-	subject := wGraph(2, map[int][]lts.Edge{
-		0: {{Label: wev("b"), To: 1}},
-	})
-	reference := wGraph(2, map[int][]lts.Edge{
-		0: {{Label: wev("a"), To: 1}},
-	})
-	tr, ok := ShortestDivergentTrace(subject, reference, 0)
-	if !ok || len(tr) != 1 || tr[0] != wev("b").String() {
-		t.Errorf("trace = %v ok = %v, want [b1]", tr, ok)
-	}
-}

@@ -157,38 +157,3 @@ func (g *Graph) Labels() []string {
 	sort.Strings(out)
 	return out
 }
-
-// CanReachDelta reports for each state whether some path leads to a δ
-// transition (successful termination is still possible).
-func (g *Graph) CanReachDelta() []bool {
-	// Backward closure from sources of δ edges.
-	rev := make([][]int, len(g.States))
-	seed := make([]bool, len(g.States))
-	for s, es := range g.Edges {
-		for _, e := range es {
-			rev[e.To] = append(rev[e.To], s)
-			if e.Label.Kind == LDelta {
-				seed[s] = true
-			}
-		}
-	}
-	out := make([]bool, len(g.States))
-	var stack []int
-	for s, ok := range seed {
-		if ok {
-			out[s] = true
-			stack = append(stack, s)
-		}
-	}
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range rev[s] {
-			if !out[p] {
-				out[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return out
-}

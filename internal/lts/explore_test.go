@@ -79,24 +79,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestCanReachDelta(t *testing.T) {
-	g := mustGraph(t, "SPEC a1; exit [] b1; stop ENDSPEC", Limits{})
-	reach := g.CanReachDelta()
-	if !reach[0] {
-		t.Error("initial state can reach delta via a1")
-	}
-	// The state after b1 (stop) cannot.
-	foundStuck := false
-	for s := range g.States {
-		if len(g.Edges[s]) == 0 && !reach[s] {
-			foundStuck = true
-		}
-	}
-	if !foundStuck {
-		t.Error("expected an unreachable-delta state")
-	}
-}
-
 func TestLabelsSet(t *testing.T) {
 	g := mustGraph(t, "SPEC a1; exit ||| b2; exit ENDSPEC", Limits{})
 	ls := g.Labels()

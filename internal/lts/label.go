@@ -6,7 +6,8 @@
 // occurrence numbering (Section 3.5).
 //
 // The package provides single-step transition derivation, bounded
-// state-space exploration, trace enumeration and deadlock detection. It is
+// state-space exploration, deadlock detection, and the lazy subset
+// determinizer (Subsets) behind every weak-trace question. It is
 // the substrate for the action-prefix-form transformation (internal/apf),
 // the equivalence checks (internal/equiv) and the composed-system
 // verification (internal/compose).

@@ -1,8 +1,9 @@
 package lts
 
 import (
-	"sort"
-	"strconv"
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/lotos"
@@ -18,118 +19,68 @@ const TraceSep = " "
 //
 // The empty trace is always included (as the empty string).
 func WeakTraces(g *Graph, maxLen int) []string {
-	set := map[string]bool{"": true}
-
-	// stateSet-based BFS over determinized weak transitions would be
-	// exponential in the worst case; trace enumeration is bounded by maxLen
-	// so a direct memoized walk over (state, prefix) suffices here. To keep
-	// the walk finite we track visited (state, depth) pairs per prefix via
-	// iterative deepening on the ε-closure graph.
-	closure := EpsilonClosures(g)
-
-	type item struct {
-		states []int
-		prefix string
-		depth  int
-	}
-	seen := map[string]bool{}
-	start := closure[0]
-	queue := []item{{states: start, prefix: "", depth: 0}}
-	for len(queue) > 0 {
-		it := queue[0]
-		queue = queue[1:]
-		if it.depth >= maxLen {
-			continue
-		}
-		// Group successors by observable label.
-		byLabel := map[string][]int{}
-		names := map[string]string{}
-		for _, s := range it.states {
-			for _, e := range g.Edges[s] {
-				if !e.Label.Observable() {
-					continue
-				}
-				k := e.Label.Key()
-				byLabel[k] = append(byLabel[k], closure[e.To]...)
-				names[k] = e.Label.String()
-			}
-		}
-		keys := make([]string, 0, len(byLabel))
-		for k := range byLabel {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			prefix := it.prefix
-			if prefix != "" {
-				prefix += TraceSep
-			}
-			prefix += names[k]
-			set[prefix] = true
-			targets := dedupInts(byLabel[k])
-			sig := prefix + "\x00" + IntsKey(targets)
-			if seen[sig] {
-				continue
-			}
-			seen[sig] = true
-			queue = append(queue, item{states: targets, prefix: prefix, depth: it.depth + 1})
-		}
-	}
-	out := make([]string, 0, len(set))
-	for tr := range set {
-		out = append(out, tr)
-	}
-	sort.Strings(out)
-	return out
+	all, _ := DiffWeakTraces(g, &Graph{}, maxLen, math.MaxInt)
+	return append([]string{""}, all...)
 }
 
-// EpsilonClosures returns, for every state, the set of states reachable by
-// zero or more internal transitions (sorted): the τ-closures the weak-trace
-// walks and the equivalence witness search step through.
-func EpsilonClosures(g *Graph) [][]int {
-	out := make([][]int, len(g.States))
-	for s := range g.States {
-		visited := map[int]bool{s: true}
-		stack := []int{s}
-		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.Edges[cur] {
-				if e.Label.Kind == LInternal && !visited[e.To] {
-					visited[e.To] = true
-					stack = append(stack, e.To)
+// DiffWeakTraces compares the weak traces of two graphs up to maxLen labels:
+// only1 holds the first limit traces, in sorted order, that g1 has and g2
+// lacks, only2 the converse. Both are nil when the bounded sets agree.
+//
+// It is one DFS over pairs of determinized states (-1 for the side lacking
+// the trace), children in label order. No rendered label contains a byte at
+// or below TraceSep, so the preorder is the sorted order of the traces. A
+// pair whose next r levels added no example is not searched again with r or
+// fewer levels left, and the search stops once both sides hold limit.
+func DiffWeakTraces(g1, g2 *Graph, maxLen, limit int) (only1, only2 []string) {
+	w := [2]*Subsets{NewSubsets(g1), NewSubsets(g2)}
+	var only [2][]string
+	var path []string
+	full := func(side int) bool { return len(only[side]) >= limit }
+	quiet := map[[2]int32]int{} // pair -> levels known to add no example
+	// walk searches the r levels below pair p and reports whether it added
+	// no example.
+	var walk func(p [2]int32, r int) bool
+	walk = func(p [2]int32, r int) bool {
+		var labels []string
+		for _, m := range slices.Concat(w[0].Moves(p[0]), w[1].Moves(p[1])) {
+			labels = append(labels, m.Label)
+		}
+		slices.Sort(labels)
+		added := false
+		for _, l := range slices.Compact(labels) {
+			if full(0) && full(1) {
+				break
+			}
+			next := [2]int32{w[0].Step(p[0], l), w[1].Step(p[1], l)}
+			path = append(path, l)
+			side := 0 // the side that has the trace, when one lacks it
+			if next[0] < 0 {
+				side = 1
+			}
+			switch known, ok := quiet[next]; {
+			case next[0] >= 0 && next[1] >= 0:
+				if r > 1 && (!ok || known < r-1) {
+					added = !walk(next, r-1) || added
+				}
+			case !full(side):
+				only[side] = append(only[side], strings.Join(path, TraceSep))
+				added = true
+				if r > 1 {
+					walk(next, r-1)
 				}
 			}
+			path = path[:len(path)-1]
 		}
-		cl := make([]int, 0, len(visited))
-		for st := range visited {
-			cl = append(cl, st)
+		if !added && p[0] >= 0 && p[1] >= 0 {
+			quiet[p] = r
 		}
-		sort.Ints(cl)
-		out[s] = cl
+		return !added
 	}
-	return out
-}
-
-func dedupInts(xs []int) []int {
-	sort.Ints(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
-		}
+	if maxLen > 0 {
+		walk([2]int32{w[0].Root(), w[1].Root()}, maxLen)
 	}
-	return out
-}
-
-// IntsKey renders a sorted int set canonically (a map key).
-func IntsKey(xs []int) string {
-	var b strings.Builder
-	for _, x := range xs {
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(x))
-	}
-	return b.String()
+	return only[0], only[1]
 }
 
 // AcceptsTrace reports whether the given observable trace (labels rendered
@@ -137,69 +88,68 @@ func IntsKey(xs []int) string {
 // trace of the graph. For a truncated graph a false result may be spurious;
 // true results are always sound.
 func AcceptsTrace(g *Graph, trace string) bool {
-	return weakWalk(g, EpsilonClosures(g), ParseTrace(trace)) != nil
-}
-
-// weakWalk returns the states the weak trace leads to from the initial
-// state, or nil when it is not a weak trace of the graph.
-func weakWalk(g *Graph, closure [][]int, labels []string) []int {
-	current := closure[0]
-	for _, want := range labels {
-		var next []int
-		for _, s := range current {
-			for _, e := range g.Edges[s] {
-				if e.Label.Observable() && e.Label.String() == want {
-					next = append(next, closure[e.To]...)
-				}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		current = dedupInts(next)
-	}
-	return current
+	labels := ParseTrace(trace)
+	_, n, _ := NewSubsets(g).Walk(labels)
+	return n == len(labels)
 }
 
 // ServiceTrace is the outcome of CheckServiceTrace: whether the trace, and
 // the trace followed by δ, are weak traces of the service, and whether the
-// state cap, not the observable-depth bound, truncated the service graph —
-// which makes a negative answer inconclusive (the path may lie past the cap).
-type ServiceTrace struct{ Accepted, CanTerminate, Capped bool }
+// state cap left a state the walk needed unexpanded — which makes a negative
+// answer inconclusive (the path may lie past the cap).
+//
+// For a rejected trace walked without hitting the cap, Rejected is the index
+// of the first event the service refused and Allowed the labels it offered
+// there, sorted.
+type ServiceTrace struct {
+	Accepted, CanTerminate, Capped bool
+	Rejected                       int
+	Allowed                        []string
+}
+
+// Rejection explains a conclusive rejection of labels, the trace checked:
+// `event N "x" rejected; service allowed [..]`, N counting from 1.
+func (st ServiceTrace) Rejection(labels []string) string {
+	return fmt.Sprintf("event %d %q rejected; service allowed [%s]",
+		st.Rejected+1, labels[st.Rejected], strings.Join(st.Allowed, " "))
+}
 
 // CheckServiceTrace replays an observed trace (labels rendered as by
-// Label.String) against the service. The service is explored exactly as
-// deep as the trace needs — observable depth len(labels)+2 — so the check is
-// sound for recursive, infinite-state services as well; maxStates caps the
-// exploration (0 selects DefaultMaxStates).
+// Label.String) against the service. The service's states are derived
+// lazily, only those the trace's determinized walk reaches, so the check is
+// sound for recursive, infinite-state services and costs about as much per
+// event however long the trace; maxStates caps the derived states (0
+// selects DefaultMaxStates).
 func CheckServiceTrace(service *lotos.Spec, labels []string, maxStates int) (ServiceTrace, error) {
-	lim := Limits{MaxObsDepth: len(labels) + 2, MaxStates: maxStates}
-	g, err := ExploreSpec(service, lim)
+	env, err := EnvFor(service)
 	if err != nil {
 		return ServiceTrace{}, err
 	}
-	var out ServiceTrace
-	for s := range g.Frontier {
-		if g.ObsDepth[s] < lim.MaxObsDepth {
-			out.Capped = true
-			break
-		}
+	if maxStates <= 0 {
+		maxStates = DefaultMaxStates
 	}
-	end := weakWalk(g, EpsilonClosures(g), labels)
-	out.Accepted = end != nil
-	for _, s := range end {
-		for _, e := range g.Edges[s] {
-			out.CanTerminate = out.CanTerminate || e.Label.Kind == LDelta
+	root := service.Root.Expr
+	w := NewSubsets(&Graph{Edges: make([][]Edge, 1), Frontier: map[int]bool{}})
+	w.src, w.index, w.payloads, w.max = &exprSource{env: env}, map[string]int{lotos.Canon(root): 0}, []any{root}, maxStates
+	end, n, capped := w.Walk(labels)
+	if w.err != nil {
+		return ServiceTrace{}, w.err
+	}
+	out := ServiceTrace{Accepted: n == len(labels), Capped: capped}
+	switch {
+	case out.Accepted:
+		out.CanTerminate = w.Step(end, Delta().String()) >= 0
+	case !capped:
+		out.Rejected = n
+		for _, m := range w.Moves(end) {
+			out.Allowed = append(out.Allowed, m.Label)
 		}
 	}
 	return out, nil
 }
 
-// TraceSlice is a parsed observable trace.
-type TraceSlice []string
-
 // ParseTrace splits a rendered trace into labels.
-func ParseTrace(tr string) TraceSlice {
+func ParseTrace(tr string) []string {
 	if tr == "" {
 		return nil
 	}

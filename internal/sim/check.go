@@ -9,9 +9,9 @@ import (
 )
 
 // ErrInconclusive marks a trace check that could not decide: the trace
-// was not found in the service graph, but the state cap, not the
-// observable-depth bound, cut that graph, so the missing path may lie past
-// the cap. A larger maxStates decides it.
+// was not found in the service, but the state cap left a state the walk
+// needed underived, so the missing path may lie past the cap. A larger
+// maxStates decides it.
 var ErrInconclusive = errors.New("inconclusive: the service exploration hit its state cap")
 
 // CheckTrace verifies that a simulation result's observable trace is a weak
@@ -20,10 +20,12 @@ var ErrInconclusive = errors.New("inconclusive: the service exploration hit its 
 // allows. For completed runs the trace must moreover be extendable by
 // successful termination.
 //
-// The service state space is explored to exactly the observable depth
-// needed (trace length + 2), so the check is sound for recursive,
-// infinite-state services as well. When the state cap cuts that
-// exploration short of a rejection, the error wraps ErrInconclusive.
+// The service's states are derived lazily, only those the trace's
+// determinized walk reaches (see lts.CheckServiceTrace), so the check is
+// sound for recursive, infinite-state services as well. When the state cap
+// left a state the walk needed underived, a rejection is undecided and the
+// error wraps ErrInconclusive; a decided rejection names the first refused
+// event and the events the service allowed there.
 func CheckTrace(service *lotos.Spec, res *Result, maxStates int) error {
 	labels := res.TraceStrings()
 	st, err := lts.CheckServiceTrace(service, labels, maxStates)
@@ -35,7 +37,7 @@ func CheckTrace(service *lotos.Spec, res *Result, maxStates int) error {
 	case !st.Accepted && st.Capped:
 		return fmt.Errorf("sim: observed trace %q: %w", trace, ErrInconclusive)
 	case !st.Accepted:
-		return fmt.Errorf("sim: observed trace %q is not a service trace", trace)
+		return fmt.Errorf("sim: observed trace %q is not a service trace: %s", trace, st.Rejection(labels))
 	case res.Completed && !st.CanTerminate && st.Capped:
 		return fmt.Errorf("sim: run terminated after %q: %w", trace, ErrInconclusive)
 	case res.Completed && !st.CanTerminate:

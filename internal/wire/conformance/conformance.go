@@ -132,8 +132,8 @@ func Merge(logs map[int]*wire.EntityLog) (*Merged, error) {
 }
 
 // Check classifies one session's entity logs against the service. maxStates
-// bounds the service exploration (the LTS is explored only to the trace's
-// observable depth, so recursive services check fine).
+// caps the service states derived (only those along the trace's
+// determinized walk are, so recursive services check fine).
 func Check(service *lotos.Spec, logs map[int]*wire.EntityLog, maxStates int) (*Report, error) {
 	if len(logs) == 0 {
 		return nil, fmt.Errorf("conformance: no entity logs")
@@ -192,7 +192,8 @@ func Check(service *lotos.Spec, logs map[int]*wire.EntityLog, maxStates int) (*R
 	}
 
 	// The trace-inclusion core: the merged (prefix) trace must be a weak
-	// trace of the service, explored exactly to the needed depth.
+	// trace of the service, whose states are derived lazily along the
+	// trace's determinized walk.
 	st, err := lts.CheckServiceTrace(service, rep.Trace, maxStates)
 	if err != nil {
 		return nil, fmt.Errorf("conformance: exploring service: %w", err)
@@ -210,7 +211,7 @@ func Check(service *lotos.Spec, logs map[int]*wire.EntityLog, maxStates int) (*R
 		rep.Reason = fmt.Sprintf("the service exploration hit its state cap before deciding %q", trace)
 	case !rep.TraceAccepted:
 		rep.Verdict = VerdictViolation
-		rep.Reason = fmt.Sprintf("recorded trace %q is not a service trace", trace)
+		rep.Reason = fmt.Sprintf("recorded trace %q is not a service trace: %s", trace, st.Rejection(rep.Trace))
 	case !rep.Complete:
 		rep.Verdict = VerdictIncomplete
 		rep.Reason = "recorded prefix is a service trace, but observations are missing: " +

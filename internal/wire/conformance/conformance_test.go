@@ -112,6 +112,24 @@ func TestCheckViolationTrace(t *testing.T) {
 	}
 }
 
+// TestCheckViolationNamesRejectedEvent: a violation reason names the first
+// event the service refused and the events it offered at that point.
+func TestCheckViolationNamesRejectedEvent(t *testing.T) {
+	service := parseService(t, `SPEC read1; (write2; exit [] close2; exit) ENDSPEC`)
+	logs := buildLogs(t, map[int]entitySession{
+		1: {events: []logRec{{0, "read1"}}, outcome: wire.OutcomeCompleted},
+		2: {events: []logRec{{1, "read2"}}, outcome: wire.OutcomeCompleted},
+	})
+	rep, err := Check(service, logs, testMaxStates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `recorded trace "read1 read2" is not a service trace: event 2 "read2" rejected; service allowed [close2 write2]`
+	if rep.Verdict != VerdictViolation || rep.Reason != want {
+		t.Fatalf("got %s: %q\nwant violation: %q", rep.Verdict, rep.Reason, want)
+	}
+}
+
 // TestCheckViolationEarlyTermination: the trace is a service trace, but the
 // session claims successful termination where the service cannot terminate.
 func TestCheckViolationEarlyTermination(t *testing.T) {

@@ -11,12 +11,14 @@ test:
 # check is the concurrency tier: vet plus the race detector over the
 # packages that exercise goroutines (the runtime, the medium, the
 # exploration core's derivation workers, the equivalence engine's
-# refinement workers and the daemon), the smoke gates,
+# refinement workers and the daemon), ten repetitions of the shared-fleet
+# test (sessions filling one fleet's rows concurrently), the smoke gates,
 # the benchmark module's own tests, and a short fuzz smoke of the native
 # fuzz targets.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/service/ ./cmd/pgd/
+	$(GO) test -race -count=10 -run '^TestSharedFleetConcurrentSessions$$' ./internal/sim/
 	$(MAKE) fault-matrix-smoke
 	$(MAKE) compositional-smoke
 	$(MAKE) reduction-smoke
@@ -48,8 +50,8 @@ fault-matrix-smoke:
 # correctness tests (cross-spec sharing, no false sharing, LRU bound,
 # effective-cap keying, verify/compile/simulate sharing one cache
 # concurrently) and the entity-delta differ. The quotient the product
-# composes over is the compiled machine's minimized layer, so the gate also
-# runs the fsm compiler's tests and the compose package's compositional unit
+# composes over is the entity machine's minimized layer, so the gate also
+# runs the fsm package's tests and the compose package's compositional unit
 # tests (over-cap fallback, compile failures, matrix reuse).
 compositional-smoke:
 	$(GO) test -race -run '^(TestCorpusCompositionalDifferential|TestArtifact|TestFleetSharesCachedMachines|TestDiffProtocols)' -count=1 .
@@ -100,22 +102,25 @@ dist-smoke:
 # proxy mirrored frame-for-frame against the in-process medium; the
 # transport fault matrix re-established on real sockets, its loss witness
 # replayed live through the same sim.Replay loop as in process; and the
-# pgdeploy binary suite — entities as real OS processes, interpreter
-# fallback live, crash/restart classified incomplete. All under the race
-# detector.
+# pgdeploy binary suite — entities as real OS processes, machines past a
+# tiny state cap live, crash/restart classified incomplete. All under the
+# race detector.
 live-smoke:
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/wire/conformance/ ./internal/wire/wiretest/ ./cmd/pgdeploy/
 
-# fuzz-smoke runs each native fuzz target briefly; long fuzzing sessions
-# use `go test -fuzz` directly with a bigger -fuzztime.
+# fuzz-smoke runs each native fuzz target for FUZZTIME (CI passes 10s);
+# long fuzzing sessions use `go test -fuzz` directly with a bigger
+# -fuzztime.
+FUZZTIME ?= 5s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/lotos
-	$(GO) test -run '^$$' -fuzz '^FuzzDerive$$' -fuzztime 5s .
-	$(GO) test -run '^$$' -fuzz '^FuzzVerifyFaults$$' -fuzztime 5s .
-	$(GO) test -run '^$$' -fuzz '^FuzzExploreReduced$$' -fuzztime 5s .
-	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 5s ./internal/fsm
-	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime 5s ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzTraceLog$$' -fuzztime 5s ./internal/wire/conformance
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/lotos
+	$(GO) test -run '^$$' -fuzz '^FuzzDerive$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyFaults$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzExploreReduced$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/fsm
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetRuns$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzTraceLog$$' -fuzztime $(FUZZTIME) ./internal/wire/conformance
 
 # run-pgd starts the derivation daemon on :8080 (override with ARGS).
 run-pgd:
@@ -133,10 +138,10 @@ bench:
 bench-equiv:
 	$(GO) test -run '^$$' -bench '^(BenchmarkWeakBisim|BenchmarkQuotient)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
 
-# bench-fsm sweeps the corpus through both execution engines — the AST
-# interpreter and the compiled table-driven machines (steps/s, allocs/op) —
-# plus the compiler itself and the daemon's compiled derive path. Also the
-# CI smoke (benchtime=1x, must complete).
+# bench-fsm sweeps the corpus through the entity machines — built fresh for
+# every run against one warm shared fleet (steps/s, allocs/op) — plus
+# minimization itself and the daemon's compile derive path. Also the CI
+# smoke (benchtime=1x, must complete).
 bench-fsm:
 	$(GO) test -run '^$$' -bench '^(BenchmarkSimulate|BenchmarkCompile)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkServerDeriveCompile' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/service

@@ -498,13 +498,12 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	b.ReportMetric(float64(totalEvents)/b.Elapsed().Seconds(), "events/s")
 }
 
-// --- engine comparison: AST interpreter vs compiled FSM tables -----------------
+// --- machines: fresh per run vs one warm shared fleet ------------------------
 
-// simulateBenchCases are the engine-comparison workloads: every corpus spec
-// whose entities all compile (the ">= 2x" acceptance target measures
-// steady-state stepping, which a mixed fleet would dilute with interpreted
-// entities), plus a long synthetic chain whose runs are dominated by
-// per-step work rather than setup.
+// simulateBenchCases are the machine workloads: every corpus spec whose
+// entities' minimized layers close under the default cap (BenchmarkCompile
+// measures that minimization), plus a long synthetic chain whose runs are
+// dominated by per-step work rather than setup.
 func simulateBenchCases(b *testing.B) map[string]map[int]*lotos.Spec {
 	b.Helper()
 	cases := map[string]map[int]*lotos.Spec{
@@ -519,11 +518,14 @@ func simulateBenchCases(b *testing.B) map[string]map[int]*lotos.Spec {
 		if err != nil {
 			continue
 		}
-		fleet := fsm.CompileEntities(d.Entities, fsm.Config{})
-		if len(fleet.Errors) > 0 {
-			continue // unbounded entities: no all-compiled configuration exists
+		closed := true
+		for _, m := range fsm.CompileEntities(d.Entities, fsm.Config{}).Machines {
+			_, err := m.Minimized()
+			closed = closed && err == nil
 		}
-		cases[strings.TrimSuffix(filepath.Base(file), ".spec")] = d.Entities
+		if closed {
+			cases[strings.TrimSuffix(filepath.Base(file), ".spec")] = d.Entities
+		}
 	}
 	return cases
 }
@@ -538,28 +540,30 @@ func deriveBenchEntities(b *testing.B, src string) map[int]*lotos.Spec {
 }
 
 // BenchmarkSimulate runs each workload through deterministic lockstep
-// simulation under both engines with identical seeds — the runs execute the
-// same transitions, so time/op, steps/s and allocs/op isolate the engine
-// difference: the AST interpreter re-derives each state's transitions from
-// the syntax tree, the FSM engine reads precompiled rows. The fleet is
-// compiled once outside the timer (Protocol.Simulate caches it the same way).
+// simulation twice with identical seeds — the runs execute the same
+// transitions: "fresh" builds the entities' machines for every run, so each
+// visited row is derived from the syntax tree once per run; "shared" runs
+// over one fleet warmed outside the timer (Protocol.Simulate caches its
+// fleet the same way), so rows are read, not derived. time/op, steps/s and
+// allocs/op isolate what sharing the rows saves.
 func BenchmarkSimulate(b *testing.B) {
 	for name, entities := range simulateBenchCases(b) {
-		fleet := fsm.CompileEntities(entities, fsm.Config{})
-		if len(fleet.Errors) > 0 {
-			b.Fatalf("%s: unexpected compile errors: %v", name, fleet.Errors)
+		shared := fsm.CompileEntities(entities, fsm.Config{})
+		for i := 0; i < 100; i++ {
+			if _, err := sim.Run(entities, sim.Config{Seed: int64(i + 1), Lockstep: true, MaxEvents: 80, Fleet: shared}); err != nil {
+				b.Fatal(err)
+			}
 		}
-		for _, engine := range []sim.Engine{sim.EngineAST, sim.EngineFSM} {
-			b.Run(name+"/"+string(engine), func(b *testing.B) {
+		for _, fleet := range []*fsm.Fleet{nil, shared} {
+			mode := "fresh"
+			if fleet != nil {
+				mode = "shared"
+			}
+			b.Run(name+"/"+mode, func(b *testing.B) {
 				b.ReportAllocs()
 				steps := 0
 				for i := 0; i < b.N; i++ {
-					cfg := sim.Config{Seed: int64(i + 1), Lockstep: true, MaxEvents: 80}
-					if engine == sim.EngineFSM {
-						cfg.Engine = engine
-						cfg.Fleet = fleet
-					}
-					res, err := sim.Run(entities, cfg)
+					res, err := sim.Run(entities, sim.Config{Seed: int64(i + 1), Lockstep: true, MaxEvents: 80, Fleet: fleet})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -574,22 +578,22 @@ func BenchmarkSimulate(b *testing.B) {
 	}
 }
 
-// BenchmarkCompile measures compilation itself — explore, intern, quotient,
-// table layout — per corpus entity fleet. This is the one-off cost Simulate
-// amortizes over runs.
+// BenchmarkCompile measures minimization — explore, quotient, table layout
+// — per corpus entity fleet: the one-off cost compositional verification
+// and Protocol.Compile pay, and simulation no longer does.
 func BenchmarkCompile(b *testing.B) {
 	for name, entities := range simulateBenchCases(b) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var states int
 			for i := 0; i < b.N; i++ {
-				fleet := fsm.CompileEntities(entities, fsm.Config{})
-				if len(fleet.Errors) > 0 {
-					b.Fatal("compile errors")
-				}
 				states = 0
-				for _, m := range fleet.Machines {
-					states += m.MinStates()
+				for _, m := range fsm.CompileEntities(entities, fsm.Config{}).Machines {
+					lay, err := m.Minimized()
+					if err != nil {
+						b.Fatal(err)
+					}
+					states += lay.NumStates()
 				}
 			}
 			b.ReportMetric(float64(states), "min-states")

@@ -1,6 +1,6 @@
 // Command lotoscluster runs fleet-scale simulations of derived protocols: a
 // scenario file describes a workload mix over service specifications, and
-// the discrete-event engine executes every session — a compiled-FSM fleet —
+// the discrete-event engine executes every session — over a machine fleet —
 // on one virtual clock, deterministically from the scenario seed.
 //
 // Usage:

@@ -12,15 +12,14 @@
 //	-depth N      bound exploration to N observable events (default 16)
 //	-maxstates N  cap explored states (default 20000)
 //	-transitions  print every explored transition
-//	-engine E     "ast" explores with depth bounds (default); "fsm" compiles
-//	              the behaviour to a table-driven machine (full closure, no
-//	              depth bound) and reports its exact and weak-bisimulation-
-//	              minimized sizes, falling back to ast when the state space
-//	              exceeds -maxstates
+//	-minimize     also report the weak-bisimulation quotient's size (with
+//	              -depth 0, the full closure: the sizes an entity's
+//	              minimized layer reports)
+//	-dot          emit the graph (or with -minimize its quotient) in
+//	              Graphviz dot format
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,7 +27,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/equiv"
-	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/lts"
 )
@@ -46,7 +44,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	showTrans := fs.Bool("transitions", false, "print all transitions")
 	minimize := fs.Bool("minimize", false, "also report the weak-bisimulation quotient")
 	dot := fs.Bool("dot", false, "emit the graph in Graphviz dot format and exit")
-	engine := fs.String("engine", "ast", "execution engine: ast (depth-bounded exploration) or fsm (compile to tables)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: lotosim [flags] spec.lotos\n")
 		fs.PrintDefaults()
@@ -65,54 +62,17 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "lotosim: parse:", err)
 		return cli.ExitUsage
 	}
-	switch *engine {
-	case "ast", "fsm":
-	default:
-		fmt.Fprintf(stderr, "lotosim: unknown engine %q (want \"ast\" or \"fsm\")\n", *engine)
-		return cli.ExitUsage
-	}
 	lotos.Number(sp)
 
-	// The two engines produce the graph differently: ast explores the tree
-	// under the depth bounds; fsm compiles the full behaviour closure to
-	// tables (no depth bound — unbounded behaviours fail with a structured
-	// CompileError and fall back to ast).
-	var g *lts.Graph
-	var machine *fsm.Machine
-	if *engine == "fsm" {
-		m, err := fsm.Compile(0, sp, fsm.Config{MaxStates: *maxStates})
-		if err != nil {
-			var ce *fsm.CompileError
-			if !errors.As(err, &ce) {
-				fmt.Fprintln(stderr, "lotosim:", err)
-				return cli.ExitFail
-			}
-			fmt.Fprintf(stdout, "engine:      ast (fsm fallback: %s)\n", ce.Reason)
-		} else {
-			machine = m
-		}
-	}
-	if machine != nil {
-		g = machine.Graph()
-		fmt.Fprintf(stdout, "engine:      fsm (compiled, %d states / %d transitions minimized)\n",
-			machine.MinStates(), machine.MinTransitions())
-	} else {
-		g, err = lts.ExploreSpec(sp, lts.Limits{MaxObsDepth: *depth, MaxStates: *maxStates})
-		if err != nil {
-			fmt.Fprintln(stderr, "lotosim:", err)
-			return cli.ExitFail
-		}
-	}
-	quotient := func() *lts.Graph {
-		if machine != nil {
-			return machine.MinGraph()
-		}
-		return equiv.QuotientWeak(g)
+	g, err := lts.ExploreSpec(sp, lts.Limits{MaxObsDepth: *depth, MaxStates: *maxStates})
+	if err != nil {
+		fmt.Fprintln(stderr, "lotosim:", err)
+		return cli.ExitFail
 	}
 	if *dot {
 		target := g
 		if *minimize {
-			target = quotient()
+			target = equiv.QuotientWeak(g)
 		}
 		fmt.Fprint(stdout, target.DOT(fs.Arg(0)))
 		return cli.ExitOK
@@ -138,7 +98,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	if *minimize {
-		q := quotient()
+		q := equiv.QuotientWeak(g)
 		fmt.Fprintf(stdout, "weak-bisimulation quotient: %d states / %d transitions\n",
 			q.NumStates(), q.NumTransitions())
 	}

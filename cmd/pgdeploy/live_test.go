@@ -7,9 +7,9 @@ package main
 //     deployed once per seed and the session outcome must be
 //     byte-identical to the in-process lockstep simulation with the same
 //     seed, with the recorded logs earning the conformance verdict.
-//   - TestLiveInterpreterFallback pins the engine fallback live: entities
-//     past the FSM state cap run the AST interpreter in their own
-//     processes and still match the simulation.
+//   - TestLiveSmallCap runs entities past a tiny machine state cap live:
+//     their processes derive the rows beyond it on every visit and still
+//     match the simulation.
 //   - TestLiveCrashRestart kills an entity process mid-session (the
 //     deterministic crash injection), checks the truncated logs are
 //     classified incomplete-with-accepted-prefix, then restarts the
@@ -131,8 +131,8 @@ func runPgdeploy(t *testing.T, args ...string) *driverRun {
 
 // TestLiveSmoke is the corpus differential over real processes: for every
 // corpus spec and seed, the deployed session's outcome is byte-identical
-// to sim.Run with Config{Lockstep: true} and the same seed, the engines
-// agree, and (disabling specs excepted, as everywhere in the repo) the
+// to sim.Run with Config{Lockstep: true} and the same seed, and
+// (disabling specs excepted, as everywhere in the repo) the
 // recorded logs earn the accepted conformance verdict.
 func TestLiveSmoke(t *testing.T) {
 	if testing.Short() {
@@ -166,7 +166,7 @@ func TestLiveSmoke(t *testing.T) {
 				fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: smokeMaxStates})
 				simRes, err := sim.Run(d.Entities, sim.Config{
 					Seed: seed, Lockstep: true, MaxEvents: smokeMaxEvents,
-					Engine: sim.EngineFSM, Fleet: fleet,
+					Fleet: fleet,
 				})
 				if err != nil {
 					t.Fatalf("lockstep run: %v", err)
@@ -185,11 +185,6 @@ func TestLiveSmoke(t *testing.T) {
 				if got, want := run.rep.Canonical, wire.CanonicalResult(simRes); got != want {
 					t.Fatalf("live deployment diverges from lockstep\n live: %s\n sim:  %s", got, want)
 				}
-				for p, eng := range run.rep.Engines {
-					if eng != string(simRes.Engines[p]) {
-						t.Errorf("entity %d ran %s live, %s in-process", p, eng, simRes.Engines[p])
-					}
-				}
 				if disabling {
 					return
 				}
@@ -199,12 +194,12 @@ func TestLiveSmoke(t *testing.T) {
 	}
 }
 
-// TestLiveInterpreterFallback pins the engine split live: anbn under a
-// tiny state cap runs every entity on the AST interpreter (the service is
-// non-regular; its entities genuinely exceed any finite cap), the barrier
-// spec compiles fully to FSM tables — and both match the in-process
-// simulation configured identically.
-func TestLiveInterpreterFallback(t *testing.T) {
+// TestLiveSmallCap runs deployments whose machines hit a tiny state cap:
+// anbn (non-regular; its entities exceed any finite cap) and barrier, both
+// with most rows derived on every visit instead of retained, each process
+// on its own machine — and both match the in-process simulation configured
+// identically.
+func TestLiveSmallCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live deployments are wall-clock-bound; skipped in -short")
 	}
@@ -212,10 +207,9 @@ func TestLiveInterpreterFallback(t *testing.T) {
 		name      string
 		spec      string
 		maxStates int
-		engine    string
 	}{
-		{"anbn-interpreter", filepath.Join("..", "..", "specs", "anbn.spec"), 16, "ast"},
-		{"barrier-compiled", filepath.Join("..", "..", "specs", "barrier.spec"), smokeMaxStates, "fsm"},
+		{"anbn-cap16", filepath.Join("..", "..", "specs", "anbn.spec"), 16},
+		{"barrier-cap2", filepath.Join("..", "..", "specs", "barrier.spec"), 2},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -236,7 +230,7 @@ func TestLiveInterpreterFallback(t *testing.T) {
 			fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: tc.maxStates})
 			simRes, err := sim.Run(d.Entities, sim.Config{
 				Seed: 1, Lockstep: true, MaxEvents: smokeMaxEvents,
-				Engine: sim.EngineFSM, Fleet: fleet,
+				Fleet: fleet,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -251,14 +245,6 @@ func TestLiveInterpreterFallback(t *testing.T) {
 			)
 			if run.rep.Aborted {
 				t.Fatalf("session aborted: %s\n%s", run.rep.Reason, run.stderr)
-			}
-			if len(run.rep.Engines) == 0 {
-				t.Fatal("no engines reported")
-			}
-			for p, eng := range run.rep.Engines {
-				if eng != tc.engine {
-					t.Errorf("entity %d engine %s, want %s", p, eng, tc.engine)
-				}
 			}
 			if got, want := run.rep.Canonical, wire.CanonicalResult(simRes); got != want {
 				t.Fatalf("live deployment diverges from lockstep\n live: %s\n sim:  %s", got, want)

@@ -1,9 +1,7 @@
 // Command pgdeploy deploys a derived protocol as real networked processes.
 // It parses a service specification, derives one protocol entity per
-// service access point, compiles each entity to minimized FSM tables
-// (entities whose reachable state space exceeds -max-states fall back to
-// the AST interpreter, exactly as in-process simulation does), and then
-// re-execs itself once per entity: every entity runs as its own OS
+// service access point, builds each entity's machine (internal/fsm), and
+// then re-execs itself once per entity: every entity runs as its own OS
 // process with its own TCP data endpoint, meshed over the wire codec's
 // length-prefixed binary frames, scheduled by an in-driver coordinator so
 // that a seeded session is byte-identical to the in-process lockstep
@@ -27,7 +25,7 @@
 //	-spec FILE            service specification (required)
 //	-seed 1               session seed
 //	-max-events 64        stop a non-terminating session after this many events
-//	-max-states 1024      FSM compile cap; past it an entity runs the interpreter
+//	-max-states 1024      machine state cap; past it rows are not retained
 //	-check-states 4096    state cap for the conformance replay
 //	-channel-cap 16       unacked-frame window per directed channel
 //	-logdir DIR           trace-log directory (default: a fresh temp dir)
@@ -105,7 +103,7 @@ func parseFlags(args []string, stderr io.Writer) (*options, []string, error) {
 	fs.StringVar(&opt.spec, "spec", "", "service specification file")
 	fs.Int64Var(&opt.seed, "seed", 1, "session seed")
 	fs.IntVar(&opt.maxEvents, "max-events", 64, "event budget for non-terminating sessions")
-	fs.IntVar(&opt.maxStates, "max-states", 1024, "FSM compile state cap (interpreter fallback past it)")
+	fs.IntVar(&opt.maxStates, "max-states", 1024, "machine state cap (rows past it are derived, not retained)")
 	fs.IntVar(&opt.checkStates, "check-states", 4096, "conformance replay state cap")
 	fs.IntVar(&opt.channelCap, "channel-cap", compose.DefaultChannelCap, "unacked-frame window per directed channel")
 	fs.StringVar(&opt.logdir, "logdir", "", "trace-log directory (default: fresh temp dir)")
@@ -172,7 +170,6 @@ type Report struct {
 	Seed      int64             `json:"seed"`
 	Places    []int             `json:"places"`
 	Canonical string            `json:"canonical"`
-	Engines   map[int]string    `json:"engines"`
 	Aborted   bool              `json:"aborted"`
 	Reason    string            `json:"reason,omitempty"`
 	Logs      []string          `json:"logs"`
@@ -278,7 +275,6 @@ func runDriver(opt *options, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pgdeploy: session:", err)
 	}
 	rep.Canonical = srep.Canonical()
-	rep.Engines = srep.Engines
 	rep.Aborted = srep.Aborted
 	rep.Reason = srep.Reason
 
@@ -313,9 +309,6 @@ func emitReport(opt *options, rep *Report, stdout io.Writer) {
 	}
 	fmt.Fprintf(stdout, "spec      %s (seed %d, %d entities)\n", rep.Spec, rep.Seed, len(rep.Places))
 	fmt.Fprintf(stdout, "outcome   %s\n", rep.Canonical)
-	for _, p := range rep.Places {
-		fmt.Fprintf(stdout, "entity %d  engine=%s\n", p, rep.Engines[p])
-	}
 	if rep.Aborted {
 		fmt.Fprintf(stdout, "aborted   %s\n", rep.Reason)
 	}
@@ -371,8 +364,7 @@ func runEntity(opt *options, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pgdeploy entity:", err)
 		return 1
 	}
-	espec, ok := d.Entities[opt.place]
-	if !ok {
+	if _, ok := d.Entities[opt.place]; !ok {
 		fmt.Fprintf(stderr, "pgdeploy entity: no entity at place %d\n", opt.place)
 		return 1
 	}
@@ -398,8 +390,8 @@ func runEntity(opt *options, stderr io.Writer) int {
 
 	err = wire.RunEntity(wire.EntityConfig{
 		Place: opt.place, PlaceIndex: opt.placeIndex,
-		Spec: espec, Machine: fleet.Machines[opt.place],
-		Table: table, SpecDigest: digest,
+		Machine: fleet.Machines[opt.place],
+		Table:   table, SpecDigest: digest,
 		Coordinator: opt.coordinator, Listen: opt.listen,
 		ChannelCap: opt.channelCap, TraceLog: traceLog,
 		Restarted: opt.restarted, SessionTimeout: opt.timeout,

@@ -15,15 +15,15 @@ import (
 	"repro/internal/lotos"
 )
 
-// ArtifactCache is a content-addressed cache of compiled entity machines
-// (fsm.Machine), the one per-entity artifact of the pipeline: Simulate,
-// Replay and Compile run its exact layer, and compositional verification
-// composes over its minimized layer. Entries are keyed by SHA-256 of the
-// normalized entity behaviour and the effective state cap — never by which
-// service specification produced the entity — so two specifications sharing
-// one entity share the work, and editing one entity of an n-place
-// specification recompiles only that entity. An entity over the cap is
-// cached as its compile error, so later lookups skip the doomed exploration.
+// ArtifactCache is a content-addressed cache of entity machines
+// (fsm.Machine), the one per-entity artifact of the pipeline: Simulate runs
+// its lazily filled rows, and Compile and compositional verification read
+// its minimized layer. Entries are keyed by SHA-256 of the normalized
+// entity behaviour and the effective state cap — never by which service
+// specification produced the entity — so two specifications sharing one
+// entity share the work, and editing one entity of an n-place specification
+// rebuilds only that entity. A machine keeps its minimized layer or the
+// error that stopped it, so later lookups skip a doomed exploration.
 //
 // An ArtifactCache is safe for concurrent use and is meant to be shared: one
 // cache per daemon, handed to every Protocol (see Protocol.UseArtifacts).
@@ -36,8 +36,8 @@ type ArtifactCache struct {
 	hits, misses uint64
 }
 
-// artifact is one cache entry: a compiled machine or the compile error that
-// stopped it.
+// artifact is one cache entry: a machine, or the error of an entity that
+// does not resolve.
 type artifact struct {
 	key     string
 	machine *fsm.Machine
@@ -107,8 +107,8 @@ func (c *ArtifactCache) Len() int {
 type ArtifactStats struct {
 	// Entries is the current entry count.
 	Entries int `json:"entries"`
-	// EntityHits / EntityMisses count artifact lookups — every compiled
-	// machine a fleet or a compositional verification asked for.
+	// EntityHits / EntityMisses count artifact lookups — every machine a
+	// fleet or a compositional verification asked for.
 	EntityHits   uint64 `json:"entityHits"`
 	EntityMisses uint64 `json:"entityMisses"`
 }
@@ -120,13 +120,10 @@ func (c *ArtifactCache) Stats() ArtifactStats {
 	return ArtifactStats{Entries: len(c.entries), EntityHits: c.hits, EntityMisses: c.misses}
 }
 
-// lookup recalls the compiled machine of one entity at an effective state
-// cap, compiling it outside the lock on a miss. It has the shape of
-// compose.EntityProvider: buildNanos is the compile wall time of a miss,
-// and a failed compilation returns its *fsm.CompileError. Concurrent misses
-// of one key may compile twice; both produce identical immutable machines,
-// so the duplicate work is the only cost.
-func (c *ArtifactCache) lookup(place int, sp *lotos.Spec, maxStates int) (m *fsm.Machine, buildNanos int64, hit bool, err error) {
+// machine recalls the machine of one entity at an effective state cap,
+// building it on a miss. A miss of one key racing another may build twice;
+// the later entry wins the cache and both machines behave identically.
+func (c *ArtifactCache) machine(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, bool, *fsm.CompileError) {
 	key := artifactKey(sp.String(), maxStates)
 	c.mu.Lock()
 	a := c.get(key)
@@ -137,30 +134,59 @@ func (c *ArtifactCache) lookup(place int, sp *lotos.Spec, maxStates int) (m *fsm
 	}
 	c.mu.Unlock()
 	if a == nil {
-		start := time.Now()
-		m, err = fsm.Compile(place, sp, fsm.Config{MaxStates: maxStates})
-		buildNanos = time.Since(start).Nanoseconds()
-		a = &artifact{key: key, machine: m}
+		a = &artifact{key: key}
+		m, err := fsm.New(place, sp, fsm.Config{MaxStates: maxStates})
 		if err != nil {
 			a.err = err.(*fsm.CompileError)
 		}
+		a.machine = m
 		c.mu.Lock()
 		c.put(a)
 		c.mu.Unlock()
-		return m, buildNanos, false, err
+		return m, false, atPlace(a.err, place)
 	}
-	if a.err != nil {
-		ce := *a.err
-		ce.Place = place
-		return nil, 0, true, &ce
-	}
-	return a.machine, 0, true, nil
+	return a.machine, true, atPlace(a.err, place)
 }
 
-// UseArtifacts attaches a shared artifact cache to the protocol: compiled
-// fleets (Simulate, Replay, Compile) and compositional Verify, VerifyMatrix
-// and Optimize calls recall per-entity machines through it. Safe to call
-// once, before concurrent use.
+// lookup is the cache as a compose.EntityProvider: the machine of one
+// entity with its minimized layer built. reused reports that the layer was
+// already built (fleets recall machines without minimizing them), and
+// buildNanos is the wall time this call spent building otherwise; an entity
+// over the cap returns its *fsm.CompileError.
+func (c *ArtifactCache) lookup(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int64, bool, error) {
+	start := time.Now()
+	m, reused, ce := c.machine(place, sp, maxStates)
+	if ce == nil {
+		reused = m.MinimizedBuilt()
+		if _, err := m.Minimized(); err != nil {
+			ce = atPlace(err.(*fsm.CompileError), place)
+		}
+	}
+	var buildNanos int64
+	if !reused {
+		buildNanos = time.Since(start).Nanoseconds()
+	}
+	if ce != nil {
+		return nil, buildNanos, reused, ce
+	}
+	return m, buildNanos, reused, nil
+}
+
+// atPlace returns a copy of a cached entity's error naming the place it was
+// asked for: one content-addressed machine can serve several places.
+func atPlace(ce *fsm.CompileError, place int) *fsm.CompileError {
+	if ce == nil {
+		return nil
+	}
+	at := *ce
+	at.Place = place
+	return &at
+}
+
+// UseArtifacts attaches a shared artifact cache to the protocol: fleets
+// (Simulate, Compile) and compositional Verify, VerifyMatrix and Optimize
+// calls recall per-entity machines through it. Safe to call once, before
+// concurrent use.
 func (p *Protocol) UseArtifacts(c *ArtifactCache) { p.arts = c }
 
 // EntityQuotientStat reports one entity's quotient-before-compose numbers

@@ -20,7 +20,7 @@ import (
 //     compositional failure);
 //   - every failing compositional cell must carry a witness byte-identical
 //     to the monolithic one (the fallback returns the monolithic report
-//     wholesale) that replays through the concrete interpreter;
+//     wholesale) that replays through the concrete runtime;
 //   - serial and parallel compositional runs must agree exactly.
 func TestCorpusCompositionalDifferential(t *testing.T) {
 	protos := corpusProtocols(t)

@@ -213,11 +213,11 @@ func TestArtifactCacheConcurrent(t *testing.T) {
 				} else if comp.Fallback != 0 {
 					errs <- fmt.Errorf("compile fell back for %d entities", comp.Fallback)
 				}
-				sim, err := proto.Simulate(&SimOptions{Seed: int64(worker + 1), Engine: "fsm", CompileMaxStates: maxStates})
+				sim, err := proto.Simulate(&SimOptions{Seed: int64(worker + 1), CompileMaxStates: maxStates})
 				if err != nil {
 					errs <- err
-				} else if !sim.Completed || !sim.TraceValid || sim.InterpretedEntities != 0 {
-					errs <- fmt.Errorf("compiled simulation: %+v", sim)
+				} else if !sim.Completed || !sim.TraceValid {
+					errs <- fmt.Errorf("simulation: %+v", sim)
 				}
 			}
 		}(worker)
@@ -318,6 +318,41 @@ func TestArtifactVerifyThenCompileShareMachines(t *testing.T) {
 	})
 }
 
+// TestArtifactSimulateThenVerifyBuilds: Simulate recalls machines without
+// minimizing them, so a compositional Verify at the same cap that finds
+// those machines in the cache still builds every minimized layer — and
+// reports each entity as built, not reused — while a second Verify reuses
+// them all.
+func TestArtifactSimulateThenVerifyBuilds(t *testing.T) {
+	const maxStates = 300
+	cache := NewArtifactCache(0)
+	proto := facadeProto(t, "SPEC a1; b2; exit [] c1; d2; exit ENDSPEC")
+	proto.UseArtifacts(cache)
+	if _, err := proto.Simulate(&SimOptions{CompileMaxStates: maxStates}); err != nil {
+		t.Fatal(err)
+	}
+	opts := VerifyOptions{Compositional: true, MaxStates: maxStates}
+	var first *VerifyReport
+	servedFromCache(t, cache, "Verify after Simulate", func() (err error) {
+		first, err = proto.Verify(&opts)
+		return err
+	})
+	for _, e := range first.Compositional.Entities {
+		if e.Reused || e.BuildNanos <= 0 {
+			t.Errorf("place %d: reused=%v buildNanos=%d after Simulate, want built", e.Place, e.Reused, e.BuildNanos)
+		}
+	}
+	second, err := proto.Verify(&opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range second.Compositional.Entities {
+		if !e.Reused || e.BuildNanos != 0 {
+			t.Errorf("place %d: reused=%v buildNanos=%d on the second Verify, want reused", e.Place, e.Reused, e.BuildNanos)
+		}
+	}
+}
+
 // TestArtifactKeyedByEffectiveCap: artifacts are keyed by the state cap
 // actually applied, so the default cap and its explicit value share
 // entries — for compositional verification (0 resolves to the exploration
@@ -345,8 +380,8 @@ func TestArtifactKeyedByEffectiveCap(t *testing.T) {
 	}
 	fresh := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
 	fresh.UseArtifacts(cache)
-	servedFromCache(t, cache, "ReplayWith fsm after Compile(nil)", func() error {
-		res, err := fresh.ReplayWith(rep.Witness, "fsm")
+	servedFromCache(t, cache, "Replay after Compile(nil)", func() error {
+		res, err := fresh.Replay(rep.Witness)
 		if err == nil && res.Steps != len(rep.Witness.Steps) {
 			err = fmt.Errorf("replayed %d of %d witness steps", res.Steps, len(rep.Witness.Steps))
 		}

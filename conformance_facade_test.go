@@ -22,7 +22,7 @@ func writeEntityLog(t *testing.T, dir string, place int, events [][2]interface{}
 		t.Fatal(err)
 	}
 	defer f.Close()
-	tw, err := wire.NewTraceWriter(f, place, 1, "ast", 0, false)
+	tw, err := wire.NewTraceWriter(f, place, 1, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func FuzzDerive(f *testing.F) {
 // FuzzVerifyFaults pushes arbitrary sources and fault configurations through
 // derivation, fault-model verification, and counterexample replay. Invariants:
 // no panic ever escapes, every witness attached to a verdict replays cleanly
-// through the concrete interpreter, and the replayed observable trace matches
+// through the concrete runtime, and the replayed observable trace matches
 // the witness's.
 func FuzzVerifyFaults(f *testing.F) {
 	matches, err := filepath.Glob(filepath.Join("specs", "*.spec"))

@@ -1,7 +1,7 @@
 package cluster
 
 // Package cluster is the fleet-scale discrete-event simulator: thousands to
-// millions of concurrent protocol sessions — each a compiled-FSM fleet from
+// millions of concurrent protocol sessions — each over a machine fleet from
 // the Section-4 derivation — multiplexed over simulated backend replicas on
 // one virtual clock. There are no per-session goroutines and no wall-clock
 // timers anywhere in the simulation: the engine is a single loop draining a
@@ -425,7 +425,6 @@ func (m *Model) ReplaySession(rec SessionRecord) (*sim.Result, error) {
 		Seed:      rec.Seed,
 		MaxEvents: cm.maxEvents,
 		Lockstep:  true,
-		Engine:    sim.EngineFSM,
 		Fleet:     cm.fleet,
 	})
 	if err != nil {

@@ -223,14 +223,39 @@ func TestBuildRejectsBadScenarios(t *testing.T) {
 		{"bad sweep cost", &Scenario{Sessions: 10, Classes: []ClassSpec{{Source: "SPEC a1; exit ENDSPEC", RatePerSec: 1, SweepCost: "fast"}}}},
 		{"bad slo", &Scenario{Sessions: 10, Classes: []ClassSpec{{Source: "SPEC a1; exit ENDSPEC", RatePerSec: 1, SLO: "-1s"}}}},
 		{"parse error", &Scenario{Sessions: 10, Classes: []ClassSpec{{Source: "SPEC a1; exit", RatePerSec: 1}}}},
-		{"uncompilable entity", &Scenario{Sessions: 10, Classes: []ClassSpec{{
-			Source:     `SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC`,
-			RatePerSec: 1, CompileMaxStates: 64,
-		}}}},
 	}
 	for _, c := range cases {
 		if _, err := Build(c.sc); err == nil {
 			t.Errorf("%s: Build accepted it", c.name)
+		}
+	}
+}
+
+// TestUnboundedClassRuns: a class whose entities are unbounded (anbn, past
+// an 8-state cap) builds and runs deterministically, every session
+// replaying exactly through the ordinary simulator, and its shared machines
+// hold the cap.
+func TestUnboundedClassRuns(t *testing.T) {
+	sc := &Scenario{Name: "anbn", Seed: 3, Sessions: 40, KeepSessions: true, Classes: []ClassSpec{{
+		Source:     `SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC`,
+		RatePerSec: 1000, MaxEvents: 40, CompileMaxStates: 8,
+	}}}
+	m := mustBuild(t, sc)
+	r1, r2 := mustRun(t, m), mustRun(t, m)
+	if r1.Digest != r2.Digest || r1.Admitted == 0 || r1.Stuck != 0 {
+		t.Fatalf("runs differ or stall: digests %016x/%016x, %+v", r1.Digest, r2.Digest, r1)
+	}
+	for _, rec := range r1.Sessions {
+		if rec.Outcome == "rejected" {
+			continue
+		}
+		if _, err := m.ReplaySession(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p, mach := range m.classes[0].fleet.Machines {
+		if n := mach.Retained(); n != 8 {
+			t.Errorf("entity %d retains %d states, want the cap 8 reached and held", p, n)
 		}
 	}
 }

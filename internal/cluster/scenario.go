@@ -84,9 +84,9 @@ type ClassSpec struct {
 	// SLO is the class's latency objective as a duration string; when set,
 	// the result reports the fraction of completed sessions within it.
 	SLO string `json:"slo,omitempty"`
-	// CompileMaxStates caps entity compilation (default fsm default). All
-	// entities of a class must compile; unbounded entities are a scenario
-	// error.
+	// CompileMaxStates caps the states each entity machine retains (default
+	// fsm default). Past it an unbounded entity's rows are derived on every
+	// visit instead of kept, so such classes run too, just slower.
 	CompileMaxStates int `json:"compileMaxStates,omitempty"`
 }
 
@@ -169,9 +169,9 @@ type Model struct {
 }
 
 // Build parses, derives and compiles every class of the scenario and
-// validates all its parameters. Every entity of every class must compile to
-// tables — the cluster's per-session cost contract (tens of ns per step,
-// no per-session syntax trees) depends on it.
+// validates all its parameters. Sessions of a class share its fleet's
+// machines, so no session holds syntax trees of its own, and a step within
+// the machines' state caps is a row read.
 func Build(sc *Scenario) (*Model, error) {
 	if sc.Sessions <= 0 {
 		return nil, fmt.Errorf("cluster: scenario needs a positive session count, got %d", sc.Sessions)
@@ -225,9 +225,6 @@ func buildClass(sc *Scenario, idx int, cs *ClassSpec) (*classModel, error) {
 		return nil, fmt.Errorf("cluster: class %s: derive: %w", name, err)
 	}
 	fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: cs.CompileMaxStates})
-	for place, ce := range fleet.Errors {
-		return nil, fmt.Errorf("cluster: class %s: entity %d does not compile (%s) — bound the recursion or raise compileMaxStates", name, place, ce.Reason)
-	}
 	// Validate the arrival process now (a nil RNG is fine — validation
 	// never draws) and keep the canonical distribution name.
 	gen, err := newArrivalGen(cs.Arrival, cs.RatePerSec, cs.Shape, nil)

@@ -36,14 +36,14 @@ import (
 	"repro/internal/lotos"
 )
 
-// EntityProvider supplies the compiled machine of one place — the
-// injection point for artifact caches layered above this package. It
-// returns the machine, or the error that stopped its compilation (a
+// EntityProvider supplies the machine of one place with its minimized layer
+// built — the injection point for artifact caches layered above this
+// package. It returns the machine, or the error that stopped it (a
 // *fsm.CompileError with Cap set means the entity's state space exceeds
-// maxStates); the wall time compiling it took for this call; and whether it
-// was served from a cache instead (buildNanos is then 0). The specification
-// passed in is private to the call, and fsm.Compile explores its own clone,
-// so machines alias nothing live and are safe to cache and share.
+// maxStates); the wall time building it took for this call; and whether it
+// was served from a cache instead (buildNanos is then 0). Machines clone
+// the specification passed in, so they alias nothing live and are safe to
+// cache and share.
 type EntityProvider func(place int, sp *lotos.Spec, maxStates int) (m *fsm.Machine, buildNanos int64, reused bool, err error)
 
 // compileEntity is the uncached EntityProvider: one fsm.Compile per call.
@@ -55,8 +55,8 @@ func compileEntity(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int6
 
 // NewCompositional prepares a product system over compiled entities: every
 // local state table is preloaded from the machines' minimized layers
-// (derived=true), so product exploration never touches the SOS
-// interpreter. State keys stay content-derived — each local state
+// (derived=true), so product exploration never applies the SOS rules.
+// State keys stay content-derived — each local state
 // contributes the digest of its class representative's canonical
 // expression — so serial and parallel exploration agree on the key set
 // exactly as in the monolithic system.
@@ -85,20 +85,23 @@ func NewCompositional(entities map[int]*lotos.Spec, machines map[int]*fsm.Machin
 		sys.placeIdx[p] = idx
 	}
 	for _, p := range sys.Places {
-		m := machines[p]
-		intern := make(map[string]int32, m.MinStates())
-		states := make([]localState, m.MinStates())
+		m, err := machines[p].Minimized()
+		if err != nil {
+			return nil, err
+		}
+		intern := make(map[string]int32, m.NumStates())
+		states := make([]localState, m.NumStates())
 		for c := range states {
-			key := m.MinKeys[c]
+			key := m.Keys[c]
 			intern[key] = int32(c)
 			states[c] = localState{sum: digest16([]byte(key)), derived: true}
-			lo, hi := m.MinOff[c], m.MinOff[c+1]
+			lo, hi := m.Off[c], m.Off[c+1]
 			trans := make([]cachedTrans, 0, hi-lo)
 			for e := lo; e < hi; e++ {
-				ct := cachedTrans{label: m.MinLabel(e), to: m.MinTo[e], peer: -1, msg: -1}
-				switch op := m.MinOps[e]; op {
+				ct := cachedTrans{label: m.Label(e), to: m.To[e], peer: -1, msg: -1}
+				switch op := m.Ops[e]; op {
 				case fsm.OpSend, fsm.OpRecv, fsm.OpRecvFlush:
-					ev := m.MinEvents[e]
+					ev := m.Events[e]
 					pi, ok := sys.placeIdx[ev.Place]
 					if !ok {
 						return nil, fmt.Errorf("compose: entity %d message event %s targets unknown place %d", p, ev, ev.Place)

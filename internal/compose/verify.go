@@ -328,8 +328,9 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 		var ce *fsm.CompileError
 		switch {
 		case err == nil:
-			stat.ExactStates, stat.ExactTransitions = m.NumStates(), m.NumTransitions()
-			stat.QuotientStates, stat.QuotientTransitions = m.MinStates(), m.MinTransitions()
+			lay, _ := m.Minimized()
+			stat.ExactStates, stat.ExactTransitions = lay.ExactStates, lay.ExactTransitions
+			stat.QuotientStates, stat.QuotientTransitions = lay.NumStates(), lay.NumTransitions()
 		case errors.As(err, &ce) && ce.Cap > 0:
 			stat.ExactStates, stat.ExactTransitions = ce.States, ce.Transitions
 		default:
@@ -392,7 +393,7 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 		// Sound only in the conformant direction: the weak quotient can
 		// introduce a spurious deadlock (a pure-τ cycle collapses to a stuck
 		// class), and the fallback's witness refers to monolithic transition
-		// indices, which replay through the concrete interpreter.
+		// indices, which replay through the concrete runtime.
 		return fallbackMonolithic(service, entities, opts, cfg, stats, "non-conformant; re-verified monolithically")
 	}
 	return r, nil

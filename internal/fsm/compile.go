@@ -13,13 +13,15 @@ import (
 // DefaultMaxStates is the default per-entity state cap. Derived entities of
 // the corpus are a few dozen to a few hundred states; anything past this cap
 // is in practice an unbounded recursion (the state key grows with the
-// recursion depth), so compilation reports it instead of exploring forever.
+// recursion depth), so minimization reports it instead of exploring forever
+// and execution stops retaining rows.
 const DefaultMaxStates = 4096
 
-// Config parameterizes compilation. The zero value selects defaults.
+// Config parameterizes a machine. The zero value selects defaults.
 type Config struct {
-	// MaxStates caps the per-entity state space; exceeding it yields a
-	// *CompileError. 0 means DefaultMaxStates.
+	// MaxStates caps the retained states of the execution layer and the
+	// exploration behind the minimized layer, which fails with a
+	// *CompileError past it. 0 means DefaultMaxStates.
 	MaxStates int
 }
 
@@ -30,36 +32,23 @@ func (c Config) maxStates() int {
 	return c.MaxStates
 }
 
-// Compile explores the behaviour of one derived entity specification and
-// builds its table-driven machine. The input specification is cloned first
-// (exploration numbers syntax trees in place), so sp is not mutated and may
-// be shared. A state space exceeding the cap returns a *CompileError.
+// Compile builds the machine of one derived entity specification together
+// with its minimized layer: a state space exceeding the cap returns a
+// *CompileError and no machine.
 func Compile(place int, sp *lotos.Spec, cfg Config) (*Machine, error) {
-	clone := lotos.CloneSpec(sp)
-	env, err := lts.EnvFor(clone)
+	m, err := New(place, sp, cfg)
 	if err != nil {
-		return nil, &CompileError{Place: place, Reason: err.Error(), err: err}
+		return nil, err
 	}
-	g, err := lts.Explore(env, clone.Root.Expr, lts.Limits{MaxStates: cfg.maxStates()})
-	if err != nil {
-		return nil, &CompileError{Place: place, Reason: err.Error(), err: err}
+	if _, err := m.Minimized(); err != nil {
+		return nil, err
 	}
-	if g.Truncated {
-		return nil, &CompileError{
-			Place:       place,
-			States:      g.NumStates(),
-			Transitions: g.NumTransitions(),
-			Cap:         cfg.maxStates(),
-			Reason:      fmt.Sprintf("state space exceeds cap (%d states explored, cap %d): entity behaviour is unbounded or the cap is too small", g.NumStates(), cfg.maxStates()),
-		}
-	}
-	return fromGraph(place, g), nil
+	return m, nil
 }
 
 // Classify maps a transition label to its runtime dispatch kind and event.
-// It is the single classification rule shared by the compiler and by the
-// runtime's AST engine, so both engines partition transition rows
-// identically.
+// It is the single classification rule of execution rows and minimized
+// rows, and of the SOS reference stepper the runtime is tested against.
 func Classify(l lts.Label) (Op, lotos.Event) {
 	switch l.Kind {
 	case lts.LInternal:
@@ -83,64 +72,84 @@ func Classify(l lts.Label) (Op, lotos.Event) {
 	}
 }
 
-func flagFor(op Op) StateFlags {
-	switch op {
-	case OpInternal:
-		return HasInternal
-	case OpDelta:
-		return HasDelta
-	case OpSend:
-		return HasSend
-	case OpRecv, OpRecvFlush:
-		return HasRecv
-	default:
-		return HasService
-	}
+// Minimized is a machine's eagerly explored form: the exact sizes of the
+// entity's complete reachable transition system, and its weak-bisimulation
+// quotient as int32 compressed-sparse-row tables. Class c's transitions are
+// Ops/Events/To in [Off[c], Off[c+1]), sorted by (label key, target class);
+// Keys[c] is the canonical expression key of class c's representative state,
+// and class 0 holds the initial state. Immutable.
+type Minimized struct {
+	// ExactStates / ExactTransitions size the entity's reachable LTS.
+	ExactStates      int
+	ExactTransitions int
+
+	Off    []int32
+	Ops    []Op
+	Events []lotos.Event
+	To     []int32
+	Keys   []string
 }
 
-// fromGraph flattens an explored entity graph into the two table layers.
-func fromGraph(place int, g *lts.Graph) *Machine {
-	n := g.NumStates()
-	nt := g.NumTransitions()
-	m := &Machine{
-		Place:    place,
-		Off:      make([]int32, n+1),
-		Ops:      make([]Op, 0, nt),
-		Events:   make([]lotos.Event, 0, nt),
-		To:       make([]int32, 0, nt),
-		Keys:     append([]string(nil), g.Keys...),
-		Flags:    make([]StateFlags, n),
-		OfferOff: make([]int32, n+1),
+// NumStates returns the minimized state count (the number of weak-
+// bisimilarity classes of the entity behaviour).
+func (l *Minimized) NumStates() int { return len(l.Off) - 1 }
+
+// NumTransitions returns the minimized transition count.
+func (l *Minimized) NumTransitions() int { return len(l.To) }
+
+// Label reconstructs the lts.Label of minimized edge e.
+func (l *Minimized) Label(e int32) lts.Label { return opLabel(l.Ops[e], l.Events[e]) }
+
+// Minimized returns the machine's minimized layer, exploring the entity to
+// the cap and quotienting it on first call; later calls return the same
+// layer, or the same *CompileError when the state space exceeds the cap.
+// Safe for concurrent use, and concurrent with execution.
+func (m *Machine) Minimized() (*Minimized, error) {
+	m.minOnce.Do(func() {
+		m.min, m.minErr = m.minimize()
+		m.minDone.Store(true)
+	})
+	return m.min, m.minErr
+}
+
+// MinimizedBuilt reports whether the minimized layer (or its error) is
+// already built, so that Minimized returns without exploring.
+func (m *Machine) MinimizedBuilt() bool { return m.minDone.Load() }
+
+func (m *Machine) minimize() (*Minimized, error) {
+	clone := lotos.CloneSpec(m.spec)
+	env, err := lts.EnvFor(clone)
+	if err != nil {
+		return nil, &CompileError{Place: m.Place, Reason: err.Error(), err: err}
 	}
-	for s := 0; s < n; s++ {
-		for _, e := range g.Edges[s] {
-			op, ev := Classify(e.Label)
-			edge := int32(len(m.Ops))
-			m.Ops = append(m.Ops, op)
-			m.Events = append(m.Events, ev)
-			m.To = append(m.To, int32(e.To))
-			m.Flags[s] |= flagFor(op)
-			if op == OpService {
-				m.OfferEvents = append(m.OfferEvents, ev)
-				m.OfferEdge = append(m.OfferEdge, edge)
-			}
+	g, err := lts.Explore(env, clone.Root.Expr, lts.Limits{MaxStates: m.maxStates})
+	if err != nil {
+		return nil, &CompileError{Place: m.Place, Reason: err.Error(), err: err}
+	}
+	if g.Truncated {
+		return nil, &CompileError{
+			Place:       m.Place,
+			States:      g.NumStates(),
+			Transitions: g.NumTransitions(),
+			Cap:         m.maxStates,
+			Reason:      fmt.Sprintf("state space exceeds cap (%d states explored, cap %d): entity behaviour is unbounded or the cap is too small", g.NumStates(), m.maxStates),
 		}
-		m.Off[s+1] = int32(len(m.Ops))
-		m.OfferOff[s+1] = int32(len(m.OfferEvents))
 	}
 
-	// Minimized layer: weak-bisimulation quotient, each class row sorted by
-	// (label key, target class) so the canonical tables do not depend on
-	// exploration order.
-	q, classOf := equiv.QuotientWeakMap(g)
-	m.ClassOf = classOf
-	qn := q.NumStates()
-	qt := q.NumTransitions()
-	m.MinOff = make([]int32, qn+1)
-	m.MinOps = make([]Op, 0, qt)
-	m.MinEvents = make([]lotos.Event, 0, qt)
-	m.MinTo = make([]int32, 0, qt)
-	m.MinKeys = append([]string(nil), q.Keys...)
+	// Weak-bisimulation quotient, each class row sorted by (label key,
+	// target class) so the canonical tables do not depend on exploration
+	// order.
+	q, _ := equiv.QuotientWeakMap(g)
+	qn, qt := q.NumStates(), q.NumTransitions()
+	l := &Minimized{
+		ExactStates:      g.NumStates(),
+		ExactTransitions: g.NumTransitions(),
+		Off:              make([]int32, qn+1),
+		Ops:              make([]Op, 0, qt),
+		Events:           make([]lotos.Event, 0, qt),
+		To:               make([]int32, 0, qt),
+		Keys:             q.Keys,
+	}
 	for c := 0; c < qn; c++ {
 		row := append([]lts.Edge(nil), q.Edges[c]...)
 		sort.SliceStable(row, func(i, j int) bool {
@@ -152,54 +161,38 @@ func fromGraph(place int, g *lts.Graph) *Machine {
 		})
 		for _, e := range row {
 			op, ev := Classify(e.Label)
-			m.MinOps = append(m.MinOps, op)
-			m.MinEvents = append(m.MinEvents, ev)
-			m.MinTo = append(m.MinTo, int32(e.To))
+			l.Ops = append(l.Ops, op)
+			l.Events = append(l.Events, ev)
+			l.To = append(l.To, int32(e.To))
 		}
-		m.MinOff[c+1] = int32(len(m.MinTo))
+		l.Off[c+1] = int32(len(l.To))
 	}
-	return m
+	return l, nil
 }
 
-// Fleet is the compilation result for a set of protocol entities: the
-// machines that compiled plus, per entity that did not, the structured
-// reason. A fleet with Errors is still runnable — the runtime executes the
-// failed entities with the AST interpreter (a mixed fleet).
+// Fleet is the set of machines of a derived protocol's entities.
 type Fleet struct {
-	// Machines maps each successfully compiled place to its machine.
+	// Machines maps each place to its machine.
 	Machines map[int]*Machine
-	// Errors maps each failed place to its compile error.
+	// Errors maps each place whose specification does not resolve to the
+	// error; such a place has no machine.
 	Errors map[int]*CompileError
 }
 
-// Compiled reports whether place compiled.
-func (f *Fleet) Compiled(place int) bool {
-	_, ok := f.Machines[place]
-	return ok
-}
-
-// CompileEntities compiles every entity of a derived protocol, in ascending
-// place order: the explorations of over-cap entities dominate a fleet's
-// allocation, and a fixed order keeps its peak memory reproducible. It
-// never fails as a whole: entities that cannot be compiled are recorded in
-// Errors and the caller runs them interpreted.
+// CompileEntities builds the machine of every entity of a derived protocol.
+// Nothing is explored: rows fill as sessions visit them.
 func CompileEntities(entities map[int]*lotos.Spec, cfg Config) *Fleet {
 	f := &Fleet{
 		Machines: make(map[int]*Machine, len(entities)),
 		Errors:   map[int]*CompileError{},
 	}
-	places := make([]int, 0, len(entities))
-	for p := range entities {
-		places = append(places, p)
-	}
-	sort.Ints(places)
-	for _, p := range places {
-		machine, err := Compile(p, entities[p], cfg)
+	for p, sp := range entities {
+		m, err := New(p, sp, cfg)
 		if err != nil {
 			f.Errors[p] = err.(*CompileError)
 			continue
 		}
-		f.Machines[p] = machine
+		f.Machines[p] = m
 	}
 	return f
 }

@@ -34,6 +34,44 @@ func exploreEntity(t testing.TB, sp *lotos.Spec) *lts.Graph {
 	return g
 }
 
+// quotientGraph rebuilds a minimized layer as an lts.Graph.
+func quotientGraph(l *Minimized) *lts.Graph {
+	n := l.NumStates()
+	g := &lts.Graph{States: make([]lotos.Expr, n), Keys: l.Keys, Edges: make([][]lts.Edge, n),
+		Depth: make([]int, n), ObsDepth: make([]int, n), Frontier: map[int]bool{}}
+	for c := 0; c < n; c++ {
+		for e := l.Off[c]; e < l.Off[c+1]; e++ {
+			g.Edges[c] = append(g.Edges[c], lts.Edge{Label: l.Label(e), To: int(l.To[e])})
+		}
+	}
+	return g
+}
+
+// lazyGraph walks a machine's execution layer breadth-first from its root,
+// filling every row, and numbers states in discovery order — the order
+// lts.Explore numbers them.
+func lazyGraph(t testing.TB, m *Machine) (keys []string, rows []*Row) {
+	t.Helper()
+	ids := map[*State]int{m.Root(): 0}
+	queue := []*State{m.Root()}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		r, err := m.Row(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys, rows = append(keys, s.Key()), append(rows, r)
+		for _, to := range r.To {
+			if _, ok := ids[to]; !ok {
+				ids[to] = len(ids)
+				queue = append(queue, to)
+			}
+		}
+	}
+	return keys, rows
+}
+
 func TestCompileMatchesExploration(t *testing.T) {
 	d := deriveFor(t, "SPEC a1; exit >> (b2; exit ||| c3; exit) >> d1; exit ENDSPEC")
 	for _, p := range d.Places {
@@ -41,66 +79,69 @@ func TestCompileMatchesExploration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("place %d: %v", p, err)
 		}
+		lay, _ := m.Minimized()
 		g := exploreEntity(t, d.Entities[p])
-		if m.NumStates() != g.NumStates() || m.NumTransitions() != g.NumTransitions() {
+		if lay.ExactStates != g.NumStates() || lay.ExactTransitions != g.NumTransitions() {
 			t.Fatalf("place %d: machine %d/%d states/transitions, exploration %d/%d",
-				p, m.NumStates(), m.NumTransitions(), g.NumStates(), g.NumTransitions())
+				p, lay.ExactStates, lay.ExactTransitions, g.NumStates(), g.NumTransitions())
 		}
-		// The exact layer must reproduce the exploration edge-for-edge in
-		// derivation order — that is what makes the FSM engine's random
-		// choices and witness transition indices line up with the AST
-		// interpreter's.
-		mg := m.Graph()
-		for s := 0; s < g.NumStates(); s++ {
-			if len(mg.Edges[s]) != len(g.Edges[s]) {
-				t.Fatalf("place %d state %d: %d edges vs %d", p, s, len(mg.Edges[s]), len(g.Edges[s]))
+		// The lazily filled rows must reproduce the exploration
+		// edge-for-edge in derivation order — that is what makes random
+		// choices and witness transition indices line up with the SOS
+		// semantics.
+		keys, rows := lazyGraph(t, m)
+		if !reflect.DeepEqual(keys, g.Keys) {
+			t.Fatalf("place %d: lazy states %v, explored %v", p, keys, g.Keys)
+		}
+		for s, r := range rows {
+			if len(r.Ops) != len(g.Edges[s]) {
+				t.Fatalf("place %d state %d: %d edges vs %d", p, s, len(r.Ops), len(g.Edges[s]))
 			}
 			for i, e := range g.Edges[s] {
-				me := mg.Edges[s][i]
-				if me.To != e.To || me.Label.Key() != e.Label.Key() {
-					t.Fatalf("place %d state %d edge %d: %v->%d vs %v->%d",
-						p, s, i, me.Label, me.To, e.Label, e.To)
+				op, ev := Classify(e.Label)
+				if r.Ops[i] != op || r.Events[i] != ev || r.To[i].Key() != g.Keys[e.To] {
+					t.Fatalf("place %d state %d edge %d: %s %v->%s vs %v->%s",
+						p, s, i, r.Ops[i], r.Events[i], r.To[i].Key(), e.Label, g.Keys[e.To])
 				}
 			}
 		}
-		if !equiv.WeakBisimilar(mg, g) {
-			t.Errorf("place %d: exact layer not weakly bisimilar to exploration", p)
-		}
-		if !equiv.WeakBisimilar(m.MinGraph(), g) {
+		if !equiv.WeakBisimilar(quotientGraph(lay), g) {
 			t.Errorf("place %d: minimized layer not weakly bisimilar to exploration", p)
 		}
-		if want := equiv.NumClassesWeak(g); m.MinStates() != want {
-			t.Errorf("place %d: MinStates = %d, NumClassesWeak = %d", p, m.MinStates(), want)
+		if want := equiv.NumClassesWeak(g); lay.NumStates() != want {
+			t.Errorf("place %d: minimized states = %d, NumClassesWeak = %d", p, lay.NumStates(), want)
 		}
 	}
 }
 
 func TestCompileDispatchRows(t *testing.T) {
 	d := deriveFor(t, "SPEC a1; b2; exit ENDSPEC")
-	m, err := Compile(1, d.Entities[1], Config{})
+	m, err := New(1, d.Entities[1], Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Initial state of entity 1 offers the service primitive a1.
-	offers, edges := m.Offers(0)
-	if len(offers) != 1 || offers[0].Kind != lotos.EvService || offers[0].Name != "a" {
-		t.Fatalf("initial offers = %v", offers)
+	r, err := m.Row(m.Root())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Ops[edges[0]] != OpService {
-		t.Fatalf("offer edge op = %v", m.Ops[edges[0]])
+	if len(r.Offers) != 1 || r.Offers[0].Kind != lotos.EvService || r.Offers[0].Name != "a" {
+		t.Fatalf("initial offers = %v", r.Offers)
 	}
-	if m.Flags[0]&HasService == 0 {
-		t.Fatalf("initial flags = %v, want HasService", m.Flags[0])
+	if r.Ops[r.OfferAt[0]] != OpService {
+		t.Fatalf("offer edge op = %v", r.Ops[r.OfferAt[0]])
+	}
+	if again, _ := m.Row(m.Root()); again != r {
+		t.Error("retained row derived twice")
 	}
 	// Somewhere in the machine there must be a send (entity 1 notifies
 	// entity 2) and a delta.
 	var sawSend, sawDelta bool
-	for _, op := range m.Ops {
-		switch op {
-		case OpSend:
-			sawSend = true
-		case OpDelta:
-			sawDelta = true
+	_, rows := lazyGraph(t, m)
+	for _, r := range rows {
+		for _, op := range r.Ops {
+			sawSend = sawSend || op == OpSend
+			sawDelta = sawDelta || op == OpDelta
 		}
 	}
 	if !sawSend || !sawDelta {
@@ -116,8 +157,10 @@ func TestCompileDeterministic(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatalf("place %d: %v / %v", p, err1, err2)
 		}
-		if !reflect.DeepEqual(m1, m2) {
-			t.Errorf("place %d: repeated compilation differs", p)
+		l1, _ := m1.Minimized()
+		l2, _ := m2.Minimized()
+		if !reflect.DeepEqual(l1, l2) {
+			t.Errorf("place %d: repeated minimization differs", p)
 		}
 	}
 }
@@ -137,33 +180,48 @@ func TestCompileUnboundedRecursionFails(t *testing.T) {
 	if ce.Error() == "" || ce.Unwrap() != nil {
 		t.Errorf("cap overflow: Error()=%q Unwrap()=%v", ce.Error(), ce.Unwrap())
 	}
+	// The machine itself builds and runs; only its minimized layer fails,
+	// the same way on every call.
+	m, err := New(1, d.Entities[1], Config{MaxStates: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err1 := m.Minimized()
+	_, err2 := m.Minimized()
+	if !reflect.DeepEqual(err1, ce) || err1 != err2 {
+		t.Errorf("Minimized errors %v / %v, want %v once", err1, err2, ce)
+	}
 }
 
 func TestCompileEntitiesMixedFleet(t *testing.T) {
 	d := deriveFor(t, `SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC`)
 	f := CompileEntities(d.Entities, Config{MaxStates: 256})
-	if len(f.Machines)+len(f.Errors) != len(d.Entities) {
-		t.Fatalf("fleet covers %d+%d of %d entities", len(f.Machines), len(f.Errors), len(d.Entities))
+	if len(f.Machines) != len(d.Entities) || len(f.Errors) != 0 {
+		t.Fatalf("fleet has %d machines and errors %v for %d entities", len(f.Machines), f.Errors, len(d.Entities))
 	}
-	if len(f.Errors) == 0 {
-		t.Fatalf("expected at least one entity over the cap, got none (machines=%d)", len(f.Machines))
-	}
+	overflow := 0
 	for p, m := range f.Machines {
-		if m.Place != p || !f.Compiled(p) {
-			t.Errorf("place %d: machine place %d, Compiled = %v", p, m.Place, f.Compiled(p))
+		if m.Place != p {
+			t.Errorf("place %d: machine place %d", p, m.Place)
+		}
+		if m.Retained() != 1 {
+			t.Errorf("place %d: %d states retained before any visit, want the root only", p, m.Retained())
+		}
+		var ce *CompileError
+		if _, err := m.Minimized(); errors.As(err, &ce) && ce.Cap == 256 {
+			overflow++
 		}
 	}
-	for p := range f.Errors {
-		if f.Compiled(p) {
-			t.Errorf("Compiled(%d) = true for failed entity", p)
-		}
+	if overflow == 0 {
+		t.Fatalf("expected at least one entity over the cap, got none")
 	}
 
-	// A terminating fleet compiles fully.
+	// A terminating fleet minimizes fully.
 	d2 := deriveFor(t, "SPEC a1; b2; c3; exit ENDSPEC")
-	f2 := CompileEntities(d2.Entities, Config{})
-	if len(f2.Errors) != 0 || len(f2.Machines) != len(d2.Entities) {
-		t.Fatalf("terminating fleet: machines=%d errors=%v", len(f2.Machines), f2.Errors)
+	for p, m := range CompileEntities(d2.Entities, Config{}).Machines {
+		if _, err := m.Minimized(); err != nil {
+			t.Errorf("terminating entity %d: %v", p, err)
+		}
 	}
 }
 

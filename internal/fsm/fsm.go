@@ -1,49 +1,49 @@
-// Package fsm compiles derived protocol entities — the behaviour
-// expressions PE_p produced by the derivation algorithm in internal/core —
-// into table-driven finite state machines, so the concurrent runtime
-// (internal/sim) can execute an entity by indexed array lookups instead of
-// re-deriving SOS transitions from its syntax tree on every step.
+// Package fsm runs derived protocol entities — the behaviour expressions
+// PE_p produced by the derivation algorithm in internal/core — as lazily
+// tabled state machines, so the runtime (internal/sim) executes an entity by
+// reading transition rows instead of re-deriving SOS transitions from its
+// syntax tree on every step.
 //
-// A compiled Machine carries two layers:
+// A Machine carries two layers:
 //
-//   - The EXACT layer is the entity's explored labelled transition system
-//     flattened into compressed-sparse-row int32 tables, with each state's
-//     transitions in exactly the derivation order of lts.Env.Transitions.
-//     This layer drives execution and counterexample replay: a runner
-//     walking it is step-for-step and random-choice-for-random-choice
-//     indistinguishable from the AST interpreter, and the transition
-//     indices pinned by compose.Witness steps select the same transitions.
+//   - The EXECUTION layer is filled on demand: the first time any session
+//     visits a state, the state's row is derived with lts.Env.Transitions,
+//     classified by Classify and kept, in derivation order — the order
+//     compose.Witness steps index — so transition indices and random-choice
+//     consumption do not depend on which session filled a row. Up to the
+//     machine's state cap, states are retained and their rows shared by
+//     every session; past it a state's row is derived on every visit and
+//     not kept. Execution is therefore never capped, and memory stays
+//     bounded by the cap. Unbounded (non-regular) entities such as the anbn
+//     counter run like any other.
 //
-//   - The MINIMIZED layer is the weak-bisimulation quotient of the exact
-//     layer (equiv.QuotientWeakMap), with each class's transitions sorted by
-//     (label key, target class) — a canonical minimal form independent of
-//     exploration order. It is what compositional verification composes
-//     over (compose.NewCompositional builds the product from these tables,
-//     never from the entity syntax), the compact form compile statistics
-//     report, and ClassOf maps every exact state into it.
+//   - The MINIMIZED layer (Minimized) is built once, on first request, by
+//     an eager bounded exploration of the entity plus its weak-bisimulation
+//     quotient (equiv.QuotientWeakMap), with each class's transitions sorted
+//     by (label key, target class) — a canonical minimal form independent of
+//     exploration order. It is what compositional verification composes over
+//     and what compile reports and the wire label table read. Past the cap
+//     it fails with a *CompileError.
 //
 // A Machine is the one per-entity artifact of the pipeline: simulation,
 // witness replay, live deployment and compositional verification all use
-// it, and the content-addressed artifact cache above this package stores
-// it keyed by the normalized entity text and the effective state cap.
-//
-// Entities whose state space exceeds the configured cap (the symptom of
-// unbounded recursion, e.g. the anbn counter service) fail to compile with
-// a structured *CompileError; callers fall back to the AST interpreter for
-// those entities, so mixed fleets work.
+// it, and the content-addressed artifact cache above this package stores it
+// keyed by the normalized entity text and the effective state cap.
 package fsm
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/lotos"
 	"repro/internal/lts"
 )
 
-// Op is the dispatch kind of one compiled transition: what the runtime has
-// to do to execute it. It refines lts.LabelKind with the runtime-relevant
-// event distinctions (send vs receive vs service primitive, and the
-// flushing receive semantics of interrupt-handshake control messages).
+// Op is the dispatch kind of one transition: what the runtime has to do to
+// execute it. It refines lts.LabelKind with the runtime-relevant event
+// distinctions (send vs receive vs service primitive, and the flushing
+// receive semantics of interrupt-handshake control messages).
 type Op uint8
 
 const (
@@ -82,92 +82,7 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", uint8(o))
 }
 
-// StateFlags summarizes which dispatch classes a state's transition row
-// contains, so the runtime can skip work (e.g. a state with only service
-// offers never scans for executable candidates).
-type StateFlags uint8
-
-const (
-	// HasDelta marks a state with a successful-termination transition.
-	HasDelta StateFlags = 1 << iota
-	// HasInternal marks a state with an internal transition.
-	HasInternal
-	// HasSend marks a state with a send transition.
-	HasSend
-	// HasRecv marks a state with a receive (plain or flushing) transition.
-	HasRecv
-	// HasService marks a state with a service-primitive offer.
-	HasService
-)
-
-// Machine is one compiled protocol entity. All slices are immutable after
-// compilation; a Machine is safe for concurrent use by any number of
-// runners.
-//
-// Exact layer: state s's transitions are the parallel entries
-// Ops/Events/To in [Off[s], Off[s+1]), in derivation order. State 0 is the
-// initial state.
-//
-// Minimized layer: class c's transitions are MinOps/MinEvents/MinTo in
-// [MinOff[c], MinOff[c+1]), sorted by (label key, target class).
-// ClassOf[s] is the class of exact state s; ClassOf[0] is always 0.
-type Machine struct {
-	// Place is the entity's protocol place (0 when compiled standalone).
-	Place int
-
-	// Off/Ops/Events/To are the exact transition tables.
-	Off    []int32
-	Ops    []Op
-	Events []lotos.Event
-	To     []int32
-	// Keys holds the canonical expression key of each exact state
-	// (diagnostics: blocked-state reporting renders Keys[current]).
-	Keys []string
-	// Flags summarizes each exact state's dispatch classes.
-	Flags []StateFlags
-
-	// OfferOff/OfferEvents/OfferEdge are the service-primitive dispatch
-	// rows: state s offers OfferEvents[OfferOff[s]:OfferOff[s+1]] to its
-	// user, and OfferEdge maps each offer back to its exact edge index.
-	OfferOff    []int32
-	OfferEvents []lotos.Event
-	OfferEdge   []int32
-
-	// ClassOf, MinOff, MinOps, MinEvents, MinTo, MinKeys are the minimized
-	// layer. MinKeys[c] is the canonical expression key of class c's
-	// representative state.
-	ClassOf   []int32
-	MinOff    []int32
-	MinOps    []Op
-	MinEvents []lotos.Event
-	MinTo     []int32
-	MinKeys   []string
-}
-
-// NumStates returns the exact layer's state count.
-func (m *Machine) NumStates() int { return len(m.Off) - 1 }
-
-// NumTransitions returns the exact layer's transition count.
-func (m *Machine) NumTransitions() int { return len(m.Ops) }
-
-// MinStates returns the minimized layer's state count (the number of weak-
-// bisimilarity classes of the entity behaviour).
-func (m *Machine) MinStates() int { return len(m.MinOff) - 1 }
-
-// MinTransitions returns the minimized layer's transition count.
-func (m *Machine) MinTransitions() int { return len(m.MinTo) }
-
-// Row returns the exact edge index range of state s.
-func (m *Machine) Row(s int32) (lo, hi int32) { return m.Off[s], m.Off[s+1] }
-
-// Offers returns state s's service-primitive offers (shared slice — callers
-// must not mutate) and the parallel exact edge indices.
-func (m *Machine) Offers(s int32) ([]lotos.Event, []int32) {
-	lo, hi := m.OfferOff[s], m.OfferOff[s+1]
-	return m.OfferEvents[lo:hi], m.OfferEdge[lo:hi]
-}
-
-// opLabel reconstructs the lts.Label of a compiled transition.
+// opLabel reconstructs the lts.Label of a classified transition.
 func opLabel(op Op, ev lotos.Event) lts.Label {
 	switch op {
 	case OpInternal:
@@ -179,73 +94,141 @@ func opLabel(op Op, ev lotos.Event) lts.Label {
 	}
 }
 
-// MinLabel reconstructs the lts.Label of minimized edge e.
-func (m *Machine) MinLabel(e int32) lts.Label { return opLabel(m.MinOps[e], m.MinEvents[e]) }
+// Machine is one protocol entity as a lazily tabled state machine. It is
+// safe for concurrent use by any number of sessions: rows are filled under
+// the machine's lock and published atomically, so reading a filled row
+// takes no lock.
+type Machine struct {
+	// Place is the entity's protocol place (0 when built standalone).
+	Place int
 
-// Graph reconstructs the exact layer as an lts.Graph (state expressions are
-// not retained by compilation, so States holds nils; Keys and Edges are
-// faithful). Used by equivalence checks and graph reporting.
-func (m *Machine) Graph() *lts.Graph {
-	n := m.NumStates()
-	g := &lts.Graph{
-		States:   make([]lotos.Expr, n),
-		Keys:     append([]string(nil), m.Keys...),
-		Edges:    make([][]lts.Edge, n),
-		Depth:    make([]int, n),
-		ObsDepth: make([]int, n),
-		Frontier: map[int]bool{},
-	}
-	for s := 0; s < n; s++ {
-		lo, hi := m.Off[s], m.Off[s+1]
-		if lo == hi {
-			continue
-		}
-		es := make([]lts.Edge, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			es = append(es, lts.Edge{Label: opLabel(m.Ops[e], m.Events[e]), To: int(m.To[e])})
-		}
-		g.Edges[s] = es
-	}
-	return g
+	maxStates int
+
+	// mu guards the execution layer's construction: the SOS environment
+	// (its instantiation memo is not safe for concurrent use), the key
+	// index of retained states, and row derivation.
+	mu    sync.Mutex
+	spec  *lotos.Spec // the machine's private, resolved clone
+	env   *lts.Env
+	index map[string]*State
+	root  *State
+
+	minOnce sync.Once
+	minDone atomic.Bool
+	min     *Minimized
+	minErr  error
 }
 
-// MinGraph reconstructs the minimized layer as an lts.Graph.
-func (m *Machine) MinGraph() *lts.Graph {
-	n := m.MinStates()
-	g := &lts.Graph{
-		States:   make([]lotos.Expr, n),
-		Keys:     append([]string(nil), m.MinKeys...),
-		Edges:    make([][]lts.Edge, n),
-		Depth:    make([]int, n),
-		ObsDepth: make([]int, n),
-		Frontier: map[int]bool{},
-	}
-	for c := 0; c < n; c++ {
-		lo, hi := m.MinOff[c], m.MinOff[c+1]
-		if lo == hi {
-			continue
-		}
-		es := make([]lts.Edge, 0, hi-lo)
-		for e := lo; e < hi; e++ {
-			es = append(es, lts.Edge{Label: m.MinLabel(e), To: int(m.MinTo[e])})
-		}
-		g.Edges[c] = es
-	}
-	return g
+// State is one entity state: a retained state, whose row is filled once and
+// shared by every session, or — once the cap is reached — a transient one,
+// whose row is derived on every visit.
+type State struct {
+	expr     lotos.Expr // nil once a retained row is filled
+	key      string
+	retained bool
+	row      atomic.Pointer[Row]
 }
 
-// CompileError reports that one entity's behaviour could not be compiled —
-// its reachable state space exceeded the cap (unbounded recursion), or
-// transition derivation itself failed. Callers are expected to fall back to
-// the AST interpreter for the affected entity.
+// Key returns the state's canonical expression key (diagnostics: blocked
+// entities report it).
+func (s *State) Key() string { return s.key }
+
+// Row is one state's transitions in derivation order, classified by
+// Classify. A row is immutable: callers must not mutate its slices.
+type Row struct {
+	Ops    []Op
+	Events []lotos.Event // zero Event for internal and δ transitions
+	To     []*State
+	// Offers are the row's service-primitive offers to the local user, and
+	// OfferAt[i] the row index of Offers[i].
+	Offers  []lotos.Event
+	OfferAt []int32
+}
+
+// New builds the machine of one derived entity specification without
+// exploring it. The specification is cloned first (resolution and
+// instantiation write to syntax trees), so sp is not mutated and may be
+// shared. It fails only when the specification does not resolve.
+func New(place int, sp *lotos.Spec, cfg Config) (*Machine, error) {
+	clone := lotos.CloneSpec(sp)
+	env, err := lts.EnvFor(clone)
+	if err != nil {
+		return nil, &CompileError{Place: place, Reason: err.Error(), err: err}
+	}
+	m := &Machine{Place: place, maxStates: cfg.maxStates(), spec: clone, env: env, index: map[string]*State{}}
+	m.root = m.intern(clone.Root.Expr)
+	return m, nil
+}
+
+// Root returns the initial state.
+func (m *Machine) Root() *State { return m.root }
+
+// Row returns state s's transition row, deriving it on first visit. A
+// retained state's row is derived once and then read without locking; a
+// transient state's row is derived afresh on every call.
+func (m *Machine) Row(s *State) (*Row, error) {
+	if r := s.row.Load(); r != nil {
+		return r, nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r := s.row.Load(); r != nil {
+		return r, nil
+	}
+	ts, err := m.env.Transitions(s.expr)
+	if err != nil {
+		return nil, err
+	}
+	r := &Row{Ops: make([]Op, len(ts)), Events: make([]lotos.Event, len(ts)), To: make([]*State, len(ts))}
+	for i, t := range ts {
+		r.Ops[i], r.Events[i] = Classify(t.Label)
+		r.To[i] = m.intern(t.To)
+		if r.Ops[i] == OpService {
+			r.Offers = append(r.Offers, r.Events[i])
+			r.OfferAt = append(r.OfferAt, int32(i))
+		}
+	}
+	if s.retained {
+		s.expr = nil
+		s.row.Store(r)
+	}
+	return r, nil
+}
+
+// intern returns the state of expression e: the retained state with e's
+// canonical key, a new retained state while the cap allows, or a transient
+// one. Caller holds mu (New runs before the machine is shared).
+func (m *Machine) intern(e lotos.Expr) *State {
+	key := lotos.Canon(e)
+	if s := m.index[key]; s != nil {
+		return s
+	}
+	s := &State{expr: e, key: key}
+	if len(m.index) < m.maxStates {
+		s.retained = true
+		m.index[key] = s
+	}
+	return s
+}
+
+// Retained returns the number of retained states (at most the cap).
+func (m *Machine) Retained() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.index)
+}
+
+// CompileError reports that an entity's machine could not be built — its
+// specification does not resolve (Cap 0) — or that its minimized layer
+// could not: the reachable state space exceeds the cap (Cap > 0).
 type CompileError struct {
 	// Place is the entity's protocol place.
 	Place int
-	// States / Transitions size the graph explored when compilation
+	// States / Transitions size the graph explored when exploration
 	// stopped.
 	States      int
 	Transitions int
-	// Cap is the state cap compilation ran with (0 when the failure was not
+	// Cap is the state cap exploration ran with (0 when the failure was not
 	// a cap overflow).
 	Cap int
 	// Reason describes the failure.

@@ -1,33 +1,34 @@
 package fsm_test
 
 // FuzzCompile drives arbitrary specifications through parse, derive and
-// FSM compilation, holding the compiler to its three contracts on every
-// input the fuzzer discovers:
+// machine construction, holding the machines to their two static contracts
+// on every input the fuzzer discovers:
 //
-//   - compilation never panics: each entity either yields a machine or a
-//     structured *CompileError naming its place;
-//   - minimization is exact: a machine's minimized layer has one state per
-//     weak-bisimulation class of its exact layer, never more or fewer;
-//   - fallback composes: whatever mix of compiled and overflowed entities
-//     comes out, the fleet runs — a lockstep simulation over the mixed
-//     fleet must execute without an engine error.
+//   - construction never panics: each entity yields a machine, and its
+//     minimized layer either builds or fails with a structured
+//     *CompileError naming its place;
+//   - minimization is exact: a minimized layer is sized like the entity's
+//     independently explored transition system and has one state per
+//     weak-bisimulation class of it, never more or fewer.
 //
-// The test lives in the external package so it can drive the sim runtime
-// over the compiled fleets without an import cycle.
+// The runtime contract, that every fleet runs exactly like the SOS
+// reference, is FuzzFleetRuns in internal/sim.
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/equiv"
 	"repro/internal/fsm"
 	"repro/internal/lotos"
-	"repro/internal/sim"
+	"repro/internal/lts"
 )
+
+// fuzzMaxStates caps every fuzzed machine's minimized layer.
+const fuzzMaxStates = 256
 
 func seedCompileCorpus(f *testing.F) {
 	matches, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec"))
@@ -71,74 +72,44 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			return // restriction violations reject the service before compilation
 		}
-		fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: 256})
+		fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: fuzzMaxStates})
 		for place := range d.Entities {
 			m := fleet.Machines[place]
 			if m == nil {
-				ce := fleet.Errors[place]
-				if ce == nil {
-					t.Fatalf("entity %d: no machine and no compile error", place)
-				}
-				if ce.Place != place || ce.Error() == "" {
-					t.Fatalf("entity %d: malformed compile error %+v", place, ce)
+				t.Fatalf("entity %d: no machine (%v)", place, fleet.Errors[place])
+			}
+			lay, err := m.Minimized()
+			if err != nil {
+				var ce *fsm.CompileError
+				if !errors.As(err, &ce) || ce.Place != place || ce.Error() == "" {
+					t.Fatalf("entity %d: malformed minimization error %#v", place, err)
 				}
 				continue
 			}
-			if fleet.Errors[place] != nil {
-				t.Fatalf("entity %d: both a machine and a compile error", place)
+			// Minimization is exact: the exact sizes are the explored
+			// entity's, with one minimized state per weak class.
+			sp := lotos.CloneSpec(d.Entities[place])
+			env, err := lts.EnvFor(sp)
+			if err != nil {
+				t.Fatalf("entity %d: minimized, but its env fails: %v", place, err)
 			}
-			// Minimization is exact: one minimized state per weak class.
-			if want := equiv.NumClassesWeak(m.Graph()); m.MinStates() != want {
+			g, err := lts.Explore(env, sp.Root.Expr, lts.Limits{MaxStates: fuzzMaxStates})
+			if err != nil || g.Truncated {
+				t.Fatalf("entity %d: minimized, but exploration fails (err=%v truncated=%v)", place, err, g != nil && g.Truncated)
+			}
+			if lay.ExactStates != g.NumStates() || lay.ExactTransitions != g.NumTransitions() {
+				t.Fatalf("entity %d: exact size %d/%d, exploration %d/%d\ninput: %q",
+					place, lay.ExactStates, lay.ExactTransitions, g.NumStates(), g.NumTransitions(), src)
+			}
+			if want := equiv.NumClassesWeak(g); lay.NumStates() != want {
 				t.Fatalf("entity %d: %d minimized states, want %d weak classes\ninput: %q",
-					place, m.MinStates(), want, src)
+					place, lay.NumStates(), want, src)
 			}
-			// Tables are well-formed: every transition targets a real state.
-			for _, to := range m.To {
-				if to < 0 || int(to) >= m.NumStates() {
-					t.Fatalf("entity %d: transition target %d out of range [0,%d)", place, to, m.NumStates())
+			// Tables are well-formed: every transition targets a real class.
+			for _, to := range lay.To {
+				if to < 0 || int(to) >= lay.NumStates() {
+					t.Fatalf("entity %d: minimized target %d out of range [0,%d)", place, to, lay.NumStates())
 				}
-			}
-			for _, to := range m.MinTo {
-				if to < 0 || int(to) >= m.MinStates() {
-					t.Fatalf("entity %d: minimized target %d out of range [0,%d)", place, to, m.MinStates())
-				}
-			}
-		}
-		if len(d.Entities) == 0 {
-			return // nothing to run
-		}
-		// Fallback composes: the mixed fleet must run exactly like the AST
-		// interpreter. A spec can legitimately fail at runtime (e.g.
-		// unguarded recursion exceeds the interpreter's unfold bound), but
-		// then it must fail under the pure AST engine too — the FSM engine
-		// may not introduce or mask errors, and on success the lockstep
-		// traces must be identical.
-		base := sim.Config{Seed: 1, MaxEvents: 8, Timeout: 250 * time.Millisecond, Lockstep: true}
-		astRes, astErr := sim.Run(d.Entities, base)
-		fsmCfg := base
-		fsmCfg.Engine = sim.EngineFSM
-		fsmCfg.Fleet = fleet
-		res, err := sim.Run(d.Entities, fsmCfg)
-		if (err == nil) != (astErr == nil) {
-			t.Fatalf("engines disagree on runnability: ast err=%v, fsm err=%v\ninput: %q", astErr, err, src)
-		}
-		if err != nil {
-			return // both engines reject the spec at runtime — consistent
-		}
-		if astRes.TimedOut || res.TimedOut {
-			return // the wall-clock cut is not deterministic across engines
-		}
-		if !reflect.DeepEqual(astRes.TraceStrings(), res.TraceStrings()) {
-			t.Fatalf("traces diverge\n ast: %v\n fsm: %v\ninput: %q",
-				astRes.TraceStrings(), res.TraceStrings(), src)
-		}
-		for p := range d.Entities {
-			want := sim.EngineAST
-			if fleet.Machines[p] != nil {
-				want = sim.EngineFSM
-			}
-			if res.Engines[p] != want {
-				t.Fatalf("entity %d ran %s, want %s", p, res.Engines[p], want)
 			}
 		}
 	})

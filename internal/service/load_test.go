@@ -218,7 +218,7 @@ func TestLoadConcurrentClients(t *testing.T) {
 		t.Errorf("job stats = %+v, want %d clean completions", js, asyncJobs)
 	}
 	// Compile counters record computed requests only: one per distinct
-	// compile key, two compiled entities each, no interpreter fallbacks.
+	// compile key, two minimized entities each, no fallbacks.
 	if cc := page.Compile; cc.Requests != distinctSpecs ||
 		cc.CompiledEntities != 2*distinctSpecs || cc.InterpretedEntities != 0 {
 		t.Errorf("compile counters = %+v, want %d requests / %d compiled entities",

@@ -96,15 +96,16 @@ type EquivCounters struct {
 	RefineMS   float64 `json:"refineMs"`
 }
 
-// CompileCounters aggregates the FSM compiler's work across every
-// derivation the daemon computed with the compile option (cache hits and
-// joined singleflight calls do not re-count).
+// CompileCounters aggregates the entity minimizations of every derivation
+// the daemon computed with the compile option (cache hits and joined
+// singleflight calls do not re-count).
 type CompileCounters struct {
 	// Requests counts computed derivations that asked for compilation.
 	Requests uint64 `json:"requests"`
-	// CompiledEntities counts entities that compiled to tables;
-	// InterpretedEntities counts the ones that fell back to the AST
-	// interpreter (state space over the cap).
+	// CompiledEntities counts entities whose minimized layer closed under
+	// the cap; InterpretedEntities counts the ones whose state space
+	// overflowed it (compile.fallback). Every entity still runs on its
+	// machine either way; the key keeps its name for the wire contract.
 	CompiledEntities    uint64 `json:"compiledEntities"`
 	InterpretedEntities uint64 `json:"interpretedEntities"`
 	// States and Transitions sum the minimized machine sizes.
@@ -253,12 +254,12 @@ func (m *Metrics) RecordCompositional(rep *protoderive.CompositionalReport) {
 }
 
 // RecordCompile folds one compile report into the aggregate.
-func (m *Metrics) RecordCompile(compiled, interpreted, states, transitions int) {
+func (m *Metrics) RecordCompile(compiled, overflowed, states, transitions int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.compile.Requests++
 	m.compile.CompiledEntities += uint64(compiled)
-	m.compile.InterpretedEntities += uint64(interpreted)
+	m.compile.InterpretedEntities += uint64(overflowed)
 	m.compile.States += uint64(states)
 	m.compile.Transitions += uint64(transitions)
 }

@@ -18,7 +18,7 @@
 // Endpoints:
 //
 //	POST /v1/derive          spec -> entity specs + attributes + complexity
-//	                         (+ per-entity FSM compilation with "compile")
+//	                         (+ per-entity minimized sizes with "compile")
 //	POST /v1/verify          spec -> derive + compose + equivalence verdict
 //	POST /v1/verify?async=1  same, as an async job -> {"jobId": ...}
 //	POST /v1/delta-verify    base digest + edited spec -> entity delta +
@@ -166,12 +166,12 @@ type DeriveRequestOptions struct {
 	KeepRedundant      bool `json:"keepRedundant,omitempty"`
 	Dialect1986        bool `json:"dialect1986,omitempty"`
 	InterruptHandshake bool `json:"interruptHandshake,omitempty"`
-	// Compile additionally compiles every derived entity to a minimized
-	// table-driven machine and reports per-entity state/transition counts.
+	// Compile additionally builds every derived entity machine's minimized
+	// layer and reports per-entity state/transition counts.
 	Compile bool `json:"compile,omitempty"`
-	// CompileMaxStates caps each entity's state space during compilation
-	// (0 = the compiler default). Entities over the cap are reported as
-	// interpreter fallbacks, not errors.
+	// CompileMaxStates caps each entity's explored state space (0 = the
+	// fsm default). Entities over the cap are reported as fallbacks
+	// (compile.fallback: their minimized layer overflows), not errors.
 	CompileMaxStates int `json:"compileMaxStates,omitempty"`
 }
 
@@ -210,7 +210,7 @@ type DeriveResponse struct {
 	MessageCount int `json:"messageCount"`
 	// Complexity is the per-operator Section-4.3 breakdown.
 	Complexity protoderive.Complexity `json:"complexity"`
-	// Compile carries the per-entity FSM compilation report when the
+	// Compile carries the per-entity minimized-layer report when the
 	// request asked for it.
 	Compile *protoderive.CompileReport `json:"compile,omitempty"`
 }

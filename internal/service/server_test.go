@@ -278,9 +278,8 @@ func TestDeriveCompileOption(t *testing.T) {
 }
 
 // TestDeriveCompileFallback asserts that an entity whose state space
-// exceeds the cap is reported as an interpreter fallback (with the
-// overflow reason), not an error, and counts on the interpreted side of
-// the /metrics aggregate.
+// exceeds the cap is reported as a fallback (with the overflow reason), not
+// an error, and counts as interpretedEntities in the /metrics aggregate.
 func TestDeriveCompileFallback(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	src := "SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC"
@@ -292,7 +291,7 @@ func TestDeriveCompileFallback(t *testing.T) {
 	}
 	rep := out.Compile
 	if rep.Fallback == 0 {
-		t.Fatalf("compile report = %+v, want interpreter fallbacks for unbounded entities", rep)
+		t.Fatalf("compile report = %+v, want fallbacks for unbounded entities", rep)
 	}
 	if rep.MaxStates != 256 {
 		t.Errorf("report cap = %d, want 256", rep.MaxStates)

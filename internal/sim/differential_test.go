@@ -1,12 +1,14 @@
 package sim
 
-// Corpus-wide differential test of the two execution engines: every
-// checked-in specification, every derived entity, AST interpreter vs
-// compiled FSM. The equivalence is checked at two levels — statically,
-// each compiled machine (exact and minimized) is weakly bisimilar to the
-// entity's explored transition system; dynamically, lockstep runs with the
-// same seed produce identical observable traces and outcomes under either
-// engine, and those traces are weak traces of the service.
+// Corpus-wide differential test of the machines against the SOS reference
+// (reference_test.go): every checked-in specification, every derived
+// entity. The equivalence is checked at two levels — statically, each
+// machine's minimized layer is weakly bisimilar to the entity's
+// independently explored transition system and sized like it;
+// dynamically, lockstep runs with the same seed are byte-identical over the
+// machines and over the reference, at the default state cap (rows
+// retained) and at a tiny one (rows past it derived on every visit), and
+// their traces are weak traces of the service.
 
 import (
 	"os"
@@ -58,28 +60,38 @@ func corpusDerivations(t *testing.T) map[string]corpusEntry {
 	return out
 }
 
-// diffMaxStates is the compilation cap for the differential sweep: big
-// enough for every finite corpus entity, small enough that the unbounded
-// ones fail fast.
+// diffMaxStates is the minimization cap for the static sweep: big enough
+// for every finite corpus entity, small enough that the unbounded ones fail
+// fast.
 const diffMaxStates = 1024
 
-// TestCorpusCompiledBisimilarToExploration checks the static half of the
-// engine equivalence over the whole corpus: for every entity that
-// compiles, both the exact table graph and the minimized one are weakly
-// bisimilar to the entity's independently explored transition system, and
-// the minimized machine has exactly one state per weak-bisimulation class.
+// quotientGraph rebuilds a minimized layer as an lts.Graph.
+func quotientGraph(l *fsm.Minimized) *lts.Graph {
+	n := l.NumStates()
+	g := &lts.Graph{States: make([]lotos.Expr, n), Keys: l.Keys, Edges: make([][]lts.Edge, n),
+		Depth: make([]int, n), ObsDepth: make([]int, n), Frontier: map[int]bool{}}
+	for c := 0; c < n; c++ {
+		for e := l.Off[c]; e < l.Off[c+1]; e++ {
+			g.Edges[c] = append(g.Edges[c], lts.Edge{Label: l.Label(e), To: int(l.To[e])})
+		}
+	}
+	return g
+}
+
+// TestCorpusCompiledBisimilarToExploration checks the static half over the
+// whole corpus: for every entity whose minimized layer closes under the
+// cap, the layer's exact sizes are those of the entity's independently
+// explored transition system, its tables are weakly bisimilar to it, and it
+// has exactly one state per weak-bisimulation class.
 func TestCorpusCompiledBisimilarToExploration(t *testing.T) {
 	compiled, fallback := 0, 0
 	for name, entry := range corpusDerivations(t) {
 		d := entry.d
 		fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: diffMaxStates})
 		for place, sp := range d.Entities {
-			m := fleet.Machines[place]
-			if m == nil {
+			m, err := fleet.Machines[place].Minimized()
+			if err != nil {
 				fallback++
-				if fleet.Errors[place] == nil {
-					t.Errorf("%s entity %d: no machine and no compile error", name, place)
-				}
 				continue
 			}
 			compiled++
@@ -91,79 +103,61 @@ func TestCorpusCompiledBisimilarToExploration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s entity %d: explore: %v", name, place, err)
 			}
-			if !equiv.WeakBisimilar(m.Graph(), explored) {
-				t.Errorf("%s entity %d: exact tables not weakly bisimilar to exploration", name, place)
+			if m.ExactStates != explored.NumStates() || m.ExactTransitions != explored.NumTransitions() {
+				t.Errorf("%s entity %d: exact size %d/%d, exploration %d/%d", name, place,
+					m.ExactStates, m.ExactTransitions, explored.NumStates(), explored.NumTransitions())
 			}
-			if !equiv.WeakBisimilar(m.MinGraph(), explored) {
+			if !equiv.WeakBisimilar(quotientGraph(m), explored) {
 				t.Errorf("%s entity %d: minimized tables not weakly bisimilar to exploration", name, place)
 			}
-			if want := equiv.NumClassesWeak(explored); m.MinStates() != want {
+			if want := equiv.NumClassesWeak(explored); m.NumStates() != want {
 				t.Errorf("%s entity %d: %d minimized states, want %d weak classes",
-					name, place, m.MinStates(), want)
+					name, place, m.NumStates(), want)
 			}
 		}
 	}
 	if compiled == 0 {
-		t.Fatal("no corpus entity compiled — the differential sweep tested nothing")
+		t.Fatal("no corpus entity closed under the cap — the static sweep tested nothing")
 	}
 	if fallback == 0 {
-		t.Fatal("no corpus entity fell back — the corpus lost its unbounded members")
+		t.Fatal("no corpus entity overflowed — the corpus lost its unbounded members")
 	}
-	t.Logf("corpus entities: %d compiled, %d interpreter fallbacks", compiled, fallback)
+	t.Logf("corpus entities: %d minimized, %d over the cap", compiled, fallback)
 }
 
 // TestCorpusEnginesProduceIdenticalRuns checks the dynamic half: for every
-// corpus spec and a battery of seeds, a lockstep run under the FSM engine
-// is step-for-step identical to the AST run — same observable trace, same
-// outcome classification, same medium counters — and the shared trace is a
-// weak trace of the service. Entities that do not compile run interpreted
-// in both configurations, so the comparison still covers the whole corpus.
+// corpus spec, 20 seeds and two state caps — the default, and 8, where most
+// rows are derived on every visit instead of retained — a lockstep session
+// over one shared fleet is byte-identical to the same session over the SOS
+// reference: trace, outcome flags, medium counters and sweep count. Each
+// trace is a weak trace of the service.
 func TestCorpusEnginesProduceIdenticalRuns(t *testing.T) {
 	const seeds = 20
 	for name, entry := range corpusDerivations(t) {
 		d := entry.d
-		fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: diffMaxStates})
-		for seed := int64(0); seed < seeds; seed++ {
-			base := Config{Seed: seed, Lockstep: true, MaxEvents: 24}
-			astRes, err := Run(d.Entities, base)
-			if err != nil {
-				t.Fatalf("%s seed %d ast: %v", name, seed, err)
-			}
-			fsmCfg := base
-			fsmCfg.Engine = EngineFSM
-			fsmCfg.Fleet = fleet
-			fsmRes, err := Run(d.Entities, fsmCfg)
-			if err != nil {
-				t.Fatalf("%s seed %d fsm: %v", name, seed, err)
-			}
-			if !reflect.DeepEqual(astRes.TraceStrings(), fsmRes.TraceStrings()) {
-				t.Fatalf("%s seed %d: traces diverge\n ast: %v\n fsm: %v",
-					name, seed, astRes.TraceStrings(), fsmRes.TraceStrings())
-			}
-			if astRes.Completed != fsmRes.Completed || astRes.Deadlocked != fsmRes.Deadlocked ||
-				astRes.TimedOut != fsmRes.TimedOut || astRes.Stopped != fsmRes.Stopped {
-				t.Fatalf("%s seed %d: outcomes diverge\n ast: %+v\n fsm: %+v",
-					name, seed, astRes, fsmRes)
-			}
-			if astRes.Medium.Sent != fsmRes.Medium.Sent || astRes.Medium.Delivered != fsmRes.Medium.Delivered {
-				t.Fatalf("%s seed %d: medium stats diverge: %+v vs %+v",
-					name, seed, astRes.Medium, fsmRes.Medium)
-			}
-			for p := range d.Entities {
-				want := EngineAST
-				if fleet.Machines[p] != nil {
-					want = EngineFSM
+		for _, cap := range []int{0, 8} {
+			fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: cap})
+			for seed := int64(0); seed < seeds; seed++ {
+				cfg := Config{Seed: seed, MaxEvents: 24}
+				want, err := runReference(t, d.Entities, cfg)
+				if err != nil {
+					t.Fatalf("%s seed %d reference: %v", name, seed, err)
 				}
-				if fsmRes.Engines[p] != want {
-					t.Errorf("%s seed %d: entity %d ran %s, want %s", name, seed, p, fsmRes.Engines[p], want)
+				cfg.Fleet = fleet
+				got, res, err := runMachines(t, d.Entities, cfg)
+				if err != nil {
+					t.Fatalf("%s cap %d seed %d machines: %v", name, cap, seed, err)
 				}
-			}
-			// The traces are equal, so one trace check covers both engines.
-			// Disabling specs are exempt: their derived protocol deviates
-			// from the service by design, under either engine.
-			if !entry.disabling {
-				if err := CheckTrace(d.Service.Spec, astRes, 200000); err != nil {
-					t.Errorf("%s seed %d: %v (trace %v)", name, seed, err, astRes.TraceStrings())
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s cap %d seed %d: runs diverge\n machines:  %+v\n reference: %+v",
+						name, cap, seed, got, want)
+				}
+				// Disabling specs are exempt: their derived protocol deviates
+				// from the service by design.
+				if !entry.disabling && cap == 0 {
+					if err := CheckTrace(d.Service.Spec, res, 200000); err != nil {
+						t.Errorf("%s seed %d: %v (trace %v)", name, seed, err, want.Trace)
+					}
 				}
 			}
 		}

@@ -57,13 +57,14 @@ type Entity interface {
 	Enabledness() (Enabled, error)
 }
 
-// EntityStepper drives one protocol entity through its engine against a
+// EntityStepper drives one protocol entity's machine against a
 // medium.Transport. It is single-goroutine state: not safe for concurrent
-// use.
+// use (the machine it reads may be shared by any number of steppers).
 type EntityStepper struct {
 	place   int
-	step    stepper
-	engine  Engine
+	m       *fsm.Machine
+	cur     *fsm.State
+	row     *fsm.Row // cur's row once loaded, nil after every move
 	med     medium.Transport
 	harness Harness
 	// The scheduling RNG and its PCG state live in the stepper itself, so
@@ -74,68 +75,65 @@ type EntityStepper struct {
 	done  bool
 }
 
-// NewEntityStepper builds the external-scheduler seam for one entity.
-// machine selects the compiled engine when non-nil; otherwise spec is
-// interpreted by the AST engine (exactly the per-entity fallback of
-// in-process runs). seed must be RunnerSeed(runSeed, placeIndex) and
-// harness the shared run harness for the execution to match an in-process
-// run.
-func NewEntityStepper(place int, spec *lotos.Spec, machine *fsm.Machine, med medium.Transport, harness Harness, seed int64) (*EntityStepper, error) {
+// NewEntityStepper builds the external-scheduler seam for one entity over
+// its machine. seed must be RunnerSeed(runSeed, placeIndex) and harness the
+// shared run harness for the execution to match an in-process run.
+func NewEntityStepper(place int, machine *fsm.Machine, med medium.Transport, harness Harness, seed int64) (*EntityStepper, error) {
 	if harness == nil {
 		return nil, fmt.Errorf("sim: entity stepper needs a harness")
 	}
-	return newEntityStepper(place, spec, machine, med, harness, seed)
+	if machine == nil {
+		return nil, fmt.Errorf("sim: entity %d has no machine", place)
+	}
+	return newEntityStepper(place, machine, med, harness, seed), nil
 }
 
-func newEntityStepper(place int, spec *lotos.Spec, machine *fsm.Machine, med medium.Transport, harness Harness, seed int64) (*EntityStepper, error) {
-	e := &EntityStepper{place: place, engine: EngineAST, med: med, harness: harness, pcg: *newPCG(seed)}
+func newEntityStepper(place int, machine *fsm.Machine, med medium.Transport, harness Harness, seed int64) *EntityStepper {
+	e := &EntityStepper{place: place, m: machine, cur: machine.Root(), med: med, harness: harness, pcg: *newPCG(seed)}
 	e.rng = *rand.New(&e.pcg)
-	if machine != nil {
-		e.step, e.engine = newFSMStepper(machine), EngineFSM
-		return e, nil
-	}
-	if spec == nil {
-		return nil, fmt.Errorf("sim: entity %d: no compiled machine and no specification to interpret", place)
-	}
-	ast, err := newASTStepper(place, spec)
-	if err != nil {
-		return nil, err
-	}
-	e.step = ast
-	return e, nil
+	return e
 }
 
 // Place implements Entity.
 func (e *EntityStepper) Place() int { return e.place }
-
-// Engine reports which engine the stepper runs (EngineFSM when compiled).
-func (e *EntityStepper) Engine() Engine { return e.engine }
 
 // Describe renders the entity's current state for diagnostics.
 func (e *EntityStepper) Describe() string {
 	if e.done {
 		return "terminated"
 	}
-	return e.step.describe()
+	return e.cur.Key()
+}
+
+// load makes the current state's row addressable.
+func (e *EntityStepper) load() (*fsm.Row, error) {
+	if e.row == nil {
+		r, err := e.m.Row(e.cur)
+		if err != nil {
+			return nil, err
+		}
+		e.row = r
+	}
+	return e.row, nil
 }
 
 // StepOnce evaluates the current transition row and executes at most one
 // transition. After termination it reports Done without stepping. The
 // random-choice structure (one optional user-interaction lottery, then a
-// uniform pick among executable candidates) is the engine-independent
-// scheduling contract: both steppers feed it identical rows, so a seeded
-// run produces the same execution under either engine.
+// uniform pick among executable candidates) is the scheduling contract: a
+// row's order is its derivation order, whichever session filled it, so a
+// seeded run is one execution in process and live.
 func (e *EntityStepper) StepOnce() (StepOutcome, error) {
 	if e.done {
 		return StepOutcome{Done: true}, nil
 	}
-	n, err := e.step.reload()
+	row, err := e.load()
 	if err != nil {
 		return StepOutcome{}, err
 	}
 	e.cands = e.cands[:0]
-	for i := 0; i < n; i++ {
-		switch e.step.op(i) {
+	for i, op := range row.Ops {
+		switch op {
 		case fsm.OpDelta, fsm.OpInternal, fsm.OpSend:
 			e.cands = append(e.cands, i)
 		case fsm.OpRecv:
@@ -143,11 +141,11 @@ func (e *EntityStepper) StepOnce() (StepOutcome, error) {
 			// actual consumption happens in fire, which re-checks
 			// (another branch cannot steal it: only this entity consumes
 			// this channel).
-			if e.med.TryConsumeCheck(medium.WantedBy(e.place, e.step.ev(i))) {
+			if e.med.TryConsumeCheck(medium.WantedBy(e.place, row.Events[i])) {
 				e.cands = append(e.cands, i)
 			}
 		case fsm.OpRecvFlush:
-			if e.med.TryConsumeFlushCheck(medium.WantedBy(e.place, e.step.ev(i))) {
+			if e.med.TryConsumeFlushCheck(medium.WantedBy(e.place, row.Events[i])) {
 				e.cands = append(e.cands, i)
 			}
 		}
@@ -157,11 +155,11 @@ func (e *EntityStepper) StepOnce() (StepOutcome, error) {
 	// CLAIMS the offer (a scripted harness advances its cursor), so an
 	// accepted service primitive must be executed immediately — it may not
 	// lose a lottery against the other candidates.
-	if offered, offeredIdx := e.step.offers(); len(offered) > 0 {
+	if offered := row.Offers; len(offered) > 0 {
 		attempt := len(e.cands) == 0 || e.rng.IntN(len(e.cands)+1) == len(e.cands)
 		if attempt {
 			if pick := e.harness.Choose(e.place, offered); pick >= 0 && pick < len(offered) {
-				return e.fire(int(offeredIdx[pick]))
+				return e.fire(int(row.OfferAt[pick]))
 			}
 		}
 	}
@@ -178,29 +176,29 @@ func (e *EntityStepper) StepExact(tindex int, want fsm.Op) (StepOutcome, error) 
 	if e.done {
 		return StepOutcome{}, fmt.Errorf("entity %d already terminated", e.place)
 	}
-	n, err := e.step.reload()
+	row, err := e.load()
 	if err != nil {
 		return StepOutcome{}, err
 	}
 	if want == fsm.OpDelta {
 		// Global termination: take the entity's δ transition regardless of
 		// tindex (the witness's δ step is a single global transition).
-		for i := 0; i < n; i++ {
-			if e.step.op(i) == fsm.OpDelta {
+		for i, op := range row.Ops {
+			if op == fsm.OpDelta {
 				return e.fire(i)
 			}
 		}
 		return StepOutcome{}, fmt.Errorf("entity %d cannot terminate", e.place)
 	}
-	if tindex < 0 || tindex >= n {
-		return StepOutcome{}, fmt.Errorf("entity %d has %d transitions, step selects #%d", e.place, n, tindex)
+	if tindex < 0 || tindex >= len(row.Ops) {
+		return StepOutcome{}, fmt.Errorf("entity %d has %d transitions, step selects #%d", e.place, len(row.Ops), tindex)
 	}
-	op := e.step.op(tindex)
+	op := row.Ops[tindex]
 	if op != want && !(want == fsm.OpRecv && op == fsm.OpRecvFlush) {
 		return StepOutcome{}, fmt.Errorf("entity %d transition #%d is %s, not %s", e.place, tindex, op, want)
 	}
 	if b, ok := e.med.(bounded); ok && op == fsm.OpSend {
-		if err := b.admitSend(e.place, e.step.ev(tindex).Place); err != nil {
+		if err := b.admitSend(e.place, row.Events[tindex].Place); err != nil {
 			return StepOutcome{}, err
 		}
 	}
@@ -216,19 +214,20 @@ type bounded interface {
 	admitSend(from, to int) error
 }
 
-// fire performs transition i of the current row: its side effect on the
-// medium, then the move to its target.
+// fire performs transition i of the current (loaded) row: its side effect
+// on the medium, then the move to its target.
 func (e *EntityStepper) fire(i int) (StepOutcome, error) {
 	out := StepOutcome{Progressed: true}
-	switch op := e.step.op(i); op {
+	ev := e.row.Events[i]
+	switch op := e.row.Ops[i]; op {
 	case fsm.OpDelta:
 		e.done = true
 		out.Done = true
 	case fsm.OpInternal:
 	case fsm.OpSend:
-		e.med.Send(medium.MessageFor(e.place, e.step.ev(i)))
+		e.med.Send(medium.MessageFor(e.place, ev))
 	case fsm.OpRecv, fsm.OpRecvFlush:
-		want := medium.WantedBy(e.place, e.step.ev(i))
+		want := medium.WantedBy(e.place, ev)
 		consumed := false
 		if op == fsm.OpRecvFlush {
 			consumed = e.med.TryConsumeFlush(want)
@@ -239,11 +238,12 @@ func (e *EntityStepper) fire(i int) (StepOutcome, error) {
 			return StepOutcome{}, fmt.Errorf("entity %d cannot consume %s", e.place, want)
 		}
 	case fsm.OpService:
-		out.HasEvent, out.Event = true, e.step.ev(i)
+		out.HasEvent, out.Event = true, ev
 	default:
 		return StepOutcome{}, fmt.Errorf("entity %d: unexpected transition op %s", e.place, op)
 	}
-	return out, e.step.advance(i)
+	e.cur, e.row = e.row.To[i], nil
+	return out, nil
 }
 
 // Enabled classifies an entity's current transition row for a global
@@ -271,24 +271,24 @@ func (e *EntityStepper) Enabledness() (Enabled, error) {
 	if e.done {
 		return en, nil
 	}
-	n, err := e.step.reload()
+	row, err := e.load()
 	if err != nil {
 		return en, err
 	}
-	for i := 0; i < n; i++ {
-		switch e.step.op(i) {
+	for i, op := range row.Ops {
+		switch op {
 		case fsm.OpDelta:
 			en.Delta = true
 		case fsm.OpInternal, fsm.OpService:
 			en.Local = true
 		case fsm.OpSend:
-			en.SendTargets = append(en.SendTargets, e.step.ev(i).Place)
+			en.SendTargets = append(en.SendTargets, row.Events[i].Place)
 		case fsm.OpRecv:
-			if e.med.TryConsumeCheck(medium.WantedBy(e.place, e.step.ev(i))) {
+			if e.med.TryConsumeCheck(medium.WantedBy(e.place, row.Events[i])) {
 				en.RecvReady = true
 			}
 		case fsm.OpRecvFlush:
-			if e.med.TryConsumeFlushCheck(medium.WantedBy(e.place, e.step.ev(i))) {
+			if e.med.TryConsumeFlushCheck(medium.WantedBy(e.place, row.Events[i])) {
 				en.RecvReady = true
 			}
 		}

@@ -10,11 +10,9 @@ package sim
 // DropAt/DuplicateAt/SwapAt calls reproduce the fault events instead.
 //
 // Replay drives the same Entity contract as the lockstep scheduler, so one
-// step loop replays a witness through either engine in process or through
-// a live deployment (internal/wire). The compiled tables preserve per-state
-// transition order (the TIndex a witness step pins selects the same
-// transition in both engines), which the FSM replay regression suite checks
-// across the whole fault-matrix corpus.
+// step loop replays a witness in process or through a live deployment
+// (internal/wire). Machine rows keep derivation order, so the TIndex a
+// witness step pins selects the transition the exploration numbered.
 
 import (
 	"fmt"
@@ -45,26 +43,25 @@ type ReplayResult struct {
 	MediumStats medium.Stats
 }
 
-// ReplayWitness re-executes a counterexample through the AST interpreter
-// and returns what the concrete system did. Each witness step is validated
-// against the entity's derived transitions (the step's TIndex must select a
-// transition of the step's kind) or against the medium's queues (a fault
-// step must find its queue position occupied); any mismatch is an error —
-// the witness does not describe a real execution.
+// ReplayWitness re-executes a counterexample through machines built for the
+// entities and returns what the concrete system did. Each witness step is
+// validated against the entity's transition row (the step's TIndex must
+// select a transition of the step's kind) or against the medium's queues (a
+// fault step must find its queue position occupied); any mismatch is an
+// error — the witness does not describe a real execution.
 func ReplayWitness(entities map[int]*lotos.Spec, w *compose.Witness) (*ReplayResult, error) {
-	return ReplayWitnessEngine(entities, w, EngineAST, nil)
+	return ReplayFleet(fsm.CompileEntities(entities, fsm.Config{}), w)
 }
 
-// ReplayWitnessEngine is ReplayWitness with an engine choice. Under
-// EngineFSM the entities run compiled (fleet is compiled on the spot when
-// nil), with per-entity AST fallback on compilation failure.
-func ReplayWitnessEngine(entities map[int]*lotos.Spec, w *compose.Witness, engine Engine, fleet *fsm.Fleet) (*ReplayResult, error) {
+// ReplayFleet is ReplayWitness over a fleet's machines, which may be shared
+// with other sessions.
+func ReplayFleet(fleet *fsm.Fleet, w *compose.Witness) (*ReplayResult, error) {
 	if w == nil {
 		return nil, fmt.Errorf("sim: nil witness")
 	}
 	med := &replayMedium{Medium: medium.New(medium.Config{}), cap: channelCap(w)}
 	defer med.Close()
-	steppers, err := newSteppers(entities, entityPlaces(entities), med, Config{Engine: engine, Fleet: fleet})
+	steppers, err := newSteppers(nil, fleetPlaces(fleet), med, Config{Fleet: fleet})
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func replayWitnessFor(t *testing.T, src string, opts compose.VerifyOptions) (*co
 }
 
 // TestReplayReproducesDeadlockWitness: every deadlock counterexample found by
-// exploration is a real execution — the concrete interpreter accepts each
+// exploration is a real execution — the concrete runtime accepts each
 // step, produces the witness's observable trace, and ends deadlocked.
 func TestReplayReproducesDeadlockWitness(t *testing.T) {
 	cases := []struct {

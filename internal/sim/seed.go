@@ -1,5 +1,7 @@
 package sim
 
+import "math/rand/v2"
+
 // Sub-seed derivation. One run seed (Config.Seed) identifies a whole
 // execution, so every random stream of the run — the harness lottery, the
 // medium's delays and faults, and each entity runner's scheduling choices —
@@ -47,4 +49,11 @@ func SubSeed(seed int64, role uint64, index int) int64 {
 	h = splitmix64(h ^ role*0xd1342543de82ef95)
 	h = splitmix64(h ^ uint64(index)*0x2545f4914f6cdd1d)
 	return int64(h)
+}
+
+// newPCG seeds a PCG stream from a scheduling seed. Seeding is O(1) — the
+// previous lagged-Fibonacci source spent ~10µs per entity filling its state
+// vector, which dominated short simulation runs (see BenchmarkSimulate).
+func newPCG(seed int64) *rand.PCG {
+	return rand.NewPCG(uint64(seed), 0x9e3779b97f4a7c15)
 }

@@ -24,8 +24,7 @@ import (
 
 // entityPlaces returns the sorted places of an entity map. Ascending place
 // order fixes the per-entity scheduling seeds, so a run is identified by
-// cfg.Seed alone (and by engine-independent design, produces the same
-// execution under either engine when stepped in lockstep).
+// cfg.Seed alone.
 func entityPlaces(entities map[int]*lotos.Spec) []int {
 	places := make([]int, 0, len(entities))
 	for p := range entities {
@@ -35,30 +34,24 @@ func entityPlaces(entities map[int]*lotos.Spec) []int {
 	return places
 }
 
-// newSteppers constructs one EntityStepper per place, choosing each
-// entity's engine: compiled tables when the configured fleet has a machine
-// for the place, the AST interpreter otherwise. A nil entity spec without a
-// compiled machine is an error (fleet-only callers must have every place
-// compiled).
+// newSteppers constructs one EntityStepper per place over the configured
+// fleet's machines, building machines for the entities when cfg.Fleet is
+// nil.
 func newSteppers(entities map[int]*lotos.Spec, places []int, med medium.Transport, cfg Config) ([]*EntityStepper, error) {
-	var fleet *fsm.Fleet
-	if cfg.Engine == EngineFSM {
-		fleet = cfg.Fleet
-		if fleet == nil {
-			fleet = fsm.CompileEntities(entities, cfg.Compile)
-		}
+	fleet := cfg.Fleet
+	if fleet == nil {
+		fleet = fsm.CompileEntities(entities, cfg.Compile)
 	}
 	steppers := make([]*EntityStepper, len(places))
 	for i, p := range places {
-		var m *fsm.Machine
-		if fleet != nil {
-			m = fleet.Machines[p]
+		m := fleet.Machines[p]
+		if m == nil {
+			if ce := fleet.Errors[p]; ce != nil {
+				return nil, fmt.Errorf("sim: %w", ce)
+			}
+			return nil, fmt.Errorf("sim: entity %d has no machine", p)
 		}
-		e, err := newEntityStepper(p, entities[p], m, med, cfg.Harness, SubSeed(cfg.Seed, roleRunner, i))
-		if err != nil {
-			return nil, err
-		}
-		steppers[i] = e
+		steppers[i] = newEntityStepper(p, m, med, cfg.Harness, SubSeed(cfg.Seed, roleRunner, i))
 	}
 	return steppers, nil
 }
@@ -84,7 +77,7 @@ func sessionConfig(cfg Config) (Config, error) {
 }
 
 // NewSession builds a synchronous session over the entities. Lockstep,
-// Timeout and engine selection behave as in Run; wall-clock options
+// Timeout, Fleet and Compile behave as in Run; wall-clock options
 // (Reliable, Medium.MaxDelay) are rejected. The caller advances it with
 // StepN and must Close it when done.
 func NewSession(entities map[int]*lotos.Spec, cfg Config) (*Session, error) {
@@ -95,30 +88,35 @@ func NewSession(entities map[int]*lotos.Spec, cfg Config) (*Session, error) {
 	return newSession(entities, entityPlaces(entities), cfg)
 }
 
-// NewFleetSession builds a synchronous session over a fully compiled fleet:
-// every place must have a compiled machine (no AST fallback), so sessions
-// share the immutable tables and need no per-session copy of the entity
-// syntax trees — the memory contract that makes million-session fleets
-// affordable. cfg.Engine and cfg.Fleet are overridden by the argument.
+// NewFleetSession builds a synchronous session over a fleet's machines, so
+// sessions share the machines' rows and need no per-session copy of the
+// entity syntax trees — the memory contract that makes million-session
+// fleets affordable. cfg.Fleet is overridden by the argument.
 func NewFleetSession(fleet *fsm.Fleet, cfg Config) (*Session, error) {
 	cfg, err := sessionConfig(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Engine = EngineFSM
 	cfg.Fleet = fleet
-	places := make([]int, 0, len(fleet.Machines))
-	for p := range fleet.Machines {
-		places = append(places, p)
-	}
-	sort.Ints(places)
-	for p, ce := range fleet.Errors {
-		return nil, fmt.Errorf("sim: fleet session requires every entity compiled: entity %d: %s", p, ce.Reason)
-	}
+	places := fleetPlaces(fleet)
 	if len(places) == 0 {
 		return nil, fmt.Errorf("sim: fleet session over an empty fleet")
 	}
 	return newSession(nil, places, cfg)
+}
+
+// fleetPlaces returns the sorted places of a fleet, those whose entity did
+// not resolve included (newSteppers reports their error).
+func fleetPlaces(fleet *fsm.Fleet) []int {
+	places := make([]int, 0, len(fleet.Machines)+len(fleet.Errors))
+	for p := range fleet.Machines {
+		places = append(places, p)
+	}
+	for p := range fleet.Errors {
+		places = append(places, p)
+	}
+	sort.Ints(places)
+	return places
 }
 
 func newSession(entities map[int]*lotos.Spec, places []int, cfg Config) (*Session, error) {

@@ -9,7 +9,7 @@ import (
 
 // TestSessionMatchesLockstepRun checks the seam identity: a Session stepped
 // to completion — in one call or in small quanta — is the same execution as
-// Run with Lockstep, under either engine, seed for seed.
+// Run with Lockstep, over private or shared machines, seed for seed.
 func TestSessionMatchesLockstepRun(t *testing.T) {
 	srcs := []string{
 		"SPEC a1; b2; c3; exit ENDSPEC",
@@ -27,12 +27,9 @@ func TestSessionMatchesLockstepRun(t *testing.T) {
 				t.Fatalf("%s seed %d run: %v", src, seed, err)
 			}
 			for _, quantum := range []int{0, 1, 3} {
-				for _, engine := range []Engine{EngineAST, EngineFSM} {
+				for _, f := range []*fsm.Fleet{nil, fleet} {
 					scfg := cfg
-					scfg.Engine = engine
-					if engine == EngineFSM {
-						scfg.Fleet = fleet
-					}
+					scfg.Fleet = f
 					s, err := NewSession(d.Entities, scfg)
 					if err != nil {
 						t.Fatalf("%s seed %d session: %v", src, seed, err)
@@ -49,17 +46,17 @@ func TestSessionMatchesLockstepRun(t *testing.T) {
 					got := s.Result()
 					s.Close()
 					if !reflect.DeepEqual(got.TraceStrings(), want.TraceStrings()) {
-						t.Fatalf("%s seed %d engine %s quantum %d: trace %v, want %v",
-							src, seed, engine, quantum, got.TraceStrings(), want.TraceStrings())
+						t.Fatalf("%s seed %d shared %v quantum %d: trace %v, want %v",
+							src, seed, f != nil, quantum, got.TraceStrings(), want.TraceStrings())
 					}
 					if got.Completed != want.Completed || got.Deadlocked != want.Deadlocked ||
 						got.Stopped != want.Stopped || got.TimedOut != want.TimedOut {
-						t.Fatalf("%s seed %d engine %s quantum %d: outcome %+v, want %+v",
-							src, seed, engine, quantum, got, want)
+						t.Fatalf("%s seed %d shared %v quantum %d: outcome %+v, want %+v",
+							src, seed, f != nil, quantum, got, want)
 					}
 					if got.Medium.Sent != want.Medium.Sent || got.Medium.Delivered != want.Medium.Delivered {
-						t.Fatalf("%s seed %d engine %s quantum %d: medium %+v, want %+v",
-							src, seed, engine, quantum, got.Medium, want.Medium)
+						t.Fatalf("%s seed %d shared %v quantum %d: medium %+v, want %+v",
+							src, seed, f != nil, quantum, got.Medium, want.Medium)
 					}
 				}
 			}
@@ -67,43 +64,37 @@ func TestSessionMatchesLockstepRun(t *testing.T) {
 	}
 }
 
-// TestFleetSessionRequiresCompiledFleet checks the fleet-session contract:
-// every place compiled, and the execution equal to the entity-map session.
-func TestFleetSessionRequiresCompiledFleet(t *testing.T) {
-	d := deriveFor(t, "SPEC a1; b2; c3; exit ENDSPEC")
-	fleet := fsm.CompileEntities(d.Entities, fsm.Config{})
-	s, err := NewFleetSession(fleet, Config{Seed: 5, MaxEvents: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, done, err := s.StepN(0); err != nil || !done {
-		t.Fatalf("fleet session: done=%v err=%v", done, err)
-	}
-	got := s.Result()
-	s.Close()
-	if !got.Completed {
-		t.Fatalf("fleet session did not complete: %+v", got.Blocked)
-	}
-	want, err := Run(d.Entities, Config{Seed: 5, MaxEvents: 16, Lockstep: true, Engine: EngineFSM, Fleet: fleet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.TraceStrings(), want.TraceStrings()) {
-		t.Fatalf("fleet session trace %v, want %v", got.TraceStrings(), want.TraceStrings())
-	}
-
-	// An unbounded entity (anbn-style recursion) cannot join a fleet
-	// session: the constructor must reject fleets with compile fallbacks.
-	du := deriveFor(t, `SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC`)
-	partial := fsm.CompileEntities(du.Entities, fsm.Config{MaxStates: 64})
-	if len(partial.Errors) == 0 {
-		t.Skip("expected a compile fallback to exercise rejection")
-	}
-	if _, err := NewFleetSession(partial, Config{Seed: 1}); err == nil {
-		t.Error("fleet session accepted a fleet with compile fallbacks")
+// TestFleetSessionRunsAnyFleet checks the fleet-session contract: the
+// execution equals the entity-map session, and a fleet of unbounded
+// entities runs too — past the cap, rows are derived rather than kept.
+func TestFleetSessionRunsAnyFleet(t *testing.T) {
+	for _, c := range []struct {
+		src string
+		cap int
+	}{{"SPEC a1; b2; c3; exit ENDSPEC", 0}, {`SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC`, 64}} {
+		d := deriveFor(t, c.src)
+		fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: c.cap})
+		s, err := NewFleetSession(fleet, Config{Seed: 5, MaxEvents: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, done, err := s.StepN(0); err != nil || !done {
+			t.Fatalf("%s: fleet session: done=%v err=%v", c.src, done, err)
+		}
+		got := s.Result()
+		s.Close()
+		want, err := Run(d.Entities, Config{Seed: 5, MaxEvents: 16, Lockstep: true, Compile: fsm.Config{MaxStates: c.cap}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.TraceStrings(), want.TraceStrings()) || got.Completed != want.Completed {
+			t.Fatalf("%s: fleet session %v (completed %v), want %v (completed %v)",
+				c.src, got.TraceStrings(), got.Completed, want.TraceStrings(), want.Completed)
+		}
 	}
 
 	// Wall-clock options are incompatible with the synchronous scheduler.
+	d := deriveFor(t, "SPEC a1; b2; exit ENDSPEC")
 	if _, err := NewSession(d.Entities, Config{Seed: 1, Reliable: true}); err == nil {
 		t.Error("session accepted the ARQ layer")
 	}

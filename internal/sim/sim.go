@@ -1,8 +1,9 @@
 // Package sim executes a derived protocol for real: one goroutine per
-// protocol entity, interpreting its specification with the operational
-// semantics of internal/lts and exchanging synchronization messages through
-// the concurrent FIFO medium of internal/medium — the runtime counterpart
-// of the algebraic composition checked by internal/compose.
+// protocol entity, each stepping the entity's lazily tabled machine
+// (internal/fsm, rows derived with the operational semantics of
+// internal/lts) and exchanging synchronization messages through the
+// concurrent FIFO medium of internal/medium — the runtime counterpart of
+// the algebraic composition checked by internal/compose.
 //
 // Service primitives are offered to a pluggable user harness (the "service
 // users" of Fig. 1), executed events are collected into a globally ordered
@@ -24,18 +25,12 @@ import (
 	"repro/internal/medium"
 )
 
-// Engine names an entity execution engine.
+// Engine names an entity execution engine. Every entity runs on its
+// machine, so the name selects nothing; it is kept for Config.Engine.
 type Engine string
 
-const (
-	// EngineAST interprets the entity syntax trees with the SOS rules
-	// (the default).
-	EngineAST Engine = "ast"
-	// EngineFSM executes entities compiled to table-driven machines
-	// (internal/fsm), falling back to the AST interpreter per entity whose
-	// state space exceeds the compilation cap.
-	EngineFSM Engine = "fsm"
-)
+// EngineFSM is the one engine: lazily tabled machines (internal/fsm).
+const EngineFSM Engine = "fsm"
 
 // TraceEvent is one executed service primitive.
 type TraceEvent struct {
@@ -142,20 +137,19 @@ type Config struct {
 	// Harness supplies user decisions (default: accept-all seeded from
 	// Seed).
 	Harness Harness
-	// Engine selects the entity execution engine ("" means EngineAST).
+	// Engine is ignored: every entity runs on its machine.
 	Engine Engine
-	// Fleet supplies precompiled machines for EngineFSM. Nil makes Run
-	// compile the entities itself (under Compile); callers running many
-	// simulations of one protocol should compile once and share the fleet.
+	// Fleet supplies the entities' machines. Nil makes Run build them
+	// (under Compile); callers running many simulations of one protocol
+	// should share one fleet, whose rows then fill once for all of them.
 	Fleet *fsm.Fleet
-	// Compile tunes entity compilation when Engine is EngineFSM and Fleet
-	// is nil.
+	// Compile configures the machines Run builds when Fleet is nil.
 	Compile fsm.Config
 	// Lockstep replaces the concurrent per-entity goroutines with a
 	// deterministic single-threaded round-robin scheduler: entities take
 	// turns in ascending place order, each attempting one step per sweep.
 	// With a fixed Seed the whole execution is reproducible bit for bit —
-	// the substrate of the AST-vs-FSM differential tests. Requires the
+	// the substrate of the in-process vs live differential tests. Requires the
 	// immediate medium (no Reliable, no MaxDelay), whose delivery has no
 	// asynchronous component.
 	Lockstep bool
@@ -181,20 +175,6 @@ type Result struct {
 	Blocked map[int]string
 	// EventsByPlace counts executed service primitives per place.
 	EventsByPlace map[int]int
-	// Engines records which engine executed each place: under EngineFSM,
-	// entities whose compilation failed run as EngineAST (mixed fleet).
-	Engines map[int]Engine
-}
-
-// CompiledPlaces counts how many entities ran compiled.
-func (r *Result) CompiledPlaces() int {
-	n := 0
-	for _, e := range r.Engines {
-		if e == EngineFSM {
-			n++
-		}
-	}
-	return n
 }
 
 // TraceStrings renders the trace as event strings.
@@ -479,12 +459,10 @@ func newResult(trace []TraceEvent, ms medium.Stats, steppers []*EntityStepper) *
 		Medium:        ms,
 		Blocked:       make(map[int]string, len(steppers)),
 		EventsByPlace: map[int]int{},
-		Engines:       make(map[int]Engine, len(steppers)),
 	}
 	for _, e := range steppers {
 		res.Completed = res.Completed && e.done
 		res.Blocked[e.place] = e.Describe()
-		res.Engines[e.place] = e.engine
 	}
 	for _, te := range res.Trace {
 		res.EventsByPlace[te.Place]++

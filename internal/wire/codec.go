@@ -28,7 +28,7 @@ import (
 )
 
 // ProtocolVersion is the wire protocol version, checked in Hello frames.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // Frame size limits. MaxFrameBody bounds the decoded body allocation (a
 // corrupt length prefix must not over-allocate); MaxString bounds any
@@ -145,7 +145,6 @@ type Frame struct {
 	SpecDigest  uint64
 	TableDigest uint64
 	Addr        string
-	Engine      string
 
 	// Data / Ack fields. From/To are the directed channel; Seq is the
 	// channel-local sequence number (first frame on a channel has Seq 1).
@@ -265,10 +264,10 @@ const (
 // encoder appends wire primitives to a buffer.
 type encoder struct{ buf []byte }
 
-func (e *encoder) u8(v uint8)     { e.buf = append(e.buf, v) }
+func (e *encoder) u8(v uint8)       { e.buf = append(e.buf, v) }
 func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) uint(v int)     { e.uvarint(uint64(v)) }
-func (e *encoder) u64(v uint64)   { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
+func (e *encoder) uint(v int)       { e.uvarint(uint64(v)) }
+func (e *encoder) u64(v uint64)     { e.buf = binary.BigEndian.AppendUint64(e.buf, v) }
 func (e *encoder) bool(v bool) {
 	if v {
 		e.u8(1)
@@ -443,7 +442,6 @@ func (f *Frame) Encode(t *MsgTable) ([]byte, error) {
 		e.u64(f.SpecDigest)
 		e.u64(f.TableDigest)
 		e.str(f.Addr)
-		e.str(f.Engine)
 	case FrameData:
 		e.uint(f.From)
 		e.uint(f.To)
@@ -529,7 +527,6 @@ func DecodeBody(body []byte, t *MsgTable) (*Frame, error) {
 		f.SpecDigest = d.u64("spec digest")
 		f.TableDigest = d.u64("table digest")
 		f.Addr = d.str("address")
-		f.Engine = d.str("engine")
 		if d.err == nil && f.Kind > ConnData {
 			d.fail("conn kind (unknown)")
 		}

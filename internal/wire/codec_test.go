@@ -36,7 +36,7 @@ func frameCases(table *MsgTable) []*Frame {
 	}
 	return []*Frame{
 		{Type: FrameHello, Version: ProtocolVersion, Kind: ConnControl, Place: 3,
-			SpecDigest: 0xdeadbeef, TableDigest: table.Digest(), Addr: "127.0.0.1:4242", Engine: "fsm"},
+			SpecDigest: 0xdeadbeef, TableDigest: table.Digest(), Addr: "127.0.0.1:4242"},
 		{Type: FrameData, From: 1, To: 2, Seq: 7, Msg: interned},
 		{Type: FrameData, From: 2, To: 1, Seq: 1, Msg: Msg{Node: 99, Occ: "0.1.2"}},
 		{Type: FrameData, From: 2, To: 1, Seq: 2, Msg: Msg{Node: -1, Tag: "x"}},

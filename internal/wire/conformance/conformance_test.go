@@ -43,7 +43,7 @@ func buildLogs(t *testing.T, sessions map[int]entitySession) map[int]*wire.Entit
 	logs := map[int]*wire.EntityLog{}
 	for place, s := range sessions {
 		var buf bytes.Buffer
-		tw, err := wire.NewTraceWriter(&buf, place, 1, "fsm", 0, false)
+		tw, err := wire.NewTraceWriter(&buf, place, 1, 0, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func buildLogs(t *testing.T, sessions map[int]entitySession) map[int]*wire.Entit
 			// A restarted session's events belong to the post-restart
 			// segment — a start record opens a fresh numbering epoch, as in
 			// a real relaunch.
-			tw, err = wire.NewTraceWriter(&buf, place, 1, "fsm", 0, true)
+			tw, err = wire.NewTraceWriter(&buf, place, 1, 0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,7 +299,7 @@ func TestCheckIncompleteRestartAndAbort(t *testing.T) {
 func TestCheckTamperedLog(t *testing.T) {
 	service := parseService(t, `SPEC read1; write2; exit ENDSPEC`)
 	var buf bytes.Buffer
-	tw, err := wire.NewTraceWriter(&buf, 1, 1, "fsm", 0, false)
+	tw, err := wire.NewTraceWriter(&buf, 1, 1, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestMergeDuplicateSeq(t *testing.T) {
 // otherwise looks complete.
 func TestNegativeSeqRejected(t *testing.T) {
 	var buf bytes.Buffer
-	tw, err := wire.NewTraceWriter(&buf, 1, 1, "fsm", 0, false)
+	tw, err := wire.NewTraceWriter(&buf, 1, 1, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ const fuzzService = `SPEC a1; b2; exit ENDSPEC`
 func FuzzTraceLog(f *testing.F) {
 	logOf := func(events []logRec, outcome string) []byte {
 		var buf bytes.Buffer
-		tw, err := wire.NewTraceWriter(&buf, 1, 1, "fsm", 0, false)
+		tw, err := wire.NewTraceWriter(&buf, 1, 1, 0, false)
 		if err != nil {
 			f.Fatal(err)
 		}

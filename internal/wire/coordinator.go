@@ -52,11 +52,10 @@ type CoordinatorConfig struct {
 // sim.Entity contract, so the coordinator schedules deployed entities with
 // the same sim.Lockstep sweep and sim.Replay loop as in-process runs.
 type ctrl struct {
-	c      *Coordinator
-	place  int
-	conn   net.Conn
-	engine string
-	addr   string
+	c     *Coordinator
+	place int
+	conn  net.Conn
+	addr  string
 }
 
 // Coordinator accepts entity control connections and drives sessions.
@@ -87,9 +86,8 @@ type SessionReport struct {
 	// budget) — not a protocol outcome; Reason says what happened.
 	Aborted bool
 	Reason  string
-	// Sweeps counts scheduling sweeps; Engines records each entity's engine.
-	Sweeps  int
-	Engines map[int]string
+	// Sweeps counts scheduling sweeps.
+	Sweeps int
 }
 
 // Canonical renders the protocol outcome as one comparable string — the
@@ -171,7 +169,7 @@ func (c *Coordinator) WaitEntities() error {
 				return fmt.Errorf("wire: duplicate entity place %d", hello.Place)
 			}
 		}
-		c.ents = append(c.ents, &ctrl{c: c, place: hello.Place, conn: conn, engine: hello.Engine, addr: hello.Addr})
+		c.ents = append(c.ents, &ctrl{c: c, place: hello.Place, conn: conn, addr: hello.Addr})
 	}
 	sort.Slice(c.ents, func(i, j int) bool { return c.ents[i].place < c.ents[j].place })
 
@@ -201,15 +199,6 @@ func (c *Coordinator) WaitEntities() error {
 		}
 	}
 	return nil
-}
-
-// Engines reports each connected entity's execution engine.
-func (c *Coordinator) Engines() map[int]string {
-	m := make(map[int]string, len(c.ents))
-	for _, e := range c.ents {
-		m[e.place] = e.engine
-	}
-	return m
 }
 
 // halt broadcasts the session end (best effort) so every entity closes its
@@ -366,7 +355,7 @@ func (c *Coordinator) start(seed int64, mode SessionMode, harness sim.Harness) e
 // (Canonical) to sim.Run with Config{Lockstep: true, Seed: seed} over the
 // same entities.
 func (c *Coordinator) RunSeeded(seed int64) (*SessionReport, error) {
-	rep := &SessionReport{Engines: c.Engines()}
+	rep := &SessionReport{}
 	if err := c.start(seed, ModeSeeded, sim.NewAcceptAll(sim.HarnessSeed(seed))); err != nil {
 		return c.abort(rep, err)
 	}

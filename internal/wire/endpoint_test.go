@@ -174,7 +174,7 @@ func TestEndpointPeerLossSurfaces(t *testing.T) {
 // records, digests and the end marker.
 func TestTraceLogRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf, 2, 42, "fsm", 0xabc, false)
+	tw, err := NewTraceWriter(&buf, 2, 42, 0xabc, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestTraceLogRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Place != 2 || log.Seed != 42 || log.Engine != "fsm" {
+	if log.Place != 2 || log.Seed != 42 {
 		t.Fatalf("start record mangled: %+v", log)
 	}
 	if !log.Started || !log.Ended || log.Outcome != OutcomeCompleted || !log.DigestOK {
@@ -203,7 +203,7 @@ func TestTraceLogRoundTrip(t *testing.T) {
 // edited event breaks the digest chain.
 func TestTraceLogTruncationAndTamper(t *testing.T) {
 	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf, 1, 7, "ast", 0, false)
+	tw, err := NewTraceWriter(&buf, 1, 7, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +234,13 @@ func TestTraceLogTruncationAndTamper(t *testing.T) {
 // log is visible as a restart marker and resets the segment digest.
 func TestTraceLogRestartSegments(t *testing.T) {
 	var buf bytes.Buffer
-	tw, err := NewTraceWriter(&buf, 1, 7, "ast", 0, false)
+	tw, err := NewTraceWriter(&buf, 1, 7, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tw.Event(0, "read1")
 	// Crash here: no end record. The relaunch appends to the same file.
-	tw2, err := NewTraceWriter(&buf, 1, 8, "ast", 0, true)
+	tw2, err := NewTraceWriter(&buf, 1, 8, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}

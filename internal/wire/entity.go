@@ -14,8 +14,7 @@ import (
 
 // The entity-side deployment runtime: RunEntity is the main loop of one
 // derived protocol entity running as its own OS process. The entity owns
-// its execution engine (compiled FSM tables or the AST interpreter — the
-// same per-entity fallback as in-process runs) and its network endpoint;
+// its machine and its network endpoint;
 // every scheduling decision comes from the coordinator over the control
 // connection, so a seeded distributed session is the in-process lockstep
 // execution with the sweeps stretched over TCP.
@@ -30,9 +29,7 @@ type EntityConfig struct {
 	// ascending-place order of the deployment (the scheduling-seed index).
 	Place      int
 	PlaceIndex int
-	// Spec is the entity's derived specification (AST fallback); Machine its
-	// compiled tables (nil selects the interpreter).
-	Spec    *lotos.Spec
+	// Machine is the entity's machine.
 	Machine *fsm.Machine
 	// Table is the interning table; SpecDigest identifies the service spec.
 	Table      *MsgTable
@@ -114,11 +111,6 @@ func RunEntity(cfg EntityConfig) error {
 	if cfg.TraceLog == nil {
 		cfg.TraceLog = io.Discard
 	}
-	engine := string(sim.EngineAST)
-	if cfg.Machine != nil {
-		engine = string(sim.EngineFSM)
-	}
-
 	ep, err := NewEndpoint(EndpointConfig{
 		Place: cfg.Place, Table: cfg.Table, ChannelCap: cfg.ChannelCap,
 		Listen: cfg.Listen, SpecDigest: cfg.SpecDigest,
@@ -138,7 +130,7 @@ func RunEntity(cfg EntityConfig) error {
 	hello := &Frame{
 		Type: FrameHello, Version: ProtocolVersion, Kind: ConnControl,
 		Place: cfg.Place, SpecDigest: cfg.SpecDigest, TableDigest: cfg.Table.Digest(),
-		Addr: ep.Addr(), Engine: engine,
+		Addr: ep.Addr(),
 	}
 	if err := WriteFrame(ctrl, hello, cfg.Table); err != nil {
 		return fmt.Errorf("wire: entity %d hello: %w", cfg.Place, err)
@@ -166,12 +158,12 @@ func RunEntity(cfg EntityConfig) error {
 		return fmt.Errorf("wire: entity %d expected start, got %s", cfg.Place, start.Type)
 	}
 
-	tw, err := NewTraceWriter(cfg.TraceLog, cfg.Place, start.Seed, engine, cfg.SpecDigest, cfg.Restarted)
+	tw, err := NewTraceWriter(cfg.TraceLog, cfg.Place, start.Seed, cfg.SpecDigest, cfg.Restarted)
 	if err != nil {
 		return err
 	}
 	harness := &remoteHarness{conn: ctrl, table: cfg.Table}
-	st, err := sim.NewEntityStepper(cfg.Place, cfg.Spec, cfg.Machine, ep,
+	st, err := sim.NewEntityStepper(cfg.Place, cfg.Machine, ep,
 		harness, sim.RunnerSeed(start.Seed, cfg.PlaceIndex))
 	if err != nil {
 		return err

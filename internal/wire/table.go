@@ -17,20 +17,24 @@ import (
 // mismatch (different spec revision, different compile cap) fails the
 // handshake instead of silently mis-decoding frames.
 //
-// Entities that fall back to the AST interpreter (state space beyond the
-// compile cap, the unbounded-recursion shapes) have an unbounded message
-// alphabet; their messages simply miss the table and travel in the codec's
-// verbose encoding. Both sides agree on the table regardless, because
-// compilation failure is deterministic.
+// The table is the union of the message alphabets of the entities whose
+// minimized layer closes under the state cap. The others (the
+// unbounded-recursion shapes) have an unbounded message alphabet: message
+// occurrence paths are stamped as process instances are created
+// (lts.Env.Instantiate), so a recursive entity's messages cannot be read
+// off its syntax either. Their messages miss the table and travel in the
+// codec's verbose encoding. Both sides agree on the table regardless,
+// because whether an exploration closes under a cap is deterministic.
 type MsgTable struct {
 	labels []Msg
 	index  map[Msg]int
 	digest uint64
 }
 
-// TableFromFleet builds the interning table from a compiled entity fleet:
-// the union of every machine's send/receive alphabets, deduplicated and
-// sorted canonically. Machines that failed to compile contribute nothing.
+// TableFromFleet builds the interning table from an entity fleet: the union
+// of the send/receive alphabets of every machine's minimized layer,
+// deduplicated and sorted canonically. Machines whose minimized layer
+// exceeds the cap contribute nothing.
 func TableFromFleet(fleet *fsm.Fleet) *MsgTable {
 	set := map[Msg]bool{}
 	places := make([]int, 0, len(fleet.Machines))
@@ -39,8 +43,8 @@ func TableFromFleet(fleet *fsm.Fleet) *MsgTable {
 	}
 	sort.Ints(places)
 	for _, p := range places {
-		m := fleet.Machines[p]
-		if m == nil {
+		m, err := fleet.Machines[p].Minimized()
+		if err != nil {
 			continue
 		}
 		for i, op := range m.Ops {
@@ -75,8 +79,8 @@ func TableFromFleet(fleet *fsm.Fleet) *MsgTable {
 	return t
 }
 
-// TableForEntities compiles the entities (at the given state cap; 0 means
-// the fsm default) and builds their table. It is the one-call form used by
+// TableForEntities builds the entities' machines (at the given state cap; 0
+// means the fsm default) and their table. It is the one-call form used by
 // deployment processes.
 func TableForEntities(entities map[int]*lotos.Spec, maxStates int) *MsgTable {
 	return TableFromFleet(fsm.CompileEntities(entities, fsm.Config{MaxStates: maxStates}))

@@ -42,10 +42,9 @@ const (
 type TraceRecord struct {
 	Kind string `json:"kind"`
 	// Start fields.
-	Place  int    `json:"place,omitempty"`
-	Seed   int64  `json:"seed,omitempty"`
-	Engine string `json:"engine,omitempty"`
-	Spec   string `json:"spec,omitempty"`
+	Place int    `json:"place,omitempty"`
+	Seed  int64  `json:"seed,omitempty"`
+	Spec  string `json:"spec,omitempty"`
 	// Event fields. Seq is the coordinator-assigned global sequence number
 	// (0 is valid: the first event of the session).
 	Seq   int    `json:"seq"`
@@ -92,7 +91,7 @@ type TraceWriter struct {
 
 // NewTraceWriter starts a log segment: a restart marker first when the
 // process is appending to a previous segment's log, then the start record.
-func NewTraceWriter(w io.Writer, place int, seed int64, engine string, specDigest uint64, restarted bool) (*TraceWriter, error) {
+func NewTraceWriter(w io.Writer, place int, seed int64, specDigest uint64, restarted bool) (*TraceWriter, error) {
 	t := &TraceWriter{w: w, place: place, digest: fnvOffset64}
 	if restarted {
 		if err := t.emit(&TraceRecord{Kind: RecRestart, Place: place}); err != nil {
@@ -100,11 +99,10 @@ func NewTraceWriter(w io.Writer, place int, seed int64, engine string, specDiges
 		}
 	}
 	err := t.emit(&TraceRecord{
-		Kind:   RecStart,
-		Place:  place,
-		Seed:   seed,
-		Engine: engine,
-		Spec:   fmt.Sprintf("%016x", specDigest),
+		Kind:  RecStart,
+		Place: place,
+		Seed:  seed,
+		Spec:  fmt.Sprintf("%016x", specDigest),
 	})
 	if err != nil {
 		return nil, err
@@ -153,11 +151,10 @@ func (t *TraceWriter) End(outcome string) error {
 
 // EntityLog is one parsed entity trace log.
 type EntityLog struct {
-	// Place, Seed, Engine, Spec echo the (last) start record.
-	Place  int
-	Seed   int64
-	Engine string
-	Spec   string
+	// Place, Seed, Spec echo the (last) start record.
+	Place int
+	Seed  int64
+	Spec  string
 	// Events are the event records of the last session segment, in file
 	// order. Each start record opens a new segment and a new global
 	// numbering epoch (the coordinator's trace restarts empty), so events
@@ -201,7 +198,6 @@ func ParseTraceLog(r io.Reader) (*EntityLog, error) {
 			log.Started = true
 			log.Place = rec.Place
 			log.Seed = rec.Seed
-			log.Engine = rec.Engine
 			log.Spec = rec.Spec
 			log.Ended = false
 			log.Events = nil

@@ -164,8 +164,8 @@ func deployLive(t *testing.T, entities map[int]*lotos.Spec, channelCap, maxEvent
 		go func(i, p int, buf *bytes.Buffer) {
 			dep.errs <- wire.RunEntity(wire.EntityConfig{
 				Place: p, PlaceIndex: i,
-				Spec: entities[p], Machine: fleet.Machines[p],
-				Table: table, Coordinator: coord.Addr(), Listen: "127.0.0.1:0",
+				Machine: fleet.Machines[p],
+				Table:   table, Coordinator: coord.Addr(), Listen: "127.0.0.1:0",
 				ChannelCap: channelCap, TraceLog: buf,
 				SessionTimeout: 30 * time.Second,
 			})

@@ -283,11 +283,11 @@ type Protocol struct {
 	// of compiled entity machines.
 	arts *ArtifactCache
 
-	// Compiled machine fleets, cached per effective state cap: compilation
-	// explores and minimizes every entity, so repeated Simulate/ReplayWith
-	// calls on one Protocol — the steady state of the daemon — must not redo
-	// it. Machines are immutable, so a cached fleet is safe to share across
-	// concurrent runs.
+	// Machine fleets, cached per effective state cap: machines fill their
+	// rows as sessions visit them and build their minimized layers once, so
+	// repeated Simulate and Compile calls on one Protocol — the steady state
+	// of the daemon — share that work. Machines are safe for concurrent
+	// use, so a cached fleet is shared across concurrent runs.
 	fleetMu sync.Mutex
 	fleets  map[int]*fsm.Fleet
 }
@@ -301,10 +301,9 @@ func compileCap(maxStates int) int {
 	return maxStates
 }
 
-// fleet returns the protocol's compiled machine fleet for the given compile
-// cap option, compiling it on first use — through the attached artifact
-// cache when there is one. fsm.Compile clones each entity before exploring,
-// so the shared trees are not mutated.
+// fleet returns the protocol's machine fleet for the given cap option,
+// building it on first use — through the attached artifact cache when there
+// is one. Machines clone their entity, so the shared trees are not mutated.
 func (p *Protocol) fleet(maxStates int) *fsm.Fleet {
 	maxStates = compileCap(maxStates)
 	p.fleetMu.Lock()
@@ -318,9 +317,9 @@ func (p *Protocol) fleet(maxStates int) *fsm.Fleet {
 	} else {
 		f = &fsm.Fleet{Machines: map[int]*fsm.Machine{}, Errors: map[int]*fsm.CompileError{}}
 		for place, sp := range p.d.Entities {
-			m, _, _, err := p.arts.lookup(place, sp, maxStates)
+			m, _, err := p.arts.machine(place, sp, maxStates)
 			if err != nil {
-				f.Errors[place] = err.(*fsm.CompileError)
+				f.Errors[place] = err
 				continue
 			}
 			f.Machines[place] = m
@@ -630,32 +629,16 @@ func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (cells
 }
 
 // ReplayResult reports the re-execution of a counterexample through the
-// concrete runtime (entity interpreter + medium).
+// concrete runtime (entity machines + medium).
 type ReplayResult = sim.ReplayResult
 
 // Replay re-executes a counterexample produced by Verify or VerifyMatrix on
 // this protocol — in this process or decoded from JSON — step-for-step
-// through the runtime interpreter and medium, confirming the abstract
+// through the entity machines and medium, confirming the abstract
 // counterexample is a real execution.
-func (p *Protocol) Replay(w *Witness) (*ReplayResult, error) {
-	return p.ReplayWith(w, "")
-}
-
-// ReplayWith is Replay with an engine choice: "ast" (or "") replays through
-// the AST interpreter, "fsm" through the compiled tables — the compiled
-// machines preserve per-state transition order, so a witness's pinned
-// transition indices select the same transitions under either engine.
-func (p *Protocol) ReplayWith(w *Witness, engineName string) (out *ReplayResult, err error) {
+func (p *Protocol) Replay(w *Witness) (out *ReplayResult, err error) {
 	defer guard(&err)
-	engine, err := simEngine(engineName)
-	if err != nil {
-		return nil, err
-	}
-	var fleet *fsm.Fleet
-	if engine == sim.EngineFSM {
-		fleet = p.fleet(0)
-	}
-	return sim.ReplayWitnessEngine(cloneEntities(p.d.Entities), w, engine, fleet)
+	return sim.ReplayFleet(p.fleet(0), w)
 }
 
 // CompileOptions tunes Compile. The zero value (or nil) selects defaults.
@@ -666,15 +649,15 @@ type CompileOptions struct {
 	MaxStates int
 }
 
-// EntityCompile reports the compilation of one protocol entity.
+// EntityCompile reports the minimized layer of one protocol entity.
 type EntityCompile struct {
 	// Place is the entity's protocol place.
 	Place int `json:"place"`
-	// Compiled reports a successful compilation; when false, Error holds
-	// the reason and the runtime falls back to the AST interpreter for
-	// this entity.
+	// Compiled reports that the entity's state space closed under the cap;
+	// when false, Error holds the reason (the entity still runs: past the
+	// cap its machine derives rows without keeping them).
 	Compiled bool `json:"compiled"`
-	// States / Transitions are the exact (execution-table) sizes.
+	// States / Transitions are the exact (explored) sizes.
 	States      int `json:"states,omitempty"`
 	Transitions int `json:"transitions,omitempty"`
 	// MinStates / MinTransitions are the weak-bisimulation-minimized sizes
@@ -685,25 +668,25 @@ type EntityCompile struct {
 	Error string `json:"error,omitempty"`
 }
 
-// CompileReport summarizes compiling every entity of the protocol to
-// table-driven machines.
+// CompileReport summarizes the minimized layers of every entity of the
+// protocol.
 type CompileReport struct {
 	// Entities holds one row per place, in place order.
 	Entities []EntityCompile `json:"entities"`
-	// Compiled / Fallback count entities that did and did not compile.
+	// Compiled / Fallback count entities whose minimized layer did and did
+	// not close under the cap.
 	Compiled int `json:"compiled"`
 	Fallback int `json:"fallback"`
 	// MaxStates is the per-entity state cap the compilation ran with.
 	MaxStates int `json:"maxStates"`
 }
 
-// Compile compiles the derived entities to minimized table-driven state
-// machines (internal/fsm) and reports per-entity state/transition counts,
-// both exact and weak-bisimulation-minimized. Entities whose state space
-// exceeds the cap (unbounded recursion) are reported as fallbacks; simulating
-// with the "fsm" engine then runs them interpreted (a mixed fleet). The
-// compiled fleet is cached on the Protocol, so a Simulate with the same cap
-// reuses it. Safe for concurrent use.
+// Compile builds the minimized layer of every derived entity's machine
+// (internal/fsm) and reports per-entity state/transition counts, both exact
+// and weak-bisimulation-minimized. Entities whose state space exceeds the
+// cap (unbounded recursion) are reported as fallbacks. The fleet is cached
+// on the Protocol, so a Simulate with the same cap runs the same machines.
+// Safe for concurrent use.
 func (p *Protocol) Compile(opts *CompileOptions) (rep *CompileReport, err error) {
 	defer guard(&err)
 	var o CompileOptions
@@ -718,38 +701,27 @@ func (p *Protocol) Compile(opts *CompileOptions) (rep *CompileReport, err error)
 	}
 	sort.Ints(places)
 	for _, place := range places {
+		ce := f.Errors[place]
 		if m := f.Machines[place]; m != nil {
-			rep.Entities = append(rep.Entities, EntityCompile{
-				Place:          place,
-				Compiled:       true,
-				States:         m.NumStates(),
-				Transitions:    m.NumTransitions(),
-				MinStates:      m.MinStates(),
-				MinTransitions: m.MinTransitions(),
-			})
-			rep.Compiled++
-			continue
+			lay, err := m.Minimized()
+			if err == nil {
+				rep.Entities = append(rep.Entities, EntityCompile{
+					Place:          place,
+					Compiled:       true,
+					States:         lay.ExactStates,
+					Transitions:    lay.ExactTransitions,
+					MinStates:      lay.NumStates(),
+					MinTransitions: lay.NumTransitions(),
+				})
+				rep.Compiled++
+				continue
+			}
+			ce = atPlace(err.(*fsm.CompileError), place)
 		}
-		row := EntityCompile{Place: place}
-		if ce := f.Errors[place]; ce != nil {
-			row.States = ce.States
-			row.Error = ce.Error()
-		}
-		rep.Entities = append(rep.Entities, row)
+		rep.Entities = append(rep.Entities, EntityCompile{Place: place, States: ce.States, Error: ce.Error()})
 		rep.Fallback++
 	}
 	return rep, nil
-}
-
-// simEngine maps a facade engine name to the runtime's engine selector.
-func simEngine(name string) (sim.Engine, error) {
-	switch name {
-	case "", "ast":
-		return sim.EngineAST, nil
-	case "fsm":
-		return sim.EngineFSM, nil
-	}
-	return "", fmt.Errorf("protoderive: unknown engine %q (want %q or %q)", name, "ast", "fsm")
 }
 
 // SimOptions tunes Simulate.
@@ -773,13 +745,8 @@ type SimOptions struct {
 	// transformation. With it, LossRate describes the wire and the
 	// protocol still completes.
 	ReliableLayer bool
-	// Engine selects the entity execution engine: "ast" (default)
-	// interprets the entity syntax trees, "fsm" runs them compiled to
-	// table-driven machines, with per-entity AST fallback when compilation
-	// exceeds the state cap.
-	Engine string
-	// CompileMaxStates caps per-entity compilation for the "fsm" engine
-	// (default fsm.DefaultMaxStates).
+	// CompileMaxStates caps the states each entity machine retains (default
+	// fsm.DefaultMaxStates); past it rows are derived without being kept.
 	CompileMaxStates int
 }
 
@@ -794,11 +761,6 @@ type SimResult struct {
 	// TraceValid reports that the observed trace is a weak trace of the
 	// service (checked against the service state space).
 	TraceValid bool
-	// CompiledEntities / InterpretedEntities count how many entities ran
-	// on the compiled tables vs the AST interpreter (a mixed fleet has
-	// both non-zero).
-	CompiledEntities    int
-	InterpretedEntities int
 }
 
 // Simulate runs the derived entities concurrently — one goroutine per
@@ -814,18 +776,11 @@ func (p *Protocol) Simulate(opts *SimOptions) (out *SimResult, err error) {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	engine, err := simEngine(o.Engine)
-	if err != nil {
-		return nil, err
-	}
 	cfg := sim.Config{
 		Seed:      o.Seed,
 		MaxEvents: o.MaxEvents,
 		Timeout:   o.Timeout,
-		Engine:    engine,
-	}
-	if engine == sim.EngineFSM {
-		cfg.Fleet = p.fleet(o.CompileMaxStates)
+		Fleet:     p.fleet(o.CompileMaxStates),
 	}
 	cfg.Medium.MaxDelay = o.MaxDelay
 	cfg.Medium.LossRate = o.LossRate
@@ -833,7 +788,7 @@ func (p *Protocol) Simulate(opts *SimOptions) (out *SimResult, err error) {
 	if len(o.Script) > 0 {
 		cfg.Harness = sim.NewScripted(o.Script)
 	}
-	res, err := sim.Run(cloneEntities(p.d.Entities), cfg)
+	res, err := sim.Run(p.d.Entities, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -846,8 +801,6 @@ func (p *Protocol) Simulate(opts *SimOptions) (out *SimResult, err error) {
 		MessagesSent:    res.Medium.Sent,
 		MessagesDropped: res.Medium.Dropped,
 	}
-	out.CompiledEntities = res.CompiledPlaces()
-	out.InterpretedEntities = len(res.Engines) - out.CompiledEntities
 	out.TraceValid = sim.CheckTrace(lotos.CloneSpec(p.d.Service.Spec), res, 0) == nil
 	return out, nil
 }

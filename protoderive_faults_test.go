@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // matrixModels is the fault-matrix column set: the paper's reliable medium
@@ -228,11 +230,9 @@ func TestCorpusFaultMatrix(t *testing.T) {
 					}
 
 					// Every extracted counterexample must replay to its
-					// reported divergence — through the AST interpreter and
-					// through the compiled FSM engine, with identical
-					// results (the compiled tables preserve per-state
-					// transition order, so the witness's pinned indices
-					// select the same transitions).
+					// reported divergence — through the protocol's shared
+					// fleet, whose rows earlier replays filled, and through
+					// freshly built machines, with identical results.
 					if cell.Report.Witness != nil {
 						res, err := proto.Replay(cell.Report.Witness)
 						if err != nil {
@@ -245,12 +245,12 @@ func TestCorpusFaultMatrix(t *testing.T) {
 						if cell.Report.Witness.Kind == "deadlock" && !res.Deadlocked {
 							t.Errorf("deadlock witness did not deadlock on replay:\n%s", cell.Report.Witness.Summary())
 						}
-						fres, err := proto.ReplayWith(cell.Report.Witness, "fsm")
+						fres, err := sim.ReplayWitness(proto.d.Entities, cell.Report.Witness)
 						if err != nil {
-							t.Fatalf("fsm replay: %v\n%s", err, cell.Report.Witness.Summary())
+							t.Fatalf("fresh replay: %v\n%s", err, cell.Report.Witness.Summary())
 						}
 						if !reflect.DeepEqual(fres, res) {
-							t.Errorf("fsm replay diverges from ast replay:\n ast: %+v\n fsm: %+v", res, fres)
+							t.Errorf("fresh-machine replay diverges from shared-fleet replay:\n shared: %+v\n fresh:  %+v", res, fres)
 						}
 					}
 

@@ -38,7 +38,7 @@ var diffReductions = []string{"por", "por+symmetry", "por+spill", "all"}
 //     exploration may legitimately improve on, so only the safe direction
 //     is checked there (unreduced ok must not turn into a reduced failure);
 //   - every failing reduced cell must carry a witness that replays through
-//     the concrete interpreter — reductions may never invent
+//     the concrete runtime — reductions may never invent
 //     counterexamples that do not execute;
 //   - a failing symmetry cell must record the unreduced-fallback marker and
 //     carry a witness byte-identical to the plain-POR run's (the fallback

@@ -1,8 +1,8 @@
 // Command pgdeploy deploys a derived protocol as real networked processes.
 // It parses a service specification, derives one protocol entity per
-// service access point, builds each entity's machine (internal/fsm), and
-// then re-execs itself once per entity: every entity runs as its own OS
-// process with its own TCP data endpoint, meshed over the wire codec's
+// service access point, and then re-execs itself once per entity: every
+// entity runs as its own OS process, on its own machine (internal/fsm)
+// and with its own TCP data endpoint, meshed over the wire codec's
 // length-prefixed binary frames, scheduled by an in-driver coordinator so
 // that a seeded session is byte-identical to the in-process lockstep
 // simulation with the same seed.
@@ -186,8 +186,6 @@ func runDriver(opt *options, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pgdeploy:", err)
 		return 1
 	}
-	fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: opt.maxStates})
-	table := wire.TableFromFleet(fleet)
 	places := make([]int, 0, len(d.Entities))
 	for p := range d.Entities {
 		places = append(places, p)
@@ -207,7 +205,7 @@ func runDriver(opt *options, stdout, stderr io.Writer) int {
 	}
 
 	coord, err := wire.NewCoordinator(wire.CoordinatorConfig{
-		N: len(places), Table: table, SpecDigest: digest,
+		N: len(places), SpecDigest: digest,
 		Listen: opt.listen, MaxEvents: opt.maxEvents, Timeout: opt.timeout,
 	})
 	if err != nil {
@@ -364,12 +362,16 @@ func runEntity(opt *options, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pgdeploy entity:", err)
 		return 1
 	}
-	if _, ok := d.Entities[opt.place]; !ok {
+	ent, ok := d.Entities[opt.place]
+	if !ok {
 		fmt.Fprintf(stderr, "pgdeploy entity: no entity at place %d\n", opt.place)
 		return 1
 	}
-	fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: opt.maxStates})
-	table := wire.TableFromFleet(fleet)
+	machine, err := fsm.New(opt.place, ent, fsm.Config{MaxStates: opt.maxStates})
+	if err != nil {
+		fmt.Fprintln(stderr, "pgdeploy entity:", err)
+		return 1
+	}
 
 	mode := os.O_CREATE | os.O_WRONLY
 	if opt.restarted {
@@ -390,8 +392,7 @@ func runEntity(opt *options, stderr io.Writer) int {
 
 	err = wire.RunEntity(wire.EntityConfig{
 		Place: opt.place, PlaceIndex: opt.placeIndex,
-		Machine: fleet.Machines[opt.place],
-		Table:   table, SpecDigest: digest,
+		Machine: machine, SpecDigest: digest,
 		Coordinator: opt.coordinator, Listen: opt.listen,
 		ChannelCap: opt.channelCap, TraceLog: traceLog,
 		Restarted: opt.restarted, SessionTimeout: opt.timeout,

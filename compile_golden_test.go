@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // compileGoldenCaps are the per-entity state caps the compile golden
@@ -16,11 +14,9 @@ import (
 var compileGoldenCaps = []int{64, 1024, 4096}
 
 // TestCompileGolden holds the Compile report of every corpus spec at every
-// recorded cap, and the digest of the wire interning table built for it,
-// byte-identical to testdata/compile.golden. The report's exact and
-// minimized sizes come from the eager bounded exploration of each entity;
-// the table is the union of the message alphabets of the entities whose
-// minimized layer closes under the cap.
+// recorded cap byte-identical to testdata/compile.golden. The report's
+// exact and minimized sizes come from the eager bounded exploration of each
+// entity.
 func TestCompileGolden(t *testing.T) {
 	var b strings.Builder
 	for _, path := range corpusFiles(t) {
@@ -38,11 +34,7 @@ func TestCompileGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The table over the fleet Compile just minimized: the machines
-			// TableForEntities would build, without exploring them twice.
-			table := wire.TableFromFleet(proto.fleet(cap))
-			fmt.Fprintf(&b, "%s cap=%d\n%s\ntable len=%d digest=%016x\n",
-				filepath.Base(path), cap, js, table.Len(), table.Digest())
+			fmt.Fprintf(&b, "%s cap=%d\n%s\n", filepath.Base(path), cap, js)
 		}
 	}
 	golden := filepath.Join("testdata", "compile.golden")
@@ -51,7 +43,7 @@ func TestCompileGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := b.String(); got != string(want) {
-		t.Errorf("compile reports or table digests differ from %s:\n%s", golden, firstDiff(string(want), got))
+		t.Errorf("compile reports differ from %s:\n%s", golden, firstDiff(string(want), got))
 	}
 }
 

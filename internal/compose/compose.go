@@ -39,7 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
+	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/lts"
 )
@@ -223,19 +223,15 @@ func (s *System) localTrans(idx int, id int32) ([]cachedTrans, error) {
 	out := make([]cachedTrans, len(ts))
 	for i, t := range ts {
 		ct := cachedTrans{label: t.Label, to: s.internStateLocked(idx, t.To), peer: -1, msg: -1}
-		if t.Label.Kind == lts.LEvent {
-			ev := t.Label.Ev
-			if ev.Kind == lotos.EvSend || ev.Kind == lotos.EvRecv {
-				pi, ok := s.placeIdx[ev.Place]
-				if !ok {
-					return nil, fmt.Errorf("message event %s targets unknown place %d", ev, ev.Place)
-				}
-				ct.peer = int32(pi)
-				ct.msg = s.msgIDLocked(msgOf(ev))
-				if ev.Kind == lotos.EvRecv {
-					ct.flush = flushingRecv(ev)
-				}
+		switch op, ev := fsm.Classify(t.Label); op {
+		case fsm.OpSend, fsm.OpRecv, fsm.OpRecvFlush:
+			pi, ok := s.placeIdx[ev.Place]
+			if !ok {
+				return nil, fmt.Errorf("message event %s targets unknown place %d", ev, ev.Place)
 			}
+			ct.peer = int32(pi)
+			ct.msg = s.msgIDLocked(msgOf(ev))
+			ct.flush = op == fsm.OpRecvFlush
 		}
 		out[i] = ct
 	}
@@ -292,14 +288,6 @@ type message struct {
 
 func msgOf(ev lotos.Event) message {
 	return message{Node: ev.Node, Occ: ev.Occ, Tag: ev.Tag}
-}
-
-// flushingRecv reports whether a receive event carries the interrupt-
-// handshake flush semantics: consuming it discards everything queued
-// before it on its channel (the messages were addressed to the normal part
-// the interrupt killed).
-func flushingRecv(ev lotos.Event) bool {
-	return ev.Tag == "" && core.FlushingMsgID(ev.Node)
 }
 
 // consumeIDs returns the channel contents after consuming the wanted
@@ -490,12 +478,12 @@ func (s *System) derive(g *gstate, annotate bool) ([]lts.GenTransition, []Witnes
 					continue ample
 				}
 			}
+			if s.cfg.Faults.Any() {
+				continue // the receives' channels are not fault-free
+			}
 			rests := make([][]int32, len(ts))
 			for i, t := range ts {
 				slot := int(t.peer)*n + idx
-				if !s.channelFaultFree(slot) {
-					continue ample
-				}
 				rest, ok := consumeIDs(g.chans[slot], t.msg, t.flush)
 				if !ok {
 					continue ample // a blocked receive disqualifies the whole set
@@ -591,16 +579,6 @@ func (s *System) derive(g *gstate, annotate bool) ([]lts.GenTransition, []Witnes
 		s.faultMoves(g, annotate, emit)
 	}
 	return out, steps, nil
-}
-
-// channelFaultFree reports whether the medium applies no fault transitions
-// to the given channel slot. The fault model is currently global — faults
-// apply to every channel or none — but the per-slot shape keeps every POR
-// eligibility decision local to the channels it actually touches, so a
-// per-channel fault model only has to change this predicate.
-func (s *System) channelFaultFree(slot int) bool {
-	_ = slot
-	return !s.cfg.Faults.Any()
 }
 
 // recvStep builds the witness annotation of a receive transition.

@@ -22,8 +22,8 @@
 //     quotient (equiv.QuotientWeakMap), with each class's transitions sorted
 //     by (label key, target class) — a canonical minimal form independent of
 //     exploration order. It is what compositional verification composes over
-//     and what compile reports and the wire label table read. Past the cap
-//     it fails with a *CompileError.
+//     and what compile reports read; nothing else asks for it. Past the
+//     cap it fails with a *CompileError.
 //
 // A Machine is the one per-entity artifact of the pipeline: simulation,
 // witness replay, live deployment and compositional verification all use

@@ -10,11 +10,11 @@
 // The codec is strict: every frame is a 4-byte big-endian body length
 // followed by a one-byte frame type and the type's fields; decoding rejects
 // oversized lengths before allocating, truncated fields, unknown types and
-// trailing garbage. Message identifications travel as interned keys into a
-// MsgTable both endpoints derive independently from the (shared) service
-// specification — with a verbose fallback encoding for entities whose
-// unbounded state space defeats compilation, whose message alphabet is
-// therefore unknown in advance.
+// trailing garbage. A data frame carries the message identification itself,
+// as the derived entities name their messages: a tag, or a node number and
+// an occurrence path. No table has to be agreed in advance, so recursive
+// entities, which stamp occurrence paths as they instantiate processes,
+// travel like every other.
 package wire
 
 import (
@@ -28,7 +28,7 @@ import (
 )
 
 // ProtocolVersion is the wire protocol version, checked in Hello frames.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // Frame size limits. MaxFrameBody bounds the decoded body allocation (a
 // corrupt length prefix must not over-allocate); MaxString bounds any
@@ -139,12 +139,11 @@ type Frame struct {
 	Type FrameType
 
 	// Hello fields.
-	Version     uint8
-	Kind        ConnKind
-	Place       int
-	SpecDigest  uint64
-	TableDigest uint64
-	Addr        string
+	Version    uint8
+	Kind       ConnKind
+	Place      int
+	SpecDigest uint64
+	Addr       string
 
 	// Data / Ack fields. From/To are the directed channel; Seq is the
 	// channel-local sequence number (first frame on a channel has Seq 1).
@@ -255,11 +254,10 @@ func (p Msg) Message(from, to int) medium.Message {
 	return medium.Message{From: from, To: to, Node: p.Node, Occ: p.Occ, Tag: p.Tag}
 }
 
-// payload encoding flags.
-const (
-	msgInterned = 1 << iota
-	msgTagged
-)
+// msgTagged flags a tag payload; a zero flag byte is a node/occurrence
+// payload. Bit 0 is retired (protocol version 2 set it for interned keys)
+// and is rejected like any other unknown bit.
+const msgTagged = 1 << 1
 
 // encoder appends wire primitives to a buffer.
 type encoder struct{ buf []byte }
@@ -376,15 +374,8 @@ func (d *decoder) zig(what string) int64 {
 	return int64(v>>1) ^ -int64(v&1)
 }
 
-// encodeMsg writes a message payload, interned when the table knows it.
-func encodeMsg(e *encoder, m Msg, t *MsgTable) {
-	if t != nil {
-		if key, ok := t.Key(m); ok {
-			e.u8(msgInterned)
-			e.uint(key)
-			return
-		}
-	}
+// encodeMsg writes a message payload.
+func encodeMsg(e *encoder, m Msg) {
 	if m.Tag != "" {
 		e.u8(msgTagged)
 		e.str(m.Tag)
@@ -396,27 +387,11 @@ func encodeMsg(e *encoder, m Msg, t *MsgTable) {
 }
 
 // decodeMsg reads a message payload.
-func decodeMsg(d *decoder, t *MsgTable) Msg {
-	flags := d.u8("message flags")
-	switch {
-	case flags&msgInterned != 0:
-		key := d.uint("message key")
-		if d.err != nil {
-			return Msg{}
-		}
-		if t == nil {
-			d.fail("interned message without a table")
-			return Msg{}
-		}
-		m, ok := t.Lookup(key)
-		if !ok {
-			d.fail("message key (unknown)")
-			return Msg{}
-		}
-		return m
-	case flags&msgTagged != 0:
+func decodeMsg(d *decoder) Msg {
+	switch d.u8("message flags") {
+	case msgTagged:
 		return Msg{Node: -1, Tag: d.str("message tag")}
-	case flags == 0:
+	case 0:
 		node := d.zig("message node")
 		occ := d.str("message occurrence")
 		if d.err == nil && (node < -(1<<31) || node > 1<<31) {
@@ -431,7 +406,7 @@ func decodeMsg(d *decoder, t *MsgTable) Msg {
 }
 
 // Encode serializes the frame, including its length prefix.
-func (f *Frame) Encode(t *MsgTable) ([]byte, error) {
+func (f *Frame) Encode() ([]byte, error) {
 	e := &encoder{buf: make([]byte, 4, 64)}
 	e.u8(uint8(f.Type))
 	switch f.Type {
@@ -440,13 +415,12 @@ func (f *Frame) Encode(t *MsgTable) ([]byte, error) {
 		e.u8(uint8(f.Kind))
 		e.uint(f.Place)
 		e.u64(f.SpecDigest)
-		e.u64(f.TableDigest)
 		e.str(f.Addr)
 	case FrameData:
 		e.uint(f.From)
 		e.uint(f.To)
 		e.uvarint(f.Seq)
-		encodeMsg(e, f.Msg, t)
+		encodeMsg(e, f.Msg)
 	case FrameAck:
 		e.uint(f.From)
 		e.uint(f.To)
@@ -516,7 +490,7 @@ func (f *Frame) Encode(t *MsgTable) ([]byte, error) {
 // DecodeBody parses one frame body (everything after the length prefix).
 // It is strict: unknown types, truncated fields, out-of-range values and
 // trailing bytes are all errors.
-func DecodeBody(body []byte, t *MsgTable) (*Frame, error) {
+func DecodeBody(body []byte) (*Frame, error) {
 	d := &decoder{buf: body}
 	f := &Frame{Type: FrameType(d.u8("frame type"))}
 	switch f.Type {
@@ -525,7 +499,6 @@ func DecodeBody(body []byte, t *MsgTable) (*Frame, error) {
 		f.Kind = ConnKind(d.u8("conn kind"))
 		f.Place = d.uint("place")
 		f.SpecDigest = d.u64("spec digest")
-		f.TableDigest = d.u64("table digest")
 		f.Addr = d.str("address")
 		if d.err == nil && f.Kind > ConnData {
 			d.fail("conn kind (unknown)")
@@ -534,7 +507,7 @@ func DecodeBody(body []byte, t *MsgTable) (*Frame, error) {
 		f.From = d.uint("from")
 		f.To = d.uint("to")
 		f.Seq = d.uvarint("seq")
-		f.Msg = decodeMsg(d, t)
+		f.Msg = decodeMsg(d)
 	case FrameAck:
 		f.From = d.uint("from")
 		f.To = d.uint("to")
@@ -607,8 +580,8 @@ func DecodeBody(body []byte, t *MsgTable) (*Frame, error) {
 }
 
 // WriteFrame encodes and writes one frame.
-func WriteFrame(w io.Writer, f *Frame, t *MsgTable) error {
-	buf, err := f.Encode(t)
+func WriteFrame(w io.Writer, f *Frame) error {
+	buf, err := f.Encode()
 	if err != nil {
 		return err
 	}
@@ -618,7 +591,7 @@ func WriteFrame(w io.Writer, f *Frame, t *MsgTable) error {
 
 // ReadFrame reads and decodes one length-prefixed frame. The length prefix
 // is validated against MaxFrameBody before any body allocation.
-func ReadFrame(r io.Reader, t *MsgTable) (*Frame, error) {
+func ReadFrame(r io.Reader) (*Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -631,7 +604,7 @@ func ReadFrame(r io.Reader, t *MsgTable) (*Frame, error) {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, fmt.Errorf("wire: truncated frame body: %w", err)
 	}
-	return DecodeBody(body, t)
+	return DecodeBody(body)
 }
 
 // ServiceEvent rebuilds the lotos event of a reported service primitive.

@@ -31,8 +31,8 @@ import (
 type CoordinatorConfig struct {
 	// N is the number of entity processes to expect.
 	N int
-	// Table is the interning table; SpecDigest identifies the service spec.
-	Table      *MsgTable
+	// SpecDigest identifies the service spec revision; a non-zero entity
+	// digest that differs from a non-zero SpecDigest fails the handshake.
 	SpecDigest uint64
 	// Listen is the control listen address ("127.0.0.1:0" for loopback).
 	Listen string
@@ -60,10 +60,9 @@ type ctrl struct {
 
 // Coordinator accepts entity control connections and drives sessions.
 type Coordinator struct {
-	cfg   CoordinatorConfig
-	ln    net.Listener
-	ents  []*ctrl // ascending place order
-	table *MsgTable
+	cfg  CoordinatorConfig
+	ln   net.Listener
+	ents []*ctrl // ascending place order
 	// harness answers the entities' user-interaction requests; seq numbers
 	// the service primitives executed this session.
 	harness sim.Harness
@@ -128,7 +127,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: coordinator listen %s: %w", cfg.Listen, err)
 	}
-	return &Coordinator{cfg: cfg, ln: ln, table: cfg.Table}, nil
+	return &Coordinator{cfg: cfg, ln: ln}, nil
 }
 
 // Addr returns the control address entities must dial.
@@ -145,7 +144,7 @@ func (c *Coordinator) WaitEntities() error {
 			return fmt.Errorf("wire: coordinator accept: %w", err)
 		}
 		conn.SetDeadline(deadline)
-		hello, err := ReadFrame(conn, c.table)
+		hello, err := ReadFrame(conn)
 		if err != nil {
 			conn.Close()
 			return fmt.Errorf("wire: coordinator handshake: %w", err)
@@ -158,10 +157,10 @@ func (c *Coordinator) WaitEntities() error {
 			conn.Close()
 			return fmt.Errorf("wire: entity %d speaks protocol version %d, want %d", hello.Place, hello.Version, ProtocolVersion)
 		}
-		if hello.TableDigest != c.table.Digest() {
+		if c.cfg.SpecDigest != 0 && hello.SpecDigest != 0 && hello.SpecDigest != c.cfg.SpecDigest {
 			conn.Close()
-			return fmt.Errorf("wire: entity %d table digest mismatch: %016x != %016x",
-				hello.Place, hello.TableDigest, c.table.Digest())
+			return fmt.Errorf("wire: entity %d spec digest mismatch: %016x != %016x",
+				hello.Place, hello.SpecDigest, c.cfg.SpecDigest)
 		}
 		for _, e := range c.ents {
 			if e.place == hello.Place {
@@ -182,12 +181,12 @@ func (c *Coordinator) WaitEntities() error {
 		if c.cfg.RewritePeers != nil {
 			p = c.cfg.RewritePeers(e.place, peers)
 		}
-		if err := WriteFrame(e.conn, &Frame{Type: FramePeers, Peers: p}, c.table); err != nil {
+		if err := WriteFrame(e.conn, &Frame{Type: FramePeers, Peers: p}); err != nil {
 			return fmt.Errorf("wire: peers to entity %d: %w", e.place, err)
 		}
 	}
 	for _, e := range c.ents {
-		f, err := ReadFrame(e.conn, c.table)
+		f, err := ReadFrame(e.conn)
 		if err != nil {
 			return fmt.Errorf("wire: awaiting ready from entity %d: %w", e.place, err)
 		}
@@ -205,7 +204,7 @@ func (c *Coordinator) WaitEntities() error {
 // trace log with the outcome.
 func (c *Coordinator) halt(outcome OutcomeFlags, reason string) {
 	for _, e := range c.ents {
-		WriteFrame(e.conn, &Frame{Type: FrameHalt, Outcome: outcome, Reason: reason}, c.table)
+		WriteFrame(e.conn, &Frame{Type: FrameHalt, Outcome: outcome, Reason: reason})
 	}
 }
 
@@ -256,11 +255,11 @@ func (e *ctrl) StepExact(tindex int, op fsm.Op) (sim.StepOutcome, error) {
 // FrameSeq answer is what lets the entity stamp its log record.
 func (e *ctrl) step(grant *Frame) (sim.StepOutcome, error) {
 	c := e.c
-	if err := WriteFrame(e.conn, grant, c.table); err != nil {
+	if err := WriteFrame(e.conn, grant); err != nil {
 		return sim.StepOutcome{}, fmt.Errorf("wire: step grant to entity %d: %w", e.place, err)
 	}
 	for {
-		f, err := ReadFrame(e.conn, c.table)
+		f, err := ReadFrame(e.conn)
 		if err != nil {
 			return sim.StepOutcome{}, fmt.Errorf("wire: awaiting step result from entity %d: %w", e.place, err)
 		}
@@ -274,7 +273,7 @@ func (e *ctrl) step(grant *Frame) (sim.StepOutcome, error) {
 				evs[i] = o.Event()
 			}
 			reply := &Frame{Type: FrameChooseReply, Choice: c.harness.Choose(e.place, evs)}
-			if err := WriteFrame(e.conn, reply, c.table); err != nil {
+			if err := WriteFrame(e.conn, reply); err != nil {
 				return sim.StepOutcome{}, fmt.Errorf("wire: harness reply to entity %d: %w", e.place, err)
 			}
 		case FrameStepResult:
@@ -289,7 +288,7 @@ func (e *ctrl) step(grant *Frame) (sim.StepOutcome, error) {
 				out.HasEvent, out.Event = true, lotos.ServiceEvent(name, f.EventPlace)
 				seq := &Frame{Type: FrameSeq, GlobalSeq: c.seq}
 				c.seq++
-				if err := WriteFrame(e.conn, seq, c.table); err != nil {
+				if err := WriteFrame(e.conn, seq); err != nil {
 					return out, fmt.Errorf("wire: sequencing event for entity %d: %w", e.place, err)
 				}
 			}
@@ -314,11 +313,10 @@ func (e *ctrl) Enabledness() (sim.Enabled, error) {
 // enabledReport queries the entity's enabledness and the occupancy of its
 // inbound channels.
 func (e *ctrl) enabledReport() (*Frame, error) {
-	c := e.c
-	if err := WriteFrame(e.conn, &Frame{Type: FrameEnabled}, c.table); err != nil {
+	if err := WriteFrame(e.conn, &Frame{Type: FrameEnabled}); err != nil {
 		return nil, fmt.Errorf("wire: enabled query to entity %d: %w", e.place, err)
 	}
-	f, err := ReadFrame(e.conn, c.table)
+	f, err := ReadFrame(e.conn)
 	if err != nil {
 		return nil, fmt.Errorf("wire: awaiting enabled report from entity %d: %w", e.place, err)
 	}
@@ -340,7 +338,7 @@ func (c *Coordinator) start(seed int64, mode SessionMode, harness sim.Harness) e
 	}
 	for _, e := range c.ents {
 		f := &Frame{Type: FrameStart, Seed: seed, Mode: mode}
-		if err := WriteFrame(e.conn, f, c.table); err != nil {
+		if err := WriteFrame(e.conn, f); err != nil {
 			return fmt.Errorf("wire: start to entity %d: %w", e.place, err)
 		}
 	}

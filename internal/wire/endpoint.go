@@ -21,7 +21,6 @@ import (
 // just as a full in-process channel would block a capacity check.
 type Endpoint struct {
 	place      int
-	table      *MsgTable
 	inner      *medium.Medium
 	specDigest uint64
 
@@ -78,8 +77,6 @@ type peerConn struct {
 type EndpointConfig struct {
 	// Place is the entity's own place number.
 	Place int
-	// Table is the interned message table (shared by all processes).
-	Table *MsgTable
 	// ChannelCap bounds unacked frames per directed channel, mirroring the
 	// composition's channel capacity. 0 means unbounded.
 	ChannelCap int
@@ -98,7 +95,6 @@ func NewEndpoint(cfg EndpointConfig) (*Endpoint, error) {
 	}
 	ep := &Endpoint{
 		place:   cfg.Place,
-		table:   cfg.Table,
 		inner:   medium.New(medium.Config{}),
 		conns:   map[int]*peerConn{},
 		sendSeq: map[int]uint64{},
@@ -177,13 +173,13 @@ func (ep *Endpoint) dial(p Peer) error {
 	}
 	hello := &Frame{
 		Type: FrameHello, Version: ProtocolVersion, Kind: ConnData,
-		Place: ep.place, SpecDigest: ep.specDigest, TableDigest: ep.table.Digest(),
+		Place: ep.place, SpecDigest: ep.specDigest,
 	}
-	if err := WriteFrame(conn, hello, ep.table); err != nil {
+	if err := WriteFrame(conn, hello); err != nil {
 		conn.Close()
 		return fmt.Errorf("wire: entity %d hello to peer %d: %w", ep.place, p.Place, err)
 	}
-	reply, err := ReadFrame(conn, ep.table)
+	reply, err := ReadFrame(conn)
 	if err != nil {
 		conn.Close()
 		return fmt.Errorf("wire: entity %d handshake with peer %d: %w", ep.place, p.Place, err)
@@ -203,7 +199,7 @@ func (ep *Endpoint) acceptN(n int) error {
 		if err != nil {
 			return fmt.Errorf("wire: entity %d accept: %w", ep.place, err)
 		}
-		hello, err := ReadFrame(conn, ep.table)
+		hello, err := ReadFrame(conn)
 		if err != nil {
 			conn.Close()
 			return fmt.Errorf("wire: entity %d inbound handshake: %w", ep.place, err)
@@ -214,9 +210,9 @@ func (ep *Endpoint) acceptN(n int) error {
 		}
 		reply := &Frame{
 			Type: FrameHello, Version: ProtocolVersion, Kind: ConnData,
-			Place: ep.place, SpecDigest: ep.specDigest, TableDigest: ep.table.Digest(),
+			Place: ep.place, SpecDigest: ep.specDigest,
 		}
-		if err := WriteFrame(conn, reply, ep.table); err != nil {
+		if err := WriteFrame(conn, reply); err != nil {
 			conn.Close()
 			return fmt.Errorf("wire: entity %d hello reply: %w", ep.place, err)
 		}
@@ -240,10 +236,6 @@ func (ep *Endpoint) checkHello(f *Frame, wantPlace int) error {
 	if wantPlace >= 0 && f.Place != wantPlace {
 		return fmt.Errorf("wire: entity %d dialed peer %d but reached %d", ep.place, wantPlace, f.Place)
 	}
-	if f.TableDigest != ep.table.Digest() {
-		return fmt.Errorf("wire: entity %d table digest mismatch with peer %d: %016x != %016x",
-			ep.place, f.Place, f.TableDigest, ep.table.Digest())
-	}
 	if ep.specDigest != 0 && f.SpecDigest != 0 && f.SpecDigest != ep.specDigest {
 		return fmt.Errorf("wire: entity %d spec digest mismatch with peer %d", ep.place, f.Place)
 	}
@@ -264,7 +256,7 @@ func (ep *Endpoint) register(place int, conn net.Conn) {
 func (ep *Endpoint) readLoop(pc *peerConn) {
 	defer ep.wg.Done()
 	for {
-		f, err := ReadFrame(pc.conn, ep.table)
+		f, err := ReadFrame(pc.conn)
 		if err != nil {
 			ep.mu.Lock()
 			closed := ep.closed
@@ -328,7 +320,7 @@ func (ep *Endpoint) dataArrives(pc *peerConn, f *Frame) {
 	}
 	ack := &Frame{Type: FrameAck, From: f.From, To: f.To, Seq: f.Seq}
 	pc.wmu.Lock()
-	err := WriteFrame(pc.conn, ack, ep.table)
+	err := WriteFrame(pc.conn, ack)
 	pc.wmu.Unlock()
 	ep.mu.Lock()
 	if err != nil && ep.failed == nil && !ep.closed {
@@ -390,7 +382,7 @@ func (ep *Endpoint) Send(msg medium.Message) {
 
 	f := &Frame{Type: FrameData, From: msg.From, To: msg.To, Seq: seq, Msg: MsgOf(msg)}
 	pc.wmu.Lock()
-	err := WriteFrame(pc.conn, f, ep.table)
+	err := WriteFrame(pc.conn, f)
 	pc.wmu.Unlock()
 	if err != nil {
 		ep.mu.Lock()

@@ -12,12 +12,11 @@ import (
 // pairUp builds a two-endpoint mesh over loopback.
 func pairUp(t *testing.T, window int) (*Endpoint, *Endpoint) {
 	t.Helper()
-	table := testTable(t)
-	a, err := NewEndpoint(EndpointConfig{Place: 1, Table: table, ChannelCap: window, Listen: "127.0.0.1:0"})
+	a, err := NewEndpoint(EndpointConfig{Place: 1, ChannelCap: window, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEndpoint(EndpointConfig{Place: 2, Table: table, ChannelCap: window, Listen: "127.0.0.1:0"})
+	b, err := NewEndpoint(EndpointConfig{Place: 2, ChannelCap: window, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

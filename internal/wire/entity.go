@@ -31,8 +31,7 @@ type EntityConfig struct {
 	PlaceIndex int
 	// Machine is the entity's machine.
 	Machine *fsm.Machine
-	// Table is the interning table; SpecDigest identifies the service spec.
-	Table      *MsgTable
+	// SpecDigest identifies the service spec revision in handshakes.
 	SpecDigest uint64
 	// Coordinator is the control address to dial; Listen the entity's own
 	// data listen address ("127.0.0.1:0" for loopback).
@@ -54,9 +53,8 @@ type EntityConfig struct {
 // control connection here cannot race the main loop: the coordinator sends
 // nothing but the ChooseReply until the step's result is reported.
 type remoteHarness struct {
-	conn  net.Conn
-	table *MsgTable
-	err   error
+	conn net.Conn
+	err  error
 }
 
 // Choose implements sim.Harness over the control connection.
@@ -68,11 +66,11 @@ func (h *remoteHarness) Choose(place int, offered []lotos.Event) int {
 	for i, ev := range offered {
 		f.Offered[i] = ServicePrimitive{Name: ev.Name, Place: ev.Place}
 	}
-	if err := WriteFrame(h.conn, f, h.table); err != nil {
+	if err := WriteFrame(h.conn, f); err != nil {
 		h.err = fmt.Errorf("wire: harness request: %w", err)
 		return -1
 	}
-	reply, err := ReadFrame(h.conn, h.table)
+	reply, err := ReadFrame(h.conn)
 	if err != nil {
 		h.err = fmt.Errorf("wire: harness reply: %w", err)
 		return -1
@@ -112,7 +110,7 @@ func RunEntity(cfg EntityConfig) error {
 		cfg.TraceLog = io.Discard
 	}
 	ep, err := NewEndpoint(EndpointConfig{
-		Place: cfg.Place, Table: cfg.Table, ChannelCap: cfg.ChannelCap,
+		Place: cfg.Place, ChannelCap: cfg.ChannelCap,
 		Listen: cfg.Listen, SpecDigest: cfg.SpecDigest,
 	})
 	if err != nil {
@@ -129,14 +127,14 @@ func RunEntity(cfg EntityConfig) error {
 
 	hello := &Frame{
 		Type: FrameHello, Version: ProtocolVersion, Kind: ConnControl,
-		Place: cfg.Place, SpecDigest: cfg.SpecDigest, TableDigest: cfg.Table.Digest(),
+		Place: cfg.Place, SpecDigest: cfg.SpecDigest,
 		Addr: ep.Addr(),
 	}
-	if err := WriteFrame(ctrl, hello, cfg.Table); err != nil {
+	if err := WriteFrame(ctrl, hello); err != nil {
 		return fmt.Errorf("wire: entity %d hello: %w", cfg.Place, err)
 	}
 
-	peersFrame, err := ReadFrame(ctrl, cfg.Table)
+	peersFrame, err := ReadFrame(ctrl)
 	if err != nil {
 		return fmt.Errorf("wire: entity %d awaiting peers: %w", cfg.Place, err)
 	}
@@ -146,11 +144,11 @@ func RunEntity(cfg EntityConfig) error {
 	if err := ep.EstablishMesh(peersFrame.Peers); err != nil {
 		return err
 	}
-	if err := WriteFrame(ctrl, &Frame{Type: FrameReady}, cfg.Table); err != nil {
+	if err := WriteFrame(ctrl, &Frame{Type: FrameReady}); err != nil {
 		return fmt.Errorf("wire: entity %d ready: %w", cfg.Place, err)
 	}
 
-	start, err := ReadFrame(ctrl, cfg.Table)
+	start, err := ReadFrame(ctrl)
 	if err != nil {
 		return fmt.Errorf("wire: entity %d awaiting start: %w", cfg.Place, err)
 	}
@@ -162,7 +160,7 @@ func RunEntity(cfg EntityConfig) error {
 	if err != nil {
 		return err
 	}
-	harness := &remoteHarness{conn: ctrl, table: cfg.Table}
+	harness := &remoteHarness{conn: ctrl}
 	st, err := sim.NewEntityStepper(cfg.Place, cfg.Machine, ep,
 		harness, sim.RunnerSeed(start.Seed, cfg.PlaceIndex))
 	if err != nil {
@@ -172,7 +170,7 @@ func RunEntity(cfg EntityConfig) error {
 	fail := func(err error) error {
 		// Best-effort error report, then an aborted end record: the log must
 		// say the session did not end cleanly.
-		WriteFrame(ctrl, &Frame{Type: FrameError, ErrMsg: err.Error()}, cfg.Table)
+		WriteFrame(ctrl, &Frame{Type: FrameError, ErrMsg: err.Error()})
 		tw.End(OutcomeAborted)
 		return err
 	}
@@ -183,7 +181,7 @@ func RunEntity(cfg EntityConfig) error {
 	pendingEvent := ""
 	for {
 		ctrl.SetDeadline(time.Now().Add(cfg.SessionTimeout))
-		f, err := ReadFrame(ctrl, cfg.Table)
+		f, err := ReadFrame(ctrl)
 		if err != nil {
 			tw.End(OutcomeAborted)
 			return fmt.Errorf("wire: entity %d lost coordinator: %w", cfg.Place, err)
@@ -220,7 +218,7 @@ func RunEntity(cfg EntityConfig) error {
 				res.EventPlace = cfg.Place
 				pendingEvent = res.EventName
 			}
-			if err := WriteFrame(ctrl, res, cfg.Table); err != nil {
+			if err := WriteFrame(ctrl, res); err != nil {
 				tw.End(OutcomeAborted)
 				return fmt.Errorf("wire: entity %d step result: %w", cfg.Place, err)
 			}
@@ -246,7 +244,7 @@ func RunEntity(cfg EntityConfig) error {
 					rep.QueueLens = append(rep.QueueLens, QueueLen{From: p.Place, Len: n})
 				}
 			}
-			if err := WriteFrame(ctrl, rep, cfg.Table); err != nil {
+			if err := WriteFrame(ctrl, rep); err != nil {
 				tw.End(OutcomeAborted)
 				return fmt.Errorf("wire: entity %d enabled report: %w", cfg.Place, err)
 			}

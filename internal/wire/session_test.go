@@ -73,7 +73,6 @@ func corpus(t *testing.T) map[string]corpusEntry {
 type deployment struct {
 	coord  *Coordinator
 	fleet  *fsm.Fleet
-	table  *MsgTable
 	logs   map[int]*bytes.Buffer
 	errs   chan error
 	places []int
@@ -97,21 +96,20 @@ func deploy(t *testing.T, entities map[int]*lotos.Spec, opt deployOptions) *depl
 		opt.timeout = 30 * time.Second
 	}
 	fleet := fsm.CompileEntities(entities, fsm.Config{MaxStates: opt.maxStates})
-	table := TableFromFleet(fleet)
 	places := make([]int, 0, len(entities))
 	for p := range entities {
 		places = append(places, p)
 	}
 	sort.Ints(places)
 	coord, err := NewCoordinator(CoordinatorConfig{
-		N: len(places), Table: table, Listen: "127.0.0.1:0",
+		N: len(places), Listen: "127.0.0.1:0",
 		MaxEvents: opt.maxEvents, Timeout: opt.timeout, RewritePeers: opt.rewritePeers,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dep := &deployment{
-		coord: coord, fleet: fleet, table: table,
+		coord: coord, fleet: fleet,
 		logs: map[int]*bytes.Buffer{}, errs: make(chan error, len(places)),
 		places: places,
 	}
@@ -121,8 +119,8 @@ func deploy(t *testing.T, entities map[int]*lotos.Spec, opt deployOptions) *depl
 		go func(i, p int, buf *bytes.Buffer) {
 			dep.errs <- RunEntity(EntityConfig{
 				Place: p, PlaceIndex: i,
-				Machine: fleet.Machines[p],
-				Table:   table, Coordinator: coord.Addr(), Listen: "127.0.0.1:0",
+				Machine:     fleet.Machines[p],
+				Coordinator: coord.Addr(), Listen: "127.0.0.1:0",
 				ChannelCap: compose.DefaultChannelCap,
 				TraceLog:   buf, SessionTimeout: opt.timeout,
 			})

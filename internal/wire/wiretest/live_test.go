@@ -141,14 +141,13 @@ func deployLive(t *testing.T, entities map[int]*lotos.Spec, channelCap, maxEvent
 	rewrite func(int, []wire.Peer) []wire.Peer) *liveDeployment {
 	t.Helper()
 	fleet := fsm.CompileEntities(entities, fsm.Config{MaxStates: liveMaxStates})
-	table := wire.TableFromFleet(fleet)
 	places := make([]int, 0, len(entities))
 	for p := range entities {
 		places = append(places, p)
 	}
 	sort.Ints(places)
 	coord, err := wire.NewCoordinator(wire.CoordinatorConfig{
-		N: len(places), Table: table, Listen: "127.0.0.1:0",
+		N: len(places), Listen: "127.0.0.1:0",
 		MaxEvents: maxEvents, Timeout: 30 * time.Second, RewritePeers: rewrite,
 	})
 	if err != nil {
@@ -164,8 +163,8 @@ func deployLive(t *testing.T, entities map[int]*lotos.Spec, channelCap, maxEvent
 		go func(i, p int, buf *bytes.Buffer) {
 			dep.errs <- wire.RunEntity(wire.EntityConfig{
 				Place: p, PlaceIndex: i,
-				Machine: fleet.Machines[p],
-				Table:   table, Coordinator: coord.Addr(), Listen: "127.0.0.1:0",
+				Machine:     fleet.Machines[p],
+				Coordinator: coord.Addr(), Listen: "127.0.0.1:0",
 				ChannelCap: channelCap, TraceLog: buf,
 				SessionTimeout: 30 * time.Second,
 			})

@@ -20,8 +20,7 @@ import (
 // Wire framing constants, mirrored from internal/wire's codec: the proxy
 // parses only the data/ack frame headers (type byte, then channel endpoints
 // and sequence number as uvarints) and treats message payloads as opaque
-// bytes, so it needs no message table and works for interned and verbose
-// encodings alike.
+// bytes.
 const (
 	frameData    = 2
 	frameAck     = 3

@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"repro/internal/compose"
-	"repro/internal/fsm"
-	"repro/internal/lotos"
 	"repro/internal/medium"
 	"repro/internal/wire"
 )
@@ -15,13 +13,7 @@ import (
 // connection: endpoint 1 dials the proxy believing it is endpoint 2.
 func proxyPair(t *testing.T, window int, faults Faults) (a, b *wire.Endpoint, px *Proxy) {
 	t.Helper()
-	ent, err := lotos.Parse(`SPEC a1; s2(7); r2(9); exit ENDSPEC`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet := fsm.CompileEntities(map[int]*lotos.Spec{1: ent}, fsm.Config{})
-	table := wire.TableFromFleet(fleet)
-	b, err = wire.NewEndpoint(wire.EndpointConfig{Place: 2, Table: table, ChannelCap: window, Listen: "127.0.0.1:0"})
+	b, err := wire.NewEndpoint(wire.EndpointConfig{Place: 2, ChannelCap: window, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +21,7 @@ func proxyPair(t *testing.T, window int, faults Faults) (a, b *wire.Endpoint, px
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err = wire.NewEndpoint(wire.EndpointConfig{Place: 1, Table: table, ChannelCap: window, Listen: "127.0.0.1:0"})
+	a, err = wire.NewEndpoint(wire.EndpointConfig{Place: 1, ChannelCap: window, Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,24 +1,12 @@
-// Command experiments regenerates the full paper-versus-measured record of
-// EXPERIMENTS.md in one run: the attributed tree of Figure 4 (E1), the
-// derived entities of the paper's examples (E2-E5), the non-regular
-// behaviour of Example 2 (E6), the message-complexity accounting (E8), the
-// Section-5 correctness verdicts (E9), the centralized-baseline comparison
-// (E10), the disabling deviations and the Rel/interrupt race (E11), the
-// message optimizer (E13), the handshake interrupt mode (E14), and the
-// ARQ loss sweep (E15).
-//
-// Usage:
-//
-//	experiments [-quick]
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/compose"
 	"repro/internal/core"
 	"repro/internal/lotos"
@@ -42,13 +30,30 @@ SPEC D [> d2; c1; exit WHERE
   PROC D = a1; b2; D END
 ENDSPEC`
 
-func main() {
-	quick := flag.Bool("quick", false, "smaller sweeps")
-	flag.Parse()
-	run(os.Stdout, *quick)
+// runExperiments is `pg experiments`: it regenerates the full
+// paper-versus-measured record of EXPERIMENTS.md in one run — the
+// attributed tree of Figure 4 (E1), the derived entities of the paper's
+// examples (E2-E5), the non-regular behaviour of Example 2 (E6), the
+// message-complexity accounting (E8), the Section-5 correctness verdicts
+// (E9), the centralized-baseline comparison (E10), the disabling deviations
+// and the Rel/interrupt race (E11), the message optimizer (E13), the
+// handshake interrupt mode (E14), the mutation kill rate (E16) and the ARQ
+// loss sweep (E15).
+//
+// Flags:
+//
+//	-quick  smaller sweeps
+func runExperiments(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := newFlagSet("experiments", "[-quick]", stderr)
+	quick := fs.Bool("quick", false, "smaller sweeps")
+	if err := fs.Parse(args); err != nil {
+		return cli.ExitUsage
+	}
+	experiments(stdout, *quick)
+	return cli.ExitOK
 }
 
-func run(w io.Writer, quick bool) {
+func experiments(w io.Writer, quick bool) {
 	start := time.Now()
 	section := func(id, title string) {
 		fmt.Fprintf(w, "\n==== %s — %s ====\n", id, title)
@@ -57,7 +62,7 @@ func run(w io.Writer, quick bool) {
 		d, err := core.Derive(lotos.MustParse(src), opts)
 		if err != nil {
 			fmt.Fprintf(w, "ERROR: %v\n", err)
-			os.Exit(1)
+			os.Exit(cli.ExitFail)
 		}
 		return d
 	}

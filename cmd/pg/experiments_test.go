@@ -3,12 +3,15 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 func TestExperimentsReport(t *testing.T) {
-	var out strings.Builder
-	run(&out, true)
-	report := out.String()
+	code, report, _ := runPG(t, []string{"experiments", "-quick"}, "")
+	if code != cli.ExitOK {
+		t.Fatalf("exit %d", code)
+	}
 	for _, want := range []string{
 		"E1 —", "ALL={1,2,3}",
 		"E2 —", "Protocol entity for place 3",

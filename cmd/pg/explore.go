@@ -1,10 +1,19 @@
-// Command lotosim explores the behaviour of any specification written in
-// the paper's language: reachable states, transitions, weak traces and
-// deadlocks, derived with the Basic-LOTOS operational semantics.
-//
-// Usage:
-//
-//	lotosim [flags] spec.lotos     (or "-" for stdin)
+package main
+
+import (
+	"fmt"
+	"io"
+
+	"repro/internal/cli"
+	"repro/internal/equiv"
+	"repro/internal/lotos"
+	"repro/internal/lts"
+)
+
+// runExplore is `pg explore`: it explores the behaviour of any
+// specification written in the paper's language — reachable states,
+// transitions, weak traces and deadlocks, derived with the Basic-LOTOS
+// operational semantics. It exits 1 when the specification can deadlock.
 //
 // Flags:
 //
@@ -17,56 +26,23 @@
 //	              minimized layer reports)
 //	-dot          emit the graph (or with -minimize its quotient) in
 //	              Graphviz dot format
-package main
-
-import (
-	"flag"
-	"fmt"
-	"io"
-	"os"
-
-	"repro/internal/cli"
-	"repro/internal/equiv"
-	"repro/internal/lotos"
-	"repro/internal/lts"
-)
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("lotosim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+func runExplore(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := newFlagSet("explore", "[flags] spec.lotos", stderr)
 	traces := fs.Int("traces", 0, "enumerate weak traces up to this length")
 	depth := fs.Int("depth", 16, "observable exploration depth")
 	maxStates := fs.Int("maxstates", 0, "state cap (0 = default)")
 	showTrans := fs.Bool("transitions", false, "print all transitions")
 	minimize := fs.Bool("minimize", false, "also report the weak-bisimulation quotient")
 	dot := fs.Bool("dot", false, "emit the graph in Graphviz dot format and exit")
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: lotosim [flags] spec.lotos\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return cli.ExitUsage
-	}
-
-	src, err := cli.ReadInput(fs.Arg(0), stdin)
-	if err != nil {
-		fmt.Fprintln(stderr, "lotosim:", err)
-		return cli.ExitUsage
-	}
-	sp, err := lotos.Parse(src)
-	if err != nil {
-		fmt.Fprintln(stderr, "lotosim: parse:", err)
+	sp := parseInput(fs, args, stdin, stderr)
+	if sp == nil {
 		return cli.ExitUsage
 	}
 	lotos.Number(sp)
 
 	g, err := lts.ExploreSpec(sp, lts.Limits{MaxObsDepth: *depth, MaxStates: *maxStates})
 	if err != nil {
-		fmt.Fprintln(stderr, "lotosim:", err)
+		fmt.Fprintln(stderr, "pg explore:", err)
 		return cli.ExitFail
 	}
 	if *dot {

@@ -7,15 +7,8 @@ import (
 	"repro/internal/cli"
 )
 
-func runSim(t *testing.T, args []string, stdin string) (int, string, string) {
-	t.Helper()
-	var out, errw strings.Builder
-	code := run(args, strings.NewReader(stdin), &out, &errw)
-	return code, out.String(), errw.String()
-}
-
 func TestLotosimBasics(t *testing.T) {
-	code, out, _ := runSim(t, []string{"-"}, "SPEC a1; b2; exit ENDSPEC")
+	code, out, _ := runPG(t, []string{"explore", "-"}, "SPEC a1; b2; exit ENDSPEC")
 	if code != cli.ExitOK {
 		t.Fatalf("exit %d", code)
 	}
@@ -27,7 +20,7 @@ func TestLotosimBasics(t *testing.T) {
 }
 
 func TestLotosimTraces(t *testing.T) {
-	code, out, _ := runSim(t, []string{"-traces", "4", "-"},
+	code, out, _ := runPG(t, []string{"explore", "-traces", "4", "-"},
 		"SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC")
 	if code != cli.ExitOK {
 		t.Fatalf("exit %d", code)
@@ -38,7 +31,7 @@ func TestLotosimTraces(t *testing.T) {
 }
 
 func TestLotosimDeadlockExit(t *testing.T) {
-	code, out, _ := runSim(t, []string{"-"}, "SPEC a1; b2; exit || a1; c3; exit ENDSPEC")
+	code, out, _ := runPG(t, []string{"explore", "-"}, "SPEC a1; b2; exit || a1; c3; exit ENDSPEC")
 	if code != cli.ExitFail {
 		t.Fatalf("exit %d", code)
 	}
@@ -48,27 +41,27 @@ func TestLotosimDeadlockExit(t *testing.T) {
 }
 
 func TestLotosimTransitions(t *testing.T) {
-	code, out, _ := runSim(t, []string{"-transitions", "-"}, "SPEC a1; exit ENDSPEC")
+	code, out, _ := runPG(t, []string{"explore", "-transitions", "-"}, "SPEC a1; exit ENDSPEC")
 	if code != cli.ExitOK || !strings.Contains(out, "--a1-->") {
 		t.Errorf("code=%d output:\n%s", code, out)
 	}
 }
 
 func TestLotosimErrors(t *testing.T) {
-	if code, _, _ := runSim(t, []string{"-"}, "nope"); code != cli.ExitUsage {
+	if code, _, _ := runPG(t, []string{"explore", "-"}, "nope"); code != cli.ExitUsage {
 		t.Errorf("parse error exit %d", code)
 	}
-	if code, _, _ := runSim(t, nil, ""); code != cli.ExitUsage {
+	if code, _, _ := runPG(t, []string{"explore"}, ""); code != cli.ExitUsage {
 		t.Errorf("missing input exit %d", code)
 	}
 	// Unguarded recursion is an analysis failure.
-	if code, _, errw := runSim(t, []string{"-"}, "SPEC A WHERE PROC A = A END ENDSPEC"); code != cli.ExitFail || !strings.Contains(errw, "unguarded") {
+	if code, _, errw := runPG(t, []string{"explore", "-"}, "SPEC A WHERE PROC A = A END ENDSPEC"); code != cli.ExitFail || !strings.Contains(errw, "unguarded") {
 		t.Errorf("unguarded exit %d err %q", code, errw)
 	}
 }
 
 func TestLotosimMinimize(t *testing.T) {
-	code, out, _ := runSim(t, []string{"-minimize", "-"},
+	code, out, _ := runPG(t, []string{"explore", "-minimize", "-"},
 		"SPEC exit >> (exit >> a1; exit) ENDSPEC")
 	if code != cli.ExitOK || !strings.Contains(out, "quotient:") {
 		t.Errorf("code=%d output:\n%s", code, out)
@@ -76,7 +69,7 @@ func TestLotosimMinimize(t *testing.T) {
 }
 
 func TestLotosimDot(t *testing.T) {
-	code, out, _ := runSim(t, []string{"-dot", "-"}, "SPEC a1; b2; exit ENDSPEC")
+	code, out, _ := runPG(t, []string{"explore", "-dot", "-"}, "SPEC a1; b2; exit ENDSPEC")
 	if code != cli.ExitOK {
 		t.Fatalf("exit %d", code)
 	}
@@ -88,7 +81,7 @@ func TestLotosimDot(t *testing.T) {
 }
 
 func TestLotosimDotMinimized(t *testing.T) {
-	code, out, _ := runSim(t, []string{"-dot", "-minimize", "-"},
+	code, out, _ := runPG(t, []string{"explore", "-dot", "-minimize", "-"},
 		"SPEC exit >> (exit >> a1; exit) ENDSPEC")
 	if code != cli.ExitOK || !strings.Contains(out, "digraph") {
 		t.Errorf("code=%d\n%s", code, out)

@@ -1,19 +1,17 @@
-// Command pg is the Protocol Generator: it reads a service specification
-// and emits the derived protocol entity specifications, one per service
-// access point — the Go counterpart of the Prolog PG prototype described in
-// Section 4.2 of the paper.
+// Command pg is the Protocol Generator: the Go counterpart of the Prolog PG
+// prototype described in Section 4.2 of the paper, grown into the one
+// command-line tool of this repository.
 //
 // Usage:
 //
-//	pg [flags] service.spec     (or "-" for stdin)
+//	pg derive [flags] service.spec
+//	pg verify [flags] service.spec [place=entity.spec ...]
+//	pg explore [flags] spec.lotos
+//	pg experiments [-quick]
 //
-// Flags:
-//
-//	-attrs       also print node numbering and SP/EP/AP attributes (Fig. 4)
-//	-place N     emit only the entity for place N
-//	-raw         keep the raw Table-3 output (no empty-elimination)
-//	-1986        restrict the input to the original SIGCOMM'86 subset
-//	-complexity  also print the Section 4.3 message-complexity table
+// Every specification path may be "-" for stdin. `pg <subcommand> -h` lists
+// a subcommand's flags. Exit codes: 0 OK, 1 FAIL (the analysis ran and its
+// verdict is negative), 2 usage or parse error.
 package main
 
 import (
@@ -21,72 +19,104 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 
 	"repro/internal/cli"
-	"repro/internal/core"
 	"repro/internal/lotos"
 )
+
+var subcommands = []struct {
+	name, summary string
+	run           func(args []string, stdin io.Reader, stdout, stderr io.Writer) int
+}{
+	{"derive", "derive the protocol entities of a service (Table 3), with attributes and message complexity", runDerive},
+	{"verify", "check the Section-5 correctness relation for derived or given entities", runVerify},
+	{"explore", "explore any specification: states, transitions, weak traces, deadlocks", runExplore},
+	{"experiments", "regenerate the paper-versus-measured record of EXPERIMENTS.md", runExperiments},
+}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("pg", flag.ContinueOnError)
+	if len(args) > 0 {
+		for _, c := range subcommands {
+			if c.name == args[0] {
+				return c.run(args[1:], stdin, stdout, stderr)
+			}
+		}
+		fmt.Fprintf(stderr, "pg: unknown subcommand %q\n", args[0])
+	}
+	fmt.Fprintln(stderr, "usage: pg <subcommand> [flags] [input]")
+	fmt.Fprintln(stderr, "subcommands:")
+	for _, c := range subcommands {
+		fmt.Fprintf(stderr, "  %-12s %s\n", c.name, c.summary)
+	}
+	return cli.ExitUsage
+}
+
+// newFlagSet returns the flag set of one subcommand, reporting to stderr.
+func newFlagSet(name, synopsis string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("pg "+name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	attrs := fs.Bool("attrs", false, "print the attributed syntax tree (Figure 4)")
-	place := fs.Int("place", 0, "emit only the entity for this place (0 = all)")
-	raw := fs.Bool("raw", false, "keep the raw Table-3 output")
-	dialect86 := fs.Bool("1986", false, "restrict to the SIGCOMM'86 operator subset")
-	complexity := fs.Bool("complexity", false, "print the message-complexity table")
-	handshake := fs.Bool("handshake", false, "use the Section-3.3 request/acknowledge interrupt implementation")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: pg [flags] service.spec\n")
+		fmt.Fprintf(stderr, "usage: pg %s %s\n", name, synopsis)
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
-		return cli.ExitUsage
-	}
+	return fs
+}
 
-	src, err := cli.ReadInput(fs.Arg(0), stdin)
+// parseInput parses args into fs and then the specification named by the
+// first remaining argument ("-" for stdin). A failure is reported on stderr
+// and yields a nil spec; the caller exits with cli.ExitUsage.
+func parseInput(fs *flag.FlagSet, args []string, stdin io.Reader, stderr io.Writer) *lotos.Spec {
+	if err := fs.Parse(args); err != nil {
+		return nil
+	}
+	sp, err := readSpec(fs.Arg(0), stdin)
 	if err != nil {
-		fmt.Fprintln(stderr, "pg:", err)
-		return cli.ExitUsage
+		fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
+		return nil
+	}
+	return sp
+}
+
+// readSpec reads and parses the specification at path ("-" for stdin).
+func readSpec(path string, stdin io.Reader) (*lotos.Spec, error) {
+	src, err := cli.ReadInput(path, stdin)
+	if err != nil {
+		return nil, err
 	}
 	sp, err := lotos.Parse(src)
 	if err != nil {
-		fmt.Fprintln(stderr, "pg: parse:", err)
-		return cli.ExitUsage
+		return nil, fmt.Errorf("parse: %v", err)
 	}
-	mode := core.InterruptBroadcast
-	if *handshake {
-		mode = core.InterruptHandshake
-	}
-	d, err := core.Derive(sp, core.Options{KeepRedundant: *raw, Dialect1986: *dialect86, Interrupt: mode})
-	if err != nil {
-		fmt.Fprintln(stderr, "pg:", err)
-		fmt.Fprintln(stderr, "pg: see Sections 3.2-3.3 of the paper for the restrictions R1-R3")
-		return cli.ExitFail
-	}
-	if *attrs {
-		fmt.Fprintln(stdout, "-- Attributed syntax tree (Step 2 of the algorithm, cf. Figure 4)")
-		fmt.Fprint(stdout, d.Service.Tree())
-		fmt.Fprintln(stdout)
-	}
-	if *complexity {
-		fmt.Fprintln(stdout, "-- Message complexity (Section 4.3)")
-		fmt.Fprint(stdout, core.MessageComplexityMode(d.Service, mode))
-		fmt.Fprintln(stdout)
-	}
-	if *place != 0 {
-		e := d.Entity(*place)
-		if e == nil {
-			fmt.Fprintf(stderr, "pg: place %d is not a service place (places: %v)\n", *place, d.Places)
-			return cli.ExitUsage
+	return sp, nil
+}
+
+// readEntities parses "place=entity.spec" arguments into the entity map of
+// a hand-written protocol.
+func readEntities(args []string, stdin io.Reader) (map[int]*lotos.Spec, error) {
+	entities := map[int]*lotos.Spec{}
+	for _, arg := range args {
+		eq := strings.IndexByte(arg, '=')
+		if eq <= 0 {
+			return nil, fmt.Errorf("entity argument %q is not place=file", arg)
 		}
-		fmt.Fprint(stdout, e.String())
-		return cli.ExitOK
+		place, err := strconv.Atoi(arg[:eq])
+		if err != nil || place <= 0 {
+			return nil, fmt.Errorf("entity argument %q: bad place", arg)
+		}
+		if _, dup := entities[place]; dup {
+			return nil, fmt.Errorf("place %d given twice", place)
+		}
+		sp, err := readSpec(arg[eq+1:], stdin)
+		if err != nil {
+			return nil, fmt.Errorf("entity %d: %v", place, err)
+		}
+		entities[place] = sp
 	}
-	fmt.Fprint(stdout, d.Render())
-	return cli.ExitOK
+	return entities, nil
 }

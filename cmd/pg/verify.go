@@ -1,23 +1,41 @@
-// Command verify derives the protocol for a service specification and
-// checks the paper's Section-5 correctness relation
+package main
+
+import (
+	"fmt"
+	"io"
+	"strings"
+
+	"repro/internal/cli"
+	"repro/internal/compose"
+	"repro/internal/core"
+	"repro/internal/lotos"
+	"repro/internal/sim"
+)
+
+// runVerify is `pg verify`: it checks the paper's Section-5 correctness
+// relation
 //
 //	S ≈ hide G in ((T_1 ||| ... ||| T_n) |[G]| Medium)
 //
 // by exact weak bisimulation when the composed state space is finite, and
 // by weak-trace equality up to a bounded observable depth plus deadlock
-// analysis otherwise. Optionally it also executes the derived entities
-// concurrently and checks every observed trace, and can run the verified
-// message optimizer.
-//
-// Usage:
-//
-//	verify [flags] service.spec     (or "-" for stdin)
+// analysis otherwise. The entities T_p are derived from the service, or,
+// given as place=entity.spec arguments, are hand-written ones: the analysis
+// direction the paper's introduction contrasts with synthesis ("to
+// determine whether a given protocol satisfies a given service
+// specification"). A given entity uses send/receive interactions in the
+// same language. Optionally it also executes the entities concurrently and
+// checks every observed trace, and can run the verified message optimizer.
 //
 // Flags:
 //
 //	-depth N      observable comparison depth (default 8)
 //	-cap N        medium channel capacity (default 1)
 //	-maxstates N  exploration state cap
+//	-subset       accept safety-only conformance (composed traces ⊆
+//	              service, no deadlock)
+//	-handshake    derive with the Section-3.3 request/acknowledge interrupt
+//	              implementation (not with given entities)
 //	-parallel     explore the composed state space with one worker per CPU
 //	-compositional  minimize each entity LTS (weak-bisimulation quotient)
 //	              before composing; same verdicts, smaller product
@@ -39,83 +57,64 @@
 //	              and, with -compositional, the per-phase pipeline timings
 //	              (entity quotient ns, product-over-quotients ns, reuse ratio)
 //
-// The exit code reflects the reliable-medium verdict: fault-model rows are
-// diagnostic (derived protocols assume the paper's reliable medium).
-package main
-
-import (
-	"flag"
-	"fmt"
-	"io"
-	"os"
-	"strings"
-
-	"repro/internal/cli"
-	"repro/internal/compose"
-	"repro/internal/core"
-	"repro/internal/lotos"
-	"repro/internal/sim"
-)
-
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
-}
-
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("verify", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+// The exit code reflects the reliable-medium verdict (or, with -subset, the
+// safety verdict): fault-model rows are diagnostic (derived protocols assume
+// the paper's reliable medium).
+func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := newFlagSet("verify", "[flags] service.spec [place=entity.spec ...]", stderr)
 	depth := fs.Int("depth", 0, "observable comparison depth (0 = default 8)")
 	chanCap := fs.Int("cap", 0, "channel capacity (0 = default 1)")
 	maxStates := fs.Int("maxstates", 0, "state cap (0 = default)")
+	subset := fs.Bool("subset", false, "accept safety-only conformance")
 	simRuns := fs.Int("sim", 0, "also run N randomized simulations")
 	seed := fs.Int64("seed", 1, "simulation base seed")
 	maxEvents := fs.Int("events", 40, "simulation event bound")
 	faults := fs.String("faults", "", "comma-separated fault models to also verify under (loss, dup, reorder, +combos)")
 	diffLimit := fs.Int("diff", 0, "example traces per side on trace mismatch (0 = default 5)")
 	optimize := fs.Bool("optimize", false, "remove non-essential messages")
-	handshake := fs.Bool("handshake", false, "use the Section-3.3 request/acknowledge interrupt implementation")
+	handshake := fs.Bool("handshake", false, "derive with the Section-3.3 request/acknowledge interrupt implementation")
 	parallel := fs.Bool("parallel", false, "explore the composed state space with one worker per CPU")
 	compositional := fs.Bool("compositional", false, "minimize each entity LTS before composing (quotient-before-compose)")
 	reductions := fs.String("reductions", "", "reduction set for the product exploration: default, none, all, or +-joined por/symmetry/spill")
 	spillBudget := fs.Int64("spill-budget", 0, "in-memory visited-index budget in bytes for the spill reduction (0 = default)")
 	stats := fs.Bool("stats", false, "print equivalence-engine work counters")
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: verify [flags] service.spec\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
+	sp := parseInput(fs, args, stdin, stderr)
+	if sp == nil {
 		return cli.ExitUsage
-	}
-
-	src, err := cli.ReadInput(fs.Arg(0), stdin)
-	if err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
-		return cli.ExitUsage
-	}
-	sp, err := lotos.Parse(src)
-	if err != nil {
-		fmt.Fprintln(stderr, "verify: parse:", err)
-		return cli.ExitUsage
-	}
-	mode := core.InterruptBroadcast
-	if *handshake {
-		mode = core.InterruptHandshake
-	}
-	d, err := core.Derive(sp, core.Options{Interrupt: mode})
-	if err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
-		return cli.ExitFail
 	}
 	models, err := compose.ParseFaultModels(*faults)
 	if err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
+		fmt.Fprintln(stderr, "pg verify:", err)
 		return cli.ExitUsage
 	}
 	red, err := compose.ParseReductions(*reductions)
 	if err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
+		fmt.Fprintln(stderr, "pg verify:", err)
 		return cli.ExitUsage
 	}
+	given, err := readEntities(fs.Args()[1:], stdin)
+	if err != nil {
+		fmt.Fprintln(stderr, "pg verify:", err)
+		return cli.ExitUsage
+	}
+
+	service, entities := sp, given
+	if len(given) == 0 {
+		mode := core.InterruptBroadcast
+		if *handshake {
+			mode = core.InterruptHandshake
+		}
+		d, err := core.Derive(sp, core.Options{Interrupt: mode})
+		if err != nil {
+			fmt.Fprintln(stderr, "pg verify:", err)
+			return cli.ExitFail
+		}
+		service, entities = d.Service.Spec, d.Entities
+	} else if *handshake {
+		fmt.Fprintln(stderr, "pg verify: -handshake selects a derivation; it does not apply to given entities")
+		return cli.ExitUsage
+	}
+
 	opts := compose.VerifyOptions{
 		ChannelCap:     *chanCap,
 		ObsDepth:       *depth,
@@ -126,40 +125,49 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		Reductions:     red,
 		SpillBudget:    *spillBudget,
 	}
-	rep, err := compose.Verify(d.Service.Spec, d.Entities, opts)
+	rep, err := compose.Verify(service, entities, opts)
 	if err != nil {
-		fmt.Fprintln(stderr, "verify:", err)
+		fmt.Fprintln(stderr, "pg verify:", err)
 		return cli.ExitFail
 	}
 	fmt.Fprint(stdout, rep.Summary())
 	if *stats {
 		printStats(stdout, rep)
 	}
-	if hasDisable(sp) && !rep.Ok() {
+	if len(given) == 0 && hasDisable(sp) && !rep.Ok() {
 		fmt.Fprintln(stdout, "note: the service uses '[>'; the Section-5 theorem excludes it and")
 		fmt.Fprintln(stdout, "the Section-3.3 implementation deviates by design (see EXPERIMENTS.md, E11)")
 	}
 
-	// The exit code reflects the reliable-medium verdict only: the derived
-	// protocols assume the paper's reliable medium, so fault rows are
-	// diagnostic, not pass/fail.
+	// The exit code reflects the reliable-medium verdict only (with -subset
+	// its safety half): the derived protocols assume the paper's reliable
+	// medium, so fault rows are diagnostic, not pass/fail.
+	ok := rep.Ok()
+	if *subset {
+		ok = rep.ComposedSubset && rep.ComposedDeadlocks == 0
+		fmt.Fprintf(stdout, "safety conformance (composed ⊆ service): %v\n", rep.ComposedSubset)
+		if ok {
+			fmt.Fprintln(stdout, "subset verdict: OK")
+		} else {
+			fmt.Fprintln(stdout, "subset verdict: FAIL")
+		}
+	}
 	exitCode := cli.ExitOK
-	if !rep.Ok() {
+	if !ok {
 		exitCode = cli.ExitFail
 	}
 
 	if len(models) > 0 {
-		if err := printFaultMatrix(stdout, d, models, opts, rep); err != nil {
-			fmt.Fprintln(stderr, "verify:", err)
+		if err := printFaultMatrix(stdout, service, entities, models, opts, rep); err != nil {
+			fmt.Fprintln(stderr, "pg verify:", err)
 			return cli.ExitFail
 		}
 	}
 
-	entities := d.Entities
 	if *optimize {
-		res, err := compose.OptimizeMessages(d.Service.Spec, d.Entities, opts)
+		res, err := compose.OptimizeMessages(service, entities, opts)
 		if err != nil {
-			fmt.Fprintln(stderr, "verify: optimize:", err)
+			fmt.Fprintln(stderr, "pg verify: optimize:", err)
 			return cli.ExitFail
 		}
 		fmt.Fprintf(stdout, "optimizer: %d -> %d messages (removed ids %v, %d candidates tried)\n",
@@ -168,7 +176,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *simRuns > 0 {
-		st, err := sim.RunMany(d.Service.Spec, entities, sim.Config{
+		st, err := sim.RunMany(service, entities, sim.Config{
 			Seed:      *seed,
 			MaxEvents: *maxEvents,
 		}, *simRuns, 0)
@@ -187,13 +195,13 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // and renders the matrix: one row per model with its verdict, plus the
 // shortest replayable counterexample for every failed cell. The reliable
 // verdict (already computed) heads the matrix for comparison.
-func printFaultMatrix(w io.Writer, d *core.Derivation, models []compose.FaultModel, opts compose.VerifyOptions, reliable *compose.Report) error {
-	cells, err := compose.VerifyMatrix(d.Service.Spec, d.Entities, models, opts)
+func printFaultMatrix(w io.Writer, service *lotos.Spec, entities map[int]*lotos.Spec, models []compose.FaultModel, opts compose.VerifyOptions, reliable *compose.Report) error {
+	cells, err := compose.VerifyMatrix(service, entities, models, opts)
 	if err != nil {
 		return err
 	}
 	all := append([]compose.MatrixCell{{Faults: compose.Reliable, Report: reliable}}, cells...)
-	fmt.Fprintf(w, "fault matrix (cap=%d):\n", maxInt(opts.ChannelCap, 1))
+	fmt.Fprintf(w, "fault matrix (cap=%d):\n", max(opts.ChannelCap, 1))
 	for _, c := range all {
 		verdict := "OK"
 		switch {
@@ -207,7 +215,7 @@ func printFaultMatrix(w io.Writer, d *core.Derivation, models []compose.FaultMod
 	for _, c := range cells {
 		if c.Report.Witness != nil {
 			fmt.Fprint(w, c.Report.Witness.Summary())
-			res, err := sim.ReplayWitness(d.Entities, c.Report.Witness)
+			res, err := sim.ReplayWitness(entities, c.Report.Witness)
 			if err != nil {
 				return fmt.Errorf("replaying %s counterexample: %w", c.Faults, err)
 			}
@@ -216,13 +224,6 @@ func printFaultMatrix(w io.Writer, d *core.Derivation, models []compose.FaultMod
 		}
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // printStats renders the equivalence engine's work counters and, for a

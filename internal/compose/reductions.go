@@ -2,7 +2,6 @@ package compose
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -43,10 +42,6 @@ const RedNone = redExplicit
 
 // RedAll enables every reduction.
 const RedAll = RedPOR | RedSymmetry | RedSpill
-
-// Has reports whether the mask (taken literally, without default resolution)
-// contains the given reduction bit.
-func (r Reductions) Has(bit Reductions) bool { return r&bit != 0 }
 
 // Without returns an explicit mask with the given bits cleared. Unlike plain
 // bit-clearing, the result stays distinguishable from the zero-value default
@@ -110,13 +105,6 @@ func ParseReductions(s string) (Reductions, error) {
 		}
 	}
 	return out | redExplicit, nil
-}
-
-// ReductionNames lists the canonical individual reduction names.
-func ReductionNames() []string {
-	names := []string{"por", "symmetry", "spill"}
-	sort.Strings(names)
-	return names
 }
 
 // effectiveReductions resolves the reduction set a Config selects: the

@@ -29,7 +29,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/apf"
 	"repro/internal/attr"
@@ -207,14 +206,4 @@ func (d *Derivation) ReceiveCount() int {
 		})
 	}
 	return n
-}
-
-// EntityPlaces returns the sorted places of a derived entity map.
-func EntityPlaces(m map[int]*lotos.Spec) []int {
-	out := make([]int, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -151,10 +151,3 @@ func ServiceEvents(s *Spec) []Event {
 	})
 	return out
 }
-
-// CountNodes returns the number of expression nodes in the specification.
-func CountNodes(s *Spec) int {
-	n := 0
-	WalkSpec(s, func(Expr) { n++ })
-	return n
-}

@@ -83,9 +83,6 @@ type CSR struct {
 	To []int32
 }
 
-// NumEdges returns the number of transitions.
-func (c *CSR) NumEdges() int { return len(c.To) }
-
 // ExportCSR flattens the graph's edges into CSR form, interning every label
 // through t (shared tables give a shared id space across graphs).
 func (g *Graph) ExportCSR(t *LabelTable) *CSR {

@@ -2,58 +2,6 @@ package medium
 
 import "testing"
 
-func TestMediumSeededDuplication(t *testing.T) {
-	m := New(Config{Seed: 11, DupRate: 1.0})
-	defer m.Close()
-	m.Send(msg(1, 2, 10))
-	if got := m.InFlight(); got != 2 {
-		t.Fatalf("in flight = %d after dup-always send, want 2", got)
-	}
-	// Both copies are the same message and deliver in order.
-	if !m.TryConsume(msg(1, 2, 10)) || !m.TryConsume(msg(1, 2, 10)) {
-		t.Error("duplicate copies not consumable in order")
-	}
-	st := m.Stats()
-	if st.Sent != 1 || st.Duplicated != 1 || st.Delivered != 2 {
-		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestMediumSeededReordering(t *testing.T) {
-	m := New(Config{Seed: 12, ReorderRate: 1.0})
-	defer m.Close()
-	m.Send(msg(1, 2, 10))
-	m.Send(msg(1, 2, 11))
-	// The second send swaps with its predecessor: 11 is now at the head.
-	if !m.TryConsume(msg(1, 2, 11)) {
-		t.Errorf("expected reordered head 11, pending %v", m.Pending(1, 2))
-	}
-	if !m.TryConsume(msg(1, 2, 10)) {
-		t.Error("original message lost after reorder")
-	}
-	if st := m.Stats(); st.Reordered != 1 {
-		t.Errorf("reordered = %d, want 1", st.Reordered)
-	}
-}
-
-func TestMediumReorderingSkipsIdenticalAdjacent(t *testing.T) {
-	m := New(Config{Seed: 13, ReorderRate: 1.0})
-	defer m.Close()
-	// Two identical messages: a swap would be a no-op, so it is not counted.
-	m.Send(msg(1, 2, 10))
-	m.Send(msg(1, 2, 10))
-	if st := m.Stats(); st.Reordered != 0 {
-		t.Errorf("reordered = %d for identical adjacent messages, want 0", st.Reordered)
-	}
-	// A lone first message has no predecessor to swap with either.
-	m2 := New(Config{Seed: 13, ReorderRate: 1.0})
-	defer m2.Close()
-	m2.Send(msg(1, 2, 10))
-	if st := m2.Stats(); st.Reordered != 0 {
-		t.Errorf("reordered = %d for a single message, want 0", st.Reordered)
-	}
-}
-
 func TestMediumDropAt(t *testing.T) {
 	m := New(Config{})
 	defer m.Close()

@@ -57,16 +57,7 @@ type Config struct {
 	// LossRate is the probability in [0,1) that a message is silently
 	// dropped — fault injection beyond the paper's reliable medium.
 	LossRate float64
-	// DupRate is the probability in [0,1) that a delivered message is
-	// enqueued twice (adjacent duplicate), mirroring the compose-side
-	// FaultModel.Duplication in the runtime simulation.
-	DupRate float64
-	// ReorderRate is the probability in [0,1) that a newly sent message is
-	// swapped with its channel predecessor (adjacent reordering, the
-	// minimal FIFO violation), mirroring FaultModel.Reorder.
-	ReorderRate float64
-	// Seed seeds the medium's random source (delays, losses, duplicates,
-	// reorderings).
+	// Seed seeds the medium's random source (delays and losses).
 	Seed int64
 }
 
@@ -225,21 +216,6 @@ func (m *Medium) Send(msg Message) {
 	key := [2]int{msg.From, msg.To}
 	// Messages visible on arrival need no further ticker notification.
 	m.queues[key] = append(m.queues[key], queued{msg: msg, visible: visible, notified: !visible.After(time.Now())})
-	if m.cfg.DupRate > 0 && m.rng.Float64() < m.cfg.DupRate {
-		// Adjacent duplicate: same visibility, queued right behind the
-		// original.
-		m.queues[key] = append(m.queues[key], queued{msg: msg, visible: visible, notified: !visible.After(time.Now())})
-		m.stats.Duplicated++
-	}
-	if m.cfg.ReorderRate > 0 && m.rng.Float64() < m.cfg.ReorderRate {
-		// Adjacent reordering: swap the message contents of the last two
-		// queue entries (visible times stay in place, so per-channel
-		// delivery times remain monotone).
-		if q := m.queues[key]; len(q) >= 2 && q[len(q)-1].msg != q[len(q)-2].msg {
-			q[len(q)-1].msg, q[len(q)-2].msg = q[len(q)-2].msg, q[len(q)-1].msg
-			m.stats.Reordered++
-		}
-	}
 	m.gen++
 	m.cond.Broadcast()
 	if m.cfg.MaxDelay > 0 {

@@ -38,9 +38,6 @@ const (
 	Misdirect Kind = "misdirect"
 )
 
-// Kinds lists all mutation operators.
-func Kinds() []Kind { return []Kind{DropSend, DropRecv, SwapPrefix, Misdirect} }
-
 // Mutant is one mutated protocol.
 type Mutant struct {
 	// Kind is the mutation operator.

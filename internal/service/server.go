@@ -1,7 +1,7 @@
 // Package service exposes the protocol-derivation pipeline as a resident
-// HTTP service — the engine behind the pgd daemon. Where the one-shot CLIs
-// (pg, verify, lotosim) re-parse and re-derive from scratch on every
-// invocation, the service keeps a content-addressed cache of finished
+// HTTP service — the engine behind the pgd daemon. Where the one-shot CLI
+// (pg derive, verify, explore) re-parses and re-derives from scratch on
+// every invocation, the service keeps a content-addressed cache of finished
 // results keyed by the SHA-256 of the *normalized* specification plus an
 // option fingerprint, collapses concurrent identical requests into a
 // single computation (singleflight), bounds concurrency with per-class

@@ -27,7 +27,8 @@ import (
 	"repro/internal/medium"
 )
 
-// ProtocolVersion is the wire protocol version, checked in Hello frames.
+// ProtocolVersion is the wire protocol version. DecodeBody checks it first
+// in a Hello frame and refuses any other version.
 const ProtocolVersion = 3
 
 // Frame size limits. MaxFrameBody bounds the decoded body allocation (a
@@ -495,7 +496,12 @@ func DecodeBody(body []byte) (*Frame, error) {
 	f := &Frame{Type: FrameType(d.u8("frame type"))}
 	switch f.Type {
 	case FrameHello:
+		// The version comes first: a Hello of another version has another
+		// layout, so nothing after it is read.
 		f.Version = d.u8("version")
+		if d.err == nil && f.Version != ProtocolVersion {
+			return nil, fmt.Errorf("wire: %s frame speaks protocol version %d, want %d", f.Type, f.Version, ProtocolVersion)
+		}
 		f.Kind = ConnKind(d.u8("conn kind"))
 		f.Place = d.uint("place")
 		f.SpecDigest = d.u64("spec digest")

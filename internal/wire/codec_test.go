@@ -89,11 +89,11 @@ func TestDecodeStrictness(t *testing.T) {
 	cases := map[string][]byte{
 		"empty body":        {},
 		"unknown type":      {0xEE},
-		"truncated hello":   {byte(FrameHello), 1},
+		"truncated hello":   {byte(FrameHello), ProtocolVersion},
 		"truncated data":    {byte(FrameData), 1},
 		"oversized string":  append([]byte{byte(FrameError), 0xFF, 0xFF, 0x7F}, make([]byte, 10)...),
 		"unknown msg flags": {byte(FrameData), 1, 2, 1, 0x80},
-		"unknown conn kind": {byte(FrameHello), 1, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"unknown conn kind": {byte(FrameHello), ProtocolVersion, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0},
 		"unknown mode":      {byte(FrameStart), 0, 9},
 		"choice range":      {byte(FrameChooseReply), 0xFF, 0xFF, 0xFF, 0x7F},
 	}

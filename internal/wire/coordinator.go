@@ -153,10 +153,6 @@ func (c *Coordinator) WaitEntities() error {
 			conn.Close()
 			return fmt.Errorf("wire: coordinator expected control hello, got %s", hello.Type)
 		}
-		if hello.Version != ProtocolVersion {
-			conn.Close()
-			return fmt.Errorf("wire: entity %d speaks protocol version %d, want %d", hello.Place, hello.Version, ProtocolVersion)
-		}
 		if c.cfg.SpecDigest != 0 && hello.SpecDigest != 0 && hello.SpecDigest != c.cfg.SpecDigest {
 			conn.Close()
 			return fmt.Errorf("wire: entity %d spec digest mismatch: %016x != %016x",

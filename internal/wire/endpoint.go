@@ -227,9 +227,6 @@ func (ep *Endpoint) checkHello(f *Frame, wantPlace int) error {
 	if f.Type != FrameHello {
 		return fmt.Errorf("wire: entity %d expected hello, got %s", ep.place, f.Type)
 	}
-	if f.Version != ProtocolVersion {
-		return fmt.Errorf("wire: entity %d peer speaks protocol version %d, want %d", ep.place, f.Version, ProtocolVersion)
-	}
 	if f.Kind != ConnData {
 		return fmt.Errorf("wire: entity %d expected data connection, got %v", ep.place, f.Kind)
 	}

@@ -118,6 +118,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyFaults$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreReduced$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime $(FUZZTIME) ./internal/fsm
+	$(GO) test -run '^$$' -fuzz '^FuzzWeakEngine$$' -fuzztime $(FUZZTIME) ./internal/equiv
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRuns$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceLog$$' -fuzztime $(FUZZTIME) ./internal/wire/conformance

@@ -49,7 +49,8 @@ import (
 //	              "loss,dup,reorder" or "loss+dup"); prints a fault matrix
 //	              and the shortest replayable counterexample per failed cell
 //	-diff N       example traces collected per side on a trace mismatch (default 5)
-//	-sim N        additionally run N randomized concurrent simulations
+//	-sim N        additionally run N seeded lockstep simulations (run k uses
+//	              seed S+k, so a run is reproducible from its seed)
 //	-seed S       simulation base seed
 //	-events N     simulation event bound (default 40)
 //	-optimize     remove non-essential messages (re-verifying each removal)
@@ -66,7 +67,7 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	chanCap := fs.Int("cap", 0, "channel capacity (0 = default 1)")
 	maxStates := fs.Int("maxstates", 0, "state cap (0 = default)")
 	subset := fs.Bool("subset", false, "accept safety-only conformance")
-	simRuns := fs.Int("sim", 0, "also run N randomized simulations")
+	simRuns := fs.Int("sim", 0, "also run N seeded lockstep simulations (run k uses seed+k)")
 	seed := fs.Int64("seed", 1, "simulation base seed")
 	maxEvents := fs.Int("events", 40, "simulation event bound")
 	faults := fs.String("faults", "", "comma-separated fault models to also verify under (loss, dup, reorder, +combos)")
@@ -179,6 +180,7 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		st, err := sim.RunMany(service, entities, sim.Config{
 			Seed:      *seed,
 			MaxEvents: *maxEvents,
+			Lockstep:  true,
 		}, *simRuns, 0)
 		if err != nil {
 			fmt.Fprintf(stdout, "simulation: TRACE VIOLATION: %v\n", err)

@@ -34,6 +34,20 @@ func TestVerifyWithSimulation(t *testing.T) {
 	}
 }
 
+// TestVerifySimReproducible pins -sim to its seed: the runs are lockstep,
+// so the same invocation prints the same report byte for byte, here
+// including the Section-3.3 trace violation of a disabling spec.
+func TestVerifySimReproducible(t *testing.T) {
+	args := []string{"verify", "-depth", "5", "-sim", "20", "-seed", "1", filepath.Join("..", "..", "specs", "example6.spec")}
+	_, first, _ := runPG(t, args, "")
+	if !strings.Contains(first, "simulation: TRACE VIOLATION: seed 3:") {
+		t.Fatalf("expected the seed-3 violation:\n%s", first)
+	}
+	if _, again, _ := runPG(t, args, ""); again != first {
+		t.Errorf("same -sim -seed invocation printed different reports:\n%s\nvs\n%s", first, again)
+	}
+}
+
 func TestVerifyDisableNote(t *testing.T) {
 	code, out, _ := runPG(t, []string{"verify", "-depth", "5", "-"},
 		"SPEC a1; b2; c3; exit [> d3; exit ENDSPEC")

@@ -286,3 +286,20 @@ func TestVerifyDetectsMissingSynchronization(t *testing.T) {
 		t.Errorf("expected the premature b2 trace, diff: %v / %v", rep.OnlyService, rep.OnlyComposed)
 	}
 }
+
+// TestRelayEquivRunsOnQuotient pins the weak engine's branching pre-pass
+// on a closed product: the 3-instance relay's product has thousands of
+// τ-SCCs (2,475 with 258,224 saturated pairs when saturated directly), but
+// its branching quotient is tiny, and Report.Equiv counts the graph the
+// weak refinement runs on.
+func TestRelayEquivRunsOnQuotient(t *testing.T) {
+	rep := wantOk(t, "SPEC Ring ||| Ring ||| Ring WHERE PROC Ring = t1; t2; exit END ENDSPEC",
+		VerifyOptions{ChannelCap: 1, ObsDepth: 12, MaxStates: 1000000})
+	if !rep.Complete || !rep.WeakBisimilar || rep.Equiv == nil {
+		t.Fatalf("expected a closed, weakly bisimilar relay:\n%s", rep.Summary())
+	}
+	if st := rep.Equiv; st.TauSCCs >= 100 || st.SaturationEdges >= 1000 {
+		t.Errorf("weak refinement ran on %d τ-SCCs with %d saturation edges; want < 100 and < 1000 (pre-pass missing?)",
+			st.TauSCCs, st.SaturationEdges)
+	}
+}

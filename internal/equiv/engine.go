@@ -17,6 +17,16 @@ package equiv
 //     of the condensation, so closures and saturated rows are built by one
 //     successors-first propagation pass each (no per-state graph searches).
 //
+//   - Saturation can be quadratic (tens of thousands of τ-SCCs saturate
+//     into millions of pairs), so it runs on a smaller graph: the τ-SCC
+//     condensation is first quotiented by branching bisimilarity, which is
+//     finer than weak bisimilarity and needs no saturation
+//     (branchingQuotient, Blom–Orzan signature refinement in one
+//     successors-first sweep per round). The quotient is weakly bisimilar
+//     to the input, so the τ-condensation, closures, saturation and
+//     refinement below run unchanged on it, and each state reaches its
+//     class through its quotient node.
+//
 //   - The saturated weak relation is stored in CSR form as packed
 //     (labelID, targetSCC) uint64 pairs, and refinement signatures are
 //     64-bit hashes of the sorted, deduplicated (labelID, targetBlock)
@@ -46,11 +56,11 @@ type Stats struct {
 	Transitions int `json:"transitions"`
 	// Labels is the number of distinct interned labels.
 	Labels int `json:"labels"`
-	// TauSCCs is the number of τ-SCCs of the condensation — the node count
-	// the weak refinement actually runs on.
+	// TauSCCs is the number of τ-SCCs of the branching-bisimulation
+	// quotient — the node count the weak refinement actually runs on.
 	TauSCCs int `json:"tauSccs"`
 	// SaturationEdges is the number of (label, target) entries of the
-	// saturated weak relation, ε rows included.
+	// quotient's saturated weak relation, ε rows included.
 	SaturationEdges int `json:"saturationEdges"`
 	// RefinementRounds is the number of signature rounds until the block
 	// count stabilized.
@@ -58,18 +68,19 @@ type Stats struct {
 	// Blocks is the final number of equivalence classes.
 	Blocks int `json:"blocks"`
 	// SaturateNanos and RefineNanos are wall clock per phase (saturation
-	// includes interning, the CSR export and the SCC condensation).
+	// includes interning, the CSR export, the branching pre-pass and the
+	// SCC condensations).
 	SaturateNanos int64 `json:"saturateNanos"`
 	RefineNanos   int64 `json:"refineNanos"`
 }
 
-// weakEngine is the saturated, condensed and refined form of one graph or
-// of the disjoint union of two graphs.
+// weakEngine is the reduced, saturated, condensed and refined form of one
+// graph or of the disjoint union of two graphs.
 type weakEngine struct {
 	table *lts.LabelTable
-	n     int
-	// sccOf maps each combined state to its τ-SCC; SCC ids are in Tarjan
-	// emission order (reverse topological over the τ-condensation).
+	// sccOf maps each combined state to the τ-SCC of its branching quotient
+	// node; SCC ids are in Tarjan emission order (reverse topological over
+	// the quotient's τ-condensation).
 	sccOf []int32
 	// reach[c] is the sorted set of SCCs τ-reachable from c, including c —
 	// the shared ε-closure of every member state.
@@ -83,82 +94,45 @@ type weakEngine struct {
 // stateBlock returns the equivalence class of a combined state.
 func (e *weakEngine) stateBlock(s int) int32 { return e.block[e.sccOf[s]] }
 
-// newWeakEngine saturates and refines g1 (and g2, unless nil) under weak
-// bisimilarity. States of g2 follow g1's in the combined numbering.
+// newWeakEngine reduces, saturates and refines g1 (and g2, unless nil)
+// under weak bisimilarity. States of g2 follow g1's in the combined
+// numbering.
 func newWeakEngine(g1, g2 *lts.Graph) *weakEngine {
 	t0 := time.Now()
 	e := &weakEngine{table: lts.NewLabelTable()}
 	epsID := e.table.InternKey(epsKey)
 
-	// Combined CSR with a shared label-id space.
-	c1 := g1.ExportCSR(e.table)
-	n1, n2 := c1.NumStates, 0
-	var c2 *lts.CSR
-	if g2 != nil {
-		c2 = g2.ExportCSR(e.table)
-		n2 = c2.NumStates
-	}
-	n := n1 + n2
-	e.n = n
-	m := len(c1.To)
-	if c2 != nil {
-		m += len(c2.To)
-	}
-	off := make([]int32, n+1)
-	labs := make([]lts.LabelID, m)
-	to := make([]int32, m)
-	copy(off, c1.Off)
-	copy(labs, c1.Labels)
-	copy(to, c1.To)
-	if c2 != nil {
-		base := int32(len(c1.To))
-		for s := 0; s <= n2; s++ {
-			off[n1+s] = base + c2.Off[s]
-		}
-		copy(labs[base:], c2.Labels)
-		for i, t := range c2.To {
-			to[int(base)+i] = t + int32(n1)
-		}
-	}
-	isTau := make([]bool, e.table.Len())
-	for id := range isTau {
-		isTau[id] = !e.table.Observable(lts.LabelID(id))
-	}
-	isTau[epsID] = false // pseudo-label, never appears in the state CSR
-
+	off, labs, to, isTau := combinedCSR(e.table, epsID, g1, g2)
+	n := len(off) - 1
 	e.stats.States = n
-	e.stats.Transitions = m
+	e.stats.Transitions = len(to)
 	e.stats.Labels = e.table.Len()
 
-	// τ-SCC condensation.
-	var sccCount int
-	e.sccOf, sccCount = tarjanTau(n, off, labs, to, isTau)
-	e.stats.TauSCCs = sccCount
+	// Pre-pass — quotient the combined graph by branching bisimilarity,
+	// which is finer than weak bisimilarity and needs no saturation. The
+	// weak passes below run on the quotient; every state reaches them
+	// through its τ-SCC's quotient node.
+	scc0, sccCount0 := tarjanTau(n, off, labs, to, isTau)
+	nodeOf, n, off, labs, to := branchingQuotient(scc0, sccCount0, off, labs, to, isTau)
 
-	// Member lists per SCC (counting sort).
-	memberOff := make([]int32, sccCount+1)
-	for _, c := range e.sccOf {
-		memberOff[c+1]++
+	// τ-SCC condensation of the quotient.
+	sccOf, sccCount := tarjanTau(n, off, labs, to, isTau)
+	e.sccOf = make([]int32, len(scc0))
+	for s, c := range scc0 {
+		e.sccOf[s] = sccOf[nodeOf[c]]
 	}
-	for c := 0; c < sccCount; c++ {
-		memberOff[c+1] += memberOff[c]
-	}
-	members := make([]int32, n)
-	cursor := append([]int32(nil), memberOff[:sccCount]...)
-	for s, c := range e.sccOf {
-		members[cursor[c]] = int32(s)
-		cursor[c]++
-	}
+	e.stats.TauSCCs = sccCount
+	memberOff, members := groupBy(sccOf, sccCount)
 
 	// Condensed τ adjacency, deduplicated per source SCC.
 	tauAdj := make([][]int32, sccCount)
 	for s := 0; s < n; s++ {
-		c := e.sccOf[s]
+		c := sccOf[s]
 		for i := off[s]; i < off[s+1]; i++ {
 			if !isTau[labs[i]] {
 				continue
 			}
-			if d := e.sccOf[to[i]]; d != c {
+			if d := sccOf[to[i]]; d != c {
 				tauAdj[c] = append(tauAdj[c], d)
 			}
 		}
@@ -194,7 +168,7 @@ func newWeakEngine(g1, g2 *lts.Graph) *weakEngine {
 				if isTau[labs[i]] {
 					continue
 				}
-				step = append(step, packPair(labs[i], e.sccOf[to[i]]))
+				step = append(step, packPair(labs[i], sccOf[to[i]]))
 			}
 		}
 		sortDedup64(&step)
@@ -236,6 +210,171 @@ func newWeakEngine(g1, g2 *lts.Graph) *weakEngine {
 	e.stats.Blocks = e.blocks
 	e.stats.RefineNanos = time.Since(t1).Nanoseconds()
 	return e
+}
+
+// combinedCSR flattens g1 and g2 (unless nil) into one CSR over the
+// shared label ids of table, g2's states following g1's. isTau marks the
+// internal label ids; the ε pseudo-label epsID is not one.
+func combinedCSR(table *lts.LabelTable, epsID lts.LabelID, g1, g2 *lts.Graph) (off []int32, labs []lts.LabelID, to []int32, isTau []bool) {
+	c1 := g1.ExportCSR(table)
+	n1, n2 := c1.NumStates, 0
+	var c2 *lts.CSR
+	if g2 != nil {
+		c2 = g2.ExportCSR(table)
+		n2 = c2.NumStates
+	}
+	n := n1 + n2
+	m := len(c1.To)
+	if c2 != nil {
+		m += len(c2.To)
+	}
+	off = make([]int32, n+1)
+	labs = make([]lts.LabelID, m)
+	to = make([]int32, m)
+	copy(off, c1.Off)
+	copy(labs, c1.Labels)
+	copy(to, c1.To)
+	if c2 != nil {
+		base := int32(len(c1.To))
+		for s := 0; s <= n2; s++ {
+			off[n1+s] = base + c2.Off[s]
+		}
+		copy(labs[base:], c2.Labels)
+		for i, t := range c2.To {
+			to[int(base)+i] = t + int32(n1)
+		}
+	}
+	isTau = make([]bool, table.Len())
+	for id := range isTau {
+		isTau[id] = !table.Observable(lts.LabelID(id))
+	}
+	isTau[epsID] = false // pseudo-label, never appears in the state CSR
+	return off, labs, to, isTau
+}
+
+// branchingQuotient quotients a state-level CSR, whose τ-SCCs are sccOf,
+// by branching bisimilarity. It returns the quotient node of every SCC and
+// the quotient's node count and CSR, with one edge per distinct (label,
+// target node) pair of the members' moves and the inert τ moves (inside
+// one node) dropped.
+//
+// The partition is Blom–Orzan signature refinement over the τ-SCC
+// condensation (the members of a τ-SCC are branching bisimilar). Under a
+// partition B the signature of an SCC c is
+//
+//	sig(c) = {(a, B(d)) : c -a-> d, not (a = τ and B(d) = B(c))}
+//	       ∪ ⋃{sig(d) : c -τ-> d, B(d) = B(c)}
+//
+// and since SCC ids are in reverse topological order every round is one
+// successors-first sweep. As in refinePacked, a node's hash includes its
+// current block, so blocks never merge and a round that splits none ends
+// the refinement.
+func branchingQuotient(sccOf []int32, sccCount int, off []int32, labs []lts.LabelID, to []int32, isTau []bool) ([]int32, int, []int32, []lts.LabelID, []int32) {
+	// Condensed moves per SCC: deduplicated packed (label, target SCC)
+	// pairs, τ moves inside the SCC dropped.
+	memberOff, members := groupBy(sccOf, sccCount)
+	cOff := make([]int, sccCount+1)
+	cPairs := make([]uint64, 0, len(to))
+	for c := 0; c < sccCount; c++ {
+		start := len(cPairs)
+		for _, s := range members[memberOff[c]:memberOff[c+1]] {
+			for i := off[s]; i < off[s+1]; i++ {
+				if d := sccOf[to[i]]; !isTau[labs[i]] || d != int32(c) {
+					cPairs = append(cPairs, packPair(labs[i], d))
+				}
+			}
+		}
+		row := cPairs[start:]
+		sortDedup64(&row)
+		cPairs = cPairs[:start+len(row)]
+		cOff[c+1] = len(cPairs)
+	}
+	block := make([]int32, sccCount)
+	// lift maps a (label, target SCC) pair to (label, target block); ok is
+	// false for an inert τ move of a node in block b.
+	lift := func(p uint64, b int32) (q uint64, ok bool) {
+		d := block[int32(uint32(p))]
+		return p>>32<<32 | uint64(uint32(d)), !isTau[p>>32] || d != b
+	}
+	newBlock := make([]int32, sccCount)
+	blocks := 1
+	sigOff := make([]int, sccCount+1)
+	var sigs, buf []uint64
+	for {
+		sigs = sigs[:0]
+		next := make(map[uint64]int32, 2*blocks)
+		for c := 0; c < sccCount; c++ {
+			b := block[c]
+			buf = buf[:0]
+			for _, p := range cPairs[cOff[c]:cOff[c+1]] {
+				if q, ok := lift(p, b); ok {
+					buf = append(buf, q)
+				} else {
+					d := int32(uint32(p))
+					buf = append(buf, sigs[sigOff[d]:sigOff[d+1]]...)
+				}
+			}
+			sortDedup64(&buf)
+			sigs = append(sigs, buf...)
+			sigOff[c+1] = len(sigs)
+			h := hashSorted(b, buf)
+			id, ok := next[h]
+			if !ok {
+				id = int32(len(next))
+				next[h] = id
+			}
+			newBlock[c] = id
+		}
+		if len(next) == blocks {
+			break
+		}
+		block, newBlock = newBlock, block
+		blocks = len(next)
+	}
+
+	// The quotient CSR: per block, its SCCs' non-inert moves lifted to
+	// blocks and deduplicated.
+	memberOff, members = groupBy(block, blocks)
+	qOff := make([]int32, blocks+1)
+	var qLabs []lts.LabelID
+	var qTo []int32
+	for b := 0; b < blocks; b++ {
+		buf = buf[:0]
+		for _, c := range members[memberOff[b]:memberOff[b+1]] {
+			for _, p := range cPairs[cOff[c]:cOff[c+1]] {
+				if q, ok := lift(p, int32(b)); ok {
+					buf = append(buf, q)
+				}
+			}
+		}
+		sortDedup64(&buf)
+		for _, p := range buf {
+			qLabs = append(qLabs, lts.LabelID(p>>32))
+			qTo = append(qTo, int32(uint32(p)))
+		}
+		qOff[b+1] = int32(len(qTo))
+	}
+	return block, blocks, qOff, qLabs, qTo
+}
+
+// groupBy lists the members of every class of a dense class assignment
+// (counting sort): class c's members are members[off[c]:off[c+1]], in
+// ascending order.
+func groupBy(classOf []int32, classes int) (off, members []int32) {
+	off = make([]int32, classes+1)
+	for _, c := range classOf {
+		off[c+1]++
+	}
+	for c := 0; c < classes; c++ {
+		off[c+1] += off[c]
+	}
+	members = make([]int32, len(classOf))
+	cursor := append([]int32(nil), off[:classes]...)
+	for s, c := range classOf {
+		members[cursor[c]] = int32(s)
+		cursor[c]++
+	}
+	return off, members
 }
 
 // packPair packs a label id and a target index into one uint64 signature
@@ -519,14 +658,20 @@ func sigOne(v int, off []int, pairs []uint64, block []int32, buf []uint64) (uint
 		buf = append(buf, p>>32<<32|uint64(uint32(block[int32(uint32(p))])))
 	}
 	slices.Sort(buf)
-	h := mix64(0x9e3779b97f4a7c15 ^ uint64(uint32(block[v])))
+	return hashSorted(block[v], buf), buf
+}
+
+// hashSorted hashes a node's current block plus a sorted signature,
+// skipping duplicate (label, block) pairs (set semantics).
+func hashSorted(b int32, sig []uint64) uint64 {
+	h := mix64(0x9e3779b97f4a7c15 ^ uint64(uint32(b)))
 	prev := ^uint64(0)
-	for _, p := range buf {
+	for _, p := range sig {
 		if p == prev {
-			continue // duplicate (label, block) pair: set semantics
+			continue
 		}
 		prev = p
 		h = mix64(h ^ mix64(p))
 	}
-	return h, buf
+	return h
 }

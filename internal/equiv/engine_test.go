@@ -178,3 +178,26 @@ func TestLabelTableInterning(t *testing.T) {
 		t.Fatalf("table len = %d, want 4", tab.Len())
 	}
 }
+
+// TestTauLaw3SurvivesBranchingPrePass pins the pre-pass below the verdict:
+// Milner's third τ-law pair is weakly bisimilar and observation congruent,
+// yet branching bisimilarity (the pre-pass's partition) tells its roots
+// apart. The weak passes must still merge what the pre-pass kept apart.
+func TestTauLaw3SurvivesBranchingPrePass(t *testing.T) {
+	g1 := graphOf(t, "a1; (b1; stop [] i; c1; stop) [] a1; c1; stop")
+	g2 := graphOf(t, "a1; (b1; stop [] i; c1; stop)")
+	if !WeakBisimilar(g1, g2) {
+		t.Error("τ-law 3 pair not weakly bisimilar")
+	}
+	if !ObservationCongruent(g1, g2) {
+		t.Error("τ-law 3 pair not observation congruent")
+	}
+
+	table := lts.NewLabelTable()
+	off, labs, to, isTau := combinedCSR(table, table.InternKey(epsKey), g1, g2)
+	scc, sccs := tarjanTau(len(off)-1, off, labs, to, isTau)
+	nodeOf, _, _, _, _ := branchingQuotient(scc, sccs, off, labs, to, isTau)
+	if nodeOf[scc[0]] == nodeOf[scc[g1.NumStates()]] {
+		t.Error("branching pre-pass merged the τ-law 3 roots; the pair no longer tests it")
+	}
+}

@@ -7,8 +7,8 @@
 //
 // All checks operate on the finite (possibly truncated) transition graphs
 // produced by internal/lts. The bisimulations run on the integer engine of
-// engine.go (interned labels, τ-SCC saturation, hashed partition
-// refinement); the original map/string checker is retained in reference.go
+// engine.go (interned labels, a branching-bisimulation pre-reduction, τ-SCC
+// saturation, hashed partition refinement); the original map/string checker is retained in reference.go
 // as the executable specification the differential tests compare against.
 // The weak-trace comparison (TraceDiff, WeakTraceEquivalent) and the
 // divergence witness (DivergentPath) walk the lazy subset determinizer
@@ -54,7 +54,9 @@ func ObservationCongruent(g1, g2 *lts.Graph) bool {
 // rootMatched checks that every initial i-move of a (at combined offset
 // aOff) is matched in b by a strict weak i-move (at least one internal
 // step) into the same equivalence class. The ε-closures needed are read off
-// the engine's τ-SCC condensation.
+// the engine's τ-SCC condensation of its branching quotient: a state and
+// its quotient node τ-reach the same weak classes, since every move of a
+// branching class is matched from each member after inert τ steps.
 func (e *weakEngine) rootMatched(a *lts.Graph, aOff int, b *lts.Graph, bOff int) bool {
 	var bBlocks map[int32]struct{}
 	for _, ed := range a.Edges[0] {

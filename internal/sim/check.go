@@ -59,7 +59,9 @@ type RunStats struct {
 
 // RunMany performs n independent randomized runs with seeds seed0..seed0+n-1,
 // checking every trace against the service. It fails fast on the first
-// trace violation.
+// trace violation. Each run is reproducible from its seed only under
+// cfg.Lockstep; otherwise the per-entity goroutines' scheduling varies
+// between identical calls.
 func RunMany(service *lotos.Spec, entities map[int]*lotos.Spec, cfg Config, n int, maxStates int) (RunStats, error) {
 	var st RunStats
 	base := cfg.Seed

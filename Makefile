@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-equiv bench-fsm bench-cluster bench-dist bench-compositional bench-reduction
+.PHONY: build test check examples-smoke bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-equiv bench-fsm bench-cluster bench-dist bench-compositional bench-reduction
 
 build:
 	$(GO) build ./...
@@ -9,12 +9,13 @@ test:
 	$(GO) test ./...
 
 # check is the concurrency tier: vet plus the race detector over the
-# packages that exercise goroutines (the runtime, the medium, the
-# exploration core's derivation workers, the equivalence engine's
-# refinement workers and the daemon), ten repetitions of the shared-fleet
-# test (sessions filling one fleet's rows concurrently), the smoke gates,
-# the benchmark module's own tests, and a short fuzz smoke of the native
-# fuzz targets.
+# packages that start goroutines (the exploration core's derivation
+# workers, the equivalence engine's refinement workers, the daemon) or
+# whose state goroutines share (sim's machine fleets, the medium that a
+# deployed entity's connection readers fill; sim and medium start none),
+# ten repetitions of the shared-fleet test (sessions filling one fleet's
+# rows concurrently), the smoke gates, the examples, the benchmark
+# module's own tests, and a short fuzz smoke of the native fuzz targets.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/service/ ./cmd/pgd/
@@ -25,8 +26,21 @@ check:
 	$(MAKE) cluster-smoke
 	$(MAKE) dist-smoke
 	$(MAKE) live-smoke
+	$(MAKE) examples-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) fuzz-smoke
+
+# examples-smoke runs every program under examples/ at GOMAXPROCS 1 and 4:
+# each must exit 0 and print the same bytes both times, since every
+# simulation is a seeded lockstep run.
+examples-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for d in examples/*/; do \
+		GOMAXPROCS=1 $(GO) run ./$$d > "$$tmp/1" || { echo "examples-smoke: $$d failed at GOMAXPROCS=1"; exit 1; }; \
+		GOMAXPROCS=4 $(GO) run ./$$d > "$$tmp/4" || { echo "examples-smoke: $$d failed at GOMAXPROCS=4"; exit 1; }; \
+		cmp -s "$$tmp/1" "$$tmp/4" || { echo "examples-smoke: $$d prints differently at GOMAXPROCS 1 and 4"; exit 1; }; \
+		echo "examples-smoke: $$d ok"; \
+	done
 
 # bench-smoke vets and tests the benchmark (bench/, a Go module of its own
 # that the root ./... patterns skip): unit tests plus a short run of every

@@ -550,7 +550,7 @@ func BenchmarkSimulate(b *testing.B) {
 	for name, entities := range simulateBenchCases(b) {
 		shared := fsm.CompileEntities(entities, fsm.Config{})
 		for i := 0; i < 100; i++ {
-			if _, err := sim.Run(entities, sim.Config{Seed: int64(i + 1), Lockstep: true, MaxEvents: 80, Fleet: shared}); err != nil {
+			if _, err := sim.Run(entities, sim.Config{Seed: int64(i + 1), MaxEvents: 80, Fleet: shared}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -563,7 +563,7 @@ func BenchmarkSimulate(b *testing.B) {
 				b.ReportAllocs()
 				steps := 0
 				for i := 0; i < b.N; i++ {
-					res, err := sim.Run(entities, sim.Config{Seed: int64(i + 1), Lockstep: true, MaxEvents: 80, Fleet: fleet})
+					res, err := sim.Run(entities, sim.Config{Seed: int64(i + 1), MaxEvents: 80, Fleet: fleet})
 					if err != nil {
 						b.Fatal(err)
 					}

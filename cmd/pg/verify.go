@@ -180,7 +180,6 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		st, err := sim.RunMany(service, entities, sim.Config{
 			Seed:      *seed,
 			MaxEvents: *maxEvents,
-			Lockstep:  true,
 		}, *simRuns, 0)
 		if err != nil {
 			fmt.Fprintf(stdout, "simulation: TRACE VIOLATION: %v\n", err)

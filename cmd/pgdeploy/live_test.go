@@ -131,7 +131,7 @@ func runPgdeploy(t *testing.T, args ...string) *driverRun {
 
 // TestLiveSmoke is the corpus differential over real processes: for every
 // corpus spec and seed, the deployed session's outcome is byte-identical
-// to sim.Run with Config{Lockstep: true} and the same seed, and
+// to sim.Run with the same seed, and
 // (disabling specs excepted, as everywhere in the repo) the
 // recorded logs earn the accepted conformance verdict.
 func TestLiveSmoke(t *testing.T) {
@@ -165,7 +165,7 @@ func TestLiveSmoke(t *testing.T) {
 				}
 				fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: smokeMaxStates})
 				simRes, err := sim.Run(d.Entities, sim.Config{
-					Seed: seed, Lockstep: true, MaxEvents: smokeMaxEvents,
+					Seed: seed, MaxEvents: smokeMaxEvents,
 					Fleet: fleet,
 				})
 				if err != nil {
@@ -229,7 +229,7 @@ func TestLiveSmallCap(t *testing.T) {
 			}
 			fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: tc.maxStates})
 			simRes, err := sim.Run(d.Entities, sim.Config{
-				Seed: 1, Lockstep: true, MaxEvents: smokeMaxEvents,
+				Seed: 1, MaxEvents: smokeMaxEvents,
 				Fleet: fleet,
 			})
 			if err != nil {

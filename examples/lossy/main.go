@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	protoderive "repro"
 )
@@ -44,7 +43,6 @@ func main() {
 			res, err := proto.Simulate(&protoderive.SimOptions{
 				Seed:     seed,
 				LossRate: loss,
-				Timeout:  2 * time.Second,
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -69,7 +67,6 @@ func main() {
 				Seed:          seed,
 				LossRate:      loss,
 				ReliableLayer: true,
-				Timeout:       10 * time.Second,
 			})
 			if err != nil {
 				log.Fatal(err)

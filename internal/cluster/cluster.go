@@ -424,7 +424,6 @@ func (m *Model) ReplaySession(rec SessionRecord) (*sim.Result, error) {
 	res, err := sim.Run(cm.entities, sim.Config{
 		Seed:      rec.Seed,
 		MaxEvents: cm.maxEvents,
-		Lockstep:  true,
 		Fleet:     cm.fleet,
 	})
 	if err != nil {

@@ -4,7 +4,6 @@ import "testing"
 
 func TestMediumDropAt(t *testing.T) {
 	m := New(Config{})
-	defer m.Close()
 	m.Send(msg(1, 2, 10))
 	m.Send(msg(1, 2, 11))
 	m.Send(msg(1, 2, 12))
@@ -25,7 +24,6 @@ func TestMediumDropAt(t *testing.T) {
 
 func TestMediumDuplicateAt(t *testing.T) {
 	m := New(Config{})
-	defer m.Close()
 	m.Send(msg(1, 2, 10))
 	m.Send(msg(1, 2, 11))
 	if m.DuplicateAt(1, 2, 2) || m.DuplicateAt(1, 2, -1) {
@@ -52,7 +50,6 @@ func TestMediumDuplicateAt(t *testing.T) {
 
 func TestMediumSwapAt(t *testing.T) {
 	m := New(Config{})
-	defer m.Close()
 	m.Send(msg(1, 2, 10))
 	m.Send(msg(1, 2, 11))
 	m.Send(msg(1, 2, 12))
@@ -70,11 +67,5 @@ func TestMediumSwapAt(t *testing.T) {
 	}
 	if st := m.Stats(); st.Reordered != 1 {
 		t.Errorf("reordered = %d, want 1", st.Reordered)
-	}
-	// Targeted fault ops fire change notifications so blocked runners rescan.
-	gen := m.Generation()
-	m.SwapAt(1, 2, 0)
-	if m.Generation() == gen {
-		t.Error("SwapAt did not advance the generation counter")
 	}
 }

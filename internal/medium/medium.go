@@ -1,9 +1,10 @@
 // Package medium implements the underlying communication medium of the
 // paper's protocol architecture (Section 1 and Section 5.2) for the
-// concurrent runtime: one FIFO channel from every entity i to every other
-// entity j. The reliable medium does not lose, duplicate or reorder
-// messages, and delivers each message after an arbitrary (bounded, random)
-// delay.
+// runtime: one FIFO channel from every entity i to every other entity j.
+// The reliable medium does not lose, duplicate or reorder messages, and
+// delivers each message after an arbitrary (bounded, random) delay. Delays
+// and timers run on a virtual clock that the lockstep scheduler advances
+// one tick per sweep, so a seeded run is reproducible.
 //
 // Beyond the paper's reliable medium, the package supports fault injection
 // (message loss) used by the Section-6 discussion of error-recoverable
@@ -15,7 +16,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"time"
 
 	"repro/internal/lotos"
 )
@@ -50,12 +50,15 @@ func (m Message) String() string {
 
 // Config tunes the medium.
 type Config struct {
-	// MaxDelay bounds the random delivery delay per message. Zero delivers
-	// immediately (interleaving nondeterminism still comes from goroutine
-	// scheduling and the runners' random choices).
-	MaxDelay time.Duration
+	// MaxDelay bounds the random delivery delay, counted in lockstep
+	// sweeps: a message (under Reliable, each data frame and each
+	// acknowledgment) arrives 0..MaxDelay sweeps after it is sent, the delay
+	// drawn from the medium's seeded random source. Zero delivers
+	// immediately.
+	MaxDelay int
 	// LossRate is the probability in [0,1) that a message is silently
-	// dropped — fault injection beyond the paper's reliable medium.
+	// dropped — fault injection beyond the paper's reliable medium. Under
+	// Reliable it is the wire's per-frame loss rate.
 	LossRate float64
 	// Seed seeds the medium's random source (delays and losses).
 	Seed int64
@@ -75,152 +78,83 @@ type Stats struct {
 	Reordered int
 }
 
-// queued is a message with its earliest visible time.
+// queued is a message with the sweep at which it becomes visible.
 type queued struct {
 	msg     Message
-	visible time.Time
-	// notified records that the ticker already broadcast this message's
-	// visibility, so passing the same deadline never wakes waiters twice.
-	notified bool
+	visible int64
 }
 
-// Medium is a concurrent reliable-FIFO medium. All methods are safe for
-// concurrent use.
+// Medium is a reliable-FIFO medium on a virtual clock: the clock advances
+// only by Tick and Jump, so with a fixed seed its delays and losses are the
+// same in every run. All methods are safe for concurrent use (a deployed
+// entity's endpoint enqueues from its connection readers).
 type Medium struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queues map[[2]int][]queued
 	rng    *rand.Rand
-	// lastVisible keeps per-channel delivery times monotone so random
-	// delays can never reorder one channel's messages (FIFO).
-	lastVisible map[[2]int]time.Time
-	gen         uint64
-	closed      bool
-	stats       Stats
-	cfg         Config
-	// wake nudges the ticker goroutine: a new message may have changed the
-	// earliest delivery deadline, or the medium closed. Buffered so signals
-	// coalesce and senders never block.
-	wake chan struct{}
-	// tickerScans counts ticker loop iterations (test instrumentation for
-	// the no-busy-poll guarantee).
-	tickerScans int
+	now    int64
+	stats  Stats
+	cfg    Config
 }
 
 // New builds a medium.
 func New(cfg Config) *Medium {
-	m := &Medium{
-		queues:      map[[2]int][]queued{},
-		lastVisible: map[[2]int]time.Time{},
-		rng:         rand.New(rand.NewPCG(uint64(cfg.Seed), 0x9e3779b97f4a7c15)),
-		cfg:         cfg,
-		wake:        make(chan struct{}, 1),
-	}
-	m.cond = sync.NewCond(&m.mu)
-	if cfg.MaxDelay > 0 {
-		go m.ticker()
-	}
-	return m
-}
-
-// signalTicker nudges the ticker without blocking; signals coalesce.
-func (m *Medium) signalTicker() {
-	select {
-	case m.wake <- struct{}{}:
-	default:
+	return &Medium{
+		queues: map[[2]int][]queued{},
+		rng:    rand.New(rand.NewPCG(uint64(cfg.Seed), 0x9e3779b97f4a7c15)),
+		cfg:    cfg,
 	}
 }
 
-// ticker wakes waiters exactly when a delayed message's visible deadline
-// passes: the passage of that deadline is a state change (the message has
-// become consumable), so the generation advances and WaitChange returns.
-// While no delayed message is pending the goroutine blocks on the wake
-// channel — an idle medium causes no wakeups at all — and it exits when the
-// medium closes.
-func (m *Medium) ticker() {
-	for {
-		m.mu.Lock()
-		m.tickerScans++
-		if m.closed {
-			m.mu.Unlock()
-			return
-		}
-		now := time.Now()
-		changed := false
-		var next time.Time
-		pending := false
-		for _, q := range m.queues {
-			for i := range q {
-				e := &q[i]
-				if e.visible.After(now) {
-					if !pending || e.visible.Before(next) {
-						next, pending = e.visible, true
-					}
-				} else if !e.notified {
-					e.notified = true
-					changed = true
-				}
-			}
-		}
-		if changed {
-			m.gen++
-			m.cond.Broadcast()
-		}
-		m.mu.Unlock()
-		if !pending {
-			// Idle: every queued message (if any) is already visible and
-			// notified. Sleep until a send or Close changes the picture.
-			<-m.wake
-			continue
-		}
-		t := time.NewTimer(time.Until(next))
-		select {
-		case <-m.wake:
-			// A new message (possibly with an earlier deadline) arrived,
-			// or the medium closed: recompute under the mutex.
-			t.Stop()
-		case <-t.C:
-		}
-	}
-}
-
-// tickerScanCount returns the number of ticker wakeups so far (tests).
-func (m *Medium) tickerScanCount() int {
+// Tick advances the virtual clock by one sweep.
+func (m *Medium) Tick() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.tickerScans
+	m.now++
+}
+
+// Jump advances the virtual clock to the earliest sweep at which a queued
+// message becomes visible, and reports whether one was pending.
+func (m *Medium) Jump() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	next := int64(-1)
+	for _, q := range m.queues {
+		for _, e := range q {
+			if e.visible > m.now && (next < 0 || e.visible < next) {
+				next = e.visible
+			}
+		}
+	}
+	if next < 0 {
+		return false
+	}
+	m.now = next
+	return true
 }
 
 // Send enqueues a message (or drops it, per LossRate). It never blocks:
 // runtime channels are unbounded, as in the service architecture of
-// Section 1.
+// Section 1. A delayed message never overtakes an earlier one on its
+// channel (FIFO).
 func (m *Medium) Send(msg Message) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stats.Sent++
 	if m.cfg.LossRate > 0 && m.rng.Float64() < m.cfg.LossRate {
 		m.stats.Dropped++
-		m.gen++
-		m.cond.Broadcast()
 		return
 	}
-	visible := time.Now()
-	if m.cfg.MaxDelay > 0 {
-		visible = visible.Add(time.Duration(m.rng.Int64N(int64(m.cfg.MaxDelay))))
-		key := [2]int{msg.From, msg.To}
-		if last := m.lastVisible[key]; visible.Before(last) {
-			visible = last
-		}
-		m.lastVisible[key] = visible
-	}
 	key := [2]int{msg.From, msg.To}
-	// Messages visible on arrival need no further ticker notification.
-	m.queues[key] = append(m.queues[key], queued{msg: msg, visible: visible, notified: !visible.After(time.Now())})
-	m.gen++
-	m.cond.Broadcast()
+	q := m.queues[key]
+	visible := m.now
 	if m.cfg.MaxDelay > 0 {
-		m.signalTicker()
+		visible += m.rng.Int64N(int64(m.cfg.MaxDelay) + 1)
+		if n := len(q); n > 0 && q[n-1].visible > visible {
+			visible = q[n-1].visible
+		}
 	}
+	m.queues[key] = append(q, queued{msg: msg, visible: visible})
 }
 
 // DropAt deterministically removes the message at the given queue position
@@ -236,8 +170,6 @@ func (m *Medium) DropAt(from, to, index int) bool {
 	}
 	m.queues[key] = append(q[:index:index], q[index+1:]...)
 	m.stats.Dropped++
-	m.gen++
-	m.cond.Broadcast()
 	return true
 }
 
@@ -259,8 +191,6 @@ func (m *Medium) DuplicateAt(from, to, index int) bool {
 	nq = append(nq, q[index+1:]...)
 	m.queues[key] = nq
 	m.stats.Duplicated++
-	m.gen++
-	m.cond.Broadcast()
 	return true
 }
 
@@ -277,8 +207,6 @@ func (m *Medium) SwapAt(from, to, index int) bool {
 	}
 	q[index].msg, q[index+1].msg = q[index+1].msg, q[index].msg
 	m.stats.Reordered++
-	m.gen++
-	m.cond.Broadcast()
 	return true
 }
 
@@ -289,20 +217,11 @@ func (m *Medium) TryConsume(want Message) bool {
 	defer m.mu.Unlock()
 	key := [2]int{want.From, want.To}
 	q := m.queues[key]
-	if len(q) == 0 {
-		return false
-	}
-	head := q[0]
-	if m.cfg.MaxDelay > 0 && time.Now().Before(head.visible) {
-		return false
-	}
-	if head.msg != want {
+	if len(q) == 0 || q[0].visible > m.now || q[0].msg != want {
 		return false
 	}
 	m.queues[key] = q[1:]
 	m.stats.Delivered++
-	m.gen++
-	m.cond.Broadcast()
 	return true
 }
 
@@ -315,17 +234,14 @@ func (m *Medium) TryConsumeFlush(want Message) bool {
 	defer m.mu.Unlock()
 	key := [2]int{want.From, want.To}
 	q := m.queues[key]
-	now := time.Now()
 	for i, entry := range q {
-		if m.cfg.MaxDelay > 0 && now.Before(entry.visible) {
+		if entry.visible > m.now {
 			return false // not yet visible (nor is anything after it)
 		}
 		if entry.msg == want {
 			m.queues[key] = q[i+1:]
 			m.stats.Delivered++
 			m.stats.Flushed += i
-			m.gen++
-			m.cond.Broadcast()
 			return true
 		}
 	}
@@ -337,9 +253,8 @@ func (m *Medium) TryConsumeFlushCheck(want Message) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q := m.queues[[2]int{want.From, want.To}]
-	now := time.Now()
 	for _, entry := range q {
-		if m.cfg.MaxDelay > 0 && now.Before(entry.visible) {
+		if entry.visible > m.now {
 			return false
 		}
 		if entry.msg == want {
@@ -354,36 +269,8 @@ func (m *Medium) TryConsumeFlushCheck(want Message) bool {
 func (m *Medium) TryConsumeCheck(want Message) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := [2]int{want.From, want.To}
-	q := m.queues[key]
-	if len(q) == 0 {
-		return false
-	}
-	head := q[0]
-	if m.cfg.MaxDelay > 0 && time.Now().Before(head.visible) {
-		return false
-	}
-	return head.msg == want
-}
-
-// Generation returns a counter that increases on every state change; pair
-// it with WaitChange to block until something happens.
-func (m *Medium) Generation() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.gen
-}
-
-// WaitChange blocks while the medium's generation equals gen and the medium
-// is open; it returns the current generation. Closing the medium wakes all
-// waiters.
-func (m *Medium) WaitChange(gen uint64) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.gen == gen && !m.closed {
-		m.cond.Wait()
-	}
-	return m.gen
+	q := m.queues[[2]int{want.From, want.To}]
+	return len(q) > 0 && q[0].visible <= m.now && q[0].msg == want
 }
 
 // InFlight returns the number of queued (undelivered) messages.
@@ -415,21 +302,4 @@ func (m *Medium) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.stats
-}
-
-// Close wakes all waiters and stops the delay ticker. Further Sends are
-// still accepted (and counted) but no one may be listening.
-func (m *Medium) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
-	m.cond.Broadcast()
-	m.signalTicker()
-}
-
-// Closed reports whether Close was called.
-func (m *Medium) Closed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
 }

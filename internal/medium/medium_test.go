@@ -3,14 +3,12 @@ package medium
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/lotos"
 )
 
 func TestMediumBasicFIFO(t *testing.T) {
 	m := New(Config{Seed: 1})
-	defer m.Close()
 	m.Send(msg(1, 2, 10))
 	m.Send(msg(1, 2, 11))
 	if m.InFlight() != 2 {
@@ -36,7 +34,6 @@ func TestMediumBasicFIFO(t *testing.T) {
 
 func TestMediumFlushConsume(t *testing.T) {
 	m := New(Config{Seed: 2})
-	defer m.Close()
 	// Stale normal messages ahead of a control message.
 	m.Send(msg(1, 2, 100))
 	m.Send(msg(1, 2, 101))
@@ -66,27 +63,37 @@ func TestMediumFlushConsume(t *testing.T) {
 }
 
 func TestMediumFlushWithDelaysRespectsVisibility(t *testing.T) {
-	m := New(Config{Seed: 3, MaxDelay: 30 * time.Millisecond})
-	defer m.Close()
-	m.Send(msg(1, 2, 1))
-	m.Send(msg(1, 2, 2))
-	// Immediately after send the messages may not be visible yet; the
-	// flush check must not see through invisible messages.
-	deadline := time.Now().Add(time.Second)
-	for !m.TryConsumeFlush(msg(1, 2, 2)) {
-		if time.Now().After(deadline) {
-			t.Fatal("flush never succeeded")
+	const maxDelay = 3
+	delayed := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		m := New(Config{Seed: seed, MaxDelay: maxDelay})
+		m.Send(msg(1, 2, 1))
+		m.Send(msg(1, 2, 2))
+		// The flush check must not see through invisible messages: it
+		// holds from the sweep the target turns visible, at most MaxDelay
+		// ticks after the send.
+		ticks := 0
+		for !m.TryConsumeFlushCheck(msg(1, 2, 2)) {
+			if ticks == maxDelay {
+				t.Fatalf("seed %d: flush target still invisible after %d sweeps", seed, ticks)
+			}
+			m.Tick()
+			ticks++
 		}
-		time.Sleep(time.Millisecond)
+		if ticks > 0 {
+			delayed++
+		}
+		if !m.TryConsumeFlush(msg(1, 2, 2)) || m.InFlight() != 0 {
+			t.Fatalf("seed %d: flush failed or left %d in flight", seed, m.InFlight())
+		}
 	}
-	if m.InFlight() != 0 {
-		t.Errorf("in flight = %d after flush", m.InFlight())
+	if delayed == 0 {
+		t.Error("no seed delayed the flush target: MaxDelay has no effect")
 	}
 }
 
 func TestMediumLossCounting(t *testing.T) {
 	m := New(Config{Seed: 4, LossRate: 1.0})
-	defer m.Close()
 	for i := 0; i < 5; i++ {
 		m.Send(msg(1, 2, i))
 	}
@@ -96,31 +103,27 @@ func TestMediumLossCounting(t *testing.T) {
 	}
 }
 
+// TestMediumTickerWakesDelayedWaiters checks that a receiver polling once
+// per sweep gets a channel's delayed messages in send order, each within
+// MaxDelay sweeps of its predecessor's visibility.
 func TestMediumTickerWakesDelayedWaiters(t *testing.T) {
-	m := New(Config{Seed: 5, MaxDelay: 5 * time.Millisecond})
-	defer m.Close()
-	m.Send(msg(1, 2, 7))
-	gen := m.Generation()
-	// The ticker must eventually broadcast even without further sends, so
-	// a waiter polling via WaitChange+TryConsume completes.
-	done := make(chan bool, 1)
-	go func() {
-		for !m.TryConsume(msg(1, 2, 7)) {
-			gen = m.WaitChange(gen)
-			if m.Closed() {
-				done <- false
-				return
+	const maxDelay = 4
+	m := New(Config{Seed: 5, MaxDelay: maxDelay})
+	for i := 0; i < 10; i++ {
+		m.Send(msg(1, 2, i))
+	}
+	for i := 0; i < 10; i++ {
+		ticks := 0
+		for !m.TryConsume(msg(1, 2, i)) {
+			if ticks > maxDelay {
+				t.Fatalf("message %d not consumable %d sweeps on (pending %v)", i, ticks, m.Pending(1, 2))
 			}
+			m.Tick()
+			ticks++
 		}
-		done <- true
-	}()
-	select {
-	case ok := <-done:
-		if !ok {
-			t.Fatal("waiter aborted")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("delayed delivery never observed")
+	}
+	if m.InFlight() != 0 {
+		t.Errorf("in flight = %d after draining", m.InFlight())
 	}
 }
 
@@ -143,86 +146,52 @@ func TestMessageHelpersAndString(t *testing.T) {
 	}
 }
 
-func TestReliableFlushConsume(t *testing.T) {
-	r := NewReliable(ReliableConfig{Seed: 6})
-	defer r.Close()
-	r.Send(msg(1, 2, 100))
-	r.Send(msg(1, 2, 200))
-	r.Send(msg(1, 2, 300))
-	// Wait until all three are delivered in order.
-	deadline := time.Now().Add(2 * time.Second)
-	for !r.TryConsumeFlushCheck(msg(1, 2, 300)) {
-		if time.Now().After(deadline) {
-			t.Fatal("messages not delivered")
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	if !r.TryConsumeFlush(msg(1, 2, 200)) {
-		t.Fatal("flush failed")
-	}
-	if got := r.ARQStats().Flushed; got != 1 {
-		t.Errorf("flushed = %d, want 1", got)
-	}
-	if !r.TryConsume(msg(1, 2, 300)) {
-		t.Error("post-flush message lost")
-	}
-	if r.TryConsumeFlush(msg(1, 2, 999)) || r.TryConsumeFlushCheck(msg(1, 2, 999)) {
-		t.Error("flush of absent message succeeded")
-	}
-}
-
-// TestTickerIdleNoWakeups pins the fix for the delay ticker busy-polling:
-// on an empty medium the ticker goroutine performs at most its initial scan
-// and then blocks until a send or Close, instead of waking on a fixed
-// period forever.
+// TestTickerIdleNoWakeups checks that a medium with nothing delayed has no
+// due entry: Jump reports false and leaves the clock alone, so a stuck run
+// is classified at once instead of spinning.
 func TestTickerIdleNoWakeups(t *testing.T) {
-	m := New(Config{MaxDelay: 2 * time.Millisecond, Seed: 1})
-	defer m.Close()
-	// Long compared to MaxDelay: a periodic ticker would scan many times.
-	time.Sleep(30 * time.Millisecond)
-	if n := m.tickerScanCount(); n > 1 {
-		t.Errorf("idle medium: %d ticker scans, want at most the initial one", n)
+	m := New(Config{MaxDelay: 2, Seed: 1})
+	if m.Jump() {
+		t.Error("empty medium reported a due entry")
+	}
+	m.Send(msg(1, 2, 1))
+	for m.Jump() {
+	}
+	now := m.now
+	if !m.TryConsumeCheck(msg(1, 2, 1)) {
+		t.Fatal("message not visible once no entry is due")
+	}
+	if m.Jump() || m.now != now {
+		t.Errorf("Jump moved the clock from %d to %d with nothing due", now, m.now)
+	}
+	immediate := New(Config{Seed: 1})
+	immediate.Send(msg(1, 2, 1))
+	if immediate.Jump() || !immediate.TryConsumeCheck(msg(1, 2, 1)) {
+		t.Error("immediate medium: message not visible at once, or a due entry reported")
 	}
 }
 
-// TestTickerWakesOnDeadline checks that a delayed message still becomes
-// visible (the deadline-based ticker advances the generation) and that the
-// ticker settles once everything queued has been notified.
+// TestTickerWakesOnDeadline checks that a delayed message turns visible
+// exactly on its due sweep and that Jump lands on that sweep: ticking one
+// sweep at a time and jumping reach the same clock value.
 func TestTickerWakesOnDeadline(t *testing.T) {
-	m := New(Config{MaxDelay: 3 * time.Millisecond, Seed: 42})
-	defer m.Close()
-	gen := m.Generation()
-	m.Send(msg(1, 2, 5))
-	deadline := time.Now().Add(2 * time.Second)
-	for !m.TryConsumeCheck(msg(1, 2, 5)) {
-		if time.Now().After(deadline) {
-			t.Fatal("delayed message never became visible")
+	const maxDelay = 5
+	for seed := int64(1); seed <= 20; seed++ {
+		ticked := New(Config{MaxDelay: maxDelay, Seed: seed})
+		jumped := New(Config{MaxDelay: maxDelay, Seed: seed})
+		ticked.Send(msg(1, 2, 5))
+		jumped.Send(msg(1, 2, 5))
+		for !ticked.TryConsumeCheck(msg(1, 2, 5)) {
+			ticked.Tick()
 		}
-		gen = m.WaitChange(gen)
-	}
-	if !m.TryConsume(msg(1, 2, 5)) {
-		t.Fatal("visible message not consumable")
-	}
-	// After the message is notified and consumed the medium is idle again:
-	// the scan count must stop growing.
-	time.Sleep(10 * time.Millisecond)
-	before := m.tickerScanCount()
-	time.Sleep(20 * time.Millisecond)
-	if after := m.tickerScanCount(); after != before {
-		t.Errorf("idle-after-delivery medium kept scanning: %d -> %d", before, after)
-	}
-}
-
-// TestTickerExitsOnClose checks the ticker goroutine terminates when the
-// medium closes (scan count stops advancing even with a message pending).
-func TestTickerExitsOnClose(t *testing.T) {
-	m := New(Config{MaxDelay: time.Hour, Seed: 7})
-	m.Send(msg(1, 2, 9)) // far-future deadline keeps a naive ticker alive
-	m.Close()
-	time.Sleep(5 * time.Millisecond)
-	before := m.tickerScanCount()
-	time.Sleep(20 * time.Millisecond)
-	if after := m.tickerScanCount(); after != before {
-		t.Errorf("ticker still scanning after Close: %d -> %d", before, after)
+		if ticked.now > maxDelay {
+			t.Fatalf("seed %d: visible after %d sweeps, MaxDelay %d", seed, ticked.now, maxDelay)
+		}
+		if ticked.now > 0 && !jumped.Jump() {
+			t.Fatalf("seed %d: delayed message not reported due", seed)
+		}
+		if jumped.now != ticked.now || !jumped.TryConsume(msg(1, 2, 5)) {
+			t.Fatalf("seed %d: Jump landed on sweep %d, message visible on %d", seed, jumped.now, ticked.now)
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package medium
 
-import (
-	"math/rand/v2"
-	"sync"
-	"time"
-)
+import "math/rand/v2"
 
 // This file implements the error-recovery extension the paper defers to
 // future work (Section 6): "for the case of a non-reliable underlying
@@ -17,7 +13,7 @@ import (
 // realized as a transport layer: Reliable provides the exactly-once,
 // in-order FIFO channels the derived protocol assumes, on top of a lossy,
 // delaying "wire", using per-channel stop-and-wait ARQ (sequence numbers,
-// acknowledgments, retransmission timers). The derived entities run
+// acknowledgments, retransmission timeouts). The derived entities run
 // unchanged; the experiments show they complete despite loss rates that
 // stall the bare medium.
 
@@ -30,30 +26,14 @@ type Transport interface {
 	TryConsumeCheck(Message) bool
 	TryConsumeFlush(Message) bool
 	TryConsumeFlushCheck(Message) bool
-	Generation() uint64
-	WaitChange(uint64) uint64
 	InFlight() int
 	Stats() Stats
-	Close()
 }
 
 var (
 	_ Transport = (*Medium)(nil)
 	_ Transport = (*Reliable)(nil)
 )
-
-// ReliableConfig tunes the ARQ layer.
-type ReliableConfig struct {
-	// LossRate is the per-frame loss probability of the underlying wire
-	// (applied independently to data frames and acknowledgment frames).
-	LossRate float64
-	// MaxDelay bounds the random wire latency per frame.
-	MaxDelay time.Duration
-	// RTO is the retransmission timeout (default 2*MaxDelay + 2ms).
-	RTO time.Duration
-	// Seed seeds the loss/delay randomness.
-	Seed int64
-}
 
 // ReliableStats extends the basic counters with ARQ activity.
 type ReliableStats struct {
@@ -84,30 +64,52 @@ type chanState struct {
 	delivered []Message
 }
 
-// Reliable is a stop-and-wait ARQ transport over a lossy wire.
-type Reliable struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	chans  map[[2]int]*chanState
-	rng    *rand.Rand
-	gen    uint64
-	closed bool
-	stats  ReliableStats
-	cfg    ReliableConfig
+// wireKind names what a due wire entry does when its sweep comes.
+type wireKind uint8
+
+const (
+	frameArrival wireKind = iota // a data frame reaches the receiver
+	ackArrival                   // a cumulative ack reaches the sender
+	rtoExpiry                    // a retransmission timeout expires
+)
+
+// wireEntry is one scheduled wire event: a frame or ack arriving, or a
+// retransmission timeout, due at a sweep of the virtual clock.
+type wireEntry struct {
+	due      int64
+	kind     wireKind
+	from, to int
+	seq      uint64
+	msg      Message
 }
 
-// NewReliable builds the ARQ transport.
-func NewReliable(cfg ReliableConfig) *Reliable {
-	if cfg.RTO <= 0 {
-		cfg.RTO = 2*cfg.MaxDelay + 2*time.Millisecond
-	}
-	r := &Reliable{
+// Reliable is a stop-and-wait ARQ transport over a lossy wire, on the
+// virtual clock of the run that steps it: frame and ack arrivals and
+// retransmission timeouts are due-sweep entries fired by Tick and Jump, so
+// a seeded run is reproducible. It is single-goroutine state, like the
+// session that owns it.
+type Reliable struct {
+	chans map[[2]int]*chanState
+	rng   *rand.Rand
+	now   int64
+	// due holds the scheduled wire entries in scheduling order; entries due
+	// at the same sweep fire in that order.
+	due   []wireEntry
+	rto   int64
+	stats ReliableStats
+	cfg   Config
+}
+
+// NewReliable builds the ARQ transport. cfg describes the wire: its loss
+// rate, its delay bound in sweeps and its seed. The retransmission timeout
+// is 2*MaxDelay+2 sweeps, longer than any frame-and-ack round trip.
+func NewReliable(cfg Config) *Reliable {
+	return &Reliable{
 		chans: map[[2]int]*chanState{},
 		rng:   rand.New(rand.NewPCG(uint64(cfg.Seed), 0x9e3779b97f4a7c15)),
+		rto:   2*int64(cfg.MaxDelay) + 2,
 		cfg:   cfg,
 	}
-	r.cond = sync.NewCond(&r.mu)
-	return r
 }
 
 func (r *Reliable) state(from, to int) *chanState {
@@ -120,12 +122,12 @@ func (r *Reliable) state(from, to int) *chanState {
 	return st
 }
 
-// wireDelay returns a random latency (may be zero).
-func (r *Reliable) wireDelay() time.Duration {
+// wireDelay draws a random latency of 0..MaxDelay sweeps.
+func (r *Reliable) wireDelay() int64 {
 	if r.cfg.MaxDelay <= 0 {
 		return 0
 	}
-	return time.Duration(r.rng.Int64N(int64(r.cfg.MaxDelay)))
+	return r.rng.Int64N(int64(r.cfg.MaxDelay) + 1)
 }
 
 // lost flips the wire-loss coin.
@@ -133,75 +135,85 @@ func (r *Reliable) lost() bool {
 	return r.cfg.LossRate > 0 && r.rng.Float64() < r.cfg.LossRate
 }
 
-// after schedules fn on the wire, respecting Close.
-func (r *Reliable) after(d time.Duration, fn func()) {
-	time.AfterFunc(d, func() {
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return
+// schedule adds a wire entry due delay sweeps from now.
+func (r *Reliable) schedule(delay int64, e wireEntry) {
+	e.due = r.now + delay
+	r.due = append(r.due, e)
+}
+
+// Tick advances the virtual clock by one sweep and fires what fell due.
+func (r *Reliable) Tick() {
+	r.now++
+	r.fire()
+}
+
+// Jump advances the virtual clock to the earliest due wire entry and fires
+// it, reporting whether one was pending.
+func (r *Reliable) Jump() bool {
+	if len(r.due) == 0 {
+		return false
+	}
+	next := r.due[0].due
+	for _, e := range r.due[1:] {
+		next = min(next, e.due)
+	}
+	r.now = next
+	r.fire()
+	return true
+}
+
+// fire runs every entry due by now in scheduling order, including those
+// that firing schedules with zero delay.
+func (r *Reliable) fire() {
+	for i := 0; i < len(r.due); {
+		e := r.due[i]
+		if e.due > r.now {
+			i++
+			continue
 		}
-		fn() // called with r.mu held
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
+		r.due = append(r.due[:i], r.due[i+1:]...)
+		switch e.kind {
+		case frameArrival:
+			r.frameArrives(e.from, e.to, e.seq, e.msg)
+		case ackArrival:
+			r.ackArrives(e.from, e.to, e.seq)
+		case rtoExpiry:
+			if st := r.state(e.from, e.to); st.awaitingAck && st.nextSeq == e.seq {
+				r.stats.Retransmits++
+				r.transmitHead(e.from, e.to, st)
+			}
+		}
+	}
 }
 
 // Send enqueues the message for reliable in-order delivery. Never blocks.
 func (r *Reliable) Send(msg Message) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.stats.Sent++
 	st := r.state(msg.From, msg.To)
 	st.sendQ = append(st.sendQ, msg)
 	if !st.awaitingAck {
 		r.transmitHead(msg.From, msg.To, st)
+		r.fire()
 	}
-	r.gen++
-	r.cond.Broadcast()
 }
 
 // transmitHead puts the head of the send queue on the wire and arms the
-// retransmission timer. Caller holds r.mu; the head must exist.
+// retransmission timeout. The head must exist.
 func (r *Reliable) transmitHead(from, to int, st *chanState) {
 	st.awaitingAck = true
-	seq := st.nextSeq
-	msg := st.sendQ[0]
+	e := wireEntry{from: from, to: to, seq: st.nextSeq, msg: st.sendQ[0]}
 	r.stats.Frames++
 	if r.lost() {
 		r.stats.FrameLosses++
 	} else {
-		r.after(r.wireDelay(), func() { r.frameArrives(from, to, seq, msg) })
+		e.kind = frameArrival
+		r.schedule(r.wireDelay(), e)
 	}
-	// Retransmission timer: if the frame is still unacknowledged when the
-	// timer fires, send it again.
-	r.after(r.cfg.RTO, func() {
-		cur := r.state(from, to)
-		if cur.awaitingAck && cur.nextSeq == seq {
-			r.stats.Retransmits++
-			r.retransmit(from, to, cur, seq, msg)
-		}
-	})
+	e.kind = rtoExpiry
+	r.schedule(r.rto, e)
 }
 
-// retransmit re-sends a frame (r.mu held).
-func (r *Reliable) retransmit(from, to int, st *chanState, seq uint64, msg Message) {
-	r.stats.Frames++
-	if r.lost() {
-		r.stats.FrameLosses++
-	} else {
-		r.after(r.wireDelay(), func() { r.frameArrives(from, to, seq, msg) })
-	}
-	r.after(r.cfg.RTO, func() {
-		cur := r.state(from, to)
-		if cur.awaitingAck && cur.nextSeq == seq {
-			r.stats.Retransmits++
-			r.retransmit(from, to, cur, seq, msg)
-		}
-	})
-}
-
-// frameArrives is the receiver-side wire event (r.mu held).
+// frameArrives is the receiver-side wire event.
 func (r *Reliable) frameArrives(from, to int, seq uint64, msg Message) {
 	st := r.state(from, to)
 	switch {
@@ -209,7 +221,6 @@ func (r *Reliable) frameArrives(from, to int, seq uint64, msg Message) {
 		st.expected++
 		st.delivered = append(st.delivered, msg)
 		r.stats.Delivered++
-		r.gen++
 	case seq < st.expected:
 		r.stats.Duplicates++
 	default:
@@ -217,16 +228,15 @@ func (r *Reliable) frameArrives(from, to int, seq uint64, msg Message) {
 		return
 	}
 	// Acknowledge everything up to expected (cumulative ack).
-	ackSeq := st.expected
 	r.stats.Acks++
 	if r.lost() {
 		r.stats.AckLosses++
 		return
 	}
-	r.after(r.wireDelay(), func() { r.ackArrives(from, to, ackSeq) })
+	r.schedule(r.wireDelay(), wireEntry{kind: ackArrival, from: from, to: to, seq: st.expected})
 }
 
-// ackArrives is the sender-side wire event (r.mu held).
+// ackArrives is the sender-side wire event.
 func (r *Reliable) ackArrives(from, to int, ackSeq uint64) {
 	st := r.state(from, to)
 	if !st.awaitingAck || ackSeq <= st.nextSeq {
@@ -238,27 +248,20 @@ func (r *Reliable) ackArrives(from, to int, ackSeq uint64) {
 	if len(st.sendQ) > 0 {
 		r.transmitHead(from, to, st)
 	}
-	r.gen++
 }
 
 // TryConsume removes the wanted message when it heads the delivered queue.
 func (r *Reliable) TryConsume(want Message) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	st := r.state(want.From, want.To)
 	if len(st.delivered) == 0 || st.delivered[0] != want {
 		return false
 	}
 	st.delivered = st.delivered[1:]
-	r.gen++
-	r.cond.Broadcast()
 	return true
 }
 
 // TryConsumeCheck reports whether TryConsume would succeed.
 func (r *Reliable) TryConsumeCheck(want Message) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	st := r.state(want.From, want.To)
 	return len(st.delivered) > 0 && st.delivered[0] == want
 }
@@ -266,15 +269,11 @@ func (r *Reliable) TryConsumeCheck(want Message) bool {
 // TryConsumeFlush removes the wanted message from anywhere in the delivered
 // queue, discarding everything before it (interrupt-handshake semantics).
 func (r *Reliable) TryConsumeFlush(want Message) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	st := r.state(want.From, want.To)
 	for i, m := range st.delivered {
 		if m == want {
 			st.delivered = st.delivered[i+1:]
 			r.stats.Flushed += i
-			r.gen++
-			r.cond.Broadcast()
 			return true
 		}
 	}
@@ -283,8 +282,6 @@ func (r *Reliable) TryConsumeFlush(want Message) bool {
 
 // TryConsumeFlushCheck reports whether TryConsumeFlush would succeed.
 func (r *Reliable) TryConsumeFlushCheck(want Message) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	st := r.state(want.From, want.To)
 	for _, m := range st.delivered {
 		if m == want {
@@ -294,30 +291,10 @@ func (r *Reliable) TryConsumeFlushCheck(want Message) bool {
 	return false
 }
 
-// Generation returns the change counter.
-func (r *Reliable) Generation() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
-}
-
-// WaitChange blocks while the generation equals gen and the transport is
-// open.
-func (r *Reliable) WaitChange(gen uint64) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.gen == gen && !r.closed {
-		r.cond.Wait()
-	}
-	return r.gen
-}
-
 // InFlight counts messages accepted but not yet consumed: unacknowledged
 // send queues plus delivered-but-unread messages. While it is non-zero the
 // system can still progress (retransmission keeps trying).
 func (r *Reliable) InFlight() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	n := 0
 	for _, st := range r.chans {
 		n += len(st.sendQ) + len(st.delivered)
@@ -327,23 +304,7 @@ func (r *Reliable) InFlight() int {
 
 // Stats returns the basic counters (sent/delivered/dropped). Dropped is
 // always zero: the ARQ layer never loses accepted messages.
-func (r *Reliable) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats.Stats
-}
+func (r *Reliable) Stats() Stats { return r.stats.Stats }
 
 // ARQStats returns the extended ARQ counters.
-func (r *Reliable) ARQStats() ReliableStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
-
-// Close wakes all waiters and stops future wire events.
-func (r *Reliable) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.closed = true
-	r.cond.Broadcast()
-}
+func (r *Reliable) ARQStats() ReliableStats { return r.stats }

@@ -2,40 +2,39 @@ package medium
 
 import (
 	"testing"
-	"time"
 )
 
 func msg(from, to, node int) Message {
 	return Message{From: from, To: to, Node: node, Occ: "0"}
 }
 
-// consumeEventually polls until the message can be consumed or the deadline
-// passes.
-func consumeEventually(t *testing.T, tr Transport, want Message, d time.Duration) bool {
+// consumeWithin ticks the transport's clock until the message can be
+// consumed, for at most sweeps ticks.
+func consumeWithin(t *testing.T, r *Reliable, want Message, sweeps int) bool {
 	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if tr.TryConsume(want) {
+	for i := 0; ; i++ {
+		if r.TryConsume(want) {
 			return true
 		}
-		time.Sleep(200 * time.Microsecond)
+		if i == sweeps {
+			return false
+		}
+		r.Tick()
 	}
-	return false
 }
 
 func TestReliableDeliversInOrderWithoutLoss(t *testing.T) {
-	r := NewReliable(ReliableConfig{Seed: 1})
-	defer r.Close()
+	r := NewReliable(Config{Seed: 1})
 	r.Send(msg(1, 2, 10))
 	r.Send(msg(1, 2, 11))
 	r.Send(msg(1, 2, 12))
 	// Strict FIFO: 11 before 10 must fail even after delivery.
-	if consumeEventually(t, r, msg(1, 2, 11), 20*time.Millisecond) {
+	if consumeWithin(t, r, msg(1, 2, 11), 20) {
 		t.Fatal("out-of-order consume succeeded")
 	}
 	for _, n := range []int{10, 11, 12} {
-		if !consumeEventually(t, r, msg(1, 2, n), time.Second) {
-			t.Fatalf("message %d never delivered", n)
+		if !consumeWithin(t, r, msg(1, 2, n), 0) {
+			t.Fatalf("message %d not delivered on a lossless immediate wire", n)
 		}
 	}
 	st := r.ARQStats()
@@ -45,14 +44,13 @@ func TestReliableDeliversInOrderWithoutLoss(t *testing.T) {
 }
 
 func TestReliableSurvivesHeavyLoss(t *testing.T) {
-	r := NewReliable(ReliableConfig{Seed: 7, LossRate: 0.5, RTO: time.Millisecond})
-	defer r.Close()
+	r := NewReliable(Config{Seed: 7, LossRate: 0.5})
 	const k = 20
 	for i := 0; i < k; i++ {
 		r.Send(msg(1, 2, 100+i))
 	}
 	for i := 0; i < k; i++ {
-		if !consumeEventually(t, r, msg(1, 2, 100+i), 5*time.Second) {
+		if !consumeWithin(t, r, msg(1, 2, 100+i), 10000) {
 			t.Fatalf("message %d lost despite ARQ", 100+i)
 		}
 	}
@@ -68,84 +66,60 @@ func TestReliableSurvivesHeavyLoss(t *testing.T) {
 	}
 }
 
+// TestReliableWithDelaysAndAckLoss interleaves two channels over a
+// delaying, lossy wire. Everything arrives in order, and the same seed
+// repeats the same ARQ activity sweep for sweep.
 func TestReliableWithDelaysAndAckLoss(t *testing.T) {
-	r := NewReliable(ReliableConfig{
-		Seed:     3,
-		LossRate: 0.3,
-		MaxDelay: time.Millisecond,
-		RTO:      2 * time.Millisecond,
-	})
-	defer r.Close()
-	// Interleave two channels.
-	for i := 0; i < 8; i++ {
-		r.Send(msg(1, 2, i))
-		r.Send(msg(2, 1, 50+i))
-	}
-	for i := 0; i < 8; i++ {
-		if !consumeEventually(t, r, msg(1, 2, i), 5*time.Second) {
-			t.Fatalf("1->2 message %d lost", i)
+	run := func() (ReliableStats, int64) {
+		r := NewReliable(Config{Seed: 3, LossRate: 0.3, MaxDelay: 2})
+		for i := 0; i < 8; i++ {
+			r.Send(msg(1, 2, i))
+			r.Send(msg(2, 1, 50+i))
 		}
-		if !consumeEventually(t, r, msg(2, 1, 50+i), 5*time.Second) {
-			t.Fatalf("2->1 message %d lost", 50+i)
+		for i := 0; i < 8; i++ {
+			if !consumeWithin(t, r, msg(1, 2, i), 10000) {
+				t.Fatalf("1->2 message %d lost", i)
+			}
+			if !consumeWithin(t, r, msg(2, 1, 50+i), 10000) {
+				t.Fatalf("2->1 message %d lost", 50+i)
+			}
 		}
+		return r.ARQStats(), r.now
 	}
-	st := r.ARQStats()
-	if st.Duplicates == 0 && st.AckLosses > 0 {
-		t.Logf("note: ack losses (%d) without observed duplicates", st.AckLosses)
+	st, sweeps := run()
+	if st.AckLosses == 0 || st.Retransmits == 0 {
+		t.Errorf("expected ack losses and retransmissions: %+v", st)
+	}
+	if again, againSweeps := run(); again != st || againSweeps != sweeps {
+		t.Errorf("same seed, different run: %+v in %d sweeps, then %+v in %d", st, sweeps, again, againSweeps)
 	}
 }
 
-func TestReliableInFlightAndGeneration(t *testing.T) {
-	r := NewReliable(ReliableConfig{Seed: 2})
-	defer r.Close()
-	gen := r.Generation()
+// TestReliableInFlight checks that a message counts as in flight until it
+// is delivered and its ack has drained the send queue.
+func TestReliableInFlight(t *testing.T) {
+	r := NewReliable(Config{Seed: 2, MaxDelay: 3})
 	r.Send(msg(1, 2, 1))
-	if r.Generation() == gen {
-		t.Error("send must bump generation")
-	}
 	if r.InFlight() == 0 {
 		t.Error("message must be in flight")
 	}
-	if !consumeEventually(t, r, msg(1, 2, 1), time.Second) {
+	if !consumeWithin(t, r, msg(1, 2, 1), 10) {
 		t.Fatal("not delivered")
 	}
-	// Wait for the ack to drain the send queue.
-	deadline := time.Now().Add(time.Second)
-	for r.InFlight() != 0 && time.Now().Before(deadline) {
-		time.Sleep(200 * time.Microsecond)
+	for r.InFlight() != 0 && r.Jump() {
 	}
 	if r.InFlight() != 0 {
 		t.Errorf("in flight = %d after delivery+ack", r.InFlight())
 	}
 }
 
-func TestReliableWaitChangeWakesOnClose(t *testing.T) {
-	r := NewReliable(ReliableConfig{Seed: 4})
-	gen := r.Generation()
-	done := make(chan struct{})
-	go func() {
-		r.WaitChange(gen)
-		close(done)
-	}()
-	time.Sleep(time.Millisecond)
-	r.Close()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("WaitChange did not wake on Close")
-	}
-}
-
 func TestReliableTryConsumeCheckDoesNotConsume(t *testing.T) {
-	r := NewReliable(ReliableConfig{Seed: 5})
-	defer r.Close()
+	r := NewReliable(Config{Seed: 5, MaxDelay: 2})
 	r.Send(msg(1, 2, 9))
-	deadline := time.Now().Add(time.Second)
 	for !r.TryConsumeCheck(msg(1, 2, 9)) {
-		if time.Now().After(deadline) {
+		if !r.Jump() {
 			t.Fatal("never delivered")
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 	// Check twice: peeking must not consume.
 	if !r.TryConsumeCheck(msg(1, 2, 9)) || !r.TryConsume(msg(1, 2, 9)) {
@@ -153,24 +127,47 @@ func TestReliableTryConsumeCheckDoesNotConsume(t *testing.T) {
 	}
 }
 
+func TestReliableFlushConsume(t *testing.T) {
+	r := NewReliable(Config{Seed: 6, MaxDelay: 2})
+	r.Send(msg(1, 2, 100))
+	r.Send(msg(1, 2, 200))
+	r.Send(msg(1, 2, 300))
+	// Advance until all three are delivered in order.
+	for !r.TryConsumeFlushCheck(msg(1, 2, 300)) {
+		if !r.Jump() {
+			t.Fatal("messages not delivered")
+		}
+	}
+	if !r.TryConsumeFlush(msg(1, 2, 200)) {
+		t.Fatal("flush failed")
+	}
+	if got := r.ARQStats().Flushed; got != 1 {
+		t.Errorf("flushed = %d, want 1", got)
+	}
+	if !r.TryConsume(msg(1, 2, 300)) {
+		t.Error("post-flush message lost")
+	}
+	if r.TryConsumeFlush(msg(1, 2, 999)) || r.TryConsumeFlushCheck(msg(1, 2, 999)) {
+		t.Error("flush of absent message succeeded")
+	}
+}
+
 func TestBareMediumLossVsReliable(t *testing.T) {
 	// The same lossy wire: the bare medium loses messages for good, the
 	// ARQ layer does not.
 	bare := New(Config{Seed: 11, LossRate: 0.5})
-	defer bare.Close()
 	for i := 0; i < 20; i++ {
 		bare.Send(msg(1, 2, i))
 	}
 	if bare.Stats().Dropped == 0 {
 		t.Error("bare medium should drop under 50% loss")
 	}
-	arq := NewReliable(ReliableConfig{Seed: 11, LossRate: 0.5, RTO: time.Millisecond})
-	defer arq.Close()
+	arq := NewReliable(Config{Seed: 11, LossRate: 0.5})
 	for i := 0; i < 20; i++ {
 		arq.Send(msg(1, 2, i))
 	}
 	for i := 0; i < 20; i++ {
-		if !consumeEventually(t, arq, msg(1, 2, i), 5*time.Second) {
+		if !consumeWithin(t, arq, msg(1, 2, i), 10000) {
 			t.Fatalf("ARQ lost message %d", i)
 		}
 	}
@@ -181,32 +178,10 @@ func TestBareMediumLossVsReliable(t *testing.T) {
 
 func TestMediumPendingDiagnostics(t *testing.T) {
 	m := New(Config{Seed: 1})
-	defer m.Close()
 	m.Send(msg(1, 2, 5))
 	m.Send(msg(1, 2, 6))
 	got := m.Pending(1, 2)
 	if len(got) != 2 || got[0].Node != 5 || got[1].Node != 6 {
 		t.Errorf("pending %v", got)
-	}
-	if m.Closed() {
-		t.Error("not closed yet")
-	}
-	m.Close()
-	if !m.Closed() {
-		t.Error("closed flag")
-	}
-}
-
-func TestMediumWaitChange(t *testing.T) {
-	m := New(Config{Seed: 1})
-	defer m.Close()
-	gen := m.Generation()
-	go func() {
-		time.Sleep(time.Millisecond)
-		m.Send(msg(1, 2, 1))
-	}()
-	next := m.WaitChange(gen)
-	if next == gen {
-		t.Error("generation did not advance")
 	}
 }

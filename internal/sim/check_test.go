@@ -8,7 +8,7 @@ import "testing"
 // default state cap however long the session runs.
 func TestCheckTraceLongChoiceLoop(t *testing.T) {
 	d := deriveFor(t, "SPEC A WHERE PROC A = (a1; b2; A) [] (c1; d3; A) END ENDSPEC")
-	res, err := Run(d.Entities, Config{Seed: 1, MaxEvents: 30, Lockstep: true})
+	res, err := Run(d.Entities, Config{Seed: 1, MaxEvents: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

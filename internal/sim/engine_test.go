@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fsm"
+	"repro/internal/medium"
 )
 
 func TestEngineFSMCompletes(t *testing.T) {
@@ -112,12 +113,12 @@ func TestLockstepDeterministic(t *testing.T) {
 	d := deriveFor(t, "SPEC a1; exit >> (b2; exit ||| c3; exit) >> d1; exit ENDSPEC")
 	fleet := fsm.CompileEntities(d.Entities, fsm.Config{})
 	for _, f := range []*fsm.Fleet{nil, fleet} {
-		first, err := Run(d.Entities, Config{Seed: 7, Lockstep: true, Fleet: f})
+		first, err := Run(d.Entities, Config{Seed: 7, Fleet: f})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			again, err := Run(d.Entities, Config{Seed: 7, Lockstep: true, Fleet: f})
+			again, err := Run(d.Entities, Config{Seed: 7, Fleet: f})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,14 +208,36 @@ func TestRetainedStatesBounded(t *testing.T) {
 	}
 }
 
-func TestLockstepRejectsAsyncMedium(t *testing.T) {
-	d := deriveFor(t, "SPEC a1; b2; exit ENDSPEC")
-	if _, err := Run(d.Entities, Config{Seed: 1, Lockstep: true, Reliable: true}); err == nil {
-		t.Error("lockstep with Reliable should be rejected")
-	}
-	cfg := Config{Seed: 1, Lockstep: true}
-	cfg.Medium.MaxDelay = 1
-	if _, err := Run(d.Entities, cfg); err == nil {
-		t.Error("lockstep with MaxDelay should be rejected")
+// TestSessionWithARQAndDelayMatchesRun checks that the virtual-clock
+// medium keeps the seam identity: a Session over the ARQ layer on a lossy,
+// delaying wire, stepped in small quanta, is the execution Run gives for
+// the same seed.
+func TestSessionWithARQAndDelayMatchesRun(t *testing.T) {
+	d := deriveFor(t, "SPEC a1; b2; c3; exit >> d2; e1; exit ENDSPEC")
+	for seed := int64(1); seed <= 10; seed++ {
+		cfg := Config{Seed: seed, Reliable: true, Medium: medium.Config{LossRate: 0.4, MaxDelay: 3}}
+		want, err := Run(d.Entities, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.Completed {
+			t.Fatalf("seed %d: ARQ run did not complete: %+v", seed, want.Blocked)
+		}
+		s, err := NewSession(d.Entities, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			_, done, err := s.StepN(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done {
+				break
+			}
+		}
+		if got := s.Result(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: session %+v, run %+v", seed, got, want)
+		}
 	}
 }

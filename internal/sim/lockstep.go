@@ -14,6 +14,7 @@ type Lockstep struct {
 	live      int
 	maxEvents int
 	inFlight  func() (int, error)
+	clock     Clock
 	over      bool
 
 	// Trace is the global service-primitive trace, in execution order.
@@ -26,17 +27,31 @@ type Lockstep struct {
 	Deadlocked, TimedOut, Stopped bool
 }
 
+// Clock is the virtual clock of a transport whose delays, losses and
+// retransmissions are scheduled in sweeps (medium.Medium, medium.Reliable).
+type Clock interface {
+	// Tick advances the clock by one sweep.
+	Tick()
+	// Jump advances the clock to the transport's next due entry (a delayed
+	// message becoming visible, an ARQ frame or ack arriving, a
+	// retransmission timeout) and reports whether there was one.
+	Jump() bool
+}
+
 // NewLockstep builds a lockstep run over entities (ascending place order).
 // maxEvents stops the run after that many service primitives (0: no
 // limit). inFlight counts the messages in transit; it is consulted only
 // after a sweep without progress, to tell a deadlock from a stuck run.
-func NewLockstep(entities []Entity, maxEvents int, inFlight func() (int, error)) *Lockstep {
+// clock is the transport's virtual clock, ticked once per sweep; nil when
+// the transport has none (the wire coordinator's deployed entities).
+func NewLockstep(entities []Entity, maxEvents int, inFlight func() (int, error), clock Clock) *Lockstep {
 	return &Lockstep{
 		entities:  entities,
 		done:      make([]bool, len(entities)),
 		live:      len(entities),
 		maxEvents: maxEvents,
 		inFlight:  inFlight,
+		clock:     clock,
 		over:      len(entities) == 0,
 	}
 }
@@ -44,8 +59,9 @@ func NewLockstep(entities []Entity, maxEvents int, inFlight func() (int, error))
 // StepN runs up to max full sweeps (max <= 0 means until the run is over).
 // It returns the number of sweeps executed and whether the run is over —
 // every entity terminated, MaxEvents hit (mid-sweep: the entities after the
-// one that hit it are not visited), or a sweep without progress (with the
-// medium's delivery synchronous, nothing can unblock such a sweep).
+// one that hit it are not visited), or a sweep without progress while the
+// clock has nothing left due (nothing can unblock such a sweep). A sweep
+// without progress while something is due jumps the clock to it instead.
 // Splitting a run across StepN calls never changes it: quantum boundaries
 // fall exactly between sweeps. An entity error ends the run.
 func (l *Lockstep) StepN(max int) (sweeps int, over bool, err error) {
@@ -74,7 +90,10 @@ func (l *Lockstep) StepN(max int) (sweeps int, over bool, err error) {
 		}
 		sweeps++
 		l.Sweeps++
-		if !progress {
+		if progress && l.clock != nil {
+			l.clock.Tick()
+		}
+		if !progress && (l.clock == nil || !l.clock.Jump()) {
 			n, err := l.inFlight()
 			if err != nil {
 				l.over = true

@@ -176,12 +176,8 @@ const sweepBudget = 20000
 // with cfg.
 func runReference(t testing.TB, entities map[int]*lotos.Spec, cfg Config) (runOutcome, error) {
 	t.Helper()
-	cfg, err := sessionConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg = resolveSeeds(cfg)
 	med := medium.New(cfg.Medium)
-	defer med.Close()
 	var ents []Entity
 	for i, p := range entityPlaces(entities) {
 		e, err := newRefEntity(p, entities[p], med, cfg.Harness, SubSeed(cfg.Seed, roleRunner, i))
@@ -190,7 +186,7 @@ func runReference(t testing.TB, entities map[int]*lotos.Spec, cfg Config) (runOu
 		}
 		ents = append(ents, e)
 	}
-	ls := NewLockstep(ents, cfg.MaxEvents, func() (int, error) { return med.InFlight(), nil })
+	ls := NewLockstep(ents, cfg.MaxEvents, func() (int, error) { return med.InFlight(), nil }, med)
 	_, over, err := ls.StepN(sweepBudget)
 	if err != nil {
 		return runOutcome{}, err

@@ -60,7 +60,6 @@ func ReplayFleet(fleet *fsm.Fleet, w *compose.Witness) (*ReplayResult, error) {
 		return nil, fmt.Errorf("sim: nil witness")
 	}
 	med := &replayMedium{Medium: medium.New(medium.Config{}), cap: channelCap(w)}
-	defer med.Close()
 	steppers, err := newSteppers(nil, fleetPlaces(fleet), med, Config{Fleet: fleet})
 	if err != nil {
 		return nil, err

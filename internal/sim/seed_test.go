@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
+	"repro/internal/lotos"
 	"repro/internal/medium"
 )
 
@@ -57,49 +57,26 @@ func popcount64(x uint64) int {
 	return n
 }
 
-// TestMediumSeedZeroPinned is the regression for the "if Medium.Seed == 0"
-// unset test: a deliberately pinned zero medium seed (MediumSeedSet) must
-// survive seed resolution, while an unset one is derived from the run seed
-// — including for Seed=-2, which the additive scheme mapped to exactly 0
-// and then treated as unset again.
-func TestMediumSeedZeroPinned(t *testing.T) {
-	pinned := resolveSeeds(Config{Seed: 7, MediumSeedSet: true})
-	if pinned.Medium.Seed != 0 {
-		t.Errorf("pinned zero medium seed remapped to %d", pinned.Medium.Seed)
-	}
-	explicit := resolveSeeds(Config{Seed: 7, Medium: medium.Config{Seed: 42}})
-	if explicit.Medium.Seed != 42 {
+// TestPinnedMediumSeedReproduces checks medium seed resolution: an
+// explicit non-zero Medium.Seed survives, an unset one is the SubSeed of
+// the run seed (including for Seed=-2, which the earlier additive scheme
+// mapped to exactly 0, the unset value). End to end, two lossy runs under
+// different run seeds but one pinned medium seed make the same first drop
+// decision, which is consumed before any schedule divergence can matter.
+func TestPinnedMediumSeedReproduces(t *testing.T) {
+	if explicit := resolveSeeds(Config{Seed: 7, Medium: medium.Config{Seed: 42}}); explicit.Medium.Seed != 42 {
 		t.Errorf("explicit medium seed remapped to %d", explicit.Medium.Seed)
 	}
-	derived := resolveSeeds(Config{Seed: 7})
-	if want := SubSeed(7, roleMedium, 0); derived.Medium.Seed != want {
-		t.Errorf("derived medium seed = %d, want SubSeed %d", derived.Medium.Seed, want)
+	for _, seed := range []int64{7, -2} {
+		if got, want := resolveSeeds(Config{Seed: seed}).Medium.Seed, SubSeed(seed, roleMedium, 0); got != want || got == 0 {
+			t.Errorf("Seed=%d: derived medium seed %d, want SubSeed %d", seed, got, want)
+		}
 	}
-	minusTwo := resolveSeeds(Config{Seed: -2})
-	if minusTwo.Medium.Seed == 0 {
-		t.Error("Seed=-2 derived medium seed 0 (the additive aliasing bug)")
-	}
-	if want := SubSeed(-2, roleMedium, 0); minusTwo.Medium.Seed != want {
-		t.Errorf("Seed=-2 medium seed = %d, want SubSeed %d", minusTwo.Medium.Seed, want)
-	}
-}
-
-// TestPinnedMediumSeedReproduces checks the pin end to end: two delayed
-// lossy runs with MediumSeedSet and the same pinned seed produce identical
-// medium randomness (same drop count on the same schedule-independent first
-// send), even under different run seeds the medium stream must not follow.
-func TestPinnedMediumSeedReproduces(t *testing.T) {
-	// 100% loss makes the medium's drop decision seed-independent; what the
-	// pin must control is the delay stream. Use a deterministic scripted
-	// run: one sender, large delays, and compare the delivery-visible
-	// behaviour via medium stats of two identically pinned runs.
 	d := deriveFor(t, "SPEC a1; b2; exit ENDSPEC")
 	run := func(runSeed int64) medium.Stats {
 		res, err := Run(d.Entities, Config{
-			Seed:          runSeed,
-			Medium:        medium.Config{LossRate: 0.5},
-			MediumSeedSet: true, // pinned zero
-			Timeout:       2 * time.Second,
+			Seed:   runSeed,
+			Medium: medium.Config{LossRate: 0.5, Seed: 99},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -107,41 +84,46 @@ func TestPinnedMediumSeedReproduces(t *testing.T) {
 		return res.Medium
 	}
 	a, b := run(3), run(4)
-	// The first medium decision (drop the a1->b2 sync message or not) is
-	// consumed before any schedule divergence can matter: both runs must
-	// agree on it because both media run the pinned zero stream.
 	if (a.Dropped > 0) != (b.Dropped > 0) {
 		t.Errorf("pinned medium seed diverged: drops %d vs %d", a.Dropped, b.Dropped)
 	}
 }
 
-// TestTickerStopsWithRun is the regression for the sim ticker outliving the
-// run: the old sleep-loop ticker only noticed the stop after its next full
-// tick (here 500ms), keeping a goroutine bumping a closed world long after
-// Run returned. The select-based ticker must exit promptly.
-func TestTickerStopsWithRun(t *testing.T) {
-	d := deriveFor(t, "SPEC a1; b2; exit ENDSPEC")
+// goroutineCounter is a harness that records runtime.NumGoroutine at every
+// Choose, around an accept-all harness.
+type goroutineCounter struct {
+	*AcceptAll
+	seen []int
+}
+
+func (h *goroutineCounter) Choose(place int, offered []lotos.Event) int {
+	h.seen = append(h.seen, runtime.NumGoroutine())
+	return h.AcceptAll.Choose(place, offered)
+}
+
+// TestRunStartsNoGoroutines checks that a run with every medium feature on
+// — wire delays, loss and the ARQ layer's retransmissions — executes on the
+// caller's goroutine alone: the goroutine count seen from inside the run
+// is the count before it.
+func TestRunStartsNoGoroutines(t *testing.T) {
+	d := deriveFor(t, "SPEC a1; b2; c3; exit >> d2; e1; exit ENDSPEC")
+	h := &goroutineCounter{AcceptAll: NewAcceptAll(1)}
 	before := runtime.NumGoroutine()
-	// MaxDelay 2s -> tick 500ms; the run itself finishes in milliseconds.
 	res, err := Run(d.Entities, Config{
-		Seed:    1,
-		Medium:  medium.Config{MaxDelay: 2 * time.Second},
-		Timeout: 10 * time.Second,
+		Seed:     1,
+		Reliable: true,
+		Medium:   medium.Config{LossRate: 0.3, MaxDelay: 3},
+		Harness:  h,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Completed {
-		t.Fatalf("run did not complete: %+v", res.Blocked)
+	if !res.Completed || len(h.seen) == 0 {
+		t.Fatalf("run did not complete (%d choices): %+v", len(h.seen), res.Blocked)
 	}
-	// Both the sim ticker and the medium ticker must be gone well before
-	// the 500ms tick the old code slept through.
-	deadline := time.Now().Add(250 * time.Millisecond)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines still alive 250ms after Run returned (started with %d) — ticker outlived the run",
-				runtime.NumGoroutine(), before)
+	for i, n := range h.seen {
+		if n != before {
+			t.Fatalf("choice %d saw %d goroutines, %d before the run", i, n, before)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }

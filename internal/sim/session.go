@@ -8,10 +8,9 @@ package sim
 // sessions on one virtual clock: each session is paused between sweeps at
 // zero cost, and advancing it never blocks or sleeps.
 //
-// A Session with seed s is the same execution as Run with Config{Lockstep:
-// true, Seed: s, ...}: Run's lockstep mode is a Session run to completion.
-// That identity is what makes any single cluster session replayable through
-// the ordinary simulator.
+// A Session with seed s is the same execution as Run with Config{Seed: s,
+// ...}: Run is a Session run to completion. That identity is what makes any
+// single cluster session replayable through the ordinary simulator.
 
 import (
 	"fmt"
@@ -62,29 +61,20 @@ func newSteppers(entities map[int]*lotos.Spec, places []int, med medium.Transpor
 type Session struct {
 	ls       *Lockstep
 	steppers []*EntityStepper
-	med      *medium.Medium
+	med      transport
 }
 
-// sessionConfig validates and normalizes a Session config: the synchronous
-// scheduler requires the immediate medium (no Reliable, no MaxDelay — their
-// delivery has an asynchronous wall-clock component), and derives the
-// harness and medium sub-seeds exactly as Run does.
-func sessionConfig(cfg Config) (Config, error) {
-	if cfg.Reliable || cfg.Medium.MaxDelay > 0 {
-		return cfg, fmt.Errorf("sim: lockstep requires the immediate medium (no Reliable, no MaxDelay)")
-	}
-	return resolveSeeds(cfg), nil
+// transport is a session's medium: the entities' channels on the virtual
+// clock the session ticks once per sweep.
+type transport interface {
+	medium.Transport
+	Clock
 }
 
-// NewSession builds a synchronous session over the entities. Lockstep,
-// Timeout, Fleet and Compile behave as in Run; wall-clock options
-// (Reliable, Medium.MaxDelay) are rejected. The caller advances it with
-// StepN and must Close it when done.
+// NewSession builds a synchronous session over the entities. Every Config
+// field but Timeout (which only Run's wall-clock budget reads) behaves as
+// in Run. The caller advances it with StepN and should Close it when done.
 func NewSession(entities map[int]*lotos.Spec, cfg Config) (*Session, error) {
-	cfg, err := sessionConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
 	return newSession(entities, entityPlaces(entities), cfg)
 }
 
@@ -93,10 +83,6 @@ func NewSession(entities map[int]*lotos.Spec, cfg Config) (*Session, error) {
 // entity syntax trees — the memory contract that makes million-session
 // fleets affordable. cfg.Fleet is overridden by the argument.
 func NewFleetSession(fleet *fsm.Fleet, cfg Config) (*Session, error) {
-	cfg, err := sessionConfig(cfg)
-	if err != nil {
-		return nil, err
-	}
 	cfg.Fleet = fleet
 	places := fleetPlaces(fleet)
 	if len(places) == 0 {
@@ -119,15 +105,22 @@ func fleetPlaces(fleet *fsm.Fleet) []int {
 	return places
 }
 
+// newSession derives the config's harness and medium sub-seeds and builds
+// the session's medium and steppers.
 func newSession(entities map[int]*lotos.Spec, places []int, cfg Config) (*Session, error) {
-	med := medium.New(cfg.Medium)
+	cfg = resolveSeeds(cfg)
+	var med transport
+	if cfg.Reliable {
+		med = medium.NewReliable(cfg.Medium)
+	} else {
+		med = medium.New(cfg.Medium)
+	}
 	steppers, err := newSteppers(entities, places, med, cfg)
 	if err != nil {
-		med.Close()
 		return nil, err
 	}
 	inFlight := func() (int, error) { return med.InFlight(), nil }
-	return &Session{ls: NewLockstep(asEntities(steppers), cfg.MaxEvents, inFlight), steppers: steppers, med: med}, nil
+	return &Session{ls: NewLockstep(asEntities(steppers), cfg.MaxEvents, inFlight, med), steppers: steppers, med: med}, nil
 }
 
 // asEntities views steppers through the Entity contract.
@@ -141,10 +134,10 @@ func asEntities(steppers []*EntityStepper) []Entity {
 
 // StepN advances the session by up to max full sweeps (max <= 0 means until
 // the run is over) and reports the sweeps executed and whether the session
-// is over (see Lockstep.StepN). A stuck sweep is classified by the medium's
-// in-flight count: a genuine deadlock when no message is in flight, a stuck
-// run (reported as a timeout, matching what the concurrent scheduler would
-// eventually decide) otherwise.
+// is over (see Lockstep.StepN). A sweep without progress jumps the medium's
+// clock to its next due entry; with none left it is classified by the
+// medium's in-flight count: a genuine deadlock when no message is in
+// flight, a stuck run (reported as a timeout) otherwise.
 func (s *Session) StepN(max int) (sweeps int, done bool, err error) {
 	return s.ls.StepN(max)
 }
@@ -170,9 +163,5 @@ func (s *Session) Result() *Result {
 	return res
 }
 
-// Close releases the session's medium. The session must not be stepped
-// afterwards.
-func (s *Session) Close() {
-	s.ls.over = true
-	s.med.Close()
-}
+// Close ends the session. The session must not be stepped afterwards.
+func (s *Session) Close() { s.ls.over = true }

@@ -9,7 +9,7 @@ import (
 
 // TestSessionMatchesLockstepRun checks the seam identity: a Session stepped
 // to completion — in one call or in small quanta — is the same execution as
-// Run with Lockstep, over private or shared machines, seed for seed.
+// Run, over private or shared machines, seed for seed.
 func TestSessionMatchesLockstepRun(t *testing.T) {
 	srcs := []string{
 		"SPEC a1; b2; c3; exit ENDSPEC",
@@ -21,7 +21,7 @@ func TestSessionMatchesLockstepRun(t *testing.T) {
 		d := deriveFor(t, src)
 		fleet := fsm.CompileEntities(d.Entities, fsm.Config{})
 		for seed := int64(0); seed < 12; seed++ {
-			cfg := Config{Seed: seed, Lockstep: true, MaxEvents: 16}
+			cfg := Config{Seed: seed, MaxEvents: 16}
 			want, err := Run(d.Entities, cfg)
 			if err != nil {
 				t.Fatalf("%s seed %d run: %v", src, seed, err)
@@ -83,7 +83,7 @@ func TestFleetSessionRunsAnyFleet(t *testing.T) {
 		}
 		got := s.Result()
 		s.Close()
-		want, err := Run(d.Entities, Config{Seed: 5, MaxEvents: 16, Lockstep: true, Compile: fsm.Config{MaxStates: c.cap}})
+		want, err := Run(d.Entities, Config{Seed: 5, MaxEvents: 16, Compile: fsm.Config{MaxStates: c.cap}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,11 +91,5 @@ func TestFleetSessionRunsAnyFleet(t *testing.T) {
 			t.Fatalf("%s: fleet session %v (completed %v), want %v (completed %v)",
 				c.src, got.TraceStrings(), got.Completed, want.TraceStrings(), want.Completed)
 		}
-	}
-
-	// Wall-clock options are incompatible with the synchronous scheduler.
-	d := deriveFor(t, "SPEC a1; b2; exit ENDSPEC")
-	if _, err := NewSession(d.Entities, Config{Seed: 1, Reliable: true}); err == nil {
-		t.Error("session accepted the ARQ layer")
 	}
 }

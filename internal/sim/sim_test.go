@@ -118,7 +118,7 @@ func TestRunWithDelays(t *testing.T) {
 	d := deriveFor(t, "SPEC a1; b2; c3; exit >> d2; e1; exit ENDSPEC")
 	st, err := RunMany(d.Service.Spec, d.Entities, Config{
 		Seed:   7,
-		Medium: medium.Config{MaxDelay: 2 * time.Millisecond},
+		Medium: medium.Config{MaxDelay: 2},
 	}, 10, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,6 @@ func TestHarnessBasics(t *testing.T) {
 
 func TestMediumFIFOAndStats(t *testing.T) {
 	m := medium.New(medium.Config{Seed: 1})
-	defer m.Close()
 	m.Send(medium.Message{From: 1, To: 2, Node: 10, Occ: "0"})
 	m.Send(medium.Message{From: 1, To: 2, Node: 11, Occ: "0"})
 	if m.InFlight() != 2 {
@@ -349,17 +348,16 @@ func TestMediumMessageHelpers(t *testing.T) {
 }
 
 func TestMediumDelayedVisibility(t *testing.T) {
-	m := medium.New(medium.Config{Seed: 9, MaxDelay: 20 * time.Millisecond})
-	defer m.Close()
+	const maxDelay = 20
+	m := medium.New(medium.Config{Seed: 9, MaxDelay: maxDelay})
 	msg := medium.Message{From: 1, To: 2, Node: 1, Occ: "0"}
 	m.Send(msg)
-	// Eventually visible.
-	deadline := time.Now().Add(time.Second)
-	for !m.TryConsume(msg) {
-		if time.Now().After(deadline) {
+	// Visible within MaxDelay sweeps.
+	for sweeps := 0; !m.TryConsume(msg); sweeps++ {
+		if sweeps == maxDelay {
 			t.Fatal("delayed message never became visible")
 		}
-		time.Sleep(time.Millisecond)
+		m.Tick()
 	}
 }
 

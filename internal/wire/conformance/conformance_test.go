@@ -383,7 +383,7 @@ func TestCheckAgainstSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 5; seed++ {
-		res, err := sim.Run(d.Entities, sim.Config{Seed: seed, Lockstep: true, MaxEvents: 32})
+		res, err := sim.Run(d.Entities, sim.Config{Seed: seed, MaxEvents: 32})
 		if err != nil {
 			t.Fatal(err)
 		}

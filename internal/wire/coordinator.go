@@ -24,8 +24,8 @@ import (
 // harness hosted here and seeded sim.HarnessSeed(seed), and each entity's
 // scheduling RNG seeded sim.RunnerSeed(seed, placeIndex), a seeded
 // distributed session is execution-identical to sim.Run with
-// Config{Lockstep: true, Seed: seed}: same candidate rows, same random
-// draws, same trace, same outcome.
+// Config{Seed: seed}: same candidate rows, same random draws, same trace,
+// same outcome.
 
 // CoordinatorConfig configures a deployment coordinator.
 type CoordinatorConfig struct {
@@ -346,14 +346,14 @@ func (c *Coordinator) start(seed int64, mode SessionMode, harness sim.Harness) e
 // sweep without progress is classified from the entities' queued messages:
 // with the delivery barrier nothing is on the wire, so their sum is the
 // global in-flight count. The report's protocol outcome is byte-identical
-// (Canonical) to sim.Run with Config{Lockstep: true, Seed: seed} over the
+// (Canonical) to sim.Run with Config{Seed: seed} over the
 // same entities.
 func (c *Coordinator) RunSeeded(seed int64) (*SessionReport, error) {
 	rep := &SessionReport{}
 	if err := c.start(seed, ModeSeeded, sim.NewAcceptAll(sim.HarnessSeed(seed))); err != nil {
 		return c.abort(rep, err)
 	}
-	ls := sim.NewLockstep(c.entities(), c.cfg.MaxEvents, c.totalQueued)
+	ls := sim.NewLockstep(c.entities(), c.cfg.MaxEvents, c.totalQueued, nil)
 	_, _, err := ls.StepN(0)
 	for _, te := range ls.Trace {
 		rep.Trace = append(rep.Trace, te.String())

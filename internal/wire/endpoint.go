@@ -14,11 +14,11 @@ import (
 // channel capacity honored end-to-end by windowed delivery acknowledgments.
 //
 // Inbound messages land in an inner *medium.Medium (immediate-delivery
-// configuration), which supplies the FIFO queues, flush semantics and
-// generation/wait machinery unchanged; the Endpoint's own work is the wire:
-// framing, per-channel sequence numbers, cumulative acks, and the send
-// window that makes a full remote queue exert backpressure on the sender
-// just as a full in-process channel would block a capacity check.
+// configuration), which supplies the FIFO queues and flush semantics
+// unchanged; the Endpoint's own work is the wire: framing, per-channel
+// sequence numbers, cumulative acks, and the send window that makes a full
+// remote queue exert backpressure on the sender just as a full in-process
+// channel would block a capacity check.
 type Endpoint struct {
 	place      int
 	inner      *medium.Medium
@@ -256,16 +256,11 @@ func (ep *Endpoint) readLoop(pc *peerConn) {
 		f, err := ReadFrame(pc.conn)
 		if err != nil {
 			ep.mu.Lock()
-			closed := ep.closed
-			if !closed && ep.failed == nil {
+			if !ep.closed && ep.failed == nil {
 				ep.failed = fmt.Errorf("wire: entity %d lost peer %d: %w", ep.place, pc.place, err)
 			}
 			ep.cond.Broadcast()
 			ep.mu.Unlock()
-			if !closed {
-				// Wake any Transport waiter blocked in the inner medium.
-				ep.inner.Close()
-			}
 			return
 		}
 		switch f.Type {
@@ -429,7 +424,7 @@ func (ep *Endpoint) WireStats() WireStats {
 }
 
 // Transport delegation: the inner medium owns the inbound queues, so the
-// consume/wait face of the Transport contract is its machinery verbatim.
+// consume face of the Transport contract is its machinery verbatim.
 
 // TryConsume consumes the head-of-queue message if it matches.
 func (ep *Endpoint) TryConsume(want medium.Message) bool { return ep.inner.TryConsume(want) }
@@ -445,12 +440,6 @@ func (ep *Endpoint) TryConsumeFlushCheck(want medium.Message) bool {
 	return ep.inner.TryConsumeFlushCheck(want)
 }
 
-// Generation returns the inbound-queue change generation.
-func (ep *Endpoint) Generation() uint64 { return ep.inner.Generation() }
-
-// WaitChange blocks until the inbound queues change past gen.
-func (ep *Endpoint) WaitChange(gen uint64) uint64 { return ep.inner.WaitChange(gen) }
-
 // InFlight counts undelivered messages: queued inbound plus unacked
 // outbound (sent but not yet known-enqueued at the receiver).
 func (ep *Endpoint) InFlight() int {
@@ -463,7 +452,7 @@ func (ep *Endpoint) InFlight() int {
 // Stats returns the inner medium's queue-level stats.
 func (ep *Endpoint) Stats() medium.Stats { return ep.inner.Stats() }
 
-// Close tears the endpoint down: listener, peer connections, inner medium.
+// Close tears the endpoint down: listener and peer connections.
 func (ep *Endpoint) Close() {
 	ep.mu.Lock()
 	if ep.closed {
@@ -481,7 +470,6 @@ func (ep *Endpoint) Close() {
 	for _, pc := range conns {
 		pc.conn.Close()
 	}
-	ep.inner.Close()
 	ep.wg.Wait()
 }
 

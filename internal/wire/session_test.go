@@ -4,7 +4,7 @@ package wire
 // deployed as one coordinator plus one goroutine per entity speaking the
 // real TCP wire protocol over loopback, seeded sessions are driven to
 // completion, and the protocol outcome must be byte-identical to sim.Run
-// with Config{Lockstep: true} and the same seed. This is the test that
+// with the same seed. This is the test that
 // makes the deployment layer trustworthy: the wire adds connections,
 // framing, acks and a control plane, but must not add (or remove) a single
 // observable behavior.
@@ -159,7 +159,7 @@ func TestCorpusLiveMatchesLockstep(t *testing.T) {
 		for seed := int64(0); seed < seeds; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
 				simRes, err := sim.Run(d.Entities, sim.Config{
-					Seed: seed, Lockstep: true, MaxEvents: wireMaxEvents,
+					Seed: seed, MaxEvents: wireMaxEvents,
 					Fleet: fleet,
 				})
 				if err != nil {

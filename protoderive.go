@@ -730,13 +730,14 @@ type SimOptions struct {
 	Seed int64
 	// MaxEvents bounds non-terminating runs.
 	MaxEvents int
-	// Timeout aborts a stuck run (default 5s).
+	// Timeout bounds the run's wall-clock time (default 5s).
 	Timeout time.Duration
 	// Script, when non-empty, drives the users along this exact global
 	// sequence of service primitives instead of random choices.
 	Script []string
-	// MaxDelay enables random message delivery delays up to this bound.
-	MaxDelay time.Duration
+	// MaxDelay enables random message delivery delays of up to this many
+	// scheduler sweeps (drawn from the run's seeded medium).
+	MaxDelay int
 	// LossRate injects message loss (the derived protocols assume a
 	// reliable medium; loss demonstrates the Section-6 limitation).
 	LossRate float64
@@ -750,7 +751,7 @@ type SimOptions struct {
 	CompileMaxStates int
 }
 
-// SimResult reports one concurrent execution of the derived protocol.
+// SimResult reports one execution of the derived protocol.
 type SimResult struct {
 	// Trace is the observed global sequence of service primitives.
 	Trace []string
@@ -763,10 +764,12 @@ type SimResult struct {
 	TraceValid bool
 }
 
-// Simulate runs the derived entities concurrently — one goroutine per
-// protocol entity over a FIFO medium — and checks the observed trace
-// against the service specification. Like Verify, it operates on clones and
-// is safe for concurrent use on one Protocol.
+// Simulate runs the derived entities over a FIFO medium and checks the
+// observed trace against the service specification. The run is one seeded
+// lockstep execution — the entities step in turn, message delays, losses
+// and ARQ retransmissions count scheduler sweeps — so the same options give
+// the same result on every call. Like Verify, it operates on clones and is
+// safe for concurrent use on one Protocol.
 func (p *Protocol) Simulate(opts *SimOptions) (out *SimResult, err error) {
 	defer guard(&err)
 	var o SimOptions

@@ -1,6 +1,8 @@
 package protoderive
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -213,6 +215,59 @@ func TestReliableLayerFacade(t *testing.T) {
 	}
 	if res.MessagesDropped != 0 {
 		t.Errorf("ARQ layer reported drops: %d", res.MessagesDropped)
+	}
+}
+
+// TestSimulateReproducible checks that a simulation is a function of its
+// options: for every seed and medium configuration — plain, lossy,
+// delaying, and the ARQ layer over a lossy wire — two runs, and runs under
+// GOMAXPROCS 1 and 4, give deep-equal results.
+func TestSimulateReproducible(t *testing.T) {
+	svc := MustParseService("SPEC (a1; b2; c3; exit ||| d2; e1; f3; exit ||| g3; h1; exit) >> z2; exit ENDSPEC")
+	proto, err := svc.Derive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs := map[string]SimOptions{
+		"plain":    {},
+		"loss":     {LossRate: 0.3},
+		"delay":    {MaxDelay: 3},
+		"arq+loss": {ReliableLayer: true, LossRate: 0.5},
+	}
+	type run struct {
+		config string
+		seed   int64
+	}
+	runAll := func() map[run]*SimResult {
+		out := map[run]*SimResult{}
+		for name, opts := range configs {
+			for seed := int64(1); seed <= 20; seed++ {
+				o := opts
+				o.Seed = seed
+				res, err := proto.Simulate(&o)
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", name, seed, err)
+				}
+				if !res.TraceValid {
+					t.Errorf("%s seed %d: invalid trace %v", name, seed, res.Trace)
+				}
+				out[run{name, seed}] = res
+			}
+		}
+		return out
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	first := runAll()
+	again := runAll()
+	runtime.GOMAXPROCS(4)
+	wide := runAll()
+	for r, want := range first {
+		if !reflect.DeepEqual(again[r], want) {
+			t.Errorf("%s seed %d: second run %+v, first %+v", r.config, r.seed, again[r], want)
+		}
+		if !reflect.DeepEqual(wide[r], want) {
+			t.Errorf("%s seed %d: GOMAXPROCS 4 run %+v, GOMAXPROCS 1 %+v", r.config, r.seed, wide[r], want)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check examples-smoke bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke cluster-smoke dist-smoke live-smoke run-pgd bench bench-equiv bench-fsm bench-cluster bench-dist bench-compositional bench-reduction
+.PHONY: build test check examples-smoke bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke dist-smoke live-smoke run-pgd bench bench-equiv bench-fsm bench-dist bench-compositional bench-reduction
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,6 @@ check:
 	$(MAKE) fault-matrix-smoke
 	$(MAKE) compositional-smoke
 	$(MAKE) reduction-smoke
-	$(MAKE) cluster-smoke
 	$(MAKE) dist-smoke
 	$(MAKE) live-smoke
 	$(MAKE) examples-smoke
@@ -83,20 +82,6 @@ compositional-smoke:
 # unreduced product overflows. All under the race detector.
 reduction-smoke:
 	$(GO) test -race -run '^(TestCorpusReductionDifferential|TestCorpusSerialParallelSpilledAgree|TestPermutationInvariance|TestReductionPermutationRandomized|TestMultiinstanceCompletesUnderSymmetry)$$' -count=1 .
-
-# cluster-smoke is the fleet-simulator gate: the cluster engine and its CLI
-# under the race detector, then the small scenario run twice with
-# byte-compared fingerprints (the determinism contract), plus one recorded
-# session replayed through the ordinary simulator.
-cluster-smoke:
-	$(GO) test -race -short ./internal/cluster/ ./cmd/lotoscluster/
-	@a=$$($(GO) run ./cmd/lotoscluster -fingerprint scenarios/smoke.json) || exit 1; \
-	b=$$($(GO) run ./cmd/lotoscluster -fingerprint scenarios/smoke.json) || exit 1; \
-	if [ "$$a" != "$$b" ]; then \
-		echo "cluster-smoke: fingerprints diverged between runs"; exit 1; \
-	fi; \
-	echo "cluster-smoke: deterministic ($$(printf '%s\n' "$$a" | sed -n 2p))"
-	$(GO) run ./cmd/lotoscluster -replay 3 scenarios/smoke.json > /dev/null
 
 # dist-smoke is the fleet gate: the ring/coordinator/batch/SSE tests under
 # the race detector, then the multi-process acceptance lane — a real pgd
@@ -160,13 +145,6 @@ bench-equiv:
 bench-fsm:
 	$(GO) test -run '^$$' -bench '^(BenchmarkSimulate|BenchmarkCompile)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkServerDeriveCompile' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/service
-
-# bench-cluster sweeps the fleet simulator: the discrete-event engine at 10k
-# and 100k sessions (sessions/s, per-class p99, replica fairness) against
-# the naive goroutine-per-session baseline. Also the CI smoke (benchtime=1x,
-# must complete).
-bench-cluster:
-	$(GO) test -run '^$$' -bench '^BenchmarkCluster' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/cluster/
 
 # bench-dist sweeps the fleet: cold-derive throughput direct vs through a
 # 4-worker coordinator (routing overhead), the capacity-bounded scaling

@@ -1,6 +1,9 @@
 package medium
 
-import "math/rand/v2"
+import (
+	"math/rand/v2"
+	"slices"
+)
 
 // This file implements the error-recovery extension the paper defers to
 // future work (Section 6): "for the case of a non-reliable underlying
@@ -163,25 +166,26 @@ func (r *Reliable) Jump() bool {
 }
 
 // fire runs every entry due by now in scheduling order, including those
-// that firing schedules with zero delay.
+// that firing schedules with zero delay. Firing may also cancel a pending
+// entry (an acknowledged frame's timeout), so each round rescans from the
+// start.
 func (r *Reliable) fire() {
-	for i := 0; i < len(r.due); {
-		e := r.due[i]
-		if e.due > r.now {
-			i++
-			continue
+	for {
+		i := slices.IndexFunc(r.due, func(e wireEntry) bool { return e.due <= r.now })
+		if i < 0 {
+			return
 		}
-		r.due = append(r.due[:i], r.due[i+1:]...)
+		e := r.due[i]
+		r.due = slices.Delete(r.due, i, i+1)
 		switch e.kind {
 		case frameArrival:
 			r.frameArrives(e.from, e.to, e.seq, e.msg)
 		case ackArrival:
 			r.ackArrives(e.from, e.to, e.seq)
 		case rtoExpiry:
-			if st := r.state(e.from, e.to); st.awaitingAck && st.nextSeq == e.seq {
-				r.stats.Retransmits++
-				r.transmitHead(e.from, e.to, st)
-			}
+			// ackArrives cancels the timeout, so its frame is still unacked.
+			r.stats.Retransmits++
+			r.transmitHead(e.from, e.to, r.state(e.from, e.to))
 		}
 	}
 }
@@ -245,6 +249,11 @@ func (r *Reliable) ackArrives(from, to int, ackSeq uint64) {
 	st.nextSeq = ackSeq
 	st.sendQ = st.sendQ[1:]
 	st.awaitingAck = false
+	// The frame is acknowledged: drop its retransmission timeout, the
+	// channel's only one (stop-and-wait), so Jump never lands on it.
+	r.due = slices.DeleteFunc(r.due, func(e wireEntry) bool {
+		return e.kind == rtoExpiry && e.from == from && e.to == to
+	})
 	if len(st.sendQ) > 0 {
 		r.transmitHead(from, to, st)
 	}

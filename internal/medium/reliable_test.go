@@ -43,6 +43,20 @@ func TestReliableDeliversInOrderWithoutLoss(t *testing.T) {
 	}
 }
 
+// TestReliableAckCancelsTimeout: on a lossless immediate wire a frame and
+// its ack arrive within Send, so nothing is left due — in particular not
+// the acknowledged frame's retransmission timeout.
+func TestReliableAckCancelsTimeout(t *testing.T) {
+	r := NewReliable(Config{Seed: 1})
+	r.Send(msg(1, 2, 10))
+	if r.Jump() {
+		t.Error("Jump found an entry due after the frame was acknowledged")
+	}
+	if !r.TryConsume(msg(1, 2, 10)) {
+		t.Error("message not delivered")
+	}
+}
+
 func TestReliableSurvivesHeavyLoss(t *testing.T) {
 	r := NewReliable(Config{Seed: 7, LossRate: 0.5})
 	const k = 20

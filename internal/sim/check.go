@@ -65,9 +65,9 @@ func RunMany(service *lotos.Spec, entities map[int]*lotos.Spec, cfg Config, n in
 	base := cfg.Seed
 	for i := 0; i < n; i++ {
 		cfg.Seed = base + int64(i)
-		// Medium and harness sub-seeds derive from the run seed (SubSeed),
-		// so consecutive runs get disjoint streams without arithmetic here.
-		cfg.Harness = nil // fresh seeded harness per run
+		// Medium and default-harness sub-seeds derive from the run seed
+		// (subSeed), so consecutive runs get disjoint streams; a harness
+		// the caller supplied is used by every run.
 		res, err := Run(entities, cfg)
 		if err != nil {
 			return st, err

@@ -209,7 +209,7 @@ func TestRetainedStatesBounded(t *testing.T) {
 }
 
 // TestSessionWithARQAndDelayMatchesRun checks that the virtual-clock
-// medium keeps the seam identity: a Session over the ARQ layer on a lossy,
+// medium keeps the seam identity: a session over the ARQ layer on a lossy,
 // delaying wire, stepped in small quanta, is the execution Run gives for
 // the same seed.
 func TestSessionWithARQAndDelayMatchesRun(t *testing.T) {
@@ -223,7 +223,7 @@ func TestSessionWithARQAndDelayMatchesRun(t *testing.T) {
 		if !want.Completed {
 			t.Fatalf("seed %d: ARQ run did not complete: %+v", seed, want.Blocked)
 		}
-		s, err := NewSession(d.Entities, cfg)
+		s, err := newSession(d.Entities, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

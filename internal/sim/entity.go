@@ -18,15 +18,15 @@ import (
 )
 
 // HarnessSeed derives the seed of a run's default accept-all harness —
-// exactly the stream resolveSeeds hands Run and Session. External
+// exactly the stream resolveSeeds hands Run. External
 // schedulers that host the harness themselves (the wire coordinator) must
 // use it to stay execution-identical to an in-process lockstep run.
-func HarnessSeed(seed int64) int64 { return SubSeed(seed, roleHarness, 0) }
+func HarnessSeed(seed int64) int64 { return subSeed(seed, roleHarness, 0) }
 
 // RunnerSeed derives the scheduling seed of the entity at sorted-place
 // index placeIndex — the stream newSteppers hands entity placeIndex.
 func RunnerSeed(seed int64, placeIndex int) int64 {
-	return SubSeed(seed, roleRunner, placeIndex)
+	return subSeed(seed, roleRunner, placeIndex)
 }
 
 // StepOutcome reports one step of an entity.

@@ -5,7 +5,7 @@ import "fmt"
 // Lockstep is the deterministic lockstep scheduler: sweeps over the
 // entities in ascending place order, each live entity attempting one step
 // per sweep, with one global trace. It is the only implementation of the
-// sweep: Session runs it over in-process EntitySteppers and the wire
+// sweep: Run steps it over in-process EntitySteppers and the wire
 // coordinator over deployed entity processes, so a seeded live session is
 // the in-process lockstep execution with the same seed.
 type Lockstep struct {

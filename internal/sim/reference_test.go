@@ -172,7 +172,7 @@ type runOutcome struct {
 const sweepBudget = 20000
 
 // runReference runs a seeded lockstep session over reference entities for
-// up to sweepBudget sweeps: the same seeds, harness and medium as a Session
+// up to sweepBudget sweeps: the same seeds, harness and medium as a session
 // with cfg.
 func runReference(t testing.TB, entities map[int]*lotos.Spec, cfg Config) (runOutcome, error) {
 	t.Helper()
@@ -180,7 +180,7 @@ func runReference(t testing.TB, entities map[int]*lotos.Spec, cfg Config) (runOu
 	med := medium.New(cfg.Medium)
 	var ents []Entity
 	for i, p := range entityPlaces(entities) {
-		e, err := newRefEntity(p, entities[p], med, cfg.Harness, SubSeed(cfg.Seed, roleRunner, i))
+		e, err := newRefEntity(p, entities[p], med, cfg.Harness, subSeed(cfg.Seed, roleRunner, i))
 		if err != nil {
 			return runOutcome{}, err
 		}
@@ -204,16 +204,15 @@ func runReference(t testing.TB, entities map[int]*lotos.Spec, cfg Config) (runOu
 // result too.
 func runMachines(t testing.TB, entities map[int]*lotos.Spec, cfg Config) (runOutcome, *Result, error) {
 	t.Helper()
-	s, err := NewSession(entities, cfg)
+	s, err := newSession(entities, cfg)
 	if err != nil {
 		return runOutcome{}, nil, err
 	}
-	defer s.Close()
 	_, over, err := s.StepN(sweepBudget)
 	if err != nil {
 		return runOutcome{}, nil, err
 	}
 	res := s.Result()
 	return runOutcome{Trace: res.TraceStrings(), Completed: res.Completed, Deadlocked: res.Deadlocked,
-		TimedOut: res.TimedOut, Stopped: res.Stopped, Over: over, Medium: res.Medium, Sweeps: s.Sweeps()}, res, nil
+		TimedOut: res.TimedOut, Stopped: res.Stopped, Over: over, Medium: res.Medium, Sweeps: s.ls.Sweeps}, res, nil
 }

@@ -16,6 +16,7 @@ package sim
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/compose"
 	"repro/internal/fsm"
@@ -70,6 +71,20 @@ func ReplayFleet(fleet *fsm.Fleet, w *compose.Witness) (*ReplayResult, error) {
 	}
 	res.MediumStats = med.Stats()
 	return res, nil
+}
+
+// fleetPlaces returns the sorted places of a fleet, those whose entity did
+// not resolve included (newSteppers reports their error).
+func fleetPlaces(fleet *fsm.Fleet) []int {
+	places := make([]int, 0, len(fleet.Machines)+len(fleet.Errors))
+	for p := range fleet.Machines {
+		places = append(places, p)
+	}
+	for p := range fleet.Errors {
+		places = append(places, p)
+	}
+	sort.Ints(places)
+	return places
 }
 
 // channelCap is the medium capacity a witness was found under.

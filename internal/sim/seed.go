@@ -24,11 +24,6 @@ const (
 	roleMedium uint64 = 2
 	// roleRunner seeds entity runner index i's scheduling stream.
 	roleRunner uint64 = 3
-	// RoleSession is reserved for callers that derive per-session run seeds
-	// from one campaign seed (the cluster simulator): the sessions' run
-	// seeds live in their own role space and can never alias the
-	// intra-run streams above.
-	RoleSession uint64 = 4
 )
 
 // splitmix64 is the SplitMix64 output permutation (Steele, Lea & Flood) —
@@ -40,11 +35,11 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// SubSeed derives the seed of one random stream of a run: role separates
-// consumer kinds, index separates instances of one kind (entity runners,
-// cluster sessions). The derivation is a three-round SplitMix64 chain, so
-// nearby run seeds, roles and indices all land in unrelated streams.
-func SubSeed(seed int64, role uint64, index int) int64 {
+// subSeed derives the seed of one random stream of a run: role separates
+// consumer kinds, index separates instances of one kind (entity runners).
+// The derivation is a three-round SplitMix64 chain, so nearby run seeds,
+// roles and indices all land in unrelated streams.
+func subSeed(seed int64, role uint64, index int) int64 {
 	h := splitmix64(uint64(seed))
 	h = splitmix64(h ^ role*0xd1342543de82ef95)
 	h = splitmix64(h ^ uint64(index)*0x2545f4914f6cdd1d)

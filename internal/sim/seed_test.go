@@ -19,7 +19,7 @@ func TestSubSeedDisjointStreams(t *testing.T) {
 	seen := map[int64]string{}
 	check := func(seed int64, role uint64, index int, desc string) {
 		t.Helper()
-		v := SubSeed(seed, role, index)
+		v := subSeed(seed, role, index)
 		if prev, dup := seen[v]; dup {
 			t.Fatalf("sub-seed collision: %s and %s both derive %d", prev, desc, v)
 		}
@@ -32,7 +32,6 @@ func TestSubSeedDisjointStreams(t *testing.T) {
 			check(seed, roleMedium, 0, fmt.Sprintf("seed %d medium", seed))
 			for i := 0; i < 4; i++ {
 				check(seed, roleRunner, i, fmt.Sprintf("seed %d runner %d", seed, i))
-				check(seed, RoleSession, i, fmt.Sprintf("seed %d session %d", seed, i))
 			}
 		}
 	}
@@ -42,7 +41,7 @@ func TestSubSeedDisjointStreams(t *testing.T) {
 // output bits (no structured relation between neighbouring streams).
 func TestSubSeedAvalanches(t *testing.T) {
 	for _, seed := range []int64{0, 1, -2, 42} {
-		a, b := SubSeed(seed, roleRunner, 0), SubSeed(seed+1, roleRunner, 0)
+		a, b := subSeed(seed, roleRunner, 0), subSeed(seed+1, roleRunner, 0)
 		if n := popcount64(uint64(a) ^ uint64(b)); n < 16 {
 			t.Errorf("seed %d vs %d: only %d differing bits", seed, seed+1, n)
 		}
@@ -58,7 +57,7 @@ func popcount64(x uint64) int {
 }
 
 // TestPinnedMediumSeedReproduces checks medium seed resolution: an
-// explicit non-zero Medium.Seed survives, an unset one is the SubSeed of
+// explicit non-zero Medium.Seed survives, an unset one is the subSeed of
 // the run seed (including for Seed=-2, which the earlier additive scheme
 // mapped to exactly 0, the unset value). End to end, two lossy runs under
 // different run seeds but one pinned medium seed make the same first drop
@@ -68,8 +67,8 @@ func TestPinnedMediumSeedReproduces(t *testing.T) {
 		t.Errorf("explicit medium seed remapped to %d", explicit.Medium.Seed)
 	}
 	for _, seed := range []int64{7, -2} {
-		if got, want := resolveSeeds(Config{Seed: seed}).Medium.Seed, SubSeed(seed, roleMedium, 0); got != want || got == 0 {
-			t.Errorf("Seed=%d: derived medium seed %d, want SubSeed %d", seed, got, want)
+		if got, want := resolveSeeds(Config{Seed: seed}).Medium.Seed, subSeed(seed, roleMedium, 0); got != want || got == 0 {
+			t.Errorf("Seed=%d: derived medium seed %d, want subSeed %d", seed, got, want)
 		}
 	}
 	d := deriveFor(t, "SPEC a1; b2; exit ENDSPEC")

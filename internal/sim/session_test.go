@@ -7,7 +7,7 @@ import (
 	"repro/internal/fsm"
 )
 
-// TestSessionMatchesLockstepRun checks the seam identity: a Session stepped
+// TestSessionMatchesLockstepRun checks the seam identity: a session stepped
 // to completion — in one call or in small quanta — is the same execution as
 // Run, over private or shared machines, seed for seed.
 func TestSessionMatchesLockstepRun(t *testing.T) {
@@ -30,7 +30,7 @@ func TestSessionMatchesLockstepRun(t *testing.T) {
 				for _, f := range []*fsm.Fleet{nil, fleet} {
 					scfg := cfg
 					scfg.Fleet = f
-					s, err := NewSession(d.Entities, scfg)
+					s, err := newSession(d.Entities, scfg)
 					if err != nil {
 						t.Fatalf("%s seed %d session: %v", src, seed, err)
 					}
@@ -44,7 +44,6 @@ func TestSessionMatchesLockstepRun(t *testing.T) {
 						}
 					}
 					got := s.Result()
-					s.Close()
 					if !reflect.DeepEqual(got.TraceStrings(), want.TraceStrings()) {
 						t.Fatalf("%s seed %d shared %v quantum %d: trace %v, want %v",
 							src, seed, f != nil, quantum, got.TraceStrings(), want.TraceStrings())
@@ -60,36 +59,6 @@ func TestSessionMatchesLockstepRun(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestFleetSessionRunsAnyFleet checks the fleet-session contract: the
-// execution equals the entity-map session, and a fleet of unbounded
-// entities runs too — past the cap, rows are derived rather than kept.
-func TestFleetSessionRunsAnyFleet(t *testing.T) {
-	for _, c := range []struct {
-		src string
-		cap int
-	}{{"SPEC a1; b2; c3; exit ENDSPEC", 0}, {`SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC`, 64}} {
-		d := deriveFor(t, c.src)
-		fleet := fsm.CompileEntities(d.Entities, fsm.Config{MaxStates: c.cap})
-		s, err := NewFleetSession(fleet, Config{Seed: 5, MaxEvents: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, done, err := s.StepN(0); err != nil || !done {
-			t.Fatalf("%s: fleet session: done=%v err=%v", c.src, done, err)
-		}
-		got := s.Result()
-		s.Close()
-		want, err := Run(d.Entities, Config{Seed: 5, MaxEvents: 16, Compile: fsm.Config{MaxStates: c.cap}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.TraceStrings(), want.TraceStrings()) || got.Completed != want.Completed {
-			t.Fatalf("%s: fleet session %v (completed %v), want %v (completed %v)",
-				c.src, got.TraceStrings(), got.Completed, want.TraceStrings(), want.Completed)
 		}
 	}
 }

@@ -118,7 +118,7 @@ func (h *Scripted) Remaining() int {
 // Config tunes a simulation run.
 type Config struct {
 	// Seed drives every random choice of the run (scheduling decisions,
-	// harness, medium delays/losses derive their seeds from it via SubSeed).
+	// harness, medium delays/losses derive their seeds from it via subSeed).
 	Seed int64
 	// Medium configures the underlying communication medium. A zero
 	// Medium.Seed is derived from Seed.
@@ -184,14 +184,14 @@ func (r *Result) TraceStrings() []string {
 
 // resolveSeeds fills the config's derived random streams: the default
 // harness and the medium seed. Sub-seeds come from the SplitMix64 mix
-// (SubSeed), never from seed arithmetic — see seed.go. A non-zero
+// (subSeed), never from seed arithmetic — see seed.go. A non-zero
 // Medium.Seed is left untouched.
 func resolveSeeds(cfg Config) Config {
 	if cfg.Harness == nil {
-		cfg.Harness = NewAcceptAll(SubSeed(cfg.Seed, roleHarness, 0))
+		cfg.Harness = NewAcceptAll(subSeed(cfg.Seed, roleHarness, 0))
 	}
 	if cfg.Medium.Seed == 0 {
-		cfg.Medium.Seed = SubSeed(cfg.Seed, roleMedium, 0)
+		cfg.Medium.Seed = subSeed(cfg.Seed, roleMedium, 0)
 	}
 	return cfg
 }
@@ -202,17 +202,16 @@ const runQuantum = 256
 
 // Run executes the protocol entities until all terminate, the run
 // deadlocks or is stuck, MaxEvents service primitives were executed, or the
-// timeout expires: a Session (same seed, same execution) stepped to
-// completion on the calling goroutine.
+// timeout expires: a session stepped to completion on the calling
+// goroutine.
 func Run(entities map[int]*lotos.Spec, cfg Config) (*Result, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 5 * time.Second
 	}
-	s, err := NewSession(entities, cfg)
+	s, err := newSession(entities, cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	deadline := time.Now().Add(cfg.Timeout)
 	for {
 		_, over, err := s.StepN(runQuantum)

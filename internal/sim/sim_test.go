@@ -83,6 +83,25 @@ func TestRunManySeeds(t *testing.T) {
 	}
 }
 
+// TestRunManyKeepsCallerHarness: a harness the caller supplies drives
+// RunMany's runs; only a nil harness is replaced by a seeded accept-all
+// one per run. The first run completes along the script and the second,
+// with the script used up, deadlocks at once.
+func TestRunManyKeepsCallerHarness(t *testing.T) {
+	d := deriveFor(t, "SPEC a1; b2; exit [] a1; c2; exit ENDSPEC")
+	h := NewScripted([]string{"a1", "b2"})
+	st, err := RunMany(d.Service.Spec, d.Entities, Config{Seed: 42, Harness: h}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Remaining() != 0 {
+		t.Errorf("script not followed: %d entries left", h.Remaining())
+	}
+	if st.Completed != 1 || st.Deadlocked != 1 || st.Events != 2 {
+		t.Errorf("stats %+v, want one completed 2-event run and one deadlock", st)
+	}
+}
+
 func TestRunRecursiveServiceBounded(t *testing.T) {
 	// Example 2: a^n b^n. Non-terminating choice may recurse forever, so
 	// bound the run by events.
@@ -403,6 +422,34 @@ func TestReliableLayerKeepsFIFOSemantics(t *testing.T) {
 		}
 		if err := CheckTrace(d.Service.Spec, res, 0); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestARQStuckRunClassifiedLikeBareMedium: two entities that each send a
+// message and then wait for one the other never sends. With MaxDelay 0
+// every frame and its ack arrive within the sending sweep, so the first
+// sweep without progress has nothing due on either medium's clock and
+// classifies the run as stuck: after 2 sweeps, with or without the ARQ
+// layer. An acknowledged frame's timeout must not be left due.
+func TestARQStuckRunClassifiedLikeBareMedium(t *testing.T) {
+	entities := map[int]*lotos.Spec{
+		1: lotos.MustParse("SPEC s2(3); (r2(1); exit) >> s2(2); exit ENDSPEC"),
+		2: lotos.MustParse("SPEC s1(4); (r1(2); exit) >> s1(1); exit ENDSPEC"),
+	}
+	for _, reliable := range []bool{false, true} {
+		s, err := newSession(entities, Config{Seed: 1, Reliable: reliable})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, done, err := s.StepN(0); err != nil || !done {
+			t.Fatalf("reliable=%v: done=%v err=%v", reliable, done, err)
+		}
+		if !s.ls.TimedOut {
+			t.Errorf("reliable=%v: not classified as stuck: %+v", reliable, s.Result())
+		}
+		if s.ls.Sweeps != 2 {
+			t.Errorf("reliable=%v: classified after %d sweeps, want 2", reliable, s.ls.Sweeps)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // The coordinator: the deployment's scheduler and service-user harness.
 // Each control connection implements sim.Entity, so a seeded session runs
-// the same sim.Lockstep sweep as an in-process sim.Session and a witness
+// the same sim.Lockstep sweep as an in-process sim.Run and a witness
 // replays through the same sim.Replay loop as sim.ReplayWitness — one
 // driver, two transports. A delivery barrier follows every step (the entity
 // flushes its sends before reporting), so the queue states any entity
@@ -342,7 +342,7 @@ func (c *Coordinator) start(seed int64, mode SessionMode, harness sim.Harness) e
 }
 
 // RunSeeded drives one seeded session to its end through sim.Lockstep —
-// the sweep sim.Session runs in process — with the harness hosted here. A
+// the sweep sim.Run runs in process — with the harness hosted here. A
 // sweep without progress is classified from the entities' queued messages:
 // with the delivery barrier nothing is on the wire, so their sum is the
 // global in-flight count. The report's protocol outcome is byte-identical

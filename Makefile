@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check examples-smoke bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke dist-smoke live-smoke run-pgd bench bench-equiv bench-fsm bench-dist bench-compositional bench-reduction
+.PHONY: build test check examples-smoke bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke live-smoke run-pgd bench bench-equiv bench-fsm bench-compositional bench-reduction
 
 build:
 	$(GO) build ./...
@@ -23,7 +23,6 @@ check:
 	$(MAKE) fault-matrix-smoke
 	$(MAKE) compositional-smoke
 	$(MAKE) reduction-smoke
-	$(MAKE) dist-smoke
 	$(MAKE) live-smoke
 	$(MAKE) examples-smoke
 	$(MAKE) bench-smoke
@@ -83,15 +82,6 @@ compositional-smoke:
 reduction-smoke:
 	$(GO) test -race -run '^(TestCorpusReductionDifferential|TestCorpusSerialParallelSpilledAgree|TestPermutationInvariance|TestReductionPermutationRandomized|TestMultiinstanceCompletesUnderSymmetry)$$' -count=1 .
 
-# dist-smoke is the fleet gate: the ring/coordinator/batch/SSE tests under
-# the race detector, then the multi-process acceptance lane — a real pgd
-# binary booted as `-coordinator -spawn 2`, the whole corpus fault matrix
-# streamed through POST /v1/batch, every verdict compared byte-for-byte
-# (timing telemetry zeroed) against a single-process daemon.
-dist-smoke:
-	$(GO) test -race -count=1 ./internal/dist/
-	$(GO) test -race -count=1 -run '^(TestDistSmoke|TestCoordinatorEndToEnd|TestServeUntilDrainsInFlight|TestServeUntilGraceExceeded)$$' ./cmd/pgd/
-
 # live-smoke is the deployment gate: the wire codec, endpoint and
 # coordinator tests; the in-process corpus differential (every corpus spec
 # deployed over loopback TCP, its control connections driven by the same
@@ -121,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetRuns$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzWireCodec$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceLog$$' -fuzztime $(FUZZTIME) ./internal/wire/conformance
+	$(GO) test -run '^$$' -fuzz '^FuzzDaemonRequest$$' -fuzztime $(FUZZTIME) ./internal/service
 
 # run-pgd starts the derivation daemon on :8080 (override with ARGS).
 run-pgd:
@@ -145,14 +136,6 @@ bench-equiv:
 bench-fsm:
 	$(GO) test -run '^$$' -bench '^(BenchmarkSimulate|BenchmarkCompile)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
 	$(GO) test -run '^$$' -bench '^BenchmarkServerDeriveCompile' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/service
-
-# bench-dist sweeps the fleet: cold-derive throughput direct vs through a
-# 4-worker coordinator (routing overhead), the capacity-bounded scaling
-# lane (1 process vs a 4-worker fleet of processes each modelling one
-# machine — the ≥3× acceptance bar), and streamed-batch throughput. Also
-# the CI smoke (benchtime=1x, must complete).
-bench-dist:
-	$(GO) test -run '^$$' -bench '^(BenchmarkDirectDeriveCold|BenchmarkFleet|BenchmarkCapacity)' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/dist/
 
 # bench-compositional sweeps quotient-before-compose against monolithic
 # verification on the finite-entity corpus shapes (the per-spec state-count

@@ -3,14 +3,8 @@
 // every invocation, pgd keeps a content-addressed cache of finished
 // derivations, verifications and explorations, collapses concurrent
 // identical requests into one computation, and bounds concurrency with
-// per-class worker pools.
-//
-// pgd also runs as a fleet. `-coordinator -workers url,...` serves the same
-// API but owns no pipeline: each request is routed by the SHA-256 of its
-// normalized spec over a consistent-hash ring of workers, so identical
-// specs always land on the same worker's hot cache. `-spawn N` is the
-// single-binary dev fleet: the coordinator re-execs itself N times on
-// ephemeral ports and coordinates its own children.
+// per-class worker pools. On SIGINT or SIGTERM it stops accepting
+// connections and drains in-flight requests for at most the grace period.
 //
 // Usage:
 //
@@ -27,9 +21,6 @@
 //	-derive-workers 0   derive/explore pool size (0 = GOMAXPROCS)
 //	-verify-workers 0   verify pool size (0 = GOMAXPROCS)
 //	-grace 10s          shutdown drain deadline
-//	-coordinator        route requests across a worker fleet instead of serving one
-//	-workers ""         comma-separated worker URLs (coordinator mode; name=url accepted)
-//	-spawn 0            spawn N local worker processes and coordinate them (dev fleet)
 //
 // Endpoints: POST /v1/derive (set options.compile to also compile each
 // entity to a minimized table-driven FSM and get per-entity state and
@@ -41,14 +32,10 @@
 // every unchanged entity), POST /v1/explore, GET /v1/jobs/{id},
 // GET /v1/jobs/{id}/events (SSE progress stream), GET /healthz,
 // GET /metrics (includes entity-artifact cache hit/miss counters,
-// compositional reuse ratios and Go runtime gauges). Coordinators add
-// POST /v1/batch (NDJSON streaming fan-out) and route delta verifications
-// by their base digest, so each delta lands on the worker whose artifact
-// cache holds the base's entity quotients.
+// compositional reuse ratios and Go runtime gauges).
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -56,17 +43,12 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
-	"os/exec"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/dist"
 	"repro/internal/service"
 )
 
@@ -91,9 +73,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- serverHandle) int
 	deriveWorkers := fs.Int("derive-workers", 0, "derive/explore pool size (0 = GOMAXPROCS)")
 	verifyWorkers := fs.Int("verify-workers", 0, "verify pool size (0 = GOMAXPROCS)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain deadline")
-	coordinator := fs.Bool("coordinator", false, "route requests across a worker fleet instead of serving one")
-	workersFlag := fs.String("workers", "", "comma-separated worker URLs (coordinator mode; name=url accepted)")
-	spawn := fs.Int("spawn", 0, "spawn N local worker processes and coordinate them (dev fleet)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: pgd [flags]\n")
 		fs.PrintDefaults()
@@ -105,63 +84,20 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- serverHandle) int
 		fmt.Fprintf(stderr, "pgd: unexpected argument %q\n", fs.Arg(0))
 		return cli.ExitUsage
 	}
-	if *spawn > 0 {
-		*coordinator = true
-	}
-	if !*coordinator && *workersFlag != "" {
-		fmt.Fprintln(stderr, "pgd: -workers requires -coordinator")
-		return cli.ExitUsage
-	}
-	if *coordinator && *workersFlag == "" && *spawn <= 0 {
-		fmt.Fprintln(stderr, "pgd: -coordinator needs -workers or -spawn")
-		return cli.ExitUsage
-	}
 	if *grace <= 0 {
 		fmt.Fprintln(stderr, "pgd: -grace must be positive")
 		return cli.ExitUsage
 	}
 
-	var handler http.Handler
-	if *coordinator {
-		infos, err := parseWorkers(*workersFlag)
-		if err != nil {
-			fmt.Fprintln(stderr, "pgd:", err)
-			return cli.ExitUsage
-		}
-		if *spawn > 0 {
-			spawned, reap, err := spawnWorkers(*spawn, len(infos), *grace, []string{
-				"-cache", fmt.Sprint(*cacheEntries),
-				"-deadline", deadline.String(),
-				"-derive-workers", fmt.Sprint(*deriveWorkers),
-				"-verify-workers", fmt.Sprint(*verifyWorkers),
-				"-grace", grace.String(),
-			}, stdout, stderr)
-			if err != nil {
-				fmt.Fprintln(stderr, "pgd:", err)
-				return cli.ExitFail
-			}
-			defer reap()
-			infos = append(infos, spawned...)
-		}
-		coord, err := dist.New(dist.Config{Workers: infos, ForwardTimeout: *deadline + 30*time.Second})
-		if err != nil {
-			fmt.Fprintln(stderr, "pgd:", err)
-			return cli.ExitUsage
-		}
-		defer coord.Close()
-		fmt.Fprintf(stdout, "pgd: coordinating %d workers\n", len(infos))
-		handler = coord
-	} else {
-		handler = service.New(service.Config{
-			DeriveWorkers: *deriveWorkers,
-			VerifyWorkers: *verifyWorkers,
-			CacheEntries:  *cacheEntries,
-			SyncDeadline:  *deadline,
-			JobDeadline:   *jobDeadline,
-			JobTTL:        *jobTTL,
-			MaxJobs:       *maxJobs,
-		})
-	}
+	handler := service.New(service.Config{
+		DeriveWorkers: *deriveWorkers,
+		VerifyWorkers: *verifyWorkers,
+		CacheEntries:  *cacheEntries,
+		SyncDeadline:  *deadline,
+		JobDeadline:   *jobDeadline,
+		JobTTL:        *jobTTL,
+		MaxJobs:       *maxJobs,
+	})
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -180,131 +116,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- serverHandle) int
 	}
 	fmt.Fprintln(stdout, "pgd: bye")
 	return cli.ExitOK
-}
-
-// parseWorkers turns the -workers flag into ring members. Entries are
-// comma-separated `url` or `name=url`; bare entries are named w0, w1, … by
-// position and schemeless URLs default to http.
-func parseWorkers(s string) ([]dist.WorkerInfo, error) {
-	var out []dist.WorkerInfo
-	for i, entry := range strings.Split(s, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name := fmt.Sprintf("w%d", i)
-		raw := entry
-		if k, v, ok := strings.Cut(entry, "="); ok {
-			name, raw = strings.TrimSpace(k), strings.TrimSpace(v)
-			if name == "" {
-				return nil, fmt.Errorf("-workers entry %q: empty worker name", entry)
-			}
-		}
-		if !strings.Contains(raw, "://") {
-			raw = "http://" + raw
-		}
-		u, err := url.Parse(raw)
-		if err != nil || u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
-			return nil, fmt.Errorf("-workers entry %q: not an http(s) URL", entry)
-		}
-		out = append(out, dist.WorkerInfo{Name: name, URL: strings.TrimRight(u.String(), "/")})
-	}
-	return out, nil
-}
-
-// spawnWorkers re-execs this binary n times as workers on ephemeral
-// loopback ports, scrapes each child's bound address off its stdout, and
-// relays child output line by line under a [wK] prefix. The returned reap
-// function SIGTERMs the children and waits out the drain grace.
-func spawnWorkers(n, nameOffset int, grace time.Duration, passthrough []string, stdout, stderr io.Writer) ([]dist.WorkerInfo, func(), error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, nil, fmt.Errorf("spawn: %w", err)
-	}
-	var mu sync.Mutex // serializes interleaved child output lines
-	var procs []*exec.Cmd
-	reap := func() {
-		for _, cmd := range procs {
-			cmd.Process.Signal(syscall.SIGTERM) //nolint:errcheck
-		}
-		deadline := time.After(grace + 5*time.Second)
-		for _, cmd := range procs {
-			done := make(chan struct{})
-			go func(cmd *exec.Cmd) { cmd.Wait(); close(done) }(cmd) //nolint:errcheck
-			select {
-			case <-done:
-			case <-deadline:
-				cmd.Process.Kill() //nolint:errcheck
-				<-done
-			}
-		}
-	}
-
-	var infos []dist.WorkerInfo
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("w%d", nameOffset+i)
-		args := append([]string{"-addr", "127.0.0.1:0"}, passthrough...)
-		cmd := exec.Command(exe, args...)
-		outPipe, err := cmd.StdoutPipe()
-		if err == nil {
-			cmd.Stderr = &prefixWriter{w: stderr, prefix: "[" + name + "] ", mu: &mu}
-			err = cmd.Start()
-		}
-		if err != nil {
-			reap()
-			return nil, nil, fmt.Errorf("spawn %s: %w", name, err)
-		}
-		procs = append(procs, cmd)
-
-		addrCh := make(chan string, 1)
-		go func() {
-			sc := bufio.NewScanner(outPipe)
-			for sc.Scan() {
-				line := sc.Text()
-				if rest, ok := strings.CutPrefix(line, "pgd: listening on "); ok {
-					select {
-					case addrCh <- rest:
-					default:
-					}
-				}
-				mu.Lock()
-				fmt.Fprintf(stdout, "[%s] %s\n", name, line)
-				mu.Unlock()
-			}
-		}()
-		select {
-		case addr := <-addrCh:
-			infos = append(infos, dist.WorkerInfo{Name: name, URL: "http://" + addr})
-		case <-time.After(15 * time.Second):
-			reap()
-			return nil, nil, fmt.Errorf("spawn %s: no listen address within 15s", name)
-		}
-	}
-	return infos, reap, nil
-}
-
-// prefixWriter relays a child stream line-prefixed; partial writes are
-// passed through best-effort.
-type prefixWriter struct {
-	w      io.Writer
-	prefix string
-	mu     *sync.Mutex
-	buf    []byte
-}
-
-func (p *prefixWriter) Write(b []byte) (int, error) {
-	p.buf = append(p.buf, b...)
-	for {
-		i := strings.IndexByte(string(p.buf), '\n')
-		if i < 0 {
-			break
-		}
-		p.mu.Lock()
-		fmt.Fprintf(p.w, "%s%s\n", p.prefix, p.buf[:i])
-		p.mu.Unlock()
-		p.buf = p.buf[i+1:]
-	}
-	return len(b), nil
 }
 
 // serverHandle lets a test reach a running daemon and shut it down.

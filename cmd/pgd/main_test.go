@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,9 +14,11 @@ import (
 )
 
 func TestBadFlagExitsUsage(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-bogus"}, &out, &errb, nil); code != cli.ExitUsage {
-		t.Errorf("exit code %d, want %d", code, cli.ExitUsage)
+	for _, args := range [][]string{{"-bogus"}, {"-coordinator"}, {"-grace", "0s"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb, nil); code != cli.ExitUsage {
+			t.Errorf("%v: exit code %d, want %d", args, code, cli.ExitUsage)
+		}
 	}
 }
 
@@ -105,5 +109,83 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "listening on") {
 		t.Errorf("stdout = %q", out.String())
+	}
+}
+
+// blockingHandler parks requests until released, flagging arrival.
+type blockingHandler struct {
+	arrived chan struct{}
+	release chan struct{}
+}
+
+func (h *blockingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	h.arrived <- struct{}{}
+	<-h.release
+	io.WriteString(w, "drained\n") //nolint:errcheck
+}
+
+// TestServeUntilDrainsInFlight pins the graceful-shutdown contract: a
+// request in flight when stop closes still completes, and serveUntil only
+// returns once it has.
+func TestServeUntilDrainsInFlight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &blockingHandler{arrived: make(chan struct{}, 1), release: make(chan struct{})}
+	stop := make(chan struct{})
+	served := make(chan error, 1)
+	go func() { served <- serveUntil(ln, h, stop, io.Discard, 10*time.Second) }()
+
+	body := make(chan string, 1)
+	go func() {
+		resp, err := http.Get("http://" + ln.Addr().String())
+		if err != nil {
+			body <- "error: " + err.Error()
+			return
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		body <- string(b)
+	}()
+
+	<-h.arrived
+	close(stop)
+	select {
+	case err := <-served:
+		t.Fatalf("serveUntil returned %v with a request still in flight", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(h.release)
+	if err := <-served; err != nil {
+		t.Fatalf("serveUntil: %v", err)
+	}
+	if got := <-body; got != "drained\n" {
+		t.Fatalf("in-flight request got %q", got)
+	}
+}
+
+// TestServeUntilGraceExceeded pins the bound: a handler that never returns
+// cannot hold shutdown past the grace period, and the overrun is an error.
+func TestServeUntilGraceExceeded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &blockingHandler{arrived: make(chan struct{}, 1), release: make(chan struct{})}
+	defer close(h.release)
+	stop := make(chan struct{})
+	served := make(chan error, 1)
+	go func() { served <- serveUntil(ln, h, stop, io.Discard, 50*time.Millisecond) }()
+	go http.Get("http://" + ln.Addr().String()) //nolint:errcheck
+	<-h.arrived
+	close(stop)
+	select {
+	case err := <-served:
+		if err == nil || !strings.Contains(err.Error(), "grace") {
+			t.Fatalf("serveUntil = %v, want grace-period error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("serveUntil hung past the grace period")
 	}
 }

@@ -171,11 +171,38 @@ func TestLabelTableInterning(t *testing.T) {
 	if got := tab.Intern(lts.EventLabel(lotos.ServiceEvent("a", 1))); got != a {
 		t.Fatalf("re-interning a1 gave %d, want %d", got, a)
 	}
+	if tab.Intern(lts.Internal()) != i1 || tab.Intern(lts.Delta()) != d ||
+		tab.InternKey(lts.Internal().Key()) != i1 || tab.InternKey(lts.Delta().Key()) != d {
+		t.Fatal("re-interning i or delta, by label or by key, gave a new id")
+	}
 	if !tab.Observable(a) || !tab.Observable(d) || tab.Observable(i1) {
 		t.Fatal("observability lost through interning")
 	}
 	if tab.Len() != 4 {
 		t.Fatalf("table len = %d, want 4", tab.Len())
+	}
+
+	// A tagged message's key ignores Node and Occ: distinct label values
+	// share one id, and the first value seen stays its representative.
+	first := lts.EventLabel(lotos.Event{Kind: lotos.EvSend, Place: 2, Node: -1, Tag: "x"})
+	other := lts.EventLabel(lotos.Event{Kind: lotos.EvSend, Place: 2, Node: 7, Tag: "x", Occ: lotos.OccSymbolic})
+	if first == other || first.Key() != other.Key() {
+		t.Fatalf("test labels %v and %v must differ as values and share a key", first, other)
+	}
+	x := tab.Intern(first)
+	for _, l := range []lts.Label{other, first, other} {
+		if got := tab.Intern(l); got != x {
+			t.Fatalf("interning %+v gave %d, want %d", l, got, x)
+		}
+	}
+	if tab.Label(x) != first {
+		t.Fatalf("representative = %+v, want the first seen %+v", tab.Label(x), first)
+	}
+	if tab.Len() != 5 {
+		t.Fatalf("table len = %d, want 5", tab.Len())
+	}
+	if got := tab.InternKey(first.Key()); got != x {
+		t.Fatalf("InternKey of the shared key gave %d, want %d", got, x)
 	}
 }
 

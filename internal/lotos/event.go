@@ -157,22 +157,46 @@ func (e Event) RawID() string {
 // labels. Two events synchronize under full synchronization exactly when
 // their gates are equal. The internal action has no gate.
 func (e Event) Gate() string {
-	switch e.Kind {
-	case EvService:
-		return e.Name + "@" + strconv.Itoa(e.Place)
-	case EvSend:
-		return "s@" + strconv.Itoa(e.Place) + ":" + e.msgKey()
-	case EvRecv:
-		return "r@" + strconv.Itoa(e.Place) + ":" + e.msgKey()
-	}
-	return ""
+	var buf [64]byte
+	return string(e.AppendGate(buf[:0]))
 }
 
-func (e Event) msgKey() string {
-	if e.Tag != "" {
-		return "t" + e.Tag
+// AppendGate appends the event's Gate key to dst, so a caller holding a
+// scratch buffer can look the key up without allocating it.
+func (e Event) AppendGate(dst []byte) []byte {
+	switch e.Kind {
+	case EvService:
+		dst = append(dst, e.Name...)
+		dst = append(dst, '@')
+		return strconv.AppendInt(dst, int64(e.Place), 10)
+	case EvSend, EvRecv:
+		dir := "s@"
+		if e.Kind == EvRecv {
+			dir = "r@"
+		}
+		dst = append(dst, dir...)
+		dst = strconv.AppendInt(dst, int64(e.Place), 10)
+		dst = append(dst, ':')
+		return e.appendMsgKey(dst)
 	}
-	return strconv.Itoa(e.Node) + "#" + e.Occ
+	return dst
+}
+
+// msgKey identifies a message event's content: its tag, or its node and
+// occurrence.
+func (e Event) msgKey() string {
+	var buf [64]byte
+	return string(e.appendMsgKey(buf[:0]))
+}
+
+func (e Event) appendMsgKey(dst []byte) []byte {
+	if e.Tag != "" {
+		dst = append(dst, 't')
+		return append(dst, e.Tag...)
+	}
+	dst = strconv.AppendInt(dst, int64(e.Node), 10)
+	dst = append(dst, '#')
+	return append(dst, e.Occ...)
 }
 
 // SameMessage reports whether two message events denote the same message

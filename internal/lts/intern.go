@@ -20,6 +20,11 @@ type LabelID int32
 type LabelTable struct {
 	ids    map[string]LabelID
 	labels []Label // representative label per id, for rendering
+	// buf is the scratch key an event is looked up by, so Intern
+	// allocates only keys it has not seen; constID holds id+1 of the
+	// internal and δ labels once interned (their keys are constant).
+	buf     []byte
+	constID [3]LabelID
 }
 
 // NewLabelTable returns an empty interning table.
@@ -28,15 +33,23 @@ func NewLabelTable() *LabelTable {
 }
 
 // Intern returns the dense id of l's key, assigning the next free id on
-// first sight.
+// first sight. Distinct labels sharing a key (a tagged message ignores
+// Node and Occ) share the id and the first one's representative.
 func (t *LabelTable) Intern(l Label) LabelID {
-	key := l.Key()
-	if id, ok := t.ids[key]; ok {
-		return id
+	constant := l.Kind == LInternal || l.Kind == LDelta
+	if constant && t.constID[l.Kind] > 0 {
+		return t.constID[l.Kind] - 1
 	}
-	id := LabelID(len(t.labels))
-	t.ids[key] = id
-	t.labels = append(t.labels, l)
+	t.buf = l.appendKey(t.buf[:0])
+	id, ok := t.ids[string(t.buf)]
+	if !ok {
+		id = LabelID(len(t.labels))
+		t.ids[string(t.buf)] = id
+		t.labels = append(t.labels, l)
+	}
+	if constant {
+		t.constID[l.Kind] = id + 1
+	}
 	return id
 }
 

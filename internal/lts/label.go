@@ -73,11 +73,29 @@ func (l Label) String() string {
 func (l Label) Key() string {
 	switch l.Kind {
 	case LInternal:
-		return "\x01i"
+		return internalKey
 	case LDelta:
-		return "\x01d"
+		return deltaKey
 	default:
 		return l.Ev.Gate()
+	}
+}
+
+// The keys of the two labels that are not events.
+const (
+	internalKey = "\x01i"
+	deltaKey    = "\x01d"
+)
+
+// appendKey appends l's Key to dst.
+func (l Label) appendKey(dst []byte) []byte {
+	switch l.Kind {
+	case LInternal:
+		return append(dst, internalKey...)
+	case LDelta:
+		return append(dst, deltaKey...)
+	default:
+		return l.Ev.AppendGate(dst)
 	}
 }
 

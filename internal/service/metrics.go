@@ -162,8 +162,9 @@ func (c CompositionalCounters) ReuseRatio() float64 {
 }
 
 // RuntimeStats is a point-in-time snapshot of the Go runtime's health
-// gauges, exported on /metrics so a fleet coordinator can watch each
-// worker's memory and scheduler pressure alongside the latency histograms.
+// gauges, exported on the /metrics page so a client watching the daemon
+// (the benchmark's daemon-mix workload scrapes it) sees its memory and
+// scheduler pressure alongside the latency histograms.
 type RuntimeStats struct {
 	// Goroutines is the live goroutine count.
 	Goroutines int `json:"goroutines"`
@@ -186,8 +187,8 @@ type RuntimeStats struct {
 	GCPauseLastMS  float64 `json:"gcPauseLastMs"`
 }
 
-// ReadRuntimeStats samples the runtime gauges.
-func ReadRuntimeStats() RuntimeStats {
+// readRuntimeStats samples the runtime gauges.
+func readRuntimeStats() RuntimeStats {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	out := RuntimeStats{
@@ -277,8 +278,8 @@ func (m *Metrics) RecordEquiv(tauSCCs, saturationEdges, rounds int, saturateNano
 	m.equiv.RefineMS += float64(refineNanos) / 1e6
 }
 
-// NewMetrics returns an empty metrics registry.
-func NewMetrics() *Metrics {
+// newMetrics returns an empty metrics registry.
+func newMetrics() *Metrics {
 	return &Metrics{endpoints: map[string]*endpointMetrics{}, start: time.Now()}
 }
 

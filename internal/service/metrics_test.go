@@ -10,7 +10,7 @@ import (
 )
 
 func TestMetricsCounters(t *testing.T) {
-	m := NewMetrics()
+	m := newMetrics()
 	done := m.Begin("derive")
 	snap := m.Snapshot()
 	ep := snap.Endpoints["derive"]
@@ -34,7 +34,7 @@ func TestMetricsCounters(t *testing.T) {
 }
 
 func TestMetricsConcurrent(t *testing.T) {
-	m := NewMetrics()
+	m := newMetrics()
 	var wg sync.WaitGroup
 	for i := 0; i < 50; i++ {
 		wg.Add(1)
@@ -134,7 +134,7 @@ func TestPoolDefaultSize(t *testing.T) {
 // on the metrics page.
 func TestRuntimeStats(t *testing.T) {
 	runtime.GC() // ensure at least one collection is on record
-	rs := ReadRuntimeStats()
+	rs := readRuntimeStats()
 	if rs.Goroutines < 1 || rs.GOMAXPROCS < 1 {
 		t.Errorf("scheduler gauges = %+v", rs)
 	}

@@ -127,7 +127,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		cache:      NewCache(cfg.CacheEntries),
 		jobs:       NewJobStore(cfg.JobTTL, cfg.MaxJobs),
-		metrics:    NewMetrics(),
+		metrics:    newMetrics(),
 		derivePool: NewPool(cfg.DeriveWorkers),
 		verifyPool: NewPool(cfg.VerifyWorkers),
 		arts:       protoderive.NewArtifactCache(cfg.ArtifactEntries),
@@ -806,6 +806,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) int {
 		},
 		Jobs:      s.jobs.Stats(),
 		Artifacts: s.arts.Stats(),
-		Runtime:   ReadRuntimeStats(),
+		Runtime:   readRuntimeStats(),
 	})
 }

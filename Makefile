@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check examples-smoke bench-smoke fuzz-smoke fault-matrix-smoke compositional-smoke reduction-smoke live-smoke run-pgd bench bench-equiv bench-fsm bench-compositional bench-reduction
+.PHONY: build test check corpus-smoke live-smoke examples-smoke bench-smoke fuzz-smoke run-pgd bench
 
 build:
 	$(GO) build ./...
@@ -8,21 +8,19 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the concurrency tier: vet plus the race detector over the
-# packages that start goroutines (the exploration core's derivation
-# workers, the equivalence engine's refinement workers, the daemon) or
-# whose state goroutines share (sim's machine fleets, the medium that a
-# deployed entity's connection readers fill; sim and medium start none),
-# ten repetitions of the shared-fleet test (sessions filling one fleet's
-# rows concurrently), the smoke gates, the examples, the benchmark
-# module's own tests, and a short fuzz smoke of the native fuzz targets.
+# check is the concurrency tier: vet; the race detector over each package
+# that starts goroutines (the exploration core's derivation workers, the
+# equivalence engine's refinement workers, the daemon) or whose state
+# goroutines share (sim's machine fleets, the fsm machines they hold, the
+# medium that a deployed entity's connection readers fill); ten
+# repetitions of the shared-fleet test (sessions filling one fleet's rows
+# concurrently); the corpus and live gates; the examples; the benchmark
+# module's own tests; and a short fuzz smoke of the native fuzz targets.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/service/ ./cmd/pgd/
+	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/fsm/ ./internal/service/ ./cmd/pgd/
 	$(GO) test -race -count=10 -run '^TestSharedFleetConcurrentSessions$$' ./internal/sim/
-	$(MAKE) fault-matrix-smoke
-	$(MAKE) compositional-smoke
-	$(MAKE) reduction-smoke
+	$(MAKE) corpus-smoke
 	$(MAKE) live-smoke
 	$(MAKE) examples-smoke
 	$(MAKE) bench-smoke
@@ -47,40 +45,25 @@ examples-smoke:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# fault-matrix-smoke sweeps the whole corpus through the fault matrix once
-# (reliable, loss, dup, reorder at caps 1 and 2) under the race detector,
-# replaying every extracted counterexample through the concrete interpreter,
-# and holds every cell's report text and witness byte-identical to
-# testdata/corpus_verify.golden.
-fault-matrix-smoke:
-	$(GO) test -race -run '^(TestCorpusFaultMatrix|TestCorpusReliableColumnConformant|TestCorpusVerifyGolden)$$' -count=1 .
-
-# compositional-smoke is the quotient-before-compose gate: the whole corpus
-# verified monolithically and compositionally (serial and parallel, sharing
-# one artifact cache) under the race detector with verdicts, witnesses and
-# replays compared cell by cell, plus the content-addressed artifact-cache
-# correctness tests (cross-spec sharing, no false sharing, LRU bound,
-# effective-cap keying, verify/compile/simulate sharing one cache
-# concurrently) and the entity-delta differ. The quotient the product
-# composes over is the entity machine's minimized layer, so the gate also
-# runs the fsm package's tests and the compose package's compositional unit
-# tests (over-cap fallback, compile failures, matrix reuse).
-compositional-smoke:
-	$(GO) test -race -run '^(TestCorpusCompositionalDifferential|TestArtifact|TestFleetSharesCachedMachines|TestDiffProtocols)' -count=1 .
-	$(GO) test -race -count=1 ./internal/fsm/
-	$(GO) test -race -run '^(TestCompositional|TestEntity)' -count=1 ./internal/compose/
-
-# reduction-smoke is the reduction-soundness gate: the whole corpus verified
-# unreduced and under every reduction set (POR, symmetry, spill, all) across
-# reliable and faulty media with verdicts compared cell by cell and every
-# reduced counterexample replayed; the one exploration core run in three
-# configurations (one worker, several workers, the spilling visited index)
-# and compared byte for byte within one reduction set;
-# block-permutation invariance; and the tentpole acceptance run —
-# multiinstance explored to completion under symmetry inside a budget its
-# unreduced product overflows. All under the race detector.
-reduction-smoke:
-	$(GO) test -race -run '^(TestCorpusReductionDifferential|TestCorpusSerialParallelSpilledAgree|TestPermutationInvariance|TestReductionPermutationRandomized|TestMultiinstanceCompletesUnderSymmetry)$$' -count=1 .
+# corpus-smoke is the corpus gate, under the race detector. The corpus tests
+# are views over one memoized cell table (corpus_cells_test.go): every corpus
+# cell (the fault matrix: 12 specs x capacity 1, 2 x reliable, loss, dup,
+# reorder; each spec's capacity-1 loss+dup cell; the multi-instance specs at
+# 20,000 states) is verified once serially (a fault-matrix row in one
+# VerifyMatrix call), that report is held byte-identical to
+# testdata/corpus_verify.golden, its witness is replayed through the shared
+# fleet, fresh machines and its recorded JSON, and every other engine
+# configuration is compared with it cell by cell: the parallel explorer,
+# compositional verification (serial and parallel, over one artifact
+# cache), each reduction set against the unreduced product, and the spilled
+# and parallel por+symmetry engines. Each report is verified once however
+# many of the views check it. With them run the artifact-cache tests
+# (cross-spec sharing, no false sharing, LRU bound, effective-cap keying,
+# verify/compile/simulate sharing one cache concurrently), the entity-delta
+# differ, block-permutation invariance, and multiinstance explored to
+# completion under symmetry inside a budget its unreduced product overflows.
+corpus-smoke:
+	$(GO) test -race -run '^(TestCorpusDeriveVerifySweep|TestCorpusFaultMatrix|TestCorpusVerifyGolden|TestCorpusReliableColumnConformant|TestReplayDecodedWitness|TestCorpusCompositionalDifferential|TestCorpusReductionDifferential|TestCorpusSerialParallelSpilledAgree|TestArtifact.*|TestFleetSharesCachedMachines|TestDiffProtocols|TestPermutationInvariance|TestReductionPermutationRandomized|TestMultiinstanceCompletesUnderSymmetry)$$' -count=1 .
 
 # live-smoke is the deployment gate: the wire codec, endpoint and
 # coordinator tests; the in-process corpus differential (every corpus spec
@@ -117,42 +100,14 @@ fuzz-smoke:
 run-pgd:
 	$(GO) run ./cmd/pgd $(ARGS)
 
-# bench runs the root package's go-test benchmarks. The benchmark of record
-# is `bash bench/run.sh`; the committed BENCH_PR*.json files are earlier
-# per-PR records, kept as history.
+# bench runs the go-test benchmarks of the root package and internal/service
+# once each (BENCHTIME=1x; pass a longer BENCHTIME for numbers): the
+# experiment rows EXPERIMENTS.md and DESIGN.md cite, the roadmap's
+# baselines (the equivalence engine against its reference, the big-k relay),
+# and the paths and comparisons no bench/ workload runs (compositional and
+# delta verification, serial against parallel exploration, fresh against
+# shared fleets, minimization, the daemon's compile derive path). The
+# benchmark of record is `bash bench/run.sh`; the committed BENCH_PR*.json
+# files are earlier per-PR records, kept as history.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem .
-
-# bench-equiv sweeps the corpus through both equivalence checkers — the
-# integer/CSR engine and the retained map/string reference — for
-# WeakBisim and Quotient. Also the CI smoke (benchtime=1x, must complete).
-bench-equiv:
-	$(GO) test -run '^$$' -bench '^(BenchmarkWeakBisim|BenchmarkQuotient)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
-
-# bench-fsm sweeps the corpus through the entity machines — built fresh for
-# every run against one warm shared fleet (steps/s, allocs/op) — plus
-# minimization itself and the daemon's compile derive path. Also the CI
-# smoke (benchtime=1x, must complete).
-bench-fsm:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSimulate|BenchmarkCompile)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
-	$(GO) test -run '^$$' -bench '^BenchmarkServerDeriveCompile' -benchtime $(or $(BENCHTIME),1x) -benchmem ./internal/service
-
-# bench-compositional sweeps quotient-before-compose against monolithic
-# verification on the finite-entity corpus shapes (the per-spec state-count
-# reduction is reported as product-states/mono-states metrics) and the
-# delta-verify lane: a warm-cache single-entity edit against the cold full
-# verification of the same edited spec — the ≥3× acceptance bar. Also the
-# CI smoke (benchtime=1x, must complete).
-bench-compositional:
-	$(GO) test -run '^$$' -bench '^(BenchmarkCompositionalVerify|BenchmarkDeltaVerify)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
-
-# bench-reduction sweeps the reduction ablation: the exact full state space
-# of each symmetric corpus shape explored unreduced, under POR, POR+symmetry
-# and the whole out-of-core stack (the per-op `states` metric is the result
-# — the time ratios follow the state-count ratios), the big-k scaling lane
-# (k identical relay instances explored to completion with the spilling
-# visited index held at a 1 MiB budget; `peak_mem_bytes` is the residency
-# evidence), and the end-to-end facade verification of multiinstance with
-# and without symmetry. Also the CI smoke (benchtime=1x, must complete).
-bench-reduction:
-	$(GO) test -run '^$$' -bench '^BenchmarkReduction(Explore|BigK|Verify)$$' -benchtime $(or $(BENCHTIME),1x) -benchmem .
+	$(GO) test -run '^$$' -bench . -benchtime $(or $(BENCHTIME),1x) -benchmem . ./internal/service

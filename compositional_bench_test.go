@@ -2,8 +2,8 @@ package protoderive
 
 import "testing"
 
-// Benchmarks for the quotient-before-compose pipeline. Two lanes back the
-// PR 8 performance record (BENCH_PR8.json, `make bench-compositional`):
+// Benchmarks for the quotient-before-compose pipeline, recorded in
+// BENCH_PR8.json and run by `make bench`:
 //
 //   - BenchmarkCompositionalVerify races monolithic verification against
 //     quotient-before-compose on the finite-entity corpus shapes. Each

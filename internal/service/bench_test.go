@@ -6,16 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 )
 
-// The server benchmarks are the BENCH_PR2.json baseline: cold vs cached
-// derive throughput and concurrent-verify latency percentiles, measured
-// end to end through httptest (real HTTP, JSON marshalling included).
-// Regenerate with `make bench-server`.
+// The server benchmarks measure the compile derive path, cold and cached,
+// end to end through httptest (real HTTP, JSON marshalling included); the
+// plain derive and verify paths are the benchmark's daemon-mix workload.
+// Run them with `make bench`.
 
 // benchSpec encodes n into event names using letters only (trailing digits
 // would change the place), yielding arbitrarily many distinct specs.
@@ -55,40 +52,10 @@ func drain(b *testing.B, resp *http.Response) {
 	resp.Body.Close()
 }
 
-// BenchmarkServerDeriveCold posts a distinct spec on every iteration: every
-// request misses the cache and runs a full parse+derive. The req/s metric
-// is the cold-path throughput.
-func BenchmarkServerDeriveCold(b *testing.B) {
-	ts := httptest.NewServer(New(Config{CacheEntries: 1 << 20}))
-	defer ts.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drain(b, benchPost(b, ts.Client(), ts.URL+"/v1/derive", DeriveRequest{Spec: benchSpec(i)}))
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-// BenchmarkServerDeriveCached posts the same spec on every iteration: after
-// the first, every request is a content-addressed cache hit.
-func BenchmarkServerDeriveCached(b *testing.B) {
-	ts := httptest.NewServer(New(Config{}))
-	defer ts.Close()
-	spec := benchSpec(0)
-	drain(b, benchPost(b, ts.Client(), ts.URL+"/v1/derive", DeriveRequest{Spec: spec})) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drain(b, benchPost(b, ts.Client(), ts.URL+"/v1/derive", DeriveRequest{Spec: spec}))
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
 // BenchmarkServerDeriveCompileCold posts a distinct spec on every iteration
 // with the compile option on: every request misses the cache and runs
-// parse + derive + FSM compilation of both entities. The req/s delta against
-// ServerDeriveCold is the compilation surcharge on the cold path; the
-// entities/s metric is the compiled-path throughput in machines produced.
+// parse + derive + FSM compilation of both entities. The entities/s metric
+// is the compiled-path throughput in machines produced.
 func BenchmarkServerDeriveCompileCold(b *testing.B) {
 	ts := httptest.NewServer(New(Config{CacheEntries: 1 << 20}))
 	defer ts.Close()
@@ -117,55 +84,4 @@ func BenchmarkServerDeriveCompileCached(b *testing.B) {
 		drain(b, benchPost(b, ts.Client(), ts.URL+"/v1/derive", DeriveRequest{Spec: spec, Options: opts}))
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
-// BenchmarkServerVerifyConcurrent drives the verify endpoint from 32
-// concurrent clients over a rotating set of 8 distinct specs (so both the
-// cache and the verify pool are exercised) and reports client-observed
-// latency percentiles alongside throughput.
-func BenchmarkServerVerifyConcurrent(b *testing.B) {
-	ts := httptest.NewServer(New(Config{}))
-	defer ts.Close()
-	const lanes = 32
-	opts := VerifyRequestOptions{ObsDepth: 4}
-
-	var mu sync.Mutex
-	var lat []time.Duration
-	var idx int64
-	b.SetParallelism(lanes) // lanes × GOMAXPROCS-derived default workers
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		client := ts.Client()
-		var local []time.Duration
-		for pb.Next() {
-			mu.Lock()
-			i := idx
-			idx++
-			mu.Unlock()
-			t0 := time.Now()
-			drain(b, benchPost(b, client, ts.URL+"/v1/verify", VerifyRequest{
-				Spec: benchSpec(int(i % 8)), Options: opts,
-			}))
-			local = append(local, time.Since(t0))
-		}
-		mu.Lock()
-		lat = append(lat, local...)
-		mu.Unlock()
-	})
-	b.StopTimer()
-	if len(lat) == 0 {
-		return
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pct := func(q float64) float64 {
-		i := int(q * float64(len(lat)))
-		if i >= len(lat) {
-			i = len(lat) - 1
-		}
-		return float64(lat[i].Nanoseconds()) / 1e6
-	}
-	b.ReportMetric(float64(len(lat))/b.Elapsed().Seconds(), "req/s")
-	b.ReportMetric(pct(0.50), "p50-ms")
-	b.ReportMetric(pct(0.95), "p95-ms")
-	b.ReportMetric(pct(0.99), "p99-ms")
 }

@@ -17,68 +17,6 @@ func corpusFiles(t testing.TB) []string {
 	return files
 }
 
-// TestCorpusDeriveVerifySweep pushes every checked-in specification through
-// the full facade pipeline — parse, derive, verify — in both serial and
-// parallel exploration modes and asserts the two modes return the same
-// verdict and the same state counts. Specs that violate restrictions R1–R3
-// are skipped with the violated rule as the reason; any other error fails.
-func TestCorpusDeriveVerifySweep(t *testing.T) {
-	// MaxStates bounds the biggest corpus member (multiinstance composes
-	// ~100k states) so the sweep stays fast enough for the -race CI run;
-	// the serial/parallel agreement the test is after holds regardless of
-	// where exploration truncates.
-	opts := VerifyOptions{ObsDepth: 4, MaxStates: 20000}
-	for _, file := range corpusFiles(t) {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			src, err := os.ReadFile(file)
-			if err != nil {
-				t.Fatal(err)
-			}
-			svc, err := ParseService(string(src))
-			if err != nil {
-				var se *SpecError
-				if errors.As(err, &se) && se.Rule != "" {
-					t.Skipf("corpus spec violates restriction %s: %v", se.Rule, err)
-				}
-				t.Fatalf("parse: %v", err)
-			}
-			proto, err := svc.Derive()
-			if err != nil {
-				t.Fatalf("derive: %v", err)
-			}
-			if len(proto.Places()) == 0 {
-				t.Fatal("derived protocol has no entities")
-			}
-
-			serialOpts, parallelOpts := opts, opts
-			parallelOpts.Parallel = true
-			parallelOpts.Workers = 4
-			serial, err := proto.Verify(&serialOpts)
-			if err != nil {
-				t.Fatalf("serial verify: %v", err)
-			}
-			parallel, err := proto.Verify(&parallelOpts)
-			if err != nil {
-				t.Fatalf("parallel verify: %v", err)
-			}
-
-			if serial.Ok != parallel.Ok ||
-				serial.Complete != parallel.Complete ||
-				serial.WeakBisimilar != parallel.WeakBisimilar ||
-				serial.TracesEqual != parallel.TracesEqual {
-				t.Errorf("serial and parallel verdicts disagree:\nserial:   %+v\nparallel: %+v", serial, parallel)
-			}
-			if serial.ServiceStates != parallel.ServiceStates ||
-				serial.ComposedStates != parallel.ComposedStates ||
-				serial.Deadlocks != parallel.Deadlocks {
-				t.Errorf("serial and parallel exploration sizes disagree:\nserial:   %+v\nparallel: %+v", serial, parallel)
-			}
-			t.Logf("%s: ok=%v complete=%v states(service=%d composed=%d)",
-				filepath.Base(file), serial.Ok, serial.Complete, serial.ServiceStates, serial.ComposedStates)
-		})
-	}
-}
-
 // corruptions are deterministic spec mutations: each takes a corpus source
 // and yields a damaged variant. The library's contract is that every
 // variant comes back as an error or a success — never a panic (the facade

@@ -2,82 +2,12 @@ package protoderive
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/compose"
-	"repro/internal/lotos"
 	"repro/internal/lts"
 )
-
-// reductionBenchEntities derives the corpus spec once per benchmark.
-func reductionBenchEntities(b *testing.B, name string) map[int]*lotos.Spec {
-	b.Helper()
-	src, err := os.ReadFile("specs/" + name + ".spec")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return deriveBenchEntities(b, string(src))
-}
-
-// BenchmarkReductionExplore is the ablation lane: the product exploration of
-// the symmetric corpus shapes under each reduction set, from fully unreduced
-// through POR, POR+symmetry, and the full out-of-core stack. The per-op
-// `states` metric is the exploration's size — the reductions' state-count
-// ratios ARE the result; the time ratios follow them.
-func BenchmarkReductionExplore(b *testing.B) {
-	shapes := []struct {
-		spec string
-		cap  int
-	}{
-		{"multiinstance", 1},
-		{"multiring", 1},
-		{"farm", 1},
-	}
-	reductions := []struct {
-		name string
-		red  compose.Reductions
-	}{
-		{"none", compose.RedNone},
-		{"por", 0}, // default set
-		{"por+symmetry", compose.RedPOR.With(compose.RedSymmetry)},
-		{"por+symmetry+spill", compose.RedAll.With(0)},
-	}
-	for _, shape := range shapes {
-		entities := reductionBenchEntities(b, shape.spec)
-		for _, r := range reductions {
-			b.Run(shape.spec+"/"+r.name, func(b *testing.B) {
-				var states, trans int
-				for i := 0; i < b.N; i++ {
-					sys, err := compose.New(entities, compose.Config{
-						ChannelCap: shape.cap,
-						// No depth limit: the corpus shapes are finite, so
-						// every cell explores its exact full state space.
-						Limits:     lts.Limits{MaxStates: 1000000},
-						Reductions: r.red,
-						// Small enough that the spill lane actually spills
-						// on the larger shapes.
-						SpillBudget: 256 << 10,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					g, err := sys.Explore()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if g.Truncated {
-						b.Fatalf("%s/%s truncated at 1M states", shape.spec, r.name)
-					}
-					states, trans = g.NumStates(), g.NumTransitions()
-				}
-				b.ReportMetric(float64(states), "states")
-				b.ReportMetric(float64(trans), "transitions")
-			})
-		}
-	}
-}
 
 // bigRingSrc builds a k-instance two-place relay: k syntactically identical
 // interleaved columns, each sending one message from site 1 to site 2. The
@@ -132,41 +62,6 @@ func BenchmarkReductionBigK(b *testing.B) {
 			b.ReportMetric(float64(stats.Transitions), "transitions")
 			b.ReportMetric(float64(stats.PeakMemBytes), "peak_mem_bytes")
 			b.ReportMetric(float64(stats.SpilledBytes), "spilled_bytes")
-		})
-	}
-}
-
-// BenchmarkReductionVerify is the end-to-end acceptance lane: the full
-// facade verification (service exploration, product exploration, weak
-// bisimulation) of the two-instance corpus shape with and without the
-// symmetry reduction.
-func BenchmarkReductionVerify(b *testing.B) {
-	src, err := os.ReadFile("specs/multiinstance.spec")
-	if err != nil {
-		b.Fatal(err)
-	}
-	svc, err := ParseService(string(src))
-	if err != nil {
-		b.Fatal(err)
-	}
-	proto, err := svc.Derive()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, red := range []string{"por", "por+symmetry"} {
-		b.Run(red, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := proto.Verify(&VerifyOptions{
-					ChannelCap: 1, ObsDepth: 4, MaxStates: 1000000,
-					Parallel: true, Reductions: red,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Ok {
-					b.Fatalf("multiinstance not conformant under %s:\n%s", red, rep.Summary)
-				}
-			}
 		})
 	}
 }

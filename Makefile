@@ -100,14 +100,15 @@ fuzz-smoke:
 run-pgd:
 	$(GO) run ./cmd/pgd $(ARGS)
 
-# bench runs the go-test benchmarks of the root package and internal/service
-# once each (BENCHTIME=1x; pass a longer BENCHTIME for numbers): the
-# experiment rows EXPERIMENTS.md and DESIGN.md cite, the roadmap's
-# baselines (the equivalence engine against its reference, the big-k relay),
-# and the paths and comparisons no bench/ workload runs (compositional and
+# bench runs the go-test benchmarks of the root package, internal/compose
+# and internal/service once each (BENCHTIME=1x; pass a longer BENCHTIME for
+# numbers): the experiment rows EXPERIMENTS.md and DESIGN.md cite, the
+# roadmap's baselines (the equivalence engine against its reference, the
+# big-k relay, product derivation's allocations and bytes per state), and
+# the paths and comparisons no bench/ workload runs (compositional and
 # delta verification, serial against parallel exploration, fresh against
 # shared fleets, minimization, the daemon's compile derive path). The
 # benchmark of record is `bash bench/run.sh`; the committed BENCH_PR*.json
 # files are earlier per-PR records, kept as history.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(or $(BENCHTIME),1x) -benchmem . ./internal/service
+	$(GO) test -run '^$$' -bench . -benchtime $(or $(BENCHTIME),1x) -benchmem . ./internal/compose ./internal/service

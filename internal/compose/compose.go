@@ -18,16 +18,26 @@
 //
 // # State keys
 //
-// Global states are identified by a compact fixed-layout binary key: the
-// 16-byte content digests of the entities' interned local states (one per
-// place, in place order) followed by the non-empty channels (slot number,
-// queue length, one digest per in-flight message), hashed once more to a
-// fixed 16 bytes. Every component is derived from *content* (the canonical
-// local expression, the message's tag/node/occurrence), never from interning
-// order, so the key of a global state is identical no matter which
-// exploration order — serial or parallel — first reached it. Entity-local
-// states and messages are interned to small integers per System, so queue
-// operations and equality checks never allocate or compare strings.
+// A global state is one packed int32 vector: the entities' interned local
+// state ids in place order, then every channel's queue length and queued
+// interned message ids in slot order. Its key is a compact fixed-layout
+// binary digest: the 16-byte content digests of the entities' local states
+// (one per place, in place order) followed by the non-empty channels (slot
+// number, queue length, one digest per in-flight message), hashed once more
+// to a fixed 16 bytes. Every component is derived from *content* (the
+// canonical local expression, the message's tag/node/occurrence), never
+// from interning order, so the key of a global state is identical no matter
+// which exploration order — serial or parallel — first reached it.
+// Entity-local states and messages are interned to small integers per
+// System, so queue operations and equality checks never allocate or
+// compare strings.
+//
+// Deriving the successors of a state holds the system's read lock once for
+// the whole call (upgraded only to derive a local state seen for the first
+// time). The targets are built in one slab of vectors, their keys are
+// written into reused scratch and cut from one string, and the exploration
+// core copies only the key of a state it adds. So what a derivation
+// allocates does not grow with the number of transitions it derives.
 package compose
 
 import (
@@ -197,21 +207,26 @@ func (s *System) msgIDLocked(m message) int32 {
 	return id
 }
 
-// localTrans derives (once) and returns the transitions of a local state.
-// Safe for concurrent use: cached results are returned under a read lock;
-// the first derivation of a local state runs under the write lock, which
-// also serializes the underlying (non-thread-safe) SOS environment.
-func (s *System) localTrans(idx int, id int32) ([]cachedTrans, error) {
-	s.mu.RLock()
+// localTransRLocked returns the transitions of a local state, deriving them
+// on first use. The caller holds s.mu for reading. Only an underived state
+// releases it: the derivation runs under the write lock, which also
+// serializes the underlying (non-thread-safe) SOS environment, and the read
+// lock is re-taken before returning.
+func (s *System) localTransRLocked(idx int, id int32) ([]cachedTrans, error) {
 	if st := &s.local[idx][id]; st.derived {
-		trans := st.trans
-		s.mu.RUnlock()
-		return trans, nil
+		return st.trans, nil
 	}
 	s.mu.RUnlock()
-
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	trans, err := s.deriveLocalLocked(idx, id)
+	s.mu.Unlock()
+	s.mu.RLock()
+	return trans, err
+}
+
+// deriveLocalLocked derives (once) the transitions of a local state. Caller
+// holds s.mu for writing.
+func (s *System) deriveLocalLocked(idx int, id int32) ([]cachedTrans, error) {
 	st := &s.local[idx][id]
 	if st.derived {
 		return st.trans, nil
@@ -290,26 +305,6 @@ func msgOf(ev lotos.Event) message {
 	return message{Node: ev.Node, Occ: ev.Occ, Tag: ev.Tag}
 }
 
-// consumeIDs returns the channel contents after consuming the wanted
-// message, honouring flush semantics, or ok=false when not consumable.
-func consumeIDs(q []int32, want int32, flush bool) (rest []int32, ok bool) {
-	if len(q) == 0 {
-		return nil, false
-	}
-	if !flush {
-		if q[0] != want {
-			return nil, false
-		}
-		return append([]int32(nil), q[1:]...), true
-	}
-	for i, m := range q {
-		if m == want {
-			return append([]int32(nil), q[i+1:]...), true
-		}
-	}
-	return nil, false
-}
-
 func (m message) String() string {
 	if m.Tag != "" {
 		return m.Tag
@@ -317,26 +312,81 @@ func (m message) String() string {
 	return fmt.Sprintf("%d#%s", m.Node, m.Occ)
 }
 
-// gstate is one global state: the interned local-state ids of the entities
-// (indexed like Places) and the channel contents as interned message-id
-// queues, indexed by channel slot fromIdx*n + toIdx.
-type gstate struct {
-	locals []int32
-	chans  [][]int32
+// gstate is one global state packed into a single vector: the interned
+// local-state ids of the entities (indexed like Places), then, for every
+// channel slot fromIdx*n + toIdx in ascending order, the queue length
+// followed by the queued interned message ids, head first. A built state
+// never changes; derive carves the targets of one call from one slab.
+type gstate []int32
+
+// packState builds a state from the entities' local ids and the channel
+// queues (indexed by slot).
+func packState(locals []int32, chans [][]int32) *gstate {
+	size := len(locals) + len(chans)
+	for _, q := range chans {
+		size += len(q)
+	}
+	g := make(gstate, 0, size)
+	g = append(g, locals...)
+	for _, q := range chans {
+		g = append(g, int32(len(q)))
+		g = append(g, q...)
+	}
+	return &g
 }
+
+// queueAt returns the queue whose length word is at offset o, and the
+// offset of the next slot's length word.
+func (g gstate) queueAt(o int) (q []int32, next int) {
+	next = o + 1 + int(g[o])
+	return g[o+1 : next], next
+}
+
+// keyScratch is the reused working memory of key construction.
+type keyScratch struct {
+	buf []byte // digest input
+	// Symmetry keys only: the per-place column digests, the per-column
+	// signatures back to back (column c ends at ends[c]), and the canonical
+	// column order and its inverse.
+	cols  [][][16]byte
+	sigs  []byte
+	ends  []int
+	order []int
+	rank  []int
+}
+
+// deriveScratch is the reused working memory of one derive call; calls take
+// one from scratchPool, so concurrent workers never share one.
+type deriveScratch struct {
+	keyScratch
+	offs  []int   // slot -> offset of its length word in the source state
+	moves []move  // the derived moves, in emission order
+	delta []int32 // the local targets of the global δ
+	keys  []byte  // the targets' 16-byte keys, back to back
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(deriveScratch) }}
 
 // key builds the canonical global state key. Under symmetry reduction the
 // key identifies the state's permutation orbit (see canonKeyLocked), falling
 // back to the identity key for states no column permutation applies to.
 func (s *System) key(g *gstate) string {
+	sc := scratchPool.Get().(*deriveScratch)
+	defer scratchPool.Put(sc)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	k := s.keyLocked(*g, &sc.keyScratch)
+	return string(k[:])
+}
+
+// keyLocked is key into scratch memory. Caller holds s.mu (read).
+func (s *System) keyLocked(g gstate, sc *keyScratch) [16]byte {
 	if s.sym != nil {
-		if k, ok := s.canonKeyLocked(g); ok {
+		if k, ok := s.canonKeyLocked(g, sc); ok {
 			return k
 		}
 	}
-	return s.binaryKeyLocked(g)
+	return s.binaryKeyLocked(g, sc)
 }
 
 // binaryKeyLocked assembles the fixed-layout binary key: one 16-byte local
@@ -344,41 +394,28 @@ func (s *System) key(g *gstate) string {
 // queue length and the queued messages' digests, all collapsed to a final
 // 16-byte digest. The layout is unambiguous (fixed-size digest blocks,
 // explicit lengths, channels in ascending slot order), so distinct global
-// states never share a key input.
-func (s *System) binaryKeyLocked(g *gstate) string {
-	buf := make([]byte, 0, 512)
-	for idx, id := range g.locals {
-		sum := &s.local[idx][id].sum
-		buf = append(buf, sum[:]...)
+// states never share a key input. Caller holds s.mu (read).
+func (s *System) binaryKeyLocked(g gstate, sc *keyScratch) [16]byte {
+	n := len(s.Places)
+	buf := sc.buf[:0]
+	for idx := 0; idx < n; idx++ {
+		buf = append(buf, s.local[idx][g[idx]].sum[:]...)
 	}
-	for slot, q := range g.chans {
+	o := n
+	for slot := 0; slot < n*n; slot++ {
+		var q []int32
+		q, o = g.queueAt(o)
 		if len(q) == 0 {
 			continue
 		}
 		buf = binary.AppendUvarint(buf, uint64(slot)+1)
 		buf = binary.AppendUvarint(buf, uint64(len(q)))
 		for _, mid := range q {
-			sum := &s.msgSum[mid]
-			buf = append(buf, sum[:]...)
+			buf = append(buf, s.msgSum[mid][:]...)
 		}
 	}
-	sum := sha256.Sum256(buf)
-	return string(sum[:16])
-}
-
-// clone copies the state with one entity local state replaced. The channel
-// queues are shared (only cloneChans callers mutate them).
-func (g *gstate) clone(idx int, localID int32) *gstate {
-	out := &gstate{locals: append([]int32(nil), g.locals...), chans: g.chans}
-	out.locals[idx] = localID
-	return out
-}
-
-// cloneChans additionally copies the channel slot table for mutation.
-func (g *gstate) cloneChans(idx int, localID int32) *gstate {
-	out := g.clone(idx, localID)
-	out.chans = append([][]int32(nil), g.chans...)
-	return out
+	sc.buf = buf
+	return digest16(buf)
 }
 
 // source implements lts.StateSource over the product system. Next is safe
@@ -387,21 +424,81 @@ type source struct {
 	sys *System
 }
 
-// Next derives all global transitions of a product state.
-func (src *source) Next(state any) ([]lts.GenTransition, error) {
-	out, _, err := src.sys.derive(state.(*gstate), false)
+// Next appends the global transitions of a product state to out.
+func (src *source) Next(state any, out []lts.GenTransition) ([]lts.GenTransition, error) {
+	out, _, err := src.sys.derive(state.(*gstate), out, false)
 	return out, err
 }
 
-// msgString renders an interned message for diagnostics, under the lock (the
-// msgs slice header moves when another goroutine interns a new message).
-func (s *System) msgString(id int32) string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.msgs[id].String()
+// moveKind classifies a derived global move by what it changes.
+type moveKind uint8
+
+const (
+	mvLocal   moveKind = iota // one entity's service primitive or internal action
+	mvSend                    // one entity's send, enqueueing a message
+	mvRecv                    // one entity's receive, consuming a queue prefix
+	mvDelta                   // global termination: every entity moves
+	mvLoss                    // the medium drops a queued message
+	mvDup                     // the medium duplicates a queued message
+	mvReorder                 // the medium swaps two adjacent queued messages
+)
+
+// move is one derived global transition before its target is built.
+type move struct {
+	kind moveKind
+	idx  int32 // acting entity (local, send, recv)
+	// t is the fired local transition and tIndex its index in the entity's
+	// transition list (local, send, recv).
+	t      *cachedTrans
+	tIndex int32
+	slot   int32 // channel slot (send, recv, faults)
+	pos    int32 // recv: messages consumed from the head; faults: queue position
 }
 
-// derive computes the global transitions of a product state:
+// grow is the length difference between the move's target and source.
+func (m *move) grow() int {
+	switch m.kind {
+	case mvSend, mvDup:
+		return 1
+	case mvLoss:
+		return -1
+	case mvRecv:
+		return -int(m.pos)
+	}
+	return 0
+}
+
+// label is the move's transition label: a local step shows its service
+// primitive; every message and medium move is internal.
+func (m *move) label() lts.Label {
+	switch {
+	case m.kind == mvDelta:
+		return lts.Delta()
+	case m.kind == mvLocal && m.t.label.Kind == lts.LEvent:
+		return m.t.label
+	}
+	return lts.Internal()
+}
+
+// consumed returns how many messages a receive of want takes from the head
+// of q — the head itself or, with flush semantics, the discarded prefix up
+// to and including the first want — or 0 when want is not consumable.
+func consumed(q []int32, want int32, flush bool) int32 {
+	if !flush {
+		if len(q) > 0 && q[0] == want {
+			return 1
+		}
+		return 0
+	}
+	for i, m := range q {
+		if m == want {
+			return int32(i + 1)
+		}
+	}
+	return 0
+}
+
+// derive appends the global transitions of a product state to out:
 //
 //   - a service primitive of entity i -> observable transition;
 //   - an internal action of entity i  -> internal transition;
@@ -414,19 +511,67 @@ func (s *System) msgString(id int32) string {
 //   - a medium fault (per Config.Faults) -> internal transition dropping,
 //     duplicating or swapping in-transit messages (see faultMoves).
 //
+// One read lock covers the call. The moves are collected first; then every
+// target is built in one slab of vectors and keyed into reused scratch, and
+// the keys of all targets are cut from one string. So a call allocates a
+// fixed number of times however many transitions it derives.
+//
 // With annotate set it also returns one WitnessStep per transition — the
 // concrete description (acting entity, local transition index, channel,
 // message, fault) used to build replayable counterexamples. The two slices
 // are index-aligned.
-func (s *System) derive(g *gstate, annotate bool) ([]lts.GenTransition, []WitnessStep, error) {
+func (s *System) derive(g *gstate, out []lts.GenTransition, annotate bool) ([]lts.GenTransition, []WitnessStep, error) {
+	sc := scratchPool.Get().(*deriveScratch)
+	defer scratchPool.Put(sc)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	src := *g
+	if err := s.movesRLocked(src, sc); err != nil {
+		return out, nil, err
+	}
+	moves := sc.moves
+	if len(moves) == 0 {
+		return out, nil, nil
+	}
+	total := 0
+	for i := range moves {
+		total += len(src) + moves[i].grow()
+	}
+	states := make([]gstate, len(moves))
+	vec := make([]int32, total)
+	sc.keys = sc.keys[:0]
+	for i := range moves {
+		size := len(src) + moves[i].grow()
+		next := vec[:size:size]
+		vec = vec[size:]
+		sc.build(next, src, &moves[i], len(s.Places))
+		states[i] = next
+		k := s.keyLocked(next, &sc.keyScratch)
+		sc.keys = append(sc.keys, k[:]...)
+	}
+	keys := string(sc.keys)
+	for i := range moves {
+		out = append(out, lts.GenTransition{Label: moves[i].label(), Key: keys[16*i : 16*i+16], To: &states[i]})
+	}
+	if !annotate {
+		return out, nil, nil
+	}
+	steps := make([]WitnessStep, len(moves))
+	for i := range moves {
+		steps[i] = s.stepLocked(src, sc, &moves[i])
+	}
+	return out, steps, nil
+}
+
+// movesRLocked collects the moves of state g into sc.moves, in emission
+// order. Caller holds s.mu (read).
+func (s *System) movesRLocked(g gstate, sc *deriveScratch) error {
 	n := len(s.Places)
-	var out []lts.GenTransition
-	var steps []WitnessStep
-	emit := func(t lts.GenTransition, st WitnessStep) {
-		out = append(out, t)
-		if annotate {
-			steps = append(steps, st)
-		}
+	sc.moves = sc.moves[:0]
+	sc.offs = sc.offs[:0]
+	for slot, o := 0, n; slot < n*n; slot++ {
+		sc.offs = append(sc.offs, o)
+		o += 1 + int(g[o])
 	}
 
 	// Ample-set partial-order reduction: if one entity's complete local
@@ -457,193 +602,118 @@ func (s *System) derive(g *gstate, annotate bool) ([]lts.GenTransition, []Witnes
 	// the sole-internal shape stays eligible under every fault model.
 	if s.red&RedPOR != 0 {
 	ample:
-		for idx, localID := range g.locals {
-			ts, err := s.localTrans(idx, localID)
+		for idx := 0; idx < n; idx++ {
+			ts, err := s.localTransRLocked(idx, g[idx])
 			if err != nil {
-				return nil, nil, fmt.Errorf("entity %d: %w", s.Places[idx], err)
+				return fmt.Errorf("entity %d: %w", s.Places[idx], err)
 			}
 			if len(ts) == 0 {
 				continue
 			}
 			if len(ts) == 1 && ts[0].label.Kind == lts.LInternal {
-				t := ts[0]
-				next := g.clone(idx, t.to)
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next},
-					WitnessStep{Kind: StepInternal, Place: s.Places[idx], TIndex: 0, Label: "i"})
+				sc.moves = append(sc.moves, move{kind: mvLocal, idx: int32(idx), t: &ts[0]})
 				s.ampleHits.Add(1)
-				return out, steps, nil
+				return nil
 			}
-			for _, t := range ts {
-				if t.label.Kind != lts.LEvent || t.label.Ev.Kind != lotos.EvRecv {
+			for i := range ts {
+				if l := &ts[i].label; l.Kind != lts.LEvent || l.Ev.Kind != lotos.EvRecv {
 					continue ample
 				}
 			}
 			if s.cfg.Faults.Any() {
 				continue // the receives' channels are not fault-free
 			}
-			rests := make([][]int32, len(ts))
-			for i, t := range ts {
+			for i := range ts {
+				t := &ts[i]
 				slot := int(t.peer)*n + idx
-				rest, ok := consumeIDs(g.chans[slot], t.msg, t.flush)
-				if !ok {
+				q, _ := g.queueAt(sc.offs[slot])
+				k := consumed(q, t.msg, t.flush)
+				if k == 0 {
+					sc.moves = sc.moves[:0]
 					continue ample // a blocked receive disqualifies the whole set
 				}
-				rests[i] = rest
-			}
-			for i, t := range ts {
-				slot := int(t.peer)*n + idx
-				next := g.cloneChans(idx, t.to)
-				next.chans[slot] = rests[i]
-				var st WitnessStep
-				if annotate {
-					st = s.recvStep(idx, i, t)
-				}
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+				sc.moves = append(sc.moves, move{kind: mvRecv, idx: int32(idx), t: t, tIndex: int32(i), slot: int32(slot), pos: k})
 			}
 			s.ampleHits.Add(1)
-			return out, steps, nil
+			return nil
 		}
 	}
 
 	deltaReady := 0
-	deltaTargets := make([]int32, len(g.locals))
-	for idx, localID := range g.locals {
-		ts, err := s.localTrans(idx, localID)
+	sc.delta = append(sc.delta[:0], g[:n]...)
+	for idx := 0; idx < n; idx++ {
+		ts, err := s.localTransRLocked(idx, g[idx])
 		if err != nil {
-			return nil, nil, fmt.Errorf("entity %d: %w", s.Places[idx], err)
+			return fmt.Errorf("entity %d: %w", s.Places[idx], err)
 		}
 		sawDelta := false
-		for i, t := range ts {
+		for i := range ts {
+			t := &ts[i]
+			m := move{idx: int32(idx), t: t, tIndex: int32(i)}
 			switch t.label.Kind {
 			case lts.LDelta:
 				if !sawDelta {
 					sawDelta = true
 					deltaReady++
-					deltaTargets[idx] = t.to
+					sc.delta[idx] = t.to
 				}
+				continue
 			case lts.LInternal:
-				next := g.clone(idx, t.to)
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next},
-					WitnessStep{Kind: StepInternal, Place: s.Places[idx], TIndex: i, Label: "i"})
+				m.kind = mvLocal
 			case lts.LEvent:
-				ev := t.label.Ev
-				switch ev.Kind {
+				switch t.label.Ev.Kind {
 				case lotos.EvService:
-					next := g.clone(idx, t.to)
-					emit(lts.GenTransition{Label: t.label, Key: s.key(next), To: next},
-						WitnessStep{Kind: StepService, Place: s.Places[idx], TIndex: i, Ev: ev, Label: ev.String()})
+					m.kind = mvLocal
 				case lotos.EvSend:
 					slot := idx*n + int(t.peer)
-					q := g.chans[slot]
-					if len(q) >= s.cfg.ChannelCap {
+					if int(g[sc.offs[slot]]) >= s.cfg.ChannelCap {
 						continue // channel full: the send blocks
 					}
-					next := g.cloneChans(idx, t.to)
-					nq := make([]int32, len(q)+1)
-					copy(nq, q)
-					nq[len(q)] = t.msg
-					next.chans[slot] = nq
-					var st WitnessStep
-					if annotate {
-						msg := s.msgString(t.msg)
-						st = WitnessStep{
-							Kind: StepSend, Place: s.Places[idx], TIndex: i, Ev: ev,
-							From: s.Places[idx], To: s.Places[int(t.peer)], Msg: msg,
-							Label: fmt.Sprintf("send %d->%d %s", s.Places[idx], s.Places[int(t.peer)], msg),
-						}
-					}
-					emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+					m.kind, m.slot = mvSend, int32(slot)
 				case lotos.EvRecv:
 					slot := int(t.peer)*n + idx
-					rest, ok := consumeIDs(g.chans[slot], t.msg, t.flush)
-					if !ok {
+					q, _ := g.queueAt(sc.offs[slot])
+					k := consumed(q, t.msg, t.flush)
+					if k == 0 {
 						continue // no matching message consumable
 					}
-					next := g.cloneChans(idx, t.to)
-					next.chans[slot] = rest
-					var st WitnessStep
-					if annotate {
-						st = s.recvStep(idx, i, t)
-					}
-					emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+					m.kind, m.slot, m.pos = mvRecv, int32(slot), k
+				default:
+					continue
 				}
+			default:
+				continue
 			}
+			sc.moves = append(sc.moves, m)
 		}
 	}
-	if deltaReady == len(g.locals) && len(g.locals) > 0 {
-		next := &gstate{locals: deltaTargets, chans: g.chans}
-		emit(lts.GenTransition{Label: lts.Delta(), Key: s.key(next), To: next},
-			WitnessStep{Kind: StepDelta, Place: -1, TIndex: -1, Label: "delta"})
+	if deltaReady == n && n > 0 {
+		sc.moves = append(sc.moves, move{kind: mvDelta})
 	}
 	if s.cfg.Faults.Any() {
-		s.faultMoves(g, annotate, emit)
+		s.faultMoves(g, sc)
 	}
-	return out, steps, nil
+	return nil
 }
 
-// recvStep builds the witness annotation of a receive transition.
-func (s *System) recvStep(idx, tIndex int, t cachedTrans) WitnessStep {
-	msg := s.msgString(t.msg)
-	return WitnessStep{
-		Kind: StepRecv, Place: s.Places[idx], TIndex: tIndex, Ev: t.label.Ev,
-		From: s.Places[int(t.peer)], To: s.Places[idx], Msg: msg,
-		Label: fmt.Sprintf("recv %d->%d %s", s.Places[int(t.peer)], s.Places[idx], msg),
-	}
-}
-
-// cloneFault copies the state with the channel table cloned for a medium
-// fault (entity locals are untouched and shared: every mutator of a locals
-// slice copies it first, so sharing is safe).
-func (g *gstate) cloneFault() *gstate {
-	return &gstate{locals: g.locals, chans: append([][]int32(nil), g.chans...)}
-}
-
-// faultMoves emits the medium's fault transitions of a state, one internal
-// transition per applicable (channel, position, fault) triple, in
-// deterministic order: channels by ascending slot; per channel loss, then
-// duplication, then reordering; per fault ascending queue position.
-func (s *System) faultMoves(g *gstate, annotate bool, emit func(lts.GenTransition, WitnessStep)) {
-	n := len(s.Places)
-	for slot, q := range g.chans {
+// faultMoves appends the medium's fault moves of a state, one per
+// applicable (channel, position, fault) triple, in deterministic order:
+// channels by ascending slot; per channel loss, then duplication, then
+// reordering; per fault ascending queue position.
+func (s *System) faultMoves(g gstate, sc *deriveScratch) {
+	for slot, o := range sc.offs {
+		q, _ := g.queueAt(o)
 		if len(q) == 0 {
 			continue
 		}
-		fromP, toP := s.Places[slot/n], s.Places[slot%n]
 		if s.cfg.Faults.Loss {
 			for i := range q {
-				next := g.cloneFault()
-				nq := make([]int32, 0, len(q)-1)
-				nq = append(nq, q[:i]...)
-				nq = append(nq, q[i+1:]...)
-				next.chans[slot] = nq
-				var st WitnessStep
-				if annotate {
-					msg := s.msgString(q[i])
-					st = WitnessStep{
-						Kind: StepLoss, Place: -1, TIndex: -1, From: fromP, To: toP, Msg: msg, Index: i,
-						Label: fmt.Sprintf("loss %d->%d %s@%d", fromP, toP, msg, i),
-					}
-				}
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+				sc.moves = append(sc.moves, move{kind: mvLoss, slot: int32(slot), pos: int32(i)})
 			}
 		}
 		if s.cfg.Faults.Duplication && len(q) < s.cfg.ChannelCap {
 			for i := range q {
-				next := g.cloneFault()
-				nq := make([]int32, 0, len(q)+1)
-				nq = append(nq, q[:i+1]...)
-				nq = append(nq, q[i])
-				nq = append(nq, q[i+1:]...)
-				next.chans[slot] = nq
-				var st WitnessStep
-				if annotate {
-					msg := s.msgString(q[i])
-					st = WitnessStep{
-						Kind: StepDuplicate, Place: -1, TIndex: -1, From: fromP, To: toP, Msg: msg, Index: i,
-						Label: fmt.Sprintf("dup %d->%d %s@%d", fromP, toP, msg, i),
-					}
-				}
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+				sc.moves = append(sc.moves, move{kind: mvDup, slot: int32(slot), pos: int32(i)})
 			}
 		}
 		if s.cfg.Faults.Reorder {
@@ -651,22 +721,45 @@ func (s *System) faultMoves(g *gstate, annotate bool, emit func(lts.GenTransitio
 				if q[i] == q[i+1] {
 					continue // swapping identical messages is a no-op
 				}
-				next := g.cloneFault()
-				nq := append([]int32(nil), q...)
-				nq[i], nq[i+1] = nq[i+1], nq[i]
-				next.chans[slot] = nq
-				var st WitnessStep
-				if annotate {
-					st = WitnessStep{
-						Kind: StepReorder, Place: -1, TIndex: -1, From: fromP, To: toP,
-						Msg: s.msgString(q[i]), Index: i,
-						Label: fmt.Sprintf("reorder %d->%d @%d", fromP, toP, i),
-					}
-				}
-				emit(lts.GenTransition{Label: lts.Internal(), Key: s.key(next), To: next}, st)
+				sc.moves = append(sc.moves, move{kind: mvReorder, slot: int32(slot), pos: int32(i)})
 			}
 		}
 	}
+}
+
+// build writes the target of move m from the n-entity state g into dst,
+// whose length is exactly the target's.
+func (sc *deriveScratch) build(dst, g gstate, m *move, n int) {
+	copy(dst[:n], g[:n])
+	switch m.kind {
+	case mvDelta:
+		copy(dst[:n], sc.delta)
+	case mvLocal, mvSend, mvRecv:
+		dst[m.idx] = m.t.to
+	}
+	if m.kind == mvLocal || m.kind == mvDelta {
+		copy(dst[n:], g[n:])
+		return
+	}
+	o := sc.offs[m.slot]
+	copy(dst[n:o], g[n:o])
+	q, end := g.queueAt(o)
+	w := dst[o+1 : o+1] // appends fill dst in place: it has the room
+	switch m.kind {
+	case mvSend:
+		w = append(append(w, q...), m.t.msg)
+	case mvRecv:
+		w = append(w, q[m.pos:]...)
+	case mvLoss:
+		w = append(append(w, q[:m.pos]...), q[m.pos+1:]...)
+	case mvDup:
+		w = append(append(append(w, q[:m.pos+1]...), q[m.pos]), q[m.pos+1:]...)
+	case mvReorder:
+		w = append(w, q...)
+		w[m.pos], w[m.pos+1] = w[m.pos+1], w[m.pos]
+	}
+	dst[o] = int32(len(w))
+	copy(dst[o+1+len(w):], g[end:])
 }
 
 // Explore builds the observable global transition graph of the composed
@@ -733,16 +826,13 @@ func (s *System) ReductionInfo() ReductionStats {
 // expression, all channels empty.
 func (s *System) rootState() *gstate {
 	n := len(s.Places)
-	root := &gstate{chans: make([][]int32, n*n)}
-	if s.preset {
-		// Quotient graphs number their initial class 0.
-		root.locals = make([]int32, n)
-		return root
+	locals := make([]int32, n) // quotient graphs number their initial class 0
+	if !s.preset {
+		s.mu.Lock()
+		for idx, p := range s.Places {
+			locals[idx] = s.internStateLocked(idx, s.Entities[p].Root.Expr)
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Lock()
-	for idx, p := range s.Places {
-		root.locals = append(root.locals, s.internStateLocked(idx, s.Entities[p].Root.Expr))
-	}
-	s.mu.Unlock()
-	return root
+	return packState(locals, make([][]int32, n*n))
 }

@@ -1,6 +1,13 @@
 package compose
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"testing"
+
+	"repro/internal/lts"
+)
 
 // testSystem builds a bare System with two places and hand-planted local
 // states, for white-box key-encoding tests.
@@ -21,9 +28,12 @@ func testSystem() *System {
 // gstateWith builds a two-place global state with the given queue on the
 // channel 1->2 (slot 0*2+1 = 1).
 func gstateWith(queue ...int32) *gstate {
-	g := &gstate{locals: []int32{0, 0}, chans: make([][]int32, 4)}
-	g.chans[1] = queue
-	return g
+	return packState([]int32{0, 0}, [][]int32{nil, queue, nil, nil})
+}
+
+// binaryKey is the identity key of a state of a test system.
+func binaryKey(sys *System, g *gstate) [16]byte {
+	return sys.binaryKeyLocked(*g, new(keyScratch))
 }
 
 // TestKeyEncodingCollisions pins the fix for the historical key/message
@@ -49,14 +59,14 @@ func TestKeyEncodingCollisions(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if ka, kb := sys.binaryKeyLocked(c.a), sys.binaryKeyLocked(c.b); ka == kb {
+			if ka, kb := binaryKey(sys, c.a), binaryKey(sys, c.b); ka == kb {
 				t.Errorf("binary keys collide: %x", ka)
 			}
 		})
 	}
 
 	// Sanity: independently built but equal states share keys.
-	if sys.binaryKeyLocked(gstateWith(tagA)) != sys.binaryKeyLocked(gstateWith(tagA)) {
+	if binaryKey(sys, gstateWith(tagA)) != binaryKey(sys, gstateWith(tagA)) {
 		t.Error("equal states got distinct binary keys")
 	}
 }
@@ -69,24 +79,20 @@ func TestKeySlotAndLengthFraming(t *testing.T) {
 	tagA := sys.msgIDLocked(message{Tag: "a"})
 
 	onSlot1 := gstateWith(tagA)
-	onSlot2 := &gstate{locals: []int32{0, 0}, chans: make([][]int32, 4)}
-	onSlot2.chans[2] = []int32{tagA} // channel 2->1
-	if sys.binaryKeyLocked(onSlot1) == sys.binaryKeyLocked(onSlot2) {
+	onSlot2 := packState([]int32{0, 0}, [][]int32{nil, nil, {tagA}, nil}) // channel 2->1
+	if binaryKey(sys, onSlot1) == binaryKey(sys, onSlot2) {
 		t.Error("binary key ignores channel slot")
 	}
 
 	empty := gstateWith()
-	if sys.binaryKeyLocked(onSlot1) == sys.binaryKeyLocked(empty) {
+	if binaryKey(sys, onSlot1) == binaryKey(sys, empty) {
 		t.Error("binary key ignores queue contents")
 	}
 
 	// Same multiset of messages split differently across two slots.
-	split1 := &gstate{locals: []int32{0, 0}, chans: make([][]int32, 4)}
-	split1.chans[1] = []int32{tagA, tagA}
-	split2 := &gstate{locals: []int32{0, 0}, chans: make([][]int32, 4)}
-	split2.chans[1] = []int32{tagA}
-	split2.chans[2] = []int32{tagA}
-	if sys.binaryKeyLocked(split1) == sys.binaryKeyLocked(split2) {
+	split1 := packState([]int32{0, 0}, [][]int32{nil, {tagA, tagA}, nil, nil})
+	split2 := packState([]int32{0, 0}, [][]int32{nil, {tagA}, {tagA}, nil})
+	if binaryKey(sys, split1) == binaryKey(sys, split2) {
 		t.Error("binary key ignores how messages distribute over channels")
 	}
 }
@@ -103,9 +109,43 @@ func TestBinaryKeyContentDerived(t *testing.T) {
 	if a1 == b1 && a2 == b2 {
 		t.Fatal("test broken: interning orders coincide")
 	}
-	ka := sysA.binaryKeyLocked(gstateWith(a1, a2))
-	kb := sysB.binaryKeyLocked(gstateWith(b1, b2))
+	ka := binaryKey(sysA, gstateWith(a1, a2))
+	kb := binaryKey(sysB, gstateWith(b1, b2))
 	if ka != kb {
 		t.Errorf("binary keys depend on interning order: %x vs %x", ka, kb)
+	}
+}
+
+// TestKeyBytesPinned pins the key bytes of two small products: a symmetric
+// one (canonical keys) and a faulty one (identity keys over loss moves).
+// The digest covers Graph.Keys in state order, so it fixes the key
+// encoding and the state numbering together; spill-run order and the
+// witness extraction's key matching depend on both.
+func TestKeyBytesPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    string
+		cfg    Config
+		states int
+		digest string
+	}{
+		{"relay3/por+symmetry", relaySrc(3), Config{Reductions: RedPOR.With(RedSymmetry)}, 484,
+			"a078278b3fd62f01b000cf2184884cb6179789eac1d673f71c4b64c2ce7c9a8d"},
+		{"barrier/cap1/loss", "SPEC (a1; s4; exit ||| b2; s4; exit ||| c3; s4; exit) |[s4]| s4; d4; exit ENDSPEC",
+			Config{ChannelCap: 1, Faults: FaultModel{Loss: true}}, 432,
+			"c34a658269988bbefde1ecf06d6df325d56e62a00d08dfc34a343fd6f552157c"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Limits = lts.Limits{MaxStates: 100000}
+			_, g := exploreSrc(t, c.src, c.cfg)
+			h := sha256.New()
+			for _, k := range g.Keys {
+				io.WriteString(h, k)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); g.NumStates() != c.states || got != c.digest {
+				t.Errorf("%d states, keys digest %s; want %d states, digest %s", g.NumStates(), got, c.states, c.digest)
+			}
+		})
 	}
 }

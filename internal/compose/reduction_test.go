@@ -339,6 +339,44 @@ func TestVerifySymmetryFallbackMatchesUnreduced(t *testing.T) {
 	}
 }
 
+// TestVerifySymmetryFallbackCarriesWitness drives the symmetry fallback on
+// a failure that has a witness: the two-column relay under message loss
+// at capacity 1 closes, and a lost message deadlocks it. The fallback
+// report must carry the witness an explicitly unreduced verification
+// extracts, step for step.
+func TestVerifySymmetryFallbackCarriesWitness(t *testing.T) {
+	d := mustDerive(t, relaySrc(2))
+	opts := VerifyOptions{ChannelCap: 1, ObsDepth: 6, MaxStates: 100000,
+		Faults: FaultModel{Loss: true}, Reductions: RedPOR.With(RedSymmetry)}
+	rep, err := Verify(d.Service.Spec, d.Entities, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ok() || !rep.Complete {
+		t.Fatalf("expected a closed, failing product under loss:\n%s", rep.Summary())
+	}
+	if rep.Reduction == nil || rep.Reduction.Fallback == "" {
+		t.Fatalf("non-conformant symmetric verdict recorded no fallback: %+v", rep.Reduction)
+	}
+	if rep.Witness == nil || len(rep.Witness.Steps) == 0 {
+		t.Fatalf("fallback report has no witness steps: %+v", rep.Witness)
+	}
+
+	plain := opts
+	plain.Reductions = RedPOR | redExplicit
+	want, err := Verify(d.Service.Spec, d.Entities, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Witness == nil {
+		t.Fatal("unreduced report has no witness")
+	}
+	if !reflect.DeepEqual(witnessShape(rep.Witness), witnessShape(want.Witness)) {
+		t.Errorf("fallback witness differs from the unreduced witness:\nfallback:\n%s\nunreduced:\n%s",
+			rep.Witness.Summary(), want.Witness.Summary())
+	}
+}
+
 // witnessShape projects a witness to comparable parts (the inner extraction
 // context carries unexported pointers).
 func witnessShape(w *Witness) any {

@@ -3,7 +3,7 @@ package compose
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -525,6 +525,25 @@ func (sym *symmetry) classify(m message, plain [16]byte) msgMeta {
 	return msgMeta{col: int32(col), norm: digest16(buf)}
 }
 
+// sig returns column c's signature.
+func (sc *keyScratch) sig(c int) []byte {
+	if c == 0 {
+		return sc.sigs[:sc.ends[0]]
+	}
+	return sc.sigs[sc.ends[c-1]:sc.ends[c]]
+}
+
+// sigAfter reports whether column a's signature sorts after column b's.
+// Every signature starts with a 16-byte digest, so the first 8 bytes,
+// compared as a big-endian integer, settle most pairs without a call.
+func (sc *keyScratch) sigAfter(a, b int) bool {
+	sa, sb := sc.sig(a), sc.sig(b)
+	if pa, pb := binary.BigEndian.Uint64(sa), binary.BigEndian.Uint64(sb); pa != pb {
+		return pa > pb
+	}
+	return bytes.Compare(sa[8:], sb[8:]) > 0
+}
+
 // canonKeyLocked builds the canonical (orbit-representative) key of a global
 // state: the columns are sorted by their full signature — per-place column
 // digests plus the column's queue footprint — and the state is re-encoded in
@@ -539,74 +558,85 @@ func (sym *symmetry) classify(m message, plain [16]byte) msgMeta {
 // fails to decompose or any in-flight message mixes columns. Both properties
 // are invariant under column permutation, so mixing canonical and identity
 // keys within one exploration cannot merge or split an orbit incorrectly.
-// Caller holds s.mu (read).
-func (s *System) canonKeyLocked(g *gstate) (string, bool) {
-	sym := s.sym
-	k := sym.k
-	cols := make([][][16]byte, len(g.locals)) // place -> column -> digest
-	for idx, id := range g.locals {
-		sc := s.local[idx][id].symCols
-		if sc == nil {
-			return "", false
+// Everything is built in sc, so a key allocates nothing. Caller holds s.mu
+// (read).
+func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
+	k, n := s.sym.k, len(s.Places)
+	cols := sc.cols[:0] // place -> column -> digest
+	for idx := 0; idx < n; idx++ {
+		c := s.local[idx][g[idx]].symCols
+		if c == nil {
+			return [16]byte{}, false
 		}
-		cols[idx] = sc
+		cols = append(cols, c)
+	}
+	sc.cols = cols
+	for o := n; o < len(g); {
+		var q []int32
+		q, o = g.queueAt(o)
+		for _, mid := range q {
+			if s.msgMeta[mid].col == msgColPoison {
+				return [16]byte{}, false
+			}
+		}
 	}
 	// Per-column signatures: local digests at every place, then the queue
 	// footprint (slot, position, normalized content) of the column's
 	// in-flight messages.
-	sigs := make([][]byte, k)
+	sigs, ends := sc.sigs[:0], sc.ends[:0]
 	for c := 0; c < k; c++ {
-		sig := make([]byte, 0, len(g.locals)*16+16)
-		for idx := range g.locals {
-			sig = append(sig, cols[idx][c][:]...)
+		for idx := 0; idx < n; idx++ {
+			sigs = append(sigs, cols[idx][c][:]...)
 		}
-		sigs[c] = sig
-	}
-	for slot, q := range g.chans {
-		for pos, mid := range q {
-			meta := &s.msgMeta[mid]
-			switch meta.col {
-			case msgColPoison:
-				return "", false
-			case msgColShared:
-			default:
-				sig := sigs[meta.col]
-				sig = binary.AppendUvarint(sig, uint64(slot))
-				sig = binary.AppendUvarint(sig, uint64(pos))
-				sig = append(sig, meta.norm[:]...)
-				sigs[meta.col] = sig
+		o := n
+		for slot := 0; slot < n*n; slot++ {
+			var q []int32
+			q, o = g.queueAt(o)
+			for pos, mid := range q {
+				if meta := &s.msgMeta[mid]; int(meta.col) == c {
+					sigs = binary.AppendUvarint(sigs, uint64(slot))
+					sigs = binary.AppendUvarint(sigs, uint64(pos))
+					sigs = append(sigs, meta.norm[:]...)
+				}
 			}
 		}
+		ends = append(ends, len(sigs))
 	}
-	order := make([]int, k)
-	for c := range order {
-		order[c] = c
+	sc.sigs, sc.ends = sigs, ends
+	// Stable insertion sort of the columns by signature: k is small, and
+	// ties keep their column order.
+	order := sc.order[:0]
+	for c := 0; c < k; c++ {
+		order = append(order, c)
+		for j := c; j > 0 && sc.sigAfter(order[j-1], c); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return bytes.Compare(sigs[order[a]], sigs[order[b]]) < 0
-	})
 	identity := true
-	rank := make([]int, k)
+	rank := slices.Grow(sc.rank[:0], k)[:k]
 	for pos, c := range order {
 		rank[c] = pos
 		if c != pos {
 			identity = false
 		}
 	}
+	sc.order, sc.rank = order, rank
 	if !identity {
 		s.orbitsCollapsed.Add(1)
 	}
 	// Re-encode the state with columns in canonical order. The leading byte
 	// separates this digest domain from binaryKeyLocked's, so a canonical
 	// key can never collide with an identity key of a different state.
-	buf := make([]byte, 0, 512)
-	buf = append(buf, 0xC5)
-	for idx := range g.locals {
+	buf := append(sc.buf[:0], 0xC5)
+	for idx := 0; idx < n; idx++ {
 		for _, c := range order {
 			buf = append(buf, cols[idx][c][:]...)
 		}
 	}
-	for slot, q := range g.chans {
+	o := n
+	for slot := 0; slot < n*n; slot++ {
+		var q []int32
+		q, o = g.queueAt(o)
 		if len(q) == 0 {
 			continue
 		}
@@ -623,6 +653,6 @@ func (s *System) canonKeyLocked(g *gstate) (string, bool) {
 			}
 		}
 	}
-	sum := digest16(buf)
-	return string(sum[:]), true
+	sc.buf = buf
+	return digest16(buf), true
 }

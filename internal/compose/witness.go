@@ -98,6 +98,47 @@ func (w *Witness) Summary() string {
 	return b.String()
 }
 
+// stepLocked builds the witness annotation of move m from state g. Caller
+// holds s.mu (read).
+func (s *System) stepLocked(g gstate, sc *deriveScratch, m *move) WitnessStep {
+	n := len(s.Places)
+	switch m.kind {
+	case mvLocal:
+		place := s.Places[m.idx]
+		if m.t.label.Kind == lts.LInternal {
+			return WitnessStep{Kind: StepInternal, Place: place, TIndex: int(m.tIndex), Label: "i"}
+		}
+		ev := m.t.label.Ev
+		return WitnessStep{Kind: StepService, Place: place, TIndex: int(m.tIndex), Ev: ev, Label: ev.String()}
+	case mvSend, mvRecv:
+		kind, from, to := StepSend, s.Places[m.idx], s.Places[m.t.peer]
+		if m.kind == mvRecv {
+			kind, from, to = StepRecv, to, from
+		}
+		msg := s.msgs[m.t.msg].String()
+		return WitnessStep{
+			Kind: kind, Place: s.Places[m.idx], TIndex: int(m.tIndex), Ev: m.t.label.Ev,
+			From: from, To: to, Msg: msg,
+			Label: fmt.Sprintf("%s %d->%d %s", kind, from, to, msg),
+		}
+	case mvDelta:
+		return WitnessStep{Kind: StepDelta, Place: -1, TIndex: -1, Label: "delta"}
+	}
+	from, to := s.Places[int(m.slot)/n], s.Places[int(m.slot)%n]
+	q, _ := g.queueAt(sc.offs[m.slot])
+	i := int(m.pos)
+	st := WitnessStep{Place: -1, TIndex: -1, From: from, To: to, Msg: s.msgs[q[i]].String(), Index: i}
+	switch m.kind {
+	case mvLoss:
+		st.Kind, st.Label = StepLoss, fmt.Sprintf("loss %d->%d %s@%d", from, to, st.Msg, i)
+	case mvDup:
+		st.Kind, st.Label = StepDuplicate, fmt.Sprintf("dup %d->%d %s@%d", from, to, st.Msg, i)
+	default:
+		st.Kind, st.Label = StepReorder, fmt.Sprintf("reorder %d->%d @%d", from, to, i)
+	}
+	return st
+}
+
 // annotatePath re-walks a path of the composed graph from the initial state,
 // matching each edge against a fresh derivation of the source state to
 // recover the concrete step (acting entity, transition index, fault) behind
@@ -109,7 +150,7 @@ func (s *System) annotatePath(g *lts.Graph, path []lts.PathStep) ([]WitnessStep,
 	cur := s.rootState()
 	var out []WitnessStep // nil for an empty path, so JSON renders null
 	for pi, ps := range path {
-		trans, steps, err := s.derive(cur, true)
+		trans, steps, err := s.derive(cur, nil, true)
 		if err != nil {
 			return nil, err
 		}

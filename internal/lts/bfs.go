@@ -3,6 +3,7 @@ package lts
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -84,7 +85,9 @@ func (m memIndex) put(key string, id int) error {
 	return nil
 }
 
-// deriver runs the derive step of every level, reusing its buffers.
+// deriver runs the derive step of every level, reusing its buffers: the
+// i-th state of every level appends its transitions to results[i], so the
+// transition buffers are allocated once per exploration, not per state.
 type deriver struct {
 	src     StateSource
 	workers int
@@ -98,7 +101,10 @@ type deriver struct {
 // reports the index of the first failed state.
 func (d *deriver) derive(states []any) (int, error) {
 	n := len(states)
-	d.results = slices.Grow(d.results[:0], n)[:n]
+	if c := cap(d.results); n > c {
+		d.results = append(d.results[:c], make([][]GenTransition, n-c)...)
+	}
+	d.results = d.results[:n]
 	d.errs = slices.Grow(d.errs[:0], n)[:n]
 	d.cursor.Store(0)
 	d.failed.Store(false)
@@ -131,10 +137,19 @@ func (d *deriver) work(states []any) {
 		if i >= len(states) {
 			return
 		}
-		d.results[i], d.errs[i] = d.src.Next(states[i])
+		d.results[i], d.errs[i] = d.src.Next(states[i], d.results[i][:0])
 		if d.errs[i] != nil {
 			d.failed.Store(true)
 		}
+	}
+}
+
+// release empties the level's transition buffers, keeping their room, so
+// they pin no target state or key.
+func (d *deriver) release() {
+	for i, ts := range d.results {
+		clear(ts)
+		d.results[i] = ts[:0]
 	}
 }
 
@@ -170,8 +185,8 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 		for _, id := range level {
 			switch {
 			case b.expanded[id]:
-				for _, e := range g.Edges[id] {
-					b.relax(id, e)
+				for j := range g.Edges[id] {
+					b.relax(id, &g.Edges[id][j])
 				}
 			case lim.MaxDepth > 0 && g.Depth[id] >= lim.MaxDepth,
 				lim.MaxObsDepth > 0 && b.obsDepth[id] >= lim.MaxObsDepth:
@@ -204,11 +219,11 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 			if len(ts) > 0 {
 				edges = make([]Edge, 0, len(ts))
 			}
-			for _, t := range ts {
+			for j := range ts {
+				t := &ts[j]
 				if id, ok := index.get(t.Key); ok {
-					e := Edge{Label: t.Label, To: id}
-					edges = append(edges, e)
-					b.relax(head, e)
+					edges = append(edges, Edge{Label: t.Label, To: id})
+					b.relax(head, &edges[len(edges)-1])
 					continue
 				}
 				if len(b.states) >= lim.MaxStates {
@@ -228,7 +243,7 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 			}
 			g.Edges[head] = edges
 		}
-		clear(d.results)
+		d.release()
 		clear(payloads)
 	}
 
@@ -241,9 +256,11 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 	return g, transitions, nil
 }
 
-// add numbers a new state.
+// add numbers a new state. The key is copied: a source's keys may share
+// memory with the rest of its derivation.
 func (b *bfs) add(key string, st any, depth, obs int) (int, error) {
 	id := len(b.states)
+	key = strings.Clone(key)
 	if err := b.index.put(key, id); err != nil {
 		return 0, err
 	}
@@ -268,7 +285,7 @@ func (b *bfs) enqueue(id int) {
 // relax pushes head's depths through one edge and queues the target when
 // they improve it: a shorter path re-expands a state held back by a depth
 // bound, or propagates through an expanded state's cached edges.
-func (b *bfs) relax(head int, e Edge) {
+func (b *bfs) relax(head int, e *Edge) {
 	nd := b.obsDepth[head]
 	if e.Label.Observable() {
 		nd++
@@ -303,7 +320,8 @@ func census(d *deriver, index visitedIndex, rootKey string, root any, lim Limits
 		}
 		for _, ts := range d.results {
 			stats.Transitions += int64(len(ts))
-			for _, t := range ts {
+			for i := range ts {
+				t := &ts[i]
 				if _, ok := index.get(t.Key); ok {
 					continue
 				}
@@ -311,14 +329,14 @@ func census(d *deriver, index visitedIndex, rootKey string, root any, lim Limits
 					stats.Truncated = true
 					continue
 				}
-				if err := index.put(t.Key, states); err != nil {
+				if err := index.put(strings.Clone(t.Key), states); err != nil {
 					return err
 				}
 				states++
 				next = append(next, t.To)
 			}
 		}
-		clear(d.results)
+		d.release()
 		clear(level)
 	}
 	stats.States = int64(states)

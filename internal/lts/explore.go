@@ -78,9 +78,11 @@ func Explore(env *Env, root lotos.Expr, lim Limits) (*Graph, error) {
 // StateSource abstracts a transition system for the exploration core: the
 // lts SOS semantics here, and the entity×medium product in internal/compose.
 type StateSource interface {
-	// Next derives the transitions of a state. The returned targets carry
-	// their canonical keys.
-	Next(state any) ([]GenTransition, error)
+	// Next appends the transitions of a state to out and returns the
+	// extended slice. The targets carry their canonical keys. The caller
+	// owns out: it reuses the slice for later states once it has read it,
+	// and copies a key it keeps.
+	Next(state any, out []GenTransition) ([]GenTransition, error)
 }
 
 // GenTransition is a transition of a generic state source.
@@ -92,15 +94,14 @@ type GenTransition struct {
 
 type exprSource struct{ env *Env }
 
-func (s *exprSource) Next(state any) ([]GenTransition, error) {
+func (s *exprSource) Next(state any, out []GenTransition) ([]GenTransition, error) {
 	e := state.(lotos.Expr)
 	ts, err := s.env.Transitions(e)
 	if err != nil {
-		return nil, fmt.Errorf("state %s: %w", lotos.Format(e), err)
+		return out, fmt.Errorf("state %s: %w", lotos.Format(e), err)
 	}
-	out := make([]GenTransition, len(ts))
-	for i, t := range ts {
-		out[i] = GenTransition{Label: t.Label, Key: lotos.Canon(t.To), To: t.To}
+	for _, t := range ts {
+		out = append(out, GenTransition{Label: t.Label, Key: lotos.Canon(t.To), To: t.To})
 	}
 	return out, nil
 }

@@ -18,12 +18,12 @@ type fakeSource struct {
 	failOn string
 }
 
-func (f *fakeSource) Next(state any) ([]GenTransition, error) {
+func (f *fakeSource) Next(state any, out []GenTransition) ([]GenTransition, error) {
 	s := state.(string)
 	if f.failOn != "" && s == f.failOn {
-		return nil, errors.New("injected derivation failure")
+		return out, errors.New("injected derivation failure")
 	}
-	return f.edges[s], nil
+	return append(out, f.edges[s]...), nil
 }
 
 // lockedSource serializes a source that is not safe for concurrent use (the
@@ -34,10 +34,10 @@ type lockedSource struct {
 	src StateSource
 }
 
-func (l *lockedSource) Next(state any) ([]GenTransition, error) {
+func (l *lockedSource) Next(state any, out []GenTransition) ([]GenTransition, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.src.Next(state)
+	return l.src.Next(state, out)
 }
 
 func obs(to string) GenTransition {

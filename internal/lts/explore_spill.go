@@ -172,7 +172,8 @@ func (x *spillIndex) resolve(results [][]GenTransition) error {
 	clear(x.known)
 	misses := x.misses[:0]
 	for _, ts := range results {
-		for _, t := range ts {
+		for i := range ts {
+			t := &ts[i]
 			if id, ok := x.mem[t.Key]; ok {
 				x.known[t.Key] = id
 			} else {
@@ -181,6 +182,8 @@ func (x *spillIndex) resolve(results [][]GenTransition) error {
 		}
 	}
 	x.misses = misses
+	// The probes are the derivation's keys: drop them once resolved.
+	defer clear(misses)
 	if len(misses) == 0 || len(x.runs) == 0 {
 		return nil
 	}

@@ -31,7 +31,8 @@ type Subsets struct {
 	// states and becomes a frontier state.
 	src      StateSource
 	index    map[string]int
-	payloads []any // nil once derived
+	payloads []any           // nil once derived
+	ts       []GenTransition // reused Next buffer
 	max      int
 	err      error // first derivation error
 }
@@ -166,7 +167,9 @@ func (w *Subsets) intern(set []int32) int32 {
 func (w *Subsets) derive(s int) {
 	var ts []GenTransition
 	if w.err == nil {
-		ts, w.err = w.src.Next(w.payloads[s])
+		ts, w.err = w.src.Next(w.payloads[s], w.ts[:0])
+		w.ts = ts
+		defer clear(ts)
 	}
 	w.payloads[s] = nil
 	if w.err != nil {
@@ -181,7 +184,7 @@ func (w *Subsets) derive(s int) {
 			continue
 		default:
 			id = len(w.g.Edges)
-			w.index[t.Key] = id
+			w.index[strings.Clone(t.Key)] = id
 			w.payloads = append(w.payloads, t.To)
 			w.g.Edges = append(w.g.Edges, nil)
 		}

@@ -28,14 +28,17 @@
 // canonical local expression, the message's tag/node/occurrence), never
 // from interning order, so the key of a global state is identical no matter
 // which exploration order — serial or parallel — first reached it.
-// Entity-local states and messages are interned to small integers per
-// System, so queue operations and equality checks never allocate or
-// compare strings.
+// The product factors through the entity transition systems: a System steps
+// one fsm.Machine per place (its exact rows, or its minimized rows when
+// verifying compositionally), whose dense state ids are the local ids. A
+// row is translated once, on first use, into an id-indexed table of content
+// digests, symmetry column digests and transitions with system-interned
+// message ids, so queue operations never allocate or compare strings.
 //
 // Deriving the successors of a state holds the system's read lock once for
-// the whole call (upgraded only to derive a local state seen for the first
-// time). The targets are built in one slab of vectors, their keys are
-// written into reused scratch and cut from one string, and the exploration
+// the whole call (upgraded only to translate a row on first use). The
+// targets are built in one slab of vectors, their keys are written into
+// reused scratch and cut from one string, and the exploration
 // core copies only the key of a state it adds. So what a derivation
 // allocates does not grow with the number of transitions it derives.
 package compose
@@ -43,7 +46,9 @@ package compose
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -92,10 +97,11 @@ type Config struct {
 type System struct {
 	// Places lists the entity places in ascending order.
 	Places []int
-	// Entities holds one specification per place.
-	Entities map[int]*lotos.Spec
 
-	envs     []*lts.Env  // indexed like Places; nil for preset systems
+	// One machine per place, indexed like Places, and in a compositional
+	// system the minimized layers whose rows the product steps instead.
+	machines []*fsm.Machine
+	min      []*fsm.Minimized
 	placeIdx map[int]int // place number -> index in Places
 	cfg      Config
 	// red is the resolved reduction set (Config.effectiveReductions); sym is
@@ -109,52 +115,39 @@ type System struct {
 	orbitsCollapsed atomic.Int64
 	ampleHits       atomic.Int64
 	spillStats      *lts.SpillStats
-	// preset marks a system whose local tables were preloaded from compiled
-	// machines' minimized layers (NewCompositional): every local state is
-	// already derived, state ids mirror the class numbering (0 = initial
-	// class), and no SOS environment exists.
-	preset bool
 
-	// Interning tables, shared by every exploration of the system and by
-	// every derivation worker, hence the lock.
-	// Entity-local state interning mirrors the paper's observation that
-	// the product factors through the (much smaller) local transition
-	// systems: every distinct entity expression gets a small integer id
-	// per place, local transitions are derived once per local state, and
-	// messages are interned to small integers per system.
+	// The translated local tables and the interned messages, shared by
+	// every exploration and derivation worker, hence the lock.
 	mu      sync.RWMutex
-	intern  []map[string]int32 // place idx -> canon -> local id
-	local   [][]localState     // place idx -> local id -> state
-	msgIDs  map[message]int32  // message -> id
-	msgs    []message          // id -> message (diagnostics)
-	msgSum  [][16]byte         // id -> content digest
-	msgMeta []msgMeta          // id -> symmetry classification (sym != nil only)
+	local   [][]localState    // place idx -> local id -> state
+	keyBuf  []byte            // growLocked's digest input
+	msgIDs  map[message]int32 // message -> id
+	msgs    []message         // id -> message (diagnostics)
+	msgSum  [][16]byte        // id -> content digest
+	msgMeta []msgMeta         // id -> symmetry classification (sym != nil only)
 }
 
-// localState is one interned entity-local state. Transitions are derived
-// lazily (entities may be infinite-state under recursion, so the local
-// graphs cannot be built eagerly).
+// localState is one local state as the product reads it. Rows are
+// translated lazily: entities may be infinite-state under recursion.
 type localState struct {
-	expr lotos.Expr
 	// sum is the 16-byte digest of the canonical expression — the state's
 	// order-independent contribution to global state keys.
-	sum     [16]byte
-	derived bool
-	trans   []cachedTrans
+	sum   [16]byte
+	trans []cachedTrans // nil until the row is translated
 	// symCols holds the per-column renamed-canonical digests under symmetry
 	// reduction (nil when symmetry is off or the state does not decompose
 	// into the detected columns).
 	symCols [][16]byte
 }
 
-// cachedTrans is an entity-local transition targeting an interned state,
-// with the message bookkeeping resolved once at derivation time.
+// cachedTrans is an entity-local transition targeting a local state, with
+// the message bookkeeping resolved once at translation time.
 type cachedTrans struct {
-	label lts.Label
-	to    int32 // local state id
-	peer  int32 // place index of the message peer, -1 for non-message labels
-	msg   int32 // interned message id (sent or expected), -1 otherwise
-	flush bool  // receive carries interrupt-handshake flush semantics
+	op   fsm.Op
+	ev   *lotos.Event // the row's event (zero for internal and δ transitions)
+	to   int32        // local state id
+	peer int32        // place index of the message peer, -1 for non-message ops
+	msg  int32        // interned message id (sent or expected), -1 otherwise
 }
 
 // digest16 truncates a SHA-256 content digest to the 16 bytes used in keys.
@@ -164,21 +157,25 @@ func digest16(data []byte) (h [16]byte) {
 	return h
 }
 
-// internStateLocked assigns (or recalls) the local id of an entity
-// expression. Caller holds s.mu.
-func (s *System) internStateLocked(idx int, e lotos.Expr) int32 {
-	key := lotos.Canon(e)
-	if id, ok := s.intern[idx][key]; ok {
-		return id
+// growLocked extends a place's table to cover local state id, digesting
+// each new state's key and, under symmetry, its expression's columns. Only
+// this system steps its machines, so a new state's row is unfilled and its
+// expression still there. Caller holds s.mu for writing.
+func (s *System) growLocked(idx int, id int32) {
+	for j := int32(len(s.local[idx])); j <= id; j++ {
+		var st localState
+		if min := s.min[idx]; min != nil {
+			s.keyBuf = append(s.keyBuf[:0], min.Keys[j]...)
+		} else {
+			fs, e := s.machines[idx].State(j)
+			s.keyBuf = append(s.keyBuf[:0], fs.Key()...)
+			if s.sym != nil {
+				st.symCols = s.sym.symColsFor(e)
+			}
+		}
+		st.sum = digest16(s.keyBuf)
+		s.local[idx] = append(s.local[idx], st)
 	}
-	id := int32(len(s.local[idx]))
-	s.intern[idx][key] = id
-	st := localState{expr: e, sum: digest16([]byte(key))}
-	if s.sym != nil {
-		st.symCols = s.sym.symColsFor(e)
-	}
-	s.local[idx] = append(s.local[idx], st)
-	return id
 }
 
 // msgIDLocked assigns (or recalls) the interned id of a message and its
@@ -207,91 +204,103 @@ func (s *System) msgIDLocked(m message) int32 {
 	return id
 }
 
-// localTransRLocked returns the transitions of a local state, deriving them
-// on first use. The caller holds s.mu for reading. Only an underived state
-// releases it: the derivation runs under the write lock, which also
-// serializes the underlying (non-thread-safe) SOS environment, and the read
-// lock is re-taken before returning.
+// localTransRLocked returns the transitions of a local state, translating
+// its row — the machine's exact row, or its minimized class row — on first
+// use. The caller holds s.mu for reading. Only an untranslated state
+// releases it: the translation runs under the write lock, and the read lock
+// is re-taken before returning.
 func (s *System) localTransRLocked(idx int, id int32) ([]cachedTrans, error) {
-	if st := &s.local[idx][id]; st.derived {
+	if st := &s.local[idx][id]; st.trans != nil {
 		return st.trans, nil
 	}
 	s.mu.RUnlock()
 	s.mu.Lock()
-	trans, err := s.deriveLocalLocked(idx, id)
-	s.mu.Unlock()
-	s.mu.RLock()
-	return trans, err
-}
-
-// deriveLocalLocked derives (once) the transitions of a local state. Caller
-// holds s.mu for writing.
-func (s *System) deriveLocalLocked(idx int, id int32) ([]cachedTrans, error) {
-	st := &s.local[idx][id]
-	if st.derived {
+	defer s.mu.RLock()
+	defer s.mu.Unlock()
+	if st := &s.local[idx][id]; st.trans != nil {
 		return st.trans, nil
 	}
-	ts, err := s.envs[idx].Transitions(st.expr)
-	if err != nil {
-		return nil, err
+	var ops []fsm.Op
+	var evs []lotos.Event
+	var target func(i int) int32 // the local id of transition i's target
+	if min := s.min[idx]; min != nil {
+		lo, hi := min.Off[id], min.Off[id+1]
+		ops, evs = min.Ops[lo:hi], min.Events[lo:hi]
+		target = func(i int) int32 { return min.To[int(lo)+i] }
+	} else {
+		fs, _ := s.machines[idx].State(id)
+		r, err := s.machines[idx].Row(fs)
+		if err != nil {
+			return nil, err
+		}
+		ops, evs = r.Ops, r.Events
+		target = func(i int) int32 { return r.To[i].ID() }
 	}
-	out := make([]cachedTrans, len(ts))
-	for i, t := range ts {
-		ct := cachedTrans{label: t.Label, to: s.internStateLocked(idx, t.To), peer: -1, msg: -1}
-		switch op, ev := fsm.Classify(t.Label); op {
+	out := make([]cachedTrans, len(ops))
+	for i, op := range ops {
+		ct := cachedTrans{op: op, ev: &evs[i], to: target(i), peer: -1, msg: -1}
+		s.growLocked(idx, ct.to)
+		switch op {
 		case fsm.OpSend, fsm.OpRecv, fsm.OpRecvFlush:
-			pi, ok := s.placeIdx[ev.Place]
+			pi, ok := s.placeIdx[ct.ev.Place]
 			if !ok {
-				return nil, fmt.Errorf("message event %s targets unknown place %d", ev, ev.Place)
+				return nil, fmt.Errorf("message event %s targets unknown place %d", ct.ev, ct.ev.Place)
 			}
 			ct.peer = int32(pi)
-			ct.msg = s.msgIDLocked(msgOf(ev))
-			ct.flush = op == fsm.OpRecvFlush
+			ct.msg = s.msgIDLocked(msgOf(*ct.ev))
 		}
 		out[i] = ct
 	}
-	// Re-take the pointer: internStateLocked may have grown the backing
-	// array.
-	st = &s.local[idx][id]
-	st.trans = out
-	st.derived = true
+	s.local[idx][id].trans = out
 	return out, nil
 }
 
-// New prepares a system from derived entities. Each entity is resolved
-// independently (entities have their own process name spaces).
-func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
+// newSystem prepares a system whose machines, and minimized layers if any,
+// pick selects per place.
+func newSystem(entities map[int]*lotos.Spec, cfg Config, red Reductions, pick func(p int) (*fsm.Machine, *fsm.Minimized, error)) (*System, error) {
 	if cfg.ChannelCap <= 0 {
 		cfg.ChannelCap = DefaultChannelCap
 	}
 	sys := &System{
-		Entities: entities,
 		placeIdx: map[int]int{},
 		cfg:      cfg,
-		red:      cfg.effectiveReductions(),
+		red:      red,
 		msgIDs:   map[message]int32{},
 	}
 	for p := range entities {
 		sys.Places = append(sys.Places, p)
 	}
 	sort.Ints(sys.Places)
-	for idx, p := range sys.Places {
-		env, err := lts.EnvFor(entities[p])
-		if err != nil {
-			return nil, fmt.Errorf("compose: entity %d: %w", p, err)
-		}
-		sys.envs = append(sys.envs, env)
-		sys.placeIdx[p] = idx
-		sys.intern = append(sys.intern, map[string]int32{})
-		sys.local = append(sys.local, nil)
-	}
-	// Symmetry must be detected before any state or message is interned:
-	// the canonical column digests and message classifications are computed
-	// at intern time.
-	if sys.red&RedSymmetry != 0 {
+	// Symmetry must be detected before any state or message is translated:
+	// the column digests and message classifications are computed then.
+	if red&RedSymmetry != 0 {
 		sys.sym = detectSymmetry(sys.Places, entities)
 	}
+	for idx, p := range sys.Places {
+		m, min, err := pick(p)
+		if err != nil {
+			return nil, err
+		}
+		sys.machines, sys.min, sys.local = append(sys.machines, m), append(sys.min, min), append(sys.local, nil)
+		sys.placeIdx[p] = idx
+		sys.growLocked(idx, 0)
+	}
 	return sys, nil
+}
+
+// New prepares a system from derived entities, stepping the exact rows of
+// one machine per place. Each entity is resolved independently (entities
+// have their own process name spaces) in its machine's private clone.
+func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
+	return newSystem(entities, cfg, cfg.effectiveReductions(), func(p int) (*fsm.Machine, *fsm.Minimized, error) {
+		// No product limit can reach this cap, so every local state the
+		// product steps is retained and has an id.
+		m, err := fsm.New(p, entities[p], fsm.Config{MaxStates: math.MaxInt32})
+		if err != nil {
+			return nil, nil, fmt.Errorf("compose: entity %d: %w", p, errors.Unwrap(err))
+		}
+		return m, nil, nil
+	})
 }
 
 // message is one in-flight synchronization message.
@@ -474,8 +483,8 @@ func (m *move) label() lts.Label {
 	switch {
 	case m.kind == mvDelta:
 		return lts.Delta()
-	case m.kind == mvLocal && m.t.label.Kind == lts.LEvent:
-		return m.t.label
+	case m.kind == mvLocal && m.t.op == fsm.OpService:
+		return lts.EventLabel(*m.t.ev)
 	}
 	return lts.Internal()
 }
@@ -610,13 +619,13 @@ func (s *System) movesRLocked(g gstate, sc *deriveScratch) error {
 			if len(ts) == 0 {
 				continue
 			}
-			if len(ts) == 1 && ts[0].label.Kind == lts.LInternal {
+			if len(ts) == 1 && ts[0].op == fsm.OpInternal {
 				sc.moves = append(sc.moves, move{kind: mvLocal, idx: int32(idx), t: &ts[0]})
 				s.ampleHits.Add(1)
 				return nil
 			}
 			for i := range ts {
-				if l := &ts[i].label; l.Kind != lts.LEvent || l.Ev.Kind != lotos.EvRecv {
+				if op := ts[i].op; op != fsm.OpRecv && op != fsm.OpRecvFlush {
 					continue ample
 				}
 			}
@@ -627,7 +636,7 @@ func (s *System) movesRLocked(g gstate, sc *deriveScratch) error {
 				t := &ts[i]
 				slot := int(t.peer)*n + idx
 				q, _ := g.queueAt(sc.offs[slot])
-				k := consumed(q, t.msg, t.flush)
+				k := consumed(q, t.msg, t.op == fsm.OpRecvFlush)
 				if k == 0 {
 					sc.moves = sc.moves[:0]
 					continue ample // a blocked receive disqualifies the whole set
@@ -650,39 +659,30 @@ func (s *System) movesRLocked(g gstate, sc *deriveScratch) error {
 		for i := range ts {
 			t := &ts[i]
 			m := move{idx: int32(idx), t: t, tIndex: int32(i)}
-			switch t.label.Kind {
-			case lts.LDelta:
+			switch t.op {
+			case fsm.OpDelta:
 				if !sawDelta {
 					sawDelta = true
 					deltaReady++
 					sc.delta[idx] = t.to
 				}
 				continue
-			case lts.LInternal:
+			case fsm.OpInternal, fsm.OpService:
 				m.kind = mvLocal
-			case lts.LEvent:
-				switch t.label.Ev.Kind {
-				case lotos.EvService:
-					m.kind = mvLocal
-				case lotos.EvSend:
-					slot := idx*n + int(t.peer)
-					if int(g[sc.offs[slot]]) >= s.cfg.ChannelCap {
-						continue // channel full: the send blocks
-					}
-					m.kind, m.slot = mvSend, int32(slot)
-				case lotos.EvRecv:
-					slot := int(t.peer)*n + idx
-					q, _ := g.queueAt(sc.offs[slot])
-					k := consumed(q, t.msg, t.flush)
-					if k == 0 {
-						continue // no matching message consumable
-					}
-					m.kind, m.slot, m.pos = mvRecv, int32(slot), k
-				default:
-					continue
+			case fsm.OpSend:
+				slot := idx*n + int(t.peer)
+				if int(g[sc.offs[slot]]) >= s.cfg.ChannelCap {
+					continue // channel full: the send blocks
 				}
-			default:
-				continue
+				m.kind, m.slot = mvSend, int32(slot)
+			case fsm.OpRecv, fsm.OpRecvFlush:
+				slot := int(t.peer)*n + idx
+				q, _ := g.queueAt(sc.offs[slot])
+				k := consumed(q, t.msg, t.op == fsm.OpRecvFlush)
+				if k == 0 {
+					continue // no matching message consumable
+				}
+				m.kind, m.slot, m.pos = mvRecv, int32(slot), k
 			}
 			sc.moves = append(sc.moves, m)
 		}
@@ -822,17 +822,9 @@ func (s *System) ReductionInfo() ReductionStats {
 	return rs
 }
 
-// rootState builds the composed initial state: every entity at its root
-// expression, all channels empty.
+// rootState builds the composed initial state: every entity at its
+// initial state (local id 0), all channels empty.
 func (s *System) rootState() *gstate {
 	n := len(s.Places)
-	locals := make([]int32, n) // quotient graphs number their initial class 0
-	if !s.preset {
-		s.mu.Lock()
-		for idx, p := range s.Places {
-			locals[idx] = s.internStateLocked(idx, s.Entities[p].Root.Expr)
-		}
-		s.mu.Unlock()
-	}
-	return packState(locals, make([][]int32, n*n))
+	return packState(make([]int32, n), make([][]int32, n*n))
 }

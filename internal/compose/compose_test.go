@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -301,5 +302,29 @@ func TestRelayEquivRunsOnQuotient(t *testing.T) {
 	if st := rep.Equiv; st.TauSCCs >= 100 || st.SaturationEdges >= 1000 {
 		t.Errorf("weak refinement ran on %d τ-SCCs with %d saturation edges; want < 100 and < 1000 (pre-pass missing?)",
 			st.TauSCCs, st.SaturationEdges)
+	}
+}
+
+// TestVerifyOnlyReadsEntities pins the contract concurrent callers rely on:
+// Verify resolves and explores private clones of the entities (their
+// machines'), so the trees it is handed are unchanged afterwards, on the
+// monolithic, symmetry-fallback and compositional paths.
+func TestVerifyOnlyReadsEntities(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		opts VerifyOptions
+	}{
+		{relaySrc(2), VerifyOptions{Reductions: RedPOR.With(RedSymmetry), Faults: FaultModel{Loss: true}}},
+		{"SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC", VerifyOptions{ObsDepth: 4}},
+		{"SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC", VerifyOptions{ObsDepth: 4, Compositional: true}},
+	} {
+		d := deriveSrc(t, c.src)
+		before := cloneEntityMap(d.Entities)
+		if _, err := Verify(lotos.CloneSpec(d.Service.Spec), d.Entities, c.opts); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, d.Entities) {
+			t.Errorf("%s: Verify changed the entity trees", c.src)
+		}
 	}
 }

@@ -29,7 +29,6 @@ package compose
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/fsm"
@@ -53,71 +52,23 @@ func compileEntity(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int6
 	return m, time.Since(start).Nanoseconds(), false, err
 }
 
-// NewCompositional prepares a product system over compiled entities: every
-// local state table is preloaded from the machines' minimized layers
-// (derived=true), so product exploration never applies the SOS rules.
-// State keys stay content-derived — each local state
+// NewCompositional prepares a product system over compiled entities: the
+// product steps each machine's minimized rows, translated on first use
+// like the exact rows of a monolithic system, so exploration never applies
+// the SOS rules. State keys stay content-derived — each local state
 // contributes the digest of its class representative's canonical
 // expression — so serial and parallel exploration agree on the key set
 // exactly as in the monolithic system.
 func NewCompositional(entities map[int]*lotos.Spec, machines map[int]*fsm.Machine, cfg Config) (*System, error) {
-	if cfg.ChannelCap <= 0 {
-		cfg.ChannelCap = DefaultChannelCap
-	}
-	sys := &System{
-		Entities: entities,
-		placeIdx: map[int]int{},
-		cfg:      cfg,
-		// Quotient classes carry no syntax to detect columns in, so the
-		// symmetry reduction never applies to a preset system.
-		red:    cfg.effectiveReductions() &^ RedSymmetry,
-		msgIDs: map[message]int32{},
-		preset: true,
-	}
-	for p := range entities {
-		sys.Places = append(sys.Places, p)
-	}
-	sort.Ints(sys.Places)
-	for idx, p := range sys.Places {
+	// Quotient classes carry no syntax to compute column digests from, so
+	// the symmetry reduction never applies to a compositional system.
+	return newSystem(entities, cfg, cfg.effectiveReductions()&^RedSymmetry, func(p int) (*fsm.Machine, *fsm.Minimized, error) {
 		if machines[p] == nil {
-			return nil, fmt.Errorf("compose: no compiled machine for place %d", p)
+			return nil, nil, fmt.Errorf("compose: no compiled machine for place %d", p)
 		}
-		sys.placeIdx[p] = idx
-	}
-	for _, p := range sys.Places {
-		m, err := machines[p].Minimized()
-		if err != nil {
-			return nil, err
-		}
-		intern := make(map[string]int32, m.NumStates())
-		states := make([]localState, m.NumStates())
-		for c := range states {
-			key := m.Keys[c]
-			intern[key] = int32(c)
-			states[c] = localState{sum: digest16([]byte(key)), derived: true}
-			lo, hi := m.Off[c], m.Off[c+1]
-			trans := make([]cachedTrans, 0, hi-lo)
-			for e := lo; e < hi; e++ {
-				ct := cachedTrans{label: m.Label(e), to: m.To[e], peer: -1, msg: -1}
-				switch op := m.Ops[e]; op {
-				case fsm.OpSend, fsm.OpRecv, fsm.OpRecvFlush:
-					ev := m.Events[e]
-					pi, ok := sys.placeIdx[ev.Place]
-					if !ok {
-						return nil, fmt.Errorf("compose: entity %d message event %s targets unknown place %d", p, ev, ev.Place)
-					}
-					ct.peer = int32(pi)
-					ct.msg = sys.msgIDLocked(msgOf(ev))
-					ct.flush = op == fsm.OpRecvFlush
-				}
-				trans = append(trans, ct)
-			}
-			states[c].trans = trans
-		}
-		sys.intern = append(sys.intern, intern)
-		sys.local = append(sys.local, states)
-	}
-	return sys, nil
+		min, err := machines[p].Minimized()
+		return machines[p], min, err
+	})
 }
 
 // EntityQuotientStat reports one entity's quotient-before-compose numbers.

@@ -19,17 +19,34 @@ const deriveAllocBound = 3
 // TestDeriveAllocsBounded checks that a product derivation allocates a fixed
 // number of times, not once per successor or per key part: the relay root's
 // derivation yields k successors for k columns, and costs the same at k=2
-// and k=6, with symmetry keys and with identity keys.
+// and k=6, with symmetry keys and with identity keys, over the exact rows
+// and over the minimized rows of a compositional system.
 func TestDeriveAllocsBounded(t *testing.T) {
-	for _, red := range []Reductions{RedPOR | redExplicit, RedPOR.With(RedSymmetry)} {
+	cases := []struct {
+		name string
+		red  Reductions
+		comp bool
+	}{
+		{"por", RedPOR | redExplicit, false},
+		{"por+symmetry", RedPOR.With(RedSymmetry), false},
+		{"compositional", RedPOR | redExplicit, true},
+	}
+	for _, c := range cases {
 		for _, k := range []int{2, 6} {
 			d := mustDerive(t, relaySrc(k))
-			sys, err := New(d.Entities, Config{Reductions: red, Limits: lts.Limits{MaxStates: 1000}})
+			cfg := Config{Reductions: c.red, Limits: lts.Limits{MaxStates: 1000}}
+			var sys *System
+			var err error
+			if c.comp {
+				sys, err = NewCompositional(d.Entities, compileAll(t, d.Entities), cfg)
+			} else {
+				sys, err = New(d.Entities, cfg)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (sys.sym != nil) != (red&RedSymmetry != 0) {
-				t.Fatalf("%v k=%d: symmetry detected = %v", red, k, sys.sym != nil)
+			if (sys.sym != nil) != (c.red&RedSymmetry != 0) {
+				t.Fatalf("%s k=%d: symmetry detected = %v", c.name, k, sys.sym != nil)
 			}
 			root := sys.rootState()
 			// A state with a message in flight: the first column's t1, then
@@ -52,12 +69,30 @@ func TestDeriveAllocsBounded(t *testing.T) {
 				allocs := testing.AllocsPerRun(50, func() {
 					out, _, _ = sys.derive(g, out[:0], false)
 				})
-				t.Logf("%v k=%d, state %v: %d successors, %.1f allocations per derive", red, k, *g, succ, allocs)
+				t.Logf("%s k=%d, state %v: %d successors, %.1f allocations per derive", c.name, k, *g, succ, allocs)
 				if allocs > deriveAllocBound {
-					t.Errorf("%v k=%d, %d successors: %.1f allocations per derive, want at most %d",
-						red, k, succ, allocs, deriveAllocBound)
+					t.Errorf("%s k=%d, %d successors: %.1f allocations per derive, want at most %d",
+						c.name, k, succ, allocs, deriveAllocBound)
 				}
 			}
+		}
+	}
+}
+
+// TestOccScanAllocs checks that scanning an occurrence path allocates
+// nothing unless a component is renamed.
+func TestOccScanAllocs(t *testing.T) {
+	for _, c := range occCases {
+		n := 0
+		if allocs := testing.AllocsPerRun(50, func() { occSym.occColumns(c.occ, func(int) { n++ }) }); allocs != 0 {
+			t.Errorf("occColumns(%q): %.1f allocations", c.occ, allocs)
+		}
+		if c.want != c.occ {
+			continue
+		}
+		ok := true
+		if allocs := testing.AllocsPerRun(50, func() { occSym.renameOcc(c.occ, c.col, &ok) }); allocs != 0 {
+			t.Errorf("unchanged renameOcc(%q): %.1f allocations", c.occ, allocs)
 		}
 	}
 }

@@ -153,10 +153,14 @@ func TestE14_HandshakeStructure(t *testing.T) {
 
 // TestE14_HandshakeResolvesTerminationRace shows that the handshake mode
 // with flushing control receives eliminates the E11 Rel/interrupt race on
-// the paper's own Example 3 (at a channel capacity covering the protocol's
-// bounded stale backlog): an entity that has passed its Rel barrier still
+// the paper's own Example 3: an entity that has passed its Rel barrier still
 // holds its disabling arm until global termination, so it can always drain
-// the channel up to the interrupt request and acknowledge.
+// the channel up to the interrupt request and acknowledge. The claim is
+// checked within two bounds only, both deadlock-free: channel capacity 4 up
+// to 5 observable steps, and capacity 8 up to 10 (22,198 states). Capacity 4
+// is not enough one recursion deeper: at 6 observable steps it deadlocks
+// after read1 push2 read1 push2 eof1, place 1's acknowledgment to place 3
+// blocked behind four stale messages on the full channel 1->3.
 func TestE14_HandshakeResolvesTerminationRace(t *testing.T) {
 	src := `
 SPEC S [> interrupt3; exit WHERE
@@ -165,19 +169,24 @@ SPEC S [> interrupt3; exit WHERE
   END
 ENDSPEC`
 	d := deriveMode(t, src, core.InterruptHandshake)
-	sys, err := New(d.Entities, Config{ChannelCap: 4, Limits: lts.Limits{MaxObsDepth: 5, MaxStates: 400000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := sys.Explore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dls := g.Deadlocks(); len(dls) != 0 {
-		for _, st := range dls {
-			t.Logf("deadlocked: %s", g.Keys[st])
+	for _, c := range []struct{ cap, obsDepth, states int }{{4, 5, 0}, {8, 10, 22198}} {
+		sys, err := New(d.Entities, Config{ChannelCap: c.cap, Limits: lts.Limits{MaxObsDepth: c.obsDepth, MaxStates: 400000}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Errorf("handshake+flush left %d deadlocks on Example 3 (capacity 4)", len(dls))
+		g, err := sys.Explore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.states > 0 && g.NumStates() != c.states {
+			t.Errorf("capacity %d, depth %d: %d states, want %d", c.cap, c.obsDepth, g.NumStates(), c.states)
+		}
+		if dls := g.Deadlocks(); len(dls) != 0 {
+			for _, st := range dls {
+				t.Logf("deadlocked: %s", g.Keys[st])
+			}
+			t.Errorf("handshake+flush left %d deadlocks on Example 3 (capacity %d, depth %d)", len(dls), c.cap, c.obsDepth)
+		}
 	}
 	_ = equiv.WeakTraceEquivalent
 }

@@ -16,7 +16,6 @@ func testSystem() *System {
 		Places:   []int{1, 2},
 		placeIdx: map[int]int{1: 0, 2: 1},
 		msgIDs:   map[message]int32{},
-		intern:   []map[string]int32{{}, {}},
 		local: [][]localState{
 			{{sum: digest16([]byte("entity1-state0"))}},
 			{{sum: digest16([]byte("entity2-state0"))}},

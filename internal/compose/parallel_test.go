@@ -15,6 +15,10 @@ import (
 // the cross-check compares whole explorations, not state-cap prefixes.
 var corpusLimits = lts.Limits{MaxObsDepth: 5, MaxStates: 400000}
 
+// exploreCorpusSpec explores a fresh system and checks that its local tables
+// are its machines' states one for one: every state a machine retained was
+// introduced by a row the product translated, so each place's table has as
+// many local ids as the machine has retained states.
 func exploreCorpusSpec(t *testing.T, entities map[int]*lotos.Spec, cfg Config) *lts.Graph {
 	t.Helper()
 	sys, err := New(entities, cfg)
@@ -25,12 +29,19 @@ func exploreCorpusSpec(t *testing.T, entities map[int]*lotos.Spec, cfg Config) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	for idx, p := range sys.Places {
+		if ids, retained := len(sys.local[idx]), sys.machines[idx].Retained(); ids != retained {
+			t.Errorf("place %d: %d local ids, machine retained %d states", p, ids, retained)
+		}
+	}
 	return g
 }
 
 // TestParallelMatchesSerialOnCorpus explores the full specs/ corpus with
-// one derivation worker and with four: the exploration core must yield the
-// identical graph, state numbering, edge order and depths included.
+// one derivation worker and with four, each on a fresh system stepping its
+// own machines: the exploration core must yield the identical graph, state
+// numbering, edge order and depths included, and both systems the same
+// local-id count per place as their machines retained.
 func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec"))
 	if err != nil || len(files) == 0 {

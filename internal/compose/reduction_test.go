@@ -418,3 +418,50 @@ func TestAmpleSetFaultAware(t *testing.T) {
 			len(gPOR.Deadlocks()), len(gFull.Deadlocks()))
 	}
 }
+
+// occSym is a two-column symmetry over call sites: column 1's sites 12 and
+// 45 rename to column 0's sites 3 and 7.
+var occSym = &symmetry{
+	k:      2,
+	rename: []map[int]int{nil, {12: 3, 45: 7}},
+	colOf:  map[int]int{3: 0, 7: 0, 12: 1, 45: 1},
+}
+
+// occCases are occurrence paths renamed from column 1 (or from column 0 on
+// the unchanged column-0 path), with the renamed path, whether renaming
+// succeeds, and the columns the path touches.
+var occCases = []struct {
+	occ  string
+	col  int
+	want string
+	ok   bool
+	cols []int
+}{
+	{"", 1, "", true, nil},
+	{"s", 1, "s", true, nil},
+	{"0", 1, "0", true, nil},
+	{"0/12", 1, "0/3", true, []int{1}},
+	{"0/12/45", 1, "0/3/7", true, []int{1, 1}},
+	{"0/12/s", 1, "0/3/s", true, []int{1}},
+	{"0/120/1245", 1, "0/120/1245", true, nil},
+	{"0/3/7", 0, "0/3/7", true, []int{0, 0}},
+	{"0/3/12", 1, "0/3/3", false, []int{0, 1}},
+	{"0/12x/+12", 1, "0/12x/+12", true, nil},
+}
+
+// TestRenameOcc checks the in-place occurrence-path scan: only all-digit
+// components are looked up, multi-digit components are whole numbers, and
+// a path mixing columns fails to rename.
+func TestRenameOcc(t *testing.T) {
+	for _, c := range occCases {
+		ok := true
+		if got := occSym.renameOcc(c.occ, c.col, &ok); got != c.want || ok != c.ok {
+			t.Errorf("renameOcc(%q, %d) = %q, %v; want %q, %v", c.occ, c.col, got, ok, c.want, c.ok)
+		}
+		var cols []int
+		occSym.occColumns(c.occ, func(col int) { cols = append(cols, col) })
+		if !reflect.DeepEqual(cols, c.cols) {
+			t.Errorf("occColumns(%q) = %v, want %v", c.occ, cols, c.cols)
+		}
+	}
+}

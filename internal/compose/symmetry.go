@@ -308,42 +308,57 @@ func (sym *symmetry) renameID(id, col int, ok *bool) int {
 	return id
 }
 
+// occIDs calls fn with each all-digit component of an occurrence path (a
+// call-site node number; the symbolic "s" is not one) and its offsets,
+// scanning the path in place.
+func occIDs(occ string, fn func(id, start, end int)) {
+	for start := 0; start <= len(occ); start++ {
+		end, id := start, 0
+		for ; end < len(occ) && occ[end] != '/'; end++ {
+			if c := occ[end]; c < '0' || c > '9' || id < 0 {
+				id = -1
+			} else {
+				id = id*10 + int(c-'0')
+			}
+		}
+		// Eighteen digits cannot overflow an int; node numbers are far shorter.
+		if id >= 0 && end > start && end-start <= 18 {
+			fn(id, start, end)
+		}
+		start = end
+	}
+}
+
 // renameOcc maps every numeric component of an occurrence path (the chain of
 // call-site node numbers built by lts.Env.Instantiate) through the column
-// renaming. Non-numeric components (the symbolic "s") pass through.
+// renaming. Non-numeric components (the symbolic "s") pass through. Only a
+// renamed path allocates.
 func (sym *symmetry) renameOcc(occ string, col int, ok *bool) string {
 	if occ == "" || col == 0 && len(sym.colOf) == 0 {
 		return occ
 	}
-	parts := strings.Split(occ, "/")
-	changed := false
-	for i, part := range parts {
-		id, err := strconv.Atoi(part)
-		if err != nil {
-			continue
+	var out []byte // the renamed path up to occ[done:], once a component changed
+	done := 0
+	occIDs(occ, func(id, start, end int) {
+		if to := sym.renameID(id, col, ok); to != id {
+			out = strconv.AppendInt(append(out, occ[done:start]...), int64(to), 10)
+			done = end
 		}
-		to := sym.renameID(id, col, ok)
-		if to != id {
-			parts[i] = strconv.Itoa(to)
-			changed = true
-		}
-	}
-	if !changed {
+	})
+	if out == nil {
 		return occ
 	}
-	return strings.Join(parts, "/")
+	return string(append(out, occ[done:]...))
 }
 
 // occColumns adds the owning columns of an occurrence path's components to
 // the set.
 func (sym *symmetry) occColumns(occ string, add func(int)) {
-	for _, part := range strings.Split(occ, "/") {
-		if id, err := strconv.Atoi(part); err == nil {
-			if c, private := sym.colOf[id]; private {
-				add(c)
-			}
+	occIDs(occ, func(id, _, _ int) {
+		if c, private := sym.colOf[id]; private {
+			add(c)
 		}
-	}
+	})
 }
 
 // canonSym renders the column-col expression in the exact shape of

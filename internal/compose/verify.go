@@ -200,7 +200,7 @@ const DefaultTraceDiffLimit = 5
 //
 // The service specification must be the analyzed clone actually derived
 // from (core.Derivation.Service.Spec), so that both sides use the same
-// normalized tree.
+// normalized tree. Verify resolves it in place, but only reads the entities.
 func Verify(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*Report, error) {
 	if opts.ObsDepth <= 0 {
 		opts.ObsDepth = DefaultObsDepth

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/equiv"
+	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/lts"
 )
@@ -105,10 +106,10 @@ func (s *System) stepLocked(g gstate, sc *deriveScratch, m *move) WitnessStep {
 	switch m.kind {
 	case mvLocal:
 		place := s.Places[m.idx]
-		if m.t.label.Kind == lts.LInternal {
+		if m.t.op == fsm.OpInternal {
 			return WitnessStep{Kind: StepInternal, Place: place, TIndex: int(m.tIndex), Label: "i"}
 		}
-		ev := m.t.label.Ev
+		ev := *m.t.ev
 		return WitnessStep{Kind: StepService, Place: place, TIndex: int(m.tIndex), Ev: ev, Label: ev.String()}
 	case mvSend, mvRecv:
 		kind, from, to := StepSend, s.Places[m.idx], s.Places[m.t.peer]
@@ -117,7 +118,7 @@ func (s *System) stepLocked(g gstate, sc *deriveScratch, m *move) WitnessStep {
 		}
 		msg := s.msgs[m.t.msg].String()
 		return WitnessStep{
-			Kind: kind, Place: s.Places[m.idx], TIndex: int(m.tIndex), Ev: m.t.label.Ev,
+			Kind: kind, Place: s.Places[m.idx], TIndex: int(m.tIndex), Ev: *m.t.ev,
 			From: from, To: to, Msg: msg,
 			Label: fmt.Sprintf("%s %d->%d %s", kind, from, to, msg),
 		}

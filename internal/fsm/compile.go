@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -117,12 +118,19 @@ func (m *Machine) Minimized() (*Minimized, error) {
 func (m *Machine) MinimizedBuilt() bool { return m.minDone.Load() }
 
 func (m *Machine) minimize() (*Minimized, error) {
-	clone := lotos.CloneSpec(m.spec)
-	env, err := lts.EnvFor(clone)
-	if err != nil {
-		return nil, &CompileError{Place: m.Place, Reason: err.Error(), err: err}
+	g, _, err := lts.ExploreSource(rowSource{m}, bfsKey(m.root), m.root, lts.Limits{MaxStates: m.maxStates}, 1, nil)
+	if err != nil || g.Truncated {
+		// The exploration went as deep as the cap, which sessions seldom
+		// reach, and an unbounded entity's states grow with their depth:
+		// keep only the root, unfilled again, and no instantiated bodies.
+		// Sessions holding a dropped state keep stepping it; ids restart.
+		m.mu.Lock()
+		m.index, m.states = map[string]*State{m.root.key: m.root}, []*State{m.root}
+		m.root.expr = m.spec.Root.Expr
+		m.root.row.Store(nil)
+		m.env.ForgetInstances()
+		m.mu.Unlock()
 	}
-	g, err := lts.Explore(env, clone.Root.Expr, lts.Limits{MaxStates: m.maxStates})
 	if err != nil {
 		return nil, &CompileError{Place: m.Place, Reason: err.Error(), err: err}
 	}
@@ -140,6 +148,11 @@ func (m *Machine) minimize() (*Minimized, error) {
 	// target class) so the canonical tables do not depend on exploration
 	// order.
 	q, _ := equiv.QuotientWeakMap(g)
+	for c, k := range q.Keys { // a closed exploration retained every state
+		id, _ := binary.Uvarint([]byte(k[1:]))
+		st, _ := m.State(int32(id))
+		q.Keys[c] = st.key
+	}
 	qn, qt := q.NumStates(), q.NumTransitions()
 	l := &Minimized{
 		ExactStates:      g.NumStates(),
@@ -168,6 +181,34 @@ func (m *Machine) minimize() (*Minimized, error) {
 		l.Off[c+1] = int32(len(l.To))
 	}
 	return l, nil
+}
+
+// rowSource is a machine's execution layer as an lts.StateSource: exploring
+// it fills the rows it visits.
+type rowSource struct{ m *Machine }
+
+func (src rowSource) Next(state any, out []lts.GenTransition) ([]lts.GenTransition, error) {
+	s := state.(*State)
+	r, err := src.m.Row(s)
+	if err != nil {
+		src.m.mu.Lock() // a failed row keeps its expression
+		defer src.m.mu.Unlock()
+		return out, fmt.Errorf("state %s: %w", lotos.Format(s.expr), err)
+	}
+	for i, to := range r.To {
+		out = append(out, lts.GenTransition{Label: opLabel(r.Ops[i], r.Events[i]), Key: bfsKey(to), To: to})
+	}
+	return out, nil
+}
+
+// bfsKey is a state's key in the minimizing exploration: a retained state's
+// id, so the exploration holds no second copy of canonical keys that grow
+// with an unbounded entity's depth, or a transient state's canonical key.
+func bfsKey(s *State) string {
+	if s.id < 0 {
+		return "t" + s.key
+	}
+	return string(binary.AppendUvarint([]byte{'r'}, uint64(s.id)))
 }
 
 // Fleet is the set of machines of a derived protocol's entities.

@@ -2,6 +2,8 @@ package fsm
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -191,6 +193,13 @@ func TestCompileUnboundedRecursionFails(t *testing.T) {
 	if !reflect.DeepEqual(err1, ce) || err1 != err2 {
 		t.Errorf("Minimized errors %v / %v, want %v once", err1, err2, ce)
 	}
+	// The failed exploration's states are released, and the machine runs on.
+	if n := m.Retained(); n != 1 {
+		t.Errorf("%d states retained after a failed minimization, want the root only", n)
+	}
+	if r, err := m.Row(m.Root()); err != nil || len(r.Ops) == 0 {
+		t.Errorf("root row after a failed minimization: %v, %v", r, err)
+	}
 }
 
 func TestCompileEntitiesMixedFleet(t *testing.T) {
@@ -234,5 +243,55 @@ func TestOpString(t *testing.T) {
 		if got := op.String(); got != want {
 			t.Errorf("Op(%d).String() = %q, want %q", uint8(op), got, want)
 		}
+	}
+}
+
+// TestMinimizedFillsExecutionRows checks that the minimized layer is built
+// from the machine's own execution rows: after Minimized on an entity that
+// closes under the cap, every reachable state is retained, numbered densely
+// in interning order from the root, and already holds its row. The cap
+// covers every closing corpus entity (the largest has 344 states) and
+// stops the unbounded ones early.
+func TestMinimizedFillsExecutionRows(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "specs", "*.spec"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus specs found: %v", err)
+	}
+	closed := 0
+	for _, file := range files {
+		src, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := deriveFor(t, string(src))
+		for _, p := range d.Places {
+			m, err := New(p, d.Entities[p], Config{MaxStates: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lay, err := m.Minimized()
+			var ce *CompileError
+			if errors.As(err, &ce) && ce.Cap > 0 {
+				continue // unbounded entity: nothing closes
+			}
+			if err != nil {
+				t.Fatalf("%s place %d: %v", file, p, err)
+			}
+			closed++
+			if m.Retained() != lay.ExactStates {
+				t.Errorf("%s place %d: %d states retained, %d explored", file, p, m.Retained(), lay.ExactStates)
+			}
+			for id, s := range m.states {
+				if s.ID() != int32(id) || s.row.Load() == nil {
+					t.Errorf("%s place %d: state %d has id %d, row filled %v", file, p, id, s.ID(), s.row.Load() != nil)
+				}
+			}
+			if m.Root().ID() != 0 {
+				t.Errorf("%s place %d: root id %d", file, p, m.Root().ID())
+			}
+		}
+	}
+	if closed == 0 {
+		t.Fatal("no corpus entity closed under the cap")
 	}
 }

@@ -11,24 +11,25 @@
 //     classified by Classify and kept, in derivation order — the order
 //     compose.Witness steps index — so transition indices and random-choice
 //     consumption do not depend on which session filled a row. Up to the
-//     machine's state cap, states are retained and their rows shared by
-//     every session; past it a state's row is derived on every visit and
-//     not kept. Execution is therefore never capped, and memory stays
-//     bounded by the cap. Unbounded (non-regular) entities such as the anbn
-//     counter run like any other.
+//     machine's state cap, states are retained (numbered densely, the root
+//     0) and their rows shared by every session; past it a state's row is
+//     derived on every visit and not kept. Execution is therefore never
+//     capped, and memory stays bounded by the cap. Unbounded (non-regular)
+//     entities such as the anbn counter run like any other.
 //
 //   - The MINIMIZED layer (Minimized) is built once, on first request, by
-//     an eager bounded exploration of the entity plus its weak-bisimulation
-//     quotient (equiv.QuotientWeakMap), with each class's transitions sorted
-//     by (label key, target class) — a canonical minimal form independent of
-//     exploration order. It is what compositional verification composes over
-//     and what compile reports read; nothing else asks for it. Past the
-//     cap it fails with a *CompileError.
+//     an eager bounded exploration of the execution rows plus their weak-
+//     bisimulation quotient (equiv.QuotientWeakMap), with each class's
+//     transitions sorted by (label key, target class) — a canonical minimal
+//     form independent of exploration order. Compositional verification
+//     composes over it and compile reports read it. Past the cap it fails
+//     with a *CompileError.
 //
-// A Machine is the one per-entity artifact of the pipeline: simulation,
-// witness replay, live deployment and compositional verification all use
-// it, and the content-addressed artifact cache above this package stores it
-// keyed by the normalized entity text and the effective state cap.
+// A Machine is the one per-entity artifact of the pipeline and the only
+// deriver of entity transitions: simulation, witness replay, live
+// deployment and the product explorer (internal/compose) all step it, and
+// the content-addressed artifact cache above this package stores it keyed
+// by the normalized entity text and the effective state cap.
 package fsm
 
 import (
@@ -106,12 +107,13 @@ type Machine struct {
 
 	// mu guards the execution layer's construction: the SOS environment
 	// (its instantiation memo is not safe for concurrent use), the key
-	// index of retained states, and row derivation.
-	mu    sync.Mutex
-	spec  *lotos.Spec // the machine's private, resolved clone
-	env   *lts.Env
-	index map[string]*State
-	root  *State
+	// index of retained states, their id table, and row derivation.
+	mu     sync.Mutex
+	spec   *lotos.Spec // the machine's private, resolved clone
+	env    *lts.Env
+	index  map[string]*State
+	states []*State // retained states by id
+	root   *State
 
 	minOnce sync.Once
 	minDone atomic.Bool
@@ -123,15 +125,18 @@ type Machine struct {
 // shared by every session, or — once the cap is reached — a transient one,
 // whose row is derived on every visit.
 type State struct {
-	expr     lotos.Expr // nil once a retained row is filled
-	key      string
-	retained bool
-	row      atomic.Pointer[Row]
+	expr lotos.Expr // nil once a retained row is filled
+	key  string
+	id   int32 // dense id in interning order; -1 for a transient state
+	row  atomic.Pointer[Row]
 }
 
-// Key returns the state's canonical expression key (diagnostics: blocked
-// entities report it).
+// Key returns the state's canonical expression key (blocked entities report
+// it; product state keys digest it).
 func (s *State) Key() string { return s.key }
+
+// ID returns the state's dense id in interning order (root 0), -1 if transient.
+func (s *State) ID() int32 { return s.id }
 
 // Row is one state's transitions in derivation order, classified by
 // Classify. A row is immutable: callers must not mutate its slices.
@@ -163,6 +168,14 @@ func New(place int, sp *lotos.Spec, cfg Config) (*Machine, error) {
 // Root returns the initial state.
 func (m *Machine) Root() *State { return m.root }
 
+// State returns the retained state with the given id and its expression,
+// which is nil once the row is filled. Callers must not mutate it.
+func (m *Machine) State(id int32) (*State, lotos.Expr) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.states[id], m.states[id].expr
+}
+
 // Row returns state s's transition row, deriving it on first visit. A
 // retained state's row is derived once and then read without locking; a
 // transient state's row is derived afresh on every call.
@@ -188,7 +201,7 @@ func (m *Machine) Row(s *State) (*Row, error) {
 			r.OfferAt = append(r.OfferAt, int32(i))
 		}
 	}
-	if s.retained {
+	if s.id >= 0 {
 		s.expr = nil
 		s.row.Store(r)
 	}
@@ -203,10 +216,11 @@ func (m *Machine) intern(e lotos.Expr) *State {
 	if s := m.index[key]; s != nil {
 		return s
 	}
-	s := &State{expr: e, key: key}
-	if len(m.index) < m.maxStates {
-		s.retained = true
+	s := &State{expr: e, key: key, id: -1}
+	if len(m.states) < m.maxStates {
+		s.id = int32(len(m.states))
 		m.index[key] = s
+		m.states = append(m.states, s)
 	}
 	return s
 }
@@ -215,7 +229,7 @@ func (m *Machine) intern(e lotos.Expr) *State {
 func (m *Machine) Retained() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.index)
+	return len(m.states)
 }
 
 // CompileError reports that an entity's machine could not be built — its

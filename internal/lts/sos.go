@@ -76,6 +76,10 @@ func (env *Env) Instantiate(ref *lotos.ProcRef) (lotos.Expr, error) {
 	return body, nil
 }
 
+// ForgetInstances empties the instantiation memo, releasing every body
+// instantiated so far; later instantiations clone afresh.
+func (env *Env) ForgetInstances() { env.memo = map[memoKey]lotos.Expr{} }
+
 // stampOccurrence marks every symbolic message event and every untagged
 // process reference of the instantiated body with the instance occurrence.
 func stampOccurrence(e lotos.Expr, occ string) {

@@ -564,15 +564,16 @@ func cloneEntities(m map[int]*lotos.Spec) map[int]*lotos.Spec {
 // bisimilar to the service (exactly, for finite state spaces; up to a
 // bounded observable depth otherwise).
 //
-// Verify is safe for concurrent use on one Protocol: it operates on clones
-// of the service and entity trees.
+// Verify is safe for concurrent use on one Protocol: it explores a clone of
+// the service tree, and the entity trees are only read (each entity machine
+// resolves a private clone).
 func (p *Protocol) Verify(opts *VerifyOptions) (out *VerifyReport, err error) {
 	defer guard(&err)
 	co, err := p.composeOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := compose.Verify(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), co)
+	rep, err := compose.Verify(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities, co)
 	if err != nil {
 		return nil, err
 	}
@@ -611,14 +612,14 @@ type FaultCell struct {
 // VerifyMatrix verifies the protocol once per fault model — a fault matrix
 // row per model, in input order — reusing the given options for everything
 // but the fault model. An empty model list verifies the reliable medium
-// only. Like Verify, it operates on clones and is safe for concurrent use.
+// only. Like Verify, it is safe for concurrent use.
 func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (cells []FaultCell, err error) {
 	defer guard(&err)
 	co, err := p.composeOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	mx, err := compose.VerifyMatrix(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), models, co)
+	mx, err := compose.VerifyMatrix(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities, models, co)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check corpus-smoke live-smoke examples-smoke bench-smoke fuzz-smoke run-pgd bench
+.PHONY: build test check fmt-check corpus-smoke live-smoke examples-smoke bench-smoke fuzz-smoke run-pgd bench
 
 build:
 	$(GO) build ./...
@@ -8,7 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the concurrency tier: vet; the race detector over each package
+# fmt-check fails when any Go file in the tree, the bench module included,
+# is not gofmt-formatted, and lists those files.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: not gofmt-formatted:"; echo "$$out"; exit 1; fi
+
+# check is the concurrency tier: formatting and vet; the race detector over each package
 # that starts goroutines (the exploration core's derivation workers, the
 # equivalence engine's refinement workers, the daemon) or whose state
 # goroutines share (sim's machine fleets, the fsm machines they hold, the
@@ -17,6 +22,7 @@ test:
 # concurrently); the corpus and live gates; the examples; the benchmark
 # module's own tests; and a short fuzz smoke of the native fuzz targets.
 check:
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/fsm/ ./internal/service/ ./cmd/pgd/
 	$(GO) test -race -count=10 -run '^TestSharedFleetConcurrentSessions$$' ./internal/sim/

@@ -201,24 +201,24 @@ func printFaultMatrix(w io.Writer, service *lotos.Spec, entities map[int]*lotos.
 	if err != nil {
 		return err
 	}
-	all := append([]compose.MatrixCell{{Faults: compose.Reliable, Report: reliable}}, cells...)
+	all := append([]*compose.Report{reliable}, cells...)
 	fmt.Fprintf(w, "fault matrix (cap=%d):\n", max(opts.ChannelCap, 1))
-	for _, c := range all {
+	for _, r := range all {
 		verdict := "OK"
 		switch {
-		case !c.Report.Ok() && c.Report.ComposedDeadlocks > 0:
+		case !r.Ok() && r.ComposedDeadlocks > 0:
 			verdict = "FAIL (deadlock)"
-		case !c.Report.Ok():
+		case !r.Ok():
 			verdict = "FAIL"
 		}
-		fmt.Fprintf(w, "  %-12s %s\n", c.Faults, verdict)
+		fmt.Fprintf(w, "  %-12s %s\n", r.Faults, verdict)
 	}
-	for _, c := range cells {
-		if c.Report.Witness != nil {
-			fmt.Fprint(w, c.Report.Witness.Summary())
-			res, err := sim.ReplayWitness(entities, c.Report.Witness)
+	for _, r := range cells {
+		if r.Witness != nil {
+			fmt.Fprint(w, r.Witness.Summary())
+			res, err := sim.ReplayWitness(entities, r.Witness)
 			if err != nil {
-				return fmt.Errorf("replaying %s counterexample: %w", c.Faults, err)
+				return fmt.Errorf("replaying %s counterexample: %w", r.Faults, err)
 			}
 			fmt.Fprintf(w, "  replay: %d steps, trace %q, terminated=%v deadlocked=%v\n",
 				res.Steps, strings.Join(res.Trace, " "), res.Terminated, res.Deadlocked)

@@ -282,12 +282,7 @@ func (g *corpusGate) report(t *testing.T, c *corpusCell, col string) *VerifyRepo
 	row := g.memoized(t, fmt.Sprintf("%s/cap%d", c.spec.name, c.opts.ChannelCap), func() ([]*VerifyReport, error) {
 		opts := c.opts
 		opts.Faults = FaultModel{}
-		cells, err := c.spec.proto.VerifyMatrix(matrixModels, &opts)
-		reps := make([]*VerifyReport, len(cells))
-		for i, cell := range cells {
-			reps[i] = cell.Report
-		}
-		return reps, err
+		return c.spec.proto.VerifyMatrix(matrixModels, &opts)
 	})
 	for i, fm := range matrixModels {
 		if fm == c.opts.Faults {

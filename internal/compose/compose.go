@@ -822,6 +822,13 @@ func (s *System) ReductionInfo() ReductionStats {
 	return rs
 }
 
+// concrete reports whether the product's states are the concrete product's
+// — no symmetry orbits, no entity quotient classes — so its paths replay
+// through the entity machines.
+func (s *System) concrete() bool {
+	return s.sym == nil && (len(s.min) == 0 || s.min[0] == nil)
+}
+
 // rootState builds the composed initial state: every entity at its
 // initial state (local id 0), all channels empty.
 func (s *System) rootState() *gstate {

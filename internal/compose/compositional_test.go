@@ -201,7 +201,10 @@ func TestCompositionalMatrixReusesEntities(t *testing.T) {
 		t.Fatalf("got %d cells, want %d", len(cells), len(models))
 	}
 	for i, c := range cells {
-		st := c.Report.Compositional
+		if c.Faults != models[i] {
+			t.Errorf("cell %d reports fault model %s, want %s", i, c.Faults, models[i])
+		}
+		st := c.Compositional
 		if st == nil {
 			t.Fatalf("cell %d (%s) has no compositional stats", i, c.Faults)
 		}
@@ -220,7 +223,7 @@ func TestCompositionalMatrixReusesEntities(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range cells {
-		wantSameVerdict(t, fmt.Sprintf("cell %s", models[i]), monoCells[i].Report, cells[i].Report)
+		wantSameVerdict(t, fmt.Sprintf("cell %s", models[i]), monoCells[i], cells[i])
 	}
 }
 

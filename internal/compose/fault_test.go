@@ -252,10 +252,11 @@ func TestDeadlockWitnessMinimality(t *testing.T) {
 			if rep.Witness == nil || rep.Witness.Kind != WitnessDeadlock {
 				t.Fatalf("%s faults=%s: expected a deadlock witness, got %+v", src, fm, rep.Witness)
 			}
+			depth := bfsDepths(rep.ComposedGraph)
 			min := -1
 			for _, d := range rep.ComposedGraph.Deadlocks() {
-				if min == -1 || rep.ComposedGraph.Depth[d] < min {
-					min = rep.ComposedGraph.Depth[d]
+				if min == -1 || depth[d] < min {
+					min = depth[d]
 				}
 			}
 			if len(rep.Witness.Steps) != min {
@@ -264,6 +265,25 @@ func TestDeadlockWitnessMinimality(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bfsDepths returns each state's transition distance from the initial
+// state, by a breadth-first search over the graph's edges.
+func bfsDepths(g *lts.Graph) []int {
+	depth := make([]int, g.NumStates())
+	for i := range depth {
+		depth[i] = -1
+	}
+	depth[0] = 0
+	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
+		for _, e := range g.Edges[queue[0]] {
+			if depth[e.To] < 0 {
+				depth[e.To] = depth[queue[0]] + 1
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	return depth
 }
 
 // TestWitnessSummaryRendering: the rendering names the verdict, the fault

@@ -66,7 +66,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 				t.Errorf("graphs differ: serial %d/%d, parallel %d/%d states/transitions",
 					serial.NumStates(), serial.NumTransitions(), par.NumStates(), par.NumTransitions())
 			}
-			if !reflect.DeepEqual(serial.Depth, par.Depth) || !reflect.DeepEqual(serial.ObsDepth, par.ObsDepth) ||
+			if !reflect.DeepEqual(serial.ObsDepth, par.ObsDepth) ||
 				!reflect.DeepEqual(serial.Frontier, par.Frontier) {
 				t.Error("depth accounting or frontier differs between serial and parallel exploration")
 			}

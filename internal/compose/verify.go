@@ -187,6 +187,10 @@ const DefaultObsDepth = 8
 // traces collected when the trace sets differ.
 const DefaultTraceDiffLimit = 5
 
+// exploreService explores the service side of a verification. Tests swap it
+// to count the explorations one Verify call runs.
+var exploreService = lts.ExploreSpec
+
 // Verify checks a derived protocol against its service specification:
 // it explores the service and the composed protocol system to the same
 // observable depth, compares their weak trace sets, checks the composed
@@ -197,6 +201,10 @@ const DefaultTraceDiffLimit = 5
 // quotients of the entity LTSs (see verifyCompositional); a non-conformant
 // or incomplete compositional verdict falls back to the monolithic path,
 // so counterexamples are always the monolithic (replayable) ones.
+//
+// The service is explored once, up front: every attempt — monolithic,
+// compositional, and the symmetry and compositional fallbacks — checks
+// against that one graph, and its report carries it.
 //
 // The service specification must be the analyzed clone actually derived
 // from (core.Derivation.Service.Spec), so that both sides use the same
@@ -218,20 +226,20 @@ func Verify(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOption
 		SpillBudget: opts.SpillBudget,
 		SpillDir:    opts.SpillDir,
 	}
-	if opts.Compositional {
-		return verifyCompositional(service, entities, opts, cfg)
-	}
-	return verifyMonolithic(service, entities, opts, cfg)
-}
-
-// verifyMonolithic explores the product of the entities' full local state
-// spaces. opts carries Verify's defaults; cfg is the product configuration
-// Verify derived from it.
-func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config) (*Report, error) {
-	sg, err := lts.ExploreSpec(service, cfg.Limits)
+	sg, err := exploreService(service, cfg.Limits)
 	if err != nil {
 		return nil, fmt.Errorf("compose: exploring service: %w", err)
 	}
+	if opts.Compositional {
+		return verifyCompositional(sg, entities, opts, cfg)
+	}
+	return verifyMonolithic(sg, entities, opts, cfg)
+}
+
+// verifyMonolithic explores the product of the entities' full local state
+// spaces and judges it against the service graph sg. opts carries Verify's
+// defaults; cfg is the product configuration Verify derived from it.
+func verifyMonolithic(sg *lts.Graph, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config) (*Report, error) {
 	sys, err := New(entities, cfg)
 	if err != nil {
 		return nil, err
@@ -240,16 +248,10 @@ func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 	if err != nil {
 		return nil, fmt.Errorf("compose: exploring composed system: %w", err)
 	}
-
-	ri := sys.ReductionInfo()
-	r := &Report{
-		ServiceGraph:  sg,
-		ComposedGraph: cg,
-		ObsDepth:      opts.ObsDepth,
-		Faults:        opts.Faults,
-		Reduction:     &ri,
+	r, err := judge(sg, cg, sys, opts)
+	if err != nil {
+		return nil, err
 	}
-	verdict(r, opts)
 	if sys.sym != nil && !r.Ok() {
 		// The symmetry quotient is weakly bisimilar to the concrete product,
 		// so the verdict itself is trustworthy — but its graph stores one
@@ -258,30 +260,34 @@ func verifyMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 		// rather than replayable concrete states. Re-verify with symmetry
 		// stripped from the effective set (everything else unchanged) so the
 		// failure report — witness included — is byte-identical to an
-		// unreduced verification. Mirrors fallbackMonolithic in spirit; the
-		// repeated service exploration is cheap next to the product.
+		// unreduced verification.
 		c := cfg
 		c.Reductions = sys.red.Without(RedSymmetry)
-		full, err := verifyMonolithic(service, entities, opts, c)
+		full, err := verifyMonolithic(sg, entities, opts, c)
 		if err != nil {
 			return nil, err
 		}
 		full.Reduction.Fallback = "non-conformant under symmetry; re-verified without it"
 		return full, nil
 	}
-	if !r.Ok() && !opts.NoWitness {
-		w, err := buildWitness(sys, r, opts)
-		if err != nil {
-			return nil, fmt.Errorf("compose: extracting counterexample: %w", err)
-		}
-		r.Witness = w
-	}
 	return r, nil
 }
 
-// verdict fills the comparison fields of a report whose graphs are set.
-func verdict(r *Report, opts VerifyOptions) {
-	sg, cg := r.ServiceGraph, r.ComposedGraph
+// judge turns the service graph and an explored product system into a
+// report: it is the one function that sets a Report's verdict fields. A
+// failed verdict gets its shortest counterexample unless opts.NoWitness is
+// set or the product is a quotient (by symmetry or of the entities), whose
+// paths do not replay through the concrete runtime; the callers re-verify
+// those failures on the concrete product.
+func judge(sg, cg *lts.Graph, sys *System, opts VerifyOptions) (*Report, error) {
+	ri := sys.ReductionInfo()
+	r := &Report{
+		ServiceGraph:  sg,
+		ComposedGraph: cg,
+		ObsDepth:      opts.ObsDepth,
+		Faults:        opts.Faults,
+		Reduction:     &ri,
+	}
 	r.OnlyService, r.OnlyComposed = equiv.TraceDiff(sg, cg, opts.ObsDepth, opts.TraceDiffLimit)
 	r.ServiceSubset = len(r.OnlyService) == 0
 	r.ComposedSubset = len(r.OnlyComposed) == 0
@@ -293,6 +299,15 @@ func verdict(r *Report, opts VerifyOptions) {
 		r.WeakBisimilar, st = equiv.WeakBisimilarStats(sg, cg)
 		r.Equiv = &st
 	}
+	if r.Ok() || opts.NoWitness || !sys.concrete() {
+		return r, nil
+	}
+	w, err := buildWitness(sys, r, opts)
+	if err != nil {
+		return nil, fmt.Errorf("compose: extracting counterexample: %w", err)
+	}
+	r.Witness = w
+	return r, nil
 }
 
 // verifyCompositional is the quotient-before-compose path: every entity is
@@ -303,12 +318,10 @@ func verdict(r *Report, opts VerifyOptions) {
 // product is weakly bisimilar to the quotient product, and a monolithic
 // deadlock always projects to a quotient-product deadlock. Everything else
 // (an entity over the cap, a truncated quotient product, a non-conformant
-// verdict) re-runs the monolithic path and returns its report wholesale,
-// counterexample included, with the fallback reason recorded in
-// Report.Compositional. The caller's trees are never mutated by the
-// compositional attempt (the service is explored on a clone; fsm.Compile
-// explores clones), so the fallback sees them pristine.
-func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config) (*Report, error) {
+// verdict) re-runs the monolithic path against the same service graph and
+// returns its report wholesale, counterexample included, with the fallback
+// reason recorded in Report.Compositional.
+func verifyCompositional(sg *lts.Graph, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config) (*Report, error) {
 	provider := opts.EntityProvider
 	if provider == nil {
 		provider = compileEntity
@@ -344,18 +357,12 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 		if err != nil {
 			// The quotient of a truncated graph would merge frontier states
 			// on their explored prefix only; composing over it is unsound.
-			return fallbackMonolithic(service, entities, opts, cfg, stats,
+			return fallbackMonolithic(sg, entities, opts, cfg, stats,
 				fmt.Sprintf("entity %d exceeds the exploration cap", p))
 		}
 		machines[p] = m
 	}
 
-	// Explore the service on a clone: exploration resolves and numbers the
-	// tree in place, and the monolithic fallback needs the original.
-	sg, err := lts.ExploreSpec(lotos.CloneSpec(service), cfg.Limits)
-	if err != nil {
-		return nil, fmt.Errorf("compose: exploring service: %w", err)
-	}
 	sys, err := NewCompositional(entities, machines, cfg)
 	if err != nil {
 		return nil, err
@@ -368,17 +375,6 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 	stats.ProductNanos = time.Since(start).Nanoseconds()
 	stats.ProductStates = cg.NumStates()
 	stats.ProductTransitions = cg.NumTransitions()
-
-	ri := sys.ReductionInfo()
-	r := &Report{
-		ServiceGraph:  sg,
-		ComposedGraph: cg,
-		ObsDepth:      opts.ObsDepth,
-		Faults:        opts.Faults,
-		Compositional: stats,
-		Reduction:     &ri,
-	}
-	verdict(r, opts)
 	// An incomplete exploration is acceptable only when the truncation is
 	// depth-only: the monolithic product is explored to the same observable
 	// depth, the full products are weakly bisimilar (quotient congruence),
@@ -387,15 +383,20 @@ func verifyCompositional(service *lotos.Spec, entities map[int]*lotos.Spec, opts
 	// state-cap truncation instead means the quotient product was not
 	// covered, and nothing relates the partial graphs; fall back.
 	if cg.Truncated && cg.NumStates() >= maxStates {
-		return fallbackMonolithic(service, entities, opts, cfg, stats, "quotient product exceeds the state cap")
+		return fallbackMonolithic(sg, entities, opts, cfg, stats, "quotient product exceeds the state cap")
+	}
+	r, err := judge(sg, cg, sys, opts)
+	if err != nil {
+		return nil, err
 	}
 	if !r.Ok() {
 		// Sound only in the conformant direction: the weak quotient can
 		// introduce a spurious deadlock (a pure-τ cycle collapses to a stuck
 		// class), and the fallback's witness refers to monolithic transition
 		// indices, which replay through the concrete runtime.
-		return fallbackMonolithic(service, entities, opts, cfg, stats, "non-conformant; re-verified monolithically")
+		return fallbackMonolithic(sg, entities, opts, cfg, stats, "non-conformant; re-verified monolithically")
 	}
+	r.Compositional = stats
 	return r, nil
 }
 
@@ -408,13 +409,13 @@ func effectiveMaxStates(maxStates int) int {
 	return maxStates
 }
 
-// fallbackMonolithic re-runs the monolithic path and returns its report
-// wholesale — verdict fields and counterexample byte-identical to a plain
-// Verify — with the compositional attempt's stats and the fallback reason
-// attached.
-func fallbackMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config, stats *CompositionalStats, reason string) (*Report, error) {
+// fallbackMonolithic re-runs the monolithic path against the service graph
+// sg and returns its report wholesale — verdict fields and counterexample
+// byte-identical to a plain Verify — with the compositional attempt's stats
+// and the fallback reason attached.
+func fallbackMonolithic(sg *lts.Graph, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config, stats *CompositionalStats, reason string) (*Report, error) {
 	stats.Fallback = reason
-	r, err := verifyMonolithic(service, entities, opts, cfg)
+	r, err := verifyMonolithic(sg, entities, opts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -422,20 +423,14 @@ func fallbackMonolithic(service *lotos.Spec, entities map[int]*lotos.Spec, opts 
 	return r, nil
 }
 
-// MatrixCell is one entry of a fault matrix: the report of one verification
-// under one fault model.
-type MatrixCell struct {
-	Faults FaultModel
-	Report *Report
-}
-
-// VerifyMatrix runs Verify once per fault model and returns the cells in
-// input order. An empty or nil model list verifies the reliable medium only.
-// opts.Faults is overridden per cell. Under opts.Compositional with no
-// EntityProvider the entities are compiled once and the machines shared
-// across every cell — faults and channel capacity live in the medium, so
-// the entity artifacts are identical for all fault models.
-func VerifyMatrix(service *lotos.Spec, entities map[int]*lotos.Spec, models []FaultModel, opts VerifyOptions) ([]MatrixCell, error) {
+// VerifyMatrix runs Verify once per fault model and returns the reports in
+// input order; each report's Faults names its model. An empty or nil model
+// list verifies the reliable medium only. opts.Faults is overridden per
+// model. Under opts.Compositional with no EntityProvider the entities are
+// compiled once and the machines shared across every model — faults and
+// channel capacity live in the medium, so the entity artifacts are
+// identical for all fault models.
+func VerifyMatrix(service *lotos.Spec, entities map[int]*lotos.Spec, models []FaultModel, opts VerifyOptions) ([]*Report, error) {
 	if len(models) == 0 {
 		models = []FaultModel{Reliable}
 	}
@@ -454,7 +449,7 @@ func VerifyMatrix(service *lotos.Spec, entities map[int]*lotos.Spec, models []Fa
 			return m, nanos, false, err
 		}
 	}
-	out := make([]MatrixCell, 0, len(models))
+	out := make([]*Report, 0, len(models))
 	for _, fm := range models {
 		o := opts
 		o.Faults = fm
@@ -462,7 +457,7 @@ func VerifyMatrix(service *lotos.Spec, entities map[int]*lotos.Spec, models []Fa
 		if err != nil {
 			return nil, fmt.Errorf("compose: fault model %s: %w", fm, err)
 		}
-		out = append(out, MatrixCell{Faults: fm, Report: r})
+		out = append(out, r)
 	}
 	return out, nil
 }

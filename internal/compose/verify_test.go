@@ -1,0 +1,64 @@
+package compose
+
+import (
+	"testing"
+
+	"repro/internal/fsm"
+	"repro/internal/lotos"
+	"repro/internal/lts"
+)
+
+// TestVerifyExploresServiceOnce: one Verify call explores the service once,
+// whichever path produces the verdict, and the report carries that graph —
+// also when the verdict comes from the symmetry fallback or from one of the
+// compositional path's monolithic fallbacks.
+func TestVerifyExploresServiceOnce(t *testing.T) {
+	overCap := func(place int, sp *lotos.Spec, _ int) (*fsm.Machine, int64, bool, error) {
+		return compileEntity(place, sp, 2)
+	}
+	symmetry := func(r *Report) string { return r.Reduction.Fallback }
+	compositional := func(r *Report) string { return r.Compositional.Fallback }
+	cases := []struct {
+		name string
+		src  string
+		opts VerifyOptions
+		// fallback reads the report's fallback marker, which must be set
+		// exactly when wantFallback is.
+		fallback     func(*Report) string
+		wantFallback bool
+	}{
+		{"monolithic", "SPEC a1; b2; exit ENDSPEC", VerifyOptions{}, symmetry, false},
+		{"symmetry-fallback", relaySrc(2), VerifyOptions{ObsDepth: 6, MaxStates: 100000,
+			Faults: FaultModel{Loss: true}, Reductions: RedPOR.With(RedSymmetry)}, symmetry, true},
+		{"compositional", "SPEC a1; b2; exit ENDSPEC", VerifyOptions{Compositional: true}, compositional, false},
+		{"compositional-nonconformant-fallback", "SPEC a1; b2; exit ENDSPEC",
+			VerifyOptions{Compositional: true, Faults: FaultModel{Loss: true}}, compositional, true},
+		{"compositional-over-cap-fallback", "SPEC A WHERE PROC A = a1; b2; A [] q1; b2; exit END ENDSPEC",
+			VerifyOptions{Compositional: true, EntityProvider: overCap}, compositional, true},
+	}
+	defer func(f func(*lotos.Spec, lts.Limits) (*lts.Graph, error)) { exploreService = f }(exploreService)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var explored []*lts.Graph
+			exploreService = func(sp *lotos.Spec, lim lts.Limits) (*lts.Graph, error) {
+				g, err := lts.ExploreSpec(sp, lim)
+				explored = append(explored, g)
+				return g, err
+			}
+			d := deriveSrc(t, tc.src)
+			rep, err := Verify(d.Service.Spec, d.Entities, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(explored) != 1 {
+				t.Fatalf("Verify explored the service %d times, want once", len(explored))
+			}
+			if rep.ServiceGraph != explored[0] {
+				t.Error("report does not carry the service graph Verify explored")
+			}
+			if got := tc.fallback(rep) != ""; got != tc.wantFallback {
+				t.Errorf("fallback taken = %v, want %v:\n%s", got, tc.wantFallback, rep.Summary())
+			}
+		})
+	}
+}

@@ -51,7 +51,6 @@ func TestQuotientEmptyKeyState(t *testing.T) {
 		States:   make([]lotos.Expr, 2),
 		Keys:     []string{"", ""},
 		Edges:    [][]lts.Edge{{{Label: lts.EventLabel(ev), To: 1}}, nil},
-		Depth:    []int{0, 1},
 		ObsDepth: []int{0, 1},
 		Frontier: map[int]bool{},
 	}
@@ -85,7 +84,6 @@ func TestTauCycleCollapsesToOneClass(t *testing.T) {
 			{{Label: tau, To: 2}},
 			{{Label: tau, To: 0}},
 		},
-		Depth:    []int{0, 1, 2},
 		ObsDepth: []int{0, 0, 0},
 		Frontier: map[int]bool{},
 	}

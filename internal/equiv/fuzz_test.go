@@ -59,7 +59,6 @@ func rawGraph(n int) *lts.Graph {
 		States:   make([]lotos.Expr, n),
 		Keys:     make([]string, n),
 		Edges:    make([][]lts.Edge, n),
-		Depth:    make([]int, n),
 		ObsDepth: make([]int, n),
 		Frontier: map[int]bool{},
 	}

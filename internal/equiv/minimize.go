@@ -59,7 +59,6 @@ func buildQuotient(g *lts.Graph, blockOf func(int) int32, table *lts.LabelTable)
 		States:   make([]lotos.Expr, n),
 		Keys:     make([]string, n),
 		Edges:    make([][]lts.Edge, n),
-		Depth:    make([]int, n),
 		ObsDepth: make([]int, n),
 		Frontier: map[int]bool{},
 	}

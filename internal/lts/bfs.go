@@ -40,7 +40,7 @@ func ExploreSource(src StateSource, rootKey string, root any, lim Limits, worker
 		return g, nil, err
 	}
 	stats := &SpillStats{}
-	if spill.StatsOnly && (lim.MaxDepth > 0 || lim.MaxObsDepth > 0) {
+	if spill.StatsOnly && lim.MaxObsDepth > 0 {
 		return nil, stats, fmt.Errorf("lts: stats-only spill exploration supports the MaxStates limit only")
 	}
 	idx, err := newSpillIndex(spill)
@@ -173,7 +173,7 @@ type bfs struct {
 func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limits, drop bool) (*Graph, int64, error) {
 	g := &Graph{Frontier: map[int]bool{}}
 	b := &bfs{g: g, index: index}
-	if _, err := b.add(rootKey, root, 0, 0); err != nil {
+	if _, err := b.add(rootKey, root, 0); err != nil {
 		return nil, 0, err
 	}
 	var transitions int64
@@ -188,8 +188,7 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 				for j := range g.Edges[id] {
 					b.relax(id, &g.Edges[id][j])
 				}
-			case lim.MaxDepth > 0 && g.Depth[id] >= lim.MaxDepth,
-				lim.MaxObsDepth > 0 && b.obsDepth[id] >= lim.MaxObsDepth:
+			case lim.MaxObsDepth > 0 && b.obsDepth[id] >= lim.MaxObsDepth:
 				g.Frontier[id] = true
 			default:
 				toExpand = append(toExpand, id)
@@ -234,7 +233,7 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 				if t.Label.Observable() {
 					nd++
 				}
-				to, err := b.add(t.Key, t.To, g.Depth[head]+1, nd)
+				to, err := b.add(t.Key, t.To, nd)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -258,7 +257,7 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 
 // add numbers a new state. The key is copied: a source's keys may share
 // memory with the rest of its derivation.
-func (b *bfs) add(key string, st any, depth, obs int) (int, error) {
+func (b *bfs) add(key string, st any, obs int) (int, error) {
 	id := len(b.states)
 	key = strings.Clone(key)
 	if err := b.index.put(key, id); err != nil {
@@ -267,7 +266,6 @@ func (b *bfs) add(key string, st any, depth, obs int) (int, error) {
 	b.states = append(b.states, st)
 	b.g.Keys = append(b.g.Keys, key)
 	b.g.Edges = append(b.g.Edges, nil)
-	b.g.Depth = append(b.g.Depth, depth)
 	b.obsDepth = append(b.obsDepth, obs)
 	b.expanded = append(b.expanded, false)
 	b.queued = append(b.queued, 0)
@@ -282,24 +280,16 @@ func (b *bfs) enqueue(id int) {
 	}
 }
 
-// relax pushes head's depths through one edge and queues the target when
-// they improve it: a shorter path re-expands a state held back by a depth
-// bound, or propagates through an expanded state's cached edges.
+// relax pushes head's observable depth through one edge and queues the
+// target when it improves: a shorter path re-expands a state held back by
+// the depth bound, or propagates through an expanded state's cached edges.
 func (b *bfs) relax(head int, e *Edge) {
 	nd := b.obsDepth[head]
 	if e.Label.Observable() {
 		nd++
 	}
-	improved := false
 	if nd < b.obsDepth[e.To] {
 		b.obsDepth[e.To] = nd
-		improved = true
-	}
-	if d := b.g.Depth[head] + 1; d < b.g.Depth[e.To] {
-		b.g.Depth[e.To] = d
-		improved = true
-	}
-	if improved {
 		b.enqueue(e.To)
 	}
 }

@@ -11,9 +11,6 @@ import (
 type Limits struct {
 	// MaxStates caps the number of distinct states explored.
 	MaxStates int
-	// MaxDepth caps the exploration depth (number of transitions from the
-	// initial state). 0 means unbounded (up to MaxStates).
-	MaxDepth int
 	// MaxObsDepth caps the exploration depth counted in OBSERVABLE
 	// transitions only (internal actions are free). With MaxObsDepth = L
 	// and no other truncation, the explored graph contains every weak
@@ -40,8 +37,6 @@ type Graph struct {
 	Keys []string
 	// Edges holds the outgoing edges of each state, in derivation order.
 	Edges [][]Edge
-	// Depth holds the BFS depth at which each state was first reached.
-	Depth []int
 	// ObsDepth holds the minimal number of observable transitions needed
 	// to reach each state.
 	ObsDepth []int
@@ -66,8 +61,7 @@ func (g *Graph) NumTransitions() int {
 }
 
 // Explore builds the reachable transition graph of root under env, up to the
-// limits. Exploration is breadth-first, so Depth is the shortest transition
-// distance from the initial state. When MaxObsDepth is set, states are
+// limits. Exploration is breadth-first. When MaxObsDepth is set, states are
 // (re-)expanded whenever a path with fewer observable steps reaches them, so
 // the observable-depth accounting is exact.
 func Explore(env *Env, root lotos.Expr, lim Limits) (*Graph, error) {

@@ -104,18 +104,16 @@ func exploreEvery(t *testing.T, src StateSource, rootKey string, root any, lim L
 	return out
 }
 
-// TestReExpansionRelaxesDepth pins the fix for the re-expansion branch of
-// the explorer refreshing only the observable depth: when a shorter
-// transition path to an already-expanded state is found later (through an
-// observable-depth improvement that re-queues it), the plain Depth of its
-// successors must be relaxed too, or MaxDepth truncation decisions read
-// stale distances.
+// TestReExpansionRelaxesDepth pins the re-expansion branch of the
+// explorer: when a path with fewer observable steps reaches an
+// already-expanded state later, the improvement re-queues it and propagates
+// through its cached edges to its successors.
 //
 // With MaxObsDepth=1 the internal chain root -> X1 -> X2 -> X3 reaches A1
 // and A2 at observable depth 0, after they were first discovered at
 // observable depth 1 via the "a" edges. The re-expansions triggered by
-// those improvements pass through C and D, whose shortest transition
-// distances (2 and 3) were discovered second.
+// those improvements pass through C and D, which must end at observable
+// depth 0 too.
 func TestReExpansionRelaxesDepth(t *testing.T) {
 	src := &fakeSource{edges: map[string][]GenTransition{
 		"root": {obs("A2"), tau("X1")},
@@ -134,14 +132,6 @@ func TestReExpansionRelaxesDepth(t *testing.T) {
 		}
 		if n := g.NumStates(); n != 8 {
 			t.Fatalf("explored %d states, want 8", n)
-		}
-		want := map[string]int{
-			"root": 0, "X1": 1, "A2": 1, "A1": 2, "X2": 2, "C": 2, "X3": 3, "D": 3,
-		}
-		for key, d := range want {
-			if got := g.Depth[stateID(t, g, key)]; got != d {
-				t.Errorf("Depth[%s] = %d, want %d", key, got, d)
-			}
 		}
 		for key, od := range map[string]int{"root": 0, "X1": 0, "A1": 0, "A2": 0, "C": 0, "D": 0} {
 			if got := g.ObsDepth[stateID(t, g, key)]; got != od {
@@ -298,7 +288,7 @@ func TestParallelDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a.Edges, b.Edges) {
 		t.Error("edges differ between identical parallel runs")
 	}
-	if !reflect.DeepEqual(a.Depth, b.Depth) || !reflect.DeepEqual(a.ObsDepth, b.ObsDepth) {
+	if !reflect.DeepEqual(a.ObsDepth, b.ObsDepth) {
 		t.Error("depth accounting differs between identical parallel runs")
 	}
 }

@@ -39,8 +39,8 @@ type SpillConfig struct {
 	Dir string
 	// StatsOnly discards the graph and counts states and transitions only,
 	// so nothing grows with the explored size except the bounded index and
-	// the BFS frontier. Incompatible with MaxDepth/MaxObsDepth limits
-	// (those need retained edges to propagate depth improvements).
+	// the BFS frontier. Incompatible with a MaxObsDepth limit (it needs
+	// retained edges to propagate depth improvements).
 	StatsOnly bool
 }
 

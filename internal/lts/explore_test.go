@@ -48,18 +48,6 @@ func TestExploreRecursive(t *testing.T) {
 	}
 }
 
-func TestExploreDepthLimit(t *testing.T) {
-	g := mustGraph(t, "SPEC A WHERE PROC A = a1; A [] b1; exit END ENDSPEC", Limits{MaxDepth: 3})
-	if !g.Truncated {
-		t.Error("depth-limited exploration must be marked truncated")
-	}
-	for s, d := range g.Depth {
-		if d > 3+1 {
-			t.Errorf("state %d at depth %d exceeds limit", s, d)
-		}
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	// Mismatched full synchronization deadlocks after a1.
 	g := mustGraph(t, "SPEC a1; b2; exit || a1; c3; exit ENDSPEC", Limits{})

@@ -13,7 +13,6 @@ func pathGraph(n int, edges map[int][]Edge) *Graph {
 		States: make([]lotos.Expr, n),
 		Keys:   make([]string, n),
 		Edges:  make([][]Edge, n),
-		Depth:  make([]int, n),
 	}
 	for s, es := range edges {
 		g.Edges[s] = es

@@ -2,12 +2,15 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"testing"
+
+	protoderive "repro"
 )
 
 // jsonShape maps each key of a JSON object to the type its value must have:
@@ -77,10 +80,23 @@ var (
 		"kind": "string", "place": "number", "tIndex": "number", "label": "string",
 		"?from": "number", "?to": "number", "?msg": "string", "?index": "number",
 	}
+	// matrixCellShape is protoderive.VerifyReport on the wire: a fault-matrix
+	// cell, and the verdict keys of every verify response.
 	matrixCellShape = jsonShape{
-		"faults": "string", "ok": "bool", "complete": "bool", "tracesEqual": "bool",
-		"deadlocks": "number", "summary": "string", "?witness": "object",
+		"faults": "string", "ok": "bool", "complete": "bool", "weakBisimilar": "bool",
+		"tracesEqual": "bool", "obsDepth": "number", "deadlocks": "number",
+		"serviceStates": "number", "composedStates": "number", "summary": "string",
+		"?witness": "object", "?equiv": "object", "?compositional": "object", "?reduction": "object",
 	}
+	// verifyShape is the top level of a /v1/verify response: the verdict
+	// keys plus the daemon's own.
+	verifyShape = withKeys(matrixCellShape, jsonShape{
+		"cached": "bool", "messageCount": "number", "specDigest": "string", "?faultMatrix": "array",
+	})
+	// deltaVerifyShape is the top level of a /v1/delta-verify response.
+	deltaVerifyShape = withKeys(verifyShape, jsonShape{
+		"baseDigest": "string", "delta": "object", "deltaSummary": "string",
+	})
 	compositionalShape = jsonShape{
 		"entities": "array", "productStates": "number", "productTransitions": "number",
 		"buildNanos": "number", "productNanos": "number", "reused": "number",
@@ -107,6 +123,34 @@ var (
 		"DisableRel": "number", "DisableInterr": "number", "Instantiate": "number",
 	}
 )
+
+// withKeys returns a shape with the keys of both shapes.
+func withKeys(a, b jsonShape) jsonShape {
+	out := jsonShape{}
+	for k, v := range a {
+		out[k] = v
+	}
+	for k, v := range b {
+		out[k] = v
+	}
+	return out
+}
+
+// checkReportObjects checks the nested report objects of a verdict object
+// that carries all of them (a complete, compositional verification).
+func checkReportObjects(t *testing.T, path string, v map[string]any) {
+	t.Helper()
+	comp := checkShape(t, path+"compositional", v["compositional"], compositionalShape)
+	ents, _ := comp["entities"].([]any)
+	if len(ents) == 0 {
+		t.Fatalf("%scompositional.entities: empty", path)
+	}
+	for _, e := range ents {
+		checkShape(t, path+"compositional.entities[]", e, entityQuotientShape)
+	}
+	checkShape(t, path+"reduction", v["reduction"], reductionShape)
+	checkShape(t, path+"equiv", v["equiv"], equivShape)
+}
 
 func checkWitness(t *testing.T, path string, v any) {
 	t.Helper()
@@ -139,8 +183,9 @@ func postRaw(t *testing.T, url string, body any) map[string]any {
 }
 
 // TestWireContract pins the daemon's JSON for a failing compositional verify
-// with one fault column and for a derive: the keys and value types of every
-// nested report object clients read.
+// with one fault column, for a delta-verify against it, and for a derive:
+// the top-level keys of both verify responses and the keys and value types
+// of every nested report object clients read.
 func TestWireContract(t *testing.T) {
 	src, err := os.ReadFile("../../specs/example6.spec")
 	if err != nil {
@@ -148,12 +193,14 @@ func TestWireContract(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{})
 
-	v := postRaw(t, ts.URL+"/v1/verify", VerifyRequest{
-		Spec:    string(src),
-		Options: VerifyRequestOptions{Compositional: true, Faults: []string{"loss"}},
-	})
+	opts := VerifyRequestOptions{Compositional: true, Faults: []string{"loss"}}
+	v := postRaw(t, ts.URL+"/v1/verify", VerifyRequest{Spec: string(src), Options: opts})
+	checkShape(t, "", v, verifyShape)
 	if v["ok"] != false {
 		t.Fatalf("example6 verified ok; the contract needs a failing verdict")
+	}
+	if v["faults"] != "reliable" {
+		t.Errorf("faults = %v, want \"reliable\"", v["faults"])
 	}
 	checkWitness(t, "witness", v["witness"])
 	if f := v["witness"].(map[string]any)["faults"]; f != "reliable" {
@@ -168,17 +215,95 @@ func TestWireContract(t *testing.T) {
 	if f := cell["witness"].(map[string]any)["faults"]; f != "loss" {
 		t.Errorf("faultMatrix[].witness.faults = %v, want \"loss\"", f)
 	}
-	comp := checkShape(t, "compositional", v["compositional"], compositionalShape)
-	ents, _ := comp["entities"].([]any)
-	if len(ents) == 0 {
-		t.Fatal("compositional.entities: empty")
-	}
-	for _, e := range ents {
-		checkShape(t, "compositional.entities[]", e, entityQuotientShape)
-	}
-	checkShape(t, "reduction", v["reduction"], reductionShape)
-	checkShape(t, "equiv", v["equiv"], equivShape)
+	checkReportObjects(t, "faultMatrix[].", cell)
+	checkReportObjects(t, "", v)
+
+	dv := postRaw(t, ts.URL+"/v1/delta-verify", DeltaVerifyRequest{
+		Base: v["specDigest"].(string), Spec: string(src), Options: opts,
+	})
+	checkShape(t, "", dv, deltaVerifyShape)
+	checkReportObjects(t, "", dv)
 
 	d := postRaw(t, ts.URL+"/v1/derive", DeriveRequest{Spec: string(src)})
 	checkShape(t, "complexity", d["complexity"], complexityShape)
+}
+
+// TestVerifyResponseIsFacadeReport: a daemon verify response decodes into
+// the protoderive.VerifyReport that Protocol.Verify returns for the same
+// spec and options, its *Nanos timings aside — and so does each fault-matrix
+// cell, against Protocol.Verify under the cell's fault model. The
+// compositional request runs over a fresh artifact cache on both sides, in
+// the daemon's order (reliable first, then each model), so the artifact
+// reuse counts agree too.
+func TestVerifyResponseIsFacadeReport(t *testing.T) {
+	src, err := os.ReadFile("../../specs/example6.spec")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, compositional := range []bool{false, true} {
+		_, ts := newTestServer(t, Config{})
+		v := postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
+			Spec:    string(src),
+			Options: VerifyRequestOptions{Compositional: compositional, Faults: []string{"loss", "dup"}},
+		})
+		if v.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", v.StatusCode)
+		}
+		got := decode[VerifyResponse](t, v)
+
+		proto, err := protoderive.MustParseService(string(src)).Derive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		proto.UseArtifacts(protoderive.NewArtifactCache(0))
+		opts := protoderive.VerifyOptions{Compositional: compositional}
+		want, err := proto.Verify(&opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameReport(t, fmt.Sprintf("compositional=%t reliable", compositional), want, &got.VerifyReport)
+		if len(got.FaultMatrix) != 2 {
+			t.Fatalf("faultMatrix has %d cells, want 2", len(got.FaultMatrix))
+		}
+		for i, fm := range []protoderive.FaultModel{{Loss: true}, {Duplication: true}} {
+			opts.Faults = fm
+			want, err := proto.Verify(&opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameReport(t, fmt.Sprintf("compositional=%t %s", compositional, fm), want, got.FaultMatrix[i])
+		}
+	}
+}
+
+// sameReport requires two verdict records to encode alike once their
+// *Nanos timings are cleared. (A decoded witness step lacks the in-memory
+// event the wire omits, so the records compare by encoding.)
+func sameReport(t *testing.T, what string, want, got *protoderive.VerifyReport) {
+	t.Helper()
+	clearTimings(want)
+	clearTimings(got)
+	w, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(w) != string(g) {
+		t.Errorf("%s: daemon report differs from Protocol.Verify:\n--- facade\n%s\n--- daemon\n%s", what, w, g)
+	}
+}
+
+func clearTimings(r *protoderive.VerifyReport) {
+	if e := r.Equiv; e != nil {
+		e.SaturateNanos, e.RefineNanos = 0, 0
+	}
+	if c := r.Compositional; c != nil {
+		c.BuildNanos, c.ProductNanos = 0, 0
+		for i := range c.Entities {
+			c.Entities[i].BuildNanos = 0
+		}
+	}
 }

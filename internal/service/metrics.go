@@ -267,15 +267,15 @@ func (m *Metrics) RecordCompile(compiled, overflowed, states, transitions int) {
 
 // RecordEquiv folds one equivalence check's engine counters into the
 // aggregate.
-func (m *Metrics) RecordEquiv(tauSCCs, saturationEdges, rounds int, saturateNanos, refineNanos int64) {
+func (m *Metrics) RecordEquiv(st *protoderive.EquivStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.equiv.Checks++
-	m.equiv.TauSCCs += uint64(tauSCCs)
-	m.equiv.SaturationEdges += uint64(saturationEdges)
-	m.equiv.RefinementRounds += uint64(rounds)
-	m.equiv.SaturateMS += float64(saturateNanos) / 1e6
-	m.equiv.RefineMS += float64(refineNanos) / 1e6
+	m.equiv.TauSCCs += uint64(st.TauSCCs)
+	m.equiv.SaturationEdges += uint64(st.SaturationEdges)
+	m.equiv.RefinementRounds += uint64(st.RefinementRounds)
+	m.equiv.SaturateMS += float64(st.SaturateNanos) / 1e6
+	m.equiv.RefineMS += float64(st.RefineNanos) / 1e6
 }
 
 // newMetrics returns an empty metrics registry.

@@ -293,51 +293,18 @@ type VerifyRequest struct {
 	Options VerifyRequestOptions `json:"options"`
 }
 
-// VerifyResponse is the body of a successful verification.
+// VerifyResponse is the body of a successful verification: the facade's
+// verdict record for the reliable medium, plus the daemon's own fields.
 type VerifyResponse struct {
-	Cached         bool   `json:"cached"`
-	Ok             bool   `json:"ok"`
-	Complete       bool   `json:"complete"`
-	WeakBisimilar  bool   `json:"weakBisimilar"`
-	TracesEqual    bool   `json:"tracesEqual"`
-	ObsDepth       int    `json:"obsDepth"`
-	Deadlocks      int    `json:"deadlocks"`
-	ServiceStates  int    `json:"serviceStates"`
-	ComposedStates int    `json:"composedStates"`
-	MessageCount   int    `json:"messageCount"`
-	Summary        string `json:"summary"`
+	Cached bool `json:"cached"`
+	protoderive.VerifyReport
+	MessageCount int `json:"messageCount"`
 	// SpecDigest is the content address of the normalized specification —
 	// pass it as "base" to /v1/delta-verify after editing the spec.
 	SpecDigest string `json:"specDigest"`
-	// Witness is the shortest replayable counterexample when the
-	// reliable-medium verification fails.
-	Witness *protoderive.Witness `json:"witness,omitempty"`
-	// FaultMatrix holds one cell per requested fault model (in canonical,
-	// deduplicated order), each failed cell with its counterexample.
-	FaultMatrix []FaultMatrixCell `json:"faultMatrix,omitempty"`
-	// Equiv carries the equivalence engine's work counters for this check
-	// (absent when exploration truncated and the bisimulation was skipped).
-	Equiv *protoderive.EquivStats `json:"equiv,omitempty"`
-	// Compositional reports the quotient-before-compose pipeline of the
-	// reliable-medium check (entity quotient sizes, per-phase times,
-	// artifact reuse, fallback reason). Present only for compositional
-	// verifications.
-	Compositional *protoderive.CompositionalReport `json:"compositional,omitempty"`
-	// Reduction reports the state-space reductions the reliable-medium
-	// product exploration applied (symmetry orbits collapsed, ample-set
-	// hits, visited-index runs spilled).
-	Reduction *protoderive.ReductionReport `json:"reduction,omitempty"`
-}
-
-// FaultMatrixCell is one fault-matrix entry of a verify response.
-type FaultMatrixCell struct {
-	Faults      string               `json:"faults"`
-	Ok          bool                 `json:"ok"`
-	Complete    bool                 `json:"complete"`
-	TracesEqual bool                 `json:"tracesEqual"`
-	Deadlocks   int                  `json:"deadlocks"`
-	Summary     string               `json:"summary"`
-	Witness     *protoderive.Witness `json:"witness,omitempty"`
+	// FaultMatrix holds one report per requested fault model (in canonical,
+	// deduplicated order), each failed one with its counterexample.
+	FaultMatrix []*protoderive.VerifyReport `json:"faultMatrix,omitempty"`
 }
 
 // JobAccepted is the 202 body of POST /v1/verify?async=1.
@@ -614,7 +581,7 @@ func (s *Server) verifyResponse(svc *protoderive.Service, opts VerifyRequestOpti
 		return nil, err
 	}
 	proto.UseArtifacts(s.arts)
-	vo := &protoderive.VerifyOptions{
+	vo := protoderive.VerifyOptions{
 		ChannelCap:     opts.ChannelCap,
 		ObsDepth:       opts.ObsDepth,
 		MaxStates:      opts.MaxStates,
@@ -626,13 +593,12 @@ func (s *Server) verifyResponse(svc *protoderive.Service, opts VerifyRequestOpti
 		SpillBudget:    opts.SpillBudget,
 	}
 	progress("verify reliable")
-	rep, err := proto.Verify(vo)
+	rep, err := proto.Verify(&vo)
 	if err != nil {
 		return nil, err
 	}
 	if rep.Equiv != nil {
-		s.metrics.RecordEquiv(rep.Equiv.TauSCCs, rep.Equiv.SaturationEdges,
-			rep.Equiv.RefinementRounds, rep.Equiv.SaturateNanos, rep.Equiv.RefineNanos)
+		s.metrics.RecordEquiv(rep.Equiv)
 	}
 	if rep.Compositional != nil {
 		s.metrics.RecordCompositional(rep.Compositional)
@@ -641,46 +607,24 @@ func (s *Server) verifyResponse(svc *protoderive.Service, opts VerifyRequestOpti
 		s.metrics.RecordReduction(rep.Reduction)
 	}
 	resp := &VerifyResponse{
-		Ok:             rep.Ok,
-		Complete:       rep.Complete,
-		WeakBisimilar:  rep.WeakBisimilar,
-		TracesEqual:    rep.TracesEqual,
-		ObsDepth:       rep.ObsDepth,
-		Deadlocks:      rep.Deadlocks,
-		ServiceStates:  rep.ServiceStates,
-		ComposedStates: rep.ComposedStates,
-		MessageCount:   proto.MessageCount(),
-		Summary:        rep.Summary,
-		SpecDigest:     SpecDigest(svc.String()),
-		Witness:        rep.Witness,
-		Equiv:          rep.Equiv,
-		Compositional:  rep.Compositional,
-		Reduction:      rep.Reduction,
+		VerifyReport: *rep,
+		MessageCount: proto.MessageCount(),
+		SpecDigest:   SpecDigest(svc.String()),
 	}
 	models, err := opts.faultModels()
 	if err != nil {
 		return nil, err
 	}
-	// One VerifyMatrix call per model (the matrix is a per-model loop
-	// anyway, so the cells are identical) so each cell can announce itself
-	// on the progress stream before its exploration starts.
+	// One Verify call per model, so each cell can announce itself on the
+	// progress stream before its exploration starts.
 	for _, m := range models {
 		progress("verify faults=" + m.String())
-		cells, err := proto.VerifyMatrix([]protoderive.FaultModel{m}, vo)
+		vo.Faults = m
+		cell, err := proto.Verify(&vo)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fault model %s: %w", m, err)
 		}
-		for _, c := range cells {
-			resp.FaultMatrix = append(resp.FaultMatrix, FaultMatrixCell{
-				Faults:      c.Faults,
-				Ok:          c.Report.Ok,
-				Complete:    c.Report.Complete,
-				TracesEqual: c.Report.TracesEqual,
-				Deadlocks:   c.Report.Deadlocks,
-				Summary:     c.Report.Summary,
-				Witness:     c.Report.Witness,
-			})
-		}
+		resp.FaultMatrix = append(resp.FaultMatrix, cell)
 	}
 	return resp, nil
 }

@@ -69,7 +69,7 @@ const diffMaxStates = 1024
 func quotientGraph(l *fsm.Minimized) *lts.Graph {
 	n := l.NumStates()
 	g := &lts.Graph{States: make([]lotos.Expr, n), Keys: l.Keys, Edges: make([][]lts.Edge, n),
-		Depth: make([]int, n), ObsDepth: make([]int, n), Frontier: map[int]bool{}}
+		ObsDepth: make([]int, n), Frontier: map[int]bool{}}
 	for c := 0; c < n; c++ {
 		for e := l.Off[c]; e < l.Off[c+1]; e++ {
 			g.Edges[c] = append(g.Edges[c], lts.Edge{Label: l.Label(e), To: int(l.To[e])})

@@ -451,43 +451,46 @@ type VerifyOptions struct {
 }
 
 // VerifyReport is the verification verdict for the Section-5 correctness
-// relation.
+// relation, flattened from the engine's report: the one verdict record
+// that is serialized. The pgd daemon's verify responses embed it, and each
+// cell of their fault matrix is one, so its JSON keys are the wire's.
 type VerifyReport struct {
 	// Ok is the overall verdict.
-	Ok bool
+	Ok bool `json:"ok"`
 	// Complete reports full state-space exploration; then WeakBisimilar is
 	// the exact ≈ verdict. Otherwise the bounded trace check applies.
-	Complete      bool
-	WeakBisimilar bool
+	Complete      bool `json:"complete"`
+	WeakBisimilar bool `json:"weakBisimilar"`
 	// TracesEqual reports weak-trace equality up to ObsDepth.
-	TracesEqual bool
-	ObsDepth    int
+	TracesEqual bool `json:"tracesEqual"`
+	ObsDepth    int  `json:"obsDepth"`
 	// Deadlocks counts deadlocked composed states.
-	Deadlocks int
+	Deadlocks int `json:"deadlocks"`
 	// ServiceStates / ComposedStates are exploration sizes.
-	ServiceStates, ComposedStates int
+	ServiceStates  int `json:"serviceStates"`
+	ComposedStates int `json:"composedStates"`
 	// Summary is a human-readable report.
-	Summary string
+	Summary string `json:"summary"`
 	// Faults is the canonical name of the fault model the verification ran
 	// under ("reliable" for the paper's medium).
-	Faults string
+	Faults string `json:"faults"`
 	// Witness is the shortest counterexample for a failed verdict: a
 	// concrete transition path from the composed initial state to the
 	// divergence, replayable with Protocol.Replay. Nil when Ok (and for
 	// the rare bisimulation-only failure with no path-shaped witness).
-	Witness *Witness
+	Witness *Witness `json:"witness,omitempty"`
 	// Equiv reports the equivalence engine's work for the bisimulation
 	// check. Nil when the check was skipped (truncated state space — the
 	// verdict then rests on the bounded weak-trace comparison).
-	Equiv *EquivStats
+	Equiv *EquivStats `json:"equiv,omitempty"`
 	// Compositional reports the quotient-before-compose pipeline (entity
 	// quotient sizes, per-phase times, artifact reuse, fallback reason).
 	// Nil unless the verification ran with VerifyOptions.Compositional.
-	Compositional *CompositionalReport `json:",omitempty"`
+	Compositional *CompositionalReport `json:"compositional,omitempty"`
 	// Reduction reports the state-space reductions the product exploration
 	// applied and the work they did (symmetry orbits collapsed, ample-set
 	// hits, visited-index runs spilled to disk).
-	Reduction *ReductionReport `json:",omitempty"`
+	Reduction *ReductionReport `json:"reduction,omitempty"`
 }
 
 // ReductionReport describes the state-space reductions a product
@@ -546,19 +549,6 @@ func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, e
 	return co, nil
 }
 
-// cloneEntities deep-copies an entity map. Exploration resolves and numbers
-// specification trees in place, so the facade hands the implementation
-// packages private clones: concurrent Verify/Simulate/Optimize calls on one
-// Protocol — the steady state of a resident daemon — must not race on the
-// shared trees.
-func cloneEntities(m map[int]*lotos.Spec) map[int]*lotos.Spec {
-	out := make(map[int]*lotos.Spec, len(m))
-	for p, sp := range m {
-		out[p] = lotos.CloneSpec(sp)
-	}
-	return out
-}
-
 // Verify checks the derived protocol against its service: the composed
 // system "hide G in ((T_1 ||| ... ||| T_n) |[G]| Medium)" must be weakly
 // bisimilar to the service (exactly, for finite state spaces; up to a
@@ -600,20 +590,12 @@ func verifyReport(rep *compose.Report) *VerifyReport {
 	}
 }
 
-// FaultCell is one entry of a fault matrix: the verdict of one verification
-// under one fault model.
-type FaultCell struct {
-	// Faults is the canonical fault-model name.
-	Faults string `json:"faults"`
-	// Report is the full verification report for this cell.
-	Report *VerifyReport `json:"report"`
-}
-
 // VerifyMatrix verifies the protocol once per fault model — a fault matrix
-// row per model, in input order — reusing the given options for everything
-// but the fault model. An empty model list verifies the reliable medium
-// only. Like Verify, it is safe for concurrent use.
-func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (cells []FaultCell, err error) {
+// row per model, in input order, each report's Faults naming its model —
+// reusing the given options for everything but the fault model. An empty
+// model list verifies the reliable medium only. Like Verify, it is safe for
+// concurrent use.
+func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (reps []*VerifyReport, err error) {
 	defer guard(&err)
 	co, err := p.composeOptions(opts)
 	if err != nil {
@@ -623,10 +605,10 @@ func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (cells
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range mx {
-		cells = append(cells, FaultCell{Faults: c.Faults.String(), Report: verifyReport(c.Report)})
+	for _, r := range mx {
+		reps = append(reps, verifyReport(r))
 	}
-	return cells, nil
+	return reps, nil
 }
 
 // ReplayResult reports the re-execution of a counterexample through the
@@ -830,7 +812,7 @@ func (p *Protocol) Optimize(opts *VerifyOptions) (out *OptimizeReport, err error
 	if err != nil {
 		return nil, err
 	}
-	res, err := compose.OptimizeMessages(lotos.CloneSpec(p.d.Service.Spec), cloneEntities(p.d.Entities), co)
+	res, err := compose.OptimizeMessages(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities, co)
 	if err != nil {
 		return nil, err
 	}

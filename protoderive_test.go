@@ -311,9 +311,20 @@ func TestOptimizeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := map[int]string{}
+	for _, p := range proto.Places() {
+		before[p] = proto.EntityText(p)
+	}
 	rep, err := proto.Optimize(&VerifyOptions{ObsDepth: 6, MaxStates: 60000})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Optimize hands the receiver's own entity trees to the optimizer, which
+	// must work on copies: the receiver is unchanged.
+	for p, text := range before {
+		if got := proto.EntityText(p); got != text {
+			t.Errorf("Optimize changed the receiver's entity %d:\n%s\nwant\n%s", p, got, text)
+		}
 	}
 	if rep.After >= rep.Before || len(rep.Removed) == 0 {
 		t.Errorf("no optimization: %+v", rep)

@@ -19,13 +19,16 @@ fmt-check:
 # goroutines share (sim's machine fleets, the fsm machines they hold, the
 # medium that a deployed entity's connection readers fill); ten
 # repetitions of the shared-fleet test (sessions filling one fleet's rows
-# concurrently); the corpus and live gates; the examples; the benchmark
-# module's own tests; and a short fuzz smoke of the native fuzz targets.
+# concurrently) and of the shared-verifier test (Verify calls on one
+# Protocol filling its entity tables concurrently); the corpus and live
+# gates; the examples; the benchmark module's own tests; and a short fuzz
+# smoke of the native fuzz targets.
 check:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/fsm/ ./internal/service/ ./cmd/pgd/
 	$(GO) test -race -count=10 -run '^TestSharedFleetConcurrentSessions$$' ./internal/sim/
+	$(GO) test -race -count=10 -run '^TestProtocolVerifyConcurrent$$' .
 	$(MAKE) corpus-smoke
 	$(MAKE) live-smoke
 	$(MAKE) examples-smoke

@@ -126,7 +126,11 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		Reductions:     red,
 		SpillBudget:    *spillBudget,
 	}
-	rep, err := compose.Verify(service, entities, opts)
+	// One verification memo serves the whole command: the fault rows step
+	// the reliable check's entity machines, and every check, the
+	// optimizer's candidates included, reads one service graph.
+	v := compose.NewVerifier(service, entities)
+	rep, err := v.Verify(opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "pg verify:", err)
 		return cli.ExitFail
@@ -159,14 +163,14 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if len(models) > 0 {
-		if err := printFaultMatrix(stdout, service, entities, models, opts, rep); err != nil {
+		if err := printFaultMatrix(stdout, v, entities, models, opts, rep); err != nil {
 			fmt.Fprintln(stderr, "pg verify:", err)
 			return cli.ExitFail
 		}
 	}
 
 	if *optimize {
-		res, err := compose.OptimizeMessages(service, entities, opts)
+		res, err := v.OptimizeMessages(opts)
 		if err != nil {
 			fmt.Fprintln(stderr, "pg verify: optimize:", err)
 			return cli.ExitFail
@@ -196,8 +200,8 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // and renders the matrix: one row per model with its verdict, plus the
 // shortest replayable counterexample for every failed cell. The reliable
 // verdict (already computed) heads the matrix for comparison.
-func printFaultMatrix(w io.Writer, service *lotos.Spec, entities map[int]*lotos.Spec, models []compose.FaultModel, opts compose.VerifyOptions, reliable *compose.Report) error {
-	cells, err := compose.VerifyMatrix(service, entities, models, opts)
+func printFaultMatrix(w io.Writer, v *compose.Verifier, entities map[int]*lotos.Spec, models []compose.FaultModel, opts compose.VerifyOptions, reliable *compose.Report) error {
+	cells, err := v.VerifyMatrix(models, opts)
 	if err != nil {
 		return err
 	}

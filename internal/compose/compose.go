@@ -32,8 +32,20 @@
 // one fsm.Machine per place (its exact rows, or its minimized rows when
 // verifying compositionally), whose dense state ids are the local ids. A
 // row is translated once, on first use, into an id-indexed table of content
-// digests, symmetry column digests and transitions with system-interned
-// message ids, so queue operations never allocate or compare strings.
+// digests, symmetry column digests and transitions with interned message
+// ids, so queue operations never allocate or compare strings.
+//
+// # Sharing across checks
+//
+// A Verifier is one protocol's verification memo: its exact machines and
+// their translated table, its compiled machines, and its service graph,
+// each built on first use and shared by every check of the protocol,
+// whatever its fault model or channel capacity; the optimizer's candidate
+// entity sets share the service graph. A symmetry-reduced system builds its
+// own machines. Verify and New are one-shot Verifiers.
+// Since keys digest content and never ids, a check on a warm Verifier
+// explores the same graph, with the same numbering and witness, as on a
+// fresh one.
 //
 // Deriving the successors of a state holds the system's read lock once for
 // the whole call (upgraded only to translate a row on first use). The
@@ -50,7 +62,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -98,23 +109,38 @@ type System struct {
 	// Places lists the entity places in ascending order.
 	Places []int
 
-	// One machine per place, indexed like Places, and in a compositional
-	// system the minimized layers whose rows the product steps instead.
-	machines []*fsm.Machine
-	min      []*fsm.Minimized
-	placeIdx map[int]int // place number -> index in Places
-	cfg      Config
-	// red is the resolved reduction set (Config.effectiveReductions); sym is
-	// the detected instance symmetry, nil when RedSymmetry is off or no
-	// symmetry exists.
+	// The entities' machines as the product reads them: the exact rows'
+	// table its Verifier shares across checks, or one of its own for a
+	// symmetry-reduced or compositional system.
+	*table
+	cfg Config
+	// red is the resolved reduction set (Config.effectiveReductions).
 	red Reductions
-	sym *symmetry
 	// Reduction telemetry. The counters are atomic because the derivation
 	// workers share the system; spillStats is written once by Explore
 	// (single-threaded) after a spilling exploration returns.
 	orbitsCollapsed atomic.Int64
 	ampleHits       atomic.Int64
 	spillStats      *lts.SpillStats
+}
+
+// table is the product's view of one machine per place: its rows
+// translated into local states and interned messages. Translation
+// depends on the machines and the places alone, never on the channel
+// capacity, the fault model or the limits, so every product over the same
+// machines can read one table, filled by whichever exploration first
+// reaches a row. The content digests, not the local or message ids, enter
+// the state keys, so a product numbers its states and derives its
+// transitions identically over a filled table and an empty one.
+type table struct {
+	// One machine per place, indexed like the places, and in a
+	// compositional table the minimized layers whose rows it reads instead.
+	machines []*fsm.Machine
+	min      []*fsm.Minimized
+	placeIdx map[int]int // place number -> index in the places
+	// sym is the detected instance symmetry, nil when RedSymmetry is off or
+	// no symmetry exists.
+	sym *symmetry
 
 	// The translated local tables and the interned messages, shared by
 	// every exploration and derivation worker, hence the lock.
@@ -159,9 +185,9 @@ func digest16(data []byte) (h [16]byte) {
 
 // growLocked extends a place's table to cover local state id, digesting
 // each new state's key and, under symmetry, its expression's columns. Only
-// this system steps its machines, so a new state's row is unfilled and its
+// this table steps its machines, so a new state's row is unfilled and its
 // expression still there. Caller holds s.mu for writing.
-func (s *System) growLocked(idx int, id int32) {
+func (s *table) growLocked(idx int, id int32) {
 	for j := int32(len(s.local[idx])); j <= id; j++ {
 		var st localState
 		if min := s.min[idx]; min != nil {
@@ -183,7 +209,7 @@ func (s *System) growLocked(idx int, id int32) {
 // no two distinct messages share an encoding — a tag shaped like "7#0"
 // cannot collide with the node-7/occurrence-"0" message, and separator
 // characters inside a tag cannot corrupt any framing. Caller holds s.mu.
-func (s *System) msgIDLocked(m message) int32 {
+func (s *table) msgIDLocked(m message) int32 {
 	if id, ok := s.msgIDs[m]; ok {
 		return id
 	}
@@ -209,7 +235,7 @@ func (s *System) msgIDLocked(m message) int32 {
 // use. The caller holds s.mu for reading. Only an untranslated state
 // releases it: the translation runs under the write lock, and the read lock
 // is re-taken before returning.
-func (s *System) localTransRLocked(idx int, id int32) ([]cachedTrans, error) {
+func (s *table) localTransRLocked(idx int, id int32) ([]cachedTrans, error) {
 	if st := &s.local[idx][id]; st.trans != nil {
 		return st.trans, nil
 	}
@@ -255,52 +281,51 @@ func (s *System) localTransRLocked(idx int, id int32) ([]cachedTrans, error) {
 	return out, nil
 }
 
-// newSystem prepares a system whose machines, and minimized layers if any,
-// pick selects per place.
-func newSystem(entities map[int]*lotos.Spec, cfg Config, red Reductions, pick func(p int) (*fsm.Machine, *fsm.Minimized, error)) (*System, error) {
-	if cfg.ChannelCap <= 0 {
-		cfg.ChannelCap = DefaultChannelCap
-	}
-	sys := &System{
-		placeIdx: map[int]int{},
-		cfg:      cfg,
-		red:      red,
-		msgIDs:   map[message]int32{},
-	}
-	for p := range entities {
-		sys.Places = append(sys.Places, p)
-	}
-	sort.Ints(sys.Places)
-	// Symmetry must be detected before any state or message is translated:
-	// the column digests and message classifications are computed then.
-	if red&RedSymmetry != 0 {
-		sys.sym = detectSymmetry(sys.Places, entities)
-	}
-	for idx, p := range sys.Places {
+// newTable prepares the local tables of the machines, and minimized layers
+// if any, that pick selects per place. sym is the symmetry the tables digest
+// columns for, nil for none.
+func newTable(places []int, sym *symmetry, pick func(p int) (*fsm.Machine, *fsm.Minimized, error)) (*table, error) {
+	t := &table{placeIdx: map[int]int{}, sym: sym, msgIDs: map[message]int32{}}
+	for idx, p := range places {
 		m, min, err := pick(p)
 		if err != nil {
 			return nil, err
 		}
-		sys.machines, sys.min, sys.local = append(sys.machines, m), append(sys.min, min), append(sys.local, nil)
-		sys.placeIdx[p] = idx
-		sys.growLocked(idx, 0)
+		t.machines, t.min, t.local = append(t.machines, m), append(t.min, min), append(t.local, nil)
+		t.placeIdx[p] = idx
+		t.growLocked(idx, 0)
 	}
-	return sys, nil
+	return t, nil
 }
 
-// New prepares a system from derived entities, stepping the exact rows of
-// one machine per place. Each entity is resolved independently (entities
-// have their own process name spaces) in its machine's private clone.
-func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
-	return newSystem(entities, cfg, cfg.effectiveReductions(), func(p int) (*fsm.Machine, *fsm.Minimized, error) {
-		// No product limit can reach this cap, so every local state the
-		// product steps is retained and has an id.
+// exactMachines picks the machine of each place's entity for a table over
+// exact rows. No product limit can reach its cap, so every local state the
+// product steps is retained and has an id. Each entity is resolved
+// independently (entities have their own process name spaces) in its
+// machine's private clone.
+func exactMachines(entities map[int]*lotos.Spec) func(p int) (*fsm.Machine, *fsm.Minimized, error) {
+	return func(p int) (*fsm.Machine, *fsm.Minimized, error) {
 		m, err := fsm.New(p, entities[p], fsm.Config{MaxStates: math.MaxInt32})
 		if err != nil {
 			return nil, nil, fmt.Errorf("compose: entity %d: %w", p, errors.Unwrap(err))
 		}
 		return m, nil, nil
-	})
+	}
+}
+
+// newSystem prepares a product system over table t with the resolved
+// reduction set red.
+func newSystem(places []int, t *table, cfg Config, red Reductions) *System {
+	if cfg.ChannelCap <= 0 {
+		cfg.ChannelCap = DefaultChannelCap
+	}
+	return &System{Places: places, table: t, cfg: cfg, red: red}
+}
+
+// New prepares a system from derived entities, stepping the exact rows of
+// one machine per place: the system of a one-shot Verifier.
+func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
+	return NewVerifier(nil, entities).system(cfg, cfg.effectiveReductions())
 }
 
 // message is one in-flight synchronization message.

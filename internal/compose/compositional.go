@@ -28,7 +28,6 @@ package compose
 
 import (
 	"encoding/json"
-	"fmt"
 	"time"
 
 	"repro/internal/fsm"
@@ -52,25 +51,6 @@ func compileEntity(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int6
 	return m, time.Since(start).Nanoseconds(), false, err
 }
 
-// NewCompositional prepares a product system over compiled entities: the
-// product steps each machine's minimized rows, translated on first use
-// like the exact rows of a monolithic system, so exploration never applies
-// the SOS rules. State keys stay content-derived — each local state
-// contributes the digest of its class representative's canonical
-// expression — so serial and parallel exploration agree on the key set
-// exactly as in the monolithic system.
-func NewCompositional(entities map[int]*lotos.Spec, machines map[int]*fsm.Machine, cfg Config) (*System, error) {
-	// Quotient classes carry no syntax to compute column digests from, so
-	// the symmetry reduction never applies to a compositional system.
-	return newSystem(entities, cfg, cfg.effectiveReductions()&^RedSymmetry, func(p int) (*fsm.Machine, *fsm.Minimized, error) {
-		if machines[p] == nil {
-			return nil, nil, fmt.Errorf("compose: no compiled machine for place %d", p)
-		}
-		min, err := machines[p].Minimized()
-		return machines[p], min, err
-	})
-}
-
 // EntityQuotientStat reports one entity's quotient-before-compose numbers.
 type EntityQuotientStat struct {
 	// Place is the entity's protocol place.
@@ -84,7 +64,8 @@ type EntityQuotientStat struct {
 	QuotientTransitions int `json:"quotientTransitions"`
 	// BuildNanos is the compile wall time (0 for cache hits).
 	BuildNanos int64 `json:"buildNanos"`
-	// Reused marks an artifact served from a content-addressed cache.
+	// Reused marks an artifact served from a cache: a content-addressed
+	// one, or the Verifier's memo of an earlier check.
 	Reused bool `json:"reused"`
 }
 
@@ -102,7 +83,7 @@ type CompositionalStats struct {
 	// ProductNanos is the quotient-product exploration wall time.
 	BuildNanos   int64 `json:"buildNanos"`
 	ProductNanos int64 `json:"productNanos"`
-	// Reused counts entities served from an artifact cache.
+	// Reused counts entities served from a cache (see EntityQuotientStat).
 	Reused int `json:"reused"`
 	// Fallback, when non-empty, explains why the final verdict came from
 	// the monolithic path: an entity state space over the cap, a truncated
@@ -129,7 +110,7 @@ func (c *CompositionalStats) QuotientStatesTotal() int {
 	return n
 }
 
-// ReuseRatio is the fraction of entities served from an artifact cache.
+// ReuseRatio is the fraction of entities served from a cache.
 func (c *CompositionalStats) ReuseRatio() float64 {
 	if len(c.Entities) == 0 {
 		return 0

@@ -192,7 +192,7 @@ func TestCompositionalRecursiveEntityFallsBack(t *testing.T) {
 func TestCompositionalMatrixReusesEntities(t *testing.T) {
 	d := deriveSrc(t, "SPEC a1; b2; c1; exit ENDSPEC")
 	models := []FaultModel{Reliable, {Loss: true}, {Duplication: true}, {Reorder: true}}
-	cells, err := VerifyMatrix(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), models,
+	cells, err := NewVerifier(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities)).VerifyMatrix(models,
 		VerifyOptions{Compositional: true})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestCompositionalMatrixReusesEntities(t *testing.T) {
 	}
 
 	// Each cell must match its monolithic counterpart.
-	monoCells, err := VerifyMatrix(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), models, VerifyOptions{})
+	monoCells, err := NewVerifier(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities)).VerifyMatrix(models, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func BenchmarkProductDerive(b *testing.B) {
 				var sys *System
 				var err error
 				if c.comp {
-					sys, err = NewCompositional(d.Entities, machines, cfg)
+					sys, err = NewVerifier(nil, d.Entities).quotientSystem(machines, cfg)
 				} else {
 					sys, err = New(cloneEntityMap(d.Entities), cfg)
 				}

@@ -13,12 +13,14 @@ import (
 // states, for white-box key-encoding tests.
 func testSystem() *System {
 	sys := &System{
-		Places:   []int{1, 2},
-		placeIdx: map[int]int{1: 0, 2: 1},
-		msgIDs:   map[message]int32{},
-		local: [][]localState{
-			{{sum: digest16([]byte("entity1-state0"))}},
-			{{sum: digest16([]byte("entity2-state0"))}},
+		Places: []int{1, 2},
+		table: &table{
+			placeIdx: map[int]int{1: 0, 2: 1},
+			msgIDs:   map[message]int32{},
+			local: [][]localState{
+				{{sum: digest16([]byte("entity1-state0"))}},
+				{{sum: digest16([]byte("entity2-state0"))}},
+			},
 		},
 	}
 	return sys

@@ -33,24 +33,32 @@ type OptimizeResult struct {
 }
 
 // OptimizeMessages removes non-essential synchronization messages from the
-// derived entities of a service. Each distinct message identification is
-// tentatively removed (every send and every matching receive of that
-// identification, across all entities); the removal is kept when the
-// composed system still passes Verify against the service. Candidates are
-// processed in ascending identification order, re-verifying after each
-// accepted removal, so the output is deterministic.
+// derived entities of a service: it is
+// NewVerifier(service, entities).OptimizeMessages(opts).
+func OptimizeMessages(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*OptimizeResult, error) {
+	return NewVerifier(service, entities).OptimizeMessages(opts)
+}
+
+// OptimizeMessages removes non-essential synchronization messages from the
+// Verifier's entities. Each distinct message identification is tentatively
+// removed (every send and every matching receive of that identification,
+// across all entities); the removal is kept when the composed system still
+// passes Verify against the service. Candidates are processed in ascending
+// identification order, re-verifying after each accepted removal, so the
+// output is deterministic. Every candidate is checked against the
+// Verifier's service graph, so the service is explored once.
 //
 // The verification options bound the (repeated) correctness checks; they
 // should be at least as strong as the check used to accept the original
 // derivation.
-func OptimizeMessages(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*OptimizeResult, error) {
+func (v *Verifier) OptimizeMessages(opts VerifyOptions) (*OptimizeResult, error) {
 	res := &OptimizeResult{
-		Entities: cloneEntities(entities),
-		Before:   countSends(entities),
+		Entities: cloneEntities(v.entities),
+		Before:   countSends(v.entities),
 	}
 	// The unoptimized protocol must analyze cleanly; a failure here is a
 	// real error, not a rejected candidate.
-	if _, err := Verify(service, res.Entities, opts); err != nil {
+	if _, err := v.Verify(opts); err != nil {
 		return nil, err
 	}
 	for {
@@ -59,7 +67,7 @@ func OptimizeMessages(service *lotos.Spec, entities map[int]*lotos.Spec, opts Ve
 		for _, id := range ids {
 			trial := removeMessage(res.Entities, id)
 			res.Tried++
-			rep, err := Verify(service, trial, opts)
+			rep, err := v.withEntities(trial).Verify(opts)
 			if err != nil {
 				// A removal may make an entity unanalyzable (e.g. a
 				// leading Proc_Synch receive guarded a recursive call and

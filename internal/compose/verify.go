@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/equiv"
@@ -188,11 +189,195 @@ const DefaultObsDepth = 8
 const DefaultTraceDiffLimit = 5
 
 // exploreService explores the service side of a verification. Tests swap it
-// to count the explorations one Verify call runs.
+// to count the explorations a Verifier runs.
 var exploreService = lts.ExploreSpec
 
-// Verify checks a derived protocol against its service specification:
-// it explores the service and the composed protocol system to the same
+// Verifier checks one protocol — a service and its entities — against the
+// Section-5 relation, and keeps what every check of that protocol shares.
+// Across a fault matrix or a capacity sweep only the medium changes; the
+// service and the entities stay the same. So a Verifier holds, built on
+// first use:
+//
+//   - one lazily tabled fsm.Machine per place, retaining every state, with
+//     the table of its rows as the product reads them (see table): the
+//     SOS rules run once per entity state, whichever check first reaches
+//     it;
+//   - the compositional path's compiled machines, at the effective state
+//     cap last used;
+//   - the explored service graph, for the effective limits last used.
+//
+// Its memory grows with the entity states its checks reach, which each
+// entity's reachable state space bounds — in practice those of the largest
+// exploration run on it — plus one service graph, not with the number of
+// checks. Each retained state keeps its canonical key, and a recursive
+// entity's keys grow with its recursion depth, so one deep check pins those
+// keys for as long as the Verifier lives. A symmetry-reduced check builds
+// its own machines (see system).
+// State keys are digests of content, never of local or message ids, so a
+// check over a warm Verifier yields the same graph, state numbering and
+// witness as over a fresh one.
+//
+// A Verifier is safe for concurrent use. It explores the service
+// specification in place (see Verify) and only reads the entities.
+type Verifier struct {
+	entities map[int]*lotos.Spec
+	places   []int // ascending
+	svc      *serviceGraph
+
+	mu       sync.Mutex
+	exact    *table // the exact machines' table
+	exactErr error
+
+	compileMu   sync.Mutex
+	compiled    map[int]compiledEntity // place -> machine at compiledCap
+	compiledCap int
+}
+
+// compiledEntity is one place's compiled machine, or the error that
+// stopped it.
+type compiledEntity struct {
+	m   *fsm.Machine
+	err error
+}
+
+// serviceGraph is a service specification and the graph of its last
+// exploration. It is shared by the Verifiers of entity sets derived from
+// one service (see OptimizeMessages).
+type serviceGraph struct {
+	mu   sync.Mutex
+	spec *lotos.Spec
+	lim  lts.Limits // the effective limits g was explored under
+	g    *lts.Graph
+}
+
+// graph returns the service graph under lim, exploring the service unless
+// the last exploration ran under the same effective limits. The lock also
+// serializes the explorations, which resolve the specification in place.
+func (s *serviceGraph) graph(lim lts.Limits) (*lts.Graph, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	eff := lts.Limits{MaxStates: effectiveMaxStates(lim.MaxStates), MaxObsDepth: lim.MaxObsDepth}
+	if s.g != nil && s.lim == eff {
+		return s.g, nil
+	}
+	g, err := exploreService(s.spec, lim)
+	if err != nil {
+		return nil, fmt.Errorf("compose: exploring service: %w", err)
+	}
+	s.g, s.lim = g, eff
+	return g, nil
+}
+
+// NewVerifier returns the Verifier of a service and its entities. It
+// builds nothing until a check needs it.
+//
+// The service specification must be the analyzed clone actually derived
+// from (core.Derivation.Service.Spec), so that both sides use the same
+// normalized tree; the Verifier resolves it in place, so it must not be
+// explored elsewhere concurrently.
+func NewVerifier(service *lotos.Spec, entities map[int]*lotos.Spec) *Verifier {
+	return &Verifier{entities: entities, places: sortedPlaces(entities), svc: &serviceGraph{spec: service}}
+}
+
+// withEntities returns a Verifier of other entities for the same service,
+// sharing the service graph.
+func (v *Verifier) withEntities(entities map[int]*lotos.Spec) *Verifier {
+	return &Verifier{entities: entities, places: sortedPlaces(entities), svc: v.svc}
+}
+
+// sortedPlaces returns the places of an entity set in ascending order.
+func sortedPlaces(entities map[int]*lotos.Spec) []int {
+	places := make([]int, 0, len(entities))
+	for p := range entities {
+		places = append(places, p)
+	}
+	sort.Ints(places)
+	return places
+}
+
+// system prepares a product system over the exact machines with the
+// resolved reduction set red: on the Verifier's shared table, unless
+// symmetry applies. growLocked digests a new state's symmetry columns from
+// its expression, and a shared machine drops that expression once any
+// system fills the state's row; so a symmetry-reduced system builds its own
+// machines and table, detecting the symmetry before any state is
+// translated.
+func (v *Verifier) system(cfg Config, red Reductions) (*System, error) {
+	if red&RedSymmetry != 0 {
+		if sym := detectSymmetry(v.places, v.entities); sym != nil {
+			t, err := newTable(v.places, sym, exactMachines(v.entities))
+			if err != nil {
+				return nil, err
+			}
+			return newSystem(v.places, t, cfg, red), nil
+		}
+	}
+	v.mu.Lock()
+	if v.exact == nil && v.exactErr == nil {
+		v.exact, v.exactErr = newTable(v.places, nil, exactMachines(v.entities))
+	}
+	t, err := v.exact, v.exactErr
+	v.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return newSystem(v.places, t, cfg, red), nil
+}
+
+// quotientSystem prepares a product system over the compiled machines'
+// minimized layers: the product steps each machine's minimized rows,
+// translated on first use like the exact rows of a monolithic system, so
+// exploration never applies the SOS rules. State keys stay content-derived
+// (each local state contributes the digest of its class representative's
+// canonical expression), so serial and parallel exploration agree on the
+// key set exactly as in the monolithic system.
+func (v *Verifier) quotientSystem(machines map[int]*fsm.Machine, cfg Config) (*System, error) {
+	t, err := newTable(v.places, nil, func(p int) (*fsm.Machine, *fsm.Minimized, error) {
+		if machines[p] == nil {
+			return nil, nil, fmt.Errorf("compose: no compiled machine for place %d", p)
+		}
+		min, err := machines[p].Minimized()
+		return machines[p], min, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Quotient classes carry no syntax to compute column digests from, so
+	// the symmetry reduction never applies to a compositional system.
+	return newSystem(v.places, t, cfg, cfg.effectiveReductions()&^RedSymmetry), nil
+}
+
+// compile is the compositional path's EntityProvider when the options name
+// none: compileEntity, memoized per place at the last effective state cap.
+// The cap is part of the entity's configuration, not of its medium, so the
+// machines serve every fault model and channel capacity. Compilations run
+// one at a time, so concurrent checks wait for one compilation of an entity
+// instead of each exploring it to the cap.
+func (v *Verifier) compile(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int64, bool, error) {
+	v.compileMu.Lock()
+	defer v.compileMu.Unlock()
+	if v.compiledCap != maxStates {
+		v.compiled, v.compiledCap = map[int]compiledEntity{}, maxStates
+	}
+	if c, ok := v.compiled[place]; ok {
+		return c.m, 0, true, c.err
+	}
+	m, nanos, _, err := compileEntity(place, sp, maxStates)
+	v.compiled[place] = compiledEntity{m, err}
+	return m, nanos, false, err
+}
+
+// Verify checks a derived protocol against its service specification: it
+// is NewVerifier(service, entities).Verify(opts), a one-shot Verifier.
+//
+// The service specification must be the analyzed clone actually derived
+// from (core.Derivation.Service.Spec), so that both sides use the same
+// normalized tree. Verify resolves it in place, but only reads the entities.
+func Verify(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*Report, error) {
+	return NewVerifier(service, entities).Verify(opts)
+}
+
+// Verify explores the service and the composed protocol system to the same
 // observable depth, compares their weak trace sets, checks the composed
 // system for deadlocks and — when both state spaces are finite within the
 // limits — decides weak bisimulation.
@@ -202,14 +387,11 @@ var exploreService = lts.ExploreSpec
 // or incomplete compositional verdict falls back to the monolithic path,
 // so counterexamples are always the monolithic (replayable) ones.
 //
-// The service is explored once, up front: every attempt — monolithic,
-// compositional, and the symmetry and compositional fallbacks — checks
-// against that one graph, and its report carries it.
-//
-// The service specification must be the analyzed clone actually derived
-// from (core.Derivation.Service.Spec), so that both sides use the same
-// normalized tree. Verify resolves it in place, but only reads the entities.
-func Verify(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*Report, error) {
+// The service graph comes first, explored unless the last check ran under
+// the same limits: every attempt — monolithic, compositional, and the
+// symmetry and compositional fallbacks — checks against that one graph,
+// and its report carries it.
+func (v *Verifier) Verify(opts VerifyOptions) (*Report, error) {
 	if opts.ObsDepth <= 0 {
 		opts.ObsDepth = DefaultObsDepth
 	}
@@ -226,21 +408,21 @@ func Verify(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOption
 		SpillBudget: opts.SpillBudget,
 		SpillDir:    opts.SpillDir,
 	}
-	sg, err := exploreService(service, cfg.Limits)
+	sg, err := v.svc.graph(cfg.Limits)
 	if err != nil {
-		return nil, fmt.Errorf("compose: exploring service: %w", err)
+		return nil, err
 	}
 	if opts.Compositional {
-		return verifyCompositional(sg, entities, opts, cfg)
+		return v.verifyCompositional(sg, opts, cfg)
 	}
-	return verifyMonolithic(sg, entities, opts, cfg)
+	return v.verifyMonolithic(sg, opts, cfg)
 }
 
 // verifyMonolithic explores the product of the entities' full local state
 // spaces and judges it against the service graph sg. opts carries Verify's
 // defaults; cfg is the product configuration Verify derived from it.
-func verifyMonolithic(sg *lts.Graph, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config) (*Report, error) {
-	sys, err := New(entities, cfg)
+func (v *Verifier) verifyMonolithic(sg *lts.Graph, opts VerifyOptions, cfg Config) (*Report, error) {
+	sys, err := v.system(cfg, cfg.effectiveReductions())
 	if err != nil {
 		return nil, err
 	}
@@ -263,7 +445,7 @@ func verifyMonolithic(sg *lts.Graph, entities map[int]*lotos.Spec, opts VerifyOp
 		// unreduced verification.
 		c := cfg
 		c.Reductions = sys.red.Without(RedSymmetry)
-		full, err := verifyMonolithic(sg, entities, opts, c)
+		full, err := v.verifyMonolithic(sg, opts, c)
 		if err != nil {
 			return nil, err
 		}
@@ -321,22 +503,17 @@ func judge(sg, cg *lts.Graph, sys *System, opts VerifyOptions) (*Report, error) 
 // verdict) re-runs the monolithic path against the same service graph and
 // returns its report wholesale, counterexample included, with the fallback
 // reason recorded in Report.Compositional.
-func verifyCompositional(sg *lts.Graph, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config) (*Report, error) {
+func (v *Verifier) verifyCompositional(sg *lts.Graph, opts VerifyOptions, cfg Config) (*Report, error) {
 	provider := opts.EntityProvider
 	if provider == nil {
-		provider = compileEntity
+		provider = v.compile
 	}
 	maxStates := effectiveMaxStates(opts.MaxStates)
 
 	stats := &CompositionalStats{}
-	places := make([]int, 0, len(entities))
-	for p := range entities {
-		places = append(places, p)
-	}
-	sort.Ints(places)
-	machines := make(map[int]*fsm.Machine, len(places))
-	for _, p := range places {
-		m, nanos, reused, err := provider(p, entities[p], maxStates)
+	machines := make(map[int]*fsm.Machine, len(v.places))
+	for _, p := range v.places {
+		m, nanos, reused, err := provider(p, v.entities[p], maxStates)
 		stat := EntityQuotientStat{Place: p, BuildNanos: nanos, Reused: reused}
 		var ce *fsm.CompileError
 		switch {
@@ -357,13 +534,13 @@ func verifyCompositional(sg *lts.Graph, entities map[int]*lotos.Spec, opts Verif
 		if err != nil {
 			// The quotient of a truncated graph would merge frontier states
 			// on their explored prefix only; composing over it is unsound.
-			return fallbackMonolithic(sg, entities, opts, cfg, stats,
+			return v.fallbackMonolithic(sg, opts, cfg, stats,
 				fmt.Sprintf("entity %d exceeds the exploration cap", p))
 		}
 		machines[p] = m
 	}
 
-	sys, err := NewCompositional(entities, machines, cfg)
+	sys, err := v.quotientSystem(machines, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -383,7 +560,7 @@ func verifyCompositional(sg *lts.Graph, entities map[int]*lotos.Spec, opts Verif
 	// state-cap truncation instead means the quotient product was not
 	// covered, and nothing relates the partial graphs; fall back.
 	if cg.Truncated && cg.NumStates() >= maxStates {
-		return fallbackMonolithic(sg, entities, opts, cfg, stats, "quotient product exceeds the state cap")
+		return v.fallbackMonolithic(sg, opts, cfg, stats, "quotient product exceeds the state cap")
 	}
 	r, err := judge(sg, cg, sys, opts)
 	if err != nil {
@@ -394,7 +571,7 @@ func verifyCompositional(sg *lts.Graph, entities map[int]*lotos.Spec, opts Verif
 		// introduce a spurious deadlock (a pure-τ cycle collapses to a stuck
 		// class), and the fallback's witness refers to monolithic transition
 		// indices, which replay through the concrete runtime.
-		return fallbackMonolithic(sg, entities, opts, cfg, stats, "non-conformant; re-verified monolithically")
+		return v.fallbackMonolithic(sg, opts, cfg, stats, "non-conformant; re-verified monolithically")
 	}
 	r.Compositional = stats
 	return r, nil
@@ -413,9 +590,9 @@ func effectiveMaxStates(maxStates int) int {
 // sg and returns its report wholesale — verdict fields and counterexample
 // byte-identical to a plain Verify — with the compositional attempt's stats
 // and the fallback reason attached.
-func fallbackMonolithic(sg *lts.Graph, entities map[int]*lotos.Spec, opts VerifyOptions, cfg Config, stats *CompositionalStats, reason string) (*Report, error) {
+func (v *Verifier) fallbackMonolithic(sg *lts.Graph, opts VerifyOptions, cfg Config, stats *CompositionalStats, reason string) (*Report, error) {
 	stats.Fallback = reason
-	r, err := verifyMonolithic(sg, entities, opts, cfg)
+	r, err := v.verifyMonolithic(sg, opts, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -426,34 +603,17 @@ func fallbackMonolithic(sg *lts.Graph, entities map[int]*lotos.Spec, opts Verify
 // VerifyMatrix runs Verify once per fault model and returns the reports in
 // input order; each report's Faults names its model. An empty or nil model
 // list verifies the reliable medium only. opts.Faults is overridden per
-// model. Under opts.Compositional with no EntityProvider the entities are
-// compiled once and the machines shared across every model — faults and
-// channel capacity live in the medium, so the entity artifacts are
-// identical for all fault models.
-func VerifyMatrix(service *lotos.Spec, entities map[int]*lotos.Spec, models []FaultModel, opts VerifyOptions) ([]*Report, error) {
+// model. Faults live in the medium, so every model checks against one
+// service graph and steps the same entity machines.
+func (v *Verifier) VerifyMatrix(models []FaultModel, opts VerifyOptions) ([]*Report, error) {
 	if len(models) == 0 {
 		models = []FaultModel{Reliable}
-	}
-	if opts.Compositional && opts.EntityProvider == nil {
-		type compiled struct {
-			m   *fsm.Machine
-			err error
-		}
-		memo := map[int]compiled{}
-		opts.EntityProvider = func(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int64, bool, error) {
-			if c, ok := memo[place]; ok {
-				return c.m, 0, true, c.err
-			}
-			m, nanos, _, err := compileEntity(place, sp, maxStates)
-			memo[place] = compiled{m, err}
-			return m, nanos, false, err
-		}
 	}
 	out := make([]*Report, 0, len(models))
 	for _, fm := range models {
 		o := opts
 		o.Faults = fm
-		r, err := Verify(service, entities, o)
+		r, err := v.Verify(o)
 		if err != nil {
 			return nil, fmt.Errorf("compose: fault model %s: %w", fm, err)
 		}

@@ -62,3 +62,36 @@ func TestVerifyExploresServiceOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestServiceExploredOncePerCall: a fault-matrix row and an optimizer run
+// each explore the service once — every model, and every candidate entity
+// set, checks against the one graph of the call's Verifier.
+func TestServiceExploredOncePerCall(t *testing.T) {
+	defer func(f func(*lotos.Spec, lts.Limits) (*lts.Graph, error)) { exploreService = f }(exploreService)
+	explorations := 0
+	exploreService = func(sp *lotos.Spec, lim lts.Limits) (*lts.Graph, error) {
+		explorations++
+		return lts.ExploreSpec(sp, lim)
+	}
+	models := []FaultModel{Reliable, {Loss: true}, {Duplication: true}, {Reorder: true}}
+	d := deriveSrc(t, "SPEC a1; b2; c1; exit ENDSPEC")
+	if _, err := NewVerifier(d.Service.Spec, d.Entities).VerifyMatrix(models, VerifyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if explorations != 1 {
+		t.Errorf("a %d-model VerifyMatrix row explored the service %d times, want once", len(models), explorations)
+	}
+
+	explorations = 0
+	d = deriveSrc(t, "SPEC A WHERE PROC A = a1; b2; A [] c1; exit END ENDSPEC")
+	res, err := OptimizeMessages(d.Service.Spec, d.Entities, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tried < 2 {
+		t.Fatalf("the optimizer tried %d candidates; the check needs several", res.Tried)
+	}
+	if explorations != 1 {
+		t.Errorf("OptimizeMessages (%d candidates) explored the service %d times, want once", res.Tried, explorations)
+	}
+}

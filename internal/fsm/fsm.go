@@ -193,12 +193,21 @@ func (m *Machine) Row(s *State) (*Row, error) {
 		return nil, err
 	}
 	r := &Row{Ops: make([]Op, len(ts)), Events: make([]lotos.Event, len(ts)), To: make([]*State, len(ts))}
+	offers := 0
 	for i, t := range ts {
 		r.Ops[i], r.Events[i] = Classify(t.Label)
 		r.To[i] = m.intern(t.To)
 		if r.Ops[i] == OpService {
-			r.Offers = append(r.Offers, r.Events[i])
-			r.OfferAt = append(r.OfferAt, int32(i))
+			offers++
+		}
+	}
+	if offers > 0 {
+		r.Offers, r.OfferAt = make([]lotos.Event, 0, offers), make([]int32, 0, offers)
+		for i, op := range r.Ops {
+			if op == OpService {
+				r.Offers = append(r.Offers, r.Events[i])
+				r.OfferAt = append(r.OfferAt, int32(i))
+			}
 		}
 	}
 	if s.id >= 0 {

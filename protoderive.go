@@ -290,6 +290,19 @@ type Protocol struct {
 	// use, so a cached fleet is shared across concurrent runs.
 	fleetMu sync.Mutex
 	fleets  map[int]*fsm.Fleet
+
+	// The verification memo every Verify, VerifyMatrix and Optimize call
+	// shares: the entity machines the product steps and the explored
+	// service graph (see compose.Verifier), built on first use.
+	verifierOnce sync.Once
+	v            *compose.Verifier
+}
+
+// verifier returns the protocol's verification memo, over its own clone of
+// the service tree.
+func (p *Protocol) verifier() *compose.Verifier {
+	p.verifierOnce.Do(func() { p.v = compose.NewVerifier(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities) })
+	return p.v
 }
 
 // compileCap resolves a per-entity compile cap option (0 = default) to the
@@ -521,7 +534,8 @@ type EquivStats = equiv.Stats
 // verifier's: the reduction-set name is parsed, and a compositional run
 // recalls entity machines from the protocol's attached cache (UseArtifacts)
 // — by content address, since Optimize verifies entity sets other than the
-// protocol's own — else compiles them uncached.
+// protocol's own — else from the verification memo, which compiles each
+// entity once.
 func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, error) {
 	var o VerifyOptions
 	if opts != nil {
@@ -554,16 +568,23 @@ func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, e
 // bisimilar to the service (exactly, for finite state spaces; up to a
 // bounded observable depth otherwise).
 //
-// Verify is safe for concurrent use on one Protocol: it explores a clone of
-// the service tree, and the entity trees are only read (each entity machine
-// resolves a private clone).
+// Every Verify, VerifyMatrix and Optimize call on one Protocol shares its
+// verification memo: each entity machine derives a row once, whichever
+// call first reaches it, and the service is explored again only when the
+// limits change. A call on a warm Protocol reaches the verdict, graphs and
+// witness a fresh one reaches; apart from wall-clock timings, its report
+// differs only in the compositional reuse counts, which count machines
+// compiled by an earlier call as reused with 0 build time, as they count
+// an artifact cache's hits. Verify is safe for concurrent use on one
+// Protocol: the memo is, and the entity trees are only read (each entity
+// machine resolves a private clone).
 func (p *Protocol) Verify(opts *VerifyOptions) (out *VerifyReport, err error) {
 	defer guard(&err)
 	co, err := p.composeOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := compose.Verify(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities, co)
+	rep, err := p.verifier().Verify(co)
 	if err != nil {
 		return nil, err
 	}
@@ -601,7 +622,7 @@ func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (reps 
 	if err != nil {
 		return nil, err
 	}
-	mx, err := compose.VerifyMatrix(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities, models, co)
+	mx, err := p.verifier().VerifyMatrix(models, co)
 	if err != nil {
 		return nil, err
 	}
@@ -804,15 +825,16 @@ type OptimizeReport struct {
 // Optimize removes non-essential synchronization messages (the elimination
 // the paper defers to [Khen 89]), re-verifying the Section-5 relation after
 // every removal; only removals that keep the protocol correct survive. The
-// given options apply to each verification (nil selects defaults). Like
-// Verify, it operates on clones and is safe for concurrent use.
+// given options apply to each verification (nil selects defaults), and
+// every candidate is checked against the service graph of the protocol's
+// verification memo. Like Verify, it is safe for concurrent use.
 func (p *Protocol) Optimize(opts *VerifyOptions) (out *OptimizeReport, err error) {
 	defer guard(&err)
 	co, err := p.composeOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	res, err := compose.OptimizeMessages(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities, co)
+	res, err := p.verifier().OptimizeMessages(co)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt-check corpus-smoke live-smoke examples-smoke bench-smoke fuzz-smoke run-pgd bench
+.PHONY: build test check fmt-check corpus-smoke live-smoke examples-smoke bench-smoke fuzz-smoke run-pgd bench loc
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,14 @@ test:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "fmt-check: not gofmt-formatted:"; echo "$$out"; exit 1; fi
 
+# loc prints the non-test Go lines of every package outside bench/ (the
+# benchmark module) and hidden directories, one package directory a line,
+# then their total.
+loc:
+	@find . \( -path ./bench -o -name '.*' ! -name . \) -prune -o -name '*.go' ! -name '*_test.go' -print | \
+		xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
 # check is the concurrency tier: formatting and vet; the race detector over each package
 # that starts goroutines (the exploration core's derivation workers, the
 # equivalence engine's refinement workers, the daemon) or whose state
@@ -20,7 +28,8 @@ fmt-check:
 # medium that a deployed entity's connection readers fill); ten
 # repetitions of the shared-fleet test (sessions filling one fleet's rows
 # concurrently) and of the shared-verifier test (Verify calls on one
-# Protocol filling its entity tables concurrently); the corpus and live
+# Protocol, plain and symmetry-reduced, filling its one exact table
+# concurrently); the corpus and live
 # gates; the examples; the benchmark module's own tests; and a short fuzz
 # smoke of the native fuzz targets.
 check:

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/compose"
 	"repro/internal/core"
+	"repro/internal/fsm"
 	"repro/internal/lotos"
 	"repro/internal/sim"
 )
@@ -128,8 +129,10 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	// One verification memo serves the whole command: the fault rows step
 	// the reliable check's entity machines, and every check, the
-	// optimizer's candidates included, reads one service graph.
-	v := compose.NewVerifier(service, entities)
+	// optimizer's candidates included, reads one service graph. Its machine
+	// cache also serves the witness replays and the simulations.
+	cache := fsm.NewCache(0)
+	v := compose.NewVerifier(service, entities, cache)
 	rep, err := v.Verify(opts)
 	if err != nil {
 		fmt.Fprintln(stderr, "pg verify:", err)
@@ -163,7 +166,7 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if len(models) > 0 {
-		if err := printFaultMatrix(stdout, v, entities, models, opts, rep); err != nil {
+		if err := printFaultMatrix(stdout, v, cache.Fleet(entities, 0), models, opts, rep); err != nil {
 			fmt.Fprintln(stderr, "pg verify:", err)
 			return cli.ExitFail
 		}
@@ -184,6 +187,7 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		st, err := sim.RunMany(service, entities, sim.Config{
 			Seed:      *seed,
 			MaxEvents: *maxEvents,
+			Fleet:     cache.Fleet(entities, 0),
 		}, *simRuns, 0)
 		if err != nil {
 			fmt.Fprintf(stdout, "simulation: TRACE VIOLATION: %v\n", err)
@@ -199,8 +203,9 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // printFaultMatrix verifies the protocol under each requested fault model
 // and renders the matrix: one row per model with its verdict, plus the
 // shortest replayable counterexample for every failed cell. The reliable
-// verdict (already computed) heads the matrix for comparison.
-func printFaultMatrix(w io.Writer, v *compose.Verifier, entities map[int]*lotos.Spec, models []compose.FaultModel, opts compose.VerifyOptions, reliable *compose.Report) error {
+// verdict (already computed) heads the matrix for comparison. The
+// counterexamples replay through fleet.
+func printFaultMatrix(w io.Writer, v *compose.Verifier, fleet *fsm.Fleet, models []compose.FaultModel, opts compose.VerifyOptions, reliable *compose.Report) error {
 	cells, err := v.VerifyMatrix(models, opts)
 	if err != nil {
 		return err
@@ -220,7 +225,7 @@ func printFaultMatrix(w io.Writer, v *compose.Verifier, entities map[int]*lotos.
 	for _, r := range cells {
 		if r.Witness != nil {
 			fmt.Fprint(w, r.Witness.Summary())
-			res, err := sim.ReplayWitness(entities, r.Witness)
+			res, err := sim.ReplayFleet(fleet, r.Witness)
 			if err != nil {
 				return fmt.Errorf("replaying %s counterexample: %w", r.Faults, err)
 			}

@@ -1,192 +1,44 @@
 package protoderive
 
 import (
-	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/compose"
 	"repro/internal/fsm"
-	"repro/internal/lotos"
 )
 
-// ArtifactCache is a content-addressed cache of entity machines
-// (fsm.Machine), the one per-entity artifact of the pipeline: Simulate runs
-// its lazily filled rows, and Compile and compositional verification read
-// its minimized layer. Entries are keyed by SHA-256 of the normalized
-// entity behaviour and the effective state cap — never by which service
-// specification produced the entity — so two specifications sharing one
-// entity share the work, and editing one entity of an n-place specification
-// rebuilds only that entity. A machine keeps its minimized layer or the
-// error that stopped it, so later lookups skip a doomed exploration.
+// ArtifactCache is the content-addressed cache of entity machines
+// (fsm.Cache), the one per-entity artifact of the pipeline: Simulate,
+// Replay and Compile recall its machines, and compositional verification
+// reads their minimized layers. Entries are keyed by SHA-256 of the
+// normalized entity behaviour and the effective state cap — never by which
+// service specification produced the entity — so two specifications
+// sharing one entity share the work, and editing one entity of an n-place
+// specification rebuilds only that entity.
 //
 // An ArtifactCache is safe for concurrent use and is meant to be shared: one
-// cache per daemon, handed to every Protocol (see Protocol.UseArtifacts).
-type ArtifactCache struct {
-	mu      sync.Mutex
-	entries map[string]*list.Element // key -> LRU element holding *artifact
-	lru     list.List                // front = most recent
-	cap     int
+// cache per daemon, handed to every Protocol (see Protocol.UseArtifacts). A
+// Protocol with none attached keeps a private one.
+type ArtifactCache = fsm.Cache
 
-	hits, misses uint64
-}
-
-// artifact is one cache entry: a machine, or the error of an entity that
-// does not resolve.
-type artifact struct {
-	key     string
-	machine *fsm.Machine
-	err     *fsm.CompileError
-}
+// ArtifactStats is a point-in-time snapshot of the cache's counters.
+type ArtifactStats = fsm.CacheStats
 
 // DefaultArtifactEntries bounds the artifact cache when the caller passes no
 // capacity.
-const DefaultArtifactEntries = 4096
+const DefaultArtifactEntries = fsm.DefaultCacheEntries
 
 // NewArtifactCache returns an empty cache bounded to the given number of
 // entries (<= 0 selects DefaultArtifactEntries).
-func NewArtifactCache(entries int) *ArtifactCache {
-	if entries <= 0 {
-		entries = DefaultArtifactEntries
-	}
-	return &ArtifactCache{
-		entries: make(map[string]*list.Element, entries),
-		cap:     entries,
-	}
-}
-
-// artifactKey builds the content address of one entity artifact: the
-// length-framed normalized entity text followed by the effective state cap.
-func artifactKey(entityText string, maxStates int) string {
-	h := sha256.New()
-	var frame [binary.MaxVarintLen64]byte
-	h.Write(frame[:binary.PutUvarint(frame[:], uint64(len(entityText)))])
-	h.Write([]byte(entityText))
-	h.Write(frame[:binary.PutUvarint(frame[:], uint64(maxStates))])
-	return string(h.Sum(nil))
-}
-
-// get recalls an entry and marks it most recently used. Caller holds mu.
-func (c *ArtifactCache) get(key string) *artifact {
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*artifact)
-}
-
-// put inserts an entry, evicting from the LRU tail. Caller holds mu.
-func (c *ArtifactCache) put(a *artifact) {
-	if el, ok := c.entries[a.key]; ok {
-		el.Value = a
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.entries[a.key] = c.lru.PushFront(a)
-	for len(c.entries) > c.cap {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		delete(c.entries, tail.Value.(*artifact).key)
-	}
-}
-
-// Len returns the number of cached artifacts.
-func (c *ArtifactCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// ArtifactStats is a point-in-time snapshot of the cache's counters.
-type ArtifactStats struct {
-	// Entries is the current entry count.
-	Entries int `json:"entries"`
-	// EntityHits / EntityMisses count artifact lookups — every machine a
-	// fleet or a compositional verification asked for.
-	EntityHits   uint64 `json:"entityHits"`
-	EntityMisses uint64 `json:"entityMisses"`
-}
-
-// Stats snapshots the cache counters.
-func (c *ArtifactCache) Stats() ArtifactStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return ArtifactStats{Entries: len(c.entries), EntityHits: c.hits, EntityMisses: c.misses}
-}
-
-// machine recalls the machine of one entity at an effective state cap,
-// building it on a miss. A miss of one key racing another may build twice;
-// the later entry wins the cache and both machines behave identically.
-func (c *ArtifactCache) machine(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, bool, *fsm.CompileError) {
-	key := artifactKey(sp.String(), maxStates)
-	c.mu.Lock()
-	a := c.get(key)
-	if a != nil {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
-	if a == nil {
-		a = &artifact{key: key}
-		m, err := fsm.New(place, sp, fsm.Config{MaxStates: maxStates})
-		if err != nil {
-			a.err = err.(*fsm.CompileError)
-		}
-		a.machine = m
-		c.mu.Lock()
-		c.put(a)
-		c.mu.Unlock()
-		return m, false, atPlace(a.err, place)
-	}
-	return a.machine, true, atPlace(a.err, place)
-}
-
-// lookup is the cache as a compose.EntityProvider: the machine of one
-// entity with its minimized layer built. reused reports that the layer was
-// already built (fleets recall machines without minimizing them), and
-// buildNanos is the wall time this call spent building otherwise; an entity
-// over the cap returns its *fsm.CompileError.
-func (c *ArtifactCache) lookup(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int64, bool, error) {
-	start := time.Now()
-	m, reused, ce := c.machine(place, sp, maxStates)
-	if ce == nil {
-		reused = m.MinimizedBuilt()
-		if _, err := m.Minimized(); err != nil {
-			ce = atPlace(err.(*fsm.CompileError), place)
-		}
-	}
-	var buildNanos int64
-	if !reused {
-		buildNanos = time.Since(start).Nanoseconds()
-	}
-	if ce != nil {
-		return nil, buildNanos, reused, ce
-	}
-	return m, buildNanos, reused, nil
-}
-
-// atPlace returns a copy of a cached entity's error naming the place it was
-// asked for: one content-addressed machine can serve several places.
-func atPlace(ce *fsm.CompileError, place int) *fsm.CompileError {
-	if ce == nil {
-		return nil
-	}
-	at := *ce
-	at.Place = place
-	return &at
-}
+func NewArtifactCache(entries int) *ArtifactCache { return fsm.NewCache(entries) }
 
 // UseArtifacts attaches a shared artifact cache to the protocol: fleets
-// (Simulate, Compile) and compositional Verify, VerifyMatrix and Optimize
-// calls recall per-entity machines through it. Safe to call once, before
-// concurrent use.
+// (Simulate, Compile, Replay) and compositional Verify, VerifyMatrix and
+// Optimize calls recall per-entity machines through it instead of the
+// protocol's private cache. Call it once, before the protocol's first use.
 func (p *Protocol) UseArtifacts(c *ArtifactCache) { p.arts = c }
 
 // EntityQuotientStat reports one entity's quotient-before-compose numbers

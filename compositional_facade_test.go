@@ -179,8 +179,8 @@ func TestArtifactCacheConcurrent(t *testing.T) {
 	const workers, maxStates = 8, 500
 	cache := NewArtifactCache(0)
 	distinct := map[string]bool{}
-	// Every worker gets protocols of its own, so Compile and Simulate miss
-	// the per-protocol fleet memo and reach the shared cache concurrently.
+	// Every worker gets protocols of its own, so the verifiers of distinct
+	// protocols reach the shared cache concurrently.
 	protos := make([][]*Protocol, workers)
 	for w := range protos {
 		for _, src := range sources {
@@ -423,5 +423,49 @@ func TestDiffProtocols(t *testing.T) {
 	d = DiffProtocols(grown, base)
 	if len(d.Removed) != 1 || d.Removed[0] != 3 {
 		t.Errorf("shrunk delta = %s, want removed: [3]", d)
+	}
+}
+
+// TestPrivateCacheSharedByVerifyAndCompile: a Protocol without an attached
+// cache keeps a private one that its compositional checks and its fleets
+// both draw from, so a Compile at the cap a compositional Verify ran with
+// builds no machine.
+func TestPrivateCacheSharedByVerifyAndCompile(t *testing.T) {
+	const maxStates = 300
+	proto := facadeProto(t, "SPEC a1; b2; exit [] c1; d2; exit ENDSPEC")
+	if _, err := proto.Verify(&VerifyOptions{Compositional: true, MaxStates: maxStates}); err != nil {
+		t.Fatal(err)
+	}
+	servedFromCache(t, proto.machines(), "Compile after compositional Verify", func() error {
+		rep, err := proto.Compile(&CompileOptions{MaxStates: maxStates})
+		if err == nil && rep.Compiled != len(proto.Places()) {
+			err = fmt.Errorf("compiled %d of %d entities", rep.Compiled, len(proto.Places()))
+		}
+		return err
+	})
+}
+
+// TestOptimizeBuildsEachMachineOnce: the optimizer's candidate entity sets
+// recall their machines from the Protocol's one cache, with or without an
+// attached one, so a compositional Optimize builds each distinct entity's
+// machine once: every place a candidate leaves unchanged is a cache hit.
+func TestOptimizeBuildsEachMachineOnce(t *testing.T) {
+	for _, attached := range []bool{false, true} {
+		// Each candidate drops one message between two of the three places
+		// and leaves the third one's entity as it was.
+		proto := facadeProto(t, "SPEC a1; b2; c3; exit ENDSPEC")
+		if attached {
+			proto.UseArtifacts(NewArtifactCache(0))
+		}
+		if _, err := proto.Optimize(&VerifyOptions{Compositional: true}); err != nil {
+			t.Fatal(err)
+		}
+		st := proto.machines().Stats()
+		if st.EntityMisses != uint64(st.Entries) {
+			t.Errorf("attached=%v: %d machines built for %d distinct entities", attached, st.EntityMisses, st.Entries)
+		}
+		if st.EntityHits == 0 {
+			t.Errorf("attached=%v: no candidate reused an unchanged place's machine: %+v", attached, st)
+		}
 	}
 }

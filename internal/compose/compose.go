@@ -37,12 +37,15 @@
 //
 // # Sharing across checks
 //
-// A Verifier is one protocol's verification memo: its exact machines and
-// their translated table, its compiled machines, and its service graph,
-// each built on first use and shared by every check of the protocol,
-// whatever its fault model or channel capacity; the optimizer's candidate
-// entity sets share the service graph. A symmetry-reduced system builds its
-// own machines. Verify and New are one-shot Verifiers.
+// A Verifier is one protocol's verification memo, shared by every check of
+// the protocol, whatever its fault model, channel capacity or reduction
+// set. Its machines live in two stores: its exact table (one machine per
+// place and the translated rows, built on first use, with the entities'
+// instance symmetry detected once, before any row is translated) and a
+// content-addressed fsm.Cache of capped machines, whose minimized layers
+// the compositional path reads. It also keeps its service graph. The
+// optimizer's candidate entity sets share the service graph and the cache.
+// Verify and New are one-shot Verifiers.
 // Since keys digest content and never ids, a check on a warm Verifier
 // explores the same graph, with the same numbering and witness, as on a
 // fresh one.
@@ -111,11 +114,14 @@ type System struct {
 
 	// The entities' machines as the product reads them: the exact rows'
 	// table its Verifier shares across checks, or one of its own for a
-	// symmetry-reduced or compositional system.
+	// compositional system.
 	*table
 	cfg Config
 	// red is the resolved reduction set (Config.effectiveReductions).
 	red Reductions
+	// sym is the symmetry in force: the table's when red holds
+	// RedSymmetry, else nil.
+	sym *symmetry
 	// Reduction telemetry. The counters are atomic because the derivation
 	// workers share the system; spillStats is written once by Explore
 	// (single-threaded) after a spilling exploration returns.
@@ -138,8 +144,9 @@ type table struct {
 	machines []*fsm.Machine
 	min      []*fsm.Minimized
 	placeIdx map[int]int // place number -> index in the places
-	// sym is the detected instance symmetry, nil when RedSymmetry is off or
-	// no symmetry exists.
+	// sym is the entities' detected instance symmetry, nil when none
+	// exists. The table digests its columns whatever a system's reductions;
+	// a system applies them only under RedSymmetry (see System.sym).
 	sym *symmetry
 
 	// The translated local tables and the interned messages, shared by
@@ -184,9 +191,12 @@ func digest16(data []byte) (h [16]byte) {
 }
 
 // growLocked extends a place's table to cover local state id, digesting
-// each new state's key and, under symmetry, its expression's columns. Only
-// this table steps its machines, so a new state's row is unfilled and its
-// expression still there. Caller holds s.mu for writing.
+// each new state's key and, when a symmetry was detected, its expression's
+// columns. The invariant that makes this sound: only this table steps its
+// machines, and it translates a state's row only after growing the state,
+// so a new state's row is unfilled and its expression, which a machine
+// drops once the row is filled, still there. Caller holds s.mu for
+// writing.
 func (s *table) growLocked(idx int, id int32) {
 	for j := int32(len(s.local[idx])); j <= id; j++ {
 		var st localState
@@ -319,13 +329,17 @@ func newSystem(places []int, t *table, cfg Config, red Reductions) *System {
 	if cfg.ChannelCap <= 0 {
 		cfg.ChannelCap = DefaultChannelCap
 	}
-	return &System{Places: places, table: t, cfg: cfg, red: red}
+	s := &System{Places: places, table: t, cfg: cfg, red: red}
+	if red&RedSymmetry != 0 {
+		s.sym = t.sym
+	}
+	return s
 }
 
 // New prepares a system from derived entities, stepping the exact rows of
 // one machine per place: the system of a one-shot Verifier.
 func New(entities map[int]*lotos.Spec, cfg Config) (*System, error) {
-	return NewVerifier(nil, entities).system(cfg, cfg.effectiveReductions())
+	return NewVerifier(nil, entities, nil).system(cfg, cfg.effectiveReductions())
 }
 
 // message is one in-flight synchronization message.

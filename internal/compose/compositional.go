@@ -26,30 +26,7 @@
 // time, never correctness.
 package compose
 
-import (
-	"encoding/json"
-	"time"
-
-	"repro/internal/fsm"
-	"repro/internal/lotos"
-)
-
-// EntityProvider supplies the machine of one place with its minimized layer
-// built — the injection point for artifact caches layered above this
-// package. It returns the machine, or the error that stopped it (a
-// *fsm.CompileError with Cap set means the entity's state space exceeds
-// maxStates); the wall time building it took for this call; and whether it
-// was served from a cache instead (buildNanos is then 0). Machines clone
-// the specification passed in, so they alias nothing live and are safe to
-// cache and share.
-type EntityProvider func(place int, sp *lotos.Spec, maxStates int) (m *fsm.Machine, buildNanos int64, reused bool, err error)
-
-// compileEntity is the uncached EntityProvider: one fsm.Compile per call.
-func compileEntity(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int64, bool, error) {
-	start := time.Now()
-	m, err := fsm.Compile(place, sp, fsm.Config{MaxStates: maxStates})
-	return m, time.Since(start).Nanoseconds(), false, err
-}
+import "encoding/json"
 
 // EntityQuotientStat reports one entity's quotient-before-compose numbers.
 type EntityQuotientStat struct {
@@ -64,8 +41,8 @@ type EntityQuotientStat struct {
 	QuotientTransitions int `json:"quotientTransitions"`
 	// BuildNanos is the compile wall time (0 for cache hits).
 	BuildNanos int64 `json:"buildNanos"`
-	// Reused marks an artifact served from a cache: a content-addressed
-	// one, or the Verifier's memo of an earlier check.
+	// Reused marks a machine whose minimized layer an earlier call on the
+	// same machine cache had built.
 	Reused bool `json:"reused"`
 }
 

@@ -192,7 +192,7 @@ func TestCompositionalRecursiveEntityFallsBack(t *testing.T) {
 func TestCompositionalMatrixReusesEntities(t *testing.T) {
 	d := deriveSrc(t, "SPEC a1; b2; c1; exit ENDSPEC")
 	models := []FaultModel{Reliable, {Loss: true}, {Duplication: true}, {Reorder: true}}
-	cells, err := NewVerifier(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities)).VerifyMatrix(models,
+	cells, err := NewVerifier(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), nil).VerifyMatrix(models,
 		VerifyOptions{Compositional: true})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestCompositionalMatrixReusesEntities(t *testing.T) {
 	}
 
 	// Each cell must match its monolithic counterpart.
-	monoCells, err := NewVerifier(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities)).VerifyMatrix(models, VerifyOptions{})
+	monoCells, err := NewVerifier(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), nil).VerifyMatrix(models, VerifyOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,27 +227,31 @@ func TestCompositionalMatrixReusesEntities(t *testing.T) {
 	}
 }
 
-// TestEntityOverCapFallsBack: an entity over the cap fails to compile with
-// a cap-overflow *fsm.CompileError, and the compositional path falls back
-// to the monolithic verdict, recording the entity's explored size.
+// TestEntityOverCapFallsBack: an entity whose state space is unbounded
+// (Example 2, a^n b^n: each recursion level stacks one continuation) fails
+// to minimize with a cap-overflow *fsm.CompileError, and the compositional
+// path falls back to the monolithic verdict, recording the entity's
+// explored size.
 func TestEntityOverCapFallsBack(t *testing.T) {
-	d := deriveSrc(t, "SPEC A WHERE PROC A = a1; b2; A [] q1; b2; exit END ENDSPEC")
-	_, err := fsm.Compile(1, d.Entities[1], fsm.Config{MaxStates: 2})
-	var ce *fsm.CompileError
-	if !errors.As(err, &ce) || ce.Cap != 2 || ce.States < 2 || ce.Transitions == 0 {
-		t.Fatalf("expected a cap-overflow CompileError with the explored size, got %v (%+v)", err, ce)
-	}
-
-	mono, err := Verify(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), VerifyOptions{})
+	const maxStates = 64
+	d := deriveSrc(t, "SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC")
+	m, err := fsm.New(1, d.Entities[1], fsm.Config{MaxStates: maxStates})
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Verify(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), VerifyOptions{
-		Compositional: true,
-		EntityProvider: func(place int, sp *lotos.Spec, _ int) (*fsm.Machine, int64, bool, error) {
-			return compileEntity(place, sp, 2)
-		},
-	})
+	_, err = m.Minimized()
+	var ce *fsm.CompileError
+	if !errors.As(err, &ce) || ce.Cap != maxStates || ce.States < maxStates || ce.Transitions == 0 {
+		t.Fatalf("expected a cap-overflow CompileError with the explored size, got %v (%+v)", err, ce)
+	}
+
+	opts := VerifyOptions{MaxStates: maxStates}
+	mono, err := Verify(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Compositional = true
+	comp, err := Verify(lotos.CloneSpec(d.Service.Spec), cloneEntityMap(d.Entities), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

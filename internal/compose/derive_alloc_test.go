@@ -38,7 +38,7 @@ func TestDeriveAllocsBounded(t *testing.T) {
 			var sys *System
 			var err error
 			if c.comp {
-				sys, err = NewVerifier(nil, d.Entities).quotientSystem(compileAll(t, d.Entities), cfg)
+				sys, err = NewVerifier(nil, d.Entities, nil).quotientSystem(compileAll(t, d.Entities), cfg)
 			} else {
 				sys, err = New(d.Entities, cfg)
 			}

@@ -27,7 +27,10 @@ func compileAll(tb testing.TB, entities map[int]*lotos.Spec) map[int]*fsm.Machin
 	tb.Helper()
 	machines := make(map[int]*fsm.Machine, len(entities))
 	for p, sp := range entities {
-		m, err := fsm.Compile(p, sp, fsm.Config{MaxStates: 1 << 16})
+		m, err := fsm.New(p, sp, fsm.Config{MaxStates: 1 << 16})
+		if err == nil {
+			_, err = m.Minimized()
+		}
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -72,7 +75,7 @@ func BenchmarkProductDerive(b *testing.B) {
 				var sys *System
 				var err error
 				if c.comp {
-					sys, err = NewVerifier(nil, d.Entities).quotientSystem(machines, cfg)
+					sys, err = NewVerifier(nil, d.Entities, nil).quotientSystem(machines, cfg)
 				} else {
 					sys, err = New(cloneEntityMap(d.Entities), cfg)
 				}

@@ -34,9 +34,9 @@ type OptimizeResult struct {
 
 // OptimizeMessages removes non-essential synchronization messages from the
 // derived entities of a service: it is
-// NewVerifier(service, entities).OptimizeMessages(opts).
+// NewVerifier(service, entities, nil).OptimizeMessages(opts).
 func OptimizeMessages(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*OptimizeResult, error) {
-	return NewVerifier(service, entities).OptimizeMessages(opts)
+	return NewVerifier(service, entities, nil).OptimizeMessages(opts)
 }
 
 // OptimizeMessages removes non-essential synchronization messages from the

@@ -1,7 +1,6 @@
 package compose
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -162,11 +161,6 @@ type VerifyOptions struct {
 	// returned wholesale with the fallback reason recorded in
 	// Report.Compositional.
 	Compositional bool
-	// EntityProvider, when set with Compositional, supplies the per-entity
-	// compiled machines whose minimized layers the product composes over
-	// (the injection point for content-addressed caches). Nil compiles each
-	// place with fsm.Compile at the verification's effective state cap.
-	EntityProvider EntityProvider
 	// Reductions selects the product exploration's state-space reductions
 	// (zero value = the default set, POR only). Every reduction is verdict-
 	// preserving: a symmetry-reduced non-conformant verdict is automatically
@@ -195,24 +189,24 @@ var exploreService = lts.ExploreSpec
 // Verifier checks one protocol — a service and its entities — against the
 // Section-5 relation, and keeps what every check of that protocol shares.
 // Across a fault matrix or a capacity sweep only the medium changes; the
-// service and the entities stay the same. So a Verifier holds, built on
-// first use:
+// service and the entities stay the same. So a Verifier draws its entity
+// machines from two stores:
 //
-//   - one lazily tabled fsm.Machine per place, retaining every state, with
-//     the table of its rows as the product reads them (see table): the
-//     SOS rules run once per entity state, whichever check first reaches
-//     it;
-//   - the compositional path's compiled machines, at the effective state
-//     cap last used;
-//   - the explored service graph, for the effective limits last used.
+//   - its exact table: one lazily tabled fsm.Machine per place, retaining
+//     every state, with the table of its rows as the product reads them
+//     (see table), built on first use. The SOS rules run once per entity
+//     state, whichever check first reaches it, and every monolithic check
+//     reads this one table, symmetry-reduced or not;
+//   - the fsm.Cache it was given, whose capped machines' minimized layers
+//     the compositional path composes over.
 //
-// Its memory grows with the entity states its checks reach, which each
-// entity's reachable state space bounds — in practice those of the largest
-// exploration run on it — plus one service graph, not with the number of
-// checks. Each retained state keeps its canonical key, and a recursive
-// entity's keys grow with its recursion depth, so one deep check pins those
-// keys for as long as the Verifier lives. A symmetry-reduced check builds
-// its own machines (see system).
+// It also keeps the explored service graph, for the effective limits last
+// used. Its memory grows with the entity states its checks reach, which
+// each entity's reachable state space bounds — in practice those of the
+// largest exploration run on it — plus one service graph, not with the
+// number of checks. Each retained state keeps its canonical key, and a
+// recursive entity's keys grow with its recursion depth, so one deep check
+// pins those keys for as long as the Verifier lives.
 // State keys are digests of content, never of local or message ids, so a
 // check over a warm Verifier yields the same graph, state numbering and
 // witness as over a fresh one.
@@ -223,21 +217,11 @@ type Verifier struct {
 	entities map[int]*lotos.Spec
 	places   []int // ascending
 	svc      *serviceGraph
+	cache    *fsm.Cache
 
 	mu       sync.Mutex
 	exact    *table // the exact machines' table
 	exactErr error
-
-	compileMu   sync.Mutex
-	compiled    map[int]compiledEntity // place -> machine at compiledCap
-	compiledCap int
-}
-
-// compiledEntity is one place's compiled machine, or the error that
-// stopped it.
-type compiledEntity struct {
-	m   *fsm.Machine
-	err error
 }
 
 // serviceGraph is a service specification and the graph of its last
@@ -268,21 +252,26 @@ func (s *serviceGraph) graph(lim lts.Limits) (*lts.Graph, error) {
 	return g, nil
 }
 
-// NewVerifier returns the Verifier of a service and its entities. It
-// builds nothing until a check needs it.
+// NewVerifier returns the Verifier of a service and its entities, whose
+// compositional checks recall capped machines from cache (nil = a private
+// cache). It builds nothing until a check needs it.
 //
 // The service specification must be the analyzed clone actually derived
 // from (core.Derivation.Service.Spec), so that both sides use the same
 // normalized tree; the Verifier resolves it in place, so it must not be
 // explored elsewhere concurrently.
-func NewVerifier(service *lotos.Spec, entities map[int]*lotos.Spec) *Verifier {
-	return &Verifier{entities: entities, places: sortedPlaces(entities), svc: &serviceGraph{spec: service}}
+func NewVerifier(service *lotos.Spec, entities map[int]*lotos.Spec, cache *fsm.Cache) *Verifier {
+	if cache == nil {
+		cache = fsm.NewCache(0)
+	}
+	return &Verifier{entities: entities, places: sortedPlaces(entities), svc: &serviceGraph{spec: service}, cache: cache}
 }
 
 // withEntities returns a Verifier of other entities for the same service,
-// sharing the service graph.
+// sharing the service graph and the machine cache, so unchanged places
+// reuse their machines.
 func (v *Verifier) withEntities(entities map[int]*lotos.Spec) *Verifier {
-	return &Verifier{entities: entities, places: sortedPlaces(entities), svc: v.svc}
+	return &Verifier{entities: entities, places: sortedPlaces(entities), svc: v.svc, cache: v.cache}
 }
 
 // sortedPlaces returns the places of an entity set in ascending order.
@@ -295,26 +284,15 @@ func sortedPlaces(entities map[int]*lotos.Spec) []int {
 	return places
 }
 
-// system prepares a product system over the exact machines with the
-// resolved reduction set red: on the Verifier's shared table, unless
-// symmetry applies. growLocked digests a new state's symmetry columns from
-// its expression, and a shared machine drops that expression once any
-// system fills the state's row; so a symmetry-reduced system builds its own
-// machines and table, detecting the symmetry before any state is
-// translated.
+// system prepares a product system over the Verifier's exact table with
+// the resolved reduction set red. The table is built on first use, with
+// the instance symmetry of the entities, if any, detected before any state
+// is translated: the table then digests every state's symmetry columns, and
+// a system applies them when red holds RedSymmetry.
 func (v *Verifier) system(cfg Config, red Reductions) (*System, error) {
-	if red&RedSymmetry != 0 {
-		if sym := detectSymmetry(v.places, v.entities); sym != nil {
-			t, err := newTable(v.places, sym, exactMachines(v.entities))
-			if err != nil {
-				return nil, err
-			}
-			return newSystem(v.places, t, cfg, red), nil
-		}
-	}
 	v.mu.Lock()
 	if v.exact == nil && v.exactErr == nil {
-		v.exact, v.exactErr = newTable(v.places, nil, exactMachines(v.entities))
+		v.exact, v.exactErr = newTable(v.places, detectSymmetry(v.places, v.entities), exactMachines(v.entities))
 	}
 	t, err := v.exact, v.exactErr
 	v.mu.Unlock()
@@ -347,34 +325,14 @@ func (v *Verifier) quotientSystem(machines map[int]*fsm.Machine, cfg Config) (*S
 	return newSystem(v.places, t, cfg, cfg.effectiveReductions()&^RedSymmetry), nil
 }
 
-// compile is the compositional path's EntityProvider when the options name
-// none: compileEntity, memoized per place at the last effective state cap.
-// The cap is part of the entity's configuration, not of its medium, so the
-// machines serve every fault model and channel capacity. Compilations run
-// one at a time, so concurrent checks wait for one compilation of an entity
-// instead of each exploring it to the cap.
-func (v *Verifier) compile(place int, sp *lotos.Spec, maxStates int) (*fsm.Machine, int64, bool, error) {
-	v.compileMu.Lock()
-	defer v.compileMu.Unlock()
-	if v.compiledCap != maxStates {
-		v.compiled, v.compiledCap = map[int]compiledEntity{}, maxStates
-	}
-	if c, ok := v.compiled[place]; ok {
-		return c.m, 0, true, c.err
-	}
-	m, nanos, _, err := compileEntity(place, sp, maxStates)
-	v.compiled[place] = compiledEntity{m, err}
-	return m, nanos, false, err
-}
-
 // Verify checks a derived protocol against its service specification: it
-// is NewVerifier(service, entities).Verify(opts), a one-shot Verifier.
+// is NewVerifier(service, entities, nil).Verify(opts), a one-shot Verifier.
 //
 // The service specification must be the analyzed clone actually derived
 // from (core.Derivation.Service.Spec), so that both sides use the same
 // normalized tree. Verify resolves it in place, but only reads the entities.
 func Verify(service *lotos.Spec, entities map[int]*lotos.Spec, opts VerifyOptions) (*Report, error) {
-	return NewVerifier(service, entities).Verify(opts)
+	return NewVerifier(service, entities, nil).Verify(opts)
 }
 
 // Verify explores the service and the composed protocol system to the same
@@ -492,10 +450,12 @@ func judge(sg, cg *lts.Graph, sys *System, opts VerifyOptions) (*Report, error) 
 	return r, nil
 }
 
-// verifyCompositional is the quotient-before-compose path: every entity is
-// compiled (explored to closure and minimized with the weak-bisimulation
-// quotient), and the product is explored over the machines' minimized
-// layers. A complete, conformant quotient-product verdict is final — the
+// verifyCompositional is the quotient-before-compose path: every entity's
+// capped machine is recalled from the Verifier's cache and minimized
+// (explored to closure and quotiented by weak bisimulation) unless an
+// earlier call did, and the product is explored over the minimized
+// layers. The cap is part of the entity's configuration, not of its
+// medium, so the machines serve every fault model and channel capacity. A complete, conformant quotient-product verdict is final — the
 // quotient is a congruence for the product's operators, so the monolithic
 // product is weakly bisimilar to the quotient product, and a monolithic
 // deadlock always projects to a quotient-product deadlock. Everything else
@@ -504,34 +464,43 @@ func judge(sg, cg *lts.Graph, sys *System, opts VerifyOptions) (*Report, error) 
 // returns its report wholesale, counterexample included, with the fallback
 // reason recorded in Report.Compositional.
 func (v *Verifier) verifyCompositional(sg *lts.Graph, opts VerifyOptions, cfg Config) (*Report, error) {
-	provider := opts.EntityProvider
-	if provider == nil {
-		provider = v.compile
-	}
 	maxStates := effectiveMaxStates(opts.MaxStates)
 
 	stats := &CompositionalStats{}
 	machines := make(map[int]*fsm.Machine, len(v.places))
 	for _, p := range v.places {
-		m, nanos, reused, err := provider(p, v.entities[p], maxStates)
-		stat := EntityQuotientStat{Place: p, BuildNanos: nanos, Reused: reused}
-		var ce *fsm.CompileError
+		// An entity counts as reused when an earlier call — a check, or a
+		// compile report over the same cache — already built its minimized
+		// layer; a simulation recalls machines without minimizing them.
+		start := time.Now()
+		m, _, ce := v.cache.Machine(p, v.entities[p], maxStates)
+		reused := ce == nil && m.MinimizedBuilt()
+		var lay *fsm.Minimized
+		if ce == nil {
+			var err error
+			if lay, err = m.Minimized(); err != nil {
+				ce = fsm.AtPlace(err.(*fsm.CompileError), p)
+			}
+		}
+		stat := EntityQuotientStat{Place: p, Reused: reused}
+		if !reused {
+			stat.BuildNanos = time.Since(start).Nanoseconds()
+		}
 		switch {
-		case err == nil:
-			lay, _ := m.Minimized()
+		case ce == nil:
 			stat.ExactStates, stat.ExactTransitions = lay.ExactStates, lay.ExactTransitions
 			stat.QuotientStates, stat.QuotientTransitions = lay.NumStates(), lay.NumTransitions()
-		case errors.As(err, &ce) && ce.Cap > 0:
+		case ce.Cap > 0:
 			stat.ExactStates, stat.ExactTransitions = ce.States, ce.Transitions
 		default:
-			return nil, err
+			return nil, ce
 		}
 		stats.Entities = append(stats.Entities, stat)
-		stats.BuildNanos += nanos
+		stats.BuildNanos += stat.BuildNanos
 		if reused {
 			stats.Reused++
 		}
-		if err != nil {
+		if ce != nil {
 			// The quotient of a truncated graph would merge frontier states
 			// on their explored prefix only; composing over it is unsound.
 			return v.fallbackMonolithic(sg, opts, cfg, stats,

@@ -33,20 +33,6 @@ func (c Config) maxStates() int {
 	return c.MaxStates
 }
 
-// Compile builds the machine of one derived entity specification together
-// with its minimized layer: a state space exceeding the cap returns a
-// *CompileError and no machine.
-func Compile(place int, sp *lotos.Spec, cfg Config) (*Machine, error) {
-	m, err := New(place, sp, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := m.Minimized(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Classify maps a transition label to its runtime dispatch kind and event.
 // It is the single classification rule of execution rows and minimized
 // rows, and of the SOS reference stepper the runtime is tested against.
@@ -220,8 +206,10 @@ type Fleet struct {
 	Errors map[int]*CompileError
 }
 
-// CompileEntities builds the machine of every entity of a derived protocol.
-// Nothing is explored: rows fill as sessions visit them.
+// CompileEntities builds the machine of every entity of a derived protocol
+// for a caller that holds the fleet itself, without the content addressing
+// a Cache pays for on every lookup. Nothing is explored: rows fill as
+// sessions visit them.
 func CompileEntities(entities map[int]*lotos.Spec, cfg Config) *Fleet {
 	f := &Fleet{
 		Machines: make(map[int]*Machine, len(entities)),

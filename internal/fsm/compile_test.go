@@ -74,10 +74,23 @@ func lazyGraph(t testing.TB, m *Machine) (keys []string, rows []*Row) {
 	return keys, rows
 }
 
+// compile builds the machine of one entity together with its minimized
+// layer: a state space exceeding the cap returns a *CompileError.
+func compile(place int, sp *lotos.Spec, cfg Config) (*Machine, error) {
+	m, err := New(place, sp, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := m.Minimized(); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 func TestCompileMatchesExploration(t *testing.T) {
 	d := deriveFor(t, "SPEC a1; exit >> (b2; exit ||| c3; exit) >> d1; exit ENDSPEC")
 	for _, p := range d.Places {
-		m, err := Compile(p, d.Entities[p], Config{})
+		m, err := compile(p, d.Entities[p], Config{})
 		if err != nil {
 			t.Fatalf("place %d: %v", p, err)
 		}
@@ -154,8 +167,8 @@ func TestCompileDispatchRows(t *testing.T) {
 func TestCompileDeterministic(t *testing.T) {
 	d := deriveFor(t, "SPEC (a1; b2; exit [] c1; d2; exit) [> e2; d2; exit ENDSPEC")
 	for _, p := range d.Places {
-		m1, err1 := Compile(p, d.Entities[p], Config{})
-		m2, err2 := Compile(p, d.Entities[p], Config{})
+		m1, err1 := compile(p, d.Entities[p], Config{})
+		m2, err2 := compile(p, d.Entities[p], Config{})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("place %d: %v / %v", p, err1, err2)
 		}
@@ -171,7 +184,7 @@ func TestCompileUnboundedRecursionFails(t *testing.T) {
 	// Example 2 (a^n b^n): the derived entities stack one continuation per
 	// recursion level, so their state spaces are unbounded.
 	d := deriveFor(t, `SPEC A WHERE PROC A = (a1; A >> b2; exit) [] (a1; b2; exit) END ENDSPEC`)
-	_, err := Compile(1, d.Entities[1], Config{MaxStates: 256})
+	_, err := compile(1, d.Entities[1], Config{MaxStates: 256})
 	var ce *CompileError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want *CompileError", err)

@@ -28,8 +28,8 @@
 // A Machine is the one per-entity artifact of the pipeline and the only
 // deriver of entity transitions: simulation, witness replay, live
 // deployment and the product explorer (internal/compose) all step it, and
-// the content-addressed artifact cache above this package stores it keyed
-// by the normalized entity text and the effective state cap.
+// the content-addressed cache in this package (Cache) stores it keyed by the
+// normalized entity text and the effective state cap.
 package fsm
 
 import (

@@ -30,12 +30,12 @@ func entityPlaces(entities map[int]*lotos.Spec) []int {
 }
 
 // newSteppers constructs one EntityStepper per place over the configured
-// fleet's machines, building machines for the entities when cfg.Fleet is
-// nil.
+// fleet's machines, recalling machines for the entities through a private
+// cache when cfg.Fleet is nil.
 func newSteppers(entities map[int]*lotos.Spec, places []int, med medium.Transport, cfg Config) ([]*EntityStepper, error) {
 	fleet := cfg.Fleet
 	if fleet == nil {
-		fleet = fsm.CompileEntities(entities, cfg.Compile)
+		fleet = fsm.NewCache(0).Fleet(entities, cfg.Compile.MaxStates)
 	}
 	steppers := make([]*EntityStepper, len(places))
 	for i, p := range places {

@@ -279,34 +279,43 @@ type DeriveOptions struct {
 type Protocol struct {
 	d *core.Derivation
 
-	// arts, when set (UseArtifacts), is the shared content-addressed cache
-	// of compiled entity machines.
-	arts *ArtifactCache
-
-	// Machine fleets, cached per effective state cap: machines fill their
-	// rows as sessions visit them and build their minimized layers once, so
-	// repeated Simulate and Compile calls on one Protocol — the steady state
-	// of the daemon — share that work. Machines are safe for concurrent
-	// use, so a cached fleet is shared across concurrent runs.
-	fleetMu sync.Mutex
-	fleets  map[int]*fsm.Fleet
+	// arts is the content-addressed cache of capped entity machines that
+	// every fleet (Simulate, Compile, Replay) and compositional check draws
+	// from: the one attached by UseArtifacts, else a private one. Machines
+	// fill their rows as sessions visit them and build their minimized
+	// layers once, so repeated calls on one Protocol share that work.
+	arts     *ArtifactCache
+	artsOnce sync.Once
 
 	// The verification memo every Verify, VerifyMatrix and Optimize call
-	// shares: the entity machines the product steps and the explored
+	// shares: the exact entity machines the product steps and the explored
 	// service graph (see compose.Verifier), built on first use.
 	verifierOnce sync.Once
 	v            *compose.Verifier
 }
 
+// machines returns the protocol's machine cache, creating a private one
+// unless UseArtifacts attached one.
+func (p *Protocol) machines() *ArtifactCache {
+	p.artsOnce.Do(func() {
+		if p.arts == nil {
+			p.arts = NewArtifactCache(0)
+		}
+	})
+	return p.arts
+}
+
 // verifier returns the protocol's verification memo, over its own clone of
-// the service tree.
+// the service tree and the protocol's machine cache.
 func (p *Protocol) verifier() *compose.Verifier {
-	p.verifierOnce.Do(func() { p.v = compose.NewVerifier(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities) })
+	p.verifierOnce.Do(func() {
+		p.v = compose.NewVerifier(lotos.CloneSpec(p.d.Service.Spec), p.d.Entities, p.machines())
+	})
 	return p.v
 }
 
 // compileCap resolves a per-entity compile cap option (0 = default) to the
-// effective cap fleets and artifact-cache entries are keyed by.
+// effective cap machine-cache entries are keyed by.
 func compileCap(maxStates int) int {
 	if maxStates <= 0 {
 		return fsm.DefaultMaxStates
@@ -314,35 +323,11 @@ func compileCap(maxStates int) int {
 	return maxStates
 }
 
-// fleet returns the protocol's machine fleet for the given cap option,
-// building it on first use — through the attached artifact cache when there
-// is one. Machines clone their entity, so the shared trees are not mutated.
+// fleet recalls the protocol's machines for the given cap option from its
+// machine cache. Machines clone their entity, so the shared trees are not
+// mutated.
 func (p *Protocol) fleet(maxStates int) *fsm.Fleet {
-	maxStates = compileCap(maxStates)
-	p.fleetMu.Lock()
-	defer p.fleetMu.Unlock()
-	if f := p.fleets[maxStates]; f != nil {
-		return f
-	}
-	var f *fsm.Fleet
-	if p.arts == nil {
-		f = fsm.CompileEntities(p.d.Entities, fsm.Config{MaxStates: maxStates})
-	} else {
-		f = &fsm.Fleet{Machines: map[int]*fsm.Machine{}, Errors: map[int]*fsm.CompileError{}}
-		for place, sp := range p.d.Entities {
-			m, _, err := p.arts.machine(place, sp, maxStates)
-			if err != nil {
-				f.Errors[place] = err
-				continue
-			}
-			f.Machines[place] = m
-		}
-	}
-	if p.fleets == nil {
-		p.fleets = map[int]*fsm.Fleet{}
-	}
-	p.fleets[maxStates] = f
-	return f
+	return p.machines().Fleet(p.d.Entities, maxStates)
 }
 
 // Derive runs the derivation algorithm with default options.
@@ -449,8 +434,10 @@ type VerifyOptions struct {
 	// non-conformant or state-capped compositional attempt re-verifies
 	// monolithically, counterexample included); the report carries the
 	// per-phase pipeline numbers in VerifyReport.Compositional. The entity
-	// machines come from the protocol's attached artifact cache
-	// (UseArtifacts) when there is one.
+	// machines come from the protocol's machine cache — the attached
+	// artifact cache (UseArtifacts), else the protocol's own — which its
+	// Simulate, Compile and Replay calls share, so a machine minimized by
+	// one call is reused by the next at the same effective cap.
 	Compositional bool
 	// Reductions names the product exploration's reduction set: "" or
 	// "default" (partial-order reduction only), "none", "all", or "+"-joined
@@ -531,12 +518,8 @@ type Witness = compose.Witness
 type EquivStats = equiv.Stats
 
 // composeOptions converts facade options (nil = defaults) into the
-// verifier's: the reduction-set name is parsed, and a compositional run
-// recalls entity machines from the protocol's attached cache (UseArtifacts)
-// — by content address, since Optimize verifies entity sets other than the
-// protocol's own — else from the verification memo, which compiles each
-// entity once.
-func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, error) {
+// verifier's, parsing the reduction-set name.
+func composeOptions(opts *VerifyOptions) (compose.VerifyOptions, error) {
 	var o VerifyOptions
 	if opts != nil {
 		o = *opts
@@ -557,9 +540,6 @@ func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, e
 		Reductions:     red,
 		SpillBudget:    o.SpillBudget,
 	}
-	if o.Compositional && p.arts != nil {
-		co.EntityProvider = p.arts.lookup
-	}
 	return co, nil
 }
 
@@ -574,13 +554,13 @@ func (p *Protocol) composeOptions(opts *VerifyOptions) (compose.VerifyOptions, e
 // limits change. A call on a warm Protocol reaches the verdict, graphs and
 // witness a fresh one reaches; apart from wall-clock timings, its report
 // differs only in the compositional reuse counts, which count machines
-// compiled by an earlier call as reused with 0 build time, as they count
-// an artifact cache's hits. Verify is safe for concurrent use on one
+// minimized by an earlier call on the protocol's machine cache as reused
+// with 0 build time. Verify is safe for concurrent use on one
 // Protocol: the memo is, and the entity trees are only read (each entity
 // machine resolves a private clone).
 func (p *Protocol) Verify(opts *VerifyOptions) (out *VerifyReport, err error) {
 	defer guard(&err)
-	co, err := p.composeOptions(opts)
+	co, err := composeOptions(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -618,7 +598,7 @@ func verifyReport(rep *compose.Report) *VerifyReport {
 // concurrent use.
 func (p *Protocol) VerifyMatrix(models []FaultModel, opts *VerifyOptions) (reps []*VerifyReport, err error) {
 	defer guard(&err)
-	co, err := p.composeOptions(opts)
+	co, err := composeOptions(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -688,9 +668,10 @@ type CompileReport struct {
 // Compile builds the minimized layer of every derived entity's machine
 // (internal/fsm) and reports per-entity state/transition counts, both exact
 // and weak-bisimulation-minimized. Entities whose state space exceeds the
-// cap (unbounded recursion) are reported as fallbacks. The fleet is cached
-// on the Protocol, so a Simulate with the same cap runs the same machines.
-// Safe for concurrent use.
+// cap (unbounded recursion) are reported as fallbacks. The machines come
+// from the Protocol's machine cache, so a Simulate or a compositional
+// Verify at the same effective cap runs the same machines. Safe for
+// concurrent use.
 func (p *Protocol) Compile(opts *CompileOptions) (rep *CompileReport, err error) {
 	defer guard(&err)
 	var o CompileOptions
@@ -720,7 +701,7 @@ func (p *Protocol) Compile(opts *CompileOptions) (rep *CompileReport, err error)
 				rep.Compiled++
 				continue
 			}
-			ce = atPlace(err.(*fsm.CompileError), place)
+			ce = fsm.AtPlace(err.(*fsm.CompileError), place)
 		}
 		rep.Entities = append(rep.Entities, EntityCompile{Place: place, States: ce.States, Error: ce.Error()})
 		rep.Fallback++
@@ -830,7 +811,7 @@ type OptimizeReport struct {
 // verification memo. Like Verify, it is safe for concurrent use.
 func (p *Protocol) Optimize(opts *VerifyOptions) (out *OptimizeReport, err error) {
 	defer guard(&err)
-	co, err := p.composeOptions(opts)
+	co, err := composeOptions(opts)
 	if err != nil {
 		return nil, err
 	}

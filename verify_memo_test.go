@@ -120,23 +120,76 @@ func TestWarmVerifyMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestProtocolVerifyConcurrent: concurrent Verify calls on one Protocol, at
-// mixed channel capacities and fault models, monolithic and compositional,
-// share its verification memo and report exactly what the same calls made
-// one at a time report. make check runs it under -race -count=10.
-func TestProtocolVerifyConcurrent(t *testing.T) {
-	for _, name := range []string{"example6", "session"} {
+// TestWarmSymmetricVerifyMatchesFresh: symmetry-reduced checks read the
+// Protocol's one exact table, whichever checks filled it. On the two
+// symmetric corpus specs, por+symmetry and default cells under the
+// reliable and loss models are verified on one Protocol in two orders —
+// plain cells first, then symmetric cells first — and each report equals
+// the cell's report on a fresh Protocol (sameWireReport).
+func TestWarmSymmetricVerifyMatchesFresh(t *testing.T) {
+	for _, name := range []string{"multiinstance", "multiring"} {
 		src, err := os.ReadFile(filepath.Join("specs", name+".spec"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var opts []VerifyOptions
-		for _, chanCap := range []int{1, 2} {
-			for _, fm := range matrixModels {
-				for _, compositional := range []bool{false, true} {
-					o := matrixOpts
-					o.ChannelCap, o.Faults, o.Compositional = chanCap, fm, compositional
-					opts = append(opts, o)
+		for _, red := range []string{"", "por+symmetry"} {
+			for _, fm := range []FaultModel{{}, {Loss: true}} {
+				opts = append(opts, VerifyOptions{ObsDepth: 2, MaxStates: multiMaxStates, Faults: fm, Reductions: red})
+			}
+		}
+		fresh := make([]*VerifyReport, len(opts))
+		for i := range opts {
+			if fresh[i], err = freshProtocol(t, string(src)).Verify(&opts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r := fresh[2].Reduction; r.OrbitsCollapsed == 0 {
+			t.Fatalf("%s reliable por+symmetry collapsed no orbits: %+v", name, r)
+		}
+		warm := freshProtocol(t, string(src))
+		for pass, order := range [][]int{{0, 1, 2, 3}, {3, 2, 1, 0}} {
+			for _, i := range order {
+				rep, err := warm.Verify(&opts[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s %s reductions=%q (pass %d)", name, opts[i].Faults, opts[i].Reductions, pass+1)
+				sameWireReport(t, what, fresh[i], rep)
+			}
+		}
+	}
+}
+
+// TestProtocolVerifyConcurrent: concurrent Verify calls on one Protocol, at
+// mixed channel capacities and fault models, monolithic and compositional,
+// share its verification memo and report exactly what the same calls made
+// one at a time report. On multiring, whose three columns are symmetric,
+// por+symmetry and default checks under the reliable and loss models fill
+// the Protocol's one exact table at once: symmetric systems, the loss
+// model's symmetry fallback and plain systems. make check runs it under
+// -race -count=10.
+func TestProtocolVerifyConcurrent(t *testing.T) {
+	for _, name := range []string{"example6", "session", "multiring"} {
+		src, err := os.ReadFile(filepath.Join("specs", name+".spec"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var opts []VerifyOptions
+		if name == "multiring" {
+			for _, red := range []string{"por+symmetry", ""} {
+				for _, fm := range []FaultModel{{}, {Loss: true}} {
+					opts = append(opts, VerifyOptions{ObsDepth: 2, MaxStates: 2000, Faults: fm, Reductions: red})
+				}
+			}
+		} else {
+			for _, chanCap := range []int{1, 2} {
+				for _, fm := range matrixModels {
+					for _, compositional := range []bool{false, true} {
+						o := matrixOpts
+						o.ChannelCap, o.Faults, o.Compositional = chanCap, fm, compositional
+						opts = append(opts, o)
+					}
 				}
 			}
 		}
@@ -145,6 +198,16 @@ func TestProtocolVerifyConcurrent(t *testing.T) {
 		for i := range opts {
 			if want[i], err = serial.Verify(&opts[i]); err != nil {
 				t.Fatal(err)
+			}
+		}
+		if name == "multiring" {
+			// The symmetric checks must really collapse orbits, and the
+			// loss check must really take the symmetry fallback.
+			if r := want[0].Reduction; r.OrbitsCollapsed == 0 || r.Fallback != "" {
+				t.Fatalf("multiring reliable por+symmetry: %+v, want collapsed orbits and no fallback", r)
+			}
+			if r := want[1].Reduction; r.Fallback == "" {
+				t.Fatalf("multiring loss por+symmetry: %+v, want the symmetry fallback", r)
 			}
 		}
 
@@ -163,7 +226,7 @@ func TestProtocolVerifyConcurrent(t *testing.T) {
 		wg.Wait()
 		for i, rep := range got {
 			o := opts[i%len(opts)]
-			what := fmt.Sprintf("%s cap%d/%s compositional=%v", name, o.ChannelCap, o.Faults, o.Compositional)
+			what := fmt.Sprintf("%s cap%d/%s compositional=%v reductions=%q", name, o.ChannelCap, o.Faults, o.Compositional, o.Reductions)
 			if errs[i] != nil {
 				t.Fatalf("%s: %v", what, errs[i])
 			}

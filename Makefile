@@ -29,7 +29,10 @@ loc:
 # repetitions of the shared-fleet test (sessions filling one fleet's rows
 # concurrently) and of the shared-verifier test (Verify calls on one
 # Protocol, plain and symmetry-reduced, filling its one exact table
-# concurrently); the corpus and live
+# concurrently); twenty of the parallel-determinism test (product state
+# keys pack interned ids, so their bytes vary with worker scheduling, and
+# the decoded content of every state number is what guards the
+# numbering); the corpus and live
 # gates; the examples; the benchmark module's own tests; and a short fuzz
 # smoke of the native fuzz targets.
 check:
@@ -38,6 +41,7 @@ check:
 	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/fsm/ ./internal/service/ ./cmd/pgd/
 	$(GO) test -race -count=10 -run '^TestSharedFleetConcurrentSessions$$' ./internal/sim/
 	$(GO) test -race -count=10 -run '^TestProtocolVerifyConcurrent$$' .
+	$(GO) test -race -count=20 -run '^TestParallelExploreDeterministic$$' ./internal/compose/
 	$(MAKE) corpus-smoke
 	$(MAKE) live-smoke
 	$(MAKE) examples-smoke

@@ -166,7 +166,7 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if len(models) > 0 {
-		if err := printFaultMatrix(stdout, v, cache.Fleet(entities, 0), models, opts, rep); err != nil {
+		if err := printFaultMatrix(stdout, v, cache.Fleet(entities, fsm.EntityKeys(entities), 0), models, opts, rep); err != nil {
 			fmt.Fprintln(stderr, "pg verify:", err)
 			return cli.ExitFail
 		}
@@ -187,7 +187,7 @@ func runVerify(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		st, err := sim.RunMany(service, entities, sim.Config{
 			Seed:      *seed,
 			MaxEvents: *maxEvents,
-			Fleet:     cache.Fleet(entities, 0),
+			Fleet:     cache.Fleet(entities, fsm.EntityKeys(entities), 0),
 		}, *simRuns, 0)
 		if err != nil {
 			fmt.Fprintf(stdout, "simulation: TRACE VIOLATION: %v\n", err)

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/fsm"
+	"repro/internal/lotos"
 	"repro/internal/lts"
 )
 
@@ -467,5 +469,32 @@ func TestOptimizeBuildsEachMachineOnce(t *testing.T) {
 		if st.EntityHits == 0 {
 			t.Errorf("attached=%v: no candidate reused an unchanged place's machine: %+v", attached, st)
 		}
+	}
+}
+
+// TestWarmReplayHashesNoEntityText: a Protocol computes its entities'
+// content addresses once, so a warm Replay recalls its fleet from the
+// machine cache without rendering or hashing any entity text.
+func TestWarmReplayHashesNoEntityText(t *testing.T) {
+	computed := 0
+	defer func(f func(map[int]*lotos.Spec) map[int]string) { entityKeys = f }(entityKeys)
+	entityKeys = func(entities map[int]*lotos.Spec) map[int]string {
+		computed++
+		return fsm.EntityKeys(entities)
+	}
+	proto := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
+	rep, err := proto.Verify(&VerifyOptions{Faults: FaultModel{Loss: true}})
+	if err != nil || rep.Witness == nil {
+		t.Fatalf("lossy verify: err=%v witness=%v", err, rep)
+	}
+	if _, err := proto.Replay(rep.Witness); err != nil {
+		t.Fatal(err)
+	}
+	servedFromCache(t, proto.machines(), "warm Replay", func() error {
+		_, err := proto.Replay(rep.Witness)
+		return err
+	})
+	if computed != 1 {
+		t.Errorf("entity keys computed %d times over two Replays, want once", computed)
 	}
 }

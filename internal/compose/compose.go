@@ -20,20 +20,23 @@
 //
 // A global state is one packed int32 vector: the entities' interned local
 // state ids in place order, then every channel's queue length and queued
-// interned message ids in slot order. Its key is a compact fixed-layout
-// binary digest: the 16-byte content digests of the entities' local states
-// (one per place, in place order) followed by the non-empty channels (slot
-// number, queue length, one digest per in-flight message), hashed once more
-// to a fixed 16 bytes. Every component is derived from *content* (the
-// canonical local expression, the message's tag/node/occurrence), never
-// from interning order, so the key of a global state is identical no matter
-// which exploration order — serial or parallel — first reached it.
+// interned message ids in slot order. Its identity key is that vector
+// packed exactly: a tag byte, each place's local id, then for each
+// non-empty channel its slot + 1, queue length and message ids, all as
+// uvarints. Within one table a local id stands for one canonical local
+// expression (or one quotient class) and a message id for one message, so
+// two states share a key exactly when they are the same state; no hash is
+// involved. The key bytes follow interning order, which differs between
+// tables and between serial and parallel runs over one table. Numbering
+// does not: the exploration core numbers states by discovery and compares
+// keys only for equality, so every run yields the same graph.
 // The product factors through the entity transition systems: a System steps
 // one fsm.Machine per place (its exact rows, or its minimized rows when
 // verifying compositionally), whose dense state ids are the local ids. A
-// row is translated once, on first use, into an id-indexed table of content
-// digests, symmetry column digests and transitions with interned message
-// ids, so queue operations never allocate or compare strings.
+// row is translated once, on first use, into an id-indexed table of
+// transitions with interned message ids (and, for symmetric entities, the
+// states' column digests), so queue operations never allocate or compare
+// strings.
 //
 // # Sharing across checks
 //
@@ -46,9 +49,9 @@
 // the compositional path reads. It also keeps its service graph. The
 // optimizer's candidate entity sets share the service graph and the cache.
 // Verify and New are one-shot Verifiers.
-// Since keys digest content and never ids, a check on a warm Verifier
+// Since numbering never reads key bytes, a check on a warm Verifier
 // explores the same graph, with the same numbering and witness, as on a
-// fresh one.
+// fresh one; only the bytes of Graph.Keys differ.
 //
 // Deriving the successors of a state holds the system's read lock once for
 // the whole call (upgraded only to translate a row on first use). The
@@ -59,7 +62,6 @@
 package compose
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -135,9 +137,10 @@ type System struct {
 // depends on the machines and the places alone, never on the channel
 // capacity, the fault model or the limits, so every product over the same
 // machines can read one table, filled by whichever exploration first
-// reaches a row. The content digests, not the local or message ids, enter
-// the state keys, so a product numbers its states and derives its
-// transitions identically over a filled table and an empty one.
+// reaches a row. Local and message ids follow that order; they enter the
+// state keys, but the numbering of product states does not depend on key
+// bytes, so a product numbers its states and derives its transitions
+// identically over a filled table and an empty one.
 type table struct {
 	// One machine per place, indexed like the places, and in a
 	// compositional table the minimized layers whose rows it reads instead.
@@ -153,22 +156,17 @@ type table struct {
 	// every exploration and derivation worker, hence the lock.
 	mu      sync.RWMutex
 	local   [][]localState    // place idx -> local id -> state
-	keyBuf  []byte            // growLocked's digest input
 	msgIDs  map[message]int32 // message -> id
 	msgs    []message         // id -> message (diagnostics)
-	msgSum  [][16]byte        // id -> content digest
 	msgMeta []msgMeta         // id -> symmetry classification (sym != nil only)
 }
 
 // localState is one local state as the product reads it. Rows are
 // translated lazily: entities may be infinite-state under recursion.
 type localState struct {
-	// sum is the 16-byte digest of the canonical expression — the state's
-	// order-independent contribution to global state keys.
-	sum   [16]byte
 	trans []cachedTrans // nil until the row is translated
-	// symCols holds the per-column renamed-canonical digests under symmetry
-	// reduction (nil when symmetry is off or the state does not decompose
+	// symCols holds the per-column renamed-canonical digests when the table
+	// has a symmetry (nil otherwise, or when the state does not decompose
 	// into the detected columns).
 	symCols [][16]byte
 }
@@ -183,42 +181,29 @@ type cachedTrans struct {
 	msg  int32        // interned message id (sent or expected), -1 otherwise
 }
 
-// digest16 truncates a SHA-256 content digest to the 16 bytes used in keys.
-func digest16(data []byte) (h [16]byte) {
-	sum := sha256.Sum256(data)
-	copy(h[:], sum[:16])
-	return h
-}
-
 // growLocked extends a place's table to cover local state id, digesting
-// each new state's key and, when a symmetry was detected, its expression's
-// columns. The invariant that makes this sound: only this table steps its
-// machines, and it translates a state's row only after growing the state,
-// so a new state's row is unfilled and its expression, which a machine
-// drops once the row is filled, still there. Caller holds s.mu for
-// writing.
+// each new state's symmetry columns from its expression when the table has
+// a symmetry. The invariant that makes this sound: only this table steps
+// its machines, and it translates a state's row only after growing the
+// state, so a new state's row is unfilled and its expression, which a
+// machine drops once the row is filled, still there. A compositional table
+// has no symmetry. Caller holds s.mu for writing.
 func (s *table) growLocked(idx int, id int32) {
 	for j := int32(len(s.local[idx])); j <= id; j++ {
 		var st localState
-		if min := s.min[idx]; min != nil {
-			s.keyBuf = append(s.keyBuf[:0], min.Keys[j]...)
-		} else {
-			fs, e := s.machines[idx].State(j)
-			s.keyBuf = append(s.keyBuf[:0], fs.Key()...)
-			if s.sym != nil {
-				st.symCols = s.sym.symColsFor(e)
-			}
+		if s.sym != nil && s.min[idx] == nil {
+			_, e := s.machines[idx].State(j)
+			st.symCols = s.sym.symColsFor(e)
 		}
-		st.sum = digest16(s.keyBuf)
 		s.local[idx] = append(s.local[idx], st)
 	}
 }
 
-// msgIDLocked assigns (or recalls) the interned id of a message and its
-// content digest. The digest input frames every field with its length, so
-// no two distinct messages share an encoding — a tag shaped like "7#0"
-// cannot collide with the node-7/occurrence-"0" message, and separator
-// characters inside a tag cannot corrupt any framing. Caller holds s.mu.
+// msgIDLocked assigns (or recalls) the interned id of a message, and
+// classifies a new message when the table has a symmetry. The map is keyed
+// by the message's fields, so two distinct messages never share an id — a
+// tag shaped like "7#0" is not the node-7/occurrence-"0" message. Caller
+// holds s.mu.
 func (s *table) msgIDLocked(m message) int32 {
 	if id, ok := s.msgIDs[m]; ok {
 		return id
@@ -226,16 +211,8 @@ func (s *table) msgIDLocked(m message) int32 {
 	id := int32(len(s.msgs))
 	s.msgIDs[m] = id
 	s.msgs = append(s.msgs, m)
-	buf := make([]byte, 0, 32)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Tag)))
-	buf = append(buf, m.Tag...)
-	buf = binary.AppendUvarint(buf, uint64(uint32(m.Node)))
-	buf = binary.AppendUvarint(buf, uint64(len(m.Occ)))
-	buf = append(buf, m.Occ...)
-	sum := digest16(buf)
-	s.msgSum = append(s.msgSum, sum)
 	if s.sym != nil {
-		s.msgMeta = append(s.msgMeta, s.sym.classify(m, sum))
+		s.msgMeta = append(s.msgMeta, s.sym.classify(m))
 	}
 	return id
 }
@@ -390,12 +367,12 @@ func (g gstate) queueAt(o int) (q []int32, next int) {
 	return g[o+1 : next], next
 }
 
-// keyScratch is the reused working memory of key construction.
+// keyScratch is the reused working memory of orbit-key construction.
 type keyScratch struct {
 	buf []byte // digest input
-	// Symmetry keys only: the per-place column digests, the per-column
-	// signatures back to back (column c ends at ends[c]), and the canonical
-	// column order and its inverse.
+	// The per-place column digests, the per-column signatures back to back
+	// (column c ends at ends[c]), and the canonical column order and its
+	// inverse.
 	cols  [][][16]byte
 	sigs  []byte
 	ends  []int
@@ -410,44 +387,48 @@ type deriveScratch struct {
 	offs  []int   // slot -> offset of its length word in the source state
 	moves []move  // the derived moves, in emission order
 	delta []int32 // the local targets of the global δ
-	keys  []byte  // the targets' 16-byte keys, back to back
+	keys  []byte  // the targets' keys, back to back
+	kends []int   // move -> end offset of its target's key in keys
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(deriveScratch) }}
 
-// key builds the canonical global state key. Under symmetry reduction the
-// key identifies the state's permutation orbit (see canonKeyLocked), falling
+// key builds the global state key. Under symmetry reduction the key
+// identifies the state's permutation orbit (see canonKeyLocked), falling
 // back to the identity key for states no column permutation applies to.
 func (s *System) key(g *gstate) string {
 	sc := scratchPool.Get().(*deriveScratch)
 	defer scratchPool.Put(sc)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	k := s.keyLocked(*g, &sc.keyScratch)
-	return string(k[:])
+	return string(s.appendKeyLocked(nil, *g, &sc.keyScratch))
 }
 
-// keyLocked is key into scratch memory. Caller holds s.mu (read).
-func (s *System) keyLocked(g gstate, sc *keyScratch) [16]byte {
+// appendKeyLocked appends the key of g to dst, building an orbit key in
+// scratch memory. Caller holds s.mu (read).
+func (s *System) appendKeyLocked(dst []byte, g gstate, sc *keyScratch) []byte {
 	if s.sym != nil {
 		if k, ok := s.canonKeyLocked(g, sc); ok {
-			return k
+			return append(dst, k[:]...)
 		}
 	}
-	return s.binaryKeyLocked(g, sc)
+	return g.appendIdentityKey(dst, len(s.Places))
 }
 
-// binaryKeyLocked assembles the fixed-layout binary key: one 16-byte local
-// state digest per place, then for each non-empty channel its slot (+1),
-// queue length and the queued messages' digests, all collapsed to a final
-// 16-byte digest. The layout is unambiguous (fixed-size digest blocks,
-// explicit lengths, channels in ascending slot order), so distinct global
-// states never share a key input. Caller holds s.mu (read).
-func (s *System) binaryKeyLocked(g gstate, sc *keyScratch) [16]byte {
-	n := len(s.Places)
-	buf := sc.buf[:0]
-	for idx := 0; idx < n; idx++ {
-		buf = append(buf, s.local[idx][g[idx]].sum[:]...)
+// identityTag leads every identity key. An orbit key's first byte has its
+// top bit set (canonKeyLocked), so no identity key equals an orbit key.
+const identityTag = 0x00
+
+// appendIdentityKey appends the identity key of the n-place state g to dst:
+// identityTag, each place's local id, then for each non-empty channel its
+// slot + 1, queue length and queued message ids, all as uvarints. Channels
+// come in ascending slot order and each carries its length, so the bytes
+// decode to exactly one state: the key is the state itself, packed, and
+// two states share it exactly when they are equal.
+func (g gstate) appendIdentityKey(dst []byte, n int) []byte {
+	dst = append(dst, identityTag)
+	for _, id := range g[:n] {
+		dst = binary.AppendUvarint(dst, uint64(id))
 	}
 	o := n
 	for slot := 0; slot < n*n; slot++ {
@@ -456,14 +437,13 @@ func (s *System) binaryKeyLocked(g gstate, sc *keyScratch) [16]byte {
 		if len(q) == 0 {
 			continue
 		}
-		buf = binary.AppendUvarint(buf, uint64(slot)+1)
-		buf = binary.AppendUvarint(buf, uint64(len(q)))
+		dst = binary.AppendUvarint(dst, uint64(slot)+1)
+		dst = binary.AppendUvarint(dst, uint64(len(q)))
 		for _, mid := range q {
-			buf = append(buf, s.msgSum[mid][:]...)
+			dst = binary.AppendUvarint(dst, uint64(mid))
 		}
 	}
-	sc.buf = buf
-	return digest16(buf)
+	return dst
 }
 
 // source implements lts.StateSource over the product system. Next is safe
@@ -561,8 +541,9 @@ func consumed(q []int32, want int32, flush bool) int32 {
 //
 // One read lock covers the call. The moves are collected first; then every
 // target is built in one slab of vectors and keyed into reused scratch, and
-// the keys of all targets are cut from one string. So a call allocates a
-// fixed number of times however many transitions it derives.
+// the variable-length keys of all targets are cut from one string. So a
+// call allocates a fixed number of times however many transitions it
+// derives.
 //
 // With annotate set it also returns one WitnessStep per transition — the
 // concrete description (acting entity, local transition index, channel,
@@ -587,19 +568,21 @@ func (s *System) derive(g *gstate, out []lts.GenTransition, annotate bool) ([]lt
 	}
 	states := make([]gstate, len(moves))
 	vec := make([]int32, total)
-	sc.keys = sc.keys[:0]
+	sc.keys, sc.kends = sc.keys[:0], sc.kends[:0]
 	for i := range moves {
 		size := len(src) + moves[i].grow()
 		next := vec[:size:size]
 		vec = vec[size:]
 		sc.build(next, src, &moves[i], len(s.Places))
 		states[i] = next
-		k := s.keyLocked(next, &sc.keyScratch)
-		sc.keys = append(sc.keys, k[:]...)
+		sc.keys = s.appendKeyLocked(sc.keys, next, &sc.keyScratch)
+		sc.kends = append(sc.kends, len(sc.keys))
 	}
 	keys := string(sc.keys)
-	for i := range moves {
-		out = append(out, lts.GenTransition{Label: moves[i].label(), Key: keys[16*i : 16*i+16], To: &states[i]})
+	lo := 0
+	for i, hi := range sc.kends {
+		out = append(out, lts.GenTransition{Label: moves[i].label(), Key: keys[lo:hi], To: &states[i]})
+		lo = hi
 	}
 	if !annotate {
 		return out, nil, nil

@@ -2,8 +2,12 @@ package compose
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lts"
@@ -17,10 +21,7 @@ func testSystem() *System {
 		table: &table{
 			placeIdx: map[int]int{1: 0, 2: 1},
 			msgIDs:   map[message]int32{},
-			local: [][]localState{
-				{{sum: digest16([]byte("entity1-state0"))}},
-				{{sum: digest16([]byte("entity2-state0"))}},
-			},
+			local:    [][]localState{{{}}, {{}}},
 		},
 	}
 	return sys
@@ -33,8 +34,66 @@ func gstateWith(queue ...int32) *gstate {
 }
 
 // binaryKey is the identity key of a state of a test system.
-func binaryKey(sys *System, g *gstate) [16]byte {
-	return sys.binaryKeyLocked(*g, new(keyScratch))
+func binaryKey(sys *System, g *gstate) string {
+	return sys.key(g)
+}
+
+// decodeKey decodes a state key of sys into the state's content: each
+// place's canonical local state key (its quotient class's, over a
+// compositional table), then each non-empty channel's slot and queued
+// messages. Unlike the key bytes, the content does not depend on the order
+// in which the table interned local states and messages, so two graphs
+// over different tables can be compared state by state. An orbit key is a
+// content digest already and decodes to itself.
+func decodeKey(t testing.TB, sys *System, key string) string {
+	t.Helper()
+	if key == "" || key[0] != identityTag {
+		return "orbit " + hex.EncodeToString([]byte(key))
+	}
+	b := []byte(key[1:])
+	next := func() int {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			t.Fatalf("key %x: truncated uvarint", key)
+		}
+		b = b[n:]
+		return int(v)
+	}
+	sys.mu.RLock()
+	defer sys.mu.RUnlock()
+	var out strings.Builder
+	for idx, p := range sys.Places {
+		id := int32(next())
+		var local string
+		if min := sys.min[idx]; min != nil {
+			local = min.Keys[id]
+		} else {
+			fs, _ := sys.machines[idx].State(id)
+			local = fs.Key()
+		}
+		fmt.Fprintf(&out, "place %d: %s\n", p, local)
+	}
+	for len(b) > 0 {
+		slot, n := next()-1, next()
+		fmt.Fprintf(&out, "channel %d:", slot)
+		for ; n > 0; n-- {
+			m := sys.msgs[next()]
+			fmt.Fprintf(&out, " %d/%q/%q", m.Node, m.Occ, m.Tag)
+		}
+		out.WriteString("\n")
+	}
+	return out.String()
+}
+
+// decodedStates decodes every state key of a graph over sys, in state
+// order.
+func decodedStates(t testing.TB, sys *System, g *lts.Graph) []string {
+	t.Helper()
+	out := make([]string, len(g.Keys))
+	for i, k := range g.Keys {
+		out[i] = decodeKey(t, sys, k)
+	}
+	return out
 }
 
 // TestKeyEncodingCollisions pins the fix for the historical key/message
@@ -98,28 +157,67 @@ func TestKeySlotAndLengthFraming(t *testing.T) {
 	}
 }
 
-// TestBinaryKeyContentDerived checks the property parallel derivation
-// depends on: binary keys are derived from content only, so two System
-// instances that interned the same messages in DIFFERENT orders still
-// assign equal keys to equal global states.
-func TestBinaryKeyContentDerived(t *testing.T) {
-	sysA, sysB := testSystem(), testSystem()
-	// Interning order differs: ids swap between the two systems.
-	a1, a2 := sysA.msgIDLocked(message{Tag: "x"}), sysA.msgIDLocked(message{Node: 3, Occ: "0/1"})
-	b2, b1 := sysB.msgIDLocked(message{Node: 3, Occ: "0/1"}), sysB.msgIDLocked(message{Tag: "x"})
-	if a1 == b1 && a2 == b2 {
-		t.Fatal("test broken: interning orders coincide")
+// TestWarmTableMatchesFresh checks the property a shared table depends
+// on: identity keys pack interned ids, so their bytes follow the order in
+// which the table interned local states and messages, but the product
+// explored over a table that an earlier, different exploration filled is
+// the product explored over a fresh table — edges, depths, frontier and the
+// decoded content of every state number.
+func TestWarmTableMatchesFresh(t *testing.T) {
+	d := mustDerive(t, "SPEC (a1; s4; exit ||| b2; s4; exit ||| c3; s4; exit) |[s4]| s4; d4; exit ENDSPEC")
+	lim := lts.Limits{MaxStates: 100000}
+	v := NewVerifier(nil, d.Entities, nil)
+	// The earlier exploration walks the duplicating medium at capacity 2
+	// depth first, always taking the last move, so it interns local states
+	// and messages in another order than the reliable BFS does.
+	first, err := v.system(Config{ChannelCap: 2, Faults: FaultModel{Duplication: true}, Limits: lim}, RedNone)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ka := binaryKey(sysA, gstateWith(a1, a2))
-	kb := binaryKey(sysB, gstateWith(b1, b2))
-	if ka != kb {
-		t.Errorf("binary keys depend on interning order: %x vs %x", ka, kb)
+	for g, steps := first.rootState(), 0; steps < 64; steps++ {
+		out, _, err := first.derive(g, nil, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) == 0 {
+			break
+		}
+		g = out[len(out)-1].To.(*gstate)
+	}
+	cfg := Config{Limits: lim}
+	warm, err := v.system(cfg, cfg.effectiveReductions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(d.Entities, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := warm.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf, err := fresh.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(gw.Keys, gf.Keys) {
+		t.Fatal("test broken: the warm table interned in the fresh table's order")
+	}
+	if !reflect.DeepEqual(gw.Edges, gf.Edges) || !reflect.DeepEqual(gw.ObsDepth, gf.ObsDepth) ||
+		!reflect.DeepEqual(gw.Frontier, gf.Frontier) {
+		t.Errorf("warm graph differs from fresh: %d/%d vs %d/%d states/transitions",
+			gw.NumStates(), gw.NumTransitions(), gf.NumStates(), gf.NumTransitions())
+	}
+	if !reflect.DeepEqual(decodedStates(t, warm, gw), decodedStates(t, fresh, gf)) {
+		t.Error("warm and fresh graphs number different states alike")
 	}
 }
 
 // TestKeyBytesPinned pins the key bytes of two small products: a symmetric
-// one (canonical keys) and a faulty one (identity keys over loss moves).
-// The digest covers Graph.Keys in state order, so it fixes the key
+// one (canonical keys) and a faulty one (identity keys over loss moves),
+// each explored serially over a fresh table, whose interning order is then
+// fixed. The digest covers Graph.Keys in state order, so it fixes the key
 // encoding and the state numbering together; spill-run order and the
 // witness extraction's key matching depend on both.
 func TestKeyBytesPinned(t *testing.T) {
@@ -131,10 +229,10 @@ func TestKeyBytesPinned(t *testing.T) {
 		digest string
 	}{
 		{"relay3/por+symmetry", relaySrc(3), Config{Reductions: RedPOR.With(RedSymmetry)}, 484,
-			"a078278b3fd62f01b000cf2184884cb6179789eac1d673f71c4b64c2ce7c9a8d"},
+			"243752d0777e90e7c29c21450f5bf2e1d65c1ea5940150acdbf70b8b04b28731"},
 		{"barrier/cap1/loss", "SPEC (a1; s4; exit ||| b2; s4; exit ||| c3; s4; exit) |[s4]| s4; d4; exit ENDSPEC",
 			Config{ChannelCap: 1, Faults: FaultModel{Loss: true}}, 432,
-			"c34a658269988bbefde1ecf06d6df325d56e62a00d08dfc34a343fd6f552157c"},
+			"acd493974a62549fa1aa1b63765cbd2a6b875dbadc1881c9a12942410d6ac4c1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -223,8 +223,8 @@ func TestSymmetryRandomizedDifferential(t *testing.T) {
 
 // TestSpillProductByteIdentical pins the compose-level spill contract: with
 // a budget tiny enough to force spilling, the product graph — state
-// numbering included — equals the parallel in-memory one, under reliable and
-// faulty media alike.
+// numbering included, each state number decoding to the same content —
+// equals the parallel in-memory one, under reliable and faulty media alike.
 func TestSpillProductByteIdentical(t *testing.T) {
 	for _, fm := range []FaultModel{{}, {Loss: true, Duplication: true}} {
 		lim := lts.Limits{MaxStates: 60000}
@@ -252,7 +252,7 @@ func TestSpillProductByteIdentical(t *testing.T) {
 			t.Fatalf("faults=%s: spilled product sizes differ: %d/%d vs %d/%d",
 				fm, gs.NumStates(), gs.NumTransitions(), gp.NumStates(), gp.NumTransitions())
 		}
-		if !reflect.DeepEqual(gs.Keys, gp.Keys) {
+		if !reflect.DeepEqual(decodedStates(t, spillSys, gs), decodedStates(t, parSys, gp)) {
 			t.Errorf("faults=%s: spilled product state numbering differs from the in-memory index", fm)
 		}
 		ri := spillSys.ReductionInfo()

@@ -2,6 +2,7 @@ package compose
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"slices"
 	"strconv"
@@ -463,6 +464,14 @@ func (sym *symmetry) writeEventSym(b *strings.Builder, ev lotos.Event, col int, 
 	}
 }
 
+// digest16 truncates a SHA-256 content digest to the 16 bytes of the
+// symmetry path's column, message and orbit digests.
+func digest16(data []byte) (h [16]byte) {
+	sum := sha256.Sum256(data)
+	copy(h[:], sum[:16])
+	return h
+}
+
 // symColsFor splits a runtime local state into its k column sub-expressions
 // and digests each column's renamed canonical form. The ||| spine persists
 // through every SOS step (transParallel always rebuilds the Parallel node),
@@ -492,18 +501,33 @@ const (
 )
 
 // msgMeta is the symmetry view of one interned message: the column that owns
-// it and the digest of its column-0 renaming (equal to the msgSum its
-// column-0 counterpart would have; equal to the plain msgSum for shared and
-// column-0 messages).
+// it and the digest of its column-0 renaming (equal to the digest of its
+// column-0 counterpart; the message's own digest for shared and column-0
+// messages).
 type msgMeta struct {
 	col  int32
 	norm [16]byte
 }
 
+// msgDigest is the content digest of a message with the given fields. The
+// input frames every field with its length, so no two distinct messages
+// share an encoding — a tag shaped like "7#0" cannot collide with the
+// node-7/occurrence-"0" message, and separator characters inside a tag
+// cannot corrupt any framing.
+func msgDigest(tag string, node int, occ string) [16]byte {
+	buf := make([]byte, 0, 32)
+	buf = binary.AppendUvarint(buf, uint64(len(tag)))
+	buf = append(buf, tag...)
+	buf = binary.AppendUvarint(buf, uint64(uint32(node)))
+	buf = binary.AppendUvarint(buf, uint64(len(occ)))
+	buf = append(buf, occ...)
+	return digest16(buf)
+}
+
 // classify determines which column an in-flight message belongs to — via its
 // node number and the call-site components of its occurrence path — and
-// digests its column-0 renaming with exactly the framing of msgIDLocked.
-func (sym *symmetry) classify(m message, plain [16]byte) msgMeta {
+// digests its column-0 renaming.
+func (sym *symmetry) classify(m message) msgMeta {
 	col := msgColShared
 	mixed := false
 	add := func(c int) {
@@ -523,7 +547,7 @@ func (sym *symmetry) classify(m message, plain [16]byte) msgMeta {
 		return msgMeta{col: msgColPoison}
 	}
 	if col == msgColShared || col == 0 {
-		return msgMeta{col: int32(col), norm: plain}
+		return msgMeta{col: int32(col), norm: msgDigest(m.Tag, m.Node, m.Occ)}
 	}
 	ok := true
 	node := sym.renameID(m.Node, col, &ok)
@@ -531,13 +555,7 @@ func (sym *symmetry) classify(m message, plain [16]byte) msgMeta {
 	if !ok {
 		return msgMeta{col: msgColPoison}
 	}
-	buf := make([]byte, 0, 32)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Tag)))
-	buf = append(buf, m.Tag...)
-	buf = binary.AppendUvarint(buf, uint64(uint32(node)))
-	buf = binary.AppendUvarint(buf, uint64(len(occ)))
-	buf = append(buf, occ...)
-	return msgMeta{col: int32(col), norm: digest16(buf)}
+	return msgMeta{col: int32(col), norm: msgDigest(m.Tag, node, occ)}
 }
 
 // sig returns column c's signature.
@@ -569,12 +587,15 @@ func (sc *keyScratch) sigAfter(a, b int) bool {
 // a queued message occupies one concrete position, which would differ — so
 // sort ties are genuinely interchangeable and the key is well defined.)
 //
-// Returns ok=false — fall back to the identity key — when any local state
-// fails to decompose or any in-flight message mixes columns. Both properties
-// are invariant under column permutation, so mixing canonical and identity
-// keys within one exploration cannot merge or split an orbit incorrectly.
-// Everything is built in sc, so a key allocates nothing. Caller holds s.mu
-// (read).
+// An orbit key is a 16-byte content digest whose first byte has its top
+// bit set, where an identity key starts with identityTag (0x00): the two
+// key domains are disjoint, so an orbit key never equals the identity key
+// of any state. Returns ok=false — fall back to the identity key — when any
+// local state fails to decompose or any in-flight message mixes columns.
+// Both properties are invariant under column permutation, so mixing
+// canonical and identity keys within one exploration cannot merge or split
+// an orbit incorrectly. Everything is built in sc, so a key allocates
+// nothing. Caller holds s.mu (read).
 func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 	k, n := s.sym.k, len(s.Places)
 	cols := sc.cols[:0] // place -> column -> digest
@@ -639,10 +660,8 @@ func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 	if !identity {
 		s.orbitsCollapsed.Add(1)
 	}
-	// Re-encode the state with columns in canonical order. The leading byte
-	// separates this digest domain from binaryKeyLocked's, so a canonical
-	// key can never collide with an identity key of a different state.
-	buf := append(sc.buf[:0], 0xC5)
+	// Re-encode the state with columns in canonical order.
+	buf := sc.buf[:0]
 	for idx := 0; idx < n; idx++ {
 		for _, c := range order {
 			buf = append(buf, cols[idx][c][:]...)
@@ -661,7 +680,7 @@ func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 			meta := &s.msgMeta[mid]
 			if meta.col == msgColShared {
 				buf = append(buf, 0)
-				buf = append(buf, s.msgSum[mid][:]...)
+				buf = append(buf, meta.norm[:]...)
 			} else {
 				buf = append(buf, 1, byte(rank[meta.col]))
 				buf = append(buf, meta.norm[:]...)
@@ -669,5 +688,7 @@ func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 		}
 	}
 	sc.buf = buf
-	return digest16(buf), true
+	key := digest16(buf)
+	key[0] |= 0x80 // the orbit-key domain (see above)
+	return key, true
 }

@@ -207,9 +207,10 @@ var exploreService = lts.ExploreSpec
 // number of checks. Each retained state keeps its canonical key, and a
 // recursive entity's keys grow with its recursion depth, so one deep check
 // pins those keys for as long as the Verifier lives.
-// State keys are digests of content, never of local or message ids, so a
-// check over a warm Verifier yields the same graph, state numbering and
-// witness as over a fresh one.
+// State keys pack local and message ids, whose order follows whichever
+// check first reached a row, but numbering compares keys only for
+// equality, so a check over a warm Verifier yields the same graph, state
+// numbering and witness as over a fresh one; only the key bytes differ.
 //
 // A Verifier is safe for concurrent use. It explores the service
 // specification in place (see Verify) and only reads the entities.
@@ -305,10 +306,9 @@ func (v *Verifier) system(cfg Config, red Reductions) (*System, error) {
 // quotientSystem prepares a product system over the compiled machines'
 // minimized layers: the product steps each machine's minimized rows,
 // translated on first use like the exact rows of a monolithic system, so
-// exploration never applies the SOS rules. State keys stay content-derived
-// (each local state contributes the digest of its class representative's
-// canonical expression), so serial and parallel exploration agree on the
-// key set exactly as in the monolithic system.
+// exploration never applies the SOS rules. A local id is a quotient class
+// id, one per class, so identity keys stay exact, and serial and parallel
+// exploration number states alike, as in the monolithic system.
 func (v *Verifier) quotientSystem(machines map[int]*fsm.Machine, cfg Config) (*System, error) {
 	t, err := newTable(v.places, nil, func(p int) (*fsm.Machine, *fsm.Minimized, error) {
 		if machines[p] == nil {

@@ -52,15 +52,31 @@ func NewCache(entries int) *Cache {
 	return &Cache{entries: map[string]*list.Element{}, cap: entries}
 }
 
-// cacheKey builds the content address of one machine: the length-framed
-// normalized entity text followed by the effective state cap.
-func cacheKey(entityText string, maxStates int) string {
+// entityKey is the content address of one entity: the SHA-256 of its
+// length-framed normalized text. Computing it renders the whole entity, so
+// a caller that recalls the same entities repeatedly computes their keys
+// once (EntityKeys) and hands them to Fleet.
+func entityKey(sp *lotos.Spec) string {
+	text := sp.String()
 	h := sha256.New()
-	var frame [binary.MaxVarintLen64]byte
-	h.Write(frame[:binary.PutUvarint(frame[:], uint64(len(entityText)))])
-	h.Write([]byte(entityText))
-	h.Write(frame[:binary.PutUvarint(frame[:], uint64(maxStates))])
+	h.Write(binary.AppendUvarint(nil, uint64(len(text))))
+	h.Write([]byte(text))
 	return string(h.Sum(nil))
+}
+
+// EntityKeys returns the content address of every entity, by place.
+func EntityKeys(entities map[int]*lotos.Spec) map[int]string {
+	keys := make(map[int]string, len(entities))
+	for place, sp := range entities {
+		keys[place] = entityKey(sp)
+	}
+	return keys
+}
+
+// cacheKey builds the content address of one machine: its entity's key
+// followed by the effective state cap.
+func cacheKey(entityKey string, maxStates int) string {
+	return string(binary.AppendUvarint([]byte(entityKey), uint64(maxStates)))
 }
 
 // CacheStats is a point-in-time snapshot of a cache's counters.
@@ -93,8 +109,13 @@ func (c *Cache) Stats() CacheStats {
 // entity that does not resolve returns its error, naming the place it was
 // asked for: one content-addressed machine can serve several places.
 func (c *Cache) Machine(place int, sp *lotos.Spec, maxStates int) (*Machine, bool, *CompileError) {
+	return c.machine(place, sp, entityKey(sp), maxStates)
+}
+
+// machine is Machine for an entity whose entityKey is known.
+func (c *Cache) machine(place int, sp *lotos.Spec, entityKey string, maxStates int) (*Machine, bool, *CompileError) {
 	maxStates = Config{MaxStates: maxStates}.maxStates()
-	key := cacheKey(sp.String(), maxStates)
+	key := cacheKey(entityKey, maxStates)
 	c.mu.Lock()
 	el, hit := c.entries[key]
 	if hit {
@@ -133,12 +154,13 @@ func AtPlace(ce *CompileError, place int) *CompileError {
 }
 
 // Fleet recalls the machine of every entity of a derived protocol at a
-// state cap (0 = the default). Nothing is explored: rows fill as sessions
-// visit them.
-func (c *Cache) Fleet(entities map[int]*lotos.Spec, maxStates int) *Fleet {
+// state cap (0 = the default), given each entity's content address as
+// EntityKeys returns them. Nothing is explored: rows fill as sessions visit
+// them.
+func (c *Cache) Fleet(entities map[int]*lotos.Spec, keys map[int]string, maxStates int) *Fleet {
 	f := &Fleet{Machines: make(map[int]*Machine, len(entities)), Errors: map[int]*CompileError{}}
 	for place, sp := range entities {
-		m, _, err := c.Machine(place, sp, maxStates)
+		m, _, err := c.machine(place, sp, keys[place], maxStates)
 		if err != nil {
 			f.Errors[place] = err
 			continue

@@ -75,7 +75,8 @@ func (w *Subsets) Moves(set int32) []Move {
 	for _, s := range w.sets[set] {
 		for _, e := range w.g.Edges[s] {
 			if e.Label.Observable() {
-				seeds[e.Label.String()] = append(seeds[e.Label.String()], int32(e.To))
+				l := e.Label.String()
+				seeds[l] = append(seeds[l], int32(e.To))
 			}
 		}
 	}

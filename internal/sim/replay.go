@@ -51,7 +51,7 @@ type ReplayResult struct {
 // fault step must find its queue position occupied); any mismatch is an
 // error — the witness does not describe a real execution.
 func ReplayWitness(entities map[int]*lotos.Spec, w *compose.Witness) (*ReplayResult, error) {
-	return ReplayFleet(fsm.NewCache(0).Fleet(entities, 0), w)
+	return ReplayFleet(fsm.NewCache(0).Fleet(entities, fsm.EntityKeys(entities), 0), w)
 }
 
 // ReplayFleet is ReplayWitness over a fleet's machines, which may be shared

@@ -35,7 +35,7 @@ func entityPlaces(entities map[int]*lotos.Spec) []int {
 func newSteppers(entities map[int]*lotos.Spec, places []int, med medium.Transport, cfg Config) ([]*EntityStepper, error) {
 	fleet := cfg.Fleet
 	if fleet == nil {
-		fleet = fsm.NewCache(0).Fleet(entities, cfg.Compile.MaxStates)
+		fleet = fsm.NewCache(0).Fleet(entities, fsm.EntityKeys(entities), cfg.Compile.MaxStates)
 	}
 	steppers := make([]*EntityStepper, len(places))
 	for i, p := range places {

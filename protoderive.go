@@ -286,6 +286,11 @@ type Protocol struct {
 	// layers once, so repeated calls on one Protocol share that work.
 	arts     *ArtifactCache
 	artsOnce sync.Once
+	// keys holds each entity's content address in the cache (fsm.EntityKeys).
+	// The entities never change after derivation, so it is computed once:
+	// a warm fleet lookup renders and hashes no entity text.
+	keys     map[int]string
+	keysOnce sync.Once
 
 	// The verification memo every Verify, VerifyMatrix and Optimize call
 	// shares: the exact entity machines the product steps and the explored
@@ -327,8 +332,13 @@ func compileCap(maxStates int) int {
 // machine cache. Machines clone their entity, so the shared trees are not
 // mutated.
 func (p *Protocol) fleet(maxStates int) *fsm.Fleet {
-	return p.machines().Fleet(p.d.Entities, maxStates)
+	p.keysOnce.Do(func() { p.keys = entityKeys(p.d.Entities) })
+	return p.machines().Fleet(p.d.Entities, p.keys, maxStates)
 }
+
+// entityKeys computes the content addresses of a protocol's entities; only
+// tests swap it, to count the computations.
+var entityKeys = fsm.EntityKeys
 
 // Derive runs the derivation algorithm with default options.
 func (s *Service) Derive() (*Protocol, error) {

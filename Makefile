@@ -27,9 +27,10 @@ loc:
 # goroutines share (sim's machine fleets, the fsm machines they hold, the
 # medium that a deployed entity's connection readers fill); ten
 # repetitions of the shared-fleet test (sessions filling one fleet's rows
-# concurrently) and of the shared-verifier test (Verify calls on one
+# concurrently), of the shared-verifier test (Verify calls on one
 # Protocol, plain and symmetry-reduced, filling its one exact table
-# concurrently); twenty of the parallel-determinism test (product state
+# concurrently) and of the shared-label test (checks rendering their
+# products' labels while others intern labels into the same table); twenty of the parallel-determinism test (product state
 # keys pack interned ids, so their bytes vary with worker scheduling, and
 # the decoded content of every state number is what guards the
 # numbering); the corpus and live
@@ -41,6 +42,7 @@ check:
 	$(GO) test -race ./internal/sim/ ./internal/medium/ ./internal/compose/ ./internal/lts/ ./internal/equiv/ ./internal/fsm/ ./internal/service/ ./cmd/pgd/
 	$(GO) test -race -count=10 -run '^TestSharedFleetConcurrentSessions$$' ./internal/sim/
 	$(GO) test -race -count=10 -run '^TestProtocolVerifyConcurrent$$' .
+	$(GO) test -race -count=10 -run '^TestVerifierConcurrentLabels$$' ./internal/compose/
 	$(GO) test -race -count=20 -run '^TestParallelExploreDeterministic$$' ./internal/compose/
 	$(MAKE) corpus-smoke
 	$(MAKE) live-smoke

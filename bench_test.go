@@ -673,3 +673,55 @@ func BenchmarkE16_MutationSuite(b *testing.B) {
 	b.ReportMetric(float64(killed), "killed")
 	b.ReportMetric(float64(total), "mutants")
 }
+
+// BenchmarkWarmFaultMatrix is one warm pass of the fault matrix: the 96
+// corpus cells (12 specs x capacity 1, 2 x reliable, loss, dup, reorder)
+// at the corpus bounds, each a Protocol.Verify on a held Protocol plus a
+// Protocol.Replay of its counterexample, as the fault-matrix workload of
+// bench/ runs them. One untimed pass warms every Protocol's verification
+// memo first, so an op measures the steady state: B/op and allocs/op are
+// what a warm pass allocates.
+func BenchmarkWarmFaultMatrix(b *testing.B) {
+	specs, err := corpusSpecs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	type cell struct {
+		proto *Protocol
+		opts  VerifyOptions
+	}
+	var cells []cell
+	for _, s := range specs {
+		for _, chanCap := range []int{1, 2} {
+			for _, fm := range matrixModels {
+				opts := matrixOpts
+				if s.multiInstance() {
+					opts.MaxStates = multiMaxStates
+				}
+				opts.ChannelCap, opts.Faults = chanCap, fm
+				cells = append(cells, cell{s.proto, opts})
+			}
+		}
+	}
+	pass := func() {
+		for _, c := range cells {
+			rep, err := c.proto.Verify(&c.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if rep.Witness == nil {
+				continue
+			}
+			if _, err := c.proto.Replay(rep.Witness); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		pass()
+	}
+	b.ReportMetric(float64(len(cells)), "cells/op")
+}

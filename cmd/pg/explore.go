@@ -69,7 +69,7 @@ func runExplore(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if *showTrans {
 		for s, es := range g.Edges {
 			for _, e := range es {
-				fmt.Fprintf(stdout, "  %4d --%s--> %d\n", s, e.Label, e.To)
+				fmt.Fprintf(stdout, "  %4d --%s--> %d\n", s, g.Alphabet[e.Label], e.To)
 			}
 		}
 	}

@@ -54,11 +54,18 @@
 // fresh one; only the bytes of Graph.Keys differ.
 //
 // Deriving the successors of a state holds the system's read lock once for
-// the whole call (upgraded only to translate a row on first use). The
+// the whole call (upgraded only to translate a row on first use). A
+// transition's label is an lts.LabelID the table interns once per row, when
+// it translates the row, so a derived transition carries 4 bytes of label,
+// not a copied lts.Label, and the explored graph's edges are 8-byte
+// records; the graph's Alphabet is a snapshot of the table's labels, which
+// later checks extend but never change. The
 // targets are built in one slab of vectors, their keys are written into
-// reused scratch and cut from one string, and the exploration
-// core copies only the key of a state it adds. So what a derivation
-// allocates does not grow with the number of transitions it derives.
+// reused scratch and cut from one string, and the exploration core copies
+// only the key of a state it adds. So what a derivation allocates does not
+// grow with the number of transitions it derives. A Verifier remembers the
+// size of each configuration's last product, and the next exploration under
+// that configuration presizes its index and slices from it.
 package compose
 
 import (
@@ -130,6 +137,9 @@ type System struct {
 	orbitsCollapsed atomic.Int64
 	ampleHits       atomic.Int64
 	spillStats      *lts.SpillStats
+	// sizes is the Verifier's memo of product sizes, which presizes the
+	// explorations.
+	sizes *sizeMemo
 }
 
 // table is the product's view of one machine per place: its rows
@@ -152,13 +162,15 @@ type table struct {
 	// a system applies them only under RedSymmetry (see System.sym).
 	sym *symmetry
 
-	// The translated local tables and the interned messages, shared by
-	// every exploration and derivation worker, hence the lock.
+	// The translated local tables, the interned messages and the interned
+	// labels of the products' edges, shared by every exploration and
+	// derivation worker, hence the lock.
 	mu      sync.RWMutex
 	local   [][]localState    // place idx -> local id -> state
 	msgIDs  map[message]int32 // message -> id
 	msgs    []message         // id -> message (diagnostics)
 	msgMeta []msgMeta         // id -> symmetry classification (sym != nil only)
+	labels  *lts.LabelTable   // the products' graph table
 }
 
 // localState is one local state as the product reads it. Rows are
@@ -172,13 +184,15 @@ type localState struct {
 }
 
 // cachedTrans is an entity-local transition targeting a local state, with
-// the message bookkeeping resolved once at translation time.
+// the message bookkeeping and the product label resolved once at
+// translation time.
 type cachedTrans struct {
-	op   fsm.Op
-	ev   *lotos.Event // the row's event (zero for internal and δ transitions)
-	to   int32        // local state id
-	peer int32        // place index of the message peer, -1 for non-message ops
-	msg  int32        // interned message id (sent or expected), -1 otherwise
+	op    fsm.Op
+	ev    *lotos.Event // the row's event (zero for internal and δ transitions)
+	to    int32        // local state id
+	peer  int32        // place index of the message peer, -1 for non-message ops
+	msg   int32        // interned message id (sent or expected), -1 otherwise
+	label lts.LabelID  // the product edge's label: the service primitive's, else internal
 }
 
 // growLocked extends a place's table to cover local state id, digesting
@@ -251,9 +265,11 @@ func (s *table) localTransRLocked(idx int, id int32) ([]cachedTrans, error) {
 	}
 	out := make([]cachedTrans, len(ops))
 	for i, op := range ops {
-		ct := cachedTrans{op: op, ev: &evs[i], to: target(i), peer: -1, msg: -1}
+		ct := cachedTrans{op: op, ev: &evs[i], to: target(i), peer: -1, msg: -1, label: lts.InternalID}
 		s.growLocked(idx, ct.to)
 		switch op {
+		case fsm.OpService:
+			ct.label = s.labels.Intern(lts.EventLabel(*ct.ev))
 		case fsm.OpSend, fsm.OpRecv, fsm.OpRecvFlush:
 			pi, ok := s.placeIdx[ct.ev.Place]
 			if !ok {
@@ -272,7 +288,7 @@ func (s *table) localTransRLocked(idx int, id int32) ([]cachedTrans, error) {
 // if any, that pick selects per place. sym is the symmetry the tables digest
 // columns for, nil for none.
 func newTable(places []int, sym *symmetry, pick func(p int) (*fsm.Machine, *fsm.Minimized, error)) (*table, error) {
-	t := &table{placeIdx: map[int]int{}, sym: sym, msgIDs: map[message]int32{}}
+	t := &table{placeIdx: map[int]int{}, sym: sym, msgIDs: map[message]int32{}, labels: lts.NewGraphTable()}
 	for idx, p := range places {
 		m, min, err := pick(p)
 		if err != nil {
@@ -301,12 +317,12 @@ func exactMachines(entities map[int]*lotos.Spec) func(p int) (*fsm.Machine, *fsm
 }
 
 // newSystem prepares a product system over table t with the resolved
-// reduction set red.
-func newSystem(places []int, t *table, cfg Config, red Reductions) *System {
+// reduction set red, presizing its explorations from sizes.
+func newSystem(places []int, t *table, cfg Config, red Reductions, sizes *sizeMemo) *System {
 	if cfg.ChannelCap <= 0 {
 		cfg.ChannelCap = DefaultChannelCap
 	}
-	s := &System{Places: places, table: t, cfg: cfg, red: red}
+	s := &System{Places: places, table: t, cfg: cfg, red: red, sizes: sizes}
 	if red&RedSymmetry != 0 {
 		s.sym = t.sym
 	}
@@ -446,7 +462,7 @@ func (g gstate) appendIdentityKey(dst []byte, n int) []byte {
 	return dst
 }
 
-// source implements lts.StateSource over the product system. Next is safe
+// source implements lts.SizedSource over the product system. Next is safe
 // for concurrent use (the derivation workers share one source).
 type source struct {
 	sys *System
@@ -456,6 +472,62 @@ type source struct {
 func (src *source) Next(state any, out []lts.GenTransition) ([]lts.GenTransition, error) {
 	out, _, err := src.sys.derive(state.(*gstate), out, false)
 	return out, err
+}
+
+// Alphabet snapshots the table's labels: later checks on the table intern
+// more, but never touch the snapshot's entries.
+func (src *source) Alphabet() []lts.Label {
+	src.sys.mu.RLock()
+	defer src.sys.mu.RUnlock()
+	return src.sys.labels.Alphabet()
+}
+
+// Size recalls the size of the last product explored under the system's
+// configuration.
+func (src *source) Size() lts.Size { return src.sys.sizes.get(src.sys.productConfig()) }
+
+// Explored records the size of a finished exploration for the next one
+// under the same configuration.
+func (src *source) Explored(size lts.Size) { src.sys.sizes.put(src.sys.productConfig(), size) }
+
+// productConfig is what a product's graph depends on besides its machines:
+// the channel capacity, the fault model, the limits, the effective
+// reductions, and whether the product steps minimized rows.
+type productConfig struct {
+	chanCap   int
+	faults    FaultModel
+	lim       lts.Limits
+	red       Reductions
+	minimized bool
+}
+
+func (s *System) productConfig() productConfig {
+	return productConfig{s.cfg.ChannelCap, s.cfg.Faults, s.cfg.Limits, s.red, len(s.min) > 0 && s.min[0] != nil}
+}
+
+// sizeMemo keeps the size of the last product explored under each
+// configuration, from which the next exploration under it presizes its
+// index and slices (see lts.SizedSource). A Verifier's checks reach the
+// same graphs again, so the sizes are exact; the memo holds one entry per
+// configuration checked.
+type sizeMemo struct {
+	mu sync.Mutex
+	m  map[productConfig]lts.Size
+}
+
+func (m *sizeMemo) get(c productConfig) lts.Size {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.m[c]
+}
+
+func (m *sizeMemo) put(c productConfig, size lts.Size) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.m == nil {
+		m.m = map[productConfig]lts.Size{}
+	}
+	m.m[c] = size
 }
 
 // moveKind classifies a derived global move by what it changes.
@@ -497,15 +569,16 @@ func (m *move) grow() int {
 }
 
 // label is the move's transition label: a local step shows its service
-// primitive; every message and medium move is internal.
-func (m *move) label() lts.Label {
-	switch {
-	case m.kind == mvDelta:
-		return lts.Delta()
-	case m.kind == mvLocal && m.t.op == fsm.OpService:
-		return lts.EventLabel(*m.t.ev)
+// primitive (internal for an internal action); every message and medium
+// move is internal.
+func (m *move) label() lts.LabelID {
+	switch m.kind {
+	case mvDelta:
+		return lts.DeltaID
+	case mvLocal:
+		return m.t.label
 	}
-	return lts.Internal()
+	return lts.InternalID
 }
 
 // consumed returns how many messages a receive of want takes from the head

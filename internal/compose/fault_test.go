@@ -279,7 +279,7 @@ func bfsDepths(g *lts.Graph) []int {
 		for _, e := range g.Edges[queue[0]] {
 			if depth[e.To] < 0 {
 				depth[e.To] = depth[queue[0]] + 1
-				queue = append(queue, e.To)
+				queue = append(queue, int(e.To))
 			}
 		}
 	}

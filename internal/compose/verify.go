@@ -219,6 +219,7 @@ type Verifier struct {
 	places   []int // ascending
 	svc      *serviceGraph
 	cache    *fsm.Cache
+	sizes    sizeMemo // the products' last sizes, per configuration
 
 	mu       sync.Mutex
 	exact    *table // the exact machines' table
@@ -300,7 +301,7 @@ func (v *Verifier) system(cfg Config, red Reductions) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSystem(v.places, t, cfg, red), nil
+	return newSystem(v.places, t, cfg, red, &v.sizes), nil
 }
 
 // quotientSystem prepares a product system over the compiled machines'
@@ -322,7 +323,7 @@ func (v *Verifier) quotientSystem(machines map[int]*fsm.Machine, cfg Config) (*S
 	}
 	// Quotient classes carry no syntax to compute column digests from, so
 	// the symmetry reduction never applies to a compositional system.
-	return newSystem(v.places, t, cfg, cfg.effectiveReductions()&^RedSymmetry), nil
+	return newSystem(v.places, t, cfg, cfg.effectiveReductions()&^RedSymmetry, &v.sizes), nil
 }
 
 // Verify checks a derived protocol against its service specification: it

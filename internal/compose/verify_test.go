@@ -1,6 +1,8 @@
 package compose
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/lotos"
@@ -153,5 +155,114 @@ func TestSymmetricChecksShareTable(t *testing.T) {
 	}
 	if v.exact != tbl {
 		t.Error("a later check replaced the Verifier's exact table")
+	}
+}
+
+// TestVerifierConcurrentLabels checks that a product graph's labels stay
+// readable while later checks on the same Verifier intern new ones. The
+// service is a chain of twelve primitives, each first reached one
+// observable step deeper, checked at capacities 1 and 2 under every fault
+// model: shallow checks (depth 2) reach only its first primitives, deep
+// ones (depth 12) all of them. The shallow checks run first; then, while
+// the deep checks translate rows and intern the later primitives into the
+// table the products share, the shallow reports are rendered over and
+// over (labels, weak traces, witness) and the shallow checks run again and
+// again.
+// Every rendering must equal the same check's on a Verifier of its own,
+// and the race detector must stay quiet (make check repeats this test
+// under -race).
+func TestVerifierConcurrentLabels(t *testing.T) {
+	const chain = "SPEC a1; b2; c3; d1; e2; f3; g1; h2; j3; k1; l2; m3; exit ENDSPEC"
+	var shallow, deep []VerifyOptions
+	for _, chanCap := range []int{1, 2} {
+		for _, fm := range []FaultModel{{}, {Loss: true}, {Duplication: true}, {Reorder: true}} {
+			o := VerifyOptions{ObsDepth: 2, MaxStates: 20000, ChannelCap: chanCap, Faults: fm}
+			shallow = append(shallow, o)
+			o.ObsDepth = 12
+			deep = append(deep, o)
+		}
+	}
+	verifier := func() *Verifier {
+		d := mustDerive(t, chain)
+		return NewVerifier(d.Service.Spec, d.Entities, nil)
+	}
+	render := func(r *Report) string {
+		return fmt.Sprint(r.ComposedGraph.Labels(), lts.WeakTraces(r.ComposedGraph, r.ObsDepth), r.Witness)
+	}
+	alone := func(opts []VerifyOptions) []string {
+		out := make([]string, len(opts))
+		for i, o := range opts {
+			r, err := verifier().Verify(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = render(r)
+		}
+		return out
+	}
+	wantShallow, wantDeep := alone(shallow), alone(deep)
+
+	// verifyAll runs the checks at once on v, each on its own goroutine,
+	// and renders each report.
+	v := verifier()
+	verifyAll := func(opts []VerifyOptions, reports []*Report, got []string, wg *sync.WaitGroup) {
+		for i, o := range opts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r, err := v.Verify(o)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reports[i], got[i] = r, render(r)
+			}()
+		}
+	}
+	first := make([]*Report, len(shallow))
+	var wg sync.WaitGroup
+	verifyAll(shallow, first, make([]string, len(shallow)), &wg)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for i, r := range first {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				if got := render(r); got != wantShallow[i] {
+					t.Errorf("shallow check %d rendered, while deep checks ran:\n%s\nalone:\n%s", i, got, wantShallow[i])
+					return
+				}
+				again, err := v.Verify(shallow[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := render(again); got != wantShallow[i] {
+					t.Errorf("shallow check %d, run again while deep checks ran, renders\n%s\nalone:\n%s", i, got, wantShallow[i])
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	gotDeep := make([]string, len(deep))
+	verifyAll(deep, make([]*Report, len(deep)), gotDeep, &wg)
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	for i := range deep {
+		if gotDeep[i] != wantDeep[i] {
+			t.Errorf("deep check %d renders\n%s\nalone\n%s", i, gotDeep[i], wantDeep[i])
+		}
 	}
 }

@@ -143,7 +143,8 @@ func (s *System) stepLocked(g gstate, sc *deriveScratch, m *move) WitnessStep {
 // annotatePath re-walks a path of the composed graph from the initial state,
 // matching each edge against a fresh derivation of the source state to
 // recover the concrete step (acting entity, transition index, fault) behind
-// it. The match key is (transition label key, target state key): derive is
+// it. The match key is (transition label id, target state key): g and the
+// derivation share the system's label table, and derive is
 // deterministic, so the pair identifies the edge uniquely up to replay
 // equivalence (two derived moves reaching the same target state with the
 // same label are interchangeable for replay purposes).
@@ -156,16 +157,15 @@ func (s *System) annotatePath(g *lts.Graph, path []lts.PathStep) ([]WitnessStep,
 			return nil, err
 		}
 		wantKey := g.Keys[ps.Edge.To]
-		wantLabel := ps.Edge.Label.Key()
 		found := -1
 		for i, t := range trans {
-			if t.Key == wantKey && t.Label.Key() == wantLabel {
+			if t.Key == wantKey && t.Label == ps.Edge.Label {
 				found = i
 				break
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("compose: witness path step %d: no derived transition matches edge %q", pi, ps.Edge.Label)
+			return nil, fmt.Errorf("compose: witness path step %d: no derived transition matches edge %q", pi, g.Alphabet[ps.Edge.Label])
 		}
 		out = append(out, steps[found])
 		cur = trans[found].To.(*gstate)
@@ -189,7 +189,7 @@ func buildWitness(sys *System, r *Report, opts VerifyOptions) (*Witness, error) 
 	base := Witness{Faults: opts.Faults, ChannelCap: sys.cfg.ChannelCap}
 
 	if r.ComposedDeadlocks > 0 {
-		dead := map[int]bool{}
+		dead := make([]bool, cg.NumStates())
 		for _, st := range cg.Deadlocks() {
 			dead[st] = true
 		}
@@ -202,7 +202,7 @@ func buildWitness(sys *System, r *Report, opts VerifyOptions) (*Witness, error) 
 				return nil, err
 			}
 			w.Steps = steps
-			w.Trace = lts.ObservableTrace(path)
+			w.Trace = cg.ObservableTrace(path)
 			return &w, nil
 		}
 	}
@@ -215,7 +215,7 @@ func buildWitness(sys *System, r *Report, opts VerifyOptions) (*Witness, error) 
 				return nil, err
 			}
 			w.Steps = steps
-			w.Trace = lts.ObservableTrace(path)
+			w.Trace = cg.ObservableTrace(path)
 			return &w, nil
 		}
 	}
@@ -223,14 +223,14 @@ func buildWitness(sys *System, r *Report, opts VerifyOptions) (*Witness, error) 
 		if missing, ok := equiv.DivergentPath(sg, cg, maxObs); ok {
 			w := base
 			w.Kind = WitnessMissingTrace
-			w.Missing = lts.ObservableTrace(missing)
+			w.Missing = sg.ObservableTrace(missing)
 			path, matched := equiv.TracePrefixPath(cg, w.Missing)
 			steps, err := sys.annotatePath(cg, path)
 			if err != nil {
 				return nil, err
 			}
 			w.Steps = steps
-			w.Trace = lts.ObservableTrace(path)
+			w.Trace = cg.ObservableTrace(path)
 			w.MatchedPrefix = matched
 			return &w, nil
 		}

@@ -50,10 +50,11 @@ func TestQuotientEmptyKeyState(t *testing.T) {
 	g := &lts.Graph{
 		States:   make([]lotos.Expr, 2),
 		Keys:     []string{"", ""},
-		Edges:    [][]lts.Edge{{{Label: lts.EventLabel(ev), To: 1}}, nil},
+		Edges:    make([][]lts.Edge, 2),
 		ObsDepth: []int{0, 1},
 		Frontier: map[int]bool{},
 	}
+	g.AddEdge(0, lts.EventLabel(ev), 1)
 	q := QuotientWeak(g)
 	if q.NumStates() != 2 {
 		t.Fatalf("quotient states = %d, want 2", q.NumStates())
@@ -75,7 +76,7 @@ func TestTauCycleCollapsesToOneClass(t *testing.T) {
 	// — e.g. in composed product graphs). Every state shares one τ-SCC and
 	// one class, and the cycle is weakly bisimilar to stop (no observable
 	// behaviour, no termination).
-	tau := lts.Internal()
+	tau := lts.InternalID
 	g := &lts.Graph{
 		States: make([]lotos.Expr, 3),
 		Keys:   []string{"s0", "s1", "s2"},
@@ -84,6 +85,7 @@ func TestTauCycleCollapsesToOneClass(t *testing.T) {
 			{{Label: tau, To: 2}},
 			{{Label: tau, To: 0}},
 		},
+		Alphabet: []lts.Label{lts.Internal(), lts.Delta()},
 		ObsDepth: []int{0, 0, 0},
 		Frontier: map[int]bool{},
 	}

@@ -60,22 +60,22 @@ func ObservationCongruent(g1, g2 *lts.Graph) bool {
 func (e *weakEngine) rootMatched(a *lts.Graph, aOff int, b *lts.Graph, bOff int) bool {
 	var bBlocks map[int32]struct{}
 	for _, ed := range a.Edges[0] {
-		if ed.Label.Kind != lts.LInternal {
+		if ed.Label != lts.InternalID {
 			continue
 		}
 		if bBlocks == nil {
 			// Classes reachable from b's root by one i step then i*.
 			bBlocks = map[int32]struct{}{}
 			for _, be := range b.Edges[0] {
-				if be.Label.Kind != lts.LInternal {
+				if be.Label != lts.InternalID {
 					continue
 				}
-				for _, d := range e.reach[e.sccOf[bOff+be.To]] {
+				for _, d := range e.reach[e.sccOf[bOff+int(be.To)]] {
 					bBlocks[e.block[d]] = struct{}{}
 				}
 			}
 		}
-		if _, ok := bBlocks[e.stateBlock(aOff+ed.To)]; !ok {
+		if _, ok := bBlocks[e.stateBlock(aOff+int(ed.To))]; !ok {
 			return false
 		}
 	}

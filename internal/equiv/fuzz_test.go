@@ -48,7 +48,7 @@ func decodeGraphPair(data []byte) (g1, g2 *lts.Graph) {
 		if src >= n1 {
 			g, n, src = g2, n2, src-n1
 		}
-		g.Edges[src] = append(g.Edges[src], lts.Edge{Label: lab, To: int(rest[2]) % n})
+		g.AddEdge(src, lab, int(rest[2])%n)
 	}
 	return g1, g2
 }
@@ -82,19 +82,19 @@ func encodeGraphPair(g1, g2 *lts.Graph) (data []byte, ok bool) {
 		for s, es := range g.Edges {
 			for _, e := range es {
 				var code byte
-				switch e.Label.Kind {
+				switch l := g.Alphabet[e.Label]; l.Kind {
 				case lts.LInternal:
 					code = 0
 				case lts.LDelta:
 					code = 1
 				default:
-					c, seen := events[e.Label.Key()]
+					c, seen := events[l.Key()]
 					if !seen {
 						if len(events) == 3 {
 							return nil, false
 						}
 						c = byte(2 + len(events))
-						events[e.Label.Key()] = c
+						events[l.Key()] = c
 					}
 					code = c
 				}

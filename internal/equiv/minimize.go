@@ -25,17 +25,15 @@ func QuotientWeak(g *lts.Graph) *lts.Graph {
 // exact execution tables to the minimized canonical tables.
 func QuotientWeakMap(g *lts.Graph) (*lts.Graph, []int32) {
 	e := newWeakEngine(g, nil)
-	return buildQuotient(g, func(s int) int32 { return e.stateBlock(s) }, e.table)
+	return buildQuotient(g, func(s int) int32 { return e.stateBlock(s) })
 }
 
 // buildQuotient constructs the class graph from a per-state block
 // assignment, returning it with the renumbered per-state class map. The
-// label table (fresh when nil) interns labels for the per-class (label,
-// target) edge dedup.
-func buildQuotient(g *lts.Graph, blockOf func(int) int32, table *lts.LabelTable) (*lts.Graph, []int32) {
-	if table == nil {
-		table = lts.NewLabelTable()
-	}
+// class graph shares g's alphabet, so its edges keep their label ids, and
+// a graph's ids are equal exactly when the labels' keys are, so the
+// per-class (label, target) edge dedup compares ids.
+func buildQuotient(g *lts.Graph, blockOf func(int) int32) (*lts.Graph, []int32) {
 	// Renumber blocks so the initial state's block is 0, then by first
 	// appearance.
 	blockIndex := map[int32]int{}
@@ -59,6 +57,7 @@ func buildQuotient(g *lts.Graph, blockOf func(int) int32, table *lts.LabelTable)
 		States:   make([]lotos.Expr, n),
 		Keys:     make([]string, n),
 		Edges:    make([][]lts.Edge, n),
+		Alphabet: g.Alphabet,
 		ObsDepth: make([]int, n),
 		Frontier: map[int]bool{},
 	}
@@ -86,11 +85,11 @@ func buildQuotient(g *lts.Graph, blockOf func(int) int32, table *lts.LabelTable)
 		from := blockIndex[blockOf(s)]
 		adopt(from, s)
 		for _, e := range es {
-			to := blockIndex[blockOf(e.To)]
-			if e.Label.Kind == lts.LInternal && to == from {
+			to := int32(blockIndex[blockOf(int(e.To))])
+			if e.Label == lts.InternalID && int(to) == from {
 				continue // internal move within one class: collapsed
 			}
-			key := packPair(table.Intern(e.Label), int32(to))
+			key := packPair(e.Label, to)
 			if seen[from][key] {
 				continue
 			}

@@ -42,10 +42,10 @@ func refSaturate(g *lts.Graph) *refSaturated {
 		// then close again.
 		for _, mid := range closure[s] {
 			for _, e := range g.Edges[mid] {
-				if !e.Label.Observable() {
+				if e.Label == lts.InternalID {
 					continue
 				}
-				key := e.Label.Key()
+				key := g.Alphabet[e.Label].Key()
 				m[key] = append(m[key], closure[e.To]...)
 			}
 		}
@@ -64,9 +64,9 @@ func epsClosure(g *lts.Graph, s int) []int {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range g.Edges[cur] {
-			if e.Label.Kind == lts.LInternal && !visited[e.To] {
-				visited[e.To] = true
-				stack = append(stack, e.To)
+			if to := int(e.To); e.Label == lts.InternalID && !visited[to] {
+				visited[to] = true
+				stack = append(stack, to)
 			}
 		}
 	}
@@ -240,18 +240,18 @@ func refRootCondition(a, b *lts.Graph, p *refPartition, off int, swapped bool) b
 	// Strict weak internal successors of b's root: one i step then i*.
 	var bTargets []int
 	for _, e := range b.Edges[0] {
-		if e.Label.Kind == lts.LInternal {
-			bTargets = append(bTargets, epsClosure(b, e.To)...)
+		if e.Label == lts.InternalID {
+			bTargets = append(bTargets, epsClosure(b, int(e.To))...)
 		}
 	}
 	bTargets = dedup(bTargets)
 	for _, e := range a.Edges[0] {
-		if e.Label.Kind != lts.LInternal {
+		if e.Label != lts.InternalID {
 			continue
 		}
 		matched := false
 		for _, t := range bTargets {
-			if p.sameBlock(aIdx(e.To), bIdx(t)) {
+			if p.sameBlock(aIdx(int(e.To)), bIdx(t)) {
 				matched = true
 				break
 			}
@@ -278,8 +278,8 @@ func RefStrongBisimilar(g1, g2 *lts.Graph) bool {
 		}
 		m := map[string][]int{}
 		for _, e := range g.Edges[s] {
-			key := e.Label.Key()
-			m[key] = append(m[key], e.To+off)
+			key := g.Alphabet[e.Label].Key()
+			m[key] = append(m[key], int(e.To)+off)
 		}
 		for k := range m {
 			m[k] = dedup(m[k])
@@ -319,7 +319,7 @@ func RefNumClassesWeak(g *lts.Graph) int {
 func RefQuotientWeak(g *lts.Graph) *lts.Graph {
 	p := refWeakPartitionSingle(g)
 	blockOf := func(s int) int32 { return int32(p.block[s]) }
-	q, _ := buildQuotient(g, blockOf, nil)
+	q, _ := buildQuotient(g, blockOf)
 	return q
 }
 

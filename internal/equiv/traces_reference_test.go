@@ -41,12 +41,13 @@ func refWeakTraces(g *lts.Graph, maxLen int) []string {
 		names := map[string]string{}
 		for _, s := range it.states {
 			for _, e := range g.Edges[s] {
-				if !e.Label.Observable() {
+				if e.Label == lts.InternalID {
 					continue
 				}
-				k := e.Label.Key()
+				l := g.Alphabet[e.Label]
+				k := l.Key()
 				byLabel[k] = append(byLabel[k], closure[e.To]...)
-				names[k] = e.Label.String()
+				names[k] = l.String()
 			}
 		}
 		keys := make([]string, 0, len(byLabel))
@@ -201,7 +202,7 @@ func randomCyclicGraph(r *rand.Rand) *lts.Graph {
 	}
 	for i := r.Intn(3 * n); i >= 0; i-- {
 		s := r.Intn(n)
-		g.Edges[s] = append(g.Edges[s], lts.Edge{Label: labels[r.Intn(len(labels))], To: r.Intn(n)})
+		g.AddEdge(s, labels[r.Intn(len(labels))], r.Intn(n))
 	}
 	return g
 }

@@ -51,20 +51,21 @@ func DivergentPath(subject, reference *lts.Graph, maxObs int) ([]lts.PathStep, b
 		return nil, false
 	}
 	ref := lts.NewSubsets(reference)
+	names := labelNames(subject)
 	nodes := []witnessNode{{witnessKey: witnessKey{refSet: ref.Root()}, parent: -1}}
 	visited := map[witnessKey]bool{nodes[0].witnessKey: true}
 	for head := 0; head < len(nodes); head++ {
 		cur := nodes[head]
 		for _, e := range subject.Edges[cur.state] {
 			// An internal subject move keeps the reference set.
-			k := witnessKey{e.To, cur.refSet, cur.obs}
-			if e.Label.Observable() {
+			k := witnessKey{int(e.To), cur.refSet, cur.obs}
+			if e.Label != lts.InternalID {
 				if maxObs > 0 && cur.obs >= maxObs {
 					continue // beyond the sound comparison bound
 				}
 				// Determinized reference step: all weak successors of the
 				// set under the same observable label.
-				if k.refSet = ref.Step(cur.refSet, e.Label.String()); k.refSet < 0 {
+				if k.refSet = ref.Step(cur.refSet, names[e.Label]); k.refSet < 0 {
 					if ref.Frontier(cur.refSet) {
 						continue // unknown successors: cannot judge soundly
 					}
@@ -96,6 +97,7 @@ func TracePrefixPath(subject *lts.Graph, trace []string) ([]lts.PathStep, int) {
 		return nil, 0
 	}
 	// A node's obs counts the trace labels realized; refSet is unused.
+	names := labelNames(subject)
 	nodes := []witnessNode{{parent: -1}}
 	visited := map[witnessKey]bool{{}: true}
 	bestAt := 0
@@ -108,9 +110,9 @@ func TracePrefixPath(subject *lts.Graph, trace []string) ([]lts.PathStep, int) {
 			break
 		}
 		for _, e := range subject.Edges[cur.state] {
-			k := witnessKey{state: e.To, obs: cur.obs}
-			if e.Label.Observable() {
-				if k.obs >= len(trace) || e.Label.String() != trace[k.obs] {
+			k := witnessKey{state: int(e.To), obs: cur.obs}
+			if e.Label != lts.InternalID {
+				if k.obs >= len(trace) || names[e.Label] != trace[k.obs] {
 					continue
 				}
 				k.obs++
@@ -122,6 +124,15 @@ func TracePrefixPath(subject *lts.Graph, trace []string) ([]lts.PathStep, int) {
 		}
 	}
 	return unwind(nodes, bestAt), nodes[bestAt].obs
+}
+
+// labelNames renders each label of g's alphabet once, indexed by id.
+func labelNames(g *lts.Graph) []string {
+	names := make([]string, len(g.Alphabet))
+	for id, l := range g.Alphabet {
+		names[id] = l.String()
+	}
+	return names
 }
 
 // unwind returns the path from the root to nodes[at].

@@ -7,15 +7,23 @@ import (
 	"repro/internal/lts"
 )
 
+// wEdge is an edge of a hand-built graph, by label.
+type wEdge struct {
+	Label lts.Label
+	To    int
+}
+
 // wGraph builds a bare graph with n states and the given edges.
-func wGraph(n int, edges map[int][]lts.Edge) *lts.Graph {
+func wGraph(n int, edges map[int][]wEdge) *lts.Graph {
 	g := &lts.Graph{
 		States: make([]lotos.Expr, n),
 		Keys:   make([]string, n),
 		Edges:  make([][]lts.Edge, n),
 	}
-	for s, es := range edges {
-		g.Edges[s] = es
+	for s := range n {
+		for _, e := range edges[s] {
+			g.AddEdge(s, e.Label, e.To)
+		}
 	}
 	return g
 }
@@ -33,8 +41,8 @@ func hasWeakTrace(g *lts.Graph, trace []string) bool {
 		}
 		set[s] = true
 		for _, e := range g.Edges[s] {
-			if !e.Label.Observable() {
-				grow(e.To)
+			if e.Label == lts.InternalID {
+				grow(int(e.To))
 			}
 		}
 	}
@@ -43,8 +51,8 @@ func hasWeakTrace(g *lts.Graph, trace []string) bool {
 		next := map[int]bool{}
 		for s := range set {
 			for _, e := range g.Edges[s] {
-				if e.Label.Observable() && e.Label.String() == lab {
-					next[e.To] = true
+				if e.Label != lts.InternalID && g.Alphabet[e.Label].String() == lab {
+					next[int(e.To)] = true
 				}
 			}
 		}
@@ -73,13 +81,13 @@ func naiveShortestDivergent(subject, reference *lts.Graph, bound int) int {
 		for _, cur := range frontier {
 			for _, e := range subject.Edges[cur.state] {
 				tr := cur.trace
-				if e.Label.Observable() {
-					tr = append(append([]string(nil), cur.trace...), e.Label.String())
+				if e.Label != lts.InternalID {
+					tr = append(append([]string(nil), cur.trace...), subject.Alphabet[e.Label].String())
 					if !hasWeakTrace(reference, tr) {
 						return depth
 					}
 				}
-				next = append(next, node{state: e.To, trace: tr})
+				next = append(next, node{state: int(e.To), trace: tr})
 			}
 		}
 		frontier = next
@@ -89,18 +97,18 @@ func naiveShortestDivergent(subject, reference *lts.Graph, bound int) int {
 
 func TestDivergentPathFindsExtraObservable(t *testing.T) {
 	// Subject: a then b. Reference: a only.
-	subject := wGraph(3, map[int][]lts.Edge{
+	subject := wGraph(3, map[int][]wEdge{
 		0: {{Label: wev("a"), To: 1}},
 		1: {{Label: wev("b"), To: 2}},
 	})
-	reference := wGraph(2, map[int][]lts.Edge{
+	reference := wGraph(2, map[int][]wEdge{
 		0: {{Label: wev("a"), To: 1}},
 	})
 	path, ok := DivergentPath(subject, reference, 0)
 	if !ok {
 		t.Fatal("no divergence found")
 	}
-	trace := lts.ObservableTrace(path)
+	trace := subject.ObservableTrace(path)
 	if len(trace) != 2 || trace[1] != wev("b").String() {
 		t.Errorf("divergent trace = %v, want [... b1]", trace)
 	}
@@ -115,7 +123,7 @@ func TestDivergentPathFindsExtraObservable(t *testing.T) {
 
 func TestDivergentPathNoDivergenceOnEqualGraphs(t *testing.T) {
 	mk := func() *lts.Graph {
-		return wGraph(3, map[int][]lts.Edge{
+		return wGraph(3, map[int][]wEdge{
 			0: {{Label: wev("a"), To: 1}, {Label: lts.Internal(), To: 0}},
 			1: {{Label: wev("b"), To: 2}},
 		})
@@ -131,10 +139,10 @@ func TestDivergentPathNoDivergenceOnEqualGraphs(t *testing.T) {
 func TestDivergentPathSeesThroughTau(t *testing.T) {
 	// The reference reaches its 'a' only after a τ step: weak matching must
 	// credit it, so the only divergence is the subject's 'b'.
-	subject := wGraph(3, map[int][]lts.Edge{
+	subject := wGraph(3, map[int][]wEdge{
 		0: {{Label: wev("a"), To: 1}, {Label: wev("b"), To: 2}},
 	})
-	reference := wGraph(3, map[int][]lts.Edge{
+	reference := wGraph(3, map[int][]wEdge{
 		0: {{Label: lts.Internal(), To: 1}},
 		1: {{Label: wev("a"), To: 2}},
 	})
@@ -142,7 +150,7 @@ func TestDivergentPathSeesThroughTau(t *testing.T) {
 	if !ok {
 		t.Fatal("no divergence found")
 	}
-	if tr := lts.ObservableTrace(path); len(tr) != 1 || tr[0] != wev("b").String() {
+	if tr := subject.ObservableTrace(path); len(tr) != 1 || tr[0] != wev("b").String() {
 		t.Errorf("divergent trace = %v, want [b1]", tr)
 	}
 }
@@ -150,17 +158,17 @@ func TestDivergentPathSeesThroughTau(t *testing.T) {
 func TestDivergentPathConservativeOnFrontier(t *testing.T) {
 	// The reference was truncated at state 1: its successors are unknown, so
 	// the subject's a-then-b must NOT be reported divergent through it.
-	subject := wGraph(3, map[int][]lts.Edge{
+	subject := wGraph(3, map[int][]wEdge{
 		0: {{Label: wev("a"), To: 1}},
 		1: {{Label: wev("b"), To: 2}},
 	})
-	reference := wGraph(2, map[int][]lts.Edge{
+	reference := wGraph(2, map[int][]wEdge{
 		0: {{Label: wev("a"), To: 1}},
 	})
 	reference.Truncated = true
 	reference.Frontier = map[int]bool{1: true}
 	if path, ok := DivergentPath(subject, reference, 0); ok {
-		t.Errorf("reported divergence %v through an unexpanded frontier state", lts.ObservableTrace(path))
+		t.Errorf("reported divergence %v through an unexpanded frontier state", subject.ObservableTrace(path))
 	}
 }
 
@@ -176,34 +184,34 @@ func TestDivergentPathMinimalityOracle(t *testing.T) {
 		{
 			name: "deep and shallow divergence",
 			// Divergences: c after a (depth 2) and b immediately (depth 1).
-			subject: wGraph(4, map[int][]lts.Edge{
+			subject: wGraph(4, map[int][]wEdge{
 				0: {{Label: wev("a"), To: 1}, {Label: wev("b"), To: 3}},
 				1: {{Label: wev("c"), To: 2}},
 			}),
-			reference: wGraph(2, map[int][]lts.Edge{
+			reference: wGraph(2, map[int][]wEdge{
 				0: {{Label: wev("a"), To: 1}},
 			}),
 		},
 		{
 			name: "tau detour lengthens the path",
 			// The only divergent observable sits behind two internal steps.
-			subject: wGraph(4, map[int][]lts.Edge{
+			subject: wGraph(4, map[int][]wEdge{
 				0: {{Label: lts.Internal(), To: 1}},
 				1: {{Label: lts.Internal(), To: 2}},
 				2: {{Label: wev("b"), To: 3}},
 			}),
-			reference: wGraph(2, map[int][]lts.Edge{
+			reference: wGraph(2, map[int][]wEdge{
 				0: {{Label: wev("a"), To: 1}},
 			}),
 		},
 		{
 			name: "cycle before divergence",
-			subject: wGraph(3, map[int][]lts.Edge{
+			subject: wGraph(3, map[int][]wEdge{
 				0: {{Label: wev("a"), To: 0}, {Label: wev("b"), To: 1}},
 				1: {{Label: wev("b"), To: 2}},
 			}),
 			// Reference loops on a and allows one b.
-			reference: wGraph(2, map[int][]lts.Edge{
+			reference: wGraph(2, map[int][]wEdge{
 				0: {{Label: wev("a"), To: 0}, {Label: wev("b"), To: 1}},
 			}),
 		},
@@ -218,14 +226,14 @@ func TestDivergentPathMinimalityOracle(t *testing.T) {
 			continue
 		}
 		if want == -1 {
-			t.Errorf("%s: BFS found %v, oracle found nothing", c.name, lts.ObservableTrace(path))
+			t.Errorf("%s: BFS found %v, oracle found nothing", c.name, c.subject.ObservableTrace(path))
 			continue
 		}
 		if len(path) != want {
 			t.Errorf("%s: BFS path has %d edges, oracle minimum is %d", c.name, len(path), want)
 		}
 		// The found trace must genuinely diverge.
-		tr := lts.ObservableTrace(path)
+		tr := c.subject.ObservableTrace(path)
 		if hasWeakTrace(c.reference, tr) {
 			t.Errorf("%s: returned trace %v is a reference trace", c.name, tr)
 		}
@@ -233,7 +241,7 @@ func TestDivergentPathMinimalityOracle(t *testing.T) {
 }
 
 func TestTracePrefixPathFullAndPartial(t *testing.T) {
-	g := wGraph(4, map[int][]lts.Edge{
+	g := wGraph(4, map[int][]wEdge{
 		0: {{Label: lts.Internal(), To: 1}},
 		1: {{Label: wev("a"), To: 2}},
 		2: {{Label: wev("b"), To: 3}},
@@ -244,7 +252,7 @@ func TestTracePrefixPathFullAndPartial(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("realized %d of 2 labels", n)
 	}
-	if tr := lts.ObservableTrace(path); len(tr) != 2 || tr[0] != a || tr[1] != b {
+	if tr := g.ObservableTrace(path); len(tr) != 2 || tr[0] != a || tr[1] != b {
 		t.Errorf("path trace = %v, want [%s %s]", tr, a, b)
 	}
 	// Only the first label is realizable.
@@ -252,7 +260,7 @@ func TestTracePrefixPathFullAndPartial(t *testing.T) {
 	if n != 1 {
 		t.Errorf("realized %d of [a a], want 1", n)
 	}
-	if tr := lts.ObservableTrace(path); len(tr) != 1 || tr[0] != a {
+	if tr := g.ObservableTrace(path); len(tr) != 1 || tr[0] != a {
 		t.Errorf("partial path trace = %v, want [%s]", tr, a)
 	}
 	// Nothing realizable: empty path, zero labels.

@@ -104,7 +104,7 @@ func (m *Machine) Minimized() (*Minimized, error) {
 func (m *Machine) MinimizedBuilt() bool { return m.minDone.Load() }
 
 func (m *Machine) minimize() (*Minimized, error) {
-	g, _, err := lts.ExploreSource(rowSource{m}, bfsKey(m.root), m.root, lts.Limits{MaxStates: m.maxStates}, 1, nil)
+	g, _, err := lts.ExploreSource(rowSource{m, lts.NewGraphTable()}, bfsKey(m.root), m.root, lts.Limits{MaxStates: m.maxStates}, 1, nil)
 	if err != nil || g.Truncated {
 		// The exploration went as deep as the cap, which sessions seldom
 		// reach, and an unbounded entity's states grow with their depth:
@@ -149,17 +149,21 @@ func (m *Machine) minimize() (*Minimized, error) {
 		To:               make([]int32, 0, qt),
 		Keys:             q.Keys,
 	}
+	keys := make([]string, len(q.Alphabet)) // label ids follow interning order: sort by key
+	for id, lab := range q.Alphabet {
+		keys[id] = lab.Key()
+	}
 	for c := 0; c < qn; c++ {
 		row := append([]lts.Edge(nil), q.Edges[c]...)
 		sort.SliceStable(row, func(i, j int) bool {
-			ki, kj := row[i].Label.Key(), row[j].Label.Key()
+			ki, kj := keys[row[i].Label], keys[row[j].Label]
 			if ki != kj {
 				return ki < kj
 			}
 			return row[i].To < row[j].To
 		})
 		for _, e := range row {
-			op, ev := Classify(e.Label)
+			op, ev := Classify(q.Alphabet[e.Label])
 			l.Ops = append(l.Ops, op)
 			l.Events = append(l.Events, ev)
 			l.To = append(l.To, int32(e.To))
@@ -170,8 +174,13 @@ func (m *Machine) minimize() (*Minimized, error) {
 }
 
 // rowSource is a machine's execution layer as an lts.StateSource: exploring
-// it fills the rows it visits.
-type rowSource struct{ m *Machine }
+// it fills the rows it visits. Its labels intern into a table of its own.
+type rowSource struct {
+	m      *Machine
+	labels *lts.LabelTable
+}
+
+func (src rowSource) Alphabet() []lts.Label { return src.labels.Alphabet() }
 
 func (src rowSource) Next(state any, out []lts.GenTransition) ([]lts.GenTransition, error) {
 	s := state.(*State)
@@ -182,7 +191,7 @@ func (src rowSource) Next(state any, out []lts.GenTransition) ([]lts.GenTransiti
 		return out, fmt.Errorf("state %s: %w", lotos.Format(s.expr), err)
 	}
 	for i, to := range r.To {
-		out = append(out, lts.GenTransition{Label: opLabel(r.Ops[i], r.Events[i]), Key: bfsKey(to), To: to})
+		out = append(out, lts.GenTransition{Label: src.labels.Intern(opLabel(r.Ops[i], r.Events[i])), Key: bfsKey(to), To: to})
 	}
 	return out, nil
 }

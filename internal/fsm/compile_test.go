@@ -43,7 +43,7 @@ func quotientGraph(l *Minimized) *lts.Graph {
 		ObsDepth: make([]int, n), Frontier: map[int]bool{}}
 	for c := 0; c < n; c++ {
 		for e := l.Off[c]; e < l.Off[c+1]; e++ {
-			g.Edges[c] = append(g.Edges[c], lts.Edge{Label: l.Label(e), To: int(l.To[e])})
+			g.AddEdge(c, l.Label(e), int(l.To[e]))
 		}
 	}
 	return g
@@ -113,10 +113,10 @@ func TestCompileMatchesExploration(t *testing.T) {
 				t.Fatalf("place %d state %d: %d edges vs %d", p, s, len(r.Ops), len(g.Edges[s]))
 			}
 			for i, e := range g.Edges[s] {
-				op, ev := Classify(e.Label)
+				op, ev := Classify(g.Alphabet[e.Label])
 				if r.Ops[i] != op || r.Events[i] != ev || r.To[i].Key() != g.Keys[e.To] {
 					t.Fatalf("place %d state %d edge %d: %s %v->%s vs %v->%s",
-						p, s, i, r.Ops[i], r.Events[i], r.To[i].Key(), e.Label, g.Keys[e.To])
+						p, s, i, r.Ops[i], r.Events[i], r.To[i].Key(), g.Alphabet[e.Label], g.Keys[e.To])
 				}
 			}
 		}

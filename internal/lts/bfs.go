@@ -34,9 +34,17 @@ func ExploreSource(src StateSource, rootKey string, root any, lim Limits, worker
 	if lim.MaxStates <= 0 {
 		lim.MaxStates = DefaultMaxStates
 	}
+	sized, _ := src.(SizedSource)
+	var size Size
+	if sized != nil {
+		size = sized.Size()
+	}
 	d := &deriver{src: src, workers: workers}
 	if spill == nil {
-		g, _, err := explore(d, memIndex{}, rootKey, root, lim, false)
+		g, got, err := explore(d, make(memIndex, size.States), rootKey, root, lim, false, size)
+		if err == nil && sized != nil {
+			sized.Explored(got)
+		}
 		return g, nil, err
 	}
 	stats := &SpillStats{}
@@ -51,11 +59,14 @@ func ExploreSource(src StateSource, rootKey string, root any, lim Limits, worker
 	if spill.StatsOnly {
 		return nil, stats, census(d, idx, rootKey, root, lim, stats)
 	}
-	g, transitions, err := explore(d, idx, rootKey, root, lim, true)
+	g, got, err := explore(d, idx, rootKey, root, lim, true, size)
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.States, stats.Transitions, stats.Truncated = int64(g.NumStates()), transitions, g.Truncated
+	if sized != nil {
+		sized.Explored(got)
+	}
+	stats.States, stats.Transitions, stats.Truncated = int64(g.NumStates()), int64(got.Transitions), g.Truncated
 	return g, stats, nil
 }
 
@@ -85,41 +96,55 @@ func (m memIndex) put(key string, id int) error {
 	return nil
 }
 
-// deriver runs the derive step of every level, reusing its buffers: the
-// i-th state of every level appends its transitions to results[i], so the
-// transition buffers are allocated once per exploration, not per state.
+// deriver runs the derive step of every level, reusing its buffers: each
+// worker appends the transitions of the states it derives to one buffer of
+// its own, and the i-th state's transitions are the window results[i] of
+// it, so the transition buffers are allocated once per exploration, not
+// per state. A buffer that grows mid-level leaves the windows cut before on
+// its old array, which they keep alive until release.
 type deriver struct {
 	src     StateSource
 	workers int
 	results [][]GenTransition
+	bufs    [][]GenTransition // per worker
+	room    int               // the room a first worker buffer gets
 	errs    []error
 	cursor  atomic.Int64
 	failed  atomic.Bool
+}
+
+// presize gives the buffers room for an exploration of size s: its widest
+// level's states and transitions.
+func (d *deriver) presize(s Size) {
+	d.results = make([][]GenTransition, 0, s.Level)
+	d.errs = make([]error, 0, s.Level)
+	d.room = s.LevelTransitions
 }
 
 // derive fills d.results with the transitions of each state. On failure it
 // reports the index of the first failed state.
 func (d *deriver) derive(states []any) (int, error) {
 	n := len(states)
-	if c := cap(d.results); n > c {
-		d.results = append(d.results[:c], make([][]GenTransition, n-c)...)
-	}
-	d.results = d.results[:n]
+	d.results = slices.Grow(d.results[:0], n)[:n]
 	d.errs = slices.Grow(d.errs[:0], n)[:n]
 	d.cursor.Store(0)
 	d.failed.Store(false)
-	if w := min(d.workers, n); w > 1 {
+	w := max(min(d.workers, n), 1)
+	for len(d.bufs) < w {
+		d.bufs = append(d.bufs, make([]GenTransition, 0, d.room/w))
+	}
+	if w > 1 {
 		var wg sync.WaitGroup
 		wg.Add(w)
-		for range w {
+		for k := range w {
 			go func() {
 				defer wg.Done()
-				d.work(states)
+				d.work(k, states)
 			}()
 		}
 		wg.Wait()
 	} else {
-		d.work(states)
+		d.work(0, states)
 	}
 	for i, err := range d.errs {
 		if err != nil {
@@ -129,28 +154,33 @@ func (d *deriver) derive(states []any) (int, error) {
 	return 0, nil
 }
 
-// work derives states from the shared cursor until none is left or one
-// derivation failed.
-func (d *deriver) work(states []any) {
+// work derives states from the shared cursor into worker k's buffer until
+// none is left or one derivation failed.
+func (d *deriver) work(k int, states []any) {
+	buf := d.bufs[k]
 	for !d.failed.Load() {
 		i := int(d.cursor.Add(1)) - 1
 		if i >= len(states) {
-			return
+			break
 		}
-		d.results[i], d.errs[i] = d.src.Next(states[i], d.results[i][:0])
+		lo := len(buf)
+		buf, d.errs[i] = d.src.Next(states[i], buf)
+		d.results[i] = buf[lo:len(buf):len(buf)]
 		if d.errs[i] != nil {
 			d.failed.Store(true)
 		}
 	}
+	d.bufs[k] = buf
 }
 
 // release empties the level's transition buffers, keeping their room, so
 // they pin no target state or key.
 func (d *deriver) release() {
-	for i, ts := range d.results {
-		clear(ts)
-		d.results[i] = ts[:0]
+	for k, buf := range d.bufs {
+		clear(buf)
+		d.bufs[k] = buf[:0]
 	}
+	clear(d.results)
 }
 
 // bfs is the state of one graph-building exploration.
@@ -167,18 +197,29 @@ type bfs struct {
 	next   []int
 }
 
-// explore builds the graph and counts the derived transitions. drop
-// discards every payload at expansion, not just those the graph does not
-// return.
-func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limits, drop bool) (*Graph, int64, error) {
-	g := &Graph{Frontier: map[int]bool{}}
-	b := &bfs{g: g, index: index}
-	if _, err := b.add(rootKey, root, 0); err != nil {
-		return nil, 0, err
+// explore builds the graph and measures it. drop discards every payload at
+// expansion, not just those the graph does not return. size, the expected
+// size, presizes the per-state slices, the level buffers and the edge slab.
+//
+// Edges are carved from slabs: each level's edges, or with a size the
+// whole graph's, share one allocation, each state's row a capped window.
+func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limits, drop bool, size Size) (*Graph, Size, error) {
+	n := size.States
+	g := &Graph{Keys: make([]string, 0, n), Edges: make([][]Edge, 0, n), Frontier: map[int]bool{}}
+	b := &bfs{
+		g: g, index: index,
+		states: make([]any, 0, n), obsDepth: make([]int, 0, n),
+		expanded: make([]bool, 0, n), queued: make([]int32, 0, n),
+		next: make([]int, 0, size.Level),
 	}
-	var transitions int64
-	var toExpand []int
-	var payloads []any
+	d.presize(size)
+	if _, err := b.add(rootKey, root, 0); err != nil {
+		return nil, Size{}, err
+	}
+	var got Size
+	var slab []Edge
+	toExpand := make([]int, 0, size.Level)
+	payloads := make([]any, 0, size.Level)
 	for level := []int{0}; len(level) > 0; level, b.next = b.next, level[:0] {
 		b.stamp++
 		toExpand = toExpand[:0]
@@ -194,17 +235,27 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 				toExpand = append(toExpand, id)
 			}
 		}
+		got.Level = max(got.Level, len(toExpand))
 
 		payloads = payloads[:0]
 		for _, id := range toExpand {
 			payloads = append(payloads, b.states[id])
 		}
 		if i, err := d.derive(payloads); err != nil {
-			return nil, 0, fmt.Errorf("exploring state %d: %w", toExpand[i], err)
+			return nil, Size{}, fmt.Errorf("exploring state %d: %w", toExpand[i], err)
 		}
 		if err := index.resolve(d.results); err != nil {
-			return nil, 0, err
+			return nil, Size{}, err
 		}
+		derived := 0
+		for _, ts := range d.results {
+			derived += len(ts)
+		}
+		got.LevelTransitions = max(got.LevelTransitions, derived)
+		if cap(slab)-len(slab) < derived {
+			slab = make([]Edge, 0, max(derived, size.Transitions-got.Transitions))
+		}
+		got.Transitions += derived
 
 		for i, head := range toExpand {
 			b.expanded[head] = true
@@ -213,15 +264,16 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 				b.states[head] = nil
 			}
 			ts := d.results[i]
-			transitions += int64(len(ts))
 			var edges []Edge
 			if len(ts) > 0 {
-				edges = make([]Edge, 0, len(ts))
+				lo := len(slab)
+				slab = slab[:lo+len(ts)]
+				edges = slab[lo:lo:len(slab)]
 			}
 			for j := range ts {
 				t := &ts[j]
 				if id, ok := index.get(t.Key); ok {
-					edges = append(edges, Edge{Label: t.Label, To: id})
+					edges = append(edges, Edge{Label: t.Label, To: int32(id)})
 					b.relax(head, &edges[len(edges)-1])
 					continue
 				}
@@ -230,14 +282,14 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 					continue
 				}
 				nd := b.obsDepth[head]
-				if t.Label.Observable() {
+				if t.Label != InternalID {
 					nd++
 				}
 				to, err := b.add(t.Key, t.To, nd)
 				if err != nil {
-					return nil, 0, err
+					return nil, Size{}, err
 				}
-				edges = append(edges, Edge{Label: t.Label, To: to})
+				edges = append(edges, Edge{Label: t.Label, To: int32(to)})
 				b.enqueue(to)
 			}
 			g.Edges[head] = edges
@@ -250,9 +302,11 @@ func explore(d *deriver, index visitedIndex, rootKey string, root any, lim Limit
 	for i, st := range b.states {
 		g.States[i], _ = st.(lotos.Expr)
 	}
+	g.Alphabet = d.src.Alphabet()
 	g.ObsDepth = b.obsDepth
 	g.Truncated = len(g.Frontier) > 0
-	return g, transitions, nil
+	got.States = len(b.states)
+	return g, got, nil
 }
 
 // add numbers a new state. The key is copied: a source's keys may share
@@ -285,12 +339,12 @@ func (b *bfs) enqueue(id int) {
 // the depth bound, or propagates through an expanded state's cached edges.
 func (b *bfs) relax(head int, e *Edge) {
 	nd := b.obsDepth[head]
-	if e.Label.Observable() {
+	if e.Label != InternalID {
 		nd++
 	}
 	if nd < b.obsDepth[e.To] {
 		b.obsDepth[e.To] = nd
-		b.enqueue(e.To)
+		b.enqueue(int(e.To))
 	}
 }
 

@@ -17,10 +17,10 @@ func (g *Graph) DOT(title string) string {
 	if title != "" {
 		fmt.Fprintf(&b, "  label=%q; labelloc=top;\n", title)
 	}
-	terminated := map[int]bool{}
+	terminated := make([]bool, len(g.Edges))
 	for _, es := range g.Edges {
 		for _, e := range es {
-			if e.Label.Kind == LDelta {
+			if e.Label == DeltaID {
 				terminated[e.To] = true
 			}
 		}
@@ -40,13 +40,13 @@ func (g *Graph) DOT(title string) string {
 	}
 	for s, es := range g.Edges {
 		for _, e := range es {
-			switch e.Label.Kind {
+			switch l := g.Alphabet[e.Label]; l.Kind {
 			case LInternal:
 				fmt.Fprintf(&b, "  n%d -> n%d [label=\"i\", style=dashed, color=gray];\n", s, e.To)
 			case LDelta:
 				fmt.Fprintf(&b, "  n%d -> n%d [label=\"δ\"];\n", s, e.To)
 			default:
-				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", s, e.To, e.Label.Ev.String())
+				fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", s, e.To, l.Ev.String())
 			}
 		}
 	}

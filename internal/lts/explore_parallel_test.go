@@ -26,6 +26,13 @@ func (f *fakeSource) Next(state any, out []GenTransition) ([]GenTransition, erro
 	return append(out, f.edges[s]...), nil
 }
 
+// fakeObs is the label id of fakeSource's one observable label.
+const fakeObs = DeltaID + 1
+
+func (f *fakeSource) Alphabet() []Label {
+	return []Label{Internal(), Delta(), EventLabel(lotos.ServiceEvent("a", 1))}
+}
+
 // lockedSource serializes a source that is not safe for concurrent use (the
 // SOS environment memoizes process instantiations in a plain map), so the
 // multi-worker configurations can run over it.
@@ -40,12 +47,18 @@ func (l *lockedSource) Next(state any, out []GenTransition) ([]GenTransition, er
 	return l.src.Next(state, out)
 }
 
+func (l *lockedSource) Alphabet() []Label {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.src.Alphabet()
+}
+
 func obs(to string) GenTransition {
-	return GenTransition{Label: Label{Kind: LEvent, Ev: lotos.ServiceEvent("a", 1)}, Key: to, To: to}
+	return GenTransition{Label: fakeObs, Key: to, To: to}
 }
 
 func tau(to string) GenTransition {
-	return GenTransition{Label: Internal(), Key: to, To: to}
+	return GenTransition{Label: InternalID, Key: to, To: to}
 }
 
 func stateID(t *testing.T, g *Graph, key string) int {
@@ -249,7 +262,7 @@ func TestParallelMatchesSerialOnSpecs(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				src := &lockedSource{src: &exprSource{env: env}}
+				src := &lockedSource{src: newExprSource(env)}
 				g, err := c.explore(t, src, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim)
 				if err != nil {
 					t.Fatal(err)
@@ -274,7 +287,7 @@ func TestParallelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src := &lockedSource{src: &exprSource{env: env}}
+		src := &lockedSource{src: newExprSource(env)}
 		g, _, err := ExploreSource(src, lotos.Canon(sp.Root.Expr), sp.Root.Expr, lim, 8, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -7,7 +7,11 @@
 //
 // The package provides single-step transition derivation, bounded
 // state-space exploration, deadlock detection, and the lazy subset
-// determinizer (Subsets) behind every weak-trace question. It is
+// determinizer (Subsets) behind every weak-trace question. An explored
+// Graph is pointer-free: an Edge is a LabelID and a target, 8 bytes, and the
+// graph's Alphabet holds the Label of each id (see intern.go). Ids follow
+// interning order, so every output that lists labels sorts them by their
+// rendering or key, never by id. It is
 // the substrate for the action-prefix-form transformation (internal/apf),
 // the equivalence checks (internal/equiv) and the composed-system
 // verification (internal/compose).

@@ -1,5 +1,7 @@
 package lts
 
+import "slices"
+
 // PathStep is one edge on a concrete path through a Graph: the source state
 // and the edge taken from it. A path is a sequence of steps whose targets
 // chain (step[k].Edge.To == step[k+1].From).
@@ -31,7 +33,7 @@ func (g *Graph) ShortestPathTo(target func(state int) bool) ([]PathStep, bool) {
 	for i := range parent {
 		parent[i] = -1
 	}
-	queue := make([]int, 0, 64)
+	queue := make([]int32, 0, 64)
 	queue = append(queue, 0)
 	parent[0] = 0 // root marks itself visited
 	for len(queue) > 0 {
@@ -41,10 +43,10 @@ func (g *Graph) ShortestPathTo(target func(state int) bool) ([]PathStep, bool) {
 			if parent[e.To] >= 0 || e.To == 0 {
 				continue
 			}
-			parent[e.To] = int32(head)
+			parent[e.To] = head
 			parentEdge[e.To] = int32(ei)
-			if target(e.To) {
-				return g.unwind(parent, parentEdge, e.To), true
+			if target(int(e.To)) {
+				return g.unwind(parent, parentEdge, int(e.To)), true
 			}
 			queue = append(queue, e.To)
 		}
@@ -61,20 +63,18 @@ func (g *Graph) unwind(parent, parentEdge []int32, state int) []PathStep {
 		rev = append(rev, PathStep{From: p, Edge: g.Edges[p][parentEdge[state]]})
 		state = p
 	}
-	// Reverse in place.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
+	slices.Reverse(rev)
 	return rev
 }
 
-// ObservableTrace projects a path onto its observable labels, rendered as by
-// Label.String (internal steps are skipped; δ appears as "delta").
-func ObservableTrace(path []PathStep) []string {
+// ObservableTrace projects a path through g onto its observable labels,
+// rendered as by Label.String (internal steps are skipped; δ appears as
+// "delta").
+func (g *Graph) ObservableTrace(path []PathStep) []string {
 	var out []string
 	for _, st := range path {
-		if st.Edge.Label.Observable() {
-			out = append(out, st.Edge.Label.String())
+		if st.Edge.Label != InternalID {
+			out = append(out, g.Alphabet[st.Edge.Label].String())
 		}
 	}
 	return out

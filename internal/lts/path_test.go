@@ -6,16 +6,24 @@ import (
 	"repro/internal/lotos"
 )
 
+// testEdge is an edge of a hand-built graph, by label.
+type testEdge struct {
+	Label Label
+	To    int
+}
+
 // pathGraph builds a bare graph with n states and the given edges (the
 // expression/key/depth columns are irrelevant to path search).
-func pathGraph(n int, edges map[int][]Edge) *Graph {
+func pathGraph(n int, edges map[int][]testEdge) *Graph {
 	g := &Graph{
 		States: make([]lotos.Expr, n),
 		Keys:   make([]string, n),
 		Edges:  make([][]Edge, n),
 	}
-	for s, es := range edges {
-		g.Edges[s] = es
+	for s := range n {
+		for _, e := range edges[s] {
+			g.AddEdge(s, e.Label, e.To)
+		}
 	}
 	return g
 }
@@ -24,7 +32,7 @@ func ev(name string) Label { return EventLabel(lotos.ServiceEvent(name, 1)) }
 
 func TestShortestPathToChain(t *testing.T) {
 	// 0 -a-> 1 -i-> 2 -b-> 3
-	g := pathGraph(4, map[int][]Edge{
+	g := pathGraph(4, map[int][]testEdge{
 		0: {{Label: ev("a"), To: 1}},
 		1: {{Label: Internal(), To: 2}},
 		2: {{Label: ev("b"), To: 3}},
@@ -35,7 +43,7 @@ func TestShortestPathToChain(t *testing.T) {
 	}
 	// The steps chain: each target is the next step's source.
 	for i := 0; i+1 < len(path); i++ {
-		if path[i].Edge.To != path[i+1].From {
+		if int(path[i].Edge.To) != path[i+1].From {
 			t.Fatalf("path does not chain at step %d: %v", i, path)
 		}
 	}
@@ -43,7 +51,7 @@ func TestShortestPathToChain(t *testing.T) {
 		t.Errorf("path endpoints wrong: %v", path)
 	}
 	// The observable projection skips the internal step.
-	trace := ObservableTrace(path)
+	trace := g.ObservableTrace(path)
 	want := []string{ev("a").String(), ev("b").String()}
 	if len(trace) != 2 || trace[0] != want[0] || trace[1] != want[1] {
 		t.Errorf("trace = %v, want %v", trace, want)
@@ -52,7 +60,7 @@ func TestShortestPathToChain(t *testing.T) {
 
 func TestShortestPathToPrefersShorterRoute(t *testing.T) {
 	// Two routes to 3: 0->1->2->3 (three edges) and 0->4->3 (two edges).
-	g := pathGraph(5, map[int][]Edge{
+	g := pathGraph(5, map[int][]testEdge{
 		0: {{Label: ev("a"), To: 1}, {Label: ev("x"), To: 4}},
 		1: {{Label: ev("b"), To: 2}},
 		2: {{Label: ev("c"), To: 3}},
@@ -68,7 +76,7 @@ func TestShortestPathToPrefersShorterRoute(t *testing.T) {
 }
 
 func TestShortestPathToRootAndUnreachable(t *testing.T) {
-	g := pathGraph(3, map[int][]Edge{0: {{Label: ev("a"), To: 1}}})
+	g := pathGraph(3, map[int][]testEdge{0: {{Label: ev("a"), To: 1}}})
 	// The root itself is a target: empty non-nil path.
 	path, ok := g.ShortestPathTo(func(s int) bool { return s == 0 })
 	if !ok || path == nil || len(path) != 0 {
@@ -87,7 +95,7 @@ func TestShortestPathToRootAndUnreachable(t *testing.T) {
 
 func TestShortestPathToHandlesCycles(t *testing.T) {
 	// A cycle 0->1->0 with an exit 1->2: BFS must terminate and find it.
-	g := pathGraph(3, map[int][]Edge{
+	g := pathGraph(3, map[int][]testEdge{
 		0: {{Label: ev("a"), To: 1}},
 		1: {{Label: ev("b"), To: 0}, {Label: ev("c"), To: 2}},
 	})
@@ -98,7 +106,7 @@ func TestShortestPathToHandlesCycles(t *testing.T) {
 }
 
 func TestObservableTraceRendersDelta(t *testing.T) {
-	g := pathGraph(3, map[int][]Edge{
+	g := pathGraph(3, map[int][]testEdge{
 		0: {{Label: Internal(), To: 1}},
 		1: {{Label: Delta(), To: 2}},
 	})
@@ -106,7 +114,7 @@ func TestObservableTraceRendersDelta(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	trace := ObservableTrace(path)
+	trace := g.ObservableTrace(path)
 	if len(trace) != 1 || trace[0] != "delta" {
 		t.Errorf("trace = %v, want [delta]", trace)
 	}

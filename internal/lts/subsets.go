@@ -1,6 +1,7 @@
 package lts
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 )
@@ -13,8 +14,9 @@ import (
 //
 // Nothing is computed for the whole graph: a closure is one DFS over τ-edges
 // with a reusable stamp array, a set is a sorted state list interned by
-// hash, and a set's moves are computed on first request, then memoized. Over
-// a StateSource even the rows are derived when a closure first reaches the
+// hash, and a set's moves are computed on first request, then memoized. The
+// graph's labels are rendered once per id, not once per edge. Over a
+// StateSource even the rows are derived when a closure first reaches the
 // state (see CheckServiceTrace). Not safe for concurrent use.
 type Subsets struct {
 	g      *Graph
@@ -25,6 +27,14 @@ type Subsets struct {
 	stamp      []uint32
 	epoch      uint32
 	stack, buf []int32
+
+	// names holds the distinct renderings of the alphabet's labels, sorted,
+	// and rank the index in names of each label id's rendering (ids that
+	// render alike share it). pairs and seed are Moves' scratch.
+	names []string
+	rank  []int32
+	pairs []Edge
+	seed  []int32
 
 	// A non-nil src derives the rows of g, numbering at most max states: a
 	// state whose successors would pass the cap keeps its edges to numbered
@@ -59,7 +69,7 @@ func (w *Subsets) Root() int32 {
 // Frontier reports whether some member of the set is a frontier state, whose
 // successors are (partly) unknown: a missing step from it is inconclusive.
 func (w *Subsets) Frontier(set int32) bool {
-	return slices.ContainsFunc(w.sets[set], func(s int32) bool { return w.g.Frontier[int(s)] })
+	return len(w.g.Frontier) > 0 && slices.ContainsFunc(w.sets[set], func(s int32) bool { return w.g.Frontier[int(s)] })
 }
 
 // Moves returns the observable steps from a set, ordered by label (none from
@@ -71,25 +81,60 @@ func (w *Subsets) Moves(set int32) []Move {
 	if w.moves[set] != nil {
 		return w.moves[set]
 	}
-	seeds := map[string][]int32{} // label -> targets of members' edges
+	// The members' observable edges, by the rank of their rendered label.
+	// A closure may derive rows and grow the alphabet, so the ranks are
+	// read before any.
+	w.rankLabels()
+	names, pairs := w.names, w.pairs[:0]
 	for _, s := range w.sets[set] {
 		for _, e := range w.g.Edges[s] {
-			if e.Label.Observable() {
-				l := e.Label.String()
-				seeds[l] = append(seeds[l], int32(e.To))
+			if e.Label != InternalID {
+				pairs = append(pairs, Edge{Label: LabelID(w.rank[e.Label]), To: e.To})
 			}
 		}
 	}
-	moves := make([]Move, 0, len(seeds))
-	for l := range seeds {
-		moves = append(moves, Move{Label: l})
+	slices.SortFunc(pairs, func(a, b Edge) int { return cmp.Compare(a.Label, b.Label) })
+	w.pairs = pairs
+	distinct := 0
+	for i := range pairs {
+		if i == 0 || pairs[i].Label != pairs[i-1].Label {
+			distinct++
+		}
 	}
-	slices.SortFunc(moves, func(a, b Move) int { return strings.Compare(a.Label, b.Label) })
-	for i := range moves {
-		moves[i].To = w.closure(seeds[moves[i].Label])
+	moves := make([]Move, 0, distinct)
+	for i := 0; i < len(pairs); {
+		seed := w.seed[:0]
+		j := i
+		for ; j < len(pairs) && pairs[j].Label == pairs[i].Label; j++ {
+			seed = append(seed, pairs[j].To)
+		}
+		w.seed = seed
+		moves = append(moves, Move{Label: names[pairs[i].Label], To: w.closure(seed)})
+		i = j
 	}
 	w.moves[set] = moves
 	return moves
+}
+
+// rankLabels renders the graph's alphabet and ranks the renderings, again
+// whenever the alphabet has grown since.
+func (w *Subsets) rankLabels() {
+	a := w.g.Alphabet
+	if len(w.rank) == len(a) {
+		return
+	}
+	rendered := make([]string, len(a))
+	for id, l := range a {
+		rendered[id] = l.String()
+	}
+	w.names = slices.Clone(rendered)
+	slices.Sort(w.names)
+	w.names = slices.Compact(w.names)
+	w.rank = make([]int32, len(a))
+	for id, r := range rendered {
+		i, _ := slices.BinarySearch(w.names, r)
+		w.rank[id] = int32(i)
+	}
 }
 
 // Step returns the set reached from set under a label, or -1 when no member
@@ -137,8 +182,8 @@ func (w *Subsets) closure(seed []int32) int32 {
 			w.derive(int(s))
 		}
 		for _, e := range w.g.Edges[s] {
-			if !e.Label.Observable() {
-				w.stack = append(w.stack, int32(e.To))
+			if e.Label == InternalID {
+				w.stack = append(w.stack, e.To)
 			}
 		}
 	}
@@ -176,6 +221,7 @@ func (w *Subsets) derive(s int) {
 	if w.err != nil {
 		w.g.Frontier[s] = true
 	}
+	w.g.Alphabet = w.src.Alphabet()
 	for _, t := range ts {
 		id, ok := w.index[t.Key]
 		switch {
@@ -189,6 +235,6 @@ func (w *Subsets) derive(s int) {
 			w.payloads = append(w.payloads, t.To)
 			w.g.Edges = append(w.g.Edges, nil)
 		}
-		w.g.Edges[s] = append(w.g.Edges[s], Edge{Label: t.Label, To: id})
+		w.g.Edges[s] = append(w.g.Edges[s], Edge{Label: t.Label, To: int32(id)})
 	}
 }

@@ -104,8 +104,8 @@ func TestCheckServiceTraceLazyMatchesEager(t *testing.T) {
 		alphabet := map[string]bool{}
 		for _, es := range sample.Edges {
 			for _, e := range es {
-				if e.Label.Observable() {
-					alphabet[e.Label.String()] = true
+				if e.Label != InternalID {
+					alphabet[sample.Alphabet[e.Label].String()] = true
 				}
 			}
 		}
@@ -140,10 +140,10 @@ func randomTrace(r *rand.Rand, g *Graph, n int) []string {
 	var tr []string
 	for s := 0; len(tr) < n && len(g.Edges[s]) > 0; {
 		e := g.Edges[s][r.Intn(len(g.Edges[s]))]
-		if e.Label.Observable() {
-			tr = append(tr, e.Label.String())
+		if e.Label != InternalID {
+			tr = append(tr, g.Alphabet[e.Label].String())
 		}
-		s = e.To
+		s = int(e.To)
 	}
 	return tr
 }
@@ -169,9 +169,9 @@ func eagerMatches(t *testing.T, sp *lotos.Spec, labels []string) bool {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			for _, e := range g.Edges[cur] {
-				if e.Label.Kind == LInternal && !seen[e.To] {
-					seen[e.To] = true
-					stack = append(stack, e.To)
+				if to := int(e.To); e.Label == InternalID && !seen[to] {
+					seen[to] = true
+					stack = append(stack, to)
 				}
 			}
 		}
@@ -183,8 +183,8 @@ func eagerMatches(t *testing.T, sp *lotos.Spec, labels []string) bool {
 		out := map[string][]int{}
 		for s := range set {
 			for _, e := range g.Edges[s] {
-				if e.Label.Observable() {
-					out[e.Label.String()] = append(out[e.Label.String()], closure[e.To]...)
+				if l := g.Alphabet[e.Label]; l.Observable() {
+					out[l.String()] = append(out[l.String()], closure[e.To]...)
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package lts
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/lotos"
@@ -42,17 +41,26 @@ func DiffWeakTraces(g1, g2 *Graph, maxLen, limit int) (only1, only2 []string) {
 	// no example.
 	var walk func(p [2]int32, r int) bool
 	walk = func(p [2]int32, r int) bool {
-		var labels []string
-		for _, m := range slices.Concat(w[0].Moves(p[0]), w[1].Moves(p[1])) {
-			labels = append(labels, m.Label)
-		}
-		slices.Sort(labels)
+		m0, m1 := w[0].Moves(p[0]), w[1].Moves(p[1])
 		added := false
-		for _, l := range slices.Compact(labels) {
+		// Merge the two label-ordered move lists.
+		for i, j := 0, 0; i < len(m0) || j < len(m1); {
 			if full(0) && full(1) {
 				break
 			}
-			next := [2]int32{w[0].Step(p[0], l), w[1].Step(p[1], l)}
+			var l string
+			next := [2]int32{-1, -1}
+			switch {
+			case j == len(m1) || i < len(m0) && m0[i].Label < m1[j].Label:
+				l, next[0] = m0[i].Label, m0[i].To
+				i++
+			case i == len(m0) || m1[j].Label < m0[i].Label:
+				l, next[1] = m1[j].Label, m1[j].To
+				j++
+			default:
+				l, next = m0[i].Label, [2]int32{m0[i].To, m1[j].To}
+				i, j = i+1, j+1
+			}
 			path = append(path, l)
 			side := 0 // the side that has the trace, when one lacks it
 			if next[0] < 0 {
@@ -129,8 +137,8 @@ func CheckServiceTrace(service *lotos.Spec, labels []string, maxStates int) (Ser
 		maxStates = DefaultMaxStates
 	}
 	root := service.Root.Expr
-	w := NewSubsets(&Graph{Edges: make([][]Edge, 1), Frontier: map[int]bool{}})
-	w.src, w.index, w.payloads, w.max = &exprSource{env: env}, map[string]int{lotos.Canon(root): 0}, []any{root}, maxStates
+	w := NewSubsets(&Graph{Edges: make([][]Edge, 1), Alphabet: []Label{Internal(), Delta()}, Frontier: map[int]bool{}})
+	w.src, w.index, w.payloads, w.max = newExprSource(env), map[string]int{lotos.Canon(root): 0}, []any{root}, maxStates
 	end, n, capped := w.Walk(labels)
 	if w.err != nil {
 		return ServiceTrace{}, w.err

@@ -72,7 +72,7 @@ func quotientGraph(l *fsm.Minimized) *lts.Graph {
 		ObsDepth: make([]int, n), Frontier: map[int]bool{}}
 	for c := 0; c < n; c++ {
 		for e := l.Off[c]; e < l.Off[c+1]; e++ {
-			g.Edges[c] = append(g.Edges[c], lts.Edge{Label: l.Label(e), To: int(l.To[e])})
+			g.AddEdge(c, l.Label(e), int(l.To[e]))
 		}
 	}
 	return g

@@ -115,10 +115,13 @@ func BenchmarkDeltaVerify(b *testing.B) {
 				// Warm the cache with the base spec's artifacts outside the
 				// timer — that verification already happened when the base
 				// was checked — then time only the delta re-verification.
+				// UseArtifacts must precede a protocol's first use, so each
+				// iteration derives fresh protocols to attach the cache to.
 				b.StopTimer()
 				opts := c.opts
 				opts.Compositional = true
 				cache := NewArtifactCache(0)
+				base, edited := benchProto(b, c.src), benchProto(b, c.edit)
 				base.UseArtifacts(cache)
 				edited.UseArtifacts(cache)
 				if _, err := base.Verify(&opts); err != nil {

@@ -82,12 +82,13 @@ bench-smoke:
 # cache), each reduction set against the unreduced product, and the spilled
 # and parallel por+symmetry engines. Each report is verified once however
 # many of the views check it. With them run the artifact-cache tests
-# (cross-spec sharing, no false sharing, LRU bound, effective-cap keying,
-# verify/compile/simulate sharing one cache concurrently), the entity-delta
-# differ, block-permutation invariance, and multiinstance explored to
-# completion under symmetry inside a budget its unreduced product overflows.
+# (cross-spec sharing, no false sharing, LRU bound, a late UseArtifacts,
+# effective-cap keying, verify/compile/simulate sharing one cache
+# concurrently), block-permutation invariance, and multiinstance explored
+# to completion under symmetry inside a budget its unreduced product
+# overflows.
 corpus-smoke:
-	$(GO) test -race -run '^(TestCorpusDeriveVerifySweep|TestCorpusFaultMatrix|TestCorpusVerifyGolden|TestCorpusReliableColumnConformant|TestReplayDecodedWitness|TestCorpusCompositionalDifferential|TestCorpusReductionDifferential|TestCorpusSerialParallelSpilledAgree|TestArtifact.*|TestFleetSharesCachedMachines|TestDiffProtocols|TestPermutationInvariance|TestReductionPermutationRandomized|TestMultiinstanceCompletesUnderSymmetry)$$' -count=1 .
+	$(GO) test -race -run '^(TestCorpusDeriveVerifySweep|TestCorpusFaultMatrix|TestCorpusVerifyGolden|TestCorpusReliableColumnConformant|TestReplayDecodedWitness|TestCorpusCompositionalDifferential|TestCorpusReductionDifferential|TestCorpusSerialParallelSpilledAgree|TestArtifact.*|TestFleetSharesCachedMachines|TestPermutationInvariance|TestReductionPermutationRandomized|TestMultiinstanceCompletesUnderSymmetry)$$' -count=1 .
 
 # live-smoke is the deployment gate: the wire codec, endpoint and
 # coordinator tests; the in-process corpus differential (every corpus spec
@@ -129,8 +130,8 @@ run-pgd:
 # numbers): the experiment rows EXPERIMENTS.md and DESIGN.md cite, the
 # roadmap's baselines (the equivalence engine against its reference, the
 # big-k relay, product derivation's allocations and bytes per state), and
-# the paths and comparisons no bench/ workload runs (compositional and
-# delta verification, serial against parallel exploration, fresh against
+# the paths and comparisons no bench/ workload runs (compositional
+# verification, serial against parallel exploration, fresh against
 # shared fleets, minimization, the daemon's compile derive path). The
 # benchmark of record is `bash bench/run.sh`; the committed BENCH_PR*.json
 # files are earlier per-PR records, kept as history.

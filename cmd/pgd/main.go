@@ -27,9 +27,8 @@
 // transition counts), POST /v1/verify (add ?async=1 for a job; set
 // options.compositional to minimize each entity LTS before composing,
 // with per-entity artifacts recalled from the daemon's content-addressed
-// cache), POST /v1/delta-verify (re-verify an edited spec against a base
-// digest from an earlier verify response, reusing cached artifacts for
-// every unchanged entity), POST /v1/explore, GET /v1/jobs/{id},
+// cache, so re-verifying an edited spec rebuilds only the entities the
+// edit changed), POST /v1/explore, GET /v1/jobs/{id},
 // GET /v1/jobs/{id}/events (SSE progress stream), GET /healthz,
 // GET /metrics (includes entity-artifact cache hit/miss counters,
 // compositional reuse ratios and Go runtime gauges).

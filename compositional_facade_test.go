@@ -2,7 +2,6 @@ package protoderive
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -121,12 +120,12 @@ func TestArtifactNoFalseSharing(t *testing.T) {
 	protoA := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
 	protoB := facadeProto(t, "SPEC x1; b2; exit ENDSPEC")
 
-	da, db := protoA.EntityDigests(), protoB.EntityDigests()
-	if da[1] == db[1] {
-		t.Error("place 1 digests collide across a gate rename")
+	ka, kb := fsm.EntityKeys(protoA.d.Entities), fsm.EntityKeys(protoB.d.Entities)
+	if ka[1] == kb[1] {
+		t.Error("place 1 entity keys collide across a gate rename")
 	}
-	if da[2] != db[2] {
-		t.Error("place 2 digests differ though its entity is untouched by the rename")
+	if ka[2] != kb[2] {
+		t.Error("place 2 entity keys differ though its entity is untouched by the rename")
 	}
 
 	cache := NewArtifactCache(0)
@@ -166,6 +165,50 @@ func TestArtifactCacheBounded(t *testing.T) {
 	}
 }
 
+// TestArtifactCacheFixedAtFirstUse: a protocol fixes its artifact cache
+// at its first use, so attaching a different cache later panics rather than
+// splitting the protocol, whose verifier would keep recalling entities from
+// the old cache while its fleets read the new one. Re-attaching the cache
+// already fixed is a no-op.
+func TestArtifactCacheFixedAtFirstUse(t *testing.T) {
+	opts := VerifyOptions{Compositional: true}
+	first, second := NewArtifactCache(0), NewArtifactCache(0)
+	proto := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
+	proto.UseArtifacts(first)
+	if _, err := proto.Verify(&opts); err != nil {
+		t.Fatal(err)
+	}
+	proto.UseArtifacts(first)
+	mustPanic(t, "attaching a second cache after first use", func() {
+		proto.UseArtifacts(second)
+		rep, err := proto.Verify(&opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := second.Stats(); st.EntityHits+st.EntityMisses == 0 {
+			t.Errorf("split protocol: Verify reused %d of %d entities from the first cache and made no lookup in the attached one",
+				rep.Compositional.Reused, len(rep.Compositional.Entities))
+		}
+	})
+
+	private := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
+	if _, err := private.Verify(&opts); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "attaching a cache after the private one was made", func() { private.UseArtifacts(second) })
+}
+
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
 // TestArtifactCacheConcurrent hammers one shared cache from concurrent
 // compositional verifications, compiles and compiled simulations of
 // distinct-but-overlapping specs, all at one state cap so every caller
@@ -189,8 +232,8 @@ func TestArtifactCacheConcurrent(t *testing.T) {
 			proto := facadeProto(t, src)
 			proto.UseArtifacts(cache)
 			protos[w] = append(protos[w], proto)
-			for _, dig := range proto.EntityDigests() {
-				distinct[dig] = true
+			for _, key := range fsm.EntityKeys(proto.d.Entities) {
+				distinct[key] = true
 			}
 		}
 	}
@@ -389,43 +432,6 @@ func TestArtifactKeyedByEffectiveCap(t *testing.T) {
 		}
 		return err
 	})
-}
-
-// TestDiffProtocols checks the delta-verify planning step on the confirmed
-// entity-sharing semantics: a gate rename at one place changes only that
-// place, and a formatting-only edit changes nothing.
-func TestDiffProtocols(t *testing.T) {
-	base := facadeProto(t, "SPEC a1; b2; exit ENDSPEC")
-
-	rename := facadeProto(t, "SPEC a1; c2; exit ENDSPEC")
-	d := DiffProtocols(base, rename)
-	if len(d.Unchanged) != 1 || d.Unchanged[0] != 1 ||
-		len(d.Changed) != 1 || d.Changed[0] != 2 ||
-		len(d.Added) != 0 || len(d.Removed) != 0 {
-		t.Errorf("gate rename delta = %s, want 1 unchanged, changed: [2]", d)
-	}
-	if d.ReusablePlaces() != 1 {
-		t.Errorf("ReusablePlaces = %d, want 1", d.ReusablePlaces())
-	}
-	if got := d.String(); !strings.Contains(got, "1 unchanged") || !strings.Contains(got, "changed: [2]") {
-		t.Errorf("delta renders as %q", got)
-	}
-
-	formatting := facadeProto(t, "SPEC  a1 ;  b2 ; exit  ENDSPEC")
-	d = DiffProtocols(base, formatting)
-	if len(d.Unchanged) != 2 || len(d.Changed) != 0 {
-		t.Errorf("formatting-only delta = %s, want 2 unchanged", d)
-	}
-
-	grown := facadeProto(t, "SPEC a1; b2; g3; exit ENDSPEC")
-	d = DiffProtocols(base, grown)
-	if len(d.Added) != 1 || d.Added[0] != 3 {
-		t.Errorf("grown delta = %s, want added: [3]", d)
-	}
-	d = DiffProtocols(grown, base)
-	if len(d.Removed) != 1 || d.Removed[0] != 3 {
-		t.Errorf("shrunk delta = %s, want removed: [3]", d)
-	}
 }
 
 // TestPrivateCacheSharedByVerifyAndCompile: a Protocol without an attached

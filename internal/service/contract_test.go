@@ -93,10 +93,6 @@ var (
 	verifyShape = withKeys(matrixCellShape, jsonShape{
 		"cached": "bool", "messageCount": "number", "specDigest": "string", "?faultMatrix": "array",
 	})
-	// deltaVerifyShape is the top level of a /v1/delta-verify response.
-	deltaVerifyShape = withKeys(verifyShape, jsonShape{
-		"baseDigest": "string", "delta": "object", "deltaSummary": "string",
-	})
 	compositionalShape = jsonShape{
 		"entities": "array", "productStates": "number", "productTransitions": "number",
 		"buildNanos": "number", "productNanos": "number", "reused": "number",
@@ -183,9 +179,9 @@ func postRaw(t *testing.T, url string, body any) map[string]any {
 }
 
 // TestWireContract pins the daemon's JSON for a failing compositional verify
-// with one fault column, for a delta-verify against it, and for a derive:
-// the top-level keys of both verify responses and the keys and value types
-// of every nested report object clients read.
+// with one fault column and for a derive: the top-level keys of the verify
+// response and the keys and value types of every nested report object
+// clients read.
 func TestWireContract(t *testing.T) {
 	src, err := os.ReadFile("../../specs/example6.spec")
 	if err != nil {
@@ -217,12 +213,6 @@ func TestWireContract(t *testing.T) {
 	}
 	checkReportObjects(t, "faultMatrix[].", cell)
 	checkReportObjects(t, "", v)
-
-	dv := postRaw(t, ts.URL+"/v1/delta-verify", DeltaVerifyRequest{
-		Base: v["specDigest"].(string), Spec: string(src), Options: opts,
-	})
-	checkShape(t, "", dv, deltaVerifyShape)
-	checkReportObjects(t, "", dv)
 
 	d := postRaw(t, ts.URL+"/v1/derive", DeriveRequest{Spec: string(src)})
 	checkShape(t, "complexity", d["complexity"], complexityShape)

@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	protoderive "repro"
 )
 
 // Fuzz bounds. A request whose options would explore past them is skipped,
@@ -22,11 +20,11 @@ const (
 	fuzzMaxWorkers = 4
 )
 
-// fuzzSizes decodes every field of the four request bodies that sizes a
+// fuzzSizes decodes every field of the three request bodies that sizes a
 // computation: explore's top-level bounds and the options object that
-// derive, verify and delta-verify share. Each field has the type the
-// handlers decode it into, so a body this fails to decode fails the
-// handlers' stricter decoding too.
+// derive and verify share. Each field has the type the handlers decode it
+// into, so a body this fails to decode fails the handlers' stricter
+// decoding too.
 type fuzzSizes struct {
 	ObsDepth  int                  `json:"obsDepth"`
 	MaxStates int                  `json:"maxStates"`
@@ -43,7 +41,7 @@ func (z fuzzSizes) bounded(path string) bool {
 		return !o.Compile || within(o.CompileMaxStates, fuzzMaxStates)
 	case "/v1/explore":
 		return within(z.ObsDepth, fuzzMaxDepth) && within(z.MaxStates, fuzzMaxStates)
-	default: // verify, delta-verify
+	default: // verify
 		return within(o.ObsDepth, fuzzMaxDepth) && within(o.MaxStates, fuzzMaxStates) &&
 			o.Workers <= fuzzMaxWorkers
 	}
@@ -51,30 +49,20 @@ func (z fuzzSizes) bounded(path string) bool {
 
 // fuzzStatuses are the statuses each POST handler documents: 200 with its
 // response, or an ErrorResponse with 400 (bad body, spec or option), 413
-// (body over the cap) or 503 (deadline expired while queued); an unknown
-// delta-verify base is 404.
+// (body over the cap) or 503 (deadline expired while queued).
 var fuzzStatuses = map[string][]int{
-	"/v1/derive":       {200, 400, 413, 503},
-	"/v1/explore":      {200, 400, 413, 503},
-	"/v1/verify":       {200, 400, 413, 503},
-	"/v1/delta-verify": {200, 400, 404, 413, 503},
+	"/v1/derive":  {200, 400, 413, 503},
+	"/v1/explore": {200, 400, 413, 503},
+	"/v1/verify":  {200, 400, 413, 503},
 }
 
 // FuzzDaemonRequest posts each input as the body of every POST endpoint of
-// a fresh Server, whose spec index already holds validSpec so that a
-// delta-verify naming its digest reaches the verification. Whatever the
-// body: no panic, a documented status, a non-200 body that decodes as an
-// ErrorResponse with a message, and a 200 body that is valid JSON.
+// a fresh Server. Whatever the body: no panic, a documented status, a
+// non-200 body that decodes as an ErrorResponse with a message, and a 200
+// body that is valid JSON.
 func FuzzDaemonRequest(f *testing.F) {
-	baseSvc, err := protoderive.ParseService(validSpec)
-	if err != nil {
-		f.Fatal(err)
-	}
-	baseSpec := baseSvc.String()
-	baseDigest := SpecDigest(baseSpec)
-
-	// Seeds: the request bodies of server_test.go and delta_test.go, with
-	// the bounds set where those tests leave them at the defaults.
+	// Seeds: the request bodies of server_test.go, with the bounds set
+	// where those tests leave them at the defaults.
 	bounded := VerifyRequestOptions{ObsDepth: fuzzMaxDepth, MaxStates: fuzzMaxStates}
 	withOpts := func(mut func(*VerifyRequestOptions)) VerifyRequestOptions {
 		o := bounded
@@ -110,10 +98,6 @@ func FuzzDaemonRequest(f *testing.F) {
 		},
 		ExploreRequest{Spec: validSpec, ObsDepth: fuzzMaxDepth, MaxStates: fuzzMaxStates, Traces: true},
 		ExploreRequest{Spec: r1ViolationSpec, ObsDepth: fuzzMaxDepth, MaxStates: fuzzMaxStates},
-		DeltaVerifyRequest{Base: baseDigest, Spec: editedSpec, Options: bounded},
-		DeltaVerifyRequest{Base: baseDigest, Spec: validSpec, Options: bounded},
-		DeltaVerifyRequest{Base: SpecDigest("never seen"), Spec: validSpec, Options: bounded},
-		DeltaVerifyRequest{Spec: validSpec, Options: bounded},
 	} {
 		b, err := json.Marshal(req)
 		if err != nil {
@@ -126,8 +110,7 @@ func FuzzDaemonRequest(f *testing.F) {
 		var sizes fuzzSizes
 		decoded := json.NewDecoder(bytes.NewReader(body)).Decode(&sizes) == nil
 		s := New(Config{})
-		s.specs.put(baseDigest, baseSpec)
-		for _, path := range []string{"/v1/derive", "/v1/explore", "/v1/verify", "/v1/delta-verify"} {
+		for _, path := range []string{"/v1/derive", "/v1/explore", "/v1/verify"} {
 			if decoded && !sizes.bounded(path) {
 				continue
 			}

@@ -21,8 +21,6 @@
 //	                         (+ per-entity minimized sizes with "compile")
 //	POST /v1/verify          spec -> derive + compose + equivalence verdict
 //	POST /v1/verify?async=1  same, as an async job -> {"jobId": ...}
-//	POST /v1/delta-verify    base digest + edited spec -> entity delta +
-//	                         compositional verify reusing cached artifacts
 //	POST /v1/explore         spec -> bounded LTS exploration report
 //	GET  /v1/jobs/{id}       async job status/result
 //	GET  /v1/jobs/{id}/events  job progress as server-sent events
@@ -33,6 +31,8 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -67,12 +67,9 @@ type Config struct {
 	// MaxBodyBytes caps request bodies (0 = 1 MiB).
 	MaxBodyBytes int64
 	// ArtifactEntries bounds the content-addressed per-entity artifact
-	// cache backing compositional and delta verification
+	// cache that compositional verification and compiles share
 	// (0 = protoderive.DefaultArtifactEntries).
 	ArtifactEntries int
-	// SpecIndexEntries bounds the digest -> normalized-spec index that
-	// resolves delta-verify base references (0 = 4096).
-	SpecIndexEntries int
 	// SSEKeepalive is the comment-line heartbeat interval of the job event
 	// stream (0 = 15s). Keepalives let proxies and clients distinguish an
 	// idle stream from a dead one.
@@ -112,10 +109,8 @@ type Server struct {
 	derivePool *Pool
 	verifyPool *Pool
 	// arts is the daemon-wide content-addressed cache of compiled entity
-	// machines, attached to every protocol the daemon verifies or compiles;
-	// specs resolves delta-verify base digests to normalized spec text.
+	// machines, attached to every protocol the daemon verifies or compiles.
 	arts  *protoderive.ArtifactCache
-	specs *specIndex
 	mux   *http.ServeMux
 	start time.Time
 }
@@ -131,13 +126,11 @@ func New(cfg Config) *Server {
 		derivePool: NewPool(cfg.DeriveWorkers),
 		verifyPool: NewPool(cfg.VerifyWorkers),
 		arts:       protoderive.NewArtifactCache(cfg.ArtifactEntries),
-		specs:      newSpecIndex(cfg.SpecIndexEntries),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 	}
 	s.mux.HandleFunc("POST /v1/derive", s.instrument("derive", s.handleDerive))
 	s.mux.HandleFunc("POST /v1/verify", s.instrument("verify", s.handleVerify))
-	s.mux.HandleFunc("POST /v1/delta-verify", s.instrument("deltaVerify", s.handleDeltaVerify))
 	s.mux.HandleFunc("POST /v1/explore", s.instrument("explore", s.handleExplore))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("jobs", s.handleJob))
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.instrument("jobEvents", s.handleJobEvents))
@@ -299,12 +292,19 @@ type VerifyResponse struct {
 	Cached bool `json:"cached"`
 	protoderive.VerifyReport
 	MessageCount int `json:"messageCount"`
-	// SpecDigest is the content address of the normalized specification —
-	// pass it as "base" to /v1/delta-verify after editing the spec.
+	// SpecDigest is the content address of the normalized specification
+	// (see SpecDigest): specs that differ only in formatting share it.
 	SpecDigest string `json:"specDigest"`
 	// FaultMatrix holds one report per requested fault model (in canonical,
 	// deduplicated order), each failed one with its counterexample.
 	FaultMatrix []*protoderive.VerifyReport `json:"faultMatrix,omitempty"`
+}
+
+// SpecDigest is the content address of one normalized service specification:
+// the hex SHA-256 of its pretty-printed form.
+func SpecDigest(normalizedSpec string) string {
+	sum := sha256.Sum256([]byte(normalizedSpec))
+	return hex.EncodeToString(sum[:])
 }
 
 // JobAccepted is the 202 body of POST /v1/verify?async=1.
@@ -356,7 +356,7 @@ type MetricsPage struct {
 	Jobs  JobStats             `json:"jobs"`
 	// Artifacts counts the content-addressed per-entity artifact cache's
 	// entries and lookup hit/miss totals (compiled entity machines shared
-	// across specs, fault models, delta verifications and compiles).
+	// across specs, fault models, verifications and compiles).
 	Artifacts protoderive.ArtifactStats `json:"artifacts"`
 	// Runtime samples the Go runtime's health gauges at scrape time.
 	Runtime RuntimeStats `json:"runtime"`
@@ -456,7 +456,6 @@ func (s *Server) handleDerive(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, err)
 	}
 	normalized := svc.String()
-	s.specs.put(SpecDigest(normalized), normalized)
 	key := CacheKey("derive", normalized, req.Options.fingerprint())
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.SyncDeadline)
 	defer cancel()
@@ -519,7 +518,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) int {
 		return writeError(w, err)
 	}
 	normalized := svc.String()
-	s.specs.put(SpecDigest(normalized), normalized)
 	key := CacheKey("verify", normalized, req.Options.fingerprint())
 
 	if async := r.URL.Query().Get("async"); async == "1" || async == "true" {

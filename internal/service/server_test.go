@@ -223,6 +223,62 @@ func TestVerifyEquivStatsInMetrics(t *testing.T) {
 	}
 }
 
+// TestVerifyReusesUnchangedEntities: compositional verifications on one
+// daemon share its artifact cache, keyed by entity content. After a spec is
+// verified, verifying a one-gate edit of it recalls the unchanged place's
+// machine and rebuilds only the edited one, and the response and /metrics
+// say so; repeating the edited request is a result-cache hit.
+func TestVerifyReusesUnchangedEntities(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	verify := func(spec string) VerifyResponse {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
+			Spec:    spec,
+			Options: VerifyRequestOptions{Compositional: true},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("verify %q: status %d", spec, resp.StatusCode)
+		}
+		out := decode[VerifyResponse](t, resp)
+		if !out.Ok || out.Compositional == nil {
+			t.Fatalf("verify %q: ok=%v compositional=%v\n%s", spec, out.Ok, out.Compositional, out.Summary)
+		}
+		return out
+	}
+	reused := func(out VerifyResponse) map[int]bool {
+		m := map[int]bool{}
+		for _, e := range out.Compositional.Entities {
+			m[e.Place] = e.Reused
+		}
+		return m
+	}
+
+	for place, r := range reused(verify(validSpec)) {
+		if r {
+			t.Errorf("place %d reused on a cold daemon", place)
+		}
+	}
+	// Renaming the gate at place 2 leaves place 1's derived entity
+	// byte-identical (messages are keyed by behaviour-tree position).
+	const editedSpec = "SPEC a1; c2; exit ENDSPEC"
+	edited := verify(editedSpec)
+	if edited.Cached {
+		t.Error("first verify of the edited spec reported cached")
+	}
+	if r := reused(edited); !r[1] || r[2] {
+		t.Errorf("edited spec reuse by place = %v, want place 1 reused and place 2 rebuilt", r)
+	}
+
+	page := decode[MetricsPage](t, mustGet(t, ts.URL+"/metrics"))
+	if page.Compositional.EntitiesReused == 0 || page.Artifacts.EntityHits == 0 || page.CompositionalReuseRatio <= 0 {
+		t.Errorf("metrics record no reuse: compositional %+v, artifacts %+v, reuse ratio %v",
+			page.Compositional, page.Artifacts, page.CompositionalReuseRatio)
+	}
+	if !verify(editedSpec).Cached {
+		t.Error("repeated verify of the edited spec not served from the result cache")
+	}
+}
+
 // TestDeriveCompileOption asserts the FSM-compilation surface of
 // /v1/derive: the compile option returns per-entity state/transition
 // counts, distinguishes the cache key, records the /metrics aggregate

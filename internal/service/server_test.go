@@ -223,28 +223,19 @@ func TestVerifyEquivStatsInMetrics(t *testing.T) {
 	}
 }
 
+// editedSpec renames the gate at place 2 of validSpec. Place 1's derived
+// entity stays byte-identical (messages are keyed by behaviour-tree
+// position), so its machine can be recalled from the artifact cache.
+const editedSpec = "SPEC a1; c2; exit ENDSPEC"
+
 // TestVerifyReusesUnchangedEntities: compositional verifications on one
 // daemon share its artifact cache, keyed by entity content. After a spec is
 // verified, verifying a one-gate edit of it recalls the unchanged place's
 // machine and rebuilds only the edited one, and the response and /metrics
-// say so; repeating the edited request is a result-cache hit.
+// say so.
 func TestVerifyReusesUnchangedEntities(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	verify := func(spec string) VerifyResponse {
-		t.Helper()
-		resp := postJSON(t, ts.URL+"/v1/verify", VerifyRequest{
-			Spec:    spec,
-			Options: VerifyRequestOptions{Compositional: true},
-		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("verify %q: status %d", spec, resp.StatusCode)
-		}
-		out := decode[VerifyResponse](t, resp)
-		if !out.Ok || out.Compositional == nil {
-			t.Fatalf("verify %q: ok=%v compositional=%v\n%s", spec, out.Ok, out.Compositional, out.Summary)
-		}
-		return out
-	}
+	verify := compositionalVerifier(t, ts.URL)
 	reused := func(out VerifyResponse) map[int]bool {
 		m := map[int]bool{}
 		for _, e := range out.Compositional.Entities {
@@ -258,9 +249,6 @@ func TestVerifyReusesUnchangedEntities(t *testing.T) {
 			t.Errorf("place %d reused on a cold daemon", place)
 		}
 	}
-	// Renaming the gate at place 2 leaves place 1's derived entity
-	// byte-identical (messages are keyed by behaviour-tree position).
-	const editedSpec = "SPEC a1; c2; exit ENDSPEC"
 	edited := verify(editedSpec)
 	if edited.Cached {
 		t.Error("first verify of the edited spec reported cached")
@@ -274,8 +262,41 @@ func TestVerifyReusesUnchangedEntities(t *testing.T) {
 		t.Errorf("metrics record no reuse: compositional %+v, artifacts %+v, reuse ratio %v",
 			page.Compositional, page.Artifacts, page.CompositionalReuseRatio)
 	}
+}
+
+// TestVerifyCachedOnRepeat: after a compositional verification of a spec
+// and of a one-gate edit of it, the first edited request is computed and
+// an identical repeat is served from the result cache.
+func TestVerifyCachedOnRepeat(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	verify := compositionalVerifier(t, ts.URL)
+	verify(validSpec)
+	if verify(editedSpec).Cached {
+		t.Error("first verify of the edited spec reported cached")
+	}
 	if !verify(editedSpec).Cached {
 		t.Error("repeated verify of the edited spec not served from the result cache")
+	}
+}
+
+// compositionalVerifier returns a helper that posts a compositional
+// /v1/verify of a spec to the server at url and fails the test unless the
+// spec verifies with a compositional report.
+func compositionalVerifier(t *testing.T, url string) func(spec string) VerifyResponse {
+	return func(spec string) VerifyResponse {
+		t.Helper()
+		resp := postJSON(t, url+"/v1/verify", VerifyRequest{
+			Spec:    spec,
+			Options: VerifyRequestOptions{Compositional: true},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("verify %q: status %d", spec, resp.StatusCode)
+		}
+		out := decode[VerifyResponse](t, resp)
+		if !out.Ok || out.Compositional == nil {
+			t.Fatalf("verify %q: ok=%v compositional=%v\n%s", spec, out.Ok, out.Compositional, out.Summary)
+		}
+		return out
 	}
 }
 

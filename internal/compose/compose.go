@@ -35,8 +35,8 @@
 // verifying compositionally), whose dense state ids are the local ids. A
 // row is translated once, on first use, into an id-indexed table of
 // transitions with interned message ids (and, for symmetric entities, the
-// states' column digests), so queue operations never allocate or compare
-// strings.
+// states' interned column ids), so queue operations never allocate or
+// compare strings.
 //
 // # Sharing across checks
 //
@@ -158,18 +158,19 @@ type table struct {
 	min      []*fsm.Minimized
 	placeIdx map[int]int // place number -> index in the places
 	// sym is the entities' detected instance symmetry, nil when none
-	// exists. The table digests its columns whatever a system's reductions;
+	// exists. The table interns its columns whatever a system's reductions;
 	// a system applies them only under RedSymmetry (see System.sym).
 	sym *symmetry
 
-	// The translated local tables, the interned messages and the interned
-	// labels of the products' edges, shared by every exploration and
-	// derivation worker, hence the lock.
+	// The translated local tables, the interned messages, the interned
+	// symmetry column forms and the interned labels of the products' edges,
+	// shared by every exploration and derivation worker, hence the lock.
 	mu      sync.RWMutex
 	local   [][]localState    // place idx -> local id -> state
 	msgIDs  map[message]int32 // message -> id
 	msgs    []message         // id -> message (diagnostics)
 	msgMeta []msgMeta         // id -> symmetry classification (sym != nil only)
+	colIDs  map[string]int32  // renamed canonical column form -> id (sym != nil only)
 	labels  *lts.LabelTable   // the products' graph table
 }
 
@@ -177,10 +178,10 @@ type table struct {
 // translated lazily: entities may be infinite-state under recursion.
 type localState struct {
 	trans []cachedTrans // nil until the row is translated
-	// symCols holds the per-column renamed-canonical digests when the table
-	// has a symmetry (nil otherwise, or when the state does not decompose
-	// into the detected columns).
-	symCols [][16]byte
+	// symCols holds the interned id of each column's renamed canonical form
+	// when the table has a symmetry (nil otherwise, or when the state does
+	// not decompose into the detected columns).
+	symCols []int32
 }
 
 // cachedTrans is an entity-local transition targeting a local state, with
@@ -195,7 +196,7 @@ type cachedTrans struct {
 	label lts.LabelID  // the product edge's label: the service primitive's, else internal
 }
 
-// growLocked extends a place's table to cover local state id, digesting
+// growLocked extends a place's table to cover local state id, interning
 // each new state's symmetry columns from its expression when the table has
 // a symmetry. The invariant that makes this sound: only this table steps
 // its machines, and it translates a state's row only after growing the
@@ -207,17 +208,19 @@ func (s *table) growLocked(idx int, id int32) {
 		var st localState
 		if s.sym != nil && s.min[idx] == nil {
 			_, e := s.machines[idx].State(j)
-			st.symCols = s.sym.symColsFor(e)
+			st.symCols = s.columnIDsLocked(e)
 		}
 		s.local[idx] = append(s.local[idx], st)
 	}
 }
 
-// msgIDLocked assigns (or recalls) the interned id of a message, and
-// classifies a new message when the table has a symmetry. The map is keyed
-// by the message's fields, so two distinct messages never share an id — a
-// tag shaped like "7#0" is not the node-7/occurrence-"0" message. Caller
-// holds s.mu.
+// msgIDLocked assigns (or recalls) the interned id of a message. When the
+// table has a symmetry it classifies a new message and interns its column-0
+// renaming too; a renaming is a column-0 message, its own renaming, so that
+// inner call interns nothing more. The map is keyed by the message's
+// fields, so two distinct messages never share an id — a tag shaped like
+// "7#0" is not the node-7/occurrence-"0" message. Caller holds s.mu for
+// writing.
 func (s *table) msgIDLocked(m message) int32 {
 	if id, ok := s.msgIDs[m]; ok {
 		return id
@@ -226,7 +229,11 @@ func (s *table) msgIDLocked(m message) int32 {
 	s.msgIDs[m] = id
 	s.msgs = append(s.msgs, m)
 	if s.sym != nil {
-		s.msgMeta = append(s.msgMeta, s.sym.classify(m))
+		col, norm := s.sym.classify(m)
+		s.msgMeta = append(s.msgMeta, msgMeta{col: col, norm: id})
+		if norm != m {
+			s.msgMeta[id].norm = s.msgIDLocked(norm)
+		}
 	}
 	return id
 }
@@ -285,10 +292,10 @@ func (s *table) localTransRLocked(idx int, id int32) ([]cachedTrans, error) {
 }
 
 // newTable prepares the local tables of the machines, and minimized layers
-// if any, that pick selects per place. sym is the symmetry the tables digest
+// if any, that pick selects per place. sym is the symmetry the tables intern
 // columns for, nil for none.
 func newTable(places []int, sym *symmetry, pick func(p int) (*fsm.Machine, *fsm.Minimized, error)) (*table, error) {
-	t := &table{placeIdx: map[int]int{}, sym: sym, msgIDs: map[message]int32{}, labels: lts.NewGraphTable()}
+	t := &table{placeIdx: map[int]int{}, sym: sym, msgIDs: map[message]int32{}, colIDs: map[string]int32{}, labels: lts.NewGraphTable()}
 	for idx, p := range places {
 		m, min, err := pick(p)
 		if err != nil {
@@ -385,11 +392,10 @@ func (g gstate) queueAt(o int) (q []int32, next int) {
 
 // keyScratch is the reused working memory of orbit-key construction.
 type keyScratch struct {
-	buf []byte // digest input
-	// The per-place column digests, the per-column signatures back to back
+	// The per-place column ids, the per-column signatures back to back
 	// (column c ends at ends[c]), and the canonical column order and its
 	// inverse.
-	cols  [][][16]byte
+	cols  [][]int32
 	sigs  []byte
 	ends  []int
 	order []int
@@ -410,7 +416,7 @@ type deriveScratch struct {
 var scratchPool = sync.Pool{New: func() any { return new(deriveScratch) }}
 
 // key builds the global state key. Under symmetry reduction the key
-// identifies the state's permutation orbit (see canonKeyLocked), falling
+// identifies the state's permutation orbit (see appendOrbitKeyLocked), falling
 // back to the identity key for states no column permutation applies to.
 func (s *System) key(g *gstate) string {
 	sc := scratchPool.Get().(*deriveScratch)
@@ -424,16 +430,19 @@ func (s *System) key(g *gstate) string {
 // scratch memory. Caller holds s.mu (read).
 func (s *System) appendKeyLocked(dst []byte, g gstate, sc *keyScratch) []byte {
 	if s.sym != nil {
-		if k, ok := s.canonKeyLocked(g, sc); ok {
-			return append(dst, k[:]...)
+		if key, ok := s.appendOrbitKeyLocked(dst, g, sc); ok {
+			return key
 		}
 	}
 	return g.appendIdentityKey(dst, len(s.Places))
 }
 
-// identityTag leads every identity key. An orbit key's first byte has its
-// top bit set (canonKeyLocked), so no identity key equals an orbit key.
-const identityTag = 0x00
+// A key's first byte names its domain, so no identity key equals an orbit
+// key.
+const (
+	identityTag = 0x00
+	orbitTag    = 0x80
+)
 
 // appendIdentityKey appends the identity key of the n-place state g to dst:
 // identityTag, each place's local id, then for each non-empty channel its

@@ -90,9 +90,9 @@ func TestOccScanAllocs(t *testing.T) {
 		if c.want != c.occ {
 			continue
 		}
-		ok := true
-		if allocs := testing.AllocsPerRun(50, func() { occSym.renameOcc(c.occ, c.col, &ok) }); allocs != 0 {
-			t.Errorf("unchanged renameOcc(%q): %.1f allocations", c.occ, allocs)
+		r := colRenaming{sym: occSym, col: c.col}
+		if allocs := testing.AllocsPerRun(50, func() { r.Occ(c.occ) }); allocs != 0 {
+			t.Errorf("unchanged column %d Occ(%q): %.1f allocations", c.col, c.occ, allocs)
 		}
 	}
 }

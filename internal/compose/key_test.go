@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,17 +39,20 @@ func binaryKey(sys *System, g *gstate) string {
 	return sys.key(g)
 }
 
-// decodeKey decodes a state key of sys into the state's content: each
-// place's canonical local state key (its quotient class's, over a
-// compositional table), then each non-empty channel's slot and queued
-// messages. Unlike the key bytes, the content does not depend on the order
-// in which the table interned local states and messages, so two graphs
-// over different tables can be compared state by state. An orbit key is a
-// content digest already and decodes to itself.
+// decodeKey decodes a state key of sys into the state's content, so that
+// two graphs over different tables can be compared state by state: unlike
+// the key bytes, the content does not depend on the order in which the
+// table interned local states, column forms and messages. An identity key
+// decodes to each place's canonical local state key (its quotient class's,
+// over a compositional table), then each non-empty channel's slot and
+// queued messages. An orbit key decodes to one line per column, listing
+// its renamed canonical form at each place and its queue footprint
+// (channel, position and renamed message), with the columns sorted by
+// that rendering, then the positions of the shared messages.
 func decodeKey(t testing.TB, sys *System, key string) string {
 	t.Helper()
-	if key == "" || key[0] != identityTag {
-		return "orbit " + hex.EncodeToString([]byte(key))
+	if key == "" || key[0] != identityTag && key[0] != orbitTag {
+		t.Fatalf("key %x: unknown tag", key)
 	}
 	b := []byte(key[1:])
 	next := func() int {
@@ -61,7 +65,40 @@ func decodeKey(t testing.TB, sys *System, key string) string {
 	}
 	sys.mu.RLock()
 	defer sys.mu.RUnlock()
+	msg := func(id int) string {
+		m := sys.msgs[id]
+		return fmt.Sprintf("%d/%q/%q", m.Node, m.Occ, m.Tag)
+	}
 	var out strings.Builder
+	if key[0] == orbitTag {
+		forms := make([]string, len(sys.colIDs))
+		for form, id := range sys.colIDs {
+			forms[id] = form
+		}
+		cols := make([]strings.Builder, sys.sym.k)
+		for _, p := range sys.Places {
+			for c := range cols {
+				fmt.Fprintf(&cols[c], " place %d: %s;", p, forms[next()])
+			}
+		}
+		var shared strings.Builder
+		for len(b) > 0 {
+			slot, n := next()-1, next()
+			for pos := 0; pos < n; pos++ {
+				w := &shared
+				if c := next(); c > 0 {
+					w = &cols[c-1]
+				}
+				fmt.Fprintf(w, " channel %d position %d: %s;", slot, pos, msg(next()))
+			}
+		}
+		lines := make([]string, len(cols))
+		for c := range cols {
+			lines[c] = "column" + cols[c].String() + "\n"
+		}
+		slices.Sort(lines)
+		return "orbit\n" + strings.Join(lines, "") + "shared" + shared.String() + "\n"
+	}
 	for idx, p := range sys.Places {
 		id := int32(next())
 		var local string
@@ -77,8 +114,7 @@ func decodeKey(t testing.TB, sys *System, key string) string {
 		slot, n := next()-1, next()
 		fmt.Fprintf(&out, "channel %d:", slot)
 		for ; n > 0; n-- {
-			m := sys.msgs[next()]
-			fmt.Fprintf(&out, " %d/%q/%q", m.Node, m.Occ, m.Tag)
+			fmt.Fprintf(&out, " %s", msg(next()))
 		}
 		out.WriteString("\n")
 	}
@@ -158,64 +194,77 @@ func TestKeySlotAndLengthFraming(t *testing.T) {
 }
 
 // TestWarmTableMatchesFresh checks the property a shared table depends
-// on: identity keys pack interned ids, so their bytes follow the order in
-// which the table interned local states and messages, but the product
+// on: keys pack interned ids, so their bytes follow the order in which the
+// table interned local states, column forms and messages, but the product
 // explored over a table that an earlier, different exploration filled is
 // the product explored over a fresh table — edges, depths, frontier and the
-// decoded content of every state number.
+// decoded content of every state number. The symmetric case checks it for
+// orbit keys, whose canonical column order follows the ids too.
 func TestWarmTableMatchesFresh(t *testing.T) {
-	d := mustDerive(t, "SPEC (a1; s4; exit ||| b2; s4; exit ||| c3; s4; exit) |[s4]| s4; d4; exit ENDSPEC")
-	lim := lts.Limits{MaxStates: 100000}
-	v := NewVerifier(nil, d.Entities, nil)
-	// The earlier exploration walks the duplicating medium at capacity 2
-	// depth first, always taking the last move, so it interns local states
-	// and messages in another order than the reliable BFS does.
-	first, err := v.system(Config{ChannelCap: 2, Faults: FaultModel{Duplication: true}, Limits: lim}, RedNone)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name, src string
+		red       Reductions
+	}{
+		{"barrier/por", "SPEC (a1; s4; exit ||| b2; s4; exit ||| c3; s4; exit) |[s4]| s4; d4; exit ENDSPEC", 0},
+		{"relay3/por+symmetry", relaySrc(3), RedPOR.With(RedSymmetry)},
 	}
-	for g, steps := first.rootState(), 0; steps < 64; steps++ {
-		out, _, err := first.derive(g, nil, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) == 0 {
-			break
-		}
-		g = out[len(out)-1].To.(*gstate)
-	}
-	cfg := Config{Limits: lim}
-	warm, err := v.system(cfg, cfg.effectiveReductions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := New(d.Entities, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := warm.Explore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gf, err := fresh.Explore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(gw.Keys, gf.Keys) {
-		t.Fatal("test broken: the warm table interned in the fresh table's order")
-	}
-	if !reflect.DeepEqual(gw.Edges, gf.Edges) || !reflect.DeepEqual(gw.ObsDepth, gf.ObsDepth) ||
-		!reflect.DeepEqual(gw.Frontier, gf.Frontier) {
-		t.Errorf("warm graph differs from fresh: %d/%d vs %d/%d states/transitions",
-			gw.NumStates(), gw.NumTransitions(), gf.NumStates(), gf.NumTransitions())
-	}
-	if !reflect.DeepEqual(decodedStates(t, warm, gw), decodedStates(t, fresh, gf)) {
-		t.Error("warm and fresh graphs number different states alike")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := mustDerive(t, c.src)
+			lim := lts.Limits{MaxStates: 100000}
+			v := NewVerifier(nil, d.Entities, nil)
+			// The earlier exploration walks the duplicating medium at
+			// capacity 2 depth first, always taking the last move, so it
+			// interns local states and messages in another order than the
+			// reliable BFS does.
+			first, err := v.system(Config{ChannelCap: 2, Faults: FaultModel{Duplication: true}, Limits: lim}, RedNone)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g, steps := first.rootState(), 0; steps < 64; steps++ {
+				out, _, err := first.derive(g, nil, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(out) == 0 {
+					break
+				}
+				g = out[len(out)-1].To.(*gstate)
+			}
+			cfg := Config{Limits: lim, Reductions: c.red}
+			warm, err := v.system(cfg, cfg.effectiveReductions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := New(d.Entities, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw, err := warm.Explore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gf, err := fresh.Explore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reflect.DeepEqual(gw.Keys, gf.Keys) {
+				t.Fatal("test broken: the warm table interned in the fresh table's order")
+			}
+			if !reflect.DeepEqual(gw.Edges, gf.Edges) || !reflect.DeepEqual(gw.ObsDepth, gf.ObsDepth) ||
+				!reflect.DeepEqual(gw.Frontier, gf.Frontier) {
+				t.Errorf("warm graph differs from fresh: %d/%d vs %d/%d states/transitions",
+					gw.NumStates(), gw.NumTransitions(), gf.NumStates(), gf.NumTransitions())
+			}
+			if !reflect.DeepEqual(decodedStates(t, warm, gw), decodedStates(t, fresh, gf)) {
+				t.Error("warm and fresh graphs number different states alike")
+			}
+		})
 	}
 }
 
 // TestKeyBytesPinned pins the key bytes of two small products: a symmetric
-// one (canonical keys) and a faulty one (identity keys over loss moves),
+// one (orbit keys) and a faulty one (identity keys over loss moves),
 // each explored serially over a fresh table, whose interning order is then
 // fixed. The digest covers Graph.Keys in state order, so it fixes the key
 // encoding and the state numbering together; spill-run order and the
@@ -229,7 +278,7 @@ func TestKeyBytesPinned(t *testing.T) {
 		digest string
 	}{
 		{"relay3/por+symmetry", relaySrc(3), Config{Reductions: RedPOR.With(RedSymmetry)}, 484,
-			"243752d0777e90e7c29c21450f5bf2e1d65c1ea5940150acdbf70b8b04b28731"},
+			"f6dc20f3aaff1d49c1285dbd14b55ab9ebad0da4645ba75ab89db9b00e8636c1"},
 		{"barrier/cap1/loss", "SPEC (a1; s4; exit ||| b2; s4; exit ||| c3; s4; exit) |[s4]| s4; d4; exit ENDSPEC",
 			Config{ChannelCap: 1, Faults: FaultModel{Loss: true}}, 432,
 			"acd493974a62549fa1aa1b63765cbd2a6b875dbadc1881c9a12942410d6ac4c1"},

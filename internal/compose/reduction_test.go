@@ -454,9 +454,9 @@ var occCases = []struct {
 // a path mixing columns fails to rename.
 func TestRenameOcc(t *testing.T) {
 	for _, c := range occCases {
-		ok := true
-		if got := occSym.renameOcc(c.occ, c.col, &ok); got != c.want || ok != c.ok {
-			t.Errorf("renameOcc(%q, %d) = %q, %v; want %q, %v", c.occ, c.col, got, ok, c.want, c.ok)
+		r := colRenaming{sym: occSym, col: c.col}
+		if got := r.Occ(c.occ); got != c.want || r.mixed == c.ok {
+			t.Errorf("column %d Occ(%q) = %q, ok %v; want %q, %v", c.col, c.occ, got, !r.mixed, c.want, c.ok)
 		}
 		var cols []int
 		occSym.occColumns(c.occ, func(col int) { cols = append(cols, col) })

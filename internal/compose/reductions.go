@@ -127,6 +127,9 @@ type ReductionStats struct {
 	SymmetryColumns int `json:"symmetryColumns,omitempty"`
 	// OrbitsCollapsed counts canonicalizations that mapped a state onto a
 	// different orbit representative (a strict reduction of the visited set).
+	// Which representative is canonical follows the order in which the
+	// table interned its ids, so the count may differ between a warm and a
+	// fresh table and between parallel runs; the explored graph does not.
 	OrbitsCollapsed int64 `json:"orbitsCollapsed,omitempty"`
 	// AmpleHits counts states whose successor set was reduced to one
 	// entity's ample transition set.

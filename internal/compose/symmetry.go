@@ -2,11 +2,9 @@ package compose
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"slices"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/lotos"
@@ -286,26 +284,34 @@ func collectDefIDs(blk *lotos.DefBlock, fn func(int)) {
 	}
 }
 
-// renameID maps one identifier of column col into column 0's namespace.
-// Shared identifiers map to themselves. Sets *ok to false when the
-// identifier belongs to a different column (the expression mixes columns and
-// cannot be canonicalized).
-func (sym *symmetry) renameID(id, col int, ok *bool) int {
-	owner, private := sym.colOf[id]
+// colRenaming maps column col's private identifiers into column 0's
+// namespace: lotos.CanonRenamed prints a column's local state through it,
+// and classify renames a message with it. Shared identifiers map to
+// themselves. mixed is set when an identifier belongs to another column
+// (the expression or message mixes columns and has no canonical form).
+type colRenaming struct {
+	sym   *symmetry
+	col   int
+	mixed bool
+}
+
+// ID maps a message node number or process call-site id.
+func (r *colRenaming) ID(id int) int {
+	owner, private := r.sym.colOf[id]
 	if !private {
 		return id
 	}
-	if owner != col {
-		*ok = false
+	if owner != r.col {
+		r.mixed = true
 		return id
 	}
-	if col == 0 {
+	if r.col == 0 {
 		return id
 	}
-	if to, found := sym.rename[col][id]; found {
+	if to, found := r.sym.rename[r.col][id]; found {
 		return to
 	}
-	*ok = false
+	r.mixed = true
 	return id
 }
 
@@ -330,18 +336,18 @@ func occIDs(occ string, fn func(id, start, end int)) {
 	}
 }
 
-// renameOcc maps every numeric component of an occurrence path (the chain of
-// call-site node numbers built by lts.Env.Instantiate) through the column
-// renaming. Non-numeric components (the symbolic "s") pass through. Only a
-// renamed path allocates.
-func (sym *symmetry) renameOcc(occ string, col int, ok *bool) string {
-	if occ == "" || col == 0 && len(sym.colOf) == 0 {
+// Occ maps every numeric component of an occurrence path (the chain of
+// call-site node numbers built by lts.Env.Instantiate) through ID.
+// Non-numeric components (the symbolic "s") pass through. Only a renamed
+// path allocates.
+func (r *colRenaming) Occ(occ string) string {
+	if occ == "" || r.col == 0 && len(r.sym.colOf) == 0 {
 		return occ
 	}
 	var out []byte // the renamed path up to occ[done:], once a component changed
 	done := 0
 	occIDs(occ, func(id, start, end int) {
-		if to := sym.renameID(id, col, ok); to != id {
+		if to := r.ID(id); to != id {
 			out = strconv.AppendInt(append(out, occ[done:start]...), int64(to), 10)
 			done = end
 		}
@@ -362,134 +368,32 @@ func (sym *symmetry) occColumns(occ string, add func(int)) {
 	})
 }
 
-// canonSym renders the column-col expression in the exact shape of
-// lotos.Canon with every column-private identifier renamed into column 0's
-// namespace, so two columns in the same local configuration (modulo the
-// renaming) render identically. Returns ok=false when the expression mixes
-// identifiers from several columns.
-func (sym *symmetry) canonSym(e lotos.Expr, col int) (string, bool) {
-	var b strings.Builder
-	ok := true
-	sym.writeCanonSym(&b, e, col, &ok)
-	return b.String(), ok
-}
-
-func (sym *symmetry) writeCanonSym(b *strings.Builder, e lotos.Expr, col int, ok *bool) {
-	switch x := e.(type) {
-	case *lotos.Stop:
-		b.WriteString("0")
-	case *lotos.Exit:
-		b.WriteString("X")
-	case *lotos.Empty:
-		b.WriteString("E")
-	case *lotos.ProcRef:
-		b.WriteString("P(")
-		b.WriteString(x.Name)
-		b.WriteString("@")
-		b.WriteString(strconv.Itoa(sym.renameID(x.ID(), col, ok)))
-		b.WriteString("^")
-		b.WriteString(sym.renameOcc(x.Occ, col, ok))
-		b.WriteString(")")
-	case *lotos.Prefix:
-		sym.writeEventSym(b, x.Ev, col, ok)
-		if x.Ev.Kind == lotos.EvInternal {
-			b.WriteString("i")
-		}
-		b.WriteString(".")
-		sym.writeCanonSym(b, x.Cont, col, ok)
-	case *lotos.Choice:
-		b.WriteString("(")
-		sym.writeCanonSym(b, x.L, col, ok)
-		b.WriteString("+")
-		sym.writeCanonSym(b, x.R, col, ok)
-		b.WriteString(")")
-	case *lotos.Parallel:
-		b.WriteString("(")
-		sym.writeCanonSym(b, x.L, col, ok)
-		switch x.Kind {
-		case lotos.ParInterleave:
-			b.WriteString("|||")
-		case lotos.ParFull:
-			b.WriteString("||")
-		default:
-			b.WriteString("|[" + lotos.FormatGateSet(x.Sync) + "]|")
-		}
-		sym.writeCanonSym(b, x.R, col, ok)
-		b.WriteString(")")
-	case *lotos.Enable:
-		b.WriteString("(")
-		sym.writeCanonSym(b, x.L, col, ok)
-		b.WriteString(">>")
-		sym.writeCanonSym(b, x.R, col, ok)
-		b.WriteString(")")
-	case *lotos.Disable:
-		b.WriteString("(")
-		sym.writeCanonSym(b, x.L, col, ok)
-		b.WriteString("[>")
-		sym.writeCanonSym(b, x.R, col, ok)
-		b.WriteString(")")
-	case *lotos.Hide:
-		b.WriteString("hide[" + lotos.FormatGateSet(x.Gates) + "](")
-		sym.writeCanonSym(b, x.Body, col, ok)
-		b.WriteString(")")
-	default:
-		*ok = false
-	}
-}
-
-// writeEventSym renders an event gate exactly as lotos.Event.Gate does,
-// with the message node number and occurrence path renamed.
-func (sym *symmetry) writeEventSym(b *strings.Builder, ev lotos.Event, col int, ok *bool) {
-	switch ev.Kind {
-	case lotos.EvService:
-		b.WriteString(ev.Name)
-		b.WriteString("@")
-		b.WriteString(strconv.Itoa(ev.Place))
-	case lotos.EvSend, lotos.EvRecv:
-		if ev.Kind == lotos.EvSend {
-			b.WriteString("s@")
-		} else {
-			b.WriteString("r@")
-		}
-		b.WriteString(strconv.Itoa(ev.Place))
-		b.WriteString(":")
-		if ev.Tag != "" {
-			b.WriteString("t")
-			b.WriteString(ev.Tag)
-		} else {
-			b.WriteString(strconv.Itoa(sym.renameID(ev.Node, col, ok)))
-			b.WriteString("#")
-			b.WriteString(sym.renameOcc(ev.Occ, col, ok))
-		}
-	}
-}
-
-// digest16 truncates a SHA-256 content digest to the 16 bytes of the
-// symmetry path's column, message and orbit digests.
-func digest16(data []byte) (h [16]byte) {
-	sum := sha256.Sum256(data)
-	copy(h[:], sum[:16])
-	return h
-}
-
-// symColsFor splits a runtime local state into its k column sub-expressions
-// and digests each column's renamed canonical form. The ||| spine persists
-// through every SOS step (transParallel always rebuilds the Parallel node),
-// so every reachable local state decomposes; a nil result (shape mismatch or
-// column mixing) falls the whole global state back to identity keying, which
-// is sound — only the reduction is lost.
-func (sym *symmetry) symColsFor(e lotos.Expr) [][16]byte {
-	parts := splitColumns(e, sym.k)
+// columnIDsLocked splits a runtime local state into its k column
+// sub-expressions and interns each column's renamed canonical form, so two
+// columns in the same local configuration (modulo the renaming) get one id.
+// The ||| spine persists through every SOS step (transParallel always
+// rebuilds the Parallel node), so every reachable local state decomposes; a
+// nil result (shape mismatch or column mixing) falls the whole global state
+// back to identity keying, which is sound — only the reduction is lost.
+// Caller holds s.mu for writing.
+func (s *table) columnIDsLocked(e lotos.Expr) []int32 {
+	parts := splitColumns(e, s.sym.k)
 	if parts == nil {
 		return nil
 	}
-	out := make([][16]byte, sym.k)
+	out := make([]int32, len(parts))
 	for j, part := range parts {
-		canon, ok := sym.canonSym(part, j)
-		if !ok {
+		r := colRenaming{sym: s.sym, col: j}
+		form := lotos.CanonRenamed(part, &r)
+		if r.mixed {
 			return nil
 		}
-		out[j] = digest16([]byte(canon))
+		id, ok := s.colIDs[form]
+		if !ok {
+			id = int32(len(s.colIDs))
+			s.colIDs[form] = id
+		}
+		out[j] = id
 	}
 	return out
 }
@@ -501,61 +405,45 @@ const (
 )
 
 // msgMeta is the symmetry view of one interned message: the column that owns
-// it and the digest of its column-0 renaming (equal to the digest of its
-// column-0 counterpart; the message's own digest for shared and column-0
-// messages).
+// it and the interned id of its column-0 renaming (its column-0
+// counterpart; its own id for shared and column-0 messages).
 type msgMeta struct {
 	col  int32
-	norm [16]byte
-}
-
-// msgDigest is the content digest of a message with the given fields. The
-// input frames every field with its length, so no two distinct messages
-// share an encoding — a tag shaped like "7#0" cannot collide with the
-// node-7/occurrence-"0" message, and separator characters inside a tag
-// cannot corrupt any framing.
-func msgDigest(tag string, node int, occ string) [16]byte {
-	buf := make([]byte, 0, 32)
-	buf = binary.AppendUvarint(buf, uint64(len(tag)))
-	buf = append(buf, tag...)
-	buf = binary.AppendUvarint(buf, uint64(uint32(node)))
-	buf = binary.AppendUvarint(buf, uint64(len(occ)))
-	buf = append(buf, occ...)
-	return digest16(buf)
+	norm int32
 }
 
 // classify determines which column an in-flight message belongs to — via its
 // node number and the call-site components of its occurrence path — and
-// digests its column-0 renaming.
-func (sym *symmetry) classify(m message) msgMeta {
-	col := msgColShared
+// renames it into column 0's namespace. A shared, column-0 or mixing message
+// is its own renaming.
+func (sym *symmetry) classify(m message) (col int32, norm message) {
+	c := msgColShared
 	mixed := false
-	add := func(c int) {
-		switch col {
+	add := func(x int) {
+		switch c {
 		case msgColShared:
-			col = c
-		case c:
+			c = x
+		case x:
 		default:
 			mixed = true
 		}
 	}
-	if c, private := sym.colOf[m.Node]; private {
-		add(c)
+	if x, private := sym.colOf[m.Node]; private {
+		add(x)
 	}
 	sym.occColumns(m.Occ, add)
 	if mixed {
-		return msgMeta{col: msgColPoison}
+		return msgColPoison, m
 	}
-	if col == msgColShared || col == 0 {
-		return msgMeta{col: int32(col), norm: msgDigest(m.Tag, m.Node, m.Occ)}
+	if c == msgColShared || c == 0 {
+		return int32(c), m
 	}
-	ok := true
-	node := sym.renameID(m.Node, col, &ok)
-	occ := sym.renameOcc(m.Occ, col, &ok)
-	if !ok {
-		return msgMeta{col: msgColPoison}
+	r := colRenaming{sym: sym, col: c}
+	norm = message{Node: r.ID(m.Node), Occ: r.Occ(m.Occ), Tag: m.Tag}
+	if r.mixed {
+		return msgColPoison, m
 	}
-	return msgMeta{col: int32(col), norm: msgDigest(m.Tag, node, occ)}
+	return int32(c), norm
 }
 
 // sig returns column c's signature.
@@ -566,43 +454,39 @@ func (sc *keyScratch) sig(c int) []byte {
 	return sc.sigs[sc.ends[c-1]:sc.ends[c]]
 }
 
-// sigAfter reports whether column a's signature sorts after column b's.
-// Every signature starts with a 16-byte digest, so the first 8 bytes,
-// compared as a big-endian integer, settle most pairs without a call.
-func (sc *keyScratch) sigAfter(a, b int) bool {
-	sa, sb := sc.sig(a), sc.sig(b)
-	if pa, pb := binary.BigEndian.Uint64(sa), binary.BigEndian.Uint64(sb); pa != pb {
-		return pa > pb
-	}
-	return bytes.Compare(sa[8:], sb[8:]) > 0
-}
-
-// canonKeyLocked builds the canonical (orbit-representative) key of a global
-// state: the columns are sorted by their full signature — per-place column
-// digests plus the column's queue footprint — and the state is re-encoded in
-// that order. Two states in the same permutation orbit sort to the same
-// encoding; conversely an equal encoding reconstructs the state up to a
-// column permutation, so the key never merges states outside one orbit.
-// (Columns with equal signatures necessarily have empty queue footprints —
-// a queued message occupies one concrete position, which would differ — so
-// sort ties are genuinely interchangeable and the key is well defined.)
+// appendOrbitKeyLocked appends the orbit key of a global state to dst: the
+// state re-encoded with its columns sorted by signature — per-place column
+// ids plus the column's queue footprint. Two states in the same permutation
+// orbit sort to the same encoding; conversely an equal encoding
+// reconstructs the state up to a column permutation, so the key never
+// merges states outside one orbit. (Columns with equal signatures
+// necessarily have empty queue footprints — a queued message occupies one
+// concrete position, which would differ — so sort ties are genuinely
+// interchangeable and the key is well defined.)
 //
-// An orbit key is a 16-byte content digest whose first byte has its top
-// bit set, where an identity key starts with identityTag (0x00): the two
-// key domains are disjoint, so an orbit key never equals the identity key
-// of any state. Returns ok=false — fall back to the identity key — when any
-// local state fails to decompose or any in-flight message mixes columns.
-// Both properties are invariant under column permutation, so mixing
-// canonical and identity keys within one exploration cannot merge or split
-// an orbit incorrectly. Everything is built in sc, so a key allocates
-// nothing. Caller holds s.mu (read).
-func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
+// The key is orbitTag, each place's column ids in canonical order, then for
+// each non-empty channel its slot + 1, queue length and, per message, 0 for
+// a shared message or its column's canonical rank + 1, and its column-0
+// renaming's id, all as uvarints. Like an identity key it is exact: within
+// one table a column id stands for one renamed column form and a message id
+// for one message, so no hash is involved. The signatures compare by ids,
+// so the canonical order follows interning order: tables filled in another
+// order may pick other representatives (and count other collapsed orbits),
+// but each keys every state of an orbit alike.
+//
+// Returns ok=false with dst unchanged — fall back to the identity key —
+// when any local state fails to decompose or any in-flight message mixes
+// columns. Both properties are invariant under column permutation, so
+// mixing orbit and identity keys within one exploration cannot merge or
+// split an orbit incorrectly. Everything is built in sc, so a key allocates
+// nothing beyond dst. Caller holds s.mu (read).
+func (s *System) appendOrbitKeyLocked(dst []byte, g gstate, sc *keyScratch) ([]byte, bool) {
 	k, n := s.sym.k, len(s.Places)
-	cols := sc.cols[:0] // place -> column -> digest
+	cols := sc.cols[:0] // place -> column -> column id
 	for idx := 0; idx < n; idx++ {
 		c := s.local[idx][g[idx]].symCols
 		if c == nil {
-			return [16]byte{}, false
+			return dst, false
 		}
 		cols = append(cols, c)
 	}
@@ -612,17 +496,17 @@ func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 		q, o = g.queueAt(o)
 		for _, mid := range q {
 			if s.msgMeta[mid].col == msgColPoison {
-				return [16]byte{}, false
+				return dst, false
 			}
 		}
 	}
-	// Per-column signatures: local digests at every place, then the queue
-	// footprint (slot, position, normalized content) of the column's
-	// in-flight messages.
+	// Per-column signatures: column ids at every place, then the queue
+	// footprint (slot, position, renamed message) of the column's in-flight
+	// messages.
 	sigs, ends := sc.sigs[:0], sc.ends[:0]
 	for c := 0; c < k; c++ {
 		for idx := 0; idx < n; idx++ {
-			sigs = append(sigs, cols[idx][c][:]...)
+			sigs = binary.AppendUvarint(sigs, uint64(cols[idx][c]))
 		}
 		o := n
 		for slot := 0; slot < n*n; slot++ {
@@ -632,7 +516,7 @@ func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 				if meta := &s.msgMeta[mid]; int(meta.col) == c {
 					sigs = binary.AppendUvarint(sigs, uint64(slot))
 					sigs = binary.AppendUvarint(sigs, uint64(pos))
-					sigs = append(sigs, meta.norm[:]...)
+					sigs = binary.AppendUvarint(sigs, uint64(meta.norm))
 				}
 			}
 		}
@@ -644,7 +528,7 @@ func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 	order := sc.order[:0]
 	for c := 0; c < k; c++ {
 		order = append(order, c)
-		for j := c; j > 0 && sc.sigAfter(order[j-1], c); j-- {
+		for j := c; j > 0 && bytes.Compare(sc.sig(order[j-1]), sc.sig(c)) > 0; j-- {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
@@ -660,11 +544,10 @@ func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 	if !identity {
 		s.orbitsCollapsed.Add(1)
 	}
-	// Re-encode the state with columns in canonical order.
-	buf := sc.buf[:0]
+	dst = append(dst, orbitTag)
 	for idx := 0; idx < n; idx++ {
 		for _, c := range order {
-			buf = append(buf, cols[idx][c][:]...)
+			dst = binary.AppendUvarint(dst, uint64(cols[idx][c]))
 		}
 	}
 	o := n
@@ -674,21 +557,17 @@ func (s *System) canonKeyLocked(g gstate, sc *keyScratch) ([16]byte, bool) {
 		if len(q) == 0 {
 			continue
 		}
-		buf = binary.AppendUvarint(buf, uint64(slot)+1)
-		buf = binary.AppendUvarint(buf, uint64(len(q)))
+		dst = binary.AppendUvarint(dst, uint64(slot)+1)
+		dst = binary.AppendUvarint(dst, uint64(len(q)))
 		for _, mid := range q {
 			meta := &s.msgMeta[mid]
-			if meta.col == msgColShared {
-				buf = append(buf, 0)
-				buf = append(buf, meta.norm[:]...)
-			} else {
-				buf = append(buf, 1, byte(rank[meta.col]))
-				buf = append(buf, meta.norm[:]...)
+			col := uint64(0)
+			if meta.col != msgColShared {
+				col = uint64(rank[meta.col]) + 1
 			}
+			dst = binary.AppendUvarint(dst, col)
+			dst = binary.AppendUvarint(dst, uint64(meta.norm))
 		}
 	}
-	sc.buf = buf
-	key := digest16(buf)
-	key[0] |= 0x80 // the orbit-key domain (see above)
-	return key, true
+	return dst, true
 }

@@ -289,7 +289,7 @@ func sortedPlaces(entities map[int]*lotos.Spec) []int {
 // system prepares a product system over the Verifier's exact table with
 // the resolved reduction set red. The table is built on first use, with
 // the instance symmetry of the entities, if any, detected before any state
-// is translated: the table then digests every state's symmetry columns, and
+// is translated: the table then interns every state's symmetry columns, and
 // a system applies them when red holds RedSymmetry.
 func (v *Verifier) system(cfg Config, red Reductions) (*System, error) {
 	v.mu.Lock()
@@ -321,7 +321,7 @@ func (v *Verifier) quotientSystem(machines map[int]*fsm.Machine, cfg Config) (*S
 	if err != nil {
 		return nil, err
 	}
-	// Quotient classes carry no syntax to compute column digests from, so
+	// Quotient classes carry no syntax to render symmetry columns from, so
 	// the symmetry reduction never applies to a compositional system.
 	return newSystem(v.places, t, cfg, cfg.effectiveReductions()&^RedSymmetry, &v.sizes), nil
 }

@@ -42,10 +42,6 @@ func taggedSend(to int, tag string) lotos.Expr {
 	return lotos.Act(lotos.Event{Kind: lotos.EvSend, Place: to, Node: -1, Tag: tag})
 }
 
-func taggedRecv(from int, tag string) lotos.Expr {
-	return lotos.Act(lotos.Event{Kind: lotos.EvRecv, Place: from, Node: -1, Tag: tag})
-}
-
 // DeriveCentralized builds the centralized baseline for a service
 // specification. The server place defaults to the smallest place of ALL
 // when server is 0.

@@ -26,7 +26,7 @@ func wantEntity(t *testing.T, d *Derivation, place int, expected string) {
 		t.Fatalf("no entity for place %d", place)
 	}
 	want := lotos.MustParse(expected)
-	if !lotos.IsomorphicSpecsModuloMsgIDs(got, want) {
+	if !isomorphic(got, want) {
 		t.Errorf("entity %d mismatch:\n--- got ---\n%s\n--- want ---\n%s", place, got, want)
 	}
 }

@@ -177,26 +177,15 @@ func (e Event) AppendGate(dst []byte) []byte {
 		dst = append(dst, dir...)
 		dst = strconv.AppendInt(dst, int64(e.Place), 10)
 		dst = append(dst, ':')
-		return e.appendMsgKey(dst)
+		if e.Tag != "" {
+			dst = append(dst, 't')
+			return append(dst, e.Tag...)
+		}
+		dst = strconv.AppendInt(dst, int64(e.Node), 10)
+		dst = append(dst, '#')
+		return append(dst, e.Occ...)
 	}
 	return dst
-}
-
-// msgKey identifies a message event's content: its tag, or its node and
-// occurrence.
-func (e Event) msgKey() string {
-	var buf [64]byte
-	return string(e.appendMsgKey(buf[:0]))
-}
-
-func (e Event) appendMsgKey(dst []byte) []byte {
-	if e.Tag != "" {
-		dst = append(dst, 't')
-		return append(dst, e.Tag...)
-	}
-	dst = strconv.AppendInt(dst, int64(e.Node), 10)
-	dst = append(dst, '#')
-	return append(dst, e.Occ...)
 }
 
 // SameMessage reports whether two message events denote the same message

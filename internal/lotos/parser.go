@@ -80,13 +80,6 @@ type parser struct {
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 
-func (p *parser) peekAt(off int) token {
-	if p.pos+off >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos+off]
-}
-
 func (p *parser) advance() token {
 	t := p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {

@@ -2,6 +2,7 @@ package lotos
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -141,13 +142,26 @@ func writeExpr(b *strings.Builder, e Expr, minPrec int) {
 // state key during state-space exploration. It differs from Format in that
 // the derivation-time Empty node stays distinguishable and occurrence
 // numbers of process references are included.
-func Canon(e Expr) string {
+func Canon(e Expr) string { return CanonRenamed(e, nil) }
+
+// A Renaming maps the identifiers a canonical form prints: process call-site
+// ids, message node numbers and the occurrence paths built from call-site
+// ids.
+type Renaming interface {
+	ID(id int) int
+	Occ(occ string) string
+}
+
+// CanonRenamed is Canon with every process call site, and the node number
+// and occurrence path of every untagged message, printed through r. A nil r
+// prints them as they are.
+func CanonRenamed(e Expr, r Renaming) string {
 	var b strings.Builder
-	writeCanon(&b, e)
+	writeCanon(&b, e, r)
 	return b.String()
 }
 
-func writeCanon(b *strings.Builder, e Expr) {
+func writeCanon(b *strings.Builder, e Expr, r Renaming) {
 	switch x := e.(type) {
 	case *Stop:
 		b.WriteString("0")
@@ -156,23 +170,39 @@ func writeCanon(b *strings.Builder, e Expr) {
 	case *Empty:
 		b.WriteString("E")
 	case *ProcRef:
-		fmt.Fprintf(b, "P(%s@%d^%s)", x.Name, x.id, x.Occ)
+		id, occ := x.id, x.Occ
+		if r != nil {
+			id, occ = r.ID(id), r.Occ(occ)
+		}
+		var num [20]byte
+		b.WriteString("P(")
+		b.WriteString(x.Name)
+		b.WriteByte('@')
+		b.Write(strconv.AppendInt(num[:0], int64(id), 10))
+		b.WriteByte('^')
+		b.WriteString(occ)
+		b.WriteByte(')')
 	case *Prefix:
-		b.WriteString(x.Ev.Gate())
-		if x.Ev.Kind == EvInternal {
+		ev := x.Ev
+		if r != nil && ev.IsMessage() && ev.Tag == "" {
+			ev.Node, ev.Occ = r.ID(ev.Node), r.Occ(ev.Occ)
+		}
+		var gate [64]byte
+		b.Write(ev.AppendGate(gate[:0]))
+		if ev.Kind == EvInternal {
 			b.WriteString("i")
 		}
 		b.WriteString(".")
-		writeCanon(b, x.Cont)
+		writeCanon(b, x.Cont, r)
 	case *Choice:
 		b.WriteString("(")
-		writeCanon(b, x.L)
+		writeCanon(b, x.L, r)
 		b.WriteString("+")
-		writeCanon(b, x.R)
+		writeCanon(b, x.R, r)
 		b.WriteString(")")
 	case *Parallel:
 		b.WriteString("(")
-		writeCanon(b, x.L)
+		writeCanon(b, x.L, r)
 		switch x.Kind {
 		case ParInterleave:
 			b.WriteString("|||")
@@ -181,23 +211,23 @@ func writeCanon(b *strings.Builder, e Expr) {
 		default:
 			b.WriteString("|[" + FormatGateSet(x.Sync) + "]|")
 		}
-		writeCanon(b, x.R)
+		writeCanon(b, x.R, r)
 		b.WriteString(")")
 	case *Enable:
 		b.WriteString("(")
-		writeCanon(b, x.L)
+		writeCanon(b, x.L, r)
 		b.WriteString(">>")
-		writeCanon(b, x.R)
+		writeCanon(b, x.R, r)
 		b.WriteString(")")
 	case *Disable:
 		b.WriteString("(")
-		writeCanon(b, x.L)
+		writeCanon(b, x.L, r)
 		b.WriteString("[>")
-		writeCanon(b, x.R)
+		writeCanon(b, x.R, r)
 		b.WriteString(")")
 	case *Hide:
 		b.WriteString("hide[" + FormatGateSet(x.Gates) + "](")
-		writeCanon(b, x.Body)
+		writeCanon(b, x.Body, r)
 		b.WriteString(")")
 	default:
 		fmt.Fprintf(b, "<?%T>", e)

@@ -168,53 +168,6 @@ func TestCanonIncludesOccurrence(t *testing.T) {
 	}
 }
 
-func TestIsomorphicModuloMsgIDs(t *testing.T) {
-	a := MustParseExpr("a1; s2(6); exit")
-	b := MustParseExpr("a1; s2(9); exit")
-	if !IsomorphicModuloMsgIDs(a, b) {
-		t.Error("single renamed message must be isomorphic")
-	}
-	// Consistency: the same id must map to the same id everywhere.
-	c := MustParseExpr("s2(6); r3(6); exit")
-	d := MustParseExpr("s2(9); r3(8); exit")
-	if IsomorphicModuloMsgIDs(c, d) {
-		t.Error("inconsistent renaming must not be isomorphic")
-	}
-	e := MustParseExpr("s2(6); r3(6); exit")
-	f := MustParseExpr("s2(9); r3(9); exit")
-	if !IsomorphicModuloMsgIDs(e, f) {
-		t.Error("consistent renaming must be isomorphic")
-	}
-	// Injectivity: two different ids cannot collapse into one.
-	g := MustParseExpr("s2(6); s2(7); exit")
-	h := MustParseExpr("s2(9); s2(9); exit")
-	if IsomorphicModuloMsgIDs(g, h) {
-		t.Error("non-injective renaming must not be isomorphic")
-	}
-	// Tags and node ids may be renamed into each other.
-	i := MustParseExpr("s2(x); r3(x); exit")
-	j := MustParseExpr("s2(4); r3(4); exit")
-	if !IsomorphicModuloMsgIDs(i, j) {
-		t.Error("tag-to-node renaming must be isomorphic")
-	}
-	// Different peers never match.
-	k := MustParseExpr("s2(6); exit")
-	l := MustParseExpr("s3(6); exit")
-	if IsomorphicModuloMsgIDs(k, l) {
-		t.Error("different peers must not be isomorphic")
-	}
-	// Empty matches exit.
-	if !IsomorphicModuloMsgIDs(Emp(), X()) || !IsomorphicModuloMsgIDs(X(), Emp()) {
-		t.Error("empty and exit must be isomorphic")
-	}
-	// Service names must match exactly.
-	m := MustParseExpr("a1; exit")
-	n := MustParseExpr("b1; exit")
-	if IsomorphicModuloMsgIDs(m, n) {
-		t.Error("different service primitives must not be isomorphic")
-	}
-}
-
 func TestEqualOperatorsDistinct(t *testing.T) {
 	a := MustParseExpr("a1; exit ||| b2; exit")
 	b := MustParseExpr("a1; exit || b2; exit")

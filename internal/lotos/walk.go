@@ -194,106 +194,3 @@ func equalBlock(a, b *DefBlock) bool {
 	}
 	return true
 }
-
-// IsomorphicModuloMsgIDs reports whether two expressions are structurally
-// equal up to a consistent renaming of message identifications: whenever a
-// send/receive in a corresponds to one in b, their (Node, Occ, Tag) triples
-// must be related by a bijection, and kinds/peers must match exactly.
-// It is used to compare derived protocol entities against the listings in
-// the paper, whose node numbering differs from ours.
-func IsomorphicModuloMsgIDs(a, b Expr) bool {
-	fwd := map[string]string{}
-	rev := map[string]string{}
-	return isoExpr(a, b, fwd, rev)
-}
-
-func isoExpr(a, b Expr, fwd, rev map[string]string) bool {
-	switch x := a.(type) {
-	case *Stop:
-		_, ok := b.(*Stop)
-		return ok
-	case *Exit, *Empty:
-		// Empty is a neutral successful termination: it matches exit.
-		switch b.(type) {
-		case *Empty, *Exit:
-			return true
-		}
-		return false
-	case *ProcRef:
-		y, ok := b.(*ProcRef)
-		return ok && x.Name == y.Name
-	case *Prefix:
-		y, ok := b.(*Prefix)
-		return ok && isoEvent(x.Ev, y.Ev, fwd, rev) && isoExpr(x.Cont, y.Cont, fwd, rev)
-	case *Choice:
-		y, ok := b.(*Choice)
-		return ok && isoExpr(x.L, y.L, fwd, rev) && isoExpr(x.R, y.R, fwd, rev)
-	case *Parallel:
-		y, ok := b.(*Parallel)
-		return ok && x.Kind == y.Kind && sameStrings(x.Sync, y.Sync) &&
-			isoExpr(x.L, y.L, fwd, rev) && isoExpr(x.R, y.R, fwd, rev)
-	case *Enable:
-		y, ok := b.(*Enable)
-		return ok && isoExpr(x.L, y.L, fwd, rev) && isoExpr(x.R, y.R, fwd, rev)
-	case *Disable:
-		y, ok := b.(*Disable)
-		return ok && isoExpr(x.L, y.L, fwd, rev) && isoExpr(x.R, y.R, fwd, rev)
-	case *Hide:
-		y, ok := b.(*Hide)
-		return ok && sameStrings(x.Gates, y.Gates) && isoExpr(x.Body, y.Body, fwd, rev)
-	}
-	return false
-}
-
-// IsomorphicSpecsModuloMsgIDs extends IsomorphicModuloMsgIDs to whole
-// specifications: block structure and process names must match exactly, and
-// one message-identification bijection must hold consistently across the
-// root expression and every process body.
-func IsomorphicSpecsModuloMsgIDs(a, b *Spec) bool {
-	fwd := map[string]string{}
-	rev := map[string]string{}
-	return isoBlock(a.Root, b.Root, fwd, rev)
-}
-
-func isoBlock(a, b *DefBlock, fwd, rev map[string]string) bool {
-	if !isoExpr(a.Expr, b.Expr, fwd, rev) || len(a.Procs) != len(b.Procs) {
-		return false
-	}
-	for i := range a.Procs {
-		if a.Procs[i].Name != b.Procs[i].Name {
-			return false
-		}
-		if !isoBlock(a.Procs[i].Body, b.Procs[i].Body, fwd, rev) {
-			return false
-		}
-	}
-	return true
-}
-
-func isoEvent(a, b Event, fwd, rev map[string]string) bool {
-	if a.Kind != b.Kind {
-		// Also allow exit-vs-empty asymmetry handled in isoExpr; kinds of
-		// events must match exactly.
-		return false
-	}
-	switch a.Kind {
-	case EvService:
-		return a.Name == b.Name && a.Place == b.Place
-	case EvInternal:
-		return true
-	default:
-		if a.Place != b.Place {
-			return false
-		}
-		ka, kb := a.msgKey(), b.msgKey()
-		if prev, ok := fwd[ka]; ok {
-			return prev == kb
-		}
-		if prev, ok := rev[kb]; ok {
-			return prev == ka
-		}
-		fwd[ka] = kb
-		rev[kb] = ka
-		return true
-	}
-}
